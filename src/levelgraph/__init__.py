@@ -4,7 +4,7 @@ Subpackages build on each other roughly bottom-up:
 
 - ``poly``: complex/real polynomial arithmetic, vertical-line restriction,
   multiplicity-aware root finding
-- ``cauchy``: Cauchy indices of real rational functions (three backends)
+- ``cauchy``: exact Cauchy indices of real rational functions
 - ``landscape``: critical points of Im(w) on the imaginary axis, counting
   function for level-curve crossings, tangent cone at infinity
 - ``stability``: the boundary-data trichotomy (stable / strictly semistable /

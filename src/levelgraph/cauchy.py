@@ -7,28 +7,28 @@ one-sided contributions at interval endpoints.  Indices over an interval
 inside, and minus the left-hand contribution at d; this makes the interval
 index exactly additive when intervals are concatenated, even at poles.
 
-Three evaluation routes are provided:
+Every index here is exact.  A double is a dyadic rational, so scaling a
+polynomial by a power of two turns its coefficients into integers without
+changing a single sign.  The signed-remainder chain den, num, -rem(den, num),
+... is then built from primitive pseudo-remainders in integer arithmetic, and
+the index over the open interval (c, d) is the drop in sign variations of
+the chain from c to d (Basu-Pollack-Roy, *Algorithms in Real Algebraic
+Geometry*, Thm. 2.58).  Each chain member is read just inside the interval:
+its sign just right of c is that of its first nonzero Taylor coefficient at
+c, and at -inf/+inf the sign of its leading term.  The same Taylor data give
+the orders of num and den at an endpoint, hence whether it is a pole and
+from which side h runs to +inf.  No tolerance enters anywhere, so the result
+is the index of the function the doubles represent.
 
-- ``index_on_interval``: enumerate real poles via the clustering root finder,
-  cancel common factors against the numerator, and probe signs next to each
-  surviving pole.  Handles poles at the endpoints and infinite endpoints.
-- ``index_on_interval_sturm``: signed-remainder (Sturm) chain in floating
-  point, evaluated as a sign-variation difference.  Fast and exact for
-  endpoints that are not poles; refuses pole endpoints.
-- ``index_on_interval_exact``: the same chain over ``fractions.Fraction``.
-  Every double is a rational number, so this is exact for any float input;
-  it exists as an oracle for the other two.
-
-All three return :class:`HalfInteger`.
+All routines return :class:`HalfInteger`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .errors import DenominatorIdenticallyZero, IndeterminateSign
-from .poly import RealPolynomial, roots
+from .errors import DenominatorIdenticallyZero
+from .poly import RealPolynomial
 
 __all__ = [
     "HalfInteger",
@@ -36,8 +36,7 @@ __all__ = [
     "index_at_point",
     "index_one_sided",
     "index_on_interval",
-    "index_on_interval_sturm",
-    "index_on_interval_exact",
+    "one_sided_sign",
 ]
 
 
@@ -159,74 +158,118 @@ class RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# pole enumeration backend
+# exact integer signed-remainder chain
 
 
-def _real_root_list(p: RealPolynomial):
-    """(location, multiplicity) for the real roots of a real polynomial."""
-    if p.degree < 1:
-        return []
-    out = []
-    for r in roots(p.to_complex()):
-        band = max(1e-7 * (1.0 + abs(r.location)), 2.0 * r.cluster_radius)
-        if abs(r.location.imag) <= band:
-            out.append((r.location.real, r.multiplicity, r.cluster_radius))
-    return out
+def _integer_coeffs(p: RealPolynomial) -> list:
+    """Coefficients of 2**s * p as ints, for the least s that makes them so."""
+    ratios = [c.as_integer_ratio() for c in p.coeffs]
+    scale = max(d for _, d in ratios)  # every d is a power of two
+    return [n * (scale // d) for n, d in ratios]
 
 
-def _probe_sign(h: RationalFunction, x: float) -> int:
-    nv, dv = h.num(x), h.den(x)
-    nscale = h.num.coeff_scale * max(1.0, abs(x)) ** max(h.num.degree, 0)
-    dscale = h.den.coeff_scale * max(1.0, abs(x)) ** max(h.den.degree, 0)
-    if abs(nv) <= 1e-12 * nscale or abs(dv) <= 1e-12 * dscale:
-        raise IndeterminateSign(
-            f"sign probe at y={x!r} is too close to zero to trust"
-        )
-    return 1 if (nv > 0) == (dv > 0) else -1
+def _primitive(p: list) -> list:
+    g = math.gcd(*p)
+    return [c // g for c in p]
 
 
-class _Pole:
-    __slots__ = ("s", "order", "delta")
+def _pseudo_remainder(a: list, b: list) -> list:
+    """Remainder of |lc(b)|**e * a on division by b, trimmed.
 
-    def __init__(self, s, order, delta):
-        self.s = s
-        self.order = order
-        self.delta = delta
-
-
-def _surviving_poles(h: RationalFunction, snap: float | None = None):
-    """Real poles of h after cancelling numerator factors.
-
-    Returns a list of _Pole with a probe offset delta small enough that
-    num*den has no other sign change within (s - delta, s + delta).
+    Each elimination step multiplies a by |lc(b)| > 0, so the result is a
+    positive multiple of the true remainder and has its signs everywhere.
     """
-    if h.num.is_zero:
-        return []
-    den_roots = _real_root_list(h.den)
-    num_roots = _real_root_list(h.num)
-    poles = []
-    all_locs = [s for s, _, _ in den_roots] + [s for s, _, _ in num_roots]
-    for s, mult, rad in den_roots:
-        match = max(1e-6 * (1.0 + abs(s)), 4.0 * rad) if snap is None else snap
-        num_order = sum(m for t, m, tr in num_roots if abs(t - s) <= max(match, 4.0 * tr))
-        order = mult - num_order
-        if order <= 0:
-            continue
-        others = [abs(t - s) for t in all_locs if abs(t - s) > match]
-        gap = min(others) if others else 1.0 + abs(s)
-        poles.append(_Pole(s, order, 0.4 * gap))
-    return poles
+    a = list(a)
+    lead = b[-1]
+    scale, sgn = abs(lead), (1 if lead > 0 else -1)
+    db = len(b) - 1
+    for top in range(len(a) - 1, db - 1, -1):
+        q = sgn * a[top]
+        a = [scale * c for c in a[:top]]
+        off = top - db
+        for j in range(db):
+            a[off + j] -= q * b[j]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _signed_remainder_chain(den: list, num: list) -> list:
+    """den, num, -rem(den, num), ..., each a positive multiple of the true one."""
+    chain = [_primitive(den), _primitive(num)]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in _primitive(r)])
+    return chain
+
+
+def _local(p: list, x) -> tuple:
+    """(j, s) for a nonzero integer polynomial p near x.
+
+    For finite x, p vanishes to order j at x and s is the sign of its j-th
+    Taylor coefficient there, so s is the sign of p just right of x and
+    (-1)**j * s its sign just left of x.  For x = -inf or +inf, j is 0 and
+    s is the sign of p far out on that side.
+    """
+    if math.isinf(x):
+        s = 1 if p[-1] > 0 else -1
+        return 0, (s if x > 0 or len(p) % 2 else -s)
+    # b(v) = E**n p(v/E) has integer coefficients, and its Taylor coefficients
+    # at X are positive multiples of those of p at x = X/E
+    X, E = x.as_integer_ratio()
+    b = list(p)
+    e = 1
+    for k in range(len(b) - 2, -1, -1):
+        e *= E
+        b[k] *= e
+    for j in range(len(b)):
+        # synthetic division by (v - X): b = q * (v - X) + b(X)
+        acc = 0
+        q = [0] * (len(b) - 1)
+        for k in range(len(b) - 1, 0, -1):
+            acc = acc * X + b[k]
+            q[k - 1] = acc
+        value = acc * X + b[0]
+        if value:
+            return j, (1 if value > 0 else -1)
+        b = q
+    raise ValueError("the zero polynomial has no local sign")
+
+
+def _beside(local: tuple, side: int) -> int:
+    """Sign just right (side=+1) or left (side=-1) of x, from _local(p, x)."""
+    j, s = local
+    return s if side > 0 or j % 2 == 0 else -s
+
+
+def one_sided_sign(p: RealPolynomial, y: float, side: int) -> int:
+    """Exact sign of a nonzero p just right (side=+1) or left (side=-1) of y."""
+    return _beside(_local(_integer_coeffs(p), y), side)
+
+
+def _variations(signs) -> int:
+    signs = list(signs)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _pole_sign(den_local: tuple, num_local: tuple, side: int) -> int:
+    """Sign of h = num/den on one side of a point when it is a pole, else 0."""
+    if den_local[0] <= num_local[0]:
+        return 0
+    return _beside(den_local, side) * _beside(num_local, side)
 
 
 def index_one_sided(h: RationalFunction, s: float, side: int) -> HalfInteger:
     """ind at s from one side: +-1/2 when the one-sided limit is +-inf."""
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
-    for pole in _surviving_poles(h):
-        snap = max(1e-9 * (1.0 + abs(s)), 1e-12)
-        if abs(pole.s - s) <= max(snap, pole.delta * 1e-3):
-            return HalfInteger(_probe_sign(h, pole.s + side * pole.delta))
-    return HalfInteger(0)
+    if h.num.is_zero:
+        return HalfInteger(0)
+    den = _local(_integer_coeffs(h.den), s)
+    num = _local(_integer_coeffs(h.num), s)
+    return HalfInteger(_pole_sign(den, num, side))
 
 
 def index_at_point(h: RationalFunction, s: float) -> HalfInteger:
@@ -235,7 +278,7 @@ def index_at_point(h: RationalFunction, s: float) -> HalfInteger:
 
 
 def index_on_interval(h: RationalFunction, c: float, d: float) -> HalfInteger:
-    """Cauchy index of h over [c, d] by pole enumeration.
+    """Exact Cauchy index of h over [c, d].
 
     Endpoints may be -inf/+inf.  A pole exactly at c contributes its
     right-hand half-jump; a pole at d contributes minus its left-hand
@@ -243,158 +286,14 @@ def index_on_interval(h: RationalFunction, c: float, d: float) -> HalfInteger:
     """
     if not c < d:
         raise ValueError(f"need c < d, got c={c}, d={d}")
-    total = 0
-    for pole in _surviving_poles(h):
-        s = pole.s
-        snap = max(1e-9 * (1.0 + abs(s)), 1e-12)
-        at_c = math.isfinite(c) and abs(s - c) <= snap
-        at_d = math.isfinite(d) and abs(s - d) <= snap
-        if at_c:
-            total += _probe_sign(h, s + pole.delta)
-        elif at_d:
-            total -= _probe_sign(h, s - pole.delta)
-        elif c < s < d:
-            if pole.order % 2 == 0:
-                continue  # equal one-sided signs, jump cancels
-            right = _probe_sign(h, s + pole.delta)
-            total += 2 * right  # left sign is -right for an odd-order pole
-    return HalfInteger(total)
-
-
-# ---------------------------------------------------------------------------
-# Sturm-chain backends
-
-
-def _rem_ascending(a: list, b: list):
-    """Remainder of a mod b, both ascending coefficient lists (any field)."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    for top in range(len(a) - 1, db - 1, -1):
-        q = a[top] / lead
-        if q != 0:
-            for j in range(db):
-                a[top - db + j] -= q * b[j]
-        a[top] = a[top] * 0  # exact zero of the right type
-    del a[db:]
-    return a
-
-
-def _signed_remainder_chain_float(den, num):
-    chain = [list(den.coeffs), list(num.coeffs)]
-    # normalize so coefficient scales stay O(1) through the divisions
-    for f in chain:
-        m = max(abs(c) for c in f)
-        for i in range(len(f)):
-            f[i] /= m
-    while len(chain[-1]) > 1:
-        r = _rem_ascending(chain[-2], chain[-1])
-        m = max((abs(c) for c in r), default=0.0)
-        if m <= 1e-11:
-            break
-        while r and abs(r[-1]) <= 1e-12 * m:
-            r.pop()
-        chain.append([-c / m for c in r])
-    return chain
-
-
-def _variations(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _sign_at(f: list, x: float) -> int:
-    if not f:
-        return 0
-    if x == math.inf:
-        v = f[-1]
-    elif x == -math.inf:
-        v = f[-1] * (1 if (len(f) - 1) % 2 == 0 else -1)
-    else:
-        v = 0.0
-        for c in reversed(f):
-            v = v * x + c
-    return (v > 0) - (v < 0)
-
-
-def index_on_interval_sturm(h: RationalFunction, c: float, d: float) -> HalfInteger:
-    """Cauchy index over [c, d] as a sign-variation difference.
-
-    Valid when neither endpoint is a pole of h (the variation count cannot
-    express the half-jump a pole endpoint contributes); raises
-    IndeterminateSign there.
-    """
-    if not c < d:
-        raise ValueError(f"need c < d, got c={c}, d={d}")
     if h.num.is_zero:
         return HalfInteger(0)
-    for x in (c, d):
-        if math.isfinite(x):
-            scale = h.den.coeff_scale * max(1.0, abs(x)) ** max(h.den.degree, 0)
-            if abs(h.den(x)) <= 1e-12 * scale:
-                raise IndeterminateSign(
-                    f"endpoint y={x!r} sits on a zero of the denominator; "
-                    "use index_on_interval instead"
-                )
-    chain = _signed_remainder_chain_float(h.den, h.num)
-    vc = _variations([_sign_at(f, c) for f in chain])
-    vd = _variations([_sign_at(f, d) for f in chain])
-    return HalfInteger.from_int(vc - vd)
-
-
-def _sign_at_exact(f: list, x) -> int:
-    if not f:
-        return 0
-    if x == math.inf:
-        v = f[-1]
-    elif x == -math.inf:
-        v = f[-1] if (len(f) - 1) % 2 == 0 else -f[-1]
-    else:
-        v = Fraction(0)
-        for c in reversed(f):
-            v = v * x + c
-    return (v > 0) - (v < 0)
-
-
-def index_on_interval_exact(h: RationalFunction, c: float, d: float) -> HalfInteger:
-    """Exact Sturm-chain index over Fraction arithmetic.
-
-    Floats convert to Fraction losslessly, so this gives the mathematically
-    exact index of the function the doubles actually represent.  Endpoint
-    restrictions are as for the float Sturm variant.
-    """
-    if not c < d:
-        raise ValueError(f"need c < d, got c={c}, d={d}")
-    if h.num.is_zero:
-        return HalfInteger(0)
-    den = [Fraction(x) for x in h.den.coeffs]
-    num = [Fraction(x) for x in h.num.coeffs]
-    cx = Fraction(c) if math.isfinite(c) else c
-    dx = Fraction(d) if math.isfinite(d) else d
-    for x in (cx, dx):
-        if isinstance(x, Fraction):
-            v = Fraction(0)
-            for co in reversed(den):
-                v = v * x + co
-            if v == 0:
-                raise IndeterminateSign(
-                    f"endpoint y={float(x)!r} is a pole; use index_on_interval"
-                )
-    chain = [den, num]
-    while len(chain[-1]) > 1:
-        r = _rem_ascending(chain[-2], chain[-1])
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            break
-        # rescale to integer coefficients to keep Fraction sizes tame
-        lcm = 1
-        for co in r:
-            lcm = lcm * co.denominator // math.gcd(lcm, co.denominator)
-        g = 0
-        for co in r:
-            g = math.gcd(g, abs(co.numerator * (lcm // co.denominator)))
-        chain.append([Fraction(-co.numerator * (lcm // co.denominator) // g) for co in r])
-    vc = _variations([_sign_at_exact(f, cx) for f in chain])
-    vd = _variations([_sign_at_exact(f, dx) for f in chain])
-    return HalfInteger.from_int(vc - vd)
+    chain = _signed_remainder_chain(_integer_coeffs(h.den), _integer_coeffs(h.num))
+    at_c = [_local(p, c) for p in chain]
+    at_d = [_local(p, d) for p in chain]
+    twice = 2 * (
+        _variations(_beside(loc, +1) for loc in at_c)
+        - _variations(_beside(loc, -1) for loc in at_d)
+    )
+    twice += _pole_sign(at_c[0], at_c[1], +1) - _pole_sign(at_d[0], at_d[1], -1)
+    return HalfInteger(twice)

@@ -41,22 +41,17 @@ class RunConfig:
     """Run-wide knobs, mirrored by the CLI ``--config`` JSON file."""
 
     sign_tol: float = SIGN_TOL
-    snap_tol: float = SNAP_TOL
-    corrector_tol: float = CORRECTOR_TOL
     stop_tol: float = FLOW_STOP_TOL
     grid_nodes: int = GRID_NODES
     trace_radius: float = 0.0   # 0 means "derive from the roots of w"
     out_path: str = ""
-    out_format: str = "json"    # {json, csv}
 
     def __post_init__(self):
-        for name in ("sign_tol", "snap_tol", "corrector_tol", "stop_tol"):
+        for name in ("sign_tol", "stop_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.grid_nodes < 3:
             raise ValueError("grid_nodes must be >= 3")
-        if self.out_format not in ("json", "csv"):
-            raise ValueError("out_format must be 'json' or 'csv'")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

@@ -30,10 +30,11 @@ class DenominatorIdenticallyZero(LevelGraphError):
 
 
 class IndeterminateSign(LevelGraphError):
-    """A sign probe landed inside the zero-tolerance band.
+    """A sign could not be decided.
 
-    The caller should widen the tolerance, move the probe, or switch to the
-    exact-rational backend.
+    The Cauchy index decides every sign exactly and never raises this; it
+    is kept for callers that catch it and for reference computations that
+    refuse a pole endpoint.
     """
 
 

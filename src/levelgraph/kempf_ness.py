@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import FLOW_DIVERGED, FLOW_ENDPOINT_BLOWUP, FLOW_STOP_TOL, GRID_NODES
 from .errors import Diverged, NonIntegrableEndpoint
-from .poly import ComplexPolynomial, RealPolynomial
+from .poly import as_complex_polynomial
 
 __all__ = [
     "GridFunction",
@@ -45,14 +45,6 @@ __all__ = [
 ]
 
 _RK4_SAFETY = 0.8  # fraction of the linear-stability step limit
-
-
-def _as_poly(w):
-    if isinstance(w, ComplexPolynomial):
-        return w
-    if isinstance(w, RealPolynomial):
-        return w.to_complex()
-    return ComplexPolynomial(w)
 
 
 @lru_cache(maxsize=64)
@@ -199,7 +191,7 @@ def membership(f: GridFunction, w, sigma: BackgroundSigma | None = None):
     Returns (in_set, min_value) where min_value is the minimum over nodes of
     d/dx Re(w(x+if)) = Re(w'(z)) - f'(x) Im(w'(z)).
     """
-    wp = _as_poly(w).derivative()
+    wp = as_complex_polynomial(w).derivative()
     z = f.nodes + 1j * f.values
     d = wp(z)
     vals = d.real - derivative_values(f) * d.imag
@@ -211,7 +203,7 @@ def j_derivative(f: GridFunction, f_dot, w, sigma: BackgroundSigma) -> float:
     """dJ/dt along a path through f with interior velocity f_dot."""
     _check_sigma(f, sigma)
     weights = _quadrature_for(f)
-    v = _as_poly(w)(f.nodes + 1j * f.values).imag
+    v = as_complex_polynomial(w)(f.nodes + 1j * f.values).imag
     return float(np.sum(weights * np.asarray(f_dot, dtype=float) * v / sigma.values))
 
 
@@ -250,7 +242,7 @@ def _rk4(vals: np.ndarray, rhs, dt: float) -> np.ndarray:
 
 def flow_step(f: GridFunction, w, sigma: BackgroundSigma, dt: float) -> GridFunction:
     """One explicit RK4 step of df/dt = -Im(w(x+if))."""
-    w = _as_poly(w)
+    w = as_complex_polynomial(w)
     x = f.nodes
 
     def rhs(vals):
@@ -274,7 +266,7 @@ def run_flow(
     when the residual passes 1e6 and NonIntegrableEndpoint when the residual
     per unit sigma passes 1e8 (heights off the zero level at an endpoint).
     """
-    w = _as_poly(w)
+    w = as_complex_polynomial(w)
     wp = w.derivative()
     _check_sigma(f0, sigma)
     weights = _quadrature_for(f0)
@@ -350,7 +342,7 @@ def geodesic_residual(path, times, w, sigma: BackgroundSigma, f0: GridFunction) 
     f = f0 + sigma * d(phi)/dx.  The equation checked at interior times and
     nodes is  phi_tt * d/dx Re(w(z_f)) + (d(phi_t)/dx)^2 sigma Im(w'(z_f)).
     """
-    w = _as_poly(w)
+    w = as_complex_polynomial(w)
     wp = w.derivative()
     times, base, full = _path_arrays(path, times)
     _check_sigma(base, sigma)
@@ -392,7 +384,7 @@ def relax_geodesic(
     toward the second-difference solution of the geodesic equation until the
     sup residual drops below tol.  Returns (times, path).
     """
-    w = _as_poly(w)
+    w = as_complex_polynomial(w)
     wp = w.derivative()
     _check_sigma(phi0, sigma)
     dmat = _diff_matrix(_full_nodes(phi0))
@@ -439,5 +431,5 @@ def second_variation_at(f: GridFunction, psi: GridFunction, w, sigma: Background
     _check_sigma(f, sigma)
     weights = _quadrature_for(f)
     dpsi = derivative_values(psi)
-    d = _as_poly(w).derivative()(f.nodes + 1j * f.values)
+    d = as_complex_polynomial(w).derivative()(f.nodes + 1j * f.values)
     return float(np.sum(weights * dpsi * dpsi * sigma.values * d.real))

@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cauchy import HalfInteger, RationalFunction, index_on_interval
+from .cauchy import HalfInteger, RationalFunction, index_on_interval, one_sided_sign
 from .config import SIGN_TOL, SNAP_TOL
-from .errors import CriticalPointInRHP, DegenerateLine, ZeroPolynomial
-from .poly import ComplexPolynomial, restrict_to_vertical_line, roots
+from .errors import CriticalPointInRHP, DegenerateLine, LevelGraphError, ZeroPolynomial
+from .poly import ComplexPolynomial, RealPolynomial, restrict_to_vertical_line, roots
 
 __all__ = [
     "CriticalPoint",
@@ -129,6 +129,19 @@ def on_axis_critical_points(w: ComplexPolynomial, tol: float = SIGN_TOL):
     return out
 
 
+def _deflate(p: RealPolynomial, y0: float, times: int) -> RealPolynomial:
+    """Quotient of p by (y - y0)**times; each division drops its remainder."""
+    c = list(p.coeffs)
+    for _ in range(times):
+        acc = 0.0
+        q = [0.0] * (len(c) - 1)
+        for k in range(len(c) - 1, 0, -1):
+            acc = acc * y0 + c[k]
+            q[k - 1] = acc
+        c = q
+    return RealPolynomial(c)
+
+
 def counting_function(
     w: ComplexPolynomial, z0: complex, tol: float = SIGN_TOL
 ) -> CountingResult:
@@ -139,6 +152,15 @@ def counting_function(
     below z0 additionally contributes its full order (its index footprint
     is 0 when generic and -1 when not, so the order has to be added back
     by hand).  A half-integer value means z0 sits on an arc.
+
+    On the axis, Re w' and Im w' share the factor (y - y_j)^k_j of each
+    critical point, but only up to rounding, so it is divided out of both
+    before the exact index sees them; the ratio is unchanged.  At a
+    non-generic point the reduced Re w' keeps a simple zero at y_j, the
+    point's own pole.  When z0 sits on that point, this zero is divided out
+    too, so that the pole lands exactly on the endpoint: the dropped factor
+    is negative below y_j, which negates the index of the reduced ratio,
+    and the pole's half jump is added from the exact sign of that ratio.
     """
     z0 = complex(z0)
     x0, y0 = z0.real, z0.imag
@@ -150,12 +172,24 @@ def counting_function(
         x0 = 0.0
     validate_no_rhp_critical_points(w, tol)
     ratio = vertical_line_ratio(w, x0)
-    idx = index_on_interval(ratio, -math.inf, y0)
+    if not on_axis:
+        idx = index_on_interval(ratio, -math.inf, y0)
+        return CountingResult(abs(idx) + 1, idx, 0)
+    re, im = ratio.den, ratio.num
     crit_sum = 0
-    if on_axis:
-        for cp in on_axis_critical_points(w, tol):
-            if cp.y0 <= y0 + axis_snap:
-                crit_sum += cp.order
+    pole_at_z0 = None
+    for cp in on_axis_critical_points(w, tol):
+        at_z0 = cp.genericity == "non_generic" and abs(cp.y0 - y0) <= axis_snap
+        if at_z0:
+            pole_at_z0 = cp.y0
+        re = _deflate(re, cp.y0, cp.order + at_z0)
+        im = _deflate(im, cp.y0, cp.order)
+        if cp.y0 <= y0 + axis_snap:
+            crit_sum += cp.order
+    idx = index_on_interval(RationalFunction(im, re), -math.inf, y0)
+    if pole_at_z0 is not None:
+        jump = one_sided_sign(im, pole_at_z0, -1) * one_sided_sign(re, pole_at_z0, -1)
+        idx = HalfInteger(jump) - idx
     return CountingResult(abs(idx) + crit_sum + 1, idx, crit_sum)
 
 
@@ -182,7 +216,10 @@ def tangent_cone_at_infinity(w: ComplexPolynomial, tol: float = SIGN_TOL) -> Tan
         psi = (k * math.pi - a) / n
         if -math.pi / 2 + tol < psi <= math.pi / 2 + tol:
             angles.append(min(psi, math.pi / 2))
-    assert len(angles) == n, (angles, n)
+    if len(angles) != n:
+        raise LevelGraphError(
+            f"found {len(angles)} rays of the cone at infinity, expected {n}"
+        )
     generic = abs((beta * _I_POWERS[n % 4]).imag) >= tol * abs(beta)
     return TangentConeAtInfinity(
         vertex, tuple(sorted(angles)), "generic" if generic else "non_generic"

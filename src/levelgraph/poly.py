@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import ROOT_CLUSTER_TOL
-from .errors import ZeroPolynomial
+from .errors import LevelGraphError, ZeroPolynomial
 
 
 def _trimmed(values: Iterable[complex]) -> tuple:
@@ -201,6 +201,16 @@ class RootWithMultiplicity:
     cluster_radius: float
 
 
+def as_complex_polynomial(w) -> ComplexPolynomial:
+    """w as a ComplexPolynomial: real polynomials are widened, and a
+    coefficient sequence (ascending) is wrapped."""
+    if isinstance(w, ComplexPolynomial):
+        return w
+    if isinstance(w, RealPolynomial):
+        return w.to_complex()
+    return ComplexPolynomial(w)
+
+
 def from_roots(roots: Sequence[complex], leading: complex = 1.0) -> ComplexPolynomial:
     """Monic-times-`leading` polynomial with the given roots (with repetition)."""
     p = ComplexPolynomial([leading])
@@ -350,5 +360,9 @@ def roots(p: ComplexPolynomial, tol: float | None = None) -> list:
     for cl in _cluster(polished, explore):
         out.extend(_refine_cluster(p, cl, tol))
     out.sort(key=lambda r: (r.location.real, r.location.imag))
-    assert sum(r.multiplicity for r in out) == p.degree
+    found = sum(r.multiplicity for r in out)
+    if found != p.degree:
+        raise LevelGraphError(
+            f"root multiplicities sum to {found}, not the degree {p.degree}"
+        )
     return out

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .config import CORRECTOR_TOL, MAX_TURN_ANGLE, TRACE_RADIUS_FACTOR
 from .errors import CorrectorDiverged, SeedNotOnCurve
 from .landscape import counting_function
-from .poly import ComplexPolynomial, RealPolynomial, roots
+from .poly import ComplexPolynomial, as_complex_polynomial, roots
 
 # step-size bookkeeping, all relative to local scale
 _H0_FACTOR = 1e-3        # initial step: 1e-3 * (1 + |seed|)
@@ -78,14 +78,6 @@ class GraphCheck:
     min_dx_per_step: float
     slope_sup: float
     trace: Polyline
-
-
-def _as_poly(w) -> ComplexPolynomial:
-    if isinstance(w, ComplexPolynomial):
-        return w
-    if isinstance(w, RealPolynomial):
-        return w.to_complex()
-    return ComplexPolynomial(w)
 
 
 def _make_field(w: ComplexPolynomial, kind: str, level: float):
@@ -321,7 +313,7 @@ def trace_level(
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     return _trace(
-        _as_poly(w),
+        as_complex_polynomial(w),
         complex(seed),
         kind,
         direction,
@@ -339,7 +331,7 @@ def graphical_connection(w, z1, z2, max_steps: int = 20000, radius=None) -> Grap
     arrive (at z1 itself, or at the critical point z1 marks), did Re z
     decrease the whole way, and how steep did the approach get.
     """
-    w = _as_poly(w)
+    w = as_complex_polynomial(w)
     z1 = complex(z1)
     z2 = complex(z2)
     line = _trace(
@@ -366,5 +358,5 @@ def graphical_connection(w, z1, z2, max_steps: int = 20000, radius=None) -> Grap
 
 def sample_regions(w, points) -> tuple:
     """Band label of each point (constant as long as no arc is crossed)."""
-    w = _as_poly(w)
+    w = as_complex_polynomial(w)
     return tuple(counting_function(w, p).value for p in points)

@@ -1,0 +1,91 @@
+"""Reference Cauchy index: the signed-remainder chain over ``Fraction``.
+
+Every double is a rational number, so this chain is exact for any float
+input.  It is slow and refuses pole endpoints (raising IndeterminateSign),
+which is why the library does not use it; the tests compare the library's
+integer chain, ``levelgraph.cauchy.index_on_interval``, against it.
+"""
+
+import math
+from fractions import Fraction
+
+from levelgraph.cauchy import HalfInteger, RationalFunction
+from levelgraph.errors import IndeterminateSign
+
+
+def _rem_ascending(a: list, b: list):
+    """Remainder of a mod b, both ascending coefficient lists (any field)."""
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    for top in range(len(a) - 1, db - 1, -1):
+        q = a[top] / lead
+        if q != 0:
+            for j in range(db):
+                a[top - db + j] -= q * b[j]
+        a[top] = a[top] * 0  # exact zero of the right type
+    del a[db:]
+    return a
+
+
+def _variations(signs) -> int:
+    signs = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _sign_at_exact(f: list, x) -> int:
+    if not f:
+        return 0
+    if x == math.inf:
+        v = f[-1]
+    elif x == -math.inf:
+        v = f[-1] if (len(f) - 1) % 2 == 0 else -f[-1]
+    else:
+        v = Fraction(0)
+        for c in reversed(f):
+            v = v * x + c
+    return (v > 0) - (v < 0)
+
+
+def index_on_interval_exact(h: RationalFunction, c: float, d: float) -> HalfInteger:
+    """Exact Sturm-chain index over Fraction arithmetic.
+
+    Floats convert to Fraction losslessly, so this gives the mathematically
+    exact index of the function the doubles actually represent.  An endpoint
+    that is a pole raises IndeterminateSign.
+    """
+    if not c < d:
+        raise ValueError(f"need c < d, got c={c}, d={d}")
+    if h.num.is_zero:
+        return HalfInteger(0)
+    den = [Fraction(x) for x in h.den.coeffs]
+    num = [Fraction(x) for x in h.num.coeffs]
+    cx = Fraction(c) if math.isfinite(c) else c
+    dx = Fraction(d) if math.isfinite(d) else d
+    for x in (cx, dx):
+        if isinstance(x, Fraction):
+            v = Fraction(0)
+            for co in reversed(den):
+                v = v * x + co
+            if v == 0:
+                raise IndeterminateSign(
+                    f"endpoint y={float(x)!r} is a pole; use index_on_interval"
+                )
+    chain = [den, num]
+    while len(chain[-1]) > 1:
+        r = _rem_ascending(chain[-2], chain[-1])
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            break
+        # rescale to integer coefficients to keep Fraction sizes tame
+        lcm = 1
+        for co in r:
+            lcm = lcm * co.denominator // math.gcd(lcm, co.denominator)
+        g = 0
+        for co in r:
+            g = math.gcd(g, abs(co.numerator * (lcm // co.denominator)))
+        chain.append([Fraction(-co.numerator * (lcm // co.denominator) // g) for co in r])
+    vc = _variations([_sign_at_exact(f, cx) for f in chain])
+    vd = _variations([_sign_at_exact(f, dx) for f in chain])
+    return HalfInteger.from_int(vc - vd)

@@ -2,19 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference_index import index_on_interval_exact
 
 from levelgraph.cauchy import (
     HalfInteger,
     RationalFunction,
     index_at_point,
     index_on_interval,
-    index_on_interval_exact,
-    index_on_interval_sturm,
     index_one_sided,
+    one_sided_sign,
 )
-from levelgraph.errors import DenominatorIdenticallyZero, IndeterminateSign
+from levelgraph.errors import DenominatorIdenticallyZero
 from levelgraph.poly import RealPolynomial
 
 INF = math.inf
@@ -24,7 +24,8 @@ def rf(num, den):
     return RationalFunction(RealPolynomial(num), RealPolynomial(den))
 
 
-ALL_BACKENDS = [index_on_interval, index_on_interval_sturm, index_on_interval_exact]
+# the library's index and the Fraction-chain reference it is checked against
+ALL_BACKENDS = [index_on_interval, index_on_interval_exact]
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +88,14 @@ def test_one_over_y_endpoint_poles():
     assert index_on_interval(h, -1, 0) == HalfInteger(1)
     # [0, d]: only ind_0^+ = +1/2
     assert index_on_interval(h, 0, 1) == HalfInteger(1)
-    with pytest.raises(IndeterminateSign):
-        index_on_interval_sturm(h, -1, 0)
+
+
+def test_one_sided_sign_at_roots_and_infinity():
+    p = RealPolynomial([0.0, 0.0, -1.0, 1.0])  # y^2 (y - 1)
+    assert (one_sided_sign(p, 0.0, -1), one_sided_sign(p, 0.0, +1)) == (-1, -1)
+    assert (one_sided_sign(p, 1.0, -1), one_sided_sign(p, 1.0, +1)) == (-1, 1)
+    assert one_sided_sign(p, 0.5, +1) == -1
+    assert (one_sided_sign(p, -INF, +1), one_sided_sign(p, INF, -1)) == (-1, 1)
 
 
 def test_even_pole_contributes_zero():
@@ -212,20 +219,21 @@ def nonzero_poly(max_deg):
 
 
 @given(nonzero_poly(5), nonzero_poly(5), dyadic, dyadic)
+@example(  # a pole 9.5e-7 from a numerator root: index -1, not 0
+    num=RealPolynomial([-1 / 16, 1]),
+    den=RealPolynomial([-1 / 16, 1, 0, 0, 1 / 16]),
+    c=0.0,
+    d=1 / 16,
+)
 @settings(max_examples=150, deadline=None)
 def test_backends_agree(num, den, c, d):
     assume(c < d)
-    # exact-zero endpoint values break the Sturm variant by design; skip them
+    # the reference refuses pole endpoints; skip them
     fc = sum(Fraction(x) * Fraction(c) ** k for k, x in enumerate(den.coeffs))
     fd = sum(Fraction(x) * Fraction(d) ** k for k, x in enumerate(den.coeffs))
     assume(fc != 0 and fd != 0)
     h = RationalFunction(num, den)
-    try:
-        by_poles = index_on_interval(h, c, d)
-    except IndeterminateSign:
-        assume(False)
-    assert by_poles == index_on_interval_sturm(h, c, d)
-    assert by_poles == index_on_interval_exact(h, c, d)
+    assert index_on_interval(h, c, d) == index_on_interval_exact(h, c, d)
 
 
 ordered_triple = st.tuples(
@@ -238,12 +246,9 @@ ordered_triple = st.tuples(
 def test_additivity(num, den, cmd):
     c, m, d = cmd
     h = RationalFunction(num, den)
-    try:
-        whole = index_on_interval(h, c, d)
-        left = index_on_interval(h, c, m)
-        right = index_on_interval(h, m, d)
-    except IndeterminateSign:
-        assume(False)
+    whole = index_on_interval(h, c, d)
+    left = index_on_interval(h, c, m)
+    right = index_on_interval(h, m, d)
     assert left + right == whole
 
 
@@ -252,9 +257,4 @@ def test_additivity(num, den, cmd):
 def test_negation_antisymmetry(num, den, c, d):
     assume(c < d)
     h = RationalFunction(num, den)
-    try:
-        plus = index_on_interval(h, c, d)
-        minus = index_on_interval(-h, c, d)
-    except IndeterminateSign:
-        assume(False)
-    assert plus == -minus
+    assert index_on_interval(h, c, d) == -index_on_interval(-h, c, d)

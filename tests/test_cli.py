@@ -385,6 +385,37 @@ def test_selfcheck_passes(capsys):
     assert all(ln.startswith("ok ") for ln in lines)
 
 
+def test_selfcheck_passes_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "levelgraph.cli", "selfcheck"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.split()
+    assert lines.count("ok") == 10, proc.stdout
+
+
+def test_selfcheck_failure_exits_one_under_optimize():
+    # a broken index must still fail the battery when asserts are stripped
+    script = (
+        "import sys\n"
+        "from levelgraph import cli\n"
+        "from levelgraph.cauchy import HalfInteger\n"
+        "cli.index_on_interval = lambda *args: HalfInteger(0)\n"
+        "sys.exit(cli.main(['selfcheck']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL index_hand_case_and_additivity" in proc.stdout
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "levelgraph.cli"] + dhym_hand_args(),

@@ -102,6 +102,18 @@ def test_twisted_case_tracer_agreement():
     assert check.connected and check.graphical
 
 
+def test_high_degree_lift_agrees_with_exact_indices():
+    # w' of degree 11: the vertical-ray index needs every pole of the ratio,
+    # and the unwrapped phase paths must reproduce both indices
+    report = analyze(CalabiInput(
+        6, 5, 1.8795945173377537, 1.5228474225701767,
+        1.9790390528454742, 0.25378132553625354,
+    ))
+    assert report.verdict == "exists"
+    assert report.ind_R0 == 1
+    assert report.ind_Rb == 4
+
+
 # ---------------------------------------------------------------------------
 # r = 0 non-generic: no smooth solution
 
