@@ -31,7 +31,6 @@ from .errors import (
     LiftInconsistency,
     NonIntegrableEndpoint,
     SeedNotOnCurve,
-    Z2OnBoundary,
     ZeroPolynomial,
     ZeroTotalCharge,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "LiftInconsistency",
     "NonIntegrableEndpoint",
     "SeedNotOnCurve",
-    "Z2OnBoundary",
     "ZeroPolynomial",
     "ZeroTotalCharge",
     "__version__",

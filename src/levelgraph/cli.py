@@ -135,7 +135,7 @@ def _resolve_out(args, cfg: RunConfig, required: bool) -> str | None:
 
 def _cmd_classify(args, cfg: RunConfig) -> int:
     w = _the_polynomial(args)
-    verdict = classify(BoundaryData(w, args.z1, args.z2), tol=cfg.sign_tol)
+    verdict = classify(BoundaryData(w, args.z1, args.z2))
     payload = {
         "verdict": verdict.verdict,
         "n1": str(verdict.n1),
@@ -194,7 +194,7 @@ def _interp_f0_from_file(path: str, nodes, boundary):
 
 def _cmd_flow(args, cfg: RunConfig) -> int:
     w = _the_polynomial(args)
-    data = shift_to_zero_level(BoundaryData(w, args.z1, args.z2), tol=cfg.sign_tol)
+    data = shift_to_zero_level(BoundaryData(w, args.z1, args.z2))
     a, b = data.z1.real, data.z2.real
     ya, yb = data.z1.imag, data.z2.imag
 
@@ -275,7 +275,7 @@ def _witness(inp: CalabiInput, cfg: RunConfig):
 
 def _cmd_dhym(args, cfg: RunConfig) -> int:
     inp = CalabiInput(args.m, args.r, args.xi1, args.xi2, args.b, args.q)
-    report = analyze(inp, tol=cfg.sign_tol)
+    report = analyze(inp)
     payload = report.to_dict()
     if args.witness:
         payload["witness"] = _witness(inp, cfg) if report.verdict == "exists" else None

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-# sign of a probed value is "zero" when |value| < SIGN_TOL * (1 + coeff scale)
+# a w'-root counts as on the imaginary axis when |Re| <= SIGN_TOL * (1 + |root|)
+# (or twice its cluster radius); the same factor decides whether a critical
+# point, the cone at infinity or a dHYM origin is generic, and how far z2 may
+# sit off the level of z1
 SIGN_TOL = 1e-9
 
-# a w'-root is snapped onto the imaginary axis when |Re| <= SNAP_TOL * scale;
-# the same band matches z1 against a critical point and z-endpoints in traces
+# a point z counts as on the imaginary axis, or on an on-axis critical point,
+# when it lies within SNAP_TOL * (1 + |z|) of it
 SNAP_TOL = 1e-8
 
 # root clustering radius factor: tol = ROOT_CLUSTER_TOL * (1 + max |coeff|)
@@ -40,16 +43,14 @@ UNWRAP_TAIL_TOL = 1e-6
 class RunConfig:
     """Run-wide knobs, mirrored by the CLI ``--config`` JSON file."""
 
-    sign_tol: float = SIGN_TOL
     stop_tol: float = FLOW_STOP_TOL
     grid_nodes: int = GRID_NODES
     trace_radius: float = 0.0   # 0 means "derive from the roots of w"
     out_path: str = ""
 
     def __post_init__(self):
-        for name in ("sign_tol", "stop_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.stop_tol <= 0:
+            raise ValueError("stop_tol must be > 0")
         if self.grid_nodes < 3:
             raise ValueError("grid_nodes must be >= 3")
 

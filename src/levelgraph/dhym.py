@@ -191,7 +191,7 @@ def build_polynomials(inp: CalabiInput):
     return w, P, theta_hat
 
 
-def compute_charges(inp: CalabiInput, w, P, theta_hat):
+def compute_charges(inp: CalabiInput, P):
     """(Z_X, Z_Dinf, Z_P), each up to the shared positive volume factor."""
     zeta = P(inp.z2)
     Z_X = -_MI_POW[(inp.m + inp.r + 1) % 4] * zeta
@@ -317,8 +317,13 @@ def _net_ccw_crossings(theta_ref: float, theta_end: float, line_angle: float) ->
     )
 
 
-def compute_lifts(inp: CalabiInput, w, theta_hat: float, tol: float = SIGN_TOL) -> LiftData:
+def compute_lifts(
+    inp: CalabiInput, w, theta_hat: float, Z_X: complex, Z_Dinf: complex
+) -> LiftData:
     """Lifted phases, Cauchy indices, and the genericity flag.
+
+    Z_X and Z_Dinf are the charges from compute_charges; their phase gap
+    places phi_Dinf.
 
     The two index computations are the authoritative data; the two unwrapped
     paths re-derive them as crossing counts of the Z_X line and must agree,
@@ -342,7 +347,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, tol: float = SIGN_TOL) 
     # genericity: does the tangent direction of the zero level at the origin
     # contain the vertical?  Equivalently, is Z_P(0) on the Z_X line?
     g0 = cmath.exp(-1j * theta_hat) * _I_POW[r % 4] * inp.xi**m
-    generic = abs(g0.real) >= tol * abs(inp.xi) ** m
+    generic = abs(g0.real) >= SIGN_TOL * abs(inp.xi) ** m
     genericity = "generic" if generic else "non_generic"
 
     # index along the vertical ray above z2
@@ -368,10 +373,9 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, tol: float = SIGN_TOL) 
     Theta_lift = theta_top - float(ind_Rb) * math.pi
     phi_X = (theta_top - float(ind_Rb) * math.pi - n * math.pi / 2 + math.pi) / math.pi
 
-    Z_X, Z_Dinf, Z_P = compute_charges(inp, w, _derivative_profile(inp).antiderivative(), theta_hat)
     delta = (cmath.phase(Z_Dinf) - cmath.phase(Z_X)) % (2.0 * math.pi)
     on_wall = not ind_Rb.is_integer
-    if not on_wall and not (tol < delta < math.pi - tol):
+    if not on_wall and not (SIGN_TOL < delta < math.pi - SIGN_TOL):
         raise LiftInconsistency(
             f"delta = {delta} falls outside (0, pi): Z_Dinf is not one "
             "counterclockwise half-turn sector ahead of Z_X"
@@ -466,11 +470,11 @@ def decide_existence(lifts: LiftData, r: int):
     return ("exists" if exists else "no_solution"), notes
 
 
-def analyze(inp: CalabiInput, tol: float = SIGN_TOL) -> ChargeReport:
+def analyze(inp: CalabiInput) -> ChargeReport:
     """Full pipeline: polynomials, charges, lifts, verdict, cross-checks."""
     w, P, theta_hat = build_polynomials(inp)
-    Z_X, Z_Dinf, Z_P = compute_charges(inp, w, P, theta_hat)
-    lifts = compute_lifts(inp, w, theta_hat, tol=tol)
+    Z_X, Z_Dinf, Z_P = compute_charges(inp, P)
+    lifts = compute_lifts(inp, w, theta_hat, Z_X, Z_Dinf)
     verdict, notes = decide_existence(lifts, inp.r)
 
     # grade form of the decision must match the index form.  The crossing

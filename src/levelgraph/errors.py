@@ -2,10 +2,11 @@
 
 Every error raised by levelgraph derives from :class:`LevelGraphError`, so
 callers can catch one base class at an API boundary (the CLI does exactly
-that).  The leaf classes are deliberately fine-grained: most of them signal a
-*tolerance* failure — a sign probe or a consistency assertion that could not
-be resolved within the configured bands — and the right reaction is usually
-to widen a tolerance or perturb the input, not to retry blindly.
+that).  The leaf classes are deliberately fine-grained: each one names either
+a hypothesis the input breaks (a critical point right of the imaginary axis,
+two boundary points on different levels, a vanishing total charge) or a
+numerical stage that failed or disagreed with a cross-check (a corrector or
+flow that did not converge, phase lifts that contradict the Cauchy indices).
 """
 
 
@@ -56,15 +57,6 @@ class DegenerateLine(LevelGraphError):
 
 class LevelMismatch(LevelGraphError):
     """The two boundary points do not lie on a common level set of Im(w)."""
-
-
-class Z2OnBoundary(LevelGraphError):
-    """z2 lies on the barrier set D0 (half-integer region label).
-
-    classify() does not raise this; it returns an unstable verdict with the
-    ``z2_on_boundary`` flag set.  The class exists for callers that want to
-    enforce interior z2 strictly.
-    """
 
 
 # ---------------------------------------------------------------------------

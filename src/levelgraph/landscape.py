@@ -14,6 +14,11 @@ into horizontally ordered bands, and each arc crossing the line shows up as
 a jump of a definite sign.  Counting the arcs below a point -- the band
 label -- is therefore an index computation, with a correction on the axis
 itself where critical points sit.
+
+The hypothesis is a property of w alone, so it is checked once: a
+:class:`Potential` solves w' = 0 a single time, refuses a root in the right
+half-plane, and keeps the on-axis critical points that every count on the
+axis needs.
 """
 
 from __future__ import annotations
@@ -30,9 +35,8 @@ __all__ = [
     "CriticalPoint",
     "TangentConeAtInfinity",
     "CountingResult",
+    "Potential",
     "vertical_line_ratio",
-    "validate_no_rhp_critical_points",
-    "on_axis_critical_points",
     "counting_function",
     "tangent_cone_at_infinity",
 ]
@@ -91,42 +95,54 @@ def vertical_line_ratio(w: ComplexPolynomial, x0: float) -> RationalFunction:
     return RationalFunction(im, re)
 
 
-def _critical_points_of(w: ComplexPolynomial):
-    wp = w.derivative()
-    if wp.is_zero:
-        raise ZeroPolynomial("w is constant; it has no level-curve geometry")
-    if wp.degree == 0:
-        return []
-    return roots(wp)
+@dataclass(frozen=True, init=False)
+class Potential:
+    """A potential w whose critical points have been found and checked once.
 
+    The constructor makes the one root solve of w' and raises
+    CriticalPointInRHP when a root lies right of the imaginary axis (beyond
+    SIGN_TOL * (1 + |root|) or twice its cluster radius), so every Potential
+    satisfies the standing hypothesis.  The roots within that band of the
+    axis are kept in axis_critical_points, ordered by height.
+    """
 
-def validate_no_rhp_critical_points(w: ComplexPolynomial, tol: float = SIGN_TOL) -> None:
-    """Raise CriticalPointInRHP if w' has a zero with positive real part."""
-    for r in _critical_points_of(w):
-        band = max(tol * (1.0 + abs(r.location)), 2.0 * r.cluster_radius)
-        if r.location.real > band:
-            raise CriticalPointInRHP(
-                r.location,
-                f"critical point at {r.location!r} has positive real part",
-            )
+    w: ComplexPolynomial
+    axis_critical_points: tuple
 
+    def __init__(self, w: ComplexPolynomial):
+        wp = w.derivative()
+        if wp.is_zero:
+            raise ZeroPolynomial("w is constant; it has no level-curve geometry")
+        on_axis = []
+        for r in roots(wp) if wp.degree > 0 else ():
+            band = max(SIGN_TOL * (1.0 + abs(r.location)), 2.0 * r.cluster_radius)
+            if r.location.real > band:
+                raise CriticalPointInRHP(
+                    r.location,
+                    f"critical point at {r.location!r} has positive real part",
+                )
+            if abs(r.location.real) <= band:
+                k = r.multiplicity
+                y0 = r.location.imag
+                lead = wp.derivatives_at(1j * y0, k)[k] / math.factorial(k)
+                generic = abs((lead * _I_POWERS[k % 4]).real) >= SIGN_TOL * abs(lead)
+                on_axis.append(
+                    CriticalPoint(y0, k, lead, "generic" if generic else "non_generic")
+                )
+        on_axis.sort(key=lambda c: c.y0)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "axis_critical_points", tuple(on_axis))
 
-def on_axis_critical_points(w: ComplexPolynomial, tol: float = SIGN_TOL):
-    """Critical points of Im(w) on the imaginary axis, ordered by height."""
-    out = []
-    wp = w.derivative()
-    for r in _critical_points_of(w):
-        band = max(tol * (1.0 + abs(r.location)), 2.0 * r.cluster_radius)
-        if abs(r.location.real) <= band:
-            k = r.multiplicity
-            y0 = r.location.imag
-            lead = wp.derivatives_at(1j * y0, k)[k] / math.factorial(k)
-            generic = abs((lead * _I_POWERS[k % 4]).real) >= tol * abs(lead)
-            out.append(
-                CriticalPoint(y0, k, lead, "generic" if generic else "non_generic")
-            )
-    out.sort(key=lambda c: c.y0)
-    return out
+    def critical_point_at(self, z: complex) -> CriticalPoint | None:
+        """The on-axis critical point that z sits on, within SNAP_TOL * (1 + |z|)."""
+        z = complex(z)
+        snap = SNAP_TOL * (1.0 + abs(z))
+        if abs(z.real) > snap:
+            return None
+        for cp in self.axis_critical_points:
+            if abs(cp.y0 - z.imag) <= snap:
+                return cp
+        return None
 
 
 def _deflate(p: RealPolynomial, y0: float, times: int) -> RealPolynomial:
@@ -142,9 +158,7 @@ def _deflate(p: RealPolynomial, y0: float, times: int) -> RealPolynomial:
     return RealPolynomial(c)
 
 
-def counting_function(
-    w: ComplexPolynomial, z0: complex, tol: float = SIGN_TOL
-) -> CountingResult:
+def counting_function(pot: Potential, z0: complex) -> CountingResult:
     """Band label of z0: one plus the number of {Re w' = 0} arcs below it.
 
     Defined for Re z0 >= 0.  The count is |Cauchy index of R_{x0} over
@@ -168,32 +182,28 @@ def counting_function(
     if x0 < -axis_snap:
         raise ValueError(f"z0={z0!r} lies in the open left half-plane")
     on_axis = x0 <= axis_snap
-    if on_axis:
-        x0 = 0.0
-    validate_no_rhp_critical_points(w, tol)
-    ratio = vertical_line_ratio(w, x0)
+    ratio = vertical_line_ratio(pot.w, 0.0 if on_axis else x0)
     if not on_axis:
         idx = index_on_interval(ratio, -math.inf, y0)
         return CountingResult(abs(idx) + 1, idx, 0)
     re, im = ratio.den, ratio.num
     crit_sum = 0
-    pole_at_z0 = None
-    for cp in on_axis_critical_points(w, tol):
-        at_z0 = cp.genericity == "non_generic" and abs(cp.y0 - y0) <= axis_snap
-        if at_z0:
-            pole_at_z0 = cp.y0
-        re = _deflate(re, cp.y0, cp.order + at_z0)
+    pole = pot.critical_point_at(z0)
+    if pole is not None and pole.genericity == "generic":
+        pole = None
+    for cp in pot.axis_critical_points:
+        re = _deflate(re, cp.y0, cp.order + (cp is pole))
         im = _deflate(im, cp.y0, cp.order)
         if cp.y0 <= y0 + axis_snap:
             crit_sum += cp.order
     idx = index_on_interval(RationalFunction(im, re), -math.inf, y0)
-    if pole_at_z0 is not None:
-        jump = one_sided_sign(im, pole_at_z0, -1) * one_sided_sign(re, pole_at_z0, -1)
+    if pole is not None:
+        jump = one_sided_sign(im, pole.y0, -1) * one_sided_sign(re, pole.y0, -1)
         idx = HalfInteger(jump) - idx
     return CountingResult(abs(idx) + crit_sum + 1, idx, crit_sum)
 
 
-def tangent_cone_at_infinity(w: ComplexPolynomial, tol: float = SIGN_TOL) -> TangentConeAtInfinity:
+def tangent_cone_at_infinity(w: ComplexPolynomial) -> TangentConeAtInfinity:
     """Asymptotic cone of the level set {Im w = Im w(vertex)} far from origin.
 
     The vertex is the centroid of the zeros of w; the cone consists of the n
@@ -214,13 +224,13 @@ def tangent_cone_at_infinity(w: ComplexPolynomial, tol: float = SIGN_TOL) -> Tan
     k_hi = math.ceil(a / math.pi + n / 2) + 1
     for k in range(k_lo, k_hi + 1):
         psi = (k * math.pi - a) / n
-        if -math.pi / 2 + tol < psi <= math.pi / 2 + tol:
+        if -math.pi / 2 + SIGN_TOL < psi <= math.pi / 2 + SIGN_TOL:
             angles.append(min(psi, math.pi / 2))
     if len(angles) != n:
         raise LevelGraphError(
             f"found {len(angles)} rays of the cone at infinity, expected {n}"
         )
-    generic = abs((beta * _I_POWERS[n % 4]).imag) >= tol * abs(beta)
+    generic = abs((beta * _I_POWERS[n % 4]).imag) >= SIGN_TOL * abs(beta)
     return TangentConeAtInfinity(
         vertex, tuple(sorted(angles)), "generic" if generic else "non_generic"
     )

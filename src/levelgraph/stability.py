@@ -8,21 +8,20 @@ connection cannot leave its band, and a band boundary can only be touched at
 the far end.  When z1 sits at a critical point of order k the level set
 branches there, opening a window of k+1 (or k, in the non-generic case)
 admissible bands for z2.
+
+classify builds one :class:`~levelgraph.landscape.Potential` from the
+shifted w, so w' is solved once per verdict: both band labels and the
+critical point under z1 are read from it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cauchy import HalfInteger
 from .config import SIGN_TOL, SNAP_TOL
 from .errors import LevelMismatch
-from .landscape import (
-    counting_function,
-    on_axis_critical_points,
-    validate_no_rhp_critical_points,
-)
+from .landscape import Potential, counting_function
 from .poly import ComplexPolynomial
 
 __all__ = ["BoundaryData", "StabilityVerdict", "shift_to_zero_level", "classify"]
@@ -67,7 +66,7 @@ class StabilityVerdict:
     critical_order: int | None = None
 
 
-def shift_to_zero_level(data: BoundaryData, tol: float = SIGN_TOL) -> BoundaryData:
+def shift_to_zero_level(data: BoundaryData) -> BoundaryData:
     """Subtract a constant from w so that Im w(z1) = 0.
 
     Raises LevelMismatch when z2 does not lie on the shifted zero level --
@@ -77,30 +76,20 @@ def shift_to_zero_level(data: BoundaryData, tol: float = SIGN_TOL) -> BoundaryDa
     w = data.w - ComplexPolynomial([1j * data.w(data.z1).imag])
     resid = w(data.z2).imag
     scale = max(abs(w(data.z2)), w.coeff_scale * (1.0 + abs(data.z2)) ** max(w.degree, 0))
-    if abs(resid) > tol * max(scale, 1.0):
+    if abs(resid) > SIGN_TOL * max(scale, 1.0):
         raise LevelMismatch(
             f"Im w(z2) = {resid!r} after shifting; z1 and z2 sit on different levels"
         )
     return BoundaryData(w, data.z1, data.z2)
 
 
-def _critical_point_under(w, z1, tol):
-    snap = max(SNAP_TOL * (1.0 + abs(z1)), tol)
-    if abs(z1.real) > snap:
-        return None
-    for cp in on_axis_critical_points(w, tol):
-        if abs(cp.y0 - z1.imag) <= snap:
-            return cp
-    return None
-
-
-def classify(data: BoundaryData, tol: float = SIGN_TOL) -> StabilityVerdict:
+def classify(data: BoundaryData) -> StabilityVerdict:
     """Decide whether z2 connects to z1 graphically along their level curve."""
-    data = shift_to_zero_level(data, tol)
-    validate_no_rhp_critical_points(data.w, tol)
-    n1 = counting_function(data.w, data.z1, tol).value
-    n2 = counting_function(data.w, data.z2, tol).value
-    cp = _critical_point_under(data.w, data.z1, tol)
+    data = shift_to_zero_level(data)
+    pot = Potential(data.w)
+    n1 = counting_function(pot, data.z1).value
+    n2 = counting_function(pot, data.z2).value
+    cp = pot.critical_point_at(data.z1)
 
     if not n2.is_integer:
         return StabilityVerdict(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .config import CORRECTOR_TOL, MAX_TURN_ANGLE, TRACE_RADIUS_FACTOR
 from .errors import CorrectorDiverged, SeedNotOnCurve
-from .landscape import counting_function
+from .landscape import Potential, counting_function
 from .poly import ComplexPolynomial, as_complex_polynomial, roots
 
 # step-size bookkeeping, all relative to local scale
@@ -358,5 +358,5 @@ def graphical_connection(w, z1, z2, max_steps: int = 20000, radius=None) -> Grap
 
 def sample_regions(w, points) -> tuple:
     """Band label of each point (constant as long as no arc is crossed)."""
-    w = as_complex_polynomial(w)
-    return tuple(counting_function(w, p).value for p in points)
+    pot = Potential(as_complex_polynomial(w))
+    return tuple(counting_function(pot, p).value for p in points)

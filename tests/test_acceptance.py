@@ -33,7 +33,7 @@ from levelgraph.kempf_ness import (
     run_flow,
     second_variation_at,
 )
-from levelgraph.landscape import counting_function, on_axis_critical_points
+from levelgraph.landscape import Potential, counting_function
 from levelgraph.poly import (
     ComplexPolynomial,
     RealPolynomial,
@@ -237,7 +237,7 @@ def test_stability_verdict_matches_traced_geometry():
         assert time.monotonic() - t0 < 115.0, "geometry battery over budget"
         w = _random_w(rng)
         wp = w.derivative()
-        cps = on_axis_critical_points(w)
+        cps = Potential(w).axis_critical_points
         if cps and rng.random() < 0.5:
             z1 = complex(0.0, rng.choice(cps).y0)
         else:
@@ -367,17 +367,17 @@ def test_critical_point_index_dichotomy():
             if phi2 > math.pi / 2 - 0.05:
                 phi2 -= math.pi
             w = build(k, phi1, phi2)
-            cp = [c for c in on_axis_critical_points(w) if abs(c.y0) < 1e-9]
+            cp = [c for c in Potential(w).axis_critical_points if abs(c.y0) < 1e-9]
             assert len(cp) == 1 and cp[0].order == k
             assert cp[0].genericity == label
-            got = (counting_function(w, 1e-3j).interval_index
-                   - counting_function(w, -1e-3j).interval_index)
+            got = (counting_function(Potential(w), 1e-3j).interval_index
+                   - counting_function(Potential(w), -1e-3j).interval_index)
             assert got == HalfInteger.from_int(want), (k, label, str(got))
             if (k, label) == (2, "non_generic"):
                 # on the point itself the pole contributes its half jump,
                 # and the index below it keeps its sign
-                below = counting_function(w, -1e-3j).interval_index
-                on = counting_function(w, 0j).interval_index
+                below = counting_function(Potential(w), -1e-3j).interval_index
+                on = counting_function(Potential(w), 0j).interval_index
                 assert (below, on) == (HalfInteger(-2), HalfInteger(-3)), (
                     str(below), str(on))
             cases.append((k, label))
@@ -400,7 +400,7 @@ def flow_battery():
         w = _random_w(rng, deg_hi=4, y_span=1.2, rho_re=(-1.8, -0.2),
                       rho_im=1.5, allow_double=False)
         wp = w.derivative()
-        cps = on_axis_critical_points(w)
+        cps = Potential(w).axis_critical_points
         for _ in range(10):
             y1 = rng.uniform(-1.2, 1.2)
             if all(abs(y1 - c.y0) > 0.2 for c in cps):
@@ -678,7 +678,7 @@ def test_verdicts_scale_invariant():
     while done < 50:
         w = _random_w(rng)
         wp = w.derivative()
-        cps = on_axis_critical_points(w)
+        cps = Potential(w).axis_critical_points
         if cps and rng.random() < 0.5:
             z1 = complex(0.0, rng.choice(cps).y0)
         else:

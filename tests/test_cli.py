@@ -364,7 +364,7 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
 
 def test_config_applied(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"sign_tol": 1e-9, "grid_nodes": 65}\n')
+    cfg.write_text('{"stop_tol": 1e-9, "grid_nodes": 65}\n')
     rc, out, err = run_cli(
         capsys,
         ["classify", "--config", str(cfg), "--poly", "0,1", "--z1", "0,0", "--z2", "1,0"],

@@ -60,7 +60,7 @@ def test_hand_case_polynomials():
 def test_hand_case_charges():
     inp = CalabiInput(m=1, r=0, xi1=1.0, xi2=0.0, b=1.0, q=0.0)
     w, P, theta = build_polynomials(inp)
-    Z_X, Z_Dinf, Z_P = compute_charges(inp, w, P, theta)
+    Z_X, Z_Dinf, Z_P = compute_charges(inp, P)
     assert Z_X == pytest.approx(1.5 + 0j, abs=1e-15)
     assert Z_Dinf == pytest.approx(2j, abs=1e-15)
     assert Z_P == pytest.approx(1j, abs=1e-15)
@@ -164,7 +164,7 @@ def test_Z_P_ignores_z2():
     c = CalabiInput(m=2, r=1, xi1=1.3, xi2=-0.4, b=2.5, q=-1.0)
     wa, Pa, ta = build_polynomials(a)
     wc, Pc, tc = build_polynomials(c)
-    assert compute_charges(a, wa, Pa, ta)[2] == compute_charges(c, wc, Pc, tc)[2]
+    assert compute_charges(a, Pa)[2] == compute_charges(c, Pc)[2]
 
 
 def test_report_dict_fields():

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from levelgraph.cauchy import HalfInteger, RationalFunction, index_at_point
 from levelgraph.errors import CriticalPointInRHP, DegenerateLine
 from levelgraph.landscape import (
+    Potential,
     counting_function,
-    on_axis_critical_points,
     tangent_cone_at_infinity,
-    validate_no_rhp_critical_points,
     vertical_line_ratio,
 )
 from levelgraph.poly import ComplexPolynomial, from_roots, restrict_to_vertical_line
@@ -25,7 +24,7 @@ HALF_SQUARE = ComplexPolynomial([0, 0, 0.5])
 
 
 def test_cube_critical_point():
-    cps = on_axis_critical_points(CUBE_THIRD)
+    cps = Potential(CUBE_THIRD).axis_critical_points
     assert len(cps) == 1
     cp = cps[0]
     assert cp.y0 == pytest.approx(0.0, abs=1e-9)
@@ -38,25 +37,25 @@ def test_no_critical_points():
     # w' = z + 2 has its only root off the axis at -2... on the real axis;
     # root -2 is NOT on the imaginary axis
     w = ComplexPolynomial([0, 2, 0.5])
-    assert on_axis_critical_points(w) == []
+    assert Potential(w).axis_critical_points == ()
 
 
 def test_genericity_flip_with_rotated_leading_coeff():
     # w' = i z (z+1): first-order critical point at 0 with generic tangency
     wp = ComplexPolynomial([0, 1j, 1j])
-    assert on_axis_critical_points(wp.antiderivative())[0].genericity == "generic"
+    assert Potential(wp.antiderivative()).axis_critical_points[0].genericity == "generic"
     # w' = z (z+1): the level set through 0 hugs the axis -- non-generic
     wp = ComplexPolynomial([0, 1, 1])
-    assert on_axis_critical_points(wp.antiderivative())[0].genericity == "non_generic"
+    assert Potential(wp.antiderivative()).axis_critical_points[0].genericity == "non_generic"
 
 
 def test_rhp_validation():
     # w = (z-1)^2/2 has w' = z-1 with a root at +1
     w = ComplexPolynomial([0.5, -1, 0.5])
     with pytest.raises(CriticalPointInRHP):
-        validate_no_rhp_critical_points(w)
-    validate_no_rhp_critical_points(CUBE_THIRD)  # root at 0 is allowed
-    validate_no_rhp_critical_points(HALF_SQUARE)
+        Potential(w)
+    Potential(CUBE_THIRD)  # root at 0 is allowed
+    Potential(HALF_SQUARE)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +84,7 @@ def test_critical_point_index_contribution(wp_coeffs, expect):
 
 
 def test_count_off_axis_regular():
-    res = counting_function(CUBE_THIRD, 1.0 + 0j)
+    res = counting_function(Potential(CUBE_THIRD), 1.0 + 0j)
     assert res.value == HalfInteger.from_int(2)
     assert res.interval_index == HalfInteger.from_int(-1)
     assert res.crit_sum == 0
@@ -93,20 +92,20 @@ def test_count_off_axis_regular():
 
 def test_count_off_axis_on_curve():
     # 1+i lies on a level curve: half-integer count
-    res = counting_function(CUBE_THIRD, 1.0 + 1.0j)
+    res = counting_function(Potential(CUBE_THIRD), 1.0 + 1.0j)
     assert res.value == HalfInteger(5)  # 5/2
     assert res.interval_index == HalfInteger(-3)  # -3/2
 
 
 def test_count_on_axis_at_critical_point():
-    res = counting_function(CUBE_THIRD, 0.0 + 0.0j)
+    res = counting_function(Potential(CUBE_THIRD), 0.0 + 0.0j)
     assert res.value == HalfInteger.from_int(3)
     assert res.interval_index == HalfInteger(0)
     assert res.crit_sum == 2
 
 
 def test_count_on_axis_above_critical_point():
-    res = counting_function(CUBE_THIRD, 1.0j)
+    res = counting_function(Potential(CUBE_THIRD), 1.0j)
     assert res.value == HalfInteger.from_int(3)
     assert res.crit_sum == 2
 
@@ -114,26 +113,26 @@ def test_count_on_axis_above_critical_point():
 def test_count_matches_just_off_axis():
     # N is constant on each complement region, so nudging off the axis
     # without crossing a curve cannot change it
-    on_axis = counting_function(CUBE_THIRD, 1.0j)
-    off_axis = counting_function(CUBE_THIRD, 0.01 + 1.0j)
+    on_axis = counting_function(Potential(CUBE_THIRD), 1.0j)
+    off_axis = counting_function(Potential(CUBE_THIRD), 0.01 + 1.0j)
     assert on_axis.value == off_axis.value
 
 
 def test_count_square():
-    res = counting_function(HALF_SQUARE, 1.0 + 0j)
+    res = counting_function(Potential(HALF_SQUARE), 1.0 + 0j)
     assert res.value == HalfInteger.from_int(1)
 
 
 def test_count_square_on_axis_degenerate():
     with pytest.raises(DegenerateLine):
-        counting_function(HALF_SQUARE, 0.5j)
+        counting_function(Potential(HALF_SQUARE), 0.5j)
 
 
 def test_count_nongeneric_critical_on_axis():
     # w' = z(z+1): non-generic order-1 critical point at 0.
     # index over (-inf, 1] picks up the surviving pole: |-1| + crit 1 + 1 = 3
     w = ComplexPolynomial([0, 1, 1]).antiderivative()
-    res = counting_function(w, 1.0j)
+    res = counting_function(Potential(w), 1.0j)
     assert res.interval_index == HalfInteger.from_int(-1)
     assert res.crit_sum == 1
     assert res.value == HalfInteger.from_int(3)
@@ -141,7 +140,7 @@ def test_count_nongeneric_critical_on_axis():
 
 def test_count_rejects_left_half_plane():
     with pytest.raises(ValueError):
-        counting_function(CUBE_THIRD, -1.0 + 0j)
+        counting_function(Potential(CUBE_THIRD), -1.0 + 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +207,7 @@ def test_count_region_constancy_near_point(n, y0, x0):
     assume(abs(ratio.den(y0)) > 1e-3)
     assume(abs(w.derivative()(z0)) > 1e-3)
     assume(abs((restrict_to_vertical_line(w, x0)[1])(y0)) > 1e-3)
-    base = counting_function(w, z0)
+    pot = Potential(w)
+    base = counting_function(pot, z0)
     for dz in (1e-6, -1e-6, 1e-6j, -1e-6j):
-        assert counting_function(w, z0 + dz).value == base.value
+        assert counting_function(pot, z0 + dz).value == base.value

@@ -206,3 +206,25 @@ def test_nongeneric_critical_unstable():
     assert res.n1 == HalfInteger(7)  # 7/2
     assert res.n2 == HalfInteger.from_int(1)
     assert res.verdict == "unstable"
+
+
+# ---------------------------------------------------------------------------
+# work done: one verdict, one solve of w' = 0
+
+
+@pytest.mark.parametrize("on_critical_point", [True, False])
+def test_classify_solves_w_prime_once(monkeypatch, on_critical_point):
+    import levelgraph.landscape as landscape
+
+    calls = []
+    real_roots = landscape.roots
+    monkeypatch.setattr(landscape, "roots", lambda p: calls.append(p) or real_roots(p))
+    if on_critical_point:
+        data = BoundaryData(CUBE_THIRD, 0j, 2 + 0j)
+    else:
+        # Im w(1 + iy) = (3y - y^3)/3 meets Im w(i) = -1/3 at y^3 - 3y - 1 = 0
+        y2 = _bisect(lambda y: y**3 - 3 * y - 1, 1.5, 2.0)
+        data = BoundaryData(CUBE_THIRD, 1j, 1 + 1j * y2)
+    res = classify(data)
+    assert res.case == ("generic_critical" if on_critical_point else "noncritical")
+    assert len(calls) == 1

@@ -183,3 +183,15 @@ def test_sample_regions_jump_across_fold():
     # started in band 3, escaped rightward in band 2 after the fold at 1+i
     assert labels[0] == HalfInteger.from_int(3)
     assert labels[-1] == HalfInteger.from_int(2)
+
+
+def test_sample_regions_solves_w_prime_once(monkeypatch):
+    import levelgraph.landscape as landscape
+
+    calls = []
+    real_roots = landscape.roots
+    monkeypatch.setattr(landscape, "roots", lambda p: calls.append(p) or real_roots(p))
+    points = [1.0 + 0j, 2.0 + 0j, 1.0 + 1.0j, 1.0j, 0j]
+    labels = sample_regions(CUBE_THIRD, points)
+    assert len(labels) == 5
+    assert len(calls) == 1
