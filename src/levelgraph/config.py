@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-# a w'-root counts as on the imaginary axis when |Re| <= SIGN_TOL * (1 + |root|)
-# (or twice its cluster radius); the same factor decides whether a critical
-# point, the cone at infinity or a dHYM origin is generic, and how far z2 may
-# sit off the level of z1
+# a w'-root is on the imaginary axis when |Re| <= SIGN_TOL * (1 + |root|); the
+# same relative factor decides genericity and whether z1, z2 share a level
 SIGN_TOL = 1e-9
 
 # a point z counts as on the imaginary axis, or on an on-axis critical point,

@@ -317,17 +317,13 @@ def _net_ccw_crossings(theta_ref: float, theta_end: float, line_angle: float) ->
     )
 
 
-def compute_lifts(
-    inp: CalabiInput, w, theta_hat: float, Z_X: complex, Z_Dinf: complex
-) -> LiftData:
+def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
     """Lifted phases, Cauchy indices, and the genericity flag.
 
-    Z_X and Z_Dinf are the charges from compute_charges; their phase gap
-    places phi_Dinf.
-
-    The two index computations are the authoritative data; the two unwrapped
-    paths re-derive them as crossing counts of the Z_X line and must agree,
-    otherwise LiftInconsistency is raised.
+    Z_X and Z_Dinf are the charges from compute_charges.  The two index
+    computations are the authoritative data; the two unwrapped paths re-derive
+    them as crossing counts of the Z_X line and must agree, otherwise
+    LiftInconsistency is raised.
     """
     m, r = inp.m, inp.r
     n = m + r + 1

@@ -37,6 +37,8 @@ __all__ = [
     "CountingResult",
     "Potential",
     "vertical_line_ratio",
+    "validate_no_rhp_critical_points",
+    "on_axis_critical_points",
     "counting_function",
     "tangent_cone_at_infinity",
 ]
@@ -95,7 +97,6 @@ def vertical_line_ratio(w: ComplexPolynomial, x0: float) -> RationalFunction:
     return RationalFunction(im, re)
 
 
-@dataclass(frozen=True, init=False)
 class Potential:
     """A potential w whose critical points have been found and checked once.
 
@@ -106,8 +107,7 @@ class Potential:
     axis are kept in axis_critical_points, ordered by height.
     """
 
-    w: ComplexPolynomial
-    axis_critical_points: tuple
+    __slots__ = ("w", "axis_critical_points")
 
     def __init__(self, w: ComplexPolynomial):
         wp = w.derivative()
@@ -130,8 +130,8 @@ class Potential:
                     CriticalPoint(y0, k, lead, "generic" if generic else "non_generic")
                 )
         on_axis.sort(key=lambda c: c.y0)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "axis_critical_points", tuple(on_axis))
+        self.w = w
+        self.axis_critical_points = tuple(on_axis)
 
     def critical_point_at(self, z: complex) -> CriticalPoint | None:
         """The on-axis critical point that z sits on, within SNAP_TOL * (1 + |z|)."""
@@ -143,6 +143,16 @@ class Potential:
             if abs(cp.y0 - z.imag) <= snap:
                 return cp
         return None
+
+
+def validate_no_rhp_critical_points(w: ComplexPolynomial) -> None:
+    """Raise CriticalPointInRHP if w' has a zero right of the imaginary axis."""
+    Potential(w)
+
+
+def on_axis_critical_points(w: ComplexPolynomial) -> tuple:
+    """Critical points of Im(w) on the imaginary axis, ordered by height."""
+    return Potential(w).axis_critical_points
 
 
 def _deflate(p: RealPolynomial, y0: float, times: int) -> RealPolynomial:

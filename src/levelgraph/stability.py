@@ -9,9 +9,8 @@ the far end.  When z1 sits at a critical point of order k the level set
 branches there, opening a window of k+1 (or k, in the non-generic case)
 admissible bands for z2.
 
-classify builds one :class:`~levelgraph.landscape.Potential` from the
-shifted w, so w' is solved once per verdict: both band labels and the
-critical point under z1 are read from it.
+classify solves w' once per verdict: both band labels and the critical point
+under z1 are read from one :class:`~levelgraph.landscape.Potential`.
 """
 
 from __future__ import annotations

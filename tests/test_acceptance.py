@@ -366,18 +366,18 @@ def test_critical_point_index_dichotomy():
             phi2 = target + shift - phi1
             if phi2 > math.pi / 2 - 0.05:
                 phi2 -= math.pi
-            w = build(k, phi1, phi2)
-            cp = [c for c in Potential(w).axis_critical_points if abs(c.y0) < 1e-9]
+            pot = Potential(build(k, phi1, phi2))
+            cp = [c for c in pot.axis_critical_points if abs(c.y0) < 1e-9]
             assert len(cp) == 1 and cp[0].order == k
             assert cp[0].genericity == label
-            got = (counting_function(Potential(w), 1e-3j).interval_index
-                   - counting_function(Potential(w), -1e-3j).interval_index)
+            got = (counting_function(pot, 1e-3j).interval_index
+                   - counting_function(pot, -1e-3j).interval_index)
             assert got == HalfInteger.from_int(want), (k, label, str(got))
             if (k, label) == (2, "non_generic"):
                 # on the point itself the pole contributes its half jump,
                 # and the index below it keeps its sign
-                below = counting_function(Potential(w), -1e-3j).interval_index
-                on = counting_function(Potential(w), 0j).interval_index
+                below = counting_function(pot, -1e-3j).interval_index
+                on = counting_function(pot, 0j).interval_index
                 assert (below, on) == (HalfInteger(-2), HalfInteger(-3)), (
                     str(below), str(on))
             cases.append((k, label))

@@ -10,7 +10,9 @@ from levelgraph.errors import CriticalPointInRHP, DegenerateLine
 from levelgraph.landscape import (
     Potential,
     counting_function,
+    on_axis_critical_points,
     tangent_cone_at_infinity,
+    validate_no_rhp_critical_points,
     vertical_line_ratio,
 )
 from levelgraph.poly import ComplexPolynomial, from_roots, restrict_to_vertical_line
@@ -56,6 +58,13 @@ def test_rhp_validation():
         Potential(w)
     Potential(CUBE_THIRD)  # root at 0 is allowed
     Potential(HALF_SQUARE)
+
+
+def test_one_off_checks_agree_with_potential():
+    assert on_axis_critical_points(CUBE_THIRD) == Potential(CUBE_THIRD).axis_critical_points
+    validate_no_rhp_critical_points(CUBE_THIRD)
+    with pytest.raises(CriticalPointInRHP):
+        validate_no_rhp_critical_points(ComplexPolynomial([0.5, -1, 0.5]))
 
 
 # ---------------------------------------------------------------------------
