@@ -37,8 +37,8 @@ print(f"initial bump of height 0.35: in the admissible set = {ok}, "
       f"margin {margin:.3f}")
 
 trace = run_flow(f0, w, sigma, stop_tol=1e-8)
-print(f"\nflow finished after {len(trace.times)} recorded steps "
-      f"(t = {trace.times[-1]:.2f})")
+print(f"\nflow finished after {len(trace.times) - 1} accepted steps, "
+      f"{trace.rejected_steps} rejected (t = {trace.times[-1]:.2f})")
 print(f"{'t':>8s} {'J':>12s} {'residual':>10s}")
 for i in np.linspace(0, len(trace.times) - 1, 8).astype(int):
     print(f"{trace.times[i]:8.3f} {trace.J_values[i]:12.6f} "

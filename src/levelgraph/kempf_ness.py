@@ -12,7 +12,14 @@ constant vanish identically.
 The energy J is defined through its time derivative along a path,
 dJ/dt = integral of (df/dt) Im(w(x+if)) / sigma, and the flow descends it:
 df/dt = -Im(w(x+if)) pointwise.  Along the flow dJ/dt = -integral of
-Im(w)^2/sigma <= 0, so the recorded energy is nonincreasing by construction.
+Im(w)^2/sigma <= 0.
+
+run_flow integrates with classic RK4 under error control: the first stage of
+the next step, which the residual check evaluates anyway, turns RK4 into an
+embedded pair whose difference estimates the local error for free, and every
+step also stays inside the RK4 stability bound.  J is accumulated by
+Simpson's rule from three rates that are each minus an integral of squares,
+so the recorded energy is nonincreasing by construction, exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +30,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import FLOW_DIVERGED, FLOW_ENDPOINT_BLOWUP, FLOW_STOP_TOL, GRID_NODES
+from .config import (
+    FLOW_DIVERGED,
+    FLOW_ENDPOINT_BLOWUP,
+    FLOW_RK4_SAFETY,
+    FLOW_STEP_RTOL,
+    FLOW_STOP_TOL,
+    GRID_NODES,
+)
 from .errors import Diverged, NonIntegrableEndpoint
 from .poly import as_complex_polynomial
 
@@ -43,9 +57,6 @@ __all__ = [
     "relax_geodesic",
     "second_variation_at",
 ]
-
-_RK4_SAFETY = 0.8  # fraction of the linear-stability step limit
-
 
 @lru_cache(maxsize=64)
 def _gauss_rule(a: float, b: float, n: int):
@@ -216,6 +227,7 @@ class FlowTrace:
     residual_sup: list
     membership_min: list
     final: GridFunction = field(repr=False)
+    rejected_steps: int = 0
 
     def __post_init__(self):
         k = len(self.times)
@@ -232,12 +244,12 @@ class FlowTrace:
         return "\n".join(out) + "\n"
 
 
-def _rk4(vals: np.ndarray, rhs, dt: float) -> np.ndarray:
-    k1 = rhs(vals)
+def _rk4(vals: np.ndarray, k1: np.ndarray, rhs, dt: float):
+    """One classic RK4 step from vals with first stage k1; returns (new, k4)."""
     k2 = rhs(vals + 0.5 * dt * k1)
     k3 = rhs(vals + 0.5 * dt * k2)
     k4 = rhs(vals + dt * k3)
-    return vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return vals + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k4
 
 
 def flow_step(f: GridFunction, w, sigma: BackgroundSigma, dt: float) -> GridFunction:
@@ -248,23 +260,38 @@ def flow_step(f: GridFunction, w, sigma: BackgroundSigma, dt: float) -> GridFunc
     def rhs(vals):
         return -(w(x + 1j * vals).imag)
 
-    return GridFunction(f.a, f.b, f.nodes, _rk4(f.values, rhs, dt), f.boundary)
+    new, _ = _rk4(f.values, rhs(f.values), rhs, dt)
+    return GridFunction(f.a, f.b, f.nodes, new, f.boundary)
 
 
 def run_flow(
     f0: GridFunction,
     w,
     sigma: BackgroundSigma,
-    dt_ctrl: float = 0.05,
+    dt_ctrl: float | None = None,
     stop_tol: float = FLOW_STOP_TOL,
     t_max: float = 200.0,
 ) -> FlowTrace:
     """Flow f0 downhill until the height residual drops below stop_tol.
 
-    The step size adapts to the local linearization rate Re(w'(z_f)) so the
-    explicit integrator stays inside its stability region.  Raises Diverged
-    when the residual passes 1e6 and NonIntegrableEndpoint when the residual
-    per unit sigma passes 1e8 (heights off the zero level at an endpoint).
+    Step control.  Each RK4 step carries a free embedded third-order
+    estimate: with k5 = -Im w at the new state (the next step's first stage,
+    which the residual check evaluates anyway), the pair with weights
+    (1/6, 1/3, 1/3, 0, 1/6) differs from RK4 by dt/6 * (k4 - k5).  A step is
+    accepted when that error is at most FLOW_STEP_RTOL * sup|Im w| * dt,
+    and the next step is scaled by 0.9 (tol/err)^(1/4), clamped to
+    [0.2, 4].  Every step also stays below FLOW_RK4_SAFETY / max|Re w'| at
+    its start, the linear-stability limit, and below dt_ctrl when given.
+
+    J is integrated by Simpson's rule, taking the midpoint rate at the
+    step's cubic Hermite midpoint; all three rates are minus integrals of
+    squares, so every increment is nonpositive and the recorded J is
+    nonincreasing exactly, in floating point too.
+
+    Raises Diverged when the residual passes 1e6, when the state or the
+    error estimate turns nonfinite, or when rejections shrink the step below
+    the rounding of t; and NonIntegrableEndpoint when the residual per unit
+    sigma passes 1e8 (heights off the zero level at an endpoint).
     """
     w = as_complex_polynomial(w)
     wp = w.derivative()
@@ -273,25 +300,34 @@ def run_flow(
     x = f0.nodes
     dmat = _diff_matrix(_full_nodes(f0))
     sig = sigma.values
+    # steps shorter than this are lost in the rounding of t
+    dt_min = 4.0 * np.finfo(float).eps * max(t_max, 1.0)
 
     def rhs(vals):
         return -(w(x + 1j * vals).imag)
 
     def diag(vals):
-        v = w(x + 1j * vals).imag
-        d = wp(x + 1j * vals)
+        z = x + 1j * vals
+        v = w(z).imag
+        d = wp(z)
         fp = (dmat @ np.concatenate([[f0.boundary[0]], vals, [f0.boundary[1]]]))[1:-1]
         return v, float(np.min(d.real - fp * d.imag)), float(np.max(np.abs(d.real)))
+
+    def rate(v):
+        return -float(np.sum(weights * v * v / sig))
 
     f = f0.values.copy()
     t, jval = 0.0, 0.0
     v, memb, stiff = diag(f)
-    g = -float(np.sum(weights * v * v / sig))
+    g = rate(v)
+    cap = math.inf if dt_ctrl is None else dt_ctrl
+    dt = cap
 
     times, js, resids, membs = [], [], [], []
+    rejected = 0
     while True:
         resid = float(np.max(np.abs(v)))
-        if resid > FLOW_DIVERGED:
+        if not resid <= FLOW_DIVERGED:
             raise Diverged(f"height residual reached {resid:.3g}")
         ratio = float(np.max(np.abs(v) / sig))
         if ratio > FLOW_ENDPOINT_BLOWUP:
@@ -305,19 +341,38 @@ def run_flow(
         if resid < stop_tol or t >= t_max:
             break
 
-        dt = min(dt_ctrl, _RK4_SAFETY / max(stiff, 1e-12))
-        if t + dt >= t_max - 1e-15:
-            dt, t = t_max - t, t_max
-        else:
-            t = t + dt
-        f = _rk4(f, rhs, dt)
-        v, memb, stiff = diag(f)
-        g_new = -float(np.sum(weights * v * v / sig))
-        jval += 0.5 * dt * (g + g_new)  # trapezoid of a nonpositive rate
-        g = g_new
+        k1 = -v
+        dt = min(dt, cap, FLOW_RK4_SAFETY / stiff if stiff > 0.0 else math.inf)
+        while True:
+            last = t + dt >= t_max - dt_min
+            if last:
+                dt = t_max - t
+            f_new, k4 = _rk4(f, k1, rhs, dt)
+            if not np.all(np.isfinite(f_new)):
+                raise Diverged("flow state turned nonfinite")
+            v_new, memb_new, stiff_new = diag(f_new)
+            err = (dt / 6.0) * float(np.max(np.abs(k4 + v_new)))
+            if not math.isfinite(err):
+                raise Diverged("flow error estimate turned nonfinite")
+            tol = FLOW_STEP_RTOL * resid * dt
+            factor = 4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** 0.25))
+            if err <= tol:
+                break
+            dt *= factor
+            rejected += 1
+            if dt < dt_min:
+                raise Diverged(f"flow step size fell to {dt:.3g} at t = {t:.6g}")
+
+        f_mid = 0.5 * (f + f_new) + (dt / 8.0) * (k1 + v_new)
+        g_mid = rate(w(x + 1j * f_mid).imag)
+        g_new = rate(v_new)
+        jval += (dt / 6.0) * (g + 4.0 * g_mid + g_new)  # Simpson of a nonpositive rate
+        t = t_max if last else t + dt
+        f, v, memb, stiff, g = f_new, v_new, memb_new, stiff_new, g_new
+        dt *= factor
 
     final = GridFunction(f0.a, f0.b, f0.nodes, f, f0.boundary)
-    return FlowTrace(times, js, resids, membs, final)
+    return FlowTrace(times, js, resids, membs, final, rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +390,16 @@ def _path_arrays(path, times):
     return times, base, full
 
 
-def geodesic_residual(path, times, w, sigma: BackgroundSigma, f0: GridFunction) -> float:
-    """Sup-norm defect of the geodesic equation along a sampled path.
+def _graph_rates(phi_full, wp, dmat, x, sig, f0_full):
+    """d/dx Re(w(z_f)) and Im(w'(z_f)) on the graph f = f0 + sigma d(phi)/dx."""
+    fvals = f0_full.copy()
+    fvals[1:-1] += sig * (dmat @ phi_full)[1:-1]
+    d = wp(x + 1j * fvals[1:-1])
+    return d.real - (dmat @ fvals)[1:-1] * d.imag, d.imag
 
-    Each sample is a potential phi; the graph it parametrizes is
-    f = f0 + sigma * d(phi)/dx.  The equation checked at interior times and
-    nodes is  phi_tt * d/dx Re(w(z_f)) + (d(phi_t)/dx)^2 sigma Im(w'(z_f)).
-    """
-    w = as_complex_polynomial(w)
-    wp = w.derivative()
-    times, base, full = _path_arrays(path, times)
-    _check_sigma(base, sigma)
-    dmat = _diff_matrix(_full_nodes(base))
-    x = base.nodes
-    f0_full = _full_values(f0)
+
+def _geodesic_sup(full, times, wp, dmat, x, sig, f0_full) -> float:
+    """Sup geodesic defect of potentials stacked row by row in full."""
     sup = 0.0
     for k in range(1, len(times) - 1):
         dm = times[k] - times[k - 1]
@@ -356,15 +407,24 @@ def geodesic_residual(path, times, w, sigma: BackgroundSigma, f0: GridFunction) 
         acc = 2.0 * (dm * full[k + 1] - (dm + dp) * full[k] + dp * full[k - 1])
         acc /= dm * dp * (dm + dp)
         vel = (full[k + 1] - full[k - 1]) / (dm + dp)
-
-        fvals = f0_full.copy()
-        fvals[1:-1] += sigma.values * (dmat @ full[k])[1:-1]
-        z = x + 1j * fvals[1:-1]
-        d = wp(z)
-        dre = d.real - (dmat @ fvals)[1:-1] * d.imag
-        term2 = (dmat @ vel)[1:-1] ** 2 * sigma.values * d.imag
+        dre, dim = _graph_rates(full[k], wp, dmat, x, sig, f0_full)
+        term2 = (dmat @ vel)[1:-1] ** 2 * sig * dim
         sup = max(sup, float(np.max(np.abs(acc[1:-1] * dre + term2))))
     return sup
+
+
+def geodesic_residual(path, times, w, sigma: BackgroundSigma, f0: GridFunction) -> float:
+    """Sup-norm defect of the geodesic equation along a sampled path.
+
+    Each sample is a potential phi; the graph it parametrizes is
+    f = f0 + sigma * d(phi)/dx.  The equation checked at interior times and
+    nodes is  phi_tt * d/dx Re(w(z_f)) + (d(phi_t)/dx)^2 sigma Im(w'(z_f)).
+    """
+    wp = as_complex_polynomial(w).derivative()
+    times, base, full = _path_arrays(path, times)
+    _check_sigma(base, sigma)
+    dmat = _diff_matrix(_full_nodes(base))
+    return _geodesic_sup(full, times, wp, dmat, base.nodes, sigma.values, _full_values(f0))
 
 
 def relax_geodesic(
@@ -382,13 +442,14 @@ def relax_geodesic(
 
     Endpoint potentials are held fixed; interior time slices are updated
     toward the second-difference solution of the geodesic equation until the
-    sup residual drops below tol.  Returns (times, path).
+    sup residual, measured every 20 sweeps on the working array, drops below
+    tol.  Returns (times, path).
     """
-    w = as_complex_polynomial(w)
-    wp = w.derivative()
+    wp = as_complex_polynomial(w).derivative()
     _check_sigma(phi0, sigma)
     dmat = _diff_matrix(_full_nodes(phi0))
     x = phi0.nodes
+    sig = sigma.values
     f0_full = _full_values(f0)
     times = np.linspace(0.0, 1.0, n_times)
     dt = times[1] - times[0]
@@ -397,29 +458,22 @@ def relax_geodesic(
         (1.0 - t) * _full_values(phi0) + t * _full_values(phi1) for t in times
     ])
 
-    def to_path():
-        return [
-            GridFunction(phi0.a, phi0.b, x, row[1:-1], (row[0], row[-1]))
-            for row in full
-        ]
-
     for sweep in range(max_sweeps):
         for k in range(1, n_times - 1):
             vel = (full[k + 1] - full[k - 1]) / (2.0 * dt)
-            fvals = f0_full.copy()
-            fvals[1:-1] += sigma.values * (dmat @ full[k])[1:-1]
-            z = x + 1j * fvals[1:-1]
-            d = wp(z)
-            dre = d.real - (dmat @ fvals)[1:-1] * d.imag
+            dre, dim = _graph_rates(full[k], wp, dmat, x, sig, f0_full)
             if np.any(dre <= 0):
                 raise ValueError("relaxation path left the membership region")
-            src = -((dmat @ vel)[1:-1] ** 2) * sigma.values * d.imag / dre
+            src = -((dmat @ vel)[1:-1] ** 2) * sig * dim / dre
             target = 0.5 * (full[k + 1][1:-1] + full[k - 1][1:-1] - dt * dt * src)
             full[k][1:-1] = (1.0 - damping) * full[k][1:-1] + damping * target
         if sweep % 20 == 19 or sweep == max_sweeps - 1:
-            if geodesic_residual(to_path(), times, w, sigma, f0) < tol:
+            if _geodesic_sup(full, times, wp, dmat, x, sig, f0_full) < tol:
                 break
-    return times, to_path()
+    path = [
+        GridFunction(phi0.a, phi0.b, x, row[1:-1], (row[0], row[-1])) for row in full
+    ]
+    return times, path
 
 
 def second_variation_at(f: GridFunction, psi: GridFunction, w, sigma: BackgroundSigma) -> float:

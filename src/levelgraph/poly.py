@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,6 +40,15 @@ def _horner(coeffs: Sequence[complex], z: complex) -> complex:
     return acc
 
 
+def _horner_array(rev: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """np.polyval(rev, z) with the same Horner recurrence, updated in place."""
+    acc = np.zeros(z.shape, dtype=np.result_type(rev, z))
+    for c in rev:
+        acc *= z
+        acc += c
+    return acc
+
+
 @dataclass(frozen=True)
 class ComplexPolynomial:
     """Polynomial with complex double-precision coefficients, ascending."""
@@ -47,6 +57,13 @@ class ComplexPolynomial:
 
     def __init__(self, coeffs: Iterable[complex]):
         object.__setattr__(self, "coeffs", _trimmed(complex(c) for c in coeffs))
+
+    @cached_property
+    def _rev(self) -> np.ndarray:
+        """Coefficients highest power first, for evaluation on arrays."""
+        rev = np.array(self.coeffs[::-1], dtype=complex)
+        rev.flags.writeable = False
+        return rev
 
     # -- structure ---------------------------------------------------------
 
@@ -68,7 +85,7 @@ class ComplexPolynomial:
         if isinstance(z, np.ndarray):
             if self.is_zero:
                 return np.zeros_like(z, dtype=complex)
-            return np.polyval(np.array(self.coeffs[::-1], dtype=complex), z)
+            return _horner_array(self._rev, z)
         return _horner(self.coeffs, complex(z))
 
     # -- calculus -----------------------------------------------------------

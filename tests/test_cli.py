@@ -180,6 +180,9 @@ def test_dhym_witness(capsys):
     assert curve[-1] == pytest.approx([0.0, 0.0], abs=1e-6)
     flow = wit["flow"]
     assert flow["residual_sup"] <= 1e-8
+    # the chord from f0 already lies on the level curve: no step is taken
+    assert flow["steps"] == 0
+    assert flow["rejected_steps"] == 0
     assert len(flow["heights"]) >= 2
 
 
@@ -285,9 +288,11 @@ def test_flow_fixed_point(capsys, tmp_path):
     assert rc == 0, err
     summary = json.loads(out)
     assert summary["final_residual_sup"] <= 1e-8
+    assert summary["steps"] == 0
+    assert summary["rejected_steps"] == 0
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "t,J,residual_sup,membership_min"
-    assert len(lines) >= 2
+    assert len(lines) == 2
 
 
 def test_flow_from_file_decays(capsys, tmp_path):
@@ -324,6 +329,31 @@ def test_flow_from_file_decays(capsys, tmp_path):
     assert data[0][1] == 0.0  # J starts at zero by convention
     for prev, cur in zip(data, data[1:]):
         assert cur[1] <= prev[1] + 1e-10
+
+
+def test_flow_reports_accepted_and_rejected_steps(capsys, tmp_path):
+    # w = z^2/2 from a bump on [0.5, 4]: the first trial step, at the
+    # stability bound, fails the error test once
+    f0_file = tmp_path / "f0.csv"
+    rows = ["x,f"]
+    for i in range(65):
+        x = 0.5 + 3.5 * i / 64.0
+        rows.append("%.17g,%.17g" % (x, 0.3 * (x - 0.5) * (4.0 - x) / 3.5))
+    f0_file.write_text("\n".join(rows) + "\n")
+
+    target = tmp_path / "flow.csv"
+    rc, out, err = run_cli(
+        capsys,
+        [
+            "flow", "--poly", "0,0,0.5", "--z1", "0.5,0", "--z2", "4,0",
+            "--f0", str(f0_file), "--out", str(target),
+        ],
+    )
+    assert rc == 0, err
+    summary = json.loads(out)
+    lines = target.read_text().strip().splitlines()
+    assert summary["steps"] == len(lines) - 2  # header and the start row
+    assert summary["rejected_steps"] == 1
 
 
 def test_flow_level_mismatch(capsys, tmp_path):

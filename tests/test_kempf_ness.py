@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levelgraph.config import FLOW_RK4_SAFETY
 from levelgraph.errors import Diverged, NonIntegrableEndpoint
 from levelgraph.kempf_ness import (
     BackgroundSigma,
@@ -168,6 +169,56 @@ def test_flow_endpoint_blowup_raises():
     f0 = make_grid_function(A, B, lambda x: 1.0 + 0.0 * x, boundary=(1.0, 1.0))
     with pytest.raises(NonIntegrableEndpoint):
         run_flow(f0, ComplexPolynomial([0, 0, 1000.0]), sigma)
+
+
+def _cube_flow(**kwargs):
+    nodes, sigma = _setup()
+    f0 = GridFunction(A, B, nodes, 0.3 * sigma.values, (0.0, 0.0))
+    return run_flow(f0, CUBE_THIRD, sigma, **kwargs)
+
+
+def test_flow_error_control_takes_few_steps():
+    # a fixed 0.05 cap takes 260 steps here; the stability bound is 0.2
+    trace = _cube_flow()
+    assert len(trace.times) - 1 <= 100
+    assert trace.residual_sup[-1] < 1e-8
+
+
+def test_flow_J_matches_fine_step_run():
+    coarse = _cube_flow()
+    # past residual 1e-6 the rate -integral of Im(w)^2/sigma adds about
+    # 1e-12 to J, far below the tolerance checked here
+    fine = _cube_flow(dt_ctrl=5e-4, stop_tol=1e-6)
+    assert coarse.J_values[-1] == pytest.approx(fine.J_values[-1], rel=1e-3)
+
+
+def test_flow_steps_respect_dt_ctrl_and_stability_bound():
+    # w = z^2/2: Re w'(x+if) = x on every state, so the stability bound is
+    # 0.8 / (largest node) throughout, and Im w = x f decays at rates 0.5..4,
+    # so the error estimate alone would allow longer steps once the fast
+    # modes are gone
+    a, b = 0.5, 4.0
+    nodes = gauss_interior_nodes(a, b, 257)
+    sigma = default_sigma(a, b, nodes)
+    f0 = GridFunction(a, b, nodes, 0.3 * sigma.values, (0.0, 0.0))
+    w = ComplexPolynomial([0, 0, 0.5])
+    bound = FLOW_RK4_SAFETY / nodes[-1]
+
+    steps = np.diff(run_flow(f0, w, sigma).times)
+    assert np.max(steps) <= bound * (1 + 1e-12)
+    assert np.max(steps) > 0.9 * bound
+
+    steps = np.diff(run_flow(f0, w, sigma, dt_ctrl=0.05).times)
+    assert np.max(steps) <= 0.05 * (1 + 1e-12)
+
+
+def test_flow_nonfinite_state_raises_diverged():
+    # Re w' = 0 on f = 0 puts no stability bound on the first step, and
+    # Im(i z^9) = Re(z^9) overflows long before the trial step ends
+    nodes, sigma = _setup()
+    f0 = GridFunction(A, B, nodes, np.zeros_like(nodes), (0.0, 0.0))
+    with np.errstate(all="ignore"), pytest.raises(Diverged):
+        run_flow(f0, ComplexPolynomial([0] * 9 + [1j]), sigma)
 
 
 def test_flow_trace_csv():

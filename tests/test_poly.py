@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levelgraph.poly import (
@@ -160,6 +160,26 @@ small_poly = st.lists(coeff, min_size=1, max_size=6).map(ComplexPolynomial)
 def test_product_evaluates_pointwise(p, q, z):
     scale = (1 + p.coeff_scale) * (1 + q.coeff_scale) * (1 + abs(z)) ** 12
     assert abs((p * q)(z) - p(z) * q(z)) <= 1e-9 * scale
+
+
+@given(
+    small_poly,
+    st.lists(coeff, min_size=1, max_size=8),
+    st.booleans(),
+)
+@settings(max_examples=100)
+def test_array_evaluation_matches_polyval(p, zs, real_points):
+    # the in-place Horner runs numpy's polyval recurrence; in-place kernels
+    # may round differently, so allow the Horner error bound of both
+    assume(not p.is_zero)
+    z = np.array(zs)
+    if real_points:
+        z = z.real.copy()
+    expect = np.polyval(np.array(p.coeffs[::-1], dtype=complex), z)
+    got = p(z)
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    bound = sum(abs(c) * np.abs(z) ** k for k, c in enumerate(p.coeffs))
+    assert np.all(np.abs(got - expect) <= 4 * len(p.coeffs) * np.finfo(float).eps * bound)
 
 
 @given(small_poly, st.floats(-3, 3))
