@@ -40,7 +40,7 @@ trace = run_flow(f0, w, sigma, stop_tol=1e-8)
 print(f"\nflow finished after {len(trace.times) - 1} accepted steps, "
       f"{trace.rejected_steps} rejected (t = {trace.times[-1]:.2f})")
 print(f"{'t':>8s} {'J':>12s} {'residual':>10s}")
-for i in np.linspace(0, len(trace.times) - 1, 8).astype(int):
+for i in np.unique(np.linspace(0, len(trace.times) - 1, 8).astype(int)):
     print(f"{trace.times[i]:8.3f} {trace.J_values[i]:12.6f} "
           f"{trace.residual_sup[i]:10.2e}")
 

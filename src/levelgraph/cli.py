@@ -16,11 +16,13 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .cauchy import HalfInteger, RationalFunction, index_on_interval
 from .config import RunConfig
 from .dhym import CalabiInput, analyze, build_polynomials, exhibit_solution
 from .errors import LevelGraphError
-from .kempf_ness import default_sigma, make_grid_function, run_flow
+from .kempf_ness import default_sigma, j_derivative, make_grid_function, run_flow
 from .poly import ComplexPolynomial, RealPolynomial, from_roots
 from .stability import BoundaryData, classify, shift_to_zero_level
 from .tracer import graphical_connection, sample_regions, trace_level
@@ -341,15 +343,25 @@ def _check_tracer():
 
 
 def _check_flow():
+    # w = z: the flow f' = -f is linear with Jacobian -1, which the
+    # exponential steps integrate exactly, so f(t) = f0 e^{-t} and
+    # J(t) = (1 - e^{-2t})/2 * dJ/dt(0), with dJ/dt(0) = -integral f0^2/sigma
+    w = ComplexPolynomial([0.0, 1.0])
     f0 = make_grid_function(
-        1.0, 2.0, lambda x: 0.3 * __import__("numpy").sin(math.pi * (x - 1.0)),
-        n=65, boundary=(0.0, 0.0),
+        1.0, 2.0, lambda x: 0.3 * np.sin(math.pi * (x - 1.0)), n=65, boundary=(0.0, 0.0),
     )
     sigma = default_sigma(1.0, 2.0, f0.nodes)
-    trace = run_flow(f0, ComplexPolynomial([0.0, 1.0]), sigma, stop_tol=1e-8)
+    trace = run_flow(f0, w, sigma, stop_tol=1e-8)
     _expect(trace.residual_sup[-1] < 1e-8, trace.residual_sup[-1])
     for prev, cur in zip(trace.J_values, trace.J_values[1:]):
         _expect(cur <= prev, "J increased along the flow")
+    t = trace.times[-1]
+    exact = f0.values * math.exp(-t)
+    err = float(np.max(np.abs(trace.final.values - exact)))
+    _expect(err <= 1e-12 * float(np.max(np.abs(exact))), f"final state off e^-t f0 by {err:.3g}")
+    J_exact = 0.5 * -math.expm1(-2.0 * t) * j_derivative(f0, -f0.values, w, sigma)
+    _expect(abs(trace.J_values[-1] - J_exact) <= 1e-12 * abs(J_exact),
+            (trace.J_values[-1], J_exact))
 
 
 def _check_dhym_hand_case():

@@ -27,10 +27,9 @@ TRACE_RADIUS_FACTOR = 4.0  # radius = factor * (1 + max |root of w|)
 
 # flow
 FLOW_STOP_TOL = 1e-8
-# accepted RK4 step: embedded error per unit time <= FLOW_STEP_RTOL * sup |Im w|
+# accepted flow step: embedded error per unit time <= FLOW_STEP_RTOL * sup |Im w|,
+# and the step's J increment within FLOW_STEP_RTOL (relative) of its linearization
 FLOW_STEP_RTOL = 1e-3
-# RK4 step <= FLOW_RK4_SAFETY / max |Re w'|, a fraction of the linear-stability limit
-FLOW_RK4_SAFETY = 0.8
 FLOW_DIVERGED = 1e6
 FLOW_ENDPOINT_BLOWUP = 1e8
 GRID_NODES = 257

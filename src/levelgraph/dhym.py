@@ -372,10 +372,16 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     delta = (cmath.phase(Z_Dinf) - cmath.phase(Z_X)) % (2.0 * math.pi)
     on_wall = not ind_Rb.is_integer
     if not on_wall and not (SIGN_TOL < delta < math.pi - SIGN_TOL):
-        raise LiftInconsistency(
-            f"delta = {delta} falls outside (0, pi): Z_Dinf is not one "
-            "counterclockwise half-turn sector ahead of Z_X"
-        )
+        # Z_Dinf/Z_X = i P'(z2)/P(z2) and w(z2) = |P(z2)| > 0, so delta lies
+        # in (0, pi) exactly when Re w'(z2) > 0
+        re_wp = wp(inp.z2).real
+        if re_wp <= 0.0:
+            cause = (f"Re w'(z2) = {re_wp:.17g} <= 0, so Z_Dinf is not one "
+                     "counterclockwise half-turn sector ahead of Z_X")
+        else:
+            cause = (f"Re w'(z2) = {re_wp:.17g} > 0, so delta lies within "
+                     "SIGN_TOL of the sector's edge")
+        raise LiftInconsistency(f"delta = {delta} falls outside (0, pi): {cause}")
     phi_Dinf = phi_X + delta / math.pi
 
     # explicit paths from each charge out to the shared negative-real-axis

@@ -332,20 +332,21 @@ def test_flow_from_file_decays(capsys, tmp_path):
 
 
 def test_flow_reports_accepted_and_rejected_steps(capsys, tmp_path):
-    # w = z^2/2 from a bump on [0.5, 4]: the first trial step, at the
-    # stability bound, fails the error test once
+    # w = z^3/3 from a bump of height 0.875 on [0.5, 4]: the first trial
+    # step, one relaxation time 1/max|Re w'|, is too long for the error and
+    # J tests, which reject five trial steps before the first is accepted
     f0_file = tmp_path / "f0.csv"
     rows = ["x,f"]
     for i in range(65):
         x = 0.5 + 3.5 * i / 64.0
-        rows.append("%.17g,%.17g" % (x, 0.3 * (x - 0.5) * (4.0 - x) / 3.5))
+        rows.append("%.17g,%.17g" % (x, (x - 0.5) * (4.0 - x) / 3.5))
     f0_file.write_text("\n".join(rows) + "\n")
 
     target = tmp_path / "flow.csv"
     rc, out, err = run_cli(
         capsys,
         [
-            "flow", "--poly", "0,0,0.5", "--z1", "0.5,0", "--z2", "4,0",
+            "flow", "--poly", "0,0,0,0.3333333333333333", "--z1", "0.5,0", "--z2", "4,0",
             "--f0", str(f0_file), "--out", str(target),
         ],
     )
@@ -353,7 +354,7 @@ def test_flow_reports_accepted_and_rejected_steps(capsys, tmp_path):
     summary = json.loads(out)
     lines = target.read_text().strip().splitlines()
     assert summary["steps"] == len(lines) - 2  # header and the start row
-    assert summary["rejected_steps"] == 1
+    assert summary["rejected_steps"] == 5
 
 
 def test_flow_level_mismatch(capsys, tmp_path):

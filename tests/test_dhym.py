@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from levelgraph.dhym import (
     compute_lifts,
     exhibit_solution,
 )
-from levelgraph.errors import ZeroTotalCharge
+from levelgraph.errors import LiftInconsistency, ZeroTotalCharge
 
 SQ3 = math.sqrt(3.0)
 
@@ -112,6 +113,20 @@ def test_high_degree_lift_agrees_with_exact_indices():
     assert report.verdict == "exists"
     assert report.ind_R0 == 1
     assert report.ind_Rb == 4
+
+
+def test_lift_sector_failure_names_re_w_prime_at_z2():
+    # dhym-sweep seed 1 input 878: delta falls outside (0, pi) because
+    # Re w'(z2) < 0, which the message must name with its value
+    inp = CalabiInput(3, 0, 0.8725791887060792, -1.671475408873806,
+                      0.5278009818877772, 2.5784225325790224)
+    with pytest.raises(LiftInconsistency, match="falls outside") as info:
+        analyze(inp)
+    found = re.search(r"Re w'\(z2\) = (\S+) <= 0", str(info.value))
+    assert found is not None, str(info.value)
+    w, _, _ = build_polynomials(inp)
+    assert float(found.group(1)) == w.derivative()(inp.z2).real
+    assert float(found.group(1)) == pytest.approx(-4.4623716979992469, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

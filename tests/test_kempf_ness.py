@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from levelgraph.config import FLOW_RK4_SAFETY
+from levelgraph import kempf_ness
 from levelgraph.errors import Diverged, NonIntegrableEndpoint
 from levelgraph.kempf_ness import (
     BackgroundSigma,
@@ -40,7 +41,103 @@ def _setup(n=257):
 
 def test_differentiates_constant_to_zero():
     f = make_grid_function(A, B, lambda x: 3.7 + 0.0 * x)
-    assert np.max(np.abs(derivative_values(f))) < 1e-12
+    assert np.max(np.abs(derivative_values(f))) == 0.0
+
+
+def _direct_diff_matrix(full_x):
+    # barycentric differentiation matrix built on the nodes themselves, the
+    # way the library built it before it scaled one reference per grid size
+    n = len(full_x)
+    d = full_x[:, None] - full_x[None, :]
+    np.fill_diagonal(d, 1.0)
+    logw = -np.sum(np.log(np.abs(d)), axis=1)
+    sign = np.where(np.arange(n)[::-1] % 2 == 0, 1.0, -1.0)
+    mat = (sign[:, None] * sign[None, :]) * np.exp(logw[None, :] - logw[:, None]) / d
+    np.fill_diagonal(mat, 0.0)
+    np.fill_diagonal(mat, -mat.sum(axis=1))
+    return mat
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.3), (0.5, 4.0), (1.0, 2.0)])
+def test_scaled_reference_diff_matrix_matches_direct_build(a, b):
+    f = make_grid_function(a, b, lambda x: 0.0 * x)
+    direct = _direct_diff_matrix(np.concatenate([[a], f.nodes, [b]]))
+    scaled = kempf_ness._diff_matrix(f)
+    assert np.max(np.abs(scaled - direct)) <= 1e-11 * np.max(np.abs(direct))
+
+
+def test_diff_matrix_rejects_other_grids():
+    nodes = np.linspace(A, B, 19)[1:-1]
+    f = GridFunction(A, B, nodes, np.zeros_like(nodes), (0.0, 0.0))
+    with pytest.raises(ValueError, match="Gauss-Legendre"):
+        derivative_values(f)
+
+
+def test_gauss_rule_solved_once_per_grid_size(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    kempf_ness._reference_rule.cache_clear()
+    kempf_ness._reference_diff_matrix.cache_clear()
+    try:
+        first = make_grid_function(0.0, 1.3, lambda x: np.sin(x), n=41)
+        second = make_grid_function(0.5, 4.0, lambda x: np.sin(x), n=41)
+        derivative_values(first)
+        derivative_values(second)
+    finally:
+        kempf_ness._reference_rule.cache_clear()
+        kempf_ness._reference_diff_matrix.cache_clear()
+    assert calls == [41]
+    xi, wt = leggauss(41)
+    assert np.array_equal(second.nodes, 0.5 * (0.5 + 4.0) + 0.5 * (4.0 - 0.5) * xi)
+
+
+# ---------------------------------------------------------------------------
+# phi-functions of the exponential flow steps
+
+
+def test_phi_functions_at_zero():
+    assert kempf_ness._phi1(np.array([0.0]))[0] == 1.0
+    assert kempf_ness._phi3(np.array([0.0]))[0] == 1.0 / 6.0
+
+
+def test_phi3_continuous_across_series_switch():
+    # phi_3 switches from its series to the closed form at |z| = 1
+    for edge in (1.0, -1.0):
+        below = np.nextafter(edge, 0.0)
+        pair = kempf_ness._phi3(np.array([below, edge]))
+        assert abs(pair[1] - pair[0]) <= 1e-14 * abs(pair[1])
+    # and phi_1 = expm1(z)/z meets its value 1 at z = 0
+    tiny = np.array([-1e-9, 1e-9, -1e-300, 1e-300])
+    assert np.all(np.abs(kempf_ness._phi1(tiny) - (1.0 + tiny / 2.0)) <= 1e-14)
+
+
+def _phi_series(z, k, terms=40):
+    # sum_j z^j / (j + k)! in exact rational arithmetic
+    zf = Fraction(z)
+    return float(sum(zf**j / math.factorial(j + k) for j in range(terms)))
+
+
+def test_phi_functions_match_exact_series():
+    z = np.array([-2.0, -1.5, -0.7, -0.2, -0.05, 0.05, 0.3, 0.9, 2.0])
+    for phi, k in ((kempf_ness._phi1, 1), (kempf_ness._phi3, 3)):
+        exact = np.array([_phi_series(v, k) for v in z])
+        assert np.allclose(phi(z), exact, rtol=1e-14, atol=0), phi.__name__
+
+
+def test_phi_functions_finite_for_stiff_decay():
+    z = -np.geomspace(1e-3, 1e4, 50)
+    for phi in (kempf_ness._phi1, kempf_ness._phi3):
+        vals = phi(z)
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+    assert kempf_ness._phi1(np.array([-1e4]))[0] == pytest.approx(1e-4, rel=1e-12)
+    assert kempf_ness._phi3(np.array([-1e4]))[0] == pytest.approx(
+        (1e4 - 5e7 - 1.0) / -1e12, rel=1e-12)
 
 
 def test_differentiates_cubic_exactly():
@@ -148,10 +245,10 @@ def test_flow_single_step_matches_run():
     nodes, sigma = _setup(33)
     f0 = GridFunction(A, B, gauss_interior_nodes(A, B, 33), 0.1 * sigma.values, (0.0, 0.0))
     f1 = flow_step(f0, W_LINEAR, sigma, 0.25)
-    # one RK4 step of f' = -f: factor 1 - h + h^2/2 - h^3/6 + h^4/24
+    # f' = -f is linear with Jacobian -1, which the exponential step treats
+    # exactly: the factor is e^{-h}, not a polynomial in h
     h = 0.25
-    factor = 1 - h + h**2 / 2 - h**3 / 6 + h**4 / 24
-    assert np.allclose(f1.values, factor * f0.values, rtol=0, atol=1e-15)
+    assert np.allclose(f1.values, math.exp(-h) * f0.values, rtol=1e-15, atol=0)
 
 
 def test_flow_divergence_raises():
@@ -178,9 +275,10 @@ def _cube_flow(**kwargs):
 
 
 def test_flow_error_control_takes_few_steps():
-    # a fixed 0.05 cap takes 260 steps here; the stability bound is 0.2
+    # a fixed 0.05 cap takes 260 steps here and RK4 at its stability bound
+    # 70; the exponential steps, which have no such bound, take 6
     trace = _cube_flow()
-    assert len(trace.times) - 1 <= 100
+    assert len(trace.times) - 1 <= 20
     assert trace.residual_sup[-1] < 1e-8
 
 
@@ -192,33 +290,30 @@ def test_flow_J_matches_fine_step_run():
     assert coarse.J_values[-1] == pytest.approx(fine.J_values[-1], rel=1e-3)
 
 
-def test_flow_steps_respect_dt_ctrl_and_stability_bound():
-    # w = z^2/2: Re w'(x+if) = x on every state, so the stability bound is
-    # 0.8 / (largest node) throughout, and Im w = x f decays at rates 0.5..4,
-    # so the error estimate alone would allow longer steps once the fast
-    # modes are gone
+def test_flow_steps_pass_old_stability_bound_and_respect_dt_ctrl():
+    # w = z^2/2: Im w = x f, so the flow is linear with Jacobian -x, which
+    # the exponential steps integrate exactly; the old explicit stability
+    # bound 0.8 / (largest node) = 0.2 no longer limits them
     a, b = 0.5, 4.0
     nodes = gauss_interior_nodes(a, b, 257)
     sigma = default_sigma(a, b, nodes)
     f0 = GridFunction(a, b, nodes, 0.3 * sigma.values, (0.0, 0.0))
     w = ComplexPolynomial([0, 0, 0.5])
-    bound = FLOW_RK4_SAFETY / nodes[-1]
 
     steps = np.diff(run_flow(f0, w, sigma).times)
-    assert np.max(steps) <= bound * (1 + 1e-12)
-    assert np.max(steps) > 0.9 * bound
+    assert np.max(steps) > 0.8 / nodes[-1]
 
     steps = np.diff(run_flow(f0, w, sigma, dt_ctrl=0.05).times)
     assert np.max(steps) <= 0.05 * (1 + 1e-12)
 
 
-def test_flow_nonfinite_state_raises_diverged():
-    # Re w' = 0 on f = 0 puts no stability bound on the first step, and
-    # Im(i z^9) = Re(z^9) overflows long before the trial step ends
+def test_flow_finite_time_blowup_raises_diverged():
+    # w = i z^2: Im w = x^2 - f^2, so f' = f^2 - x^2, and every node that
+    # starts above x runs off to infinity in finite time
     nodes, sigma = _setup()
-    f0 = GridFunction(A, B, nodes, np.zeros_like(nodes), (0.0, 0.0))
-    with np.errstate(all="ignore"), pytest.raises(Diverged):
-        run_flow(f0, ComplexPolynomial([0] * 9 + [1j]), sigma)
+    f0 = GridFunction(A, B, nodes, nodes + 4.0 * sigma.values, (A, B))
+    with pytest.raises(Diverged):
+        run_flow(f0, ComplexPolynomial([0, 0, 1j]), sigma)
 
 
 def test_flow_trace_csv():
