@@ -19,6 +19,7 @@ Subpackages build on each other roughly bottom-up:
 """
 
 from .errors import (
+    BoundaryPointUnreachable,
     CorrectorDiverged,
     CriticalPointInRHP,
     CrossCheckFailure,
@@ -38,6 +39,7 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BoundaryPointUnreachable",
     "CorrectorDiverged",
     "CriticalPointInRHP",
     "CrossCheckFailure",

@@ -368,6 +368,8 @@ def _check_dhym_hand_case():
     report = analyze(CalabiInput(1, 0, 1.0, 0.0, 1.0, 0.0))
     _expect(report.verdict == "exists", report)
     _expect(report.phi_X == 0.0 and abs(report.phi_Dinf - 0.5) < 1e-9, report)
+    # the closed-form lift is pi - pi/2, exact in floating point
+    _expect(report.phi_P == 0.5, report)
 
 
 def _check_dhym_twisted():

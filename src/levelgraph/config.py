@@ -34,11 +34,6 @@ FLOW_DIVERGED = 1e6
 FLOW_ENDPOINT_BLOWUP = 1e8
 GRID_NODES = 257
 
-# phase unwrapping along charge paths
-UNWRAP_MAX_STEP = 3.141592653589793 / 8
-UNWRAP_T_FACTOR = 64.0
-UNWRAP_TAIL_TOL = 1e-6
-
 
 @dataclass
 class RunConfig:

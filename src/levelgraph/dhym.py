@@ -11,9 +11,10 @@ of Im(w).  Existence of a solution then reduces to comparing two Cauchy
 indices -- one along the imaginary axis, one along the vertical ray above z2
 -- or, equivalently, to inequalities between the lifted phases (grades) of
 three charge integrals.  Both forms are computed and asserted against each
-other; the phase lifts are additionally pinned by numerically unwrapping two
-explicit paths and counting how often they cross the line through the total
-charge Z_X.
+other.  The phase lifts come from two explicit charge paths whose factors
+stay in the right half-plane, so each lift has a closed form in atan2; the
+lifts re-derive both indices as counts of crossings of the line through the
+total charge Z_X.
 
 Orientation note: the index machinery in :mod:`levelgraph.cauchy` counts a
 -inf -> +inf jump as +1.  The lift formulas below need the opposite sign --
@@ -28,20 +29,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cauchy import HalfInteger, RationalFunction, index_on_interval
-from .config import (
-    SIGN_TOL,
-    UNWRAP_MAX_STEP,
-    UNWRAP_T_FACTOR,
-    UNWRAP_TAIL_TOL,
-)
+from .cauchy import HalfInteger, RationalFunction, index_on_interval, index_one_sided
+from .config import SIGN_TOL
 from .errors import (
+    BoundaryPointUnreachable,
     CrossCheckFailure,
     LevelMismatch,
     LiftInconsistency,
     ZeroTotalCharge,
 )
-from .poly import ComplexPolynomial, RealPolynomial, restrict_to_vertical_line, roots
+from .poly import ComplexPolynomial, RealPolynomial, restrict_to_vertical_line
 
 __all__ = [
     "CalabiInput",
@@ -60,9 +57,6 @@ __all__ = [
 # up in charges that ought to be purely real or purely imaginary
 _MI_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
-
-_GRADE_IDENTITY_TOL = 1e-6
-_UNWRAP_AGREE_TOL = 1e-6
 
 _NORMALIZATION_BASE = (
     "charges reported up to the positive volume normalization "
@@ -217,113 +211,32 @@ def _split_real_imag(p: ComplexPolynomial):
     )
 
 
-def _smallest_positive_root(p: RealPolynomial):
-    if p.degree < 1:
-        return None
-    best = None
-    for rt in roots(p.to_complex()):
-        band = max(1e-7 * (1.0 + abs(rt.location)), 2.0 * rt.cluster_radius)
-        if abs(rt.location.imag) <= band and rt.location.real > band:
-            if best is None or rt.location.real < best:
-                best = rt.location.real
-    return best
-
-
 # ---------------------------------------------------------------------------
-# phase unwrapping
+# phase lifts along the charge paths
 
 
-def _unwrap_lift(prefactor: complex, factors, t_start: float, checkpoints, t_big: float):
-    """Continuous phase lift of prefactor * prod (x_j + i(y_j + t))^{k_j}.
+def _path_lift(factors, t: float) -> float:
+    """Lift at t of the phase of c * prod (x_j + i(y_j + t))^{k_j}, anchored at pi.
 
-    ``factors`` is a sequence of (x, y, k) with x > 0, so every factor stays
-    in the right half-plane and the product never vanishes.  Returns
-    (lift_at_checkpoint dict, total) where ``total`` is the phase accumulated
-    from t_start to the t -> infinity limit (Richardson extrapolation over
-    the last doubling octave kills the C/t tail of the phase exactly to
-    first order).
-
-    Step control: the phase speed of one factor, k*x / (x^2 + (y+t)^2), is a
-    unimodal bump in t, so the speed of the product over a step [t, t+dt] is
-    bounded by summing each bump's max on that window.  Steps are sized so
-    that bound times dt stays below UNWRAP_MAX_STEP, which makes the
-    principal-value phase increment equal to the true increment -- sampling
-    can never alias away a full turn.
+    ``factors`` is a sequence of (x, y, k) with x > 0, and the prefactor c
+    satisfies c * i^{sum k} = -1, so the path tends to the negative real axis
+    as t -> infinity and its lift there is pi.  Every factor stays in the
+    right half-plane, where its continuous argument is atan2(y + t, x) and
+    climbs to pi/2; the lift at t is pi minus the climb still to come, and it
+    strictly increases in t.
     """
-    for x, _, _ in factors:
-        if not x > 0:
-            raise ValueError("unwrap factors must sit in the right half-plane")
-    checkpoints = sorted(set(checkpoints))
-    if checkpoints and checkpoints[-1] >= t_big:
-        t_big = 2.0 * checkpoints[-1]
-
-    def value(t):
-        out = prefactor
-        for x, y, k in factors:
-            u = complex(x, y + t)
-            out *= (u / abs(u)) ** k
-        return out
-
-    def speed_bound(a, b):
-        total = 0.0
-        for x, y, k in factors:
-            if a <= -y <= b:
-                total += k / x
-            else:
-                total += k * max(
-                    x / (x * x + (y + a) ** 2), x / (x * x + (y + b) ** 2)
-                )
-        return total
-
-    t = t_start
-    u = value(t)
-    theta = theta_start = cmath.phase(u)
-    recorded = {}
-    if t in checkpoints:
-        recorded[t] = theta
-
-    def march_to(target, t, u, theta):
-        while t < target:
-            dt = target - t
-            while speed_bound(t, t + dt) * dt > 0.95 * UNWRAP_MAX_STEP:
-                dt *= 0.5
-            u_new = value(t + dt)
-            theta += cmath.phase(u_new * u.conjugate())
-            t += dt
-            u = u_new
-        return t, u, theta
-
-    for cp in checkpoints:
-        if cp > t:
-            t, u, theta = march_to(cp, t, u, theta)
-        recorded[cp] = theta
-
-    t, u, theta = march_to(t_big, t, u, theta)
-    for _ in range(60):
-        theta_prev = theta
-        t, u, theta = march_to(2.0 * t, t, u, theta)
-        if abs(theta - theta_prev) <= UNWRAP_TAIL_TOL:
-            break
-    # Richardson over the last octave cancels the C/t tail of the phase
-    total_lift = (2.0 * theta - theta_prev) - theta_start
-    return recorded, total_lift
-
-
-def _net_ccw_crossings(theta_ref: float, theta_end: float, line_angle: float) -> int:
-    # net signed crossings of the line family {angle = line_angle mod pi} by a
-    # continuous lift running from theta_ref to theta_end
-    return math.floor((theta_end - line_angle) / math.pi) - math.floor(
-        (theta_ref - line_angle) / math.pi
-    )
+    return math.pi - sum(k * (math.pi / 2 - math.atan2(y + t, x)) for x, y, k in factors)
 
 
 def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
     """Lifted phases, Cauchy indices, and the genericity flag.
 
     Z_X and Z_Dinf are the charges from compute_charges.  The two index
-    computations are the authoritative data; the two unwrapped paths re-derive
-    them as crossing counts of the Z_X line and must agree, otherwise
-    LiftInconsistency is raised.
+    computations are the authoritative data.  The closed-form lifts of the
+    Z_P and Z_Dinf paths re-derive them as counts of crossings of the Z_X
+    line and must agree, as must the Z_Dinf path's end grade and
+    phi_X + delta/pi; otherwise LiftInconsistency is raised.  Class data
+    with Re w'(z2) <= 0 raise BoundaryPointUnreachable.
     """
     m, r = inp.m, inp.r
     n = m + r + 1
@@ -349,9 +262,23 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     # index along the vertical ray above z2
     re_b, im_b = restrict_to_vertical_line(wp, inp.b)
     ind_Rb = _ccw_index(re_b, im_b, inp.q, math.inf)
+    on_wall = not ind_Rb.is_integer
+
+    # along a graph over [0, b] on the zero level, Re w rises strictly from
+    # w(0) = 0 to w(z2) = |P(z2)| > 0, so Re w'(z2) > 0 is necessary.  It is
+    # also the sector condition 0 < delta < pi below, because
+    # Z_Dinf/Z_X = i w'(z2)/w(z2).
+    wp_z2 = wp(inp.z2)
+    if not on_wall and not wp_z2.real > SIGN_TOL * abs(wp_z2):
+        raise BoundaryPointUnreachable(
+            f"Re w'(z2) = {wp_z2.real:.17g} is not above SIGN_TOL * |w'(z2)| = "
+            f"{SIGN_TOL * abs(wp_z2):.3g}: no graph over [0, b] ends at z2"
+        )
 
     # index along the imaginary axis; the common factor t^r of Re and Im of
-    # w'(it) is cancelled first, leaving g(t) = e^{-i theta} i^r (xi + it)^m
+    # w'(it) is cancelled first, leaving g(t) = e^{-i theta} i^r (xi + it)^m.
+    # A non-generic Re g(0) is zero up to SIGN_TOL: make it exact, and leave
+    # out the half-jump at t = 0, where the Z_P path starts on the Z_X line
     g_poly = ComplexPolynomial([1.0])
     base = ComplexPolynomial([inp.xi, 1j])
     for _ in range(m):
@@ -359,71 +286,46 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     g_poly = g_poly * (cmath.exp(-1j * theta_hat) * _I_POW[r % 4])
     re_0, im_0 = _split_real_imag(g_poly)
     if generic:
-        eps = 0.0
         ind_R0 = _ccw_index(re_0, im_0, 0.0, math.inf)
     else:
-        first = _smallest_positive_root(re_0)
-        eps = 0.5 * first if first is not None else 1.0
-        ind_R0 = _ccw_index(re_0, im_0, eps, math.inf)
+        re_0 = RealPolynomial((0.0,) + re_0.coeffs[1:])
+        ind_R0 = _ccw_index(re_0, im_0, 0.0, math.inf) + index_one_sided(
+            RationalFunction(im_0, re_0), 0.0, +1
+        )
 
     Theta_lift = theta_top - float(ind_Rb) * math.pi
     phi_X = (theta_top - float(ind_Rb) * math.pi - n * math.pi / 2 + math.pi) / math.pi
-
     delta = (cmath.phase(Z_Dinf) - cmath.phase(Z_X)) % (2.0 * math.pi)
-    on_wall = not ind_Rb.is_integer
-    if not on_wall and not (SIGN_TOL < delta < math.pi - SIGN_TOL):
-        # Z_Dinf/Z_X = i P'(z2)/P(z2) and w(z2) = |P(z2)| > 0, so delta lies
-        # in (0, pi) exactly when Re w'(z2) > 0
-        re_wp = wp(inp.z2).real
-        if re_wp <= 0.0:
-            cause = (f"Re w'(z2) = {re_wp:.17g} <= 0, so Z_Dinf is not one "
-                     "counterclockwise half-turn sector ahead of Z_X")
-        else:
-            cause = (f"Re w'(z2) = {re_wp:.17g} > 0, so delta lies within "
-                     "SIGN_TOL of the sector's edge")
-        raise LiftInconsistency(f"delta = {delta} falls outside (0, pi): {cause}")
     phi_Dinf = phi_X + delta / math.pi
 
     # explicit paths from each charge out to the shared negative-real-axis
-    # asymptote; factors are normalized inside _unwrap_lift so only phases
-    # survive, which keeps large exponents from overflowing
-    factors_P = ((inp.xi1, inp.xi2, m),)
-    factors_D = ((inp.b, 0.0, r), (inp.xi1 + inp.b, inp.xi2, m))
+    # asymptote: Z_P(t) = -(-i)^m (xi + it)^m from t = 0, and
+    # Z_Dinf(t) = -(-i)^{m+r} (b + it)^r (xi + b + it)^m from t = q
+    lift_P = _path_lift(((inp.xi1, inp.xi2, m),), 0.0)
+    lift_D = _path_lift(((inp.b, 0.0, r), (inp.xi1 + inp.b, inp.xi2, m)), inp.q)
+    phi_P = lift_P / math.pi
 
-    t_big = UNWRAP_T_FACTOR * max(1.0, abs(inp.xi), inp.b, abs(inp.q))
-    cps_P = [0.0] if generic else [0.0, eps]
-    rec_P, total_P = _unwrap_lift(-_MI_POW[m % 4], factors_P, 0.0, cps_P, t_big)
-    _, total_D = _unwrap_lift(-_MI_POW[(m + r) % 4], factors_D, inp.q, [], t_big)
-
-    # anchor both lifts at the terminal value pi: both paths approach the
-    # negative real axis from below, so the terminal lift is exactly pi and
-    # theta_end sits just under it
-    theta_end = math.pi - 1e-9
-    phi_P = (math.pi - total_P) / math.pi
-    phi_Dinf_unwrap = (math.pi - total_D) / math.pi
-
-    # anchored lift of a raw recorded value v: the raw lift runs from
-    # rec[start] to rec[start] + total, and anchoring pins the far end at pi
-    ref_P = rec_P[0.0] if generic else rec_P[eps]
-    anchored_ref_P = (ref_P - rec_P[0.0]) + (math.pi - total_P)
-    anchored_ref_D = math.pi - total_D
-
-    crossings_P = _net_ccw_crossings(anchored_ref_P, theta_end, line_angle)
-    crossings_D = _net_ccw_crossings(anchored_ref_D, theta_end, line_angle)
+    # a lift rises to pi without reaching it, crossing the lines
+    # {line_angle + k pi} only counterclockwise; the last line below pi is
+    # line_angle itself.  A non-generic Z_P path starts on a line, which the
+    # axis index leaves out, so its count takes the nearest line
+    lines_P = (lift_P - line_angle) / math.pi
+    crossings_P = -(math.floor(lines_P) if generic else round(lines_P))
+    crossings_D = -math.floor((lift_D - line_angle) / math.pi)
 
     if crossings_P != ind_R0:
         raise LiftInconsistency(
-            f"unwrapped Z_P path crosses the Z_X line {crossings_P} times "
+            f"Z_P path crosses the Z_X line {crossings_P} times "
             f"but the axis index is {ind_R0}"
         )
     if not on_wall and crossings_D != ind_Rb:
         raise LiftInconsistency(
-            f"unwrapped Z_Dinf path crosses the Z_X line {crossings_D} times "
+            f"Z_Dinf path crosses the Z_X line {crossings_D} times "
             f"but the vertical-ray index is {ind_Rb}"
         )
-    if not on_wall and abs(phi_Dinf_unwrap - phi_Dinf) > _UNWRAP_AGREE_TOL:
+    if not on_wall and abs(lift_D / math.pi - phi_Dinf) > SIGN_TOL:
         raise LiftInconsistency(
-            f"unwrapped grade {phi_Dinf_unwrap} disagrees with "
+            f"Z_Dinf path grade {lift_D / math.pi} disagrees with "
             f"phi_X + delta/pi = {phi_Dinf}"
         )
 
@@ -489,7 +391,7 @@ def analyze(inp: CalabiInput) -> ChargeReport:
         if lifts.genericity == "generic":
             grade_exists = 0.0 < D < inp.r + 1.0
         else:
-            grade_exists = 1.0 - _GRADE_IDENTITY_TOL <= D <= inp.r + _GRADE_IDENTITY_TOL
+            grade_exists = 1.0 - SIGN_TOL <= D <= inp.r + SIGN_TOL
         if grade_exists != (verdict == "exists"):
             raise CrossCheckFailure(
                 f"grade difference phi_P - phi_X = {D} puts the grade-form "

@@ -4,7 +4,8 @@ Every error raised by levelgraph derives from :class:`LevelGraphError`, so
 callers can catch one base class at an API boundary (the CLI does exactly
 that).  The leaf classes are deliberately fine-grained: each one names either
 a hypothesis the input breaks (a critical point right of the imaginary axis,
-two boundary points on different levels, a vanishing total charge) or a
+two boundary points on different levels, a vanishing total charge, a
+boundary point no level graph reaches) or a
 numerical stage that failed or disagreed with a cross-check (a corrector or
 flow that did not converge, phase lifts that contradict the Cauchy indices).
 """
@@ -91,8 +92,16 @@ class ZeroTotalCharge(LevelGraphError):
     """P(z2) = 0: the total charge vanishes and the phase angle is undefined."""
 
 
+class BoundaryPointUnreachable(LevelGraphError):
+    """Re w'(z2) <= 0: no graph over [0, b] on the zero level ends at z2.
+
+    Along such a graph Re(w) rises strictly from w(0) = 0 to w(z2) > 0, so
+    it needs Re w'(z2) > 0; the class data admit no level graph to test.
+    """
+
+
 class LiftInconsistency(LevelGraphError):
-    """Phase unwrapping disagrees with the Cauchy-index crossing counts."""
+    """The closed-form phase lifts disagree with the Cauchy-index crossing counts."""
 
 
 class CrossCheckFailure(LevelGraphError):

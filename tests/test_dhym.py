@@ -2,18 +2,24 @@ import cmath
 import math
 import random
 import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import levelgraph.poly as poly
 from levelgraph.dhym import (
     CalabiInput,
+    _path_lift,
     analyze,
     build_polynomials,
     compute_charges,
     compute_lifts,
     exhibit_solution,
 )
-from levelgraph.errors import LiftInconsistency, ZeroTotalCharge
+from levelgraph.errors import BoundaryPointUnreachable, ZeroTotalCharge
+from reference_lift import _unwrap_lift
 
 SQ3 = math.sqrt(3.0)
 
@@ -75,7 +81,7 @@ def test_hand_case_lifts_and_verdict():
     assert report.Theta_lift == 0.0
     assert report.phi_X == 0.0
     assert report.phi_Dinf == pytest.approx(0.5, abs=1e-12)
-    assert report.phi_P == pytest.approx(0.5, abs=1e-6)
+    assert report.phi_P == pytest.approx(0.5, abs=1e-12)
     assert report.genericity == "generic"
     assert report.verdict == "exists"
 
@@ -92,7 +98,7 @@ def test_twisted_case_is_nongeneric_and_exists():
     assert report.ind_R0 == 0
     assert report.phi_X == pytest.approx(-0.5, abs=1e-12)
     assert report.phi_Dinf == pytest.approx(0.0, abs=1e-12)
-    assert report.phi_P == pytest.approx(0.5, abs=1e-6)
+    assert report.phi_P == pytest.approx(0.5, abs=1e-12)
     assert report.genericity == "non_generic"
     assert report.verdict == "exists"
     assert "boundary" in report.normalization_note
@@ -105,7 +111,7 @@ def test_twisted_case_tracer_agreement():
 
 def test_high_degree_lift_agrees_with_exact_indices():
     # w' of degree 11: the vertical-ray index needs every pole of the ratio,
-    # and the unwrapped phase paths must reproduce both indices
+    # and the phase paths' crossing counts must reproduce both indices
     report = analyze(CalabiInput(
         6, 5, 1.8795945173377537, 1.5228474225701767,
         1.9790390528454742, 0.25378132553625354,
@@ -116,17 +122,93 @@ def test_high_degree_lift_agrees_with_exact_indices():
 
 
 def test_lift_sector_failure_names_re_w_prime_at_z2():
-    # dhym-sweep seed 1 input 878: delta falls outside (0, pi) because
-    # Re w'(z2) < 0, which the message must name with its value
+    # dhym-sweep seed 1 input 878: Re w'(z2) < 0, so no graph over [0, b]
+    # reaches z2; the message must name the value
     inp = CalabiInput(3, 0, 0.8725791887060792, -1.671475408873806,
                       0.5278009818877772, 2.5784225325790224)
-    with pytest.raises(LiftInconsistency, match="falls outside") as info:
+    with pytest.raises(BoundaryPointUnreachable, match="no graph over") as info:
         analyze(inp)
-    found = re.search(r"Re w'\(z2\) = (\S+) <= 0", str(info.value))
+    found = re.search(r"Re w'\(z2\) = (\S+) is not above", str(info.value))
     assert found is not None, str(info.value)
     w, _, _ = build_polynomials(inp)
     assert float(found.group(1)) == w.derivative()(inp.z2).real
     assert float(found.group(1)) == pytest.approx(-4.4623716979992469, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# non-generic inputs with a nonzero axis index (dhym-sweep seed 1 planted
+# inputs 39 and 198): the Z_P path starts on the Z_X line, and the axis index
+# leaves out its half-jump at t = 0
+
+
+@pytest.mark.parametrize("inp, ind_R0, ind_Rb, phi_X, phi_P", [
+    (CalabiInput(2, 0, 1.2443289121140952, -0.9338581957085412,
+                 0.5120912257056114, 0.759702860137234),
+     1, 1, -0.40986571238869063, -0.40986571238882974),
+    (CalabiInput(3, 0, 1.4405456336916118, -1.9075008892519367,
+                 1.025635705615961, -2.696975544214713),
+     2, 3, -2.3823313174719627, -1.3823313174721268),
+])
+def test_nongeneric_nonzero_axis_index(inp, ind_R0, ind_Rb, phi_X, phi_P):
+    report = analyze(inp)
+    assert report.genericity == "non_generic"
+    assert report.verdict == "no_solution"
+    assert report.ind_R0 == ind_R0
+    assert report.ind_Rb == ind_Rb
+    assert report.phi_X == phi_X
+    assert report.phi_P == pytest.approx(phi_P, abs=1e-9)
+    assert report.phi_P - report.phi_X == pytest.approx(ind_Rb - ind_R0, abs=1e-12)
+
+
+def test_analyze_makes_no_root_solve(monkeypatch):
+    calls = []
+    real_roots = poly.roots
+
+    def counted(p):
+        calls.append(p)
+        return real_roots(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("levelgraph") and getattr(module, "roots", None) is real_roots:
+            monkeypatch.setattr(module, "roots", counted)
+    report = analyze(CalabiInput(2, 0, 1.2443289121140952, -0.9338581957085412,
+                                 0.5120912257056114, 0.759702860137234))
+    assert report.genericity == "non_generic"
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# closed-form path lift against the numerical unwrap
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    factors=st.lists(
+        st.tuples(
+            st.floats(0.2, 3.0),
+            st.floats(-50.0, 50.0),
+            st.integers(1, 8),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    t0=st.floats(-60.0, 60.0),
+    step=st.floats(0.01, 40.0),
+)
+def test_path_lift_matches_unwrap(factors, t0, step):
+    # the prefactor c = -(-i)^K with K = sum k sends the path to the negative
+    # real axis, where _path_lift anchors its lift at pi
+    K = sum(k for _, _, k in factors)
+    prefactor = -((-1j) ** (K % 4))
+    t1 = t0 + step
+    t_big = 64.0 * max(1.0, abs(t1), *(max(x, abs(y)) for x, y, _ in factors))
+    rec, total = _unwrap_lift(prefactor, factors, t0, [t0, t1], t_big)
+    lift0 = _path_lift(factors, t0)
+    assert total == pytest.approx(math.pi - lift0, abs=1e-9)
+    assert rec[t1] - rec[t0] == pytest.approx(_path_lift(factors, t1) - lift0, abs=1e-9)
+    # the raw start phase is the anchored lift up to whole turns
+    turns = (rec[t0] - lift0) / (2.0 * math.pi)
+    assert turns == pytest.approx(round(turns), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +308,9 @@ def test_random_sweep_invariants():
         assert abs(wz2.imag) <= 1e-9 * max(1.0, abs(wz2))
         # grade ordering of the two computed subvariety charges
         assert report.phi_X < report.phi_Dinf < report.phi_X + 1.0
-        # unwrapped lifts against the closed forms
-        assert report.phi_P == pytest.approx(closed_form_phi_P(inp), abs=1e-5)
-        assert report.phi_Dinf == pytest.approx(closed_form_phi_Dinf(inp), abs=1e-5)
+        # the path lifts against the closed forms written out per charge
+        assert report.phi_P == pytest.approx(closed_form_phi_P(inp), abs=1e-12)
+        assert report.phi_Dinf == pytest.approx(closed_form_phi_Dinf(inp), abs=1e-12)
         # the crossing anchor pins phi_P - phi_X relative to the index gap
         d = float(report.ind_Rb - report.ind_R0)
         D = report.phi_P - report.phi_X
