@@ -363,6 +363,20 @@ def _check_flow():
     _expect(abs(trace.J_values[-1] - J_exact) <= 1e-12 * abs(J_exact),
             (trace.J_values[-1], J_exact))
 
+    # w = z^3/3 is nonlinear, but J depends only on the state:
+    # J(f) = integral of (Re W(x + i f0) - Re W(x + i f)) / sigma, W = z^4/12
+    trace = run_flow(f0, _CUBE, sigma, stop_tol=1e-8)
+    _expect(trace.residual_sup[-1] < 1e-8, trace.residual_sup[-1])
+    for prev, cur in zip(trace.J_values, trace.J_values[1:]):
+        _expect(cur <= prev, "J increased along the cubic flow")
+    big_w = _CUBE.antiderivative()
+    half = 0.5 * (f0.b - f0.a)
+    weights = half * np.polynomial.legendre.leggauss(len(f0.nodes))[1] / sigma.values
+    drop = big_w(f0.nodes + 1j * f0.values).real - big_w(f0.nodes + 1j * trace.final.values).real
+    J_exact = float(np.sum(weights * drop))
+    _expect(abs(trace.J_values[-1] - J_exact) <= 1e-10 * abs(J_exact),
+            (trace.J_values[-1], J_exact))
+
 
 def _check_dhym_hand_case():
     report = analyze(CalabiInput(1, 0, 1.0, 0.0, 1.0, 0.0))

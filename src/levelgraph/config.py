@@ -27,8 +27,7 @@ TRACE_RADIUS_FACTOR = 4.0  # radius = factor * (1 + max |root of w|)
 
 # flow
 FLOW_STOP_TOL = 1e-8
-# accepted flow step: embedded error per unit time <= FLOW_STEP_RTOL * sup |Im w|,
-# and the step's J increment within FLOW_STEP_RTOL (relative) of its linearization
+# accepted flow step: embedded error per unit time <= FLOW_STEP_RTOL * sup |Im w|
 FLOW_STEP_RTOL = 1e-3
 FLOW_DIVERGED = 1e6
 FLOW_ENDPOINT_BLOWUP = 1e8

@@ -229,18 +229,22 @@ def tangent_cone_at_infinity(w: ComplexPolynomial) -> TangentConeAtInfinity:
     vertex = -c_prev / (n * beta)
     # atan2 rather than cmath.phase: the latter overflows on subnormal parts
     a = math.atan2(beta.imag, beta.real)
+    generic = abs((beta * _I_POWERS[n % 4]).imag) >= SIGN_TOL * abs(beta)
+    # a generic cone keeps every ray about SIGN_TOL / n or more off the
+    # imaginary axis, far past rounding; a non-generic one has a ray within
+    # that distance of it, which is put on the axis
+    snap = 0.0 if generic else SIGN_TOL
     angles = []
     k_lo = math.floor(a / math.pi - n / 2) - 1
     k_hi = math.ceil(a / math.pi + n / 2) + 1
     for k in range(k_lo, k_hi + 1):
         psi = (k * math.pi - a) / n
-        if -math.pi / 2 + SIGN_TOL < psi <= math.pi / 2 + SIGN_TOL:
+        if -math.pi / 2 + snap < psi <= math.pi / 2 + snap:
             angles.append(min(psi, math.pi / 2))
     if len(angles) != n:
         raise LevelGraphError(
             f"found {len(angles)} rays of the cone at infinity, expected {n}"
         )
-    generic = abs((beta * _I_POWERS[n % 4]).imag) >= SIGN_TOL * abs(beta)
     return TangentConeAtInfinity(
         vertex, tuple(sorted(angles)), "generic" if generic else "non_generic"
     )

@@ -480,7 +480,7 @@ def flow_battery():
         trace = run_flow(f0, ws, sigma, stop_tol=1e-7, t_max=200.0)
         out.append({
             "w": ws, "sigma": sigma, "nodes": nodes, "a": a, "b": b,
-            "curve": curve, "trace": trace,
+            "curve": curve, "f0": f0, "trace": trace,
         })
     return {"elapsed": time.monotonic() - t0, "runs": out, "rng": rng}
 
@@ -491,12 +491,21 @@ def test_flow_descends_to_traced_graph(flow_battery):
     worst_up = -math.inf
     worst_res = 0.0
     worst_sup = 0.0
+    worst_J = 0.0
     for run in runs:
         tr = run["trace"]
         J = tr.J_values
         assert J[0] == 0.0
         worst_up = max(worst_up, max(
             J[i + 1] - J[i] for i in range(len(J) - 1)))
+        # closed form: J(f) = integral of (Re W(z_0) - Re W(z_f)) / sigma, W' = w
+        f0, big_w = run["f0"], run["w"].antiderivative()
+        a, b, nodes = run["a"], run["b"], run["nodes"]
+        qw = 0.5 * (b - a) * np.polynomial.legendre.leggauss(len(nodes))[1]
+        qw = qw / run["sigma"].values
+        J_exact = float(np.sum(qw * (big_w(nodes + 1j * f0.values).real
+                                     - big_w(nodes + 1j * tr.final.values).real)))
+        worst_J = max(worst_J, abs(J[-1] - J_exact) / abs(J_exact))
         worst_res = max(worst_res, tr.residual_sup[-1])
         sup = float(np.max(np.abs(
             np.asarray(tr.final.values) - run["curve"])))
@@ -504,10 +513,12 @@ def test_flow_descends_to_traced_graph(flow_battery):
     assert worst_up < 1e-8, f"J increased by {worst_up:.3g} in a step"
     assert worst_res < 1e-6, f"terminal residual {worst_res:.3g}"
     assert worst_sup < 1e-5, f"terminal graph off the curve by {worst_sup:.3g}"
+    assert worst_J <= 1e-10, f"last J off its closed form by {worst_J:.3g} relative"
     elapsed = flow_battery["elapsed"]
     assert elapsed < 60.0
     print(f"PASS flow descent: 20 stable instances, J nonincreasing "
-          f"(worst step {worst_up:.2e}), residual<= {worst_res:.2e}, "
+          f"(worst step {worst_up:.2e}), last J within {worst_J:.2e} of its "
+          f"closed form, residual<= {worst_res:.2e}, "
           f"graph within {worst_sup:.2e} of traced curve, {elapsed:.1f}s")
 
 

@@ -333,8 +333,9 @@ def test_flow_from_file_decays(capsys, tmp_path):
 
 def test_flow_reports_accepted_and_rejected_steps(capsys, tmp_path):
     # w = z^3/3 from a bump of height 0.875 on [0.5, 4]: the first trial
-    # step, one relaxation time 1/max|Re w'|, is too long for the error and
-    # J tests, which reject five trial steps before the first is accepted
+    # step, one relaxation time 1/max|Re w'| = 1/16, is too long for the
+    # error test, which rejects three trial steps (error ratios 3, 1.48 and
+    # 1.01) before the first is accepted
     f0_file = tmp_path / "f0.csv"
     rows = ["x,f"]
     for i in range(65):
@@ -354,7 +355,7 @@ def test_flow_reports_accepted_and_rejected_steps(capsys, tmp_path):
     summary = json.loads(out)
     lines = target.read_text().strip().splitlines()
     assert summary["steps"] == len(lines) - 2  # header and the start row
-    assert summary["rejected_steps"] == 5
+    assert summary["rejected_steps"] == 3
 
 
 def test_flow_level_mismatch(capsys, tmp_path):

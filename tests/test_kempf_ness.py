@@ -107,8 +107,9 @@ def test_phi_functions_at_zero():
 
 
 def test_phi3_continuous_across_series_switch():
-    # phi_3 switches from its series to the closed form at |z| = 1
-    for edge in (1.0, -1.0):
+    # phi_3 switches from its series to the closed form at |z| = 0.35
+    switch = kempf_ness._PHI3_SWITCH
+    for edge in (switch, -switch):
         below = np.nextafter(edge, 0.0)
         pair = kempf_ness._phi3(np.array([below, edge]))
         assert abs(pair[1] - pair[0]) <= 1e-14 * abs(pair[1])
@@ -128,6 +129,16 @@ def test_phi_functions_match_exact_series():
     for phi, k in ((kempf_ness._phi1, 1), (kempf_ness._phi3, 3)):
         exact = np.array([_phi_series(v, k) for v in z])
         assert np.allclose(phi(z), exact, rtol=1e-14, atol=0), phi.__name__
+
+
+def test_phi3_matches_exact_series_around_switch():
+    # just past the switch the closed form cancels the most; just below it
+    # the truncated series is furthest from the full sum
+    switch = kempf_ness._PHI3_SWITCH
+    z = np.concatenate([np.linspace(0.2, 0.6, 81), [np.nextafter(switch, 0.0), switch]])
+    z = np.concatenate([z, -z])
+    exact = np.array([_phi_series(v, 3) for v in z])
+    assert np.allclose(kempf_ness._phi3(z), exact, rtol=1e-14, atol=0)
 
 
 def test_phi_functions_finite_for_stiff_decay():
@@ -279,6 +290,88 @@ def test_flow_error_control_takes_few_steps():
     # 70; the exponential steps, which have no such bound, take 6
     trace = _cube_flow()
     assert len(trace.times) - 1 <= 20
+    assert trace.residual_sup[-1] < 1e-8
+
+
+def _flow_with_states(monkeypatch, f0, w, sigma, **kwargs):
+    # every exprb32 trial starts from the current accepted state, so the
+    # distinct starting states in call order, then the final state, are the
+    # states whose J the trace records
+    starts = []
+    step = kempf_ness._exprb32
+
+    def recording(vals, *args):
+        if not starts or starts[-1] is not vals:
+            starts.append(vals)
+        return step(vals, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kempf_ness, "_exprb32", recording)
+        trace = run_flow(f0, w, sigma, **kwargs)
+    states = starts + [trace.final.values]
+    assert len(states) == len(trace.times)
+    return trace, states
+
+
+def _closed_form_J(f0, w, sigma, vals):
+    # J(f) = integral of (Re W(x + i f0) - Re W(x + i f)) / sigma with W' = w,
+    # on the Gauss-Legendre rule of the grid
+    big_w = w.antiderivative()
+    weights = 0.5 * (f0.b - f0.a) * np.polynomial.legendre.leggauss(len(f0.nodes))[1]
+    z0, z = f0.nodes + 1j * f0.values, f0.nodes + 1j * np.asarray(vals)
+    return float(np.sum(weights / sigma.values * (big_w(z0).real - big_w(z).real)))
+
+
+def _witness_like_cubic():
+    # a stable pair shaped like the witness benchmark's inputs: w shifted to
+    # the zero level through z1 = -0.35i, z2 on that level above x = 0.97,
+    # f0 the chord plus a sine bump
+    w = ComplexPolynomial([1.07j, 2.89 + 1.49j, 1.98 + 0.57j, 0.49 - 0.08j])
+    z1 = -0.35j
+    w = w - ComplexPolynomial([1j * w(z1).imag])
+    b, y2 = 0.97, -0.36
+    for _ in range(30):  # Newton on the vertical line x = b
+        y2 -= w(complex(b, y2)).imag / w.derivative()(complex(b, y2)).real
+    nodes = gauss_interior_nodes(0.0, b, 257)
+    sigma = default_sigma(0.0, b, nodes)
+    f0 = make_grid_function(
+        0.0, b,
+        lambda x: z1.imag + (y2 - z1.imag) * x / b + 0.08 * np.sin(math.pi * x / b),
+        boundary=(z1.imag, y2),
+    )
+    return f0, w, sigma
+
+
+def test_flow_J_equals_closed_form_at_every_state(monkeypatch):
+    nodes, cube_sigma = _setup()
+    cube_f0 = GridFunction(A, B, nodes, 0.3 * cube_sigma.values, (0.0, 0.0))
+    for f0, w, sigma in ((cube_f0, CUBE_THIRD, cube_sigma), _witness_like_cubic()):
+        assert membership(f0, w, sigma)[0]
+        trace, states = _flow_with_states(monkeypatch, f0, w, sigma)
+        assert trace.residual_sup[-1] < 1e-8
+        assert len(trace.times) > 3
+        bound = 1e-10 * abs(trace.J_values[-1])
+        for J, vals in zip(trace.J_values, states):
+            assert abs(J - _closed_form_J(f0, w, sigma, vals)) <= bound
+
+
+def test_flow_rejects_a_step_that_raises_J(monkeypatch):
+    # a first trial that climbs away from the level curve, with a zero error
+    # estimate: only the J check can reject it
+    trials = []
+    step = kempf_ness._exprb32
+
+    def uphill_first(vals, k, jac, rhs, dt):
+        trials.append(dt)
+        if len(trials) == 1:
+            return 2.0 * vals, np.zeros_like(vals)
+        return step(vals, k, jac, rhs, dt)
+
+    monkeypatch.setattr(kempf_ness, "_exprb32", uphill_first)
+    trace = _cube_flow()
+    assert trace.rejected_steps >= 1
+    assert trials[1] == pytest.approx(0.2 * trials[0], rel=1e-15)
+    assert all(b <= a for a, b in zip(trace.J_values, trace.J_values[1:]))
     assert trace.residual_sup[-1] < 1e-8
 
 

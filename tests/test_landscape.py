@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from levelgraph.cauchy import HalfInteger, RationalFunction, index_at_point
@@ -188,6 +188,9 @@ coeff = st.complex_numbers(min_magnitude=0.0, max_magnitude=4, allow_nan=False, 
 
 @given(st.lists(coeff, min_size=3, max_size=8))
 @settings(max_examples=80)
+# a generic cone whose top ray lies 1e-9 off the imaginary axis: it used to
+# be snapped onto the axis while the cone was flagged generic
+@example([0j] * 7 + [complex(-2.69735550457229e-08, -3.875)])
 def test_cone_geometry_properties(coeffs):
     w = ComplexPolynomial(coeffs)
     assume(w.degree >= 2)
@@ -195,6 +198,9 @@ def test_cone_geometry_properties(coeffs):
     cone = tangent_cone_at_infinity(w)
     n = w.degree
     assert len(cone.ray_angles) == n
+    # a ray on the imaginary axis only when the cone is non-generic
+    if cone.ray_angles[-1] == math.pi / 2:
+        assert cone.genericity == "non_generic"
     assert all(a < b for a, b in zip(cone.ray_angles, cone.ray_angles[1:]))
     for a, b in zip(cone.ray_angles, cone.ray_angles[1:]):
         assert b - a == pytest.approx(math.pi / n, rel=1e-9)
