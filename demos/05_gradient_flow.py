@@ -32,7 +32,7 @@ sigma = default_sigma(a, b, nodes)
 f0 = make_grid_function(
     a, b, lambda x: 0.35 * np.sin(math.pi * (x - a) / (b - a)),
     n=129, boundary=(0.0, 0.0))
-ok, margin = membership(f0, w, sigma)
+ok, margin = membership(f0, w)
 print(f"initial bump of height 0.35: in the admissible set = {ok}, "
       f"margin {margin:.3f}")
 

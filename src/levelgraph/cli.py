@@ -169,7 +169,8 @@ def _cmd_trace(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _interp_f0_from_file(path: str, nodes, boundary):
+def _interp_f0_from_file(path: str):
+    """Linear interpolant of the x,f rows of a CSV file."""
     xs, fs = [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh):
@@ -189,9 +190,7 @@ def _interp_f0_from_file(path: str, nodes, boundary):
     order = sorted(range(len(xs)), key=xs.__getitem__)
     xs = [xs[i] for i in order]
     fs = [fs[i] for i in order]
-    import numpy as np
-
-    return np.interp(nodes, xs, fs)
+    return lambda x: np.interp(x, xs, fs)
 
 
 def _cmd_flow(args, cfg: RunConfig) -> int:
@@ -201,19 +200,11 @@ def _cmd_flow(args, cfg: RunConfig) -> int:
     ya, yb = data.z1.imag, data.z2.imag
 
     if args.f0 == "line":
-        f0 = make_grid_function(
-            a, b,
-            lambda x: ya + (yb - ya) * (x - a) / (b - a),
-            n=cfg.grid_nodes,
-            boundary=(ya, yb),
-        )
+        def fn(x):
+            return ya + (yb - ya) * (x - a) / (b - a)
     else:
-        from .kempf_ness import GridFunction, gauss_interior_nodes
-
-        nodes = gauss_interior_nodes(a, b, cfg.grid_nodes)
-        values = _interp_f0_from_file(args.f0, nodes, (ya, yb))
-        f0 = GridFunction(a, b, nodes, values, (ya, yb))
-
+        fn = _interp_f0_from_file(args.f0)
+    f0 = make_grid_function(a, b, fn, n=cfg.grid_nodes, boundary=(ya, yb))
     sigma = default_sigma(a, b, f0.nodes)
     trace = run_flow(f0, data.w, sigma, stop_tol=cfg.stop_tol)
     out = _resolve_out(args, cfg, required=True)
@@ -453,7 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, metavar="PATH",
                         help="JSON file mirroring RunConfig")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, metavar="PATH",
+    # SUPPRESS: an absent subcommand --config keeps the top-level value
+    common.add_argument("--config", default=argparse.SUPPRESS, metavar="PATH",
                         help="JSON file mirroring RunConfig")
     sub = parser.add_subparsers(dest="command", required=True)
 

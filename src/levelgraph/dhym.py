@@ -178,7 +178,7 @@ def build_polynomials(inp: CalabiInput):
         theta_hat = math.pi
     w = P * cmath.exp(-1j * theta_hat)
     wz2 = w(inp.z2)
-    if abs(wz2.imag) > 1e-9 * abs(wz2):
+    if abs(wz2.imag) > SIGN_TOL * abs(wz2):
         raise LevelMismatch(
             f"Im(w(z2)) = {wz2.imag} is not zero relative to |w(z2)| = {abs(wz2)}"
         )
@@ -247,10 +247,10 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     ell = math.ceil((lo - theta_hat) / math.pi)
     theta_top = theta_hat + ell * math.pi
     line_angle = theta_top - lo  # angle of the Z_X line in [0, pi)
-    if line_angle >= math.pi - 1e-9:
+    if line_angle >= math.pi - SIGN_TOL:
         line_angle -= math.pi
         theta_top -= math.pi
-    if abs(line_angle) < 1e-9:
+    if abs(line_angle) < SIGN_TOL:
         line_angle = 0.0
 
     # genericity: does the tangent direction of the zero level at the origin

@@ -60,7 +60,6 @@ __all__ = [
     "default_sigma",
     "membership",
     "j_derivative",
-    "flow_step",
     "run_flow",
     "geodesic_residual",
     "relax_geodesic",
@@ -169,30 +168,22 @@ def derivative_values(f: GridFunction) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BackgroundSigma:
-    """Positive weight on the interior nodes, vanishing linearly at a and b.
-
-    rate_a and rate_b record the one-sided slopes sigma/(x-a) and sigma/(b-x)
-    at the respective endpoints.
-    """
+    """Positive weight on the interior nodes, vanishing linearly at a and b."""
 
     values: np.ndarray
-    rate_a: float
-    rate_b: float
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or not np.all(values > 0):
             raise ValueError("sigma must be strictly positive on the interior")
-        if not (self.rate_a > 0 and self.rate_b > 0):
-            raise ValueError("endpoint rates must be positive")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
 
 def default_sigma(a: float, b: float, nodes: np.ndarray) -> BackgroundSigma:
-    """sigma = (x-a)(b-x)/(b-a); both endpoint rates equal 1."""
+    """sigma = (x-a)(b-x)/(b-a), with slope 1 at both endpoints."""
     x = np.asarray(nodes, dtype=float)
-    return BackgroundSigma((x - a) * (b - x) / (b - a), 1.0, 1.0)
+    return BackgroundSigma((x - a) * (b - x) / (b - a))
 
 
 def _quadrature_for(f: GridFunction) -> np.ndarray:
@@ -207,7 +198,7 @@ def _check_sigma(f: GridFunction, sigma: BackgroundSigma):
         raise ValueError("sigma grid does not match the function grid")
 
 
-def membership(f: GridFunction, w, sigma: BackgroundSigma | None = None):
+def membership(f: GridFunction, w):
     """Is the graph of f inside the region where heights can only improve?
 
     Returns (in_set, min_value) where min_value is the minimum over nodes of
@@ -302,24 +293,10 @@ def _exprb32(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, rhs, dt: float):
     return u + corr, corr
 
 
-def flow_step(f: GridFunction, w, sigma: BackgroundSigma, dt: float) -> GridFunction:
-    """One exponential Rosenbrock (exprb32) step of df/dt = -Im(w(x+if))."""
-    w = as_complex_polynomial(w)
-    x = f.nodes
-
-    def rhs(vals):
-        return -(w(x + 1j * vals).imag)
-
-    jac = -(w.derivative()(x + 1j * f.values).real)
-    new, _ = _exprb32(f.values, rhs(f.values), jac, rhs, dt)
-    return GridFunction(f.a, f.b, f.nodes, new, f.boundary)
-
-
 def run_flow(
     f0: GridFunction,
     w,
     sigma: BackgroundSigma,
-    dt_ctrl: float | None = None,
     stop_tol: float = FLOW_STOP_TOL,
     t_max: float = 200.0,
 ) -> FlowTrace:
@@ -347,9 +324,8 @@ def run_flow(
     nonfinite increment is integrator error and rejects the step: the
     recorded J is nonincreasing because every accepted step was checked.
     The next step is scaled by 0.9 ratio^(-1/3), clamped to [0.2, 4], where
-    ratio is the error-to-tolerance ratio (a rejection by J shrinks by 0.2);
-    it stays below dt_ctrl when one is given.  The first trial step is one
-    relaxation time 1 / max|Re w'|.
+    ratio is the error-to-tolerance ratio (a rejection by J shrinks by 0.2).
+    The first trial step is one relaxation time 1 / max|Re w'|.
 
     Raises Diverged when the residual passes 1e6, or when rejections shrink
     the step below the rounding of t; and NonIntegrableEndpoint when the
@@ -387,7 +363,6 @@ def run_flow(
     f = f0.values.copy()
     t, jval = 0.0, 0.0
     v, memb, jac = diag(f)
-    cap = math.inf if dt_ctrl is None else dt_ctrl
     fastest = float(np.max(np.abs(jac)))
     dt = min(t_max, 1.0 / fastest if fastest > 0.0 else math.inf)
 
@@ -409,7 +384,6 @@ def run_flow(
         if resid < stop_tol or t >= t_max:
             break
 
-        dt = min(dt, cap)
         while True:
             last = t + dt >= t_max - dt_min
             if last:
@@ -497,6 +471,13 @@ def geodesic_residual(path, times, w, sigma: BackgroundSigma, f0: GridFunction) 
     return _geodesic_sup(full, times, wp, dmat, base.nodes, sigma.values, _full_values(f0))
 
 
+# relax_geodesic: stop below this sup residual, or after this many sweeps;
+# each sweep moves a slice this fraction of the way to its target
+_GEODESIC_TOL = 1e-4
+_GEODESIC_MAX_SWEEPS = 5000
+_GEODESIC_DAMPING = 0.5
+
+
 def relax_geodesic(
     phi0: GridFunction,
     phi1: GridFunction,
@@ -504,16 +485,13 @@ def relax_geodesic(
     sigma: BackgroundSigma,
     f0: GridFunction,
     n_times: int = 9,
-    tol: float = 1e-4,
-    max_sweeps: int = 5000,
-    damping: float = 0.5,
 ):
     """Damped sweep relaxation of the geodesic boundary-value problem.
 
     Endpoint potentials are held fixed; interior time slices are updated
     toward the second-difference solution of the geodesic equation until the
     sup residual, measured every 20 sweeps on the working array, drops below
-    tol.  Returns (times, path).
+    _GEODESIC_TOL.  Returns (times, path).
     """
     wp = as_complex_polynomial(w).derivative()
     _check_sigma(phi0, sigma)
@@ -528,7 +506,7 @@ def relax_geodesic(
         (1.0 - t) * _full_values(phi0) + t * _full_values(phi1) for t in times
     ])
 
-    for sweep in range(max_sweeps):
+    for sweep in range(_GEODESIC_MAX_SWEEPS):
         for k in range(1, n_times - 1):
             vel = (full[k + 1] - full[k - 1]) / (2.0 * dt)
             dre, dim = _graph_rates(full[k], wp, dmat, x, sig, f0_full)
@@ -536,9 +514,11 @@ def relax_geodesic(
                 raise ValueError("relaxation path left the membership region")
             src = -((dmat @ vel)[1:-1] ** 2) * sig * dim / dre
             target = 0.5 * (full[k + 1][1:-1] + full[k - 1][1:-1] - dt * dt * src)
-            full[k][1:-1] = (1.0 - damping) * full[k][1:-1] + damping * target
-        if sweep % 20 == 19 or sweep == max_sweeps - 1:
-            if _geodesic_sup(full, times, wp, dmat, x, sig, f0_full) < tol:
+            full[k][1:-1] = (
+                (1.0 - _GEODESIC_DAMPING) * full[k][1:-1] + _GEODESIC_DAMPING * target
+            )
+        if sweep % 20 == 19 or sweep == _GEODESIC_MAX_SWEEPS - 1:
+            if _geodesic_sup(full, times, wp, dmat, x, sig, f0_full) < _GEODESIC_TOL:
                 break
     path = [
         GridFunction(phi0.a, phi0.b, x, row[1:-1], (row[0], row[-1])) for row in full

@@ -355,19 +355,18 @@ def _refine_cluster(p: ComplexPolynomial, members: list, tol: float):
     return out
 
 
-def roots(p: ComplexPolynomial, tol: float | None = None) -> list:
-    """All roots of p with multiplicities, clusters merged within tol.
+def roots(p: ComplexPolynomial) -> list:
+    """All roots of p with multiplicities.
 
-    tol defaults to ROOT_CLUSTER_TOL * (1 + max |coeff|).  Returned roots are
-    sorted by real part, then imaginary part, and their multiplicities sum to
-    the degree.
+    Clusters are merged within ROOT_CLUSTER_TOL * (1 + max |coeff|).
+    Returned roots are sorted by real part, then imaginary part, and their
+    multiplicities sum to the degree.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     if p.degree == 0:
         return []
-    if tol is None:
-        tol = ROOT_CLUSTER_TOL * (1.0 + p.coeff_scale)
+    tol = ROOT_CLUSTER_TOL * (1.0 + p.coeff_scale)
     raw = np.roots(np.array(p.coeffs[::-1], dtype=complex))
     polished = [_newton_polish(p, complex(z)) for z in raw]
     # generous exploration radius so the eps**(1/k) scatter of a multiple root

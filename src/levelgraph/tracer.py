@@ -42,6 +42,7 @@ _CONNECT_TOL_FACTOR = 1e-6   # |u - target| below this counts as arrival
 _SEED_SNAP_FACTOR = 1e-2     # how far the seed may move onto the curve
 
 _MAX_NEWTON = 12
+_MAX_STEPS = 20000
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class Polyline:
     """A traced curve: ordered vertices plus how the trace ended.
 
     ``terminated_by`` is one of ``target``, ``critical_point``, ``y_axis``,
-    ``radius``, ``vertical_slope``, ``closed_loop``, ``step_limit``.
+    ``radius``, ``closed_loop``, ``step_limit``.
     """
 
     points: tuple
@@ -170,9 +171,7 @@ def _trace(
     kind: str,
     direction: int,
     level: float,
-    stop_at_vertical: bool,
-    max_steps: int,
-    radius,
+    radius=None,
     target=None,
 ) -> Polyline:
     field, grad, ftol = _make_field(w, kind, level)
@@ -228,7 +227,7 @@ def _trace(
     pts = [u0]
     terminated = "step_limit"
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         u = pts[-1]
 
         # --- arrival checks on the current endpoint ---------------------
@@ -283,9 +282,6 @@ def _trace(
             pts.append(snapped if kind_hit == "critical_point" else clip)
             terminated = kind_hit or "y_axis"
             break
-        if stop_at_vertical and t_new.real * direction < 0.0:
-            terminated = "vertical_slope"
-            break
 
         pts.append(u_new)
         tangent = t_new
@@ -300,8 +296,6 @@ def trace_level(
     kind: str = "level",
     direction: int = 1,
     level: float = 0.0,
-    stop_at_vertical: bool = False,
-    max_steps: int = 20000,
     radius: float | None = None,
 ) -> Polyline:
     """Trace the {Im w = level} (or {Re w' = level}) curve through seed.
@@ -313,18 +307,11 @@ def trace_level(
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     return _trace(
-        as_complex_polynomial(w),
-        complex(seed),
-        kind,
-        direction,
-        float(level),
-        bool(stop_at_vertical),
-        int(max_steps),
-        radius,
+        as_complex_polynomial(w), complex(seed), kind, direction, float(level), radius
     )
 
 
-def graphical_connection(w, z1, z2, max_steps: int = 20000, radius=None) -> GraphCheck:
+def graphical_connection(w, z1, z2) -> GraphCheck:
     """Trace the level curve of Im w through z2 leftward toward z1.
 
     The verdict data mirrors what the classification needs: did the arc
@@ -334,9 +321,7 @@ def graphical_connection(w, z1, z2, max_steps: int = 20000, radius=None) -> Grap
     w = as_complex_polynomial(w)
     z1 = complex(z1)
     z2 = complex(z2)
-    line = _trace(
-        w, z2, "level", -1, w(z2).imag, False, int(max_steps), radius, target=z1
-    )
+    line = _trace(w, z2, "level", -1, w(z2).imag, target=z1)
     last = line.points[-1]
     if line.terminated_by == "target":
         connected = True

@@ -470,7 +470,7 @@ def flow_battery():
                 lambda x: np.interp(x, xs, ys)
                 + amp * np.sin(math.pi * (x - a) / (b - a)),
                 n=257, boundary=(z1.imag, z2.imag))
-            in_set, mmin = membership(cand, ws, sigma)
+            in_set, mmin = membership(cand, ws)
             if in_set and mmin > 0.05:
                 f0 = cand
                 break

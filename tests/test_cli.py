@@ -223,8 +223,7 @@ def test_trace_level_curve_csv(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["points"] >= 2
     assert summary["terminated_by"] in {
-        "target", "critical_point", "y_axis", "radius",
-        "vertical_slope", "closed_loop", "step_limit",
+        "target", "critical_point", "y_axis", "radius", "closed_loop", "step_limit",
     }
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "re,im"
@@ -392,6 +391,31 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     )
     assert rc == 1
     assert "bogus" in err
+
+
+def _with_config(cfg, before):
+    # classify w = z with --config before or after the subcommand
+    opt = ["--config", str(cfg)]
+    rest = ["--poly", "0,1", "--z1", "0,0", "--z2", "1,0"]
+    return opt + ["classify"] + rest if before else ["classify"] + opt + rest
+
+
+def test_config_before_subcommand_unknown_key_rejected(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"stop_tol": 1e-9, "bogus": 3}\n')
+    rc, out, err = run_cli(capsys, _with_config(cfg, before=True))
+    assert rc == 1
+    assert "bogus" in err
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_config_out_path_applied_in_either_position(capsys, tmp_path, before):
+    target = tmp_path / "verdict.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_path": str(target)}) + "\n")
+    rc, out, err = run_cli(capsys, _with_config(cfg, before))
+    assert rc == 0, err
+    assert target.read_text() == out
 
 
 def test_config_applied(capsys, tmp_path):
