@@ -233,6 +233,20 @@ def test_flow_linear_w_closed_form():
     assert all(m == 1.0 for m in trace.membership_min)
 
 
+def test_flow_single_step_matches_run():
+    nodes, sigma = _setup(33)
+    f0 = GridFunction(A, B, gauss_interior_nodes(A, B, 33), 0.1 * sigma.values, (0.0, 0.0))
+    # the first trial step is min(t_max, 1 / max|Re w'|) = h, so the run is
+    # a single exponential step
+    h = 0.25
+    trace = run_flow(f0, W_LINEAR, sigma, stop_tol=0.0, t_max=h)
+    assert trace.times == [0.0, h]
+    assert trace.rejected_steps == 0
+    # f' = -f is linear with Jacobian -1, which the exponential step treats
+    # exactly: the factor is e^{-h}, not a polynomial in h
+    assert np.allclose(trace.final.values, math.exp(-h) * f0.values, rtol=1e-15, atol=0)
+
+
 def test_flow_fixed_point_stops_immediately():
     nodes, sigma = _setup()
     f0 = make_grid_function(A, B, lambda x: 0.0 * x)
