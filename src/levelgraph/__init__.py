@@ -2,8 +2,9 @@
 
 Subpackages build on each other roughly bottom-up:
 
-- ``poly``: complex/real polynomial arithmetic, vertical-line restriction,
-  multiplicity-aware root finding
+- ``poly``: the only polynomial arithmetic -- complex/real polynomials on
+  one shared body, synthetic division and Taylor coefficients (exact on
+  integers), vertical-line restriction, multiplicity-aware root finding
 - ``cauchy``: exact Cauchy indices of real rational functions
 - ``landscape``: critical points of Im(w) on the imaginary axis, counting
   function for level-curve crossings, tangent cone at infinity
@@ -26,7 +27,6 @@ from .errors import (
     DegenerateLine,
     DenominatorIdenticallyZero,
     Diverged,
-    IndeterminateSign,
     LevelGraphError,
     LevelMismatch,
     LiftInconsistency,
@@ -46,7 +46,6 @@ __all__ = [
     "DegenerateLine",
     "DenominatorIdenticallyZero",
     "Diverged",
-    "IndeterminateSign",
     "LevelGraphError",
     "LevelMismatch",
     "LiftInconsistency",

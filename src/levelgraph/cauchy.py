@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 
 from .errors import DenominatorIdenticallyZero
-from .poly import RealPolynomial
+from .poly import RealPolynomial, divide_linear
 
 __all__ = [
     "HalfInteger",
@@ -225,16 +225,9 @@ def _local(p: list, x) -> tuple:
         e *= E
         b[k] *= e
     for j in range(len(b)):
-        # synthetic division by (v - X): b = q * (v - X) + b(X)
-        acc = 0
-        q = [0] * (len(b) - 1)
-        for k in range(len(b) - 1, 0, -1):
-            acc = acc * X + b[k]
-            q[k - 1] = acc
-        value = acc * X + b[0]
+        b, value = divide_linear(b, X)
         if value:
             return j, (1 if value > 0 else -1)
-        b = q
     raise ValueError("the zero polynomial has no local sign")
 
 

@@ -7,6 +7,7 @@ The constants here are the bare factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 # a w'-root is on the imaginary axis when |Re| <= SIGN_TOL * (1 + |root|); the
@@ -44,10 +45,19 @@ class RunConfig:
     out_path: str = ""
 
     def __post_init__(self):
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be > 0")
-        if self.grid_nodes < 3:
-            raise ValueError("grid_nodes must be >= 3")
+        def number(v) -> bool:  # a finite int or float; a bool is no number here
+            return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
+
+        for key, ok, want in (
+            ("stop_tol", number(self.stop_tol) and self.stop_tol > 0, "a finite number > 0"),
+            ("grid_nodes", number(self.grid_nodes) and isinstance(self.grid_nodes, int)
+             and self.grid_nodes >= 3, "an int >= 3"),
+            ("trace_radius", number(self.trace_radius) and self.trace_radius >= 0,
+             "a finite number >= 0"),
+            ("out_path", isinstance(self.out_path, str), "a string"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {want}, got {getattr(self, key)!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

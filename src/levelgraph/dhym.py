@@ -38,7 +38,8 @@ from .errors import (
     LiftInconsistency,
     ZeroTotalCharge,
 )
-from .poly import ComplexPolynomial, RealPolynomial, restrict_to_vertical_line
+from .poly import I_POWERS, ComplexPolynomial, RealPolynomial, from_roots
+from .poly import restrict_to_vertical_line
 
 __all__ = [
     "CalabiInput",
@@ -51,12 +52,6 @@ __all__ = [
     "analyze",
     "exhibit_solution",
 ]
-
-# exact power tables: (-i)^k and i^k have exactly representable values, and
-# going through cmath.exp would smear them with ~1e-16 dust that later shows
-# up in charges that ought to be purely real or purely imaginary
-_MI_POW = (1 + 0j, -1j, -1 + 0j, 1j)
-_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _NORMALIZATION_BASE = (
     "charges reported up to the positive volume normalization "
@@ -80,6 +75,11 @@ class CalabiInput:
     q: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.xi1, self.xi2, self.b, self.q))):
+            raise ValueError(
+                f"xi1, xi2, b and q must be finite, got {self.xi1!r}, {self.xi2!r}, "
+                f"{self.b!r}, {self.q!r}"
+            )
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError("m must be a positive integer")
         if not isinstance(self.r, int) or self.r < 0:
@@ -149,24 +149,15 @@ class ChargeReport:
 # construction
 
 
-def _derivative_profile(inp: CalabiInput) -> ComplexPolynomial:
-    """(xi + z)^m z^r as a polynomial."""
-    base = ComplexPolynomial([inp.xi, 1.0])
-    p = ComplexPolynomial([1.0])
-    for _ in range(inp.m):
-        p = p * base
-    if inp.r:
-        p = p * ComplexPolynomial([0.0] * inp.r + [1.0])
-    return p
-
-
 def build_polynomials(inp: CalabiInput):
     """(w, P, theta_hat) with P' = (xi+z)^m z^r, w' = e^{-i theta_hat} P'.
 
     theta_hat is the principal argument of P(z2) in (-pi, pi], which makes
     Im(w(z2)) = 0: the boundary point z2 and the origin share a level set.
     """
-    P = _derivative_profile(inp).antiderivative()
+    # z^r multiplies by shifting the coefficients of (xi + z)^m
+    profile = from_roots([-inp.xi] * inp.m).coeffs
+    P = ComplexPolynomial((0.0,) * inp.r + profile).antiderivative()
     zeta = P(inp.z2)
     scale = P.coeff_scale * max(1.0, abs(inp.z2)) ** P.degree
     if abs(zeta) < 1e-12 * scale:
@@ -188,9 +179,9 @@ def build_polynomials(inp: CalabiInput):
 def compute_charges(inp: CalabiInput, P):
     """(Z_X, Z_Dinf, Z_P), each up to the shared positive volume factor."""
     zeta = P(inp.z2)
-    Z_X = -_MI_POW[(inp.m + inp.r + 1) % 4] * zeta
-    Z_Dinf = -_MI_POW[(inp.m + inp.r) % 4] * inp.z2**inp.r * (inp.z2 + inp.xi) ** inp.m
-    Z_P = -_MI_POW[inp.m % 4] * inp.xi**inp.m
+    Z_X = -I_POWERS[-(inp.m + inp.r + 1) % 4] * zeta
+    Z_Dinf = -I_POWERS[-(inp.m + inp.r) % 4] * inp.z2**inp.r * (inp.z2 + inp.xi) ** inp.m
+    Z_P = -I_POWERS[-inp.m % 4] * inp.xi**inp.m
     return Z_X, Z_Dinf, Z_P
 
 
@@ -202,13 +193,6 @@ def _ccw_index(re: RealPolynomial, im: RealPolynomial, c: float, d: float) -> Ha
     # counterclockwise crossings of {Re = 0}: the +inf -> -inf jumps of im/re,
     # which the classical index counts with the opposite sign
     return -index_on_interval(RationalFunction(im, re), c, d)
-
-
-def _split_real_imag(p: ComplexPolynomial):
-    return (
-        RealPolynomial(c.real for c in p.coeffs),
-        RealPolynomial(c.imag for c in p.coeffs),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +239,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
 
     # genericity: does the tangent direction of the zero level at the origin
     # contain the vertical?  Equivalently, is Z_P(0) on the Z_X line?
-    g0 = cmath.exp(-1j * theta_hat) * _I_POW[r % 4] * inp.xi**m
+    g0 = cmath.exp(-1j * theta_hat) * I_POWERS[r % 4] * inp.xi**m
     generic = abs(g0.real) >= SIGN_TOL * abs(inp.xi) ** m
     genericity = "generic" if generic else "non_generic"
 
@@ -276,15 +260,11 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
         )
 
     # index along the imaginary axis; the common factor t^r of Re and Im of
-    # w'(it) is cancelled first, leaving g(t) = e^{-i theta} i^r (xi + it)^m.
+    # w'(it) is cancelled first, leaving g(it), g(z) = e^{-i theta} i^r (xi + z)^m.
     # A non-generic Re g(0) is zero up to SIGN_TOL: make it exact, and leave
     # out the half-jump at t = 0, where the Z_P path starts on the Z_X line
-    g_poly = ComplexPolynomial([1.0])
-    base = ComplexPolynomial([inp.xi, 1j])
-    for _ in range(m):
-        g_poly = g_poly * base
-    g_poly = g_poly * (cmath.exp(-1j * theta_hat) * _I_POW[r % 4])
-    re_0, im_0 = _split_real_imag(g_poly)
+    g = from_roots([-inp.xi] * m) * (cmath.exp(-1j * theta_hat) * I_POWERS[r % 4])
+    re_0, im_0 = restrict_to_vertical_line(g, 0.0)
     if generic:
         ind_R0 = _ccw_index(re_0, im_0, 0.0, math.inf)
     else:

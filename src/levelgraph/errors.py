@@ -31,15 +31,6 @@ class DenominatorIdenticallyZero(LevelGraphError):
     """The denominator of a rational function vanishes identically."""
 
 
-class IndeterminateSign(LevelGraphError):
-    """A sign could not be decided.
-
-    The Cauchy index decides every sign exactly and never raises this; it
-    is kept for callers that catch it and for reference computations that
-    refuse a pole endpoint.
-    """
-
-
 # ---------------------------------------------------------------------------
 # landscape / stability layer
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from .cauchy import HalfInteger, RationalFunction, index_on_interval, one_sided_sign
 from .config import SIGN_TOL, SNAP_TOL
 from .errors import CriticalPointInRHP, DegenerateLine, LevelGraphError, ZeroPolynomial
-from .poly import ComplexPolynomial, RealPolynomial, restrict_to_vertical_line, roots
+from .poly import I_POWERS, ComplexPolynomial, RealPolynomial, divide_linear, roots
+from .poly import restrict_to_vertical_line, taylor_coeffs
 
 __all__ = [
     "CriticalPoint",
@@ -42,9 +43,6 @@ __all__ = [
     "counting_function",
     "tangent_cone_at_infinity",
 ]
-
-_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
-
 
 @dataclass(frozen=True)
 class CriticalPoint:
@@ -124,8 +122,8 @@ class Potential:
             if abs(r.location.real) <= band:
                 k = r.multiplicity
                 y0 = r.location.imag
-                lead = wp.derivatives_at(1j * y0, k)[k] / math.factorial(k)
-                generic = abs((lead * _I_POWERS[k % 4]).real) >= SIGN_TOL * abs(lead)
+                lead = taylor_coeffs(wp.coeffs, 1j * y0, k + 1)[k]
+                generic = abs((lead * I_POWERS[k % 4]).real) >= SIGN_TOL * abs(lead)
                 on_axis.append(
                     CriticalPoint(y0, k, lead, "generic" if generic else "non_generic")
                 )
@@ -157,14 +155,9 @@ def on_axis_critical_points(w: ComplexPolynomial) -> tuple:
 
 def _deflate(p: RealPolynomial, y0: float, times: int) -> RealPolynomial:
     """Quotient of p by (y - y0)**times; each division drops its remainder."""
-    c = list(p.coeffs)
+    c = p.coeffs
     for _ in range(times):
-        acc = 0.0
-        q = [0.0] * (len(c) - 1)
-        for k in range(len(c) - 1, 0, -1):
-            acc = acc * y0 + c[k]
-            q[k - 1] = acc
-        c = q
+        c, _ = divide_linear(c, y0)
     return RealPolynomial(c)
 
 
@@ -229,7 +222,7 @@ def tangent_cone_at_infinity(w: ComplexPolynomial) -> TangentConeAtInfinity:
     vertex = -c_prev / (n * beta)
     # atan2 rather than cmath.phase: the latter overflows on subnormal parts
     a = math.atan2(beta.imag, beta.real)
-    generic = abs((beta * _I_POWERS[n % 4]).imag) >= SIGN_TOL * abs(beta)
+    generic = abs((beta * I_POWERS[n % 4]).imag) >= SIGN_TOL * abs(beta)
     # a generic cone keeps every ray about SIGN_TOL / n or more off the
     # imaginary axis, far past rounding; a non-generic one has a ray within
     # that distance of it, which is put on the axis

@@ -5,6 +5,12 @@ Containers are immutable; every operation returns a new polynomial.  Trailing
 coefficients that are exactly zero are trimmed on construction, so the zero
 polynomial has an empty coefficient tuple and ``degree == -1``.
 
+This module is the package's only polynomial arithmetic.  ``_horner``
+evaluates; ``divide_linear`` divides by (v - x), and repeated, it gives the
+Taylor coefficients at x (``taylor_coeffs``): the restriction to a vertical
+line, the exact sign of an integer polynomial beside a point, and the
+cancellation of a known factor all come from it.
+
 Root finding goes through the companion matrix (``numpy.roots``) with Newton
 polishing, followed by multiplicity detection by clustering.  Clusters are
 validated with a dominant-term test before a multiplicity is accepted, which
@@ -15,9 +21,9 @@ close.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,8 +39,8 @@ def _trimmed(values: Iterable[complex]) -> tuple:
     return tuple(out)
 
 
-def _horner(coeffs: Sequence[complex], z: complex) -> complex:
-    acc = 0j
+def _horner(coeffs: Sequence[complex], z: complex, acc: complex) -> complex:
+    """p(z) for ascending coefficients; acc is the zero of the result type."""
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
@@ -49,19 +55,58 @@ def _horner_array(rev: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def divide_linear(coeffs: Sequence, x) -> tuple:
+    """(q, r) with p = q * (v - x) + r, by synthetic division.
+
+    coeffs and the returned quotient are ascending.  Only + and * are used,
+    so integer coefficients and an integer x give an exact integer result.
+    """
+    acc, partial = 0, []
+    for c in reversed(coeffs):
+        acc = acc * x + c
+        partial.append(acc)
+    # the last partial sum is p(x); the others, reversed, are q
+    return partial[-2::-1], acc
+
+
+def taylor_coeffs(coeffs: Sequence, x, count: int) -> list:
+    """The first count Taylor coefficients of p at x: p(x), p'(x), p''(x)/2, ...
+
+    Each is the remainder of one more division by (v - x).
+    """
+    out = []
+    for _ in range(count):
+        coeffs, r = divide_linear(coeffs, x)
+        out.append(r)
+    return out
+
+
+# exact powers of i: through cmath.exp they would carry ~1e-16 dust into
+# values that ought to be purely real or purely imaginary.  (-i)^k is
+# I_POWERS[-k % 4]
+I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
 @dataclass(frozen=True)
-class ComplexPolynomial:
-    """Polynomial with complex double-precision coefficients, ascending."""
+class _Polynomial:
+    """Coefficients in one number field, ascending; what both kinds share.
+
+    A subclass names its field (``_field``, float or complex), the zero of
+    that field and the scalar types it multiplies by, and adds its own
+    operations.  Results keep the subclass, so evaluating a real polynomial
+    at a float gives a float.
+    """
 
     coeffs: tuple
 
-    def __init__(self, coeffs: Iterable[complex]):
-        object.__setattr__(self, "coeffs", _trimmed(complex(c) for c in coeffs))
+    def __init__(self, coeffs: Iterable):
+        field = self._field
+        object.__setattr__(self, "coeffs", _trimmed(field(c) for c in coeffs))
 
     @cached_property
     def _rev(self) -> np.ndarray:
         """Coefficients highest power first, for evaluation on arrays."""
-        rev = np.array(self.coeffs[::-1], dtype=complex)
+        rev = np.array(self.coeffs[::-1], dtype=self._field)
         rev.flags.writeable = False
         return rev
 
@@ -83,129 +128,61 @@ class ComplexPolynomial:
 
     def __call__(self, z):
         if isinstance(z, np.ndarray):
-            if self.is_zero:
-                return np.zeros_like(z, dtype=complex)
             return _horner_array(self._rev, z)
-        return _horner(self.coeffs, complex(z))
+        return _horner(self.coeffs, self._field(z), self._zero)
 
-    # -- calculus -----------------------------------------------------------
+    # -- algebra ------------------------------------------------------------
 
-    def derivative(self) -> "ComplexPolynomial":
-        return ComplexPolynomial(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+    def derivative(self):
+        return type(self)(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+
+    def __neg__(self):
+        return type(self)(-c for c in self.coeffs)
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return type(self)(c * other for c in self.coeffs)
+        if not isinstance(other, type(self)):
+            # a real factor widens to complex; a complex one is not narrowed
+            if not isinstance(other, RealPolynomial):
+                return NotImplemented
+            other = other.to_complex()
+        if self.is_zero or other.is_zero:
+            return type(self)([])
+        out = [self._zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return type(self)(out)
+
+    __rmul__ = __mul__
+
+
+class ComplexPolynomial(_Polynomial):
+    """Polynomial with complex double-precision coefficients, ascending."""
+
+    _field = complex
+    _zero = 0j
+    _scalars = (int, float, complex)
 
     def antiderivative(self) -> "ComplexPolynomial":
         """The antiderivative q with q' = self and q(0) = 0."""
         return ComplexPolynomial([0.0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
-    def derivatives_at(self, z: complex, upto: int) -> list:
-        """[p(z), p'(z), ..., p^(upto)(z)] by repeated synthetic division."""
-        rem = list(self.coeffs)
-        out = []
-        fact = 1.0
-        for j in range(upto + 1):
-            out.append(_horner(rem, z) * fact)
-            fact *= j + 1
-            # divide by (x - z): Horner deflation
-            if rem:
-                new = [0j] * (len(rem) - 1)
-                acc = 0j
-                for k in range(len(rem) - 1, 0, -1):
-                    acc = acc * z + rem[k]
-                    new[k - 1] = acc
-                rem = new
-        return out
-
-    # -- algebra ------------------------------------------------------------
-
     def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0j] * (n - len(other.coeffs))
-        return ComplexPolynomial(x + y for x, y in zip(a, b))
+        pairs = zip_longest(self.coeffs, as_complex_polynomial(other).coeffs, fillvalue=0j)
+        return ComplexPolynomial(x + y for x, y in pairs)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __neg__(self):
-        return ComplexPolynomial(-c for c in self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return ComplexPolynomial(c * other for c in self.coeffs)
-        other = _coerce(other)
-        if self.is_zero or other.is_zero:
-            return ComplexPolynomial([])
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ComplexPolynomial(out)
-
-    __rmul__ = __mul__
+        return self + (-as_complex_polynomial(other))
 
 
-def _coerce(p) -> ComplexPolynomial:
-    if isinstance(p, ComplexPolynomial):
-        return p
-    if isinstance(p, RealPolynomial):
-        return ComplexPolynomial(p.coeffs)
-    if isinstance(p, (int, float, complex)):
-        return ComplexPolynomial([p])
-    raise TypeError(f"cannot treat {type(p).__name__} as a polynomial")
-
-
-@dataclass(frozen=True)
-class RealPolynomial:
+class RealPolynomial(_Polynomial):
     """Polynomial with real double-precision coefficients, ascending."""
 
-    coeffs: tuple
-
-    def __init__(self, coeffs: Iterable[float]):
-        object.__setattr__(self, "coeffs", _trimmed(float(c) for c in coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def coeff_scale(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
-
-    def __call__(self, y):
-        if isinstance(y, np.ndarray):
-            if self.is_zero:
-                return np.zeros_like(y, dtype=float)
-            return np.polyval(np.array(self.coeffs[::-1], dtype=float), y)
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * y + c
-        return acc
-
-    def derivative(self) -> "RealPolynomial":
-        return RealPolynomial(k * c for k, c in enumerate(self.coeffs) if k >= 1)
-
-    def __neg__(self):
-        return RealPolynomial(-c for c in self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return RealPolynomial(c * other for c in self.coeffs)
-        if isinstance(other, RealPolynomial):
-            if self.is_zero or other.is_zero:
-                return RealPolynomial([])
-            out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RealPolynomial(out)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    _field = float
+    _zero = 0.0
+    _scalars = (int, float)
 
     def to_complex(self) -> ComplexPolynomial:
         return ComplexPolynomial(self.coeffs)
@@ -219,12 +196,14 @@ class RootWithMultiplicity:
 
 
 def as_complex_polynomial(w) -> ComplexPolynomial:
-    """w as a ComplexPolynomial: real polynomials are widened, and a
-    coefficient sequence (ascending) is wrapped."""
+    """w as a ComplexPolynomial: real polynomials are widened, a scalar is a
+    constant, and a coefficient sequence (ascending) is wrapped."""
     if isinstance(w, ComplexPolynomial):
         return w
     if isinstance(w, RealPolynomial):
         return w.to_complex()
+    if isinstance(w, (int, float, complex)):
+        return ComplexPolynomial([w])
     return ComplexPolynomial(w)
 
 
@@ -242,27 +221,12 @@ def restrict_to_vertical_line(p: ComplexPolynomial, x0: float):
     Returns real polynomials (re, im) in the variable y with
     re(y) + i*im(y) = p(x0 + iy).
     """
-    # Taylor-shift to x0, then substitute iy termwise: b_k (iy)^k = b_k i^k y^k.
-    shifted = list(p.coeffs)
-    n = len(shifted)
-    # repeated synthetic division computes the Taylor coefficients at x0
-    taylor = []
-    rem = shifted
-    for _ in range(n):
-        acc = 0j
-        new = [0j] * (len(rem) - 1)
-        for k in range(len(rem) - 1, 0, -1):
-            acc = acc * x0 + rem[k]
-            new[k - 1] = acc
-        taylor.append(_horner(rem, x0))
-        rem = new
-    ik = 1 + 0j
+    # Taylor-shift to x0, then substitute iy termwise: b_k (iy)^k = b_k i^k y^k
     re, im = [], []
-    for b in taylor:
-        v = b * ik
+    for k, b in enumerate(taylor_coeffs(p.coeffs, x0, len(p.coeffs))):
+        v = b * I_POWERS[k % 4]
         re.append(v.real)
         im.append(v.imag)
-        ik *= 1j
     return RealPolynomial(re), RealPolynomial(im)
 
 
@@ -318,13 +282,13 @@ def _dominant_term_ok(p: ComplexPolynomial, center: complex, k: int, radius: flo
     Checks that every Taylor term of order j < k is dominated by the order-k
     term on the circle |z - center| = radius.
     """
-    ders = p.derivatives_at(center, k)
+    taylor = taylor_coeffs(p.coeffs, center, k + 1)
     r = max(radius, 1e-300)
-    lead = abs(ders[k]) / math.factorial(k) * r**k
+    lead = abs(taylor[k]) * r**k
     if lead == 0:
         return False
     for j in range(k):
-        if abs(ders[j]) / math.factorial(j) * r**j > 0.01 * lead:
+        if abs(taylor[j]) * r**j > 0.01 * lead:
             return False
     return True
 

@@ -15,6 +15,7 @@ under z1 are read from one :class:`~levelgraph.landscape.Potential`.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .cauchy import HalfInteger
@@ -39,6 +40,10 @@ class BoundaryData:
     def __post_init__(self):
         object.__setattr__(self, "z1", complex(self.z1))
         object.__setattr__(self, "z2", complex(self.z2))
+        if not all(map(cmath.isfinite, (self.z1, self.z2, *self.w.coeffs))):
+            raise ValueError(
+                f"z1={self.z1!r}, z2={self.z2!r} and the coefficients of w must be finite"
+            )
         snap = SNAP_TOL * (1.0 + abs(self.z1))
         if self.z1.real < -snap:
             raise ValueError(f"z1={self.z1!r} must have nonnegative real part")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .config import CORRECTOR_TOL, MAX_TURN_ANGLE, TRACE_RADIUS_FACTOR
 from .errors import CorrectorDiverged, SeedNotOnCurve
 from .landscape import Potential, counting_function
-from .poly import ComplexPolynomial, as_complex_polynomial, roots
+from .poly import ComplexPolynomial, as_complex_polynomial, roots, taylor_coeffs
 
 # step-size bookkeeping, all relative to local scale
 _H0_FACTOR = 1e-3        # initial step: 1e-3 * (1 + |seed|)
@@ -196,14 +196,12 @@ def _trace(
             if kind == "level":
                 # An arc traced at the critical level rounds the corner at a
                 # standoff distance set by the corrector tolerance: the level
-                # offset a distance d away is ~ |B| d^{k+1}/(k+1) with B the
-                # leading local coefficient of w', so anything inside the
-                # d that solves that = ftol is numerically "at" the point.
-                lead = w.derivatives_at(c, k + 1)[k + 1]
+                # offset a distance d away is ~ |B| d^{k+1}, B the order-(k+1)
+                # Taylor coefficient of w there, so anything inside the d
+                # that solves that = ftol is numerically "at" the point.
+                lead = taylor_coeffs(w.coeffs, c, k + 2)[k + 1]
                 if abs(lead) > 1e-300:
-                    standoff = (
-                        (k + 1) * math.factorial(k) * ftol(c) / abs(lead)
-                    ) ** (1.0 / (k + 1))
+                    standoff = (ftol(c) / abs(lead)) ** (1.0 / (k + 1))
                     snap = max(snap, 4.0 * standoff)
             crit.append((c, snap))
 

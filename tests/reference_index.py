@@ -10,7 +10,11 @@ import math
 from fractions import Fraction
 
 from levelgraph.cauchy import HalfInteger, RationalFunction
-from levelgraph.errors import IndeterminateSign
+from levelgraph.errors import LevelGraphError
+
+
+class IndeterminateSign(LevelGraphError):
+    """An endpoint is a pole: the reference chain cannot decide its sign."""
 
 
 def _rem_ascending(a: list, b: list):

@@ -21,7 +21,6 @@ from reference_index import index_on_interval_exact
 from levelgraph.cauchy import HalfInteger, RationalFunction, index_on_interval
 from levelgraph.dhym import CalabiInput, analyze, build_polynomials
 from levelgraph.errors import (
-    IndeterminateSign,
     LevelGraphError,
     ZeroTotalCharge,
 )
@@ -264,7 +263,7 @@ def test_stability_verdict_matches_traced_geometry():
             continue
         try:
             v = classify(BoundaryData(w, z1, z2))
-        except (IndeterminateSign, LevelGraphError):
+        except LevelGraphError:
             excluded += 1
             continue
         try:
@@ -420,7 +419,7 @@ def flow_battery():
             continue
         try:
             v = classify(BoundaryData(w, z1, z2))
-        except (IndeterminateSign, LevelGraphError):
+        except LevelGraphError:
             continue
         if v.verdict != "stable" or v.case != "noncritical":
             continue
@@ -564,7 +563,7 @@ def test_charge_pipeline_sweep_and_oracles():
                           rng.uniform(0.2, 3.0), rng.uniform(-2.5, 2.5))
         try:
             rep = analyze(inp)
-        except (ZeroTotalCharge, IndeterminateSign, LevelGraphError):
+        except (ZeroTotalCharge, LevelGraphError):
             continue
         n_ok += 1
         genericities[rep.genericity] += 1
@@ -591,7 +590,7 @@ def test_charge_pipeline_sweep_and_oracles():
                           rng.uniform(0.3, 2.5), rng.uniform(-2.0, 2.0))
         try:
             rep = analyze(inp)
-        except (ZeroTotalCharge, IndeterminateSign, LevelGraphError):
+        except (ZeroTotalCharge, LevelGraphError):
             continue
         if rep.genericity == "non_generic":
             continue
@@ -646,7 +645,7 @@ def test_charge_pipeline_sweep_and_oracles():
             continue
         try:
             rep = analyze(CalabiInput(m, 0, xi1, xi2, b, rng.choice(cands)))
-        except (ZeroTotalCharge, IndeterminateSign, LevelGraphError):
+        except (ZeroTotalCharge, LevelGraphError):
             continue
         made += 1
         assert rep.genericity == "non_generic"
@@ -677,7 +676,7 @@ def test_verdicts_scale_invariant():
         try:
             r1 = analyze(CalabiInput(m, r, *args))
             r2 = analyze(CalabiInput(m, r, *(lam * a for a in args)))
-        except (ZeroTotalCharge, IndeterminateSign, LevelGraphError):
+        except (ZeroTotalCharge, LevelGraphError):
             continue
         checked += 1
         assert r1.verdict == r2.verdict, (m, r, args, lam)
@@ -711,7 +710,7 @@ def test_verdicts_scale_invariant():
             v0 = classify(BoundaryData(w, z1, z2))
             v1 = classify(BoundaryData(scaled, z1, z2))
             v2 = classify(BoundaryData(dilated, lam * z1, lam * z2))
-        except (IndeterminateSign, LevelGraphError):
+        except LevelGraphError:
             continue
         done += 1
         assert v0.verdict == v1.verdict == v2.verdict, (lam, v0, v1, v2)

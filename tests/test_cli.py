@@ -77,6 +77,15 @@ def test_classify_parse_error_exits_one(capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    "poly, z2", [("0,1", "1,inf"), ("nan,1", "1,0")], ids=["inf_z2", "nan_coefficient"]
+)
+def test_classify_nonfinite_input_exits_one(capsys, poly, z2):
+    rc, out, err = run_cli(capsys, ["classify", "--poly", poly, "--z1", "0,0", "--z2", z2])
+    assert rc == 1 and not out
+    assert "must be finite" in err and "Traceback" not in err
+
+
 def test_classify_half_integer_label(capsys):
     # z2 = 1+i sits exactly on a vertical-tangent arc of w = z^3/3, so its
     # band label is a half-integer and the verdict is unstable.  z1 is the
@@ -139,6 +148,14 @@ def test_dhym_hand_case(capsys):
     assert d["ind_Rb"] == "0"
     assert d["Z_Dinf"] == [0.0, 2.0]
     assert d["genericity"] == "generic"
+
+
+def test_dhym_nonfinite_input_exits_one(capsys):
+    argv = dhym_hand_args()
+    argv[argv.index("--b") + 1] = "inf"
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and not out
+    assert "must be finite" in err and "Traceback" not in err
 
 
 def test_dhym_nongeneric_no_solution(capsys):
@@ -427,6 +444,32 @@ def test_config_applied(capsys, tmp_path):
     )
     assert rc == 0, err
     assert json.loads(out)["verdict"] == "stable"
+
+
+_TRACE_ARGS = ["trace", "--poly", "0,0,0,1", "--kind", "c0", "--seed", "1,0"]
+_FLOW_ARGS = ["flow", "--poly", "0,1", "--z1", "0,0", "--z2", "1,0", "--f0", "line"]
+_CLASSIFY_ARGS = ["classify", "--poly", "0,1", "--z1", "0,0", "--z2", "1,0"]
+
+
+@pytest.mark.parametrize(
+    "text, key, argv",
+    [
+        ('{"trace_radius": "abc"}', "trace_radius", _TRACE_ARGS),
+        ('{"stop_tol": "1e-8"}', "stop_tol", _CLASSIFY_ARGS),
+        ('{"stop_tol": NaN}', "stop_tol", _FLOW_ARGS),
+        ('{"grid_nodes": 64.5}', "grid_nodes", _FLOW_ARGS),
+        ('{"trace_radius": -5}', "trace_radius", _TRACE_ARGS),
+    ],
+    ids=["trace_radius_str", "stop_tol_str", "stop_tol_nan", "grid_nodes_float",
+         "trace_radius_negative"],
+)
+def test_config_bad_value_rejected(capsys, tmp_path, text, key, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text + "\n")
+    out_file = tmp_path / "out.csv"
+    rc, out, err = run_cli(capsys, argv + ["--out", str(out_file), "--config", str(cfg)])
+    assert rc == 1 and not out and not out_file.exists()
+    assert key in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from levelgraph.poly import (
     ComplexPolynomial,
     RealPolynomial,
+    divide_linear,
     from_roots,
     restrict_to_vertical_line,
     roots,
+    taylor_coeffs,
 )
 from levelgraph.errors import ZeroPolynomial
 
@@ -130,12 +132,27 @@ def test_roots_of_constant_empty():
     assert roots(ComplexPolynomial([5])) == []
 
 
-def test_derivatives_at():
+def test_taylor_coeffs():
     p = ComplexPolynomial([1, 2, 3])  # 1 + 2z + 3z^2
-    d = p.derivatives_at(2.0, 2)
-    assert d[0] == pytest.approx(1 + 4 + 12)
-    assert d[1] == pytest.approx(2 + 12)
-    assert d[2] == pytest.approx(6)
+    t = taylor_coeffs(p.coeffs, 2.0, 3)
+    # p(2), p'(2)/1!, p''(2)/2!
+    assert t[0] == pytest.approx(1 + 4 + 12)
+    assert t[1] == pytest.approx((2 + 12) / 1)
+    assert t[2] == pytest.approx(6 / 2)
+
+
+def test_zero_polynomial_evaluates_to_zero_of_its_type():
+    for z in (2.5, -1.0):
+        v = RealPolynomial([])(z)
+        assert type(v) is float and v == 0.0
+        assert type(RealPolynomial([1, 2])(z)) is float
+    for z in (2.5, 1 + 1j):
+        v = ComplexPolynomial([])(z)
+        assert type(v) is complex and v == 0j
+    arr = RealPolynomial([])(np.array([1.0, 2.0]))
+    assert arr.dtype == float and not arr.any()
+    arr = ComplexPolynomial([])(np.array([1.0, 2.0]))
+    assert arr.dtype == complex and not arr.any()
 
 
 def test_real_polynomial_basic():
@@ -199,6 +216,23 @@ def test_restriction_derivative_identity(p, x0):
         a = im.derivative().coeffs[k] if k < len(im.derivative().coeffs) else 0.0
         b = im2.coeffs[k] if k < len(im2.coeffs) else 0.0
         assert abs(a - b) <= 1e-9 * scale
+
+
+@given(
+    st.lists(st.integers(-10**30, 10**30), max_size=12),
+    st.integers(-10**6, 10**6),
+)
+@settings(max_examples=200)
+def test_divide_linear_is_exact_on_integers(p, x):
+    # q * (v - x) + r == p coefficient by coefficient, in integer arithmetic
+    q, r = divide_linear(p, x)
+    assert type(r) is int and all(type(c) is int for c in q)
+    back = [0] * (len(q) + 1)
+    for k, c in enumerate(q):
+        back[k + 1] += c
+        back[k] -= x * c
+    back[0] += r
+    assert back == (list(p) if p else [0])
 
 
 well_separated_roots = st.lists(
