@@ -21,6 +21,7 @@ close.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
@@ -92,9 +93,10 @@ class _Polynomial:
     """Coefficients in one number field, ascending; what both kinds share.
 
     A subclass names its field (``_field``, float or complex), the zero of
-    that field and the scalar types it multiplies by, and adds its own
-    operations.  Results keep the subclass, so evaluating a real polynomial
-    at a float gives a float.
+    that field, the scalar types it multiplies by and how a scalar argument
+    is taken before evaluation (``_arg``), and adds its own operations.
+    Results keep the subclass, so evaluating a real polynomial at a float
+    gives a float.
     """
 
     coeffs: tuple
@@ -129,7 +131,7 @@ class _Polynomial:
     def __call__(self, z):
         if isinstance(z, np.ndarray):
             return _horner_array(self._rev, z)
-        return _horner(self.coeffs, self._field(z), self._zero)
+        return _horner(self.coeffs, self._arg(z), self._zero)
 
     # -- algebra ------------------------------------------------------------
 
@@ -164,6 +166,7 @@ class ComplexPolynomial(_Polynomial):
     _field = complex
     _zero = 0j
     _scalars = (int, float, complex)
+    _arg = complex
 
     def antiderivative(self) -> "ComplexPolynomial":
         """The antiderivative q with q' = self and q(0) = 0."""
@@ -183,6 +186,7 @@ class RealPolynomial(_Polynomial):
     _field = float
     _zero = 0.0
     _scalars = (int, float)
+    _arg = operator.pos  # z as given: a complex z gives a complex value
 
     def to_complex(self) -> ComplexPolynomial:
         return ComplexPolynomial(self.coeffs)

@@ -155,6 +155,12 @@ def test_zero_polynomial_evaluates_to_zero_of_its_type():
     assert arr.dtype == complex and not arr.any()
 
 
+def test_real_polynomial_evaluates_at_z_as_given():
+    p = RealPolynomial([1.0, 0.0, 1.0])
+    assert p(1j) == 0j and type(p(1j)) is complex
+    assert type(p(np.float64(2.0))) is np.float64 and p(np.float64(2.0)) == 5.0
+
+
 def test_real_polynomial_basic():
     q = RealPolynomial([1, 0, -1])  # 1 - y^2
     assert q(2.0) == pytest.approx(-3.0)

@@ -12,8 +12,8 @@ exception by its type and message.  The inputs and oracles come from the
 nothing under ``bench/`` is changed.
 
 Prints one summary line per workload and seed, each after the first
-differing field of its differing answers (ten in all at most).  Exits with status 0 when every answer matches and 1 when
-one does not.
+differing field of its differing answers (``SHOW`` in all at most).  Exits
+with status 0 when every answer matches and 1 when one does not.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEEDS = (1, 2)
 # inputs per seed: a few seconds of work per side on one core
 COUNTS = {"verdicts": 3000, "dhym-sweep": 4000, "witness": 40}
+# differing answers printed at most, over all workloads and seeds
+SHOW = 10
 
 
 def _flatten(obj, path: str, out: dict) -> None:
@@ -76,11 +78,12 @@ def _answers(checkout: Path, workload: str, seed: int, count: int) -> list:
                MKL_NUM_THREADS="1")
     cmd = [sys.executable, __file__, "--dump", str(checkout / "src"),
            "--workload", workload, "--seed", str(seed), "--count", str(count)]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    # stderr is not captured, so a failing child's traceback reaches the terminal
+    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
-def compare(parent: Path, change: Path, show: int = 10) -> int:
+def compare(parent: Path, change: Path) -> int:
     differing = 0
     for workload, count in COUNTS.items():
         for seed in SEEDS:
@@ -92,7 +95,7 @@ def compare(parent: Path, change: Path, show: int = 10) -> int:
                 diff = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
                 if diff:
                     bad += 1
-                    if differing + bad <= show:
+                    if differing + bad <= SHOW:
                         k = diff[0]
                         print(f"  {workload} seed {seed} input {i}: {len(diff)} fields "
                               f"differ, first {k}: {a.get(k)} -> {b.get(k)}")
