@@ -159,7 +159,15 @@ def build_polynomials(inp: CalabiInput):
     profile = from_roots([-inp.xi] * inp.m).coeffs
     P = ComplexPolynomial((0.0,) * inp.r + profile).antiderivative()
     zeta = P(inp.z2)
-    scale = P.coeff_scale * max(1.0, abs(inp.z2)) ** P.degree
+    try:
+        scale = P.coeff_scale * max(1.0, abs(inp.z2)) ** P.degree
+    except OverflowError:
+        scale = math.inf
+    if not (scale < math.inf and cmath.isfinite(zeta)):
+        raise ValueError(
+            f"the class data overflow a double: P(z2) = {zeta!r} for P of degree "
+            f"{P.degree} at |z2| = {abs(inp.z2)!r}"
+        )
     if abs(zeta) < 1e-12 * scale:
         raise ZeroTotalCharge(
             f"P({inp.z2}) = {zeta}: total charge vanishes, phase angle undefined"

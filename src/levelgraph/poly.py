@@ -11,17 +11,27 @@ Taylor coefficients at x (``taylor_coeffs``): the restriction to a vertical
 line, the exact sign of an integer polynomial beside a point, and the
 cancellation of a known factor all come from it.
 
-Root finding goes through the companion matrix (``numpy.roots``) with Newton
-polishing, followed by multiplicity detection by clustering.  Clusters are
-validated with a dominant-term test before a multiplicity is accepted, which
-keeps genuinely multiple roots together (companion eigenvalues of a k-fold
-root scatter like eps**(1/k)) without gluing distinct roots that are merely
-close.
+Root finding goes through the companion matrix (``numpy.roots``).  Each
+eigenvalue gets one Newton pass, with p' built once: every step evaluates p
+once, at the new point, and the pass stops at the first step that does not
+lower |p| (at most 8 steps).  Multiplicities then come from clustering the
+polished points.  Clusters are validated with a dominant-term test before a
+multiplicity is accepted, which keeps genuinely multiple roots together
+(companion eigenvalues of a k-fold root scatter like eps**(1/k)) without
+gluing distinct roots that are merely close.
+
+Each root reports a ``cluster_radius``.  For a simple root it is the Newton
+inclusion radius n |p(z)| / |p'(z)| at the returned z, with |p(z)| bounded
+above for rounding: some root of p lies within it.  For a k-fold cluster it
+is the spread, the farthest distance from the reported center to one of the
+cluster's polished points.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
@@ -194,6 +204,15 @@ class RealPolynomial(_Polynomial):
 
 @dataclass(frozen=True)
 class RootWithMultiplicity:
+    """A root of p, its multiplicity and how far the true root may lie.
+
+    For a simple root, cluster_radius is the Newton inclusion radius
+    n |p(z)| / |p'(z)| at location (n = deg p, |p(z)| plus its rounding
+    bound): since p'/p = sum 1/(z - r_j), some root of p lies within it.
+    For a k-fold cluster it is the spread: the largest distance from
+    location to the cluster's polished companion eigenvalues.
+    """
+
     location: complex
     multiplicity: int
     cluster_radius: float
@@ -238,39 +257,58 @@ def restrict_to_vertical_line(p: ComplexPolynomial, x0: float):
 # root finding
 
 
-def _newton_polish(p: ComplexPolynomial, z: complex, steps: int = 8) -> complex:
-    dp = p.derivative()
-    best, best_val = z, abs(p(z))
+def _newton_polish(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex,
+                   steps: int = 8) -> tuple:
+    """One Newton pass from z: (the point of least |p| seen, its inclusion radius).
+
+    Each step evaluates p once, at the new point, and the pass stops at the
+    first step that does not lower |p|, or after `steps` steps.  Since
+    p'/p = sum 1/(z - r_j), some root r_j lies within n |p(z)| / |p'(z)| of
+    the returned z (n = deg p); that distance is the radius.  |p(z)| there is
+    the computed value plus a bound on its rounding, 2 (n + 1) eps
+    sum |c_k| |z|^k, so a value that happens to round to 0 cannot shrink the
+    radius to 0; only the rounding of p'(z) is left unbounded.
+    """
+    v = p(z)
     for _ in range(steps):
         d = dp(z)
         if d == 0:
             break
-        z = z - p(z) / d
-        v = abs(p(z))
-        if v < best_val:
-            best, best_val = z, v
-    return best
+        step = z - v / d
+        v_step = p(step)
+        if not abs(v_step) < abs(v):
+            break
+        z, v = step, v_step
+    else:
+        d = dp(z)
+    n = p.degree
+    scale = _horner([abs(c) for c in p.coeffs], abs(z), 0.0)
+    residual = abs(v) + 2 * (n + 1) * sys.float_info.epsilon * scale
+    if d == 0:
+        return z, (math.inf if residual else 0.0)
+    return z, n * residual / abs(d)
 
 
 def _cluster(points: list, radius: float) -> list:
-    """Single-link clustering of complex points with the given merge radius."""
-    clusters: list[list[complex]] = []
-    for z in sorted(points, key=lambda w: (w.real, w.imag)):
-        placed = False
+    """Single-link clustering of (location, radius) pairs by location.
+
+    Points closer than the given merge radius share a cluster.
+    """
+    clusters: list[list[tuple]] = []
+    for pt in sorted(points, key=lambda q: (q[0].real, q[0].imag)):
         for cl in clusters:
-            if any(abs(z - w) <= radius for w in cl):
-                cl.append(z)
-                placed = True
+            if any(abs(pt[0] - q[0]) <= radius for q in cl):
+                cl.append(pt)
                 break
-        if not placed:
-            clusters.append([z])
+        else:
+            clusters.append([pt])
     # single-link needs a second pass to merge chains that formed separately
     merged = True
     while merged:
         merged = False
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
-                if any(abs(a - b) <= radius for a in clusters[i] for b in clusters[j]):
+                if any(abs(a[0] - b[0]) <= radius for a in clusters[i] for b in clusters[j]):
                     clusters[i].extend(clusters[j])
                     del clusters[j]
                     merged = True
@@ -298,18 +336,20 @@ def _dominant_term_ok(p: ComplexPolynomial, center: complex, k: int, radius: flo
 
 
 def _refine_cluster(p: ComplexPolynomial, members: list, tol: float):
-    """Turn a validated-or-not cluster into RootWithMultiplicity entries."""
+    """Turn a validated-or-not cluster of (location, radius) pairs into
+    RootWithMultiplicity entries."""
     k = len(members)
-    center = sum(members) / k
     if k == 1:
-        loc = _newton_polish(p, center)
-        return [RootWithMultiplicity(loc, 1, abs(loc - center))]
+        # polished once in roots; the pair carries its inclusion radius
+        location, radius = members[0]
+        return [RootWithMultiplicity(location, 1, radius)]
+    locations = [m[0] for m in members]
     # polish the center on the (k-1)-th derivative, where the root is simple
     dk = p
     for _ in range(k - 1):
         dk = dk.derivative()
-    center = _newton_polish(dk, center)
-    spread = max(abs(m - center) for m in members)
+    center, _ = _newton_polish(dk, dk.derivative(), sum(locations) / k)
+    spread = max(abs(m - center) for m in locations)
     if _dominant_term_ok(p, center, k, max(2.0 * spread, tol)):
         return [RootWithMultiplicity(center, k, spread)]
     # not a genuine k-fold root: fall back to tighter subclusters
@@ -336,10 +376,11 @@ def roots(p: ComplexPolynomial) -> list:
         return []
     tol = ROOT_CLUSTER_TOL * (1.0 + p.coeff_scale)
     raw = np.roots(np.array(p.coeffs[::-1], dtype=complex))
-    polished = [_newton_polish(p, complex(z)) for z in raw]
+    dp = p.derivative()
+    polished = [_newton_polish(p, dp, complex(z)) for z in raw]
     # generous exploration radius so the eps**(1/k) scatter of a multiple root
     # stays in one cluster; the dominant-term test splits false positives
-    explore = max(tol, 2.5e-4 * (1.0 + max(abs(z) for z in polished)))
+    explore = max(tol, 2.5e-4 * (1.0 + max(abs(z) for z, _ in polished)))
     out: list[RootWithMultiplicity] = []
     for cl in _cluster(polished, explore):
         out.extend(_refine_cluster(p, cl, tol))

@@ -44,6 +44,9 @@ class BoundaryData:
             raise ValueError(
                 f"z1={self.z1!r}, z2={self.z2!r} and the coefficients of w must be finite"
             )
+        wp = self.w.derivative().coeffs
+        if not all(map(cmath.isfinite, wp)):
+            raise ValueError(f"the derivative of w overflows a double: w' = {wp!r}")
         snap = SNAP_TOL * (1.0 + abs(self.z1))
         if self.z1.real < -snap:
             raise ValueError(f"z1={self.z1!r} must have nonnegative real part")

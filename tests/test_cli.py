@@ -86,6 +86,13 @@ def test_classify_nonfinite_input_exits_one(capsys, poly, z2):
     assert "must be finite" in err and "Traceback" not in err
 
 
+def test_classify_overflowing_derivative_exits_one(capsys):
+    argv = ["classify", "--poly", "0,1e308,1e308", "--z1", "0,0", "--z2", "1e10,0"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and not out
+    assert "derivative of w overflows" in err and "Traceback" not in err
+
+
 def test_classify_half_integer_label(capsys):
     # z2 = 1+i sits exactly on a vertical-tangent arc of w = z^3/3, so its
     # band label is a half-integer and the verdict is unstable.  z1 is the
@@ -156,6 +163,14 @@ def test_dhym_nonfinite_input_exits_one(capsys):
     rc, out, err = run_cli(capsys, argv)
     assert rc == 1 and not out
     assert "must be finite" in err and "Traceback" not in err
+
+
+def test_dhym_overflowing_class_data_exits_one(capsys):
+    # finite class data, but P(z2) ~ b**6 / 6 is far beyond a double
+    argv = ["dhym", "--m", "3", "--r", "2", "--xi1", "1", "--xi2", "0", "--b", "1e200", "--q", "0"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and not out
+    assert "overflow a double" in err and "Traceback" not in err
 
 
 def test_dhym_nongeneric_no_solution(capsys):

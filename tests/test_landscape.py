@@ -16,6 +16,7 @@ from levelgraph.landscape import (
     vertical_line_ratio,
 )
 from levelgraph.poly import ComplexPolynomial, from_roots, restrict_to_vertical_line
+from levelgraph.stability import BoundaryData, classify, shift_to_zero_level
 
 CUBE_THIRD = ComplexPolynomial([0, 0, 0, 1 / 3])
 HALF_SQUARE = ComplexPolynomial([0, 0, 0.5])
@@ -58,6 +59,40 @@ def test_rhp_validation():
         Potential(w)
     Potential(CUBE_THIRD)  # root at 0 is allowed
     Potential(HALF_SQUARE)
+
+
+# input 413 of the verdicts benchmark, seed 1 (bench/gen.py): w' of degree 9
+# with axis roots planted at heights 1.2263, 1.6967, 1.7297 and a double one
+# at 1.7387.  The cluster near 1.70i-1.74i is ill-conditioned: the polished
+# eigenvalue at 1.7297i stays 4.6e-8 left of the axis, inside its inclusion
+# radius (about 3e-7) but far outside SIGN_TOL (1 + |r|), so the band alone
+# would drop it.
+W_ILL_CONDITIONED = ComplexPolynomial([
+    complex(0.0, 0.0),
+    complex(-4.760270952264252, -23.016257917738734),
+    complex(31.20104102030051, -51.132583871056575),
+    complex(105.50024766940557, -21.13262543287763),
+    complex(101.80220264187975, 92.58803151649523),
+    complex(-23.082388887173444, 121.09491421608627),
+    complex(-73.29431613001707, 23.39383209445212),
+    complex(-23.088157930929494, -23.656424386603728),
+    complex(3.2804847021082977, -8.795059023769472),
+    complex(1.593255153528022, -0.1059187695515777),
+    complex(0.05710358996432, 0.11064687359437397),
+])
+
+
+def test_ill_conditioned_axis_cluster_keeps_every_planted_height():
+    data = BoundaryData(
+        W_ILL_CONDITIONED, complex(0.0, -0.9102574988162893),
+        complex(2.8030249465636152, -0.28341687592858505),
+    )
+    cps = Potential(shift_to_zero_level(data).w).axis_critical_points
+    assert [cp.y0 for cp in cps] == pytest.approx([1.2263, 1.6967, 1.7297, 1.7387], abs=1e-4)
+    assert [cp.order for cp in cps] == [1, 1, 1, 2]
+    verdict = classify(data)
+    assert (verdict.verdict, verdict.case) == ("unstable", "noncritical")
+    assert (str(verdict.n1), str(verdict.n2)) == ("2", "4")
 
 
 def test_one_off_checks_agree_with_potential():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from levelgraph import poly
 from levelgraph.poly import (
     ComplexPolynomial,
     RealPolynomial,
@@ -121,6 +122,41 @@ def test_roots_plant_and_recover_deg6():
     assert len(found) == 6
     for f, w in zip(found, want):
         assert f == pytest.approx(complex(w), abs=1e-8)
+
+
+def test_roots_polish_each_root_in_one_short_pass(monkeypatch):
+    # ten well-separated planted roots: one Newton pass per companion
+    # eigenvalue, stopping once |p| stops falling, plus the radius's
+    # rounding bound, stays within 8 evaluations per root
+    planted = [complex(k - 4.5, (-1) ** k * 0.3 * k) for k in range(10)]
+    p = from_roots(planted, leading=1.5 - 0.5j)
+    calls = []
+    real_horner = poly._horner
+
+    def counted(coeffs, z, acc):
+        calls.append(z)
+        return real_horner(coeffs, z, acc)
+
+    monkeypatch.setattr(poly, "_horner", counted)
+    rs = roots(p)
+    assert [r.multiplicity for r in rs] == [1] * 10
+    assert len(calls) <= 8 * 10
+    for w in planted:
+        assert min(abs(r.location - w) for r in rs) < 1e-9
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_simple_root_radius_includes_a_root(n):
+    # (z - 1)(z - 2)...(z - n) has integer coefficients that a double holds
+    # exactly, so its roots are exactly 1..n.  Near them Horner's value of
+    # p is mostly rounding and can come out as 0; the radius still covers
+    # the distance to the nearest integer, which neither the last Newton
+    # step nor n |p(z)| / |p'(z)| from the computed value alone does
+    rs = roots(from_roots(range(1, n + 1)))
+    assert [r.multiplicity for r in rs] == [1] * n
+    for r in rs:
+        k = round(r.location.real)
+        assert abs(r.location - k) <= r.cluster_radius < 1e-6
 
 
 def test_roots_of_zero_raises():

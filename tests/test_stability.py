@@ -37,6 +37,12 @@ def test_boundary_data_validates_ordering():
         BoundaryData(CUBE_THIRD, -1.0 + 0j, 1.0 + 0j)
 
 
+def test_boundary_data_rejects_overflowing_derivative():
+    # w has finite coefficients, but w' = 1e308 + 2e308 z does not
+    with pytest.raises(ValueError, match="derivative of w overflows"):
+        BoundaryData(ComplexPolynomial([0, 1e308, 1e308]), 0, 1e10)
+
+
 def test_shift_to_zero_level():
     # z1 = 1+i sits on the level Im w = 2/3; z2 solves the same level at x=2
     y2 = _bisect(lambda y: (12 * y - y**3) / 3 - 2 / 3, 0.0, 1.0)

@@ -4,12 +4,15 @@
 
 For each workload of ``bench/ops.py`` and seeds 1 and 2, the inputs of
 ``bench/gen.py`` are run once against each checkout's ``src`` package, each
-side in a child interpreter of its own.  Every output field is recorded,
-floats and complex numbers by ``repr`` (so a change in the last bit or in
-the sign of a zero shows), nested results field by field, and a raised
-exception by its type and message.  The inputs and oracles come from the
-``bench/`` directory next to this script, so both sides see the same data;
-nothing under ``bench/`` is changed.
+side in a child interpreter of its own.  On ``verdicts`` and ``dhym-sweep``
+these are all the inputs a 25 s ``bench/run.py`` run times (3750 and 6000),
+so an answer that flips anywhere in a timed run shows here; ``witness``
+takes its first 40.  Every output field is recorded, floats and complex
+numbers by ``repr`` (so a change in the last bit or in the sign of a zero
+shows), nested results field by field, and a raised exception by its type
+and message.  The inputs and oracles come from the ``bench/`` directory
+next to this script, so both sides see the same data; nothing under
+``bench/`` is changed.
 
 Prints one summary line per workload and seed, each after the first
 differing field of its differing answers (``SHOW`` in all at most).  Exits
@@ -29,8 +32,9 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 SEEDS = (1, 2)
-# inputs per seed: a few seconds of work per side on one core
-COUNTS = {"verdicts": 3000, "dhym-sweep": 4000, "witness": 40}
+# inputs per seed: on verdicts and dhym-sweep, every input that a 25 s run of
+# bench/run.py times (25 s at 150 and 240 ops/s); witness keeps 40
+COUNTS = {"verdicts": 3750, "dhym-sweep": 6000, "witness": 40}
 # differing answers printed at most, over all workloads and seeds
 SHOW = 10
 
