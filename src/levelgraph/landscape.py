@@ -104,11 +104,12 @@ class Potential:
     satisfies the standing hypothesis.  The roots within that band of the
     axis are kept in axis_critical_points, ordered by height.
 
-    The cluster radius is how far the exact root may sit from the computed
-    one (see poly.RootWithMultiplicity): the Newton inclusion radius of a
-    simple root, the spread of a multiple one.  An ill-conditioned root
-    whose computed real part misses the axis by more than SIGN_TOL, but by
-    less than twice its radius, is thus still an axis critical point.
+    The cluster radius comes from poly.RootWithMultiplicity: for a simple
+    root it is the Newton inclusion radius, so some root of w' lies within
+    it (in a tight cluster, possibly a neighbour); for a multiple root it
+    is the spread.  It is always finite.  An ill-conditioned root whose
+    computed real part misses the axis by more than SIGN_TOL, but by less
+    than twice its radius, is thus still an axis critical point.
     """
 
     __slots__ = ("w", "axis_critical_points")

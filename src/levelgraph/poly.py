@@ -22,8 +22,10 @@ gluing distinct roots that are merely close.
 
 Each root reports a ``cluster_radius``.  For a simple root it is the Newton
 inclusion radius n |p(z)| / |p'(z)| at the returned z, with |p(z)| bounded
-above for rounding: some root of p lies within it.  For a k-fold cluster it
-is the spread, the farthest distance from the reported center to one of the
+above for rounding: some root of p lies within it.  The radius is kept
+finite: it drops the rounding bound where that overflows, and is 0 where
+p'(z) = 0 or the radius overflows even so.  For a k-fold cluster it is the
+spread, the farthest distance from the reported center to one of the
 cluster's polished points.
 """
 
@@ -204,11 +206,14 @@ class RealPolynomial(_Polynomial):
 
 @dataclass(frozen=True)
 class RootWithMultiplicity:
-    """A root of p, its multiplicity and how far the true root may lie.
+    """A root of p, its multiplicity and a radius about its location.
 
     For a simple root, cluster_radius is the Newton inclusion radius
     n |p(z)| / |p'(z)| at location (n = deg p, |p(z)| plus its rounding
     bound): since p'/p = sum 1/(z - r_j), some root of p lies within it.
+    In a tight cluster that root may be a neighbour rather than the one
+    location approximates.  The radius is always finite (0 where the bound
+    is not; see _newton_polish).
     For a k-fold cluster it is the spread: the largest distance from
     location to the cluster's polished companion eigenvalues.
     """
@@ -267,7 +272,10 @@ def _newton_polish(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex,
     the returned z (n = deg p); that distance is the radius.  |p(z)| there is
     the computed value plus a bound on its rounding, 2 (n + 1) eps
     sum |c_k| |z|^k, so a value that happens to round to 0 cannot shrink the
-    radius to 0; only the rounding of p'(z) is left unbounded.
+    radius to 0; only the rounding of p'(z) is left unbounded.  The radius
+    is kept finite: where the rounding bound overflows it uses the computed
+    |p(z)| alone, and where that is not finite either, or p'(z) = 0, it is 0,
+    leaving the caller's own tolerance as the only band.
     """
     v = p(z)
     for _ in range(steps):
@@ -283,10 +291,13 @@ def _newton_polish(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex,
         d = dp(z)
     n = p.degree
     scale = _horner([abs(c) for c in p.coeffs], abs(z), 0.0)
-    residual = abs(v) + 2 * (n + 1) * sys.float_info.epsilon * scale
-    if d == 0:
-        return z, (math.inf if residual else 0.0)
-    return z, n * residual / abs(d)
+    bound = abs(v) + 2 * (n + 1) * sys.float_info.epsilon * scale
+    if d != 0:
+        for residual in (bound, abs(v)):
+            radius = n * residual / abs(d)
+            if math.isfinite(radius):
+                return z, radius
+    return z, 0.0
 
 
 def _cluster(points: list, radius: float) -> list:

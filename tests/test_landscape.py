@@ -61,11 +61,19 @@ def test_rhp_validation():
     Potential(HALF_SQUARE)
 
 
+def test_rhp_root_with_overflowing_rounding_bound_still_raises():
+    # w' = 1e-290 (z - 1e300)(z + 1): the root at 1e300 keeps a finite
+    # radius, so its band stays far narrower than its real part
+    w = from_roots([1e300, -1.0], 1e-290).antiderivative()
+    with pytest.raises(CriticalPointInRHP):
+        Potential(w)
+
+
 # input 413 of the verdicts benchmark, seed 1 (bench/gen.py): w' of degree 9
 # with axis roots planted at heights 1.2263, 1.6967, 1.7297 and a double one
 # at 1.7387.  The cluster near 1.70i-1.74i is ill-conditioned: the polished
 # eigenvalue at 1.7297i stays 4.6e-8 left of the axis, inside its inclusion
-# radius (about 3e-7) but far outside SIGN_TOL (1 + |r|), so the band alone
+# radius (about 7e-5) but far outside SIGN_TOL (1 + |r|), so the band alone
 # would drop it.
 W_ILL_CONDITIONED = ComplexPolynomial([
     complex(0.0, 0.0),

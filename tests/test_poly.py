@@ -159,6 +159,21 @@ def test_simple_root_radius_includes_a_root(n):
         assert abs(r.location - k) <= r.cluster_radius < 1e-6
 
 
+def test_inclusion_radius_stays_finite_when_its_rounding_bound_overflows():
+    # at z = 1e300 the rounding bound sum |c_k| |z|^k of
+    # 1e-290 (z - 1e300)(z + 1) overflows, though the polynomial is finite
+    rs = roots(from_roots([1e300, -1.0], 1e-290))
+    assert [r.location for r in rs] == pytest.approx([-1.0, 1e300])
+    assert all(math.isfinite(r.cluster_radius) for r in rs)
+    assert rs[1].cluster_radius < 1e-9 * abs(rs[1].location)
+
+
+def test_inclusion_radius_is_zero_where_the_derivative_vanishes():
+    p = ComplexPolynomial([1, 0, 1])
+    z, radius = poly._newton_polish(p, p.derivative(), 0j)
+    assert (z, radius) == (0j, 0.0)
+
+
 def test_roots_of_zero_raises():
     with pytest.raises(ZeroPolynomial):
         roots(ComplexPolynomial([]))
