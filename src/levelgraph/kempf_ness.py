@@ -28,8 +28,10 @@ a step whose increment is positive is rejected, so a nonincreasing J is a
 checked property of the recorded trace.
 
 The Gauss-Legendre rule and the differentiation matrix are built once per
-grid size on [-1, 1] and mapped affinely onto each interval; quadrature and
-differentiation refuse a grid that is not this map of the Gauss nodes.
+grid size on [-1, 1] and mapped affinely onto each interval.  A GridFunction
+is validated on construction: its nodes must be this map of the Gauss nodes
+(within 1e-12 (b - a)), so quadrature and differentiation look their rule
+up without checking the grid again.
 """
 
 from __future__ import annotations
@@ -106,13 +108,13 @@ def _full_values(f: "GridFunction") -> np.ndarray:
 
 def _diff_matrix(f: "GridFunction") -> np.ndarray:
     """Differentiation matrix on a, the nodes of f, and b."""
-    _quadrature_for(f)  # raises unless f is on the Gauss-Legendre grid
     return _reference_diff_matrix(len(f.nodes)) * (2.0 / (f.b - f.a))
 
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Heights at interior nodes of (a, b) plus pinned endpoint heights."""
+    """Heights at the interior Gauss-Legendre nodes of (a, b) plus pinned
+    endpoint heights."""
 
     a: float
     b: float
@@ -131,8 +133,9 @@ class GridFunction:
             raise ValueError("nodes and values must be matching 1-d arrays")
         if nodes.size < 2:
             raise ValueError("need at least two interior nodes")
-        if not (np.all(np.diff(nodes) > 0) and self.a < nodes[0] and nodes[-1] < self.b):
-            raise ValueError("nodes must increase strictly inside (a, b)")
+        gauss = _gauss_rule(self.a, self.b, nodes.size)[0]
+        if not np.all(np.abs(nodes - gauss) <= 1e-12 * (self.b - self.a)):
+            raise ValueError("nodes must be the Gauss-Legendre nodes of (a, b)")
         if not np.all(np.isfinite(values)):
             raise ValueError("nonfinite height values")
         p, q = self.boundary
@@ -187,10 +190,8 @@ def default_sigma(a: float, b: float, nodes: np.ndarray) -> BackgroundSigma:
 
 
 def _quadrature_for(f: GridFunction) -> np.ndarray:
-    nodes, weights = _gauss_rule(f.a, f.b, len(f.nodes))
-    if not np.all(np.abs(f.nodes - nodes) <= 1e-12 * (f.b - f.a)):
-        raise ValueError("quadrature and differentiation require the Gauss-Legendre grid")
-    return weights
+    """Gauss-Legendre weights of f's grid."""
+    return _gauss_rule(f.a, f.b, len(f.nodes))[1]
 
 
 def _check_sigma(f: GridFunction, sigma: BackgroundSigma):

@@ -5,11 +5,13 @@ Containers are immutable; every operation returns a new polynomial.  Trailing
 coefficients that are exactly zero are trimmed on construction, so the zero
 polynomial has an empty coefficient tuple and ``degree == -1``.
 
-This module is the package's only polynomial arithmetic.  ``_horner``
-evaluates; ``divide_linear`` divides by (v - x), and repeated, it gives the
-Taylor coefficients at x (``taylor_coeffs``): the restriction to a vertical
-line, the exact sign of an integer polynomial beside a point, and the
-cancellation of a known factor all come from it.
+This module is the package's only polynomial arithmetic.  One Horner loop,
+``_horner``, evaluates at a scalar and elementwise on a NumPy array alike
+(an array starts from a zeros array of the result type, so even the zero
+polynomial gives a typed array).  ``divide_linear`` divides by (v - x), and
+repeated, it gives the Taylor coefficients at x (``taylor_coeffs``): the
+restriction to a vertical line, the exact sign of an integer polynomial
+beside a point, and the cancellation of a known factor all come from it.
 
 Root finding goes through the companion matrix (``numpy.roots``).  Each
 eigenvalue gets one Newton pass, with p' built once: every step evaluates p
@@ -35,7 +37,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -52,19 +53,11 @@ def _trimmed(values: Iterable[complex]) -> tuple:
     return tuple(out)
 
 
-def _horner(coeffs: Sequence[complex], z: complex, acc: complex) -> complex:
-    """p(z) for ascending coefficients; acc is the zero of the result type."""
+def _horner(coeffs: Sequence[complex], z, acc):
+    """p(z) for ascending coefficients; acc is the zero of the result type,
+    a scalar or, for an array z, a zeros array of z's shape."""
     for c in reversed(coeffs):
         acc = acc * z + c
-    return acc
-
-
-def _horner_array(rev: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """np.polyval(rev, z) with the same Horner recurrence, updated in place."""
-    acc = np.zeros(z.shape, dtype=np.result_type(rev, z))
-    for c in rev:
-        acc *= z
-        acc += c
     return acc
 
 
@@ -117,13 +110,6 @@ class _Polynomial:
         field = self._field
         object.__setattr__(self, "coeffs", _trimmed(field(c) for c in coeffs))
 
-    @cached_property
-    def _rev(self) -> np.ndarray:
-        """Coefficients highest power first, for evaluation on arrays."""
-        rev = np.array(self.coeffs[::-1], dtype=self._field)
-        rev.flags.writeable = False
-        return rev
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -142,7 +128,7 @@ class _Polynomial:
 
     def __call__(self, z):
         if isinstance(z, np.ndarray):
-            return _horner_array(self._rev, z)
+            return _horner(self.coeffs, z, np.zeros(z.shape, np.result_type(self._zero, z)))
         return _horner(self.coeffs, self._arg(z), self._zero)
 
     # -- algebra ------------------------------------------------------------
@@ -303,29 +289,15 @@ def _newton_polish(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex,
 def _cluster(points: list, radius: float) -> list:
     """Single-link clustering of (location, radius) pairs by location.
 
-    Points closer than the given merge radius share a cluster.
+    Points closer than the given merge radius share a cluster: each point,
+    in sorted order, joins every cluster it touches, merging them.
     """
     clusters: list[list[tuple]] = []
     for pt in sorted(points, key=lambda q: (q[0].real, q[0].imag)):
+        near, far = [], []
         for cl in clusters:
-            if any(abs(pt[0] - q[0]) <= radius for q in cl):
-                cl.append(pt)
-                break
-        else:
-            clusters.append([pt])
-    # single-link needs a second pass to merge chains that formed separately
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                if any(abs(a[0] - b[0]) <= radius for a in clusters[i] for b in clusters[j]):
-                    clusters[i].extend(clusters[j])
-                    del clusters[j]
-                    merged = True
-                    break
-            if merged:
-                break
+            (near if any(abs(pt[0] - q[0]) <= radius for q in cl) else far).append(cl)
+        clusters = far + [[q for cl in near for q in cl] + [pt]]
     return clusters
 
 

@@ -16,6 +16,7 @@ under z1 are read from one :class:`~levelgraph.landscape.Potential`.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .cauchy import HalfInteger
@@ -78,11 +79,23 @@ def shift_to_zero_level(data: BoundaryData) -> BoundaryData:
 
     Raises LevelMismatch when z2 does not lie on the shifted zero level --
     the two points must be on the same level curve for the question to make
-    sense at all.
+    sense at all.  Raises ValueError when w(z1), w(z2) or the rounding scale
+    of w at z2 overflows a double.
     """
-    w = data.w - ComplexPolynomial([1j * data.w(data.z1).imag])
-    resid = w(data.z2).imag
-    scale = max(abs(w(data.z2)), w.coeff_scale * (1.0 + abs(data.z2)) ** max(w.degree, 0))
+    w1 = data.w(data.z1)
+    w = data.w - ComplexPolynomial([1j * w1.imag])
+    w2 = w(data.z2)
+    try:
+        scale = w.coeff_scale * (1.0 + abs(data.z2)) ** max(w.degree, 0)
+    except OverflowError:
+        scale = math.inf
+    if not (scale < math.inf and cmath.isfinite(w1) and cmath.isfinite(w2)):
+        raise ValueError(
+            f"w overflows a double at the boundary points: w(z1) = {w1!r}, "
+            f"w(z2) = {w2!r}, rounding scale max|c_k| (1 + |z2|)^{w.degree} = {scale!r}"
+        )
+    resid = w2.imag
+    scale = max(abs(w2), scale)
     if abs(resid) > SIGN_TOL * max(scale, 1.0):
         raise LevelMismatch(
             f"Im w(z2) = {resid!r} after shifting; z1 and z2 sit on different levels"

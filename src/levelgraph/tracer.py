@@ -1,10 +1,15 @@
 """Predictor-corrector tracing of plane curves attached to a potential w.
 
-Two families of curves are traced, both zero sets of harmonic functions:
+Two families of curves are traced, both level sets of Im of a polynomial:
 
 * ``kind="level"``: the level curve {Im w = level} through a seed point;
 * ``kind="vertical_tangent"``: the locus {Re w' = level} (level 0 is where
-  level curves of Im w turn vertical).
+  level curves of Im w turn vertical).  Since Re w' = Im(i w'), this is the
+  level curve of Im(i w'), and one field serves both kinds.
+
+Im of a nonconstant polynomial is harmonic, and by the maximum principle no
+level set of a harmonic function contains a closed curve (the function
+would be constant inside it), so a trace never closes on itself.
 
 The engine is a standard arc-length continuation: step along the unit
 tangent, then pull the prediction back onto the curve with Newton steps in
@@ -22,6 +27,7 @@ imaginary axis is clipped onto it and the trace ends there.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -50,7 +56,8 @@ class Polyline:
     """A traced curve: ordered vertices plus how the trace ended.
 
     ``terminated_by`` is one of ``target``, ``critical_point``, ``y_axis``,
-    ``radius``, ``closed_loop``, ``step_limit``.
+    ``radius``, ``step_limit``.  No trace ends on a closed loop: both curve
+    kinds are level sets of a harmonic function, which contain none.
     """
 
     points: tuple
@@ -81,31 +88,19 @@ class GraphCheck:
     trace: Polyline
 
 
-def _make_field(w: ComplexPolynomial, kind: str, level: float):
-    """Return (F, grad) with F the defining function and grad = F_x + i F_y."""
-    wp = w.derivative()
-    if kind == "level":
-        base, dbase = w, wp
+def _make_field(base: ComplexPolynomial, level: float):
+    """Return (F, grad, ftol) for F = Im base - level, grad = F_x + i F_y,
+    and ftol the corrector's tolerance on |F| at a point."""
+    dbase = base.derivative()
 
-        def field(u: complex) -> float:
-            return base(u).imag - level
+    def field(u: complex) -> float:
+        return base(u).imag - level
 
-        def grad(u: complex) -> complex:
-            d = dbase(u)
-            return complex(d.imag, d.real)
+    def grad(u: complex) -> complex:
+        # Cauchy-Riemann: grad Im base = (Im base', Re base')
+        d = dbase(u)
+        return complex(d.imag, d.real)
 
-    elif kind == "vertical_tangent":
-        base, dbase = wp, wp.derivative()
-
-        def field(u: complex) -> float:
-            return base(u).real - level
-
-        def grad(u: complex) -> complex:
-            d = dbase(u)
-            return complex(d.real, -d.imag)
-
-    else:
-        raise ValueError(f"unknown curve kind {kind!r}")
     fscale = CORRECTOR_TOL * max(base.coeff_scale, 1e-300)
     deg = max(base.degree, 1)
 
@@ -174,7 +169,17 @@ def _trace(
     radius=None,
     target=None,
 ) -> Polyline:
-    field, grad, ftol = _make_field(w, kind, level)
+    # Re w' = Im(i w'), so both kinds are a level set of Im of one polynomial
+    base = w if kind == "level" else 1j * w.derivative()
+    field, grad, ftol = _make_field(base, level)
+    try:
+        finite = cmath.isfinite(base(seed)) and math.isfinite(ftol(seed))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SeedNotOnCurve(
+            f"the {kind} field or its tolerance overflows a double at the seed {seed!r}"
+        )
     seed_scale = 1.0 + abs(seed)
 
     u0 = _correct(field, grad, ftol, seed, _SEED_SNAP_FACTOR * seed_scale)
@@ -237,9 +242,6 @@ def _trace(
             break
         if abs(u) >= escape:
             terminated = "radius"
-            break
-        if len(pts) > 10 and abs(u - pts[0]) < min(h, _H0_FACTOR * seed_scale):
-            terminated = "closed_loop"
             break
 
         # --- proximity clamps: approach arrivals geometrically ----------
@@ -304,6 +306,8 @@ def trace_level(
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
+    if kind not in ("level", "vertical_tangent"):
+        raise ValueError(f"unknown curve kind {kind!r}")
     return _trace(
         as_complex_polynomial(w), complex(seed), kind, direction, float(level), radius
     )

@@ -93,6 +93,28 @@ def test_classify_overflowing_derivative_exits_one(capsys):
     assert "derivative of w overflows" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["classify", "flow"])
+def test_far_boundary_point_exits_one(capsys, tmp_path, command):
+    # z2 = 1e200 is finite, but w(z2) = z2^3 / 3 overflows a double
+    argv = [command, "--poly", "0,0,0,0.3333333333333333", "--z1", "0,0", "--z2", "1e200,0"]
+    if command == "flow":
+        argv += ["--f0", "line", "--out", str(tmp_path / "f.csv")]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and not out
+    assert "overflows a double" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("c1", ["-1e308", "-1e307"])
+def test_classify_overflow_inside_the_root_solve_exits_one(capsys, c1):
+    # w' = z^2 + c1 is finite.  With -1e308 the rounding scale of w at z2
+    # overflows first; with -1e307 the root clustering raises OverflowError,
+    # which main reports like any other error
+    argv = ["classify", "--poly", f"0,{c1},0,0.3333333333333333", "--z1", "0,0", "--z2", "1,0"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_classify_half_integer_label(capsys):
     # z2 = 1+i sits exactly on a vertical-tangent arc of w = z^3/3, so its
     # band label is a half-integer and the verdict is unstable.  z1 is the
@@ -255,7 +277,7 @@ def test_trace_level_curve_csv(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["points"] >= 2
     assert summary["terminated_by"] in {
-        "target", "critical_point", "y_axis", "radius", "closed_loop", "step_limit",
+        "target", "critical_point", "y_axis", "radius", "step_limit",
     }
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "re,im"
@@ -264,6 +286,15 @@ def test_trace_level_curve_csv(capsys, tmp_path):
     for row in lines[1:]:
         x, y = (float(c) for c in row.split(","))
         assert abs(y) <= 1e-6 * (1.0 + abs(x))
+
+
+@pytest.mark.parametrize("kind", ["c0", "d0"])
+def test_trace_far_seed_exits_one(capsys, tmp_path, kind):
+    argv = ["trace", "--poly", "0,0,0,0.3333333333333333", "--kind", kind,
+            "--seed", "1e300,0", "--out", str(tmp_path / "t.csv")]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and not out
+    assert "SeedNotOnCurve" in err and "overflows a double" in err
 
 
 def test_trace_vertical_tangent_csv(capsys, tmp_path):

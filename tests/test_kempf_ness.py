@@ -65,13 +65,6 @@ def test_scaled_reference_diff_matrix_matches_direct_build(a, b):
     assert np.max(np.abs(scaled - direct)) <= 1e-11 * np.max(np.abs(direct))
 
 
-def test_diff_matrix_rejects_other_grids():
-    nodes = np.linspace(A, B, 19)[1:-1]
-    f = GridFunction(A, B, nodes, np.zeros_like(nodes), (0.0, 0.0))
-    with pytest.raises(ValueError, match="Gauss-Legendre"):
-        derivative_values(f)
-
-
 def test_gauss_rule_solved_once_per_grid_size(monkeypatch):
     calls = []
     leggauss = np.polynomial.legendre.leggauss
@@ -164,6 +157,17 @@ def test_grid_function_validation():
         GridFunction(A, B, nodes, np.zeros(16), (0.0, 0.0))
     with pytest.raises(ValueError):
         GridFunction(A, B, nodes[::-1], np.zeros(17), (0.0, 0.0))
+
+
+def test_diff_matrix_rejects_other_grids():
+    # the grid is checked once, when the GridFunction is built, so no
+    # differentiation or quadrature ever sees another grid
+    nodes = np.linspace(A, B, 19)[1:-1]
+    with pytest.raises(ValueError, match="Gauss-Legendre"):
+        GridFunction(A, B, nodes, np.zeros_like(nodes), (0.0, 0.0))
+    # a Gauss grid of the wrong interval is another grid too
+    with pytest.raises(ValueError, match="Gauss-Legendre"):
+        GridFunction(A, B + 0.5, gauss_interior_nodes(A, B, 17), np.zeros(17), (0.0, 0.0))
 
 
 def test_default_sigma_values_and_rates():

@@ -105,6 +105,15 @@ def test_roots_close_but_distinct():
     assert all(r.multiplicity == 1 for r in rs)
 
 
+def test_cluster_joins_a_chain_bridged_after_its_ends():
+    # (0, 0) and (0.1, 1.5) are 1.5 apart, more than the radius, and sorted
+    # before (0.2, 0.75), which lies within 1 of both: one cluster of three
+    points = [(complex(x, y), 0.0) for x, y in [(0.0, 0.0), (0.1, 1.5), (0.2, 0.75)]]
+    clusters = poly._cluster(points, 1.0)
+    assert len(clusters) == 1
+    assert set(clusters[0]) == set(points)
+
+
 def test_roots_mixed_degrees():
     p = from_roots([2, 2, -1 + 1j, 0.5j])
     rs = roots(p)

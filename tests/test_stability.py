@@ -53,6 +53,15 @@ def test_shift_to_zero_level():
     assert shifted.w.coeffs[0] == pytest.approx(-2j / 3)
 
 
+def test_shift_rejects_overflow_at_a_far_boundary_point():
+    # z2 = 1e200 is finite, but w(z2) ~ 1e600 / 3 and its rounding scale are not
+    data = BoundaryData(CUBE_THIRD, 0j, 1e200 + 0j)
+    with pytest.raises(ValueError, match="overflows a double"):
+        shift_to_zero_level(data)
+    with pytest.raises(ValueError, match="overflows a double"):
+        classify(data)
+
+
 def test_shift_rejects_level_mismatch():
     with pytest.raises(LevelMismatch):
         shift_to_zero_level(BoundaryData(CUBE_THIRD, 1 + 0j, 2 + 1j))

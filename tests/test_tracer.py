@@ -60,6 +60,18 @@ def test_trace_rejects_far_seed():
         trace_level(CUBE_THIRD, 2.0 + 1j, direction=+1)
 
 
+@pytest.mark.parametrize("kind", ["level", "vertical_tangent"])
+def test_trace_rejects_overflowing_seed(kind):
+    # the seed is finite, but w there and the corrector tolerance are not
+    with pytest.raises(SeedNotOnCurve, match="overflows a double"):
+        trace_level(CUBE_THIRD, 1e300 + 0j, kind=kind)
+
+
+def test_trace_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown curve kind"):
+        trace_level(CUBE_THIRD, 1.0 + 0j, kind="gradient")
+
+
 def test_trace_vertical_tangent_curve():
     # {Re w' = 0} for w = z^3/3 is the pair of diagonals y = +-x
     line = trace_level(CUBE_THIRD, 1 + 1j, kind="vertical_tangent", direction=+1)

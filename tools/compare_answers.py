@@ -7,7 +7,10 @@ For each workload of ``bench/ops.py`` and seeds 1 and 2, the inputs of
 side in a child interpreter of its own.  On ``verdicts`` and ``dhym-sweep``
 these are all the inputs a 25 s ``bench/run.py`` run times (3750 and 6000),
 so an answer that flips anywhere in a timed run shows here; ``witness``
-takes its first 40.  Every output field is recorded, floats and complex
+takes its first 40.  A fourth set, ``witness-vertical-tangent``, which no
+workload runs, traces the vertical-tangent curve through z2 of the first
+40 ``witness`` inputs in both directions, at the level Re w'(z2).  Every
+output field is recorded, floats and complex
 numbers by ``repr`` (so a change in the last bit or in the sign of a zero
 shows), nested results field by field, and a raised exception by its type
 and message.  The inputs and oracles come from the ``bench/`` directory
@@ -34,7 +37,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEEDS = (1, 2)
 # inputs per seed: on verdicts and dhym-sweep, every input that a 25 s run of
 # bench/run.py times (25 s at 150 and 240 ops/s); witness keeps 40
-COUNTS = {"verdicts": 3750, "dhym-sweep": 6000, "witness": 40}
+COUNTS = {"verdicts": 3750, "dhym-sweep": 6000, "witness": 40,
+          "witness-vertical-tangent": 40}
 # differing answers printed at most, over all workloads and seeds
 SHOW = 10
 
@@ -60,13 +64,33 @@ def _flatten(obj, path: str, out: dict) -> None:
         out[path] = repr(obj)
 
 
+def _vertical_tangent_set(ops):
+    """(prepare, run) tracing {Re w' = Re w'(z2)} through z2 both ways."""
+    from levelgraph import tracer
+
+    def prepare(data):
+        return ops._poly(data["w"]), ops._c(data["z2"])
+
+    def run(args):
+        w, z2 = args
+        level = w.derivative()(z2).real
+        return tuple(tracer.trace_level(w, z2, kind="vertical_tangent",
+                                        direction=d, level=level) for d in (1, -1))
+
+    return prepare, run
+
+
 def dump(src: str, workload: str, seed: int, count: int) -> None:
     """Print one JSON line of flattened answers per input (child side)."""
     sys.path[:0] = [src, str(BENCH)]
     import gen
     import ops
 
-    prepare, run, _ = ops.WORKLOADS[workload]
+    if workload == "witness-vertical-tangent":
+        prepare, run = _vertical_tangent_set(ops)
+        workload = "witness"
+    else:
+        prepare, run, _ = ops.WORKLOADS[workload]
     for data in gen.InputStream(workload, seed).take(count):
         try:
             answer = run(prepare(data))
