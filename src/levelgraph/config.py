@@ -2,7 +2,8 @@
 
 All tolerances that decide a *sign* or a *snap* are relative: they get
 multiplied by a scale derived from the coefficients or the geometry at hand.
-The constants here are the bare factors.
+The constants here are the bare factors.  Root multiplicities need none:
+``poly.roots`` counts the zeros in each component of inclusion discs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ SIGN_TOL = 1e-9
 # a point z counts as on the imaginary axis, or on an on-axis critical point,
 # when it lies within SNAP_TOL * (1 + |z|) of it
 SNAP_TOL = 1e-8
-
-# root clustering radius factor: tol = ROOT_CLUSTER_TOL * (1 + max |coeff|)
-ROOT_CLUSTER_TOL = 1e-6
 
 # continuation (tracer)
 CORRECTOR_TOL = 1e-10      # |level function| after Newton correction

@@ -99,17 +99,16 @@ class Potential:
     """A potential w whose critical points have been found and checked once.
 
     The constructor makes the one root solve of w' and raises
-    CriticalPointInRHP when a root lies right of the imaginary axis (beyond
-    SIGN_TOL * (1 + |root|) or twice its cluster radius), so every Potential
-    satisfies the standing hypothesis.  The roots within that band of the
-    axis are kept in axis_critical_points, ordered by height.
+    CriticalPointInRHP when a root lies right of the imaginary axis, so every
+    Potential satisfies the standing hypothesis.  The roots near the axis are
+    kept in axis_critical_points, ordered by height.
 
-    The cluster radius comes from poly.RootWithMultiplicity: for a simple
-    root it is the Newton inclusion radius, so some root of w' lies within
-    it (in a tight cluster, possibly a neighbour); for a multiple root it
-    is the spread.  It is always finite.  An ill-conditioned root whose
-    computed real part misses the axis by more than SIGN_TOL, but by less
-    than twice its radius, is thus still an axis critical point.
+    Each root from poly.roots stands for a component of inclusion discs
+    that holds exactly as many zeros of w' as its multiplicity, all within
+    r = cluster_radius of its location c.  With tol = SIGN_TOL * (1 + |c|),
+    it raises CriticalPointInRHP when Re c - r > tol, and it is an axis
+    critical point of that order when |Re c| <= tol + r; otherwise all its
+    zeros lie left of the band.
     """
 
     __slots__ = ("w", "axis_critical_points")
@@ -120,15 +119,12 @@ class Potential:
             raise ZeroPolynomial("w is constant; it has no level-curve geometry")
         on_axis = []
         for r in roots(wp) if wp.degree > 0 else ():
-            band = max(SIGN_TOL * (1.0 + abs(r.location)), 2.0 * r.cluster_radius)
-            if r.location.real > band:
-                raise CriticalPointInRHP(
-                    r.location,
-                    f"critical point at {r.location!r} has positive real part",
-                )
-            if abs(r.location.real) <= band:
-                k = r.multiplicity
-                y0 = r.location.imag
+            c, k = r.location, r.multiplicity
+            tol = SIGN_TOL * (1.0 + abs(c))
+            if c.real - r.cluster_radius > tol:
+                raise CriticalPointInRHP(c, f"critical point at {c!r} has positive real part")
+            if abs(c.real) <= tol + r.cluster_radius:
+                y0 = c.imag
                 lead = taylor_coeffs(wp.coeffs, 1j * y0, k + 1)[k]
                 generic = abs((lead * I_POWERS[k % 4]).real) >= SIGN_TOL * abs(lead)
                 on_axis.append(

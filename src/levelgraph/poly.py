@@ -13,26 +13,19 @@ repeated, it gives the Taylor coefficients at x (``taylor_coeffs``): the
 restriction to a vertical line, the exact sign of an integer polynomial
 beside a point, and the cancellation of a known factor all come from it.
 
-Root finding goes through the companion matrix (``numpy.roots``).  Each
-eigenvalue gets one Newton pass, with p' built once: every step evaluates p
-once, at the new point, and the pass stops at the first step that does not
-lower |p| (at most 8 steps).  Multiplicities then come from clustering the
-polished points.  Clusters are validated with a dominant-term test before a
-multiplicity is accepted, which keeps genuinely multiple roots together
-(companion eigenvalues of a k-fold root scatter like eps**(1/k)) without
-gluing distinct roots that are merely close.
-
-Each root reports a ``cluster_radius``.  For a simple root it is the Newton
-inclusion radius n |p(z)| / |p'(z)| at the returned z, with |p(z)| bounded
-above for rounding: some root of p lies within it.  The radius is kept
-finite: it drops the rounding bound where that overflows, and is 0 where
-p'(z) = 0 or the radius overflows even so.  For a k-fold cluster it is the
-spread, the farthest distance from the reported center to one of the
-cluster's polished points.
+Root finding goes through the companion matrix (``numpy.roots``) and one
+inclusion theorem.  Each eigenvalue z_j gets a Gerschgorin disc about
+z_j - W_j, W_j its Weierstrass correction, and each connected union of k
+discs that meets no other disc holds exactly k zeros: it becomes one root
+of multiplicity k (``roots``).  Its ``cluster_radius`` reaches every point
+of that union, so all k zeros lie within it of the reported location.  An
+exact zero at 0 is split off first, and an approximation without a
+certificate gets a disc of radius 0 (``_discs``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import sys
@@ -42,7 +35,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import ROOT_CLUSTER_TOL
 from .errors import LevelGraphError, ZeroPolynomial
 
 
@@ -194,14 +186,10 @@ class RealPolynomial(_Polynomial):
 class RootWithMultiplicity:
     """A root of p, its multiplicity and a radius about its location.
 
-    For a simple root, cluster_radius is the Newton inclusion radius
-    n |p(z)| / |p'(z)| at location (n = deg p, |p(z)| plus its rounding
-    bound): since p'/p = sum 1/(z - r_j), some root of p lies within it.
-    In a tight cluster that root may be a neighbour rather than the one
-    location approximates.  The radius is always finite (0 where the bound
-    is not; see _newton_polish).
-    For a k-fold cluster it is the spread: the largest distance from
-    location to the cluster's polished companion eigenvalues.
+    It stands for one component of inclusion discs (see roots): the
+    component meets no other and holds exactly `multiplicity` zeros of p,
+    and all of them lie within cluster_radius of location.  Where a disc has
+    no certificate (see _discs), its radius is 0 and nothing is proven.
     """
 
     location: complex
@@ -248,23 +236,14 @@ def restrict_to_vertical_line(p: ComplexPolynomial, x0: float):
 # root finding
 
 
-def _newton_polish(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex,
-                   steps: int = 8) -> tuple:
-    """One Newton pass from z: (the point of least |p| seen, its inclusion radius).
+def _newton(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex) -> complex:
+    """One Newton pass from z on p: the point of least |p| seen.
 
     Each step evaluates p once, at the new point, and the pass stops at the
-    first step that does not lower |p|, or after `steps` steps.  Since
-    p'/p = sum 1/(z - r_j), some root r_j lies within n |p(z)| / |p'(z)| of
-    the returned z (n = deg p); that distance is the radius.  |p(z)| there is
-    the computed value plus a bound on its rounding, 2 (n + 1) eps
-    sum |c_k| |z|^k, so a value that happens to round to 0 cannot shrink the
-    radius to 0; only the rounding of p'(z) is left unbounded.  The radius
-    is kept finite: where the rounding bound overflows it uses the computed
-    |p(z)| alone, and where that is not finite either, or p'(z) = 0, it is 0,
-    leaving the caller's own tolerance as the only band.
+    first step that does not lower |p|, or after 8 steps.
     """
     v = p(z)
-    for _ in range(steps):
+    for _ in range(8):
         d = dp(z)
         if d == 0:
             break
@@ -273,100 +252,99 @@ def _newton_polish(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex,
         if not abs(v_step) < abs(v):
             break
         z, v = step, v_step
-    else:
-        d = dp(z)
-    n = p.degree
-    scale = _horner([abs(c) for c in p.coeffs], abs(z), 0.0)
-    bound = abs(v) + 2 * (n + 1) * sys.float_info.epsilon * scale
-    if d != 0:
-        for residual in (bound, abs(v)):
-            radius = n * residual / abs(d)
-            if math.isfinite(radius):
-                return z, radius
-    return z, 0.0
+    return z
 
 
-def _cluster(points: list, radius: float) -> list:
-    """Single-link clustering of (location, radius) pairs by location.
+def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> list:
+    """(center, radius) of one Gerschgorin disc per approximation z_j to a
+    zero of p; the n = deg p approximations are distinct for a certificate.
 
-    Points closer than the given merge radius share a cluster: each point,
-    in sorted order, joins every cluster it touches, merging them.
+    With the Weierstrass corrections W_j = p(z_j) / (lc * prod_{k!=j} (z_j - z_k)),
+    Lagrange interpolation makes the zeros of p the eigenvalues of
+    diag(z) - 1 W^T.  After the similarity diag(a_j^(-1/2)), with a_j >= |W_j|,
+    Gerschgorin's theorem puts them in the discs of center z_j - W_j and
+    radius sqrt(a_j) * sum_{k!=j} sqrt(a_k), and a connected union of k
+    discs that meets no other disc holds exactly k of them (Carstensen,
+    Numer. Math. 59, 1991, is the unscaled case).  a_j takes |p(z_j)| as the
+    computed value plus its Horner rounding bound
+    2 (n + 1) eps sum |c_k| |z_j|^k, or as the computed value alone where
+    that bound overflows.  The center takes W_j from the computed p(z_j);
+    that rounding, and the rounding of the product and the quotient, are
+    not added to the radius.
+
+    Where W_j is undefined (an approximation repeats), p(z_j) is not finite
+    or the product is not finite, a_j is 0: the disc is the point z_j, it
+    adds nothing to the other radii, and no count is certified.
     """
-    clusters: list[list[tuple]] = []
-    for pt in sorted(points, key=lambda q: (q[0].real, q[0].imag)):
+    n = len(approx)
+    lc = p.coeffs[-1]
+    abs_coeffs = [abs(c) for c in p.coeffs]
+    round_factor = 2 * (n + 1) * sys.float_info.epsilon
+    centers, sizes = [], []
+    for j, z in enumerate(approx):
+        prod = lc
+        for k, y in enumerate(approx):
+            if k != j:
+                prod *= z - y
+        v = p(z)
+        a = 0.0
+        if prod != 0 and cmath.isfinite(prod) and cmath.isfinite(v):
+            bound = abs(v) + round_factor * _horner(abs_coeffs, abs(z), 0.0)
+            a = (bound if math.isfinite(bound) else abs(v)) / abs(prod)
+        if math.isfinite(a) and a > 0:
+            z -= v / prod
+        else:
+            a = 0.0
+        centers.append(z)
+        sizes.append(math.sqrt(a))
+    return [(c, s * sum(sizes[k] for k in range(n) if k != j))
+            for j, (c, s) in enumerate(zip(centers, sizes))]
+
+
+def _cluster(discs: list) -> list:
+    """Connected components of closed discs (center, radius): two discs
+    touch when the distance of their centers is at most the sum of their
+    radii.  Each disc joins every component it touches, merging them."""
+    components: list[list[tuple]] = []
+    for disc in discs:
         near, far = [], []
-        for cl in clusters:
-            (near if any(abs(pt[0] - q[0]) <= radius for q in cl) else far).append(cl)
-        clusters = far + [[q for cl in near for q in cl] + [pt]]
-    return clusters
-
-
-def _dominant_term_ok(p: ComplexPolynomial, center: complex, k: int, radius: float) -> bool:
-    """True when p behaves like a k-fold root at `center` within `radius`.
-
-    Checks that every Taylor term of order j < k is dominated by the order-k
-    term on the circle |z - center| = radius.
-    """
-    taylor = taylor_coeffs(p.coeffs, center, k + 1)
-    r = max(radius, 1e-300)
-    lead = abs(taylor[k]) * r**k
-    if lead == 0:
-        return False
-    for j in range(k):
-        if abs(taylor[j]) * r**j > 0.01 * lead:
-            return False
-    return True
-
-
-def _refine_cluster(p: ComplexPolynomial, members: list, tol: float):
-    """Turn a validated-or-not cluster of (location, radius) pairs into
-    RootWithMultiplicity entries."""
-    k = len(members)
-    if k == 1:
-        # polished once in roots; the pair carries its inclusion radius
-        location, radius = members[0]
-        return [RootWithMultiplicity(location, 1, radius)]
-    locations = [m[0] for m in members]
-    # polish the center on the (k-1)-th derivative, where the root is simple
-    dk = p
-    for _ in range(k - 1):
-        dk = dk.derivative()
-    center, _ = _newton_polish(dk, dk.derivative(), sum(locations) / k)
-    spread = max(abs(m - center) for m in locations)
-    if _dominant_term_ok(p, center, k, max(2.0 * spread, tol)):
-        return [RootWithMultiplicity(center, k, spread)]
-    # not a genuine k-fold root: fall back to tighter subclusters
-    subs = _cluster(members, tol)
-    if len(subs) == 1:
-        # cannot split further; report as-is rather than loop forever
-        return [RootWithMultiplicity(center, k, spread)]
-    out = []
-    for sub in subs:
-        out.extend(_refine_cluster(p, sub, tol))
-    return out
+        for comp in components:
+            touches = any(abs(disc[0] - q[0]) <= disc[1] + q[1] for q in comp)
+            (near if touches else far).append(comp)
+        components = far + [[q for comp in near for q in comp] + [disc]]
+    return components
 
 
 def roots(p: ComplexPolynomial) -> list:
-    """All roots of p with multiplicities.
+    """All roots of p with multiplicities, one per component of inclusion discs.
 
-    Clusters are merged within ROOT_CLUSTER_TOL * (1 + max |coeff|).
-    Returned roots are sorted by real part, then imaginary part, and their
-    multiplicities sum to the degree.
+    An m-fold exact zero at 0 (the m lowest coefficients are 0) gives m discs
+    of radius 0 at 0; the other zeros get one disc each about the companion
+    eigenvalues of the rest (``_discs``).  A connected union of k discs that
+    meets no other disc holds exactly k zeros of p (Gerschgorin), and becomes
+    one root of multiplicity k.  A simple root is reported at its disc's
+    center; a k-fold one at a Newton pass on p^(k-1) from the mean of its
+    centers, which a k-fold zero leaves simple.  cluster_radius reaches
+    every point of the component.  Returned roots are sorted by real part,
+    then imaginary part, and their multiplicities sum to the degree.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     if p.degree == 0:
         return []
-    tol = ROOT_CLUSTER_TOL * (1.0 + p.coeff_scale)
-    raw = np.roots(np.array(p.coeffs[::-1], dtype=complex))
-    dp = p.derivative()
-    polished = [_newton_polish(p, dp, complex(z)) for z in raw]
-    # generous exploration radius so the eps**(1/k) scatter of a multiple root
-    # stays in one cluster; the dominant-term test splits false positives
-    explore = max(tol, 2.5e-4 * (1.0 + max(abs(z) for z, _ in polished)))
+    m = next(k for k, c in enumerate(p.coeffs) if c != 0)
+    rest = ComplexPolynomial(p.coeffs[m:])
+    approx = [complex(z) for z in np.roots(np.array(rest.coeffs[::-1], dtype=complex))]
     out: list[RootWithMultiplicity] = []
-    for cl in _cluster(polished, explore):
-        out.extend(_refine_cluster(p, cl, tol))
+    for comp in _cluster([(0j, 0.0)] * m + _discs(rest, approx)):
+        k = len(comp)
+        center = comp[0][0]
+        if k > 1:
+            dk = p
+            for _ in range(k - 1):
+                dk = dk.derivative()
+            center = _newton(dk, dk.derivative(), sum(c for c, _ in comp) / k)
+        out.append(RootWithMultiplicity(center, k, max(abs(c - center) + r for c, r in comp)))
     out.sort(key=lambda r: (r.location.real, r.location.imag))
     found = sum(r.multiplicity for r in out)
     if found != p.degree:

@@ -192,6 +192,19 @@ def _trace(
         raise SeedNotOnCurve(f"the curve degenerates at the seed {seed!r}")
 
     escape = _escape_radius(w, u0, radius)
+    h_max = _HMAX_FACTOR * (1.0 + escape)
+    # a step from inside the escape circle moves at most h_max, and its
+    # corrector at most 4 h_max more, so ftol is never needed farther out
+    far = escape + 5.0 * h_max
+    try:
+        reachable = math.isfinite(ftol(far))
+    except OverflowError:
+        reachable = False
+    if not reachable:
+        raise ValueError(
+            f"trace radius {escape!r} is too large: the {kind} corrector tolerance "
+            f"overflows a double at distance {far!r} from the origin"
+        )
     crit = []
     wp = w.derivative()
     if wp.degree >= 1:
@@ -216,7 +229,6 @@ def _trace(
 
     tangent = _orient(_unit_tangent(g0), direction)
     h = _H0_FACTOR * seed_scale
-    h_max = _HMAX_FACTOR * (1.0 + escape)
     h_floor = _HFLOOR_FACTOR * seed_scale
 
     def arrival(u):
@@ -302,7 +314,9 @@ def trace_level(
 
     ``direction`` picks the initial heading by the sign of Re(tangent)
     (falling back to Im when the tangent starts out vertical).  The trace
-    runs until it arrives somewhere meaningful -- see Polyline.
+    runs until it arrives somewhere meaningful -- see Polyline.  Raises
+    ValueError when the radius is so large that the corrector tolerance
+    would overflow a double within one step past it.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")

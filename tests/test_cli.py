@@ -104,15 +104,18 @@ def test_far_boundary_point_exits_one(capsys, tmp_path, command):
     assert "overflows a double" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("c1", ["-1e308", "-1e307"])
-def test_classify_overflow_inside_the_root_solve_exits_one(capsys, c1):
+@pytest.mark.parametrize("c1, expect", [
+    ("-1e308", "error: w overflows a double"),
+    ("-1e307", "CriticalPointInRHP: critical point at (3.16227766"),
+], ids=["-1e308", "-1e307"])
+def test_classify_overflow_inside_the_root_solve_exits_one(capsys, c1, expect):
     # w' = z^2 + c1 is finite.  With -1e308 the rounding scale of w at z2
-    # overflows first; with -1e307 the root clustering raises OverflowError,
-    # which main reports like any other error
+    # overflows first; with -1e307 the root solve finishes and finds the
+    # root of w' at +3.16e153, right of the axis
     argv = ["classify", "--poly", f"0,{c1},0,0.3333333333333333", "--z1", "0,0", "--z2", "1,0"]
     rc, out, err = run_cli(capsys, argv)
     assert rc == 1 and not out
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(expect) and "Traceback" not in err
 
 
 def test_classify_half_integer_label(capsys):
@@ -295,6 +298,19 @@ def test_trace_far_seed_exits_one(capsys, tmp_path, kind):
     rc, out, err = run_cli(capsys, argv)
     assert rc == 1 and not out
     assert "SeedNotOnCurve" in err and "overflows a double" in err
+
+
+@pytest.mark.parametrize("kind, seed", [("c0", "1,0"), ("d0", "1,1")])
+def test_trace_far_radius_exits_one(capsys, tmp_path, kind, seed):
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"trace_radius": 1e300}\n')
+    out_file = tmp_path / "t.csv"
+    argv = ["--config", str(cfg), "trace", "--poly", "0,0,0,0.3333333333333333",
+            "--kind", kind, "--seed", seed, "--out", str(out_file)]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and not out and not out_file.exists()
+    assert "trace radius 1e+300" in err and "Traceback" not in err
+    assert "Numerical result" not in err and "(34," not in err
 
 
 def test_trace_vertical_tangent_csv(capsys, tmp_path):

@@ -71,10 +71,9 @@ def test_rhp_root_with_overflowing_rounding_bound_still_raises():
 
 # input 413 of the verdicts benchmark, seed 1 (bench/gen.py): w' of degree 9
 # with axis roots planted at heights 1.2263, 1.6967, 1.7297 and a double one
-# at 1.7387.  The cluster near 1.70i-1.74i is ill-conditioned: the polished
-# eigenvalue at 1.7297i stays 4.6e-8 left of the axis, inside its inclusion
-# radius (about 7e-5) but far outside SIGN_TOL (1 + |r|), so the band alone
-# would drop it.
+# at 1.7387.  The cluster near 1.70i-1.74i is ill-conditioned: the eigenvalue
+# at 1.7297i stays 4.6e-8 left of the axis, inside its inclusion radius but
+# far outside SIGN_TOL (1 + |r|), so the band alone would drop it.
 W_ILL_CONDITIONED = ComplexPolynomial([
     complex(0.0, 0.0),
     complex(-4.760270952264252, -23.016257917738734),
@@ -89,18 +88,57 @@ W_ILL_CONDITIONED = ComplexPolynomial([
     complex(0.05710358996432, 0.11064687359437397),
 ])
 
+# input 1299 of the verdicts benchmark, seed 6: w' of degree 10 with a double
+# axis root planted at height 0.29288 and simple ones 2.0e-4 apart at
+# 1.391294 and 1.391495, which Newton radii and clustering merged into one
+# double root
+W_CLOSE_AXIS_PAIR = ComplexPolynomial([
+    complex(0.0, 0.0),
+    complex(6.864134870777449, -0.6974604127172376),
+    complex(8.486502158726056, 27.083992415362772),
+    complex(-38.818695760946774, 35.12689938089331),
+    complex(-57.526707162662305, 6.47872472309623),
+    complex(-58.32468038451414, -19.93733536018985),
+    complex(-30.741123951012344, -39.11555287726821),
+    complex(-3.389097434255266, -28.027300459680475),
+    complex(4.764935113559066, -11.016704240611366),
+    complex(2.8212464747203883, -2.1076090556878),
+    complex(0.6754582378465823, -0.1192764108093245),
+    complex(0.06687306013816358, 0.02512709145527249),
+])
 
-def test_ill_conditioned_axis_cluster_keeps_every_planted_height():
-    data = BoundaryData(
-        W_ILL_CONDITIONED, complex(0.0, -0.9102574988162893),
-        complex(2.8030249465636152, -0.28341687592858505),
-    )
+
+@pytest.mark.parametrize(
+    "w, z1, z2, heights, orders, labels",
+    [
+        (W_ILL_CONDITIONED, complex(0.0, -0.9102574988162893),
+         complex(2.8030249465636152, -0.28341687592858505),
+         [1.2262971101578344, 1.6966842697545943, 1.7296663533733343, 1.7386671917896541],
+         [1, 1, 1, 2], ("2", "4")),
+        (W_CLOSE_AXIS_PAIR, complex(0.0, -1.4249765596178583),
+         complex(2.4913884424750727, 1.4363250164483885),
+         [0.2928774775334604, 1.3912938964435193, 1.391494526046712],
+         [2, 1, 1], ("3", "7")),
+    ],
+    ids=["seed1-input413", "seed6-input1299"],
+)
+def test_ill_conditioned_axis_cluster_keeps_every_planted_height(w, z1, z2, heights,
+                                                                  orders, labels):
+    data = BoundaryData(w, z1, z2)
     cps = Potential(shift_to_zero_level(data).w).axis_critical_points
-    assert [cp.y0 for cp in cps] == pytest.approx([1.2263, 1.6967, 1.7297, 1.7387], abs=1e-4)
-    assert [cp.order for cp in cps] == [1, 1, 1, 2]
+    assert [cp.y0 for cp in cps] == pytest.approx(heights, abs=1e-6)
+    assert [cp.order for cp in cps] == orders
     verdict = classify(data)
     assert (verdict.verdict, verdict.case) == ("unstable", "noncritical")
-    assert (str(verdict.n1), str(verdict.n2)) == ("2", "4")
+    assert (str(verdict.n1), str(verdict.n2)) == labels
+
+
+def test_nine_axis_roots_are_nine_simple_critical_points():
+    # w' = (z - i)(z - 2i)...(z - 9i): coefficients up to 1.2e6 in size
+    w = from_roots([1j * k for k in range(1, 10)]).antiderivative()
+    cps = Potential(w).axis_critical_points
+    assert [cp.order for cp in cps] == [1] * 9
+    assert [cp.y0 for cp in cps] == pytest.approx(range(1, 10), abs=1e-6)
 
 
 def test_one_off_checks_agree_with_potential():

@@ -106,12 +106,13 @@ def test_roots_close_but_distinct():
 
 
 def test_cluster_joins_a_chain_bridged_after_its_ends():
-    # (0, 0) and (0.1, 1.5) are 1.5 apart, more than the radius, and sorted
-    # before (0.2, 0.75), which lies within 1 of both: one cluster of three
-    points = [(complex(x, y), 0.0) for x, y in [(0.0, 0.0), (0.1, 1.5), (0.2, 0.75)]]
-    clusters = poly._cluster(points, 1.0)
+    # the discs about 0 and 0.1 + 1.5i do not touch (1.5 apart, radii 0.1
+    # each); the wide disc about 0.2 + 0.75i, listed last, touches both
+    discs = [(0j, 0.1), (0.1 + 1.5j, 0.1), (0.2 + 0.75j, 0.7)]
+    clusters = poly._cluster(discs)
     assert len(clusters) == 1
-    assert set(clusters[0]) == set(points)
+    assert set(clusters[0]) == set(discs)
+    assert len(poly._cluster(discs[:2])) == 2
 
 
 def test_roots_mixed_degrees():
@@ -134,9 +135,9 @@ def test_roots_plant_and_recover_deg6():
 
 
 def test_roots_polish_each_root_in_one_short_pass(monkeypatch):
-    # ten well-separated planted roots: one Newton pass per companion
-    # eigenvalue, stopping once |p| stops falling, plus the radius's
-    # rounding bound, stays within 8 evaluations per root
+    # ten well-separated planted roots: each companion eigenvalue takes one
+    # evaluation of p for its Weierstrass correction and one of its
+    # rounding bound, and a simple root gets no Newton pass
     planted = [complex(k - 4.5, (-1) ** k * 0.3 * k) for k in range(10)]
     p = from_roots(planted, leading=1.5 - 0.5j)
     calls = []
@@ -149,18 +150,19 @@ def test_roots_polish_each_root_in_one_short_pass(monkeypatch):
     monkeypatch.setattr(poly, "_horner", counted)
     rs = roots(p)
     assert [r.multiplicity for r in rs] == [1] * 10
-    assert len(calls) <= 8 * 10
+    assert len(calls) == 2 * 10
     for w in planted:
         assert min(abs(r.location - w) for r in rs) < 1e-9
 
 
-@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_simple_root_radius_includes_a_root(n):
     # (z - 1)(z - 2)...(z - n) has integer coefficients that a double holds
     # exactly, so its roots are exactly 1..n.  Near them Horner's value of
     # p is mostly rounding and can come out as 0; the radius still covers
-    # the distance to the nearest integer, which neither the last Newton
-    # step nor n |p(z)| / |p'(z)| from the computed value alone does
+    # the distance to the nearest integer, since it takes |p| with its
+    # rounding bound.  At n = 9 the coefficients reach 1.2e6, and each root
+    # must still come back simple
     rs = roots(from_roots(range(1, n + 1)))
     assert [r.multiplicity for r in rs] == [1] * n
     for r in rs:
@@ -177,10 +179,21 @@ def test_inclusion_radius_stays_finite_when_its_rounding_bound_overflows():
     assert rs[1].cluster_radius < 1e-9 * abs(rs[1].location)
 
 
-def test_inclusion_radius_is_zero_where_the_derivative_vanishes():
-    p = ComplexPolynomial([1, 0, 1])
-    z, radius = poly._newton_polish(p, p.derivative(), 0j)
-    assert (z, radius) == (0j, 0.0)
+def test_roots_of_a_huge_constant_term_stay_simple_with_finite_radii():
+    # z^2 - 1e307: roots +-3.16e153, far apart however large the coefficients
+    rs = roots(ComplexPolynomial([-1e307, 0, 1]))
+    assert [r.multiplicity for r in rs] == [1, 1]
+    assert [r.location.real for r in rs] == pytest.approx([-math.sqrt(1e307), math.sqrt(1e307)])
+    assert all(math.isfinite(r.cluster_radius) for r in rs)
+
+
+def test_repeated_approximations_get_a_point_disc():
+    # with z_1 = z_2 the Weierstrass corrections are undefined: no certificate,
+    # so the discs are the points themselves and add nothing to other radii
+    p = from_roots([1.0, 2.0, 5.0])
+    discs = poly._discs(p, [1 + 0j, 1 + 0j, 5 + 0j])
+    assert discs[:2] == [(1 + 0j, 0.0), (1 + 0j, 0.0)]
+    assert discs[2] == (5 + 0j, 0.0)
 
 
 def test_roots_of_zero_raises():

@@ -67,6 +67,14 @@ def test_trace_rejects_overflowing_seed(kind):
         trace_level(CUBE_THIRD, 1e300 + 0j, kind=kind)
 
 
+@pytest.mark.parametrize("kind, seed", [("level", 1 + 0j), ("vertical_tangent", 1 + 1j)])
+def test_trace_rejects_a_radius_whose_tolerance_overflows(kind, seed):
+    # the seed is fine, but a trace run out to |u| = 1e300 would overflow
+    # the corrector tolerance (1 + |u|)^3 on its way
+    with pytest.raises(ValueError, match=r"trace radius 1e\+300 is too large"):
+        trace_level(CUBE_THIRD, seed, kind=kind, radius=1e300)
+
+
 def test_trace_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown curve kind"):
         trace_level(CUBE_THIRD, 1.0 + 0j, kind="gradient")
