@@ -10,11 +10,17 @@ where theta_hat is chosen so that z2 = b + iq and 0 sit on the same level set
 of Im(w).  Existence of a solution then reduces to comparing two Cauchy
 indices -- one along the imaginary axis, one along the vertical ray above z2
 -- or, equivalently, to inequalities between the lifted phases (grades) of
-three charge integrals.  Both forms are computed and asserted against each
-other.  The phase lifts come from two explicit charge paths whose factors
-stay in the right half-plane, so each lift has a closed form in atan2; the
-lifts re-derive both indices as counts of crossings of the line through the
-total charge Z_X.
+three charge integrals.  ``analyze`` computes both forms and checks that
+they agree.
+
+The roots of w' are known exactly (-xi and 0), so each index is a phase
+sum.  The charge paths of Z_P and Z_Dinf keep every factor in the right
+half-plane, so each lift has a closed form in atan2 and rises strictly, and
+an index is the number of lines through the total charge Z_X that the lift
+still crosses: a floor formula.  A count is trusted only when its lift lies
+farther from every line than a stated rounding bound.  Otherwise, and for
+the axis index of a non-generic input, the exact signed-remainder chain of
+:mod:`levelgraph.cauchy` decides.
 
 Orientation note: the index machinery in :mod:`levelgraph.cauchy` counts a
 -inf -> +inf jump as +1.  The lift formulas below need the opposite sign --
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .cauchy import HalfInteger, RationalFunction, index_on_interval, index_one_sided
@@ -100,6 +107,13 @@ class CalabiInput:
 
 @dataclass(frozen=True)
 class LiftData:
+    """What compute_lifts decides; analyze copies all but the last two fields.
+
+    line_margin is the smallest distance, in units of pi, from a crossing
+    count's ends to a line of Z_X, and index_fallbacks (0 to 2) is how many
+    of the two indices the exact chain decided.
+    """
+
     theta_top: float
     Theta_lift: float
     phi_X: float
@@ -108,6 +122,8 @@ class LiftData:
     ind_R0: HalfInteger
     ind_Rb: HalfInteger
     genericity: str
+    line_margin: float
+    index_fallbacks: int
 
 
 @dataclass(frozen=True)
@@ -204,7 +220,7 @@ def _ccw_index(re: RealPolynomial, im: RealPolynomial, c: float, d: float) -> Ha
 
 
 # ---------------------------------------------------------------------------
-# phase lifts along the charge paths
+# phase lifts along the charge paths and their certified crossing counts
 
 
 def _path_lift(factors, t: float) -> float:
@@ -220,30 +236,85 @@ def _path_lift(factors, t: float) -> float:
     return math.pi - sum(k * (math.pi / 2 - math.atan2(y + t, x)) for x, y, k in factors)
 
 
+# rounding bound of a crossing count, in units of pi per unit of n + |ell|
+_LINE_ROUNDING = 8 * sys.float_info.epsilon
+
+
+def _z_x_line(theta_hat: float, n: int):
+    """(theta_top, line_angle, bound) for w' of degree n - 1.
+
+    theta_top = theta_hat + ell pi is the representative of theta_hat mod
+    pi in [lo, lo + pi), lo = n pi/2 - pi, with ell decided in exact
+    arithmetic.  line_angle = theta_top - lo is the angle of the Z_X line
+    in the lift frame, in [0, pi) up to rounding; its lines are
+    {line_angle + k pi}.
+
+    bound = 8 eps (n + |ell|), with eps = 2^-52, is in units of pi.  It
+    bounds how far rounding moves the distance from a lift of _path_lift to
+    its nearest line, against exact arithmetic on the same doubles.  With
+    u = eps/2 and a libm atan2 within 2 ulp, the terms are:
+
+    - atan2(y_j + t, x_j): rounding x_j and y_j + t moves it by at most u,
+      and atan2 itself errs by at most 4u;
+    - pi/2 - atan2 (float pi) and its product by k_j: at most 12 k_j u per
+      factor in all;
+    - the sum in _path_lift and pi - sum: at most 3.2 (n - 1) u + 4.4 u, so
+      a lift is within 19 n u;
+    - theta_top (float pi times ell, then the sum) and lo: at most
+      (7.5 |ell| + 3.8 n + 7.5) u together;
+    - forming (lift - line_angle)/pi: 2.4 n u in units of pi.
+
+    The total is below 11 u (n + |ell|) = 5.5 eps (n + |ell|) in units of
+    pi, since n >= 2.
+    """
+    # ell = ceil((lo - theta_hat)/pi) = (n - 1 - floor(2 theta_hat/pi)) // 2
+    # for theta_hat in (-pi, pi).  math.pi/2 is below pi/2 and no double lies
+    # between them, so these comparisons are the exact ones with pi/2
+    quadrant = (theta_hat > math.pi / 2) - (theta_hat < 0.0) - (theta_hat < -math.pi / 2)
+    ell = (n - 1 - quadrant) // 2
+    theta_top = theta_hat + ell * math.pi
+    line_angle = theta_top - (n * math.pi / 2 - math.pi)
+    return theta_top, line_angle, _LINE_ROUNDING * (n + abs(ell))
+
+
+def _crossings(lift: float, line_angle: float, bound: float):
+    """(count, margin): the lines {line_angle + k pi} a lift crosses on its way to pi.
+
+    A lift of _path_lift rises strictly to pi without reaching it, so it
+    crosses each line in (lift, pi) once, counterclockwise.  For
+    0 <= line_angle < pi these lines are line_angle - k pi, k >= 0, and the
+    count is -floor((lift - line_angle)/pi).  margin is the distance, in
+    units of pi, from either end of (lift, pi) to its nearest line; a
+    line_angle rounded out of [0, pi) gives a margin below its rounding.
+    The count is None unless margin > bound: rounding then moves no end
+    across a line, and the count is the index of w' for the computed
+    theta_hat.
+    """
+    lines = (lift - line_angle) / math.pi
+    below = math.floor(lines)
+    end = line_angle / math.pi
+    margin = min(lines - below, below + 1 - lines, end, 1 - end)
+    return (-below if margin > bound else None), margin
+
+
 def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
     """Lifted phases, Cauchy indices, and the genericity flag.
 
-    Z_X and Z_Dinf are the charges from compute_charges.  The two index
-    computations are the authoritative data.  The closed-form lifts of the
-    Z_P and Z_Dinf paths re-derive them as counts of crossings of the Z_X
-    line and must agree, as must the Z_Dinf path's end grade and
-    phi_X + delta/pi; otherwise LiftInconsistency is raised.  Class data
-    with Re w'(z2) <= 0 raise BoundaryPointUnreachable.
+    Z_X and Z_Dinf are the charges from compute_charges.  The closed-form
+    lifts of the Z_Dinf and Z_P paths decide ind_Rb and, for generic inputs,
+    ind_R0 as counts of crossings of the Z_X line, each certified by
+    _crossings against the rounding bound of _z_x_line.  An index whose
+    count is not certified, and the axis index of a non-generic input, come
+    from the exact signed-remainder chain instead; ``index_fallbacks``
+    counts these.  ``line_margin`` is the smallest distance, in units of pi,
+    from a count's ends to a line.  The Z_Dinf path's end grade must agree
+    with phi_X + delta/pi, otherwise LiftInconsistency is raised.  Class
+    data with Re w'(z2) <= 0 raise BoundaryPointUnreachable.
     """
     m, r = inp.m, inp.r
     n = m + r + 1
     wp = w.derivative()
-
-    # unique representative of theta_hat mod pi in [n pi/2 - pi, n pi/2)
-    lo = n * math.pi / 2 - math.pi
-    ell = math.ceil((lo - theta_hat) / math.pi)
-    theta_top = theta_hat + ell * math.pi
-    line_angle = theta_top - lo  # angle of the Z_X line in [0, pi)
-    if line_angle >= math.pi - SIGN_TOL:
-        line_angle -= math.pi
-        theta_top -= math.pi
-    if abs(line_angle) < SIGN_TOL:
-        line_angle = 0.0
+    theta_top, line_angle, bound = _z_x_line(theta_hat, n)
 
     # genericity: does the tangent direction of the zero level at the origin
     # contain the vertical?  Equivalently, is Z_P(0) on the Z_X line?
@@ -251,9 +322,22 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     generic = abs(g0.real) >= SIGN_TOL * abs(inp.xi) ** m
     genericity = "generic" if generic else "non_generic"
 
+    # explicit paths from each charge out to the shared negative-real-axis
+    # asymptote: Z_P(t) = -(-i)^m (xi + it)^m from t = 0, and
+    # Z_Dinf(t) = -(-i)^{m+r} (b + it)^r (xi + b + it)^m from t = q
+    lift_P = _path_lift(((inp.xi1, inp.xi2, m),), 0.0)
+    lift_D = _path_lift(((inp.b, 0.0, r), (inp.xi1 + inp.b, inp.xi2, m)), inp.q)
+    phi_P = lift_P / math.pi
+
     # index along the vertical ray above z2
-    re_b, im_b = restrict_to_vertical_line(wp, inp.b)
-    ind_Rb = _ccw_index(re_b, im_b, inp.q, math.inf)
+    count, line_margin = _crossings(lift_D, line_angle, bound)
+    fallbacks = 0
+    if count is None:
+        fallbacks += 1
+        re_b, im_b = restrict_to_vertical_line(wp, inp.b)
+        ind_Rb = _ccw_index(re_b, im_b, inp.q, math.inf)
+    else:
+        ind_Rb = HalfInteger.from_int(count)
     on_wall = not ind_Rb.is_integer
 
     # along a graph over [0, b] on the zero level, Re w rises strictly from
@@ -267,50 +351,35 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
             f"{SIGN_TOL * abs(wp_z2):.3g}: no graph over [0, b] ends at z2"
         )
 
-    # index along the imaginary axis; the common factor t^r of Re and Im of
-    # w'(it) is cancelled first, leaving g(it), g(z) = e^{-i theta} i^r (xi + z)^m.
-    # A non-generic Re g(0) is zero up to SIGN_TOL: make it exact, and leave
-    # out the half-jump at t = 0, where the Z_P path starts on the Z_X line
-    g = from_roots([-inp.xi] * m) * (cmath.exp(-1j * theta_hat) * I_POWERS[r % 4])
-    re_0, im_0 = restrict_to_vertical_line(g, 0.0)
+    # index along the imaginary axis.  A non-generic Z_P path starts on the
+    # Z_X line, a crossing no count decides
+    count = None
     if generic:
-        ind_R0 = _ccw_index(re_0, im_0, 0.0, math.inf)
+        count, margin = _crossings(lift_P, line_angle, bound)
+        line_margin = min(line_margin, margin)
+    if count is not None:
+        ind_R0 = HalfInteger.from_int(count)
     else:
-        re_0 = RealPolynomial((0.0,) + re_0.coeffs[1:])
-        ind_R0 = _ccw_index(re_0, im_0, 0.0, math.inf) + index_one_sided(
-            RationalFunction(im_0, re_0), 0.0, +1
-        )
+        # the common factor t^r of Re and Im of w'(it) is cancelled first,
+        # leaving g(it), g(z) = e^{-i theta} i^r (xi + z)^m.  A non-generic
+        # Re g(0) is zero up to SIGN_TOL: make it exact, and leave out the
+        # half-jump at t = 0, where the Z_P path starts on the Z_X line
+        fallbacks += 1
+        g = from_roots([-inp.xi] * m) * (cmath.exp(-1j * theta_hat) * I_POWERS[r % 4])
+        re_0, im_0 = restrict_to_vertical_line(g, 0.0)
+        if generic:
+            ind_R0 = _ccw_index(re_0, im_0, 0.0, math.inf)
+        else:
+            re_0 = RealPolynomial((0.0,) + re_0.coeffs[1:])
+            ind_R0 = _ccw_index(re_0, im_0, 0.0, math.inf) + index_one_sided(
+                RationalFunction(im_0, re_0), 0.0, +1
+            )
 
     Theta_lift = theta_top - float(ind_Rb) * math.pi
     phi_X = (theta_top - float(ind_Rb) * math.pi - n * math.pi / 2 + math.pi) / math.pi
     delta = (cmath.phase(Z_Dinf) - cmath.phase(Z_X)) % (2.0 * math.pi)
     phi_Dinf = phi_X + delta / math.pi
 
-    # explicit paths from each charge out to the shared negative-real-axis
-    # asymptote: Z_P(t) = -(-i)^m (xi + it)^m from t = 0, and
-    # Z_Dinf(t) = -(-i)^{m+r} (b + it)^r (xi + b + it)^m from t = q
-    lift_P = _path_lift(((inp.xi1, inp.xi2, m),), 0.0)
-    lift_D = _path_lift(((inp.b, 0.0, r), (inp.xi1 + inp.b, inp.xi2, m)), inp.q)
-    phi_P = lift_P / math.pi
-
-    # a lift rises to pi without reaching it, crossing the lines
-    # {line_angle + k pi} only counterclockwise; the last line below pi is
-    # line_angle itself.  A non-generic Z_P path starts on a line, which the
-    # axis index leaves out, so its count takes the nearest line
-    lines_P = (lift_P - line_angle) / math.pi
-    crossings_P = -(math.floor(lines_P) if generic else round(lines_P))
-    crossings_D = -math.floor((lift_D - line_angle) / math.pi)
-
-    if crossings_P != ind_R0:
-        raise LiftInconsistency(
-            f"Z_P path crosses the Z_X line {crossings_P} times "
-            f"but the axis index is {ind_R0}"
-        )
-    if not on_wall and crossings_D != ind_Rb:
-        raise LiftInconsistency(
-            f"Z_Dinf path crosses the Z_X line {crossings_D} times "
-            f"but the vertical-ray index is {ind_Rb}"
-        )
     if not on_wall and abs(lift_D / math.pi - phi_Dinf) > SIGN_TOL:
         raise LiftInconsistency(
             f"Z_Dinf path grade {lift_D / math.pi} disagrees with "
@@ -326,6 +395,8 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
         ind_R0=ind_R0,
         ind_Rb=ind_Rb,
         genericity=genericity,
+        line_margin=line_margin,
+        index_fallbacks=fallbacks,
     )
 
 

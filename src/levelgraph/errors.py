@@ -7,7 +7,8 @@ a hypothesis the input breaks (a critical point right of the imaginary axis,
 two boundary points on different levels, a vanishing total charge, a
 boundary point no level graph reaches) or a
 numerical stage that failed or disagreed with a cross-check (a corrector or
-flow that did not converge, phase lifts that contradict the Cauchy indices).
+flow that did not converge, a phase lift that contradicts the grade of the
+total charge).
 """
 
 
@@ -92,7 +93,7 @@ class BoundaryPointUnreachable(LevelGraphError):
 
 
 class LiftInconsistency(LevelGraphError):
-    """The closed-form phase lifts disagree with the Cauchy-index crossing counts."""
+    """The Z_Dinf path's closed-form end grade disagrees with phi_X + delta/pi."""
 
 
 class CrossCheckFailure(LevelGraphError):

@@ -1,17 +1,25 @@
 import cmath
+import dataclasses
 import math
 import random
 import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import levelgraph.dhym as dhym
 import levelgraph.poly as poly
+from levelgraph.cauchy import RationalFunction, index_one_sided
+from levelgraph.config import SIGN_TOL
 from levelgraph.dhym import (
     CalabiInput,
+    _LINE_ROUNDING,
+    _ccw_index,
+    _crossings,
     _path_lift,
+    _z_x_line,
     analyze,
     build_polynomials,
     compute_charges,
@@ -110,8 +118,8 @@ def test_twisted_case_tracer_agreement():
 
 
 def test_high_degree_lift_agrees_with_exact_indices():
-    # w' of degree 11: the vertical-ray index needs every pole of the ratio,
-    # and the phase paths' crossing counts must reproduce both indices
+    # w' of degree 11: the certified crossing counts give the exact chain's
+    # indices, which need every pole of the ratio on the vertical ray
     report = analyze(CalabiInput(
         6, 5, 1.8795945173377537, 1.5228474225701767,
         1.9790390528454742, 0.25378132553625354,
@@ -175,6 +183,181 @@ def test_analyze_makes_no_root_solve(monkeypatch):
                                  0.5120912257056114, 0.759702860137234))
     assert report.genericity == "non_generic"
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# certified crossing counts against the exact signed-remainder chain
+
+
+HIGH_DEGREE = CalabiInput(6, 5, 1.8795945173377537, 1.5228474225701767,
+                          1.9790390528454742, 0.25378132553625354)
+PLANTED_39 = CalabiInput(2, 0, 1.2443289121140952, -0.9338581957085412,
+                         0.5120912257056114, 0.759702860137234)
+PLANTED_198 = CalabiInput(3, 0, 1.4405456336916118, -1.9075008892519367,
+                          1.025635705615961, -2.696975544214713)
+
+
+def lift_paths(inp):
+    """The Z_P and Z_Dinf paths of compute_lifts, as (factors, start)."""
+    return (
+        (((inp.xi1, inp.xi2, inp.m),), 0.0),
+        (((inp.b, 0.0, inp.r), (inp.xi1 + inp.b, inp.xi2, inp.m)), inp.q),
+    )
+
+
+def exact_chain_indices(inp, w, theta_hat):
+    """(ind_R0, ind_Rb, generic), both indices from the exact chain alone."""
+    re_b, im_b = poly.restrict_to_vertical_line(w.derivative(), inp.b)
+    ind_Rb = _ccw_index(re_b, im_b, inp.q, math.inf)
+    g = poly.from_roots([-inp.xi] * inp.m) * (
+        cmath.exp(-1j * theta_hat) * poly.I_POWERS[inp.r % 4])
+    re_0, im_0 = poly.restrict_to_vertical_line(g, 0.0)
+    generic = abs(re_0.coeffs[0]) >= SIGN_TOL * abs(inp.xi) ** inp.m
+    if generic:
+        return _ccw_index(re_0, im_0, 0.0, math.inf), ind_Rb, True
+    re_0 = poly.RealPolynomial((0.0,) + re_0.coeffs[1:])
+    ind_R0 = _ccw_index(re_0, im_0, 0.0, math.inf) + index_one_sided(
+        RationalFunction(im_0, re_0), 0.0, +1)
+    return ind_R0, ind_Rb, False
+
+
+def lifts_of(inp):
+    w, P, theta_hat = build_polynomials(inp)
+    Z_X, Z_Dinf, _ = compute_charges(inp, P)
+    return compute_lifts(inp, w, theta_hat, Z_X, Z_Dinf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    r=st.integers(0, 6),
+    xi1=st.floats(0.2, 3.0),
+    xi2=st.floats(-2.5, 2.5),
+    b=st.floats(0.2, 3.0),
+    q=st.floats(-2.5, 2.5),
+    real=st.booleans(),
+)
+@example(**dataclasses.asdict(HIGH_DEGREE), real=False)
+@example(**dataclasses.asdict(PLANTED_39), real=False)
+@example(**dataclasses.asdict(PLANTED_198), real=False)
+@example(m=1, r=0, xi1=1.0, xi2=-1.9367323075281756e-233, b=1.0, q=0.0, real=False)
+def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
+    # real class data put theta_hat at 0: non-generic for odd r, and for even
+    # m + r + 1 the Z_X line runs through the asymptote, where no count is
+    # certified and the chain decides both indices
+    if real:
+        xi2 = q = 0.0
+    inp = CalabiInput(m, r, xi1, xi2, b, q)
+    try:
+        w, P, theta_hat = build_polynomials(inp)
+    except ZeroTotalCharge:
+        assume(False)
+    ind_R0, ind_Rb, generic = exact_chain_indices(inp, w, theta_hat)
+    _, line_angle, bound = _z_x_line(theta_hat, m + r + 1)
+    (factors_P, t_P), (factors_D, t_D) = lift_paths(inp)
+    count_D, _ = _crossings(_path_lift(factors_D, t_D), line_angle, bound)
+    assert count_D is None or count_D == ind_Rb
+    count_P, _ = _crossings(_path_lift(factors_P, t_P), line_angle, bound)
+    if generic:
+        assert count_P is None or count_P == ind_R0
+    Z_X, Z_Dinf, _ = compute_charges(inp, P)
+    try:
+        lifts = compute_lifts(inp, w, theta_hat, Z_X, Z_Dinf)
+    except BoundaryPointUnreachable:
+        return
+    assert (lifts.ind_R0, lifts.ind_Rb) == (ind_R0, ind_Rb)
+    assert lifts.genericity == ("generic" if generic else "non_generic")
+    assert lifts.index_fallbacks == (count_D is None) + (count_P is None or not generic)
+
+
+@pytest.mark.parametrize("xi2, ind, theta_top", [
+    (-1e-12, 1, math.pi - 6.666666666666667e-13),
+    (1e-12, 0, 6.666666666666667e-13),
+])
+def test_z_x_line_just_off_the_asymptote(xi2, ind, theta_top):
+    # theta_hat = -2/3 xi2 puts the Z_X line within 1e-12 of the common
+    # asymptote of both paths, crossed at the end of both paths when it lies
+    # just below it.  theta_top takes the exact representative, so each side
+    # keeps both indices consistent with it, and phi_X and the verdict agree
+    report = analyze(CalabiInput(1, 0, 1.0, xi2, 1.0, 0.0))
+    assert report.theta_top == pytest.approx(theta_top, abs=1e-15)
+    assert (report.ind_R0, report.ind_Rb) == (ind, ind)
+    assert report.phi_X == pytest.approx(0.0, abs=1e-12)
+    assert report.verdict == "exists"
+
+
+def test_line_distance_within_rounding_bound():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261018)
+    checked = largest_ell = 0
+    while checked < 300:
+        m, r = rng.randint(1, 8), rng.randint(0, 6)
+        inp = CalabiInput(m, r, rng.uniform(0.2, 3.0), rng.uniform(-2.5, 2.5),
+                          rng.uniform(0.2, 3.0), rng.uniform(-2.5, 2.5))
+        try:
+            _, _, theta_hat = build_polynomials(inp)
+        except ZeroTotalCharge:
+            continue
+        checked += 1
+        n = m + r + 1
+        _, line_angle, bound = _z_x_line(theta_hat, n)
+        largest_ell = max(largest_ell, round(bound / _LINE_ROUNDING) - n)
+        with mpmath.workdps(50):
+            pi = mpmath.pi
+            exact_line = (mpmath.mpf(theta_hat) - n * pi / 2 + pi) % pi
+            end = exact_line / pi
+            (factors_P, t_P), (factors_D, t_D) = lift_paths(inp)
+            # the exact Z_Dinf path has xi1 + b unrounded
+            exact_D = ((inp.b, 0.0, r), (mpmath.mpf(inp.xi1) + inp.b, inp.xi2, m))
+            for factors, exact_factors, t in ((factors_P, factors_P, t_P),
+                                              (factors_D, exact_D, t_D)):
+                lift = pi - sum(k * (pi / 2 - mpmath.atan2(mpmath.mpf(y) + t, x))
+                                for x, y, k in exact_factors)
+                lines = (lift - exact_line) / pi
+                below = mpmath.floor(lines)
+                exact = min(lines - below, below + 1 - lines, end, 1 - end)
+                _, margin = _crossings(_path_lift(factors, t), line_angle, bound)
+                assert abs(margin - float(exact)) <= bound, (inp, margin, exact, bound)
+    assert largest_ell >= 7
+
+
+def test_generic_analyze_runs_no_exact_chain(monkeypatch):
+    calls = []
+    for name in ("index_on_interval", "restrict_to_vertical_line"):
+        real = getattr(dhym, name)
+        monkeypatch.setattr(dhym, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    lifts = lifts_of(HIGH_DEGREE)
+    assert lifts.genericity == "generic"
+    assert calls == []
+    assert lifts.index_fallbacks == 0
+    _, _, theta_hat = build_polynomials(HIGH_DEGREE)
+    assert lifts.line_margin > _z_x_line(theta_hat, 12)[2]
+    assert analyze(HIGH_DEGREE).verdict == "exists"
+    assert calls == []
+
+
+def test_nongeneric_analyze_runs_one_exact_chain(monkeypatch):
+    chains = []
+    real = dhym.index_on_interval
+    monkeypatch.setattr(dhym, "index_on_interval", lambda *a: chains.append(a) or real(*a))
+    report = analyze(PLANTED_39)
+    assert report.genericity == "non_generic"
+    assert len(chains) == 1
+    assert lifts_of(PLANTED_39).index_fallbacks == 1
+
+
+def test_count_on_or_within_bound_of_a_line_is_uncertified():
+    _, line_angle, bound = _z_x_line(0.3, 4)
+    assert 0.0 < line_angle < math.pi and bound > 0.0
+    assert _crossings(line_angle, line_angle, bound) == (None, 0.0)
+    count, margin = _crossings(line_angle + 0.5 * bound * math.pi, line_angle, bound)
+    assert count is None and 0.0 < margin <= bound
+    # half a turn off every line, and the asymptote pi far from them too
+    count, margin = _crossings(line_angle - 1.5 * math.pi, line_angle, bound)
+    assert count == 2
+    assert margin == pytest.approx(min(0.5, line_angle / math.pi, 1 - line_angle / math.pi))
+    # a Z_X line through the asymptote: the last crossing is undecided
+    assert _crossings(0.5, 0.5 * bound * math.pi, bound)[0] is None
 
 
 # ---------------------------------------------------------------------------
