@@ -20,7 +20,11 @@ the orders of num and den at an endpoint, hence whether it is a pole and
 from which side h runs to +inf.  No tolerance enters anywhere, so the result
 is the index of the function the doubles represent.
 
-All routines return :class:`HalfInteger`.
+All index routines return :class:`HalfInteger`.  Where the phase of
+den + i num is known in closed form and rises strictly, the index is minus
+the number of lines {pi/2 + k pi} the phase crosses, which
+:func:`line_crossings` counts and certifies against a stated rounding bound;
+its callers run the exact chain where it cannot.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "index_at_point",
     "index_one_sided",
     "index_on_interval",
+    "line_crossings",
     "one_sided_sign",
 ]
 
@@ -290,3 +295,22 @@ def index_on_interval(h: RationalFunction, c: float, d: float) -> HalfInteger:
     )
     twice += _pole_sign(at_c[0], at_c[1], +1) - _pole_sign(at_d[0], at_d[1], -1)
     return HalfInteger(twice)
+
+
+# ---------------------------------------------------------------------------
+# certified crossing counts of a rising phase
+
+
+def line_crossings(lo: float, hi: float, bound: float):
+    """(count, margin): the integers in (lo, hi], and how far both ends lie from one.
+
+    lo and hi are the two ends of a rising phase, in units of pi and
+    measured from one of the lines it crosses, so the lines are the
+    integers.  margin is the distance, in units of pi, from the nearer end
+    to its nearest line.  The count is None unless margin > bound: an
+    error of at most bound in either end then moves no end across a line,
+    and floor(hi) - floor(lo) is the count of the exact phase.
+    """
+    lo_floor, hi_floor = math.floor(lo), math.floor(hi)
+    margin = min(lo - lo_floor, lo_floor + 1 - lo, hi - hi_floor, hi_floor + 1 - hi)
+    return (hi_floor - lo_floor if margin > bound else None), margin

@@ -37,6 +37,7 @@ import sys
 from dataclasses import dataclass
 
 from .cauchy import HalfInteger, RationalFunction, index_on_interval, index_one_sided
+from .cauchy import line_crossings
 from .config import SIGN_TOL
 from .errors import (
     BoundaryPointUnreachable,
@@ -262,9 +263,10 @@ def _z_x_line(theta_hat: float, n: int):
       a lift is within 19 n u;
     - theta_top (float pi times ell, then the sum) and lo: at most
       (7.5 |ell| + 3.8 n + 7.5) u together;
-    - forming (lift - line_angle)/pi: 2.4 n u in units of pi.
+    - forming (lift - line_angle)/pi: 2.4 n u in units of pi, and
+      1 - line_angle/pi, the end at pi: 2 u more.
 
-    The total is below 11 u (n + |ell|) = 5.5 eps (n + |ell|) in units of
+    The total is below 12 u (n + |ell|) = 6 eps (n + |ell|) in units of
     pi, since n >= 2.
     """
     # ell = ceil((lo - theta_hat)/pi) = (n - 1 - floor(2 theta_hat/pi)) // 2
@@ -281,20 +283,15 @@ def _crossings(lift: float, line_angle: float, bound: float):
     """(count, margin): the lines {line_angle + k pi} a lift crosses on its way to pi.
 
     A lift of _path_lift rises strictly to pi without reaching it, so it
-    crosses each line in (lift, pi) once, counterclockwise.  For
-    0 <= line_angle < pi these lines are line_angle - k pi, k >= 0, and the
-    count is -floor((lift - line_angle)/pi).  margin is the distance, in
-    units of pi, from either end of (lift, pi) to its nearest line; a
+    crosses each line in (lift, pi) once, counterclockwise.  Measured from
+    the line line_angle in units of pi, the ends of (lift, pi) are
+    (lift - line_angle)/pi and 1 - line_angle/pi, and line_crossings counts
+    the lines between them and certifies the count against bound.  For
+    0 <= line_angle < pi the count is -floor((lift - line_angle)/pi); a
     line_angle rounded out of [0, pi) gives a margin below its rounding.
-    The count is None unless margin > bound: rounding then moves no end
-    across a line, and the count is the index of w' for the computed
-    theta_hat.
+    A certified count is the index of w' for the computed theta_hat.
     """
-    lines = (lift - line_angle) / math.pi
-    below = math.floor(lines)
-    end = line_angle / math.pi
-    margin = min(lines - below, below + 1 - lines, end, 1 - end)
-    return (-below if margin > bound else None), margin
+    return line_crossings((lift - line_angle) / math.pi, 1 - line_angle / math.pi, bound)
 
 
 def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftData:

@@ -2,31 +2,38 @@
 
 With all critical points of w confined to the closed left half-plane, the
 zero level set of v = Im w meets the right half-plane in finitely many
-unbounded arcs.  Everything here reduces questions about those arcs to Cauchy
-indices of the ratio
+unbounded arcs.  The arcs of the vertical-tangent locus {Re w' = 0} slice the
+right half-plane into horizontally ordered bands, and a point's band label
+counts the arcs below it on its vertical line Re z = l.  Each such arc is a
+crossing of a line pi/2 + k pi by the phase of w' along the line, and a pole
+of the ratio
 
     R_l(y) = Im(w'(l + iy)) / Re(w'(l + iy)),
 
-which is a rational function of y on each vertical line Re z = l.  Poles of
-R_l mark the points where Re w' = 0, i.e. where the level curves of v run
-vertical; the arcs of that vertical-tangent locus slice the right half-plane
-into horizontally ordered bands, and each arc crossing the line shows up as
-a jump of a definite sign.  Counting the arcs below a point -- the band
-label -- is therefore an index computation, with a correction on the axis
+so the label is also a Cauchy index of R_l, with a correction on the axis
 itself where critical points sit.
+
+Right of every critical point the phase of w' is a sum of atan2 terms over
+the roots of w', one per root, and it rises strictly; the label is a floor
+of that phase sum.  The root solve bounds each root to a disc, and a label
+is taken from the phase sum when its ends lie farther from a line than the
+discs and rounding can move them.  Otherwise the exact signed-remainder
+chain of :mod:`levelgraph.cauchy` decides the index.
 
 The hypothesis is a property of w alone, so it is checked once: a
 :class:`Potential` solves w' = 0 a single time, refuses a root in the right
-half-plane, and keeps the on-axis critical points that every count on the
-axis needs.
+half-plane, and keeps the roots and the on-axis critical points that every
+label needs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .cauchy import HalfInteger, RationalFunction, index_on_interval, one_sided_sign
+from .cauchy import HalfInteger, RationalFunction, index_on_interval, line_crossings
+from .cauchy import one_sided_sign
 from .config import SIGN_TOL, SNAP_TOL
 from .errors import CriticalPointInRHP, DegenerateLine, LevelGraphError, ZeroPolynomial
 from .poly import I_POWERS, ComplexPolynomial, RealPolynomial, divide_linear, roots
@@ -75,11 +82,19 @@ class CountingResult:
     (all jumps along one line share it); crit_sum is the total order of
     on-axis critical points at or below the point, zero off the axis.  A
     half-integer value means the point sits exactly on an arc.
+
+    margin is how far, in units of pi, the ends of the phase sum lie from
+    their nearest line beyond what the root discs and rounding can move
+    them: positive when the phase sum decided the label, and -inf when no
+    phase sum was formed.  exact_fallback says that the exact chain decided
+    it instead.
     """
 
     value: HalfInteger
     interval_index: HalfInteger
     crit_sum: int
+    margin: float
+    exact_fallback: bool
 
 
 def vertical_line_ratio(w: ComplexPolynomial, x0: float) -> RationalFunction:
@@ -100,8 +115,11 @@ class Potential:
 
     The constructor makes the one root solve of w' and raises
     CriticalPointInRHP when a root lies right of the imaginary axis, so every
-    Potential satisfies the standing hypothesis.  The roots near the axis are
-    kept in axis_critical_points, ordered by height.
+    Potential satisfies the standing hypothesis.  It keeps every root of w'
+    in roots, those near the axis in axis_critical_points, ordered by
+    height, and the others in off_axis_roots; lead_phase is the argument of
+    the leading coefficient of w'.  The band labels are phase sums over
+    these roots.
 
     Each root from poly.roots stands for a component of inclusion discs
     that holds exactly as many zeros of w' as its multiplicity, all within
@@ -111,14 +129,15 @@ class Potential:
     zeros lie left of the band.
     """
 
-    __slots__ = ("w", "axis_critical_points")
+    __slots__ = ("w", "roots", "axis_critical_points", "off_axis_roots", "lead_phase")
 
     def __init__(self, w: ComplexPolynomial):
         wp = w.derivative()
         if wp.is_zero:
             raise ZeroPolynomial("w is constant; it has no level-curve geometry")
-        on_axis = []
-        for r in roots(wp) if wp.degree > 0 else ():
+        self.roots = tuple(roots(wp)) if wp.degree > 0 else ()
+        on_axis, off_axis = [], []
+        for r in self.roots:
             c, k = r.location, r.multiplicity
             tol = SIGN_TOL * (1.0 + abs(c))
             if c.real - r.cluster_radius > tol:
@@ -130,9 +149,14 @@ class Potential:
                 on_axis.append(
                     CriticalPoint(y0, k, lead, "generic" if generic else "non_generic")
                 )
+            else:
+                off_axis.append(r)
         on_axis.sort(key=lambda c: c.y0)
         self.w = w
         self.axis_critical_points = tuple(on_axis)
+        self.off_axis_roots = tuple(off_axis)
+        lc = wp.coeffs[-1]
+        self.lead_phase = math.atan2(lc.imag, lc.real)
 
     def critical_point_at(self, z: complex) -> CriticalPoint | None:
         """The on-axis critical point that z sits on, within SNAP_TOL * (1 + |z|)."""
@@ -156,6 +180,79 @@ def on_axis_critical_points(w: ComplexPolynomial) -> tuple:
     return Potential(w).axis_critical_points
 
 
+# rounding bound of a phase-sum end, in units of pi per unit of n + 2
+_PHASE_ROUNDING = 8 * sys.float_info.epsilon
+
+
+def _phase_ends(pot: Potential, x: float, y: float, on_axis: bool):
+    """(lo, hi, spread, rounding) of the phase of w' below x + iy, or None.
+
+    Off the axis (x > 0) the phase along the line is
+    arg lc + sum k_j atan2(t - Im c_j, x - Re c_j) over the roots c_j of w'
+    with multiplicities k_j; it rises strictly from arg lc - n pi/2 at
+    t = -inf, n = deg w', while every root lies left of the line.  On the
+    axis the model is the one the exact chain uses after deflation: each
+    axis critical point of order k contributes the constant k pi/2, and
+    each other root its atan2 term with x = 0.  lo and hi are the phase at
+    t = -inf and at t = y, in units of pi and measured from the line pi/2,
+    so the lines {pi/2 + k pi} crossed below y are the integers in
+    (lo, hi], and their number is minus the Cauchy index of R over
+    (-inf, y].
+
+    A root component of radius r at distance d from x + iy moves its term
+    by at most k asin(r/d); spread is the sum of these in units of pi.  The
+    result is None, and no phase sum is formed, when a root is uncertified
+    (see poly.roots), a disc reaches the line (x - Re c <= r) or its
+    angular radius asin(r/d) exceeds pi/6 (d < 2r, nearer to where asin is
+    ill conditioned), or, on the axis, a critical point is non-generic: its
+    pole is the exact chain's to place.
+
+    rounding = 8 eps (n + 2), in units of pi, bounds twice the error of
+    either end and of spread together against exact arithmetic on the same
+    doubles.  With u = eps/2 and libm atan2, asin and hypot within 2 ulp:
+
+    - arg lc = atan2 of the exact leading coefficient: at most 4 pi u;
+    - a term k atan2(dy, dx): rounding dx and dy moves the angle by at
+      most u, atan2 errs by at most 2 pi u on an angle below pi/2, and the
+      product adds k pi u/2: at most 8.9 k u;
+    - math.fsum of arg lc and the terms: u |sum| <= (1 + n/2) pi u;
+    - dividing by math.pi (within 0.4 u of pi) and adding the half-integer
+      offset: (1.4 + 0.7 n) u and (1.5 + n) u in units of pi.
+
+    So hi is within (7.9 + 5.1 n) u and lo, which takes arg lc/pi and one
+    addition, within (6.9 + n) u.  In spread, d is within 3u, r/d within
+    4u, asin (condition at most 1.1 for r/d <= 1/2) within 8.4u, and the
+    products, the sum and the division by pi within (n + 10) u of its
+    value, all relative; spread certifies only below the distance to a
+    line, hence below 1/2, so it is within (n + 10) u/2.  With one more u
+    for adding spread and rounding, an end and spread together err by at
+    most (13.9 + 5.6 n) u < 7 u (n + 2), under half of rounding.
+    """
+    if not all(r.certified for r in pot.roots):
+        return None
+    if on_axis:
+        if any(cp.genericity != "generic" for cp in pot.axis_critical_points):
+            return None
+        terms = pot.off_axis_roots
+        offset = (sum(cp.order for cp in pot.axis_critical_points) - 1) / 2
+    else:
+        terms = pot.roots
+        offset = -0.5
+    phase, spread, n = [pot.lead_phase], 0.0, 0
+    for r in terms:
+        dx, dy, rad = x - r.location.real, y - r.location.imag, r.cluster_radius
+        d = math.hypot(dx, dy)
+        if not (dx > rad and 2 * rad <= d < math.inf):
+            return None
+        phase.append(r.multiplicity * math.atan2(dy, dx))
+        spread += r.multiplicity * math.asin(rad / d)
+        n += r.multiplicity
+    lo = pot.lead_phase / math.pi + (offset - n / 2)
+    hi = math.fsum(phase) / math.pi + offset
+    degree = sum(r.multiplicity for r in pot.roots)
+    return lo, hi, spread / math.pi, _PHASE_ROUNDING * (degree + 2)
+
+
 def _deflate(p: RealPolynomial, y0: float, times: int) -> RealPolynomial:
     """Quotient of p by (y - y0)**times; each division drops its remainder."""
     c = p.coeffs
@@ -164,14 +261,8 @@ def _deflate(p: RealPolynomial, y0: float, times: int) -> RealPolynomial:
     return RealPolynomial(c)
 
 
-def counting_function(pot: Potential, z0: complex) -> CountingResult:
-    """Band label of z0: one plus the number of {Re w' = 0} arcs below it.
-
-    Defined for Re z0 >= 0.  The count is |Cauchy index of R_{x0} over
-    (-inf, y0]| plus one; on the axis itself, each critical point at or
-    below z0 additionally contributes its full order (its index footprint
-    is 0 when generic and -1 when not, so the order has to be added back
-    by hand).  A half-integer value means z0 sits on an arc.
+def _exact_index(pot: Potential, z0: complex, on_axis: bool) -> HalfInteger:
+    """Index of R over (-inf, Im z0] from the exact signed-remainder chain.
 
     On the axis, Re w' and Im w' share the factor (y - y_j)^k_j of each
     critical point, but only up to rounding, so it is divided out of both
@@ -182,31 +273,65 @@ def counting_function(pot: Potential, z0: complex) -> CountingResult:
     is negative below y_j, which negates the index of the reduced ratio,
     and the pole's half jump is added from the exact sign of that ratio.
     """
-    z0 = complex(z0)
-    x0, y0 = z0.real, z0.imag
-    axis_snap = SNAP_TOL * (1.0 + abs(z0))
-    if x0 < -axis_snap:
-        raise ValueError(f"z0={z0!r} lies in the open left half-plane")
-    on_axis = x0 <= axis_snap
-    ratio = vertical_line_ratio(pot.w, 0.0 if on_axis else x0)
+    y0 = z0.imag
+    ratio = vertical_line_ratio(pot.w, 0.0 if on_axis else z0.real)
     if not on_axis:
-        idx = index_on_interval(ratio, -math.inf, y0)
-        return CountingResult(abs(idx) + 1, idx, 0)
+        return index_on_interval(ratio, -math.inf, y0)
     re, im = ratio.den, ratio.num
-    crit_sum = 0
     pole = pot.critical_point_at(z0)
     if pole is not None and pole.genericity == "generic":
         pole = None
     for cp in pot.axis_critical_points:
         re = _deflate(re, cp.y0, cp.order + (cp is pole))
         im = _deflate(im, cp.y0, cp.order)
-        if cp.y0 <= y0 + axis_snap:
-            crit_sum += cp.order
     idx = index_on_interval(RationalFunction(im, re), -math.inf, y0)
     if pole is not None:
         jump = one_sided_sign(im, pole.y0, -1) * one_sided_sign(re, pole.y0, -1)
         idx = HalfInteger(jump) - idx
-    return CountingResult(abs(idx) + crit_sum + 1, idx, crit_sum)
+    return idx
+
+
+def counting_function(pot: Potential, z0: complex) -> CountingResult:
+    """Band label of z0: one plus the number of {Re w' = 0} arcs below it.
+
+    Defined for Re z0 >= 0.  The count is the number of lines
+    {pi/2 + k pi} that the phase of w' crosses along the vertical line
+    below z0, plus one; on the axis itself, each critical point at or below
+    z0 additionally contributes its full order (its index footprint is 0
+    when generic and -1 when not, so the order has to be added back by
+    hand).  A half-integer value means z0 sits on an arc.
+
+    The crossings are a floor of the phase sum over the roots of w' that
+    pot holds (_phase_ends), certified by line_crossings when both ends lie
+    farther from a line than the spread of the root discs plus a stated
+    rounding bound; interval_index is minus their number.  Where no
+    certificate holds -- an uncertified root, a disc reaching the line, an
+    end within the bound of a line (z0 on an arc among them), or a
+    non-generic critical point on the axis -- the exact signed-remainder
+    chain decides the index (_exact_index).  Raises DegenerateLine when
+    Re w' vanishes identically on the line.
+    """
+    z0 = complex(z0)
+    x0, y0 = z0.real, z0.imag
+    axis_snap = SNAP_TOL * (1.0 + abs(z0))
+    if x0 < -axis_snap:
+        raise ValueError(f"z0={z0!r} lies in the open left half-plane")
+    on_axis = x0 <= axis_snap
+    crit_sum = 0
+    if on_axis:
+        crit_sum = sum(cp.order for cp in pot.axis_critical_points if cp.y0 <= y0 + axis_snap)
+    count, margin = None, -math.inf
+    ends = _phase_ends(pot, 0.0 if on_axis else x0, y0, on_axis)
+    if ends is not None:
+        lo, hi, spread, rounding = ends
+        bound = spread + rounding
+        count, margin = line_crossings(lo, hi, bound)
+        margin -= bound
+    if count is not None:
+        return CountingResult(HalfInteger.from_int(count + crit_sum + 1),
+                              HalfInteger.from_int(-count), crit_sum, margin, False)
+    idx = _exact_index(pot, z0, on_axis)
+    return CountingResult(abs(idx) + crit_sum + 1, idx, crit_sum, margin, True)
 
 
 def tangent_cone_at_infinity(w: ComplexPolynomial) -> TangentConeAtInfinity:

@@ -19,8 +19,9 @@ z_j - W_j, W_j its Weierstrass correction, and each connected union of k
 discs that meets no other disc holds exactly k zeros: it becomes one root
 of multiplicity k (``roots``).  Its ``cluster_radius`` reaches every point
 of that union, so all k zeros lie within it of the reported location.  An
-exact zero at 0 is split off first, and an approximation without a
-certificate gets a disc of radius 0 (``_discs``).
+exact zero at 0 is split off first.  When one disc of a solve has no
+certificate (``_discs``), the inclusion theorem holds for none of them, and
+every root of that solve is reported with ``certified`` False.
 """
 
 from __future__ import annotations
@@ -188,13 +189,15 @@ class RootWithMultiplicity:
 
     It stands for one component of inclusion discs (see roots): the
     component meets no other and holds exactly `multiplicity` zeros of p,
-    and all of them lie within cluster_radius of location.  Where a disc has
-    no certificate (see _discs), its radius is 0 and nothing is proven.
+    and all of them lie within cluster_radius of location.  These claims
+    hold only where certified is True; otherwise the solve had a disc
+    without a certificate (see _discs) and nothing is proven.
     """
 
     location: complex
     multiplicity: int
     cluster_radius: float
+    certified: bool
 
 
 def as_complex_polynomial(w) -> ComplexPolynomial:
@@ -255,7 +258,7 @@ def _newton(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex) -> complex:
     return z
 
 
-def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> list:
+def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
     """(center, radius) of one Gerschgorin disc per approximation z_j to a
     zero of p; the n = deg p approximations are distinct for a certificate.
 
@@ -274,13 +277,16 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> list:
 
     Where W_j is undefined (an approximation repeats), p(z_j) is not finite
     or the product is not finite, a_j is 0: the disc is the point z_j, it
-    adds nothing to the other radii, and no count is certified.
+    adds nothing to the other radii, and no count is certified.  Returns
+    (discs, certified); certified is False when some a_j is 0 or left out
+    its rounding bound, since the theorem then covers no disc.
     """
     n = len(approx)
     lc = p.coeffs[-1]
     abs_coeffs = [abs(c) for c in p.coeffs]
     round_factor = 2 * (n + 1) * sys.float_info.epsilon
     centers, sizes = [], []
+    certified = True
     for j, z in enumerate(approx):
         prod = lc
         for k, y in enumerate(approx):
@@ -290,15 +296,18 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> list:
         a = 0.0
         if prod != 0 and cmath.isfinite(prod) and cmath.isfinite(v):
             bound = abs(v) + round_factor * _horner(abs_coeffs, abs(z), 0.0)
+            certified = certified and math.isfinite(bound)
             a = (bound if math.isfinite(bound) else abs(v)) / abs(prod)
         if math.isfinite(a) and a > 0:
             z -= v / prod
         else:
             a = 0.0
+            certified = False
         centers.append(z)
         sizes.append(math.sqrt(a))
-    return [(c, s * sum(sizes[k] for k in range(n) if k != j))
-            for j, (c, s) in enumerate(zip(centers, sizes))]
+    discs = [(c, s * sum(sizes[k] for k in range(n) if k != j))
+             for j, (c, s) in enumerate(zip(centers, sizes))]
+    return discs, certified
 
 
 def _cluster(discs: list) -> list:
@@ -325,8 +334,10 @@ def roots(p: ComplexPolynomial) -> list:
     one root of multiplicity k.  A simple root is reported at its disc's
     center; a k-fold one at a Newton pass on p^(k-1) from the mean of its
     centers, which a k-fold zero leaves simple.  cluster_radius reaches
-    every point of the component.  Returned roots are sorted by real part,
-    then imaginary part, and their multiplicities sum to the degree.
+    every point of the component, and ``certified`` says whether these
+    claims are proven, which they are when every disc of the solve has its
+    certificate.  Returned roots are sorted by real part, then imaginary
+    part, and their multiplicities sum to the degree.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
@@ -335,8 +346,9 @@ def roots(p: ComplexPolynomial) -> list:
     m = next(k for k, c in enumerate(p.coeffs) if c != 0)
     rest = ComplexPolynomial(p.coeffs[m:])
     approx = [complex(z) for z in np.roots(np.array(rest.coeffs[::-1], dtype=complex))]
+    discs, certified = _discs(rest, approx)
     out: list[RootWithMultiplicity] = []
-    for comp in _cluster([(0j, 0.0)] * m + _discs(rest, approx)):
+    for comp in _cluster([(0j, 0.0)] * m + discs):
         k = len(comp)
         center = comp[0][0]
         if k > 1:
@@ -344,7 +356,8 @@ def roots(p: ComplexPolynomial) -> list:
             for _ in range(k - 1):
                 dk = dk.derivative()
             center = _newton(dk, dk.derivative(), sum(c for c, _ in comp) / k)
-        out.append(RootWithMultiplicity(center, k, max(abs(c - center) + r for c, r in comp)))
+        out.append(RootWithMultiplicity(center, k, max(abs(c - center) + r for c, r in comp),
+                                        certified))
     out.sort(key=lambda r: (r.location.real, r.location.imag))
     found = sum(r.multiplicity for r in out)
     if found != p.degree:

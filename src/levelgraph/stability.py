@@ -10,7 +10,11 @@ branches there, opening a window of k+1 (or k, in the non-generic case)
 admissible bands for z2.
 
 classify solves w' once per verdict: both band labels and the critical point
-under z1 are read from one :class:`~levelgraph.landscape.Potential`.
+under z1 are read from one :class:`~levelgraph.landscape.Potential`.  Each
+label is a phase sum over the roots of w' that the Potential holds,
+certified against their inclusion discs and a stated rounding bound; the
+exact signed-remainder chain decides a label only where that certificate
+fails (see :func:`~levelgraph.landscape.counting_function`).
 """
 
 from __future__ import annotations

@@ -1,14 +1,20 @@
+import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from levelgraph.cauchy import HalfInteger, RationalFunction, index_at_point
-from levelgraph.errors import CriticalPointInRHP, DegenerateLine
+from levelgraph import cauchy, poly
+from levelgraph.cauchy import HalfInteger, RationalFunction, index_at_point, line_crossings
+from levelgraph.config import SNAP_TOL
+from levelgraph.errors import CriticalPointInRHP, DegenerateLine, LevelGraphError
 from levelgraph.landscape import (
     Potential,
+    _exact_index,
+    _phase_ends,
     counting_function,
     on_axis_critical_points,
     tangent_cone_at_infinity,
@@ -307,3 +313,236 @@ def test_count_region_constancy_near_point(n, y0, x0):
     base = counting_function(pot, z0)
     for dz in (1e-6, -1e-6, 1e-6j, -1e-6j):
         assert counting_function(pot, z0 + dz).value == base.value
+
+
+# ---------------------------------------------------------------------------
+# certified phase-sum labels against the exact signed-remainder chain
+
+
+def chain_label(pot, z):
+    """(value, interval_index) of z from the exact chain alone."""
+    on_axis = z.real <= SNAP_TOL * (1.0 + abs(z))
+    idx = _exact_index(pot, z, on_axis)
+    crit_sum = sum(cp.order for cp in pot.axis_critical_points
+                   if on_axis and cp.y0 <= z.imag + SNAP_TOL * (1.0 + abs(z)))
+    return abs(idx) + crit_sum + 1, idx
+
+
+@st.composite
+def potentials_with_points(draw, max_degree=10):
+    """w with w' of degree 2..max_degree, roots on the axis (simple and
+    double) and in the left half-plane, and points on and off the axis."""
+    degree = draw(st.integers(2, max_degree))
+    planted, heights = [], []
+    while len(planted) < degree:
+        kind = draw(st.sampled_from(("axis", "double", "left")))
+        if kind == "left":
+            planted.append(complex(draw(st.floats(-2.5, -0.05)), draw(st.floats(-2.5, 2.5))))
+            continue
+        y = draw(st.floats(-2.0, 2.0))
+        heights.append(y)
+        planted += [1j * y] * (2 if kind == "double" and len(planted) + 2 <= degree else 1)
+    lead = cmath.rect(draw(st.floats(0.5, 1.5)), draw(st.floats(-math.pi, math.pi)))
+    w = from_roots(planted, lead).antiderivative()
+    on_axis = st.one_of(st.floats(-2.5, 2.5), *(st.just(y) for y in heights[:1]))
+    point = st.one_of(
+        on_axis.map(lambda y: complex(0.0, y)),
+        st.builds(complex, st.floats(0.05, 3.0), st.floats(-3.0, 3.0)),
+    )
+    return w, draw(st.lists(point, min_size=1, max_size=4))
+
+
+def _example(w_pairs, *points):
+    return ComplexPolynomial([complex(*c) for c in w_pairs]), [complex(*p) for p in points]
+
+
+# the four z2 labels of verdicts seeds 1-5 (bench/gen.py) that fall back:
+# degree-2 w' with a planted double axis root whose disc is 18 to 61 wide
+FALLBACK_SEED1_1616 = _example(
+    [(0.0, 0.0), (-0.9763168428237886, 2.082063962473882),
+     (-1.4010367503604904, -0.6569710640237899), (0.14736028306692178, -0.31425611176203333)],
+    (0.0, 1.7439334496345507), (2.9211556824970453, -0.8268307972808214))
+FALLBACK_SEED2_622 = _example(
+    [(0.0, 0.0), (0.9424222794153326, -1.279948357078785),
+     (-1.015116727457578, -0.7474275152370992), (-0.1975929130481658, 0.26836029872225914)],
+    (0.0, -1.260887858960313), (0.4481079731441121, -1.1163374710368752))
+FALLBACK_SEED2_1150 = _example(
+    [(0.0, 0.0), (-0.36565719311635553, -0.3141662930773508),
+     (-0.5082966263676951, 0.5916048976723394), (0.3190569031492903, 0.2741281353960827)],
+    (0.0, -0.9112179494796222), (1.05237550167223, -0.8662175708606439))
+FALLBACK_SEED5_982 = _example(
+    [(0.0, 0.0), (-1.5101272354034379, 0.6281839728105467),
+     (0.5264594569635204, 1.2655858772380453), (0.3535480488252785, -0.14706920892738373)],
+    (0.0, 1.2766213686121204), (2.381455298995684, -3.623095216312968))
+# w' = z (z + 1): a non-generic critical point at 0, below z1 = i and at z1 = 0
+NONGENERIC_AT_ZERO = ComplexPolynomial([0, 1, 1]).antiderivative()
+# w' = (z - i)(z + 0.5i)^2: every root on the axis, all critical points generic
+ALL_ON_AXIS = from_roots([1j, -0.5j, -0.5j], 1j).antiderivative()
+
+
+@given(potentials_with_points())
+@settings(max_examples=150, deadline=None)
+@example(FALLBACK_SEED1_1616)
+@example(FALLBACK_SEED2_622)
+@example(FALLBACK_SEED2_1150)
+@example(FALLBACK_SEED5_982)
+@example((NONGENERIC_AT_ZERO, [1j, 0j, 1 + 0j]))
+@example((ALL_ON_AXIS, [0j, 1j, -0.5j, 2j, 0.5 + 0.2j, 0.3 - 2j]))
+@example((HALF_SQUARE, [0.5j, 1 + 0j]))
+# w' = (1 + 4.8e-269i) z^3: a non-generic triple point at z1 = 0 whose reduced
+# Re w' deflates to zero; the chain raises DenominatorIdenticallyZero there
+@example((ComplexPolynomial([0, 0, 0, 0, complex(0.25, 1.1954221117477852e-269)]), [0j]))
+def test_phase_sum_label_matches_exact_chain(case):
+    w, points = case
+    try:
+        pot = Potential(w)
+    except CriticalPointInRHP:
+        # a planted axis root solved right of its disc; no label is defined
+        assume(False)
+    nongeneric = any(cp.genericity != "generic" for cp in pot.axis_critical_points)
+    for z in points:
+        try:
+            chain = chain_label(pot, z)
+        except LevelGraphError as exc:
+            # DegenerateLine, and whatever else the chain raises, still raises
+            with pytest.raises(type(exc)):
+                counting_function(pot, z)
+            continue
+        res = counting_function(pot, z)
+        assert (res.value, res.interval_index) == chain
+        assert res.exact_fallback == (not res.margin > 0)
+        if nongeneric and z.real == 0:
+            assert res.exact_fallback and res.margin == -math.inf
+
+
+def test_planted_fallbacks_are_the_wide_double_roots():
+    for w, (z1, z2) in (FALLBACK_SEED1_1616, FALLBACK_SEED2_622, FALLBACK_SEED2_1150,
+                        FALLBACK_SEED5_982):
+        pot = Potential(w)
+        (cp,) = pot.axis_critical_points
+        assert cp.order == 2
+        (double,) = [r for r in pot.roots if r.multiplicity == 2]
+        assert 18 < double.cluster_radius < 62
+        assert not counting_function(pot, z1).exact_fallback
+        # the disc reaches past z2's line, so no phase sum is formed
+        res = counting_function(pot, z2)
+        assert res.exact_fallback and res.margin == -math.inf
+
+
+def test_uncertified_roots_fall_back_to_the_chain():
+    # w' = 1e-290 (z + 1e300)(z + 1): the Horner rounding bound overflows at
+    # -1e300, so the solve proves no root and no phase sum is formed
+    pot = Potential(from_roots([-1e300, -1.0], 1e-290).antiderivative())
+    assert not any(r.certified for r in pot.roots)
+    for z in (1 + 0j, 0.5j):
+        res = counting_function(pot, z)
+        assert res.exact_fallback and res.margin == -math.inf
+        assert (res.value, res.interval_index) == chain_label(pot, z)
+        assert res.value == HalfInteger.from_int(2)
+
+
+@given(potentials_with_points(max_degree=12))
+@settings(max_examples=80, deadline=None)
+def test_phase_ends_within_rounding_bound(case):
+    mpmath = pytest.importorskip("mpmath")
+    w, points = case
+    try:
+        pot = Potential(w)
+    except CriticalPointInRHP:
+        assume(False)
+    lc = w.derivative().coeffs[-1]
+    for z in points:
+        on_axis = z.real == 0
+        ends = _phase_ends(pot, z.real, z.imag, on_axis)
+        if ends is None:
+            continue
+        lo, hi, spread, rounding = ends
+        if on_axis:
+            terms = pot.off_axis_roots
+            offset = mpmath.mpf(sum(cp.order for cp in pot.axis_critical_points) - 1) / 2
+        else:
+            terms = pot.roots
+            offset = mpmath.mpf(-0.5)
+        with mpmath.workdps(50):
+            pi = mpmath.pi
+            arg = mpmath.atan2(lc.imag, lc.real)
+            angles, exact_spread = [], mpmath.mpf(0)
+            for r in terms:
+                dx = mpmath.mpf(z.real) - r.location.real
+                dy = mpmath.mpf(z.imag) - r.location.imag
+                angles.append(r.multiplicity * mpmath.atan2(dy, dx))
+                exact_spread += r.multiplicity * mpmath.asin(
+                    r.cluster_radius / mpmath.sqrt(dx * dx + dy * dy))
+            n = sum(r.multiplicity for r in terms)
+            exact_ends = (arg / pi + offset - mpmath.mpf(n) / 2,
+                          (arg + mpmath.fsum(angles)) / pi + offset)
+            exact_spread /= pi
+            for float_end, exact_end in zip((lo, hi), exact_ends):
+                gap = min(float_end - math.floor(float_end), math.ceil(float_end) - float_end)
+                exact_gap = min(exact_end - mpmath.floor(exact_end),
+                                mpmath.ceil(exact_end) - exact_end)
+                # what certifies: the distance to a line less the spread
+                err = abs((gap - spread) - (exact_gap - exact_spread))
+                assert err <= rounding / 2, (z, float_end, exact_end, rounding)
+
+
+def count_chain_calls(monkeypatch):
+    """Route every levelgraph binding of the exact chain's two entry points
+    through a counter; returns the list of names called."""
+    calls = []
+    for name, real in (("index_on_interval", cauchy.index_on_interval),
+                       ("restrict_to_vertical_line", poly.restrict_to_vertical_line)):
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("levelgraph") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name,
+                                    lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    return calls
+
+
+@pytest.mark.parametrize("data", [
+    BoundaryData(CUBE_THIRD, 0j, 2 + 0j),
+    BoundaryData(W_ILL_CONDITIONED, complex(0.0, -0.9102574988162893),
+                 complex(2.8030249465636152, -0.28341687592858505)),
+], ids=["generic-critical", "seed1-input413"])
+def test_generic_classify_runs_no_exact_chain(monkeypatch, data):
+    calls = count_chain_calls(monkeypatch)
+    verdict = classify(data)
+    assert calls == []
+    assert verdict.case in ("generic_critical", "noncritical")
+    pot = Potential(shift_to_zero_level(data).w)
+    for z in (data.z1, data.z2):
+        res = counting_function(pot, z)
+        assert not res.exact_fallback and res.margin > 0
+    assert calls == []
+
+
+def test_nongeneric_z1_runs_one_exact_chain(monkeypatch):
+    # w' = z (z + 1) is non-generic at z1 = 0; z2 = 1 shares its level Im w = 0
+    calls = count_chain_calls(monkeypatch)
+    verdict = classify(BoundaryData(NONGENERIC_AT_ZERO, 0j, 1 + 0j))
+    assert verdict.case == "nongeneric_critical"
+    assert sorted(calls) == ["index_on_interval", "restrict_to_vertical_line"]
+
+
+def test_phase_on_or_within_bound_of_a_line_is_uncertified():
+    # w' = z^2 along Re z = 1: the phase 2 atan2(y, 1) meets the line pi/2
+    # at y = 1, where 1 + i sits on an arc
+    pot = Potential(CUBE_THIRD)
+    lo, hi, spread, rounding = _phase_ends(pot, 1.0, 1.0, False)
+    assert spread == 0.0 and hi == pytest.approx(0.0, abs=1e-15)
+    on_arc = counting_function(pot, 1 + 1j)
+    assert on_arc.exact_fallback and on_arc.margin <= -rounding + 1e-15
+    assert on_arc.value == HalfInteger(5)
+    # a quarter of the bound above the arc: the phase lies within the bound
+    # of the line, so the chain decides, and it puts the point above the arc
+    above = 1.0 + 0.25 * rounding * math.pi
+    lo, hi, _, _ = _phase_ends(pot, 1.0, above, False)
+    assert 0.0 < hi <= rounding
+    near = counting_function(pot, complex(1.0, above))
+    assert near.exact_fallback and -rounding < near.margin <= 0.0
+    assert near.value == HalfInteger.from_int(3)
+    # the helper itself: an end on a line, and one within the bound of it
+    assert line_crossings(-0.25, 1.0, rounding) == (None, 0.0)
+    count, margin = line_crossings(-0.25, 1.0 + 0.5 * rounding, rounding)
+    assert count is None and 0.0 < margin <= rounding
+    assert line_crossings(-0.25, 1.5, rounding) == (2, 0.25)

@@ -191,9 +191,22 @@ def test_repeated_approximations_get_a_point_disc():
     # with z_1 = z_2 the Weierstrass corrections are undefined: no certificate,
     # so the discs are the points themselves and add nothing to other radii
     p = from_roots([1.0, 2.0, 5.0])
-    discs = poly._discs(p, [1 + 0j, 1 + 0j, 5 + 0j])
+    discs, certified = poly._discs(p, [1 + 0j, 1 + 0j, 5 + 0j])
     assert discs[:2] == [(1 + 0j, 0.0), (1 + 0j, 0.0)]
     assert discs[2] == (5 + 0j, 0.0)
+    assert not certified
+
+
+def test_certified_flag_marks_a_proven_solve():
+    # every disc of a well-separated solve has its certificate, and the
+    # exact double zero at 0 is proven with a radius of 0
+    rs = roots(from_roots([0.0, 0.0, 1.0, -2.0 + 1j]))
+    assert all(r.certified for r in rs)
+    assert [(r.location, r.multiplicity, r.cluster_radius) for r in rs
+            if r.location == 0] == [(0j, 2, 0.0)]
+    # the Horner rounding bound overflows at 1e300: the solve proves nothing
+    rs = roots(from_roots([1e300, -1.0], 1e-290))
+    assert not any(r.certified for r in rs)
 
 
 def test_roots_of_zero_raises():
