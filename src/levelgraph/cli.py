@@ -193,6 +193,15 @@ def _interp_f0_from_file(path: str):
     return lambda x: np.interp(x, xs, fs)
 
 
+def _membership_fields(trace) -> dict:
+    """The membership minimum of the start state, and its least value over
+    every recorded state of the run."""
+    return {
+        "membership_min_start": trace.membership_min[0],
+        "membership_min_over_run": min(trace.membership_min),
+    }
+
+
 def _cmd_flow(args, cfg: RunConfig) -> int:
     w = _the_polynomial(args)
     data = shift_to_zero_level(BoundaryData(w, args.z1, args.z2))
@@ -217,6 +226,7 @@ def _cmd_flow(args, cfg: RunConfig) -> int:
             "rejected_steps": trace.rejected_steps,
             "final_residual_sup": trace.residual_sup[-1],
             "final_J": trace.J_values[-1],
+            **_membership_fields(trace),
         },
         None,
     )
@@ -255,6 +265,8 @@ def _witness(inp: CalabiInput, cfg: RunConfig):
             "steps": len(trace.times) - 1,
             "rejected_steps": trace.rejected_steps,
             "residual_sup": trace.residual_sup[-1],
+            "final_J": trace.J_values[-1],
+            **_membership_fields(trace),
             "heights": heights,
         }
     except LevelGraphError:

@@ -27,11 +27,22 @@ rule integrates exactly.  J can then rise only through integrator error, and
 a step whose increment is positive is rejected, so a nonincreasing J is a
 checked property of the recorded trace.
 
+During a flow the nodes x_j never move; only the heights y do.  run_flow
+therefore tabulates, once per call and by poly.taylor_coeffs on the node
+array, C_k(x_j) = i^k w^(k)(x_j)/k!, so that w(x_j + iy) = sum_k C_k y^k.
+Im w = sum Im C_k y^k, Re w' = sum k Im C_k y^(k-1) and
+Im w' = -sum k Re C_k y^(k-1) are then real polynomials in y, and one
+pass of poly._horner over their stacked coefficient rows evaluates all
+three at every node; the right-hand side and the Gauss points of a J
+increment read the Im w rows only.
+
 The Gauss-Legendre rule and the differentiation matrix are built once per
-grid size on [-1, 1] and mapped affinely onto each interval.  A GridFunction
-is validated on construction: its nodes must be this map of the Gauss nodes
-(within 1e-12 (b - a)), so quadrature and differentiation look their rule
-up without checking the grid again.
+grid size on [-1, 1] and mapped affinely onto each interval; the matrix's
+interior block and endpoint columns are cached beside it, so the flow's f'
+at the nodes is one n-by-n product plus a fixed endpoint term, scaled by
+2/(b - a).  A GridFunction is validated on construction: its nodes must be
+this map of the Gauss nodes (within 1e-12 (b - a)), so quadrature and
+differentiation look their rule up without checking the grid again.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ from .config import (
     GRID_NODES,
 )
 from .errors import Diverged, NonIntegrableEndpoint
-from .poly import as_complex_polynomial
+from .poly import I_POWERS, _horner, as_complex_polynomial, taylor_coeffs
 
 __all__ = [
     "GridFunction",
@@ -100,6 +111,17 @@ def _reference_diff_matrix(n: int) -> np.ndarray:
     np.fill_diagonal(mat, -mat.sum(axis=1))
     mat.flags.writeable = False
     return mat
+
+
+@lru_cache(maxsize=16)
+def _reference_interior_rows(n: int):
+    """The node rows of _reference_diff_matrix(n): the contiguous n-by-n
+    interior block and the columns of the endpoints -1 and 1."""
+    mat = _reference_diff_matrix(n)
+    parts = (np.ascontiguousarray(mat[1:-1, 1:-1]), mat[1:-1, 0].copy(), mat[1:-1, -1].copy())
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def _full_values(f: "GridFunction") -> np.ndarray:
@@ -260,24 +282,24 @@ def _phi1(z) -> np.ndarray:
     expm1 keeps the quotient accurate to rounding at every z != 0.
     """
     z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(z == 0.0, 1.0, np.expm1(z) / z)
+    return np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
 
 
 def _phi3(z) -> np.ndarray:
-    """phi_3(z) = (e^z - 1 - z - z^2/2)/z^3 elementwise, with phi_3(0) = 1/6."""
+    """phi_3(z) = (e^z - 1 - z - z^2/2)/z^3 elementwise, with phi_3(0) = 1/6.
+
+    The series is summed by Horner over the whole array, at z where |z| is
+    below the switch and at 0 elsewhere; the closed form then overwrites it
+    where |z| is at or past the switch.
+    """
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < _PHI3_SWITCH
-    out = np.empty_like(z)
-    zs = z[small]
-    acc = np.full_like(zs, _PHI3_SERIES[-1])
+    zs = np.where(small, z, 0.0)
+    out = np.full_like(zs, _PHI3_SERIES[-1])
     for c in _PHI3_SERIES[-2::-1]:
-        acc *= zs
-        acc += c
-    out[small] = acc
-    zl = z[~small]
-    out[~small] = (np.expm1(zl) - zl - 0.5 * zl * zl) / (zl * zl * zl)
-    return out
+        out *= zs
+        out += c
+    return np.divide(np.expm1(z) - z - 0.5 * z * z, z * z * z, out=out, where=~small)
 
 
 def _exprb32(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, rhs, dt: float):
@@ -286,12 +308,51 @@ def _exprb32(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, rhs, dt: float):
 
     U = vals + dt phi1(dt jac) k is formed as e^{dt jac} vals plus dt phi1
     times the nonlinear remainder k - jac vals: the same value, but a mode
-    that decays by e^{dt jac} keeps its relative accuracy.
+    that decays by e^{dt jac} keeps its relative accuracy.  The arrays are
+    combined in place, in the order of the formulas; vals, k and jac are
+    not written.
     """
     hj = dt * jac
-    u = np.exp(hj) * vals + dt * _phi1(hj) * (k - jac * vals)
-    corr = (2.0 * dt) * _phi3(hj) * (rhs(u) - k - jac * (u - vals))
-    return u + corr, corr
+    u = np.exp(hj)
+    u *= vals
+    rem = jac * vals
+    np.subtract(k, rem, out=rem)
+    step = _phi1(hj)
+    step *= dt
+    step *= rem
+    u += step
+    # D = rhs(U) - k - jac (U - vals)
+    d = np.subtract(rhs(u), k)
+    moved = u - vals
+    moved *= jac
+    d -= moved
+    corr = _phi3(hj)
+    corr *= 2.0 * dt
+    corr *= d
+    u += corr
+    return u, corr
+
+
+def _vertical_line_tables(w, x: np.ndarray) -> np.ndarray:
+    """Coefficient rows, ascending in y, of Im w, Re w' and Im w' on the
+    vertical lines through the points x.
+
+    Returns an array of shape (deg w + 1, 3, len(x)), at least one row deep
+    (the zero polynomial gives one row of zeros).  Its Horner sum at heights
+    y (poly._horner) is the (3, len(x)) array of Im w, Re w' and Im w' at
+    x + iy.  With C_k = i^k w^(k)(x)/k!, w(x + iy) = sum C_k y^k; and since
+    d/dy w(x + iy) = i w'(x + iy), Re w' = sum k Im C_k y^(k-1) and
+    Im w' = -sum k Re C_k y^(k-1).
+    """
+    coeffs = w.coeffs or (0j,)
+    n = len(coeffs)
+    c = np.array(taylor_coeffs(coeffs, x, n)) * np.array(I_POWERS)[np.arange(n) % 4, None]
+    table = np.zeros((n, 3, len(x)))
+    table[:, 0] = c.imag
+    k = np.arange(1, n)[:, None]
+    table[:-1, 1] = k * c.imag[1:]
+    table[:-1, 2] = -k * c.real[1:]
+    return table
 
 
 def run_flow(
@@ -316,6 +377,15 @@ def run_flow(
     The correction 2 dt phi3 D is the embedded error estimate: a step is
     accepted when its sup is at most FLOW_STEP_RTOL * sup|Im w| * dt.
 
+    Evaluation.  The nodes never move, so w is tabulated once per call:
+    rows of Im w, Re w' and Im w' as real polynomials in the height y at
+    each node, from the Taylor coefficients i^k w^(k)(x_j)/k!
+    (_vertical_line_tables).  Each accepted state costs one real Horner
+    pass over the stacked rows, which gives F, J_n and the membership
+    integrand Re w' - f' Im w' together; F(U) and the Gauss points of the
+    J increment read the Im w rows only.  f' takes the cached interior
+    block of the differentiation matrix and its two endpoint columns.
+
     Energy.  J depends only on the state, so each step adds its exact
     increment: at each node the integral of Im w(x + iy) dy from f to f_new,
     weighted by the quadrature weight over sigma.  Im w(x + iy) is a
@@ -334,46 +404,59 @@ def run_flow(
     endpoint).
     """
     w = as_complex_polynomial(w)
-    wp = w.derivative()
     _check_sigma(f0, sigma)
     x = f0.nodes
-    dmat = _diff_matrix(f0)
     sig = sigma.values
     qw = _quadrature_for(f0) / sig  # J(f) = sum(qw * (Re W(x + i f0) - Re W(x + i f)))
-    # Im w(x + iy) has degree deg w in y; this rule integrates it exactly
+    # the nodes never move: rows in the height y of the right-hand side
+    # -Im w, of Re w' and of Im w', with each state's heights laid out to
+    # the same (3, n) shape; and the right-hand side's rows tiled to the
+    # (len(yi), n) Gauss heights of a J increment
+    table = _vertical_line_tables(w, x)
+    table[:, 0] *= -1.0
+    rhs_rows = table[:, 0]
     yi, yw = _reference_rule(max(w.degree // 2 + 1, 1))
+    rhs_at_gauss = np.repeat(table[:, :1], len(yi), axis=1)
+    heights3 = np.empty(table.shape[1:])
+    # f' at the nodes: the interior block acts on the heights, and the
+    # pinned endpoints add a fixed column sum
+    inner, left, right = _reference_interior_rows(len(x))
+    edge = left * f0.boundary[0] + right * f0.boundary[1]
+    stretch = 2.0 / (f0.b - f0.a)
     # steps shorter than this are lost in the rounding of t
     dt_min = 4.0 * np.finfo(float).eps * max(t_max, 1.0)
 
     def rhs(vals):
-        return -(w(x + 1j * vals).imag)
+        return _horner(rhs_rows, vals, 0.0)
 
     def j_increment(old, new):
-        # J(new) - J(old): sum of qw * integral of Im w(x + iy) dy from old to new
+        # J(new) - J(old): sum of qw * integral of Im w(x + iy) dy from old
+        # to new, the Gauss rule in y being exact for Im w = -rhs
         half = 0.5 * (new - old)
         ys = 0.5 * (new + old) + np.multiply.outer(yi, half)
-        return float(np.sum(qw * half * (yw @ w(x + 1j * ys).imag)))
+        return -float((qw * half * (yw @ _horner(rhs_at_gauss, ys, 0.0))).sum())
 
     def diag(vals):
-        z = x + 1j * vals
-        v = w(z).imag
-        d = wp(z)
-        fp = (dmat @ np.concatenate([[f0.boundary[0]], vals, [f0.boundary[1]]]))[1:-1]
-        return v, float(np.min(d.real - fp * d.imag)), -d.real
+        # (right-hand side, membership minimum, Jacobian) at vals
+        heights3[...] = vals
+        k, re_d, im_d = _horner(table, heights3, 0.0)
+        fp = (inner @ vals + edge) * stretch
+        return k, float((re_d - fp * im_d).min()), -re_d
 
     f = f0.values.copy()
     t, jval = 0.0, 0.0
-    v, memb, jac = diag(f)
-    fastest = float(np.max(np.abs(jac)))
+    k, memb, jac = diag(f)
+    fastest = float(np.abs(jac).max())
     dt = min(t_max, 1.0 / fastest if fastest > 0.0 else math.inf)
 
     times, js, resids, membs = [], [], [], []
     rejected = 0
     while True:
-        resid = float(np.max(np.abs(v)))
+        size = np.abs(k)
+        resid = float(size.max())
         if not resid <= FLOW_DIVERGED:
             raise Diverged(f"height residual reached {resid:.3g}")
-        ratio = float(np.max(np.abs(v) / sig))
+        ratio = float((size / sig).max())
         if ratio > FLOW_ENDPOINT_BLOWUP:
             raise NonIntegrableEndpoint(
                 f"residual per unit sigma reached {ratio:.3g} near an endpoint"
@@ -390,8 +473,8 @@ def run_flow(
             if last:
                 dt = t_max - t
             with np.errstate(over="ignore", invalid="ignore"):
-                f_new, corr = _exprb32(f, -v, jac, rhs, dt)
-                err = float(np.max(np.abs(corr)))
+                f_new, corr = _exprb32(f, k, jac, rhs, dt)
+                err = float(np.abs(corr).max())
                 scale = 0.0 if err == 0.0 else err / (FLOW_STEP_RTOL * resid * dt)
                 if scale <= 1.0:
                     dj = j_increment(f, f_new)
@@ -413,7 +496,7 @@ def run_flow(
         jval += dj
         t = t_max if last else t + dt
         f = f_new
-        v, memb, jac = diag(f)
+        k, memb, jac = diag(f)
         dt *= factor
 
     final = GridFunction(f0.a, f0.b, f0.nodes, f, f0.boundary)

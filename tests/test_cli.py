@@ -243,6 +243,28 @@ def test_dhym_witness(capsys):
     assert len(flow["heights"]) >= 2
 
 
+def test_dhym_witness_flow_reports_J_and_membership(capsys):
+    # the flow part reports the final J and the membership minimum at the
+    # start and over the run, read from the same flow run_flow records
+    from levelgraph.dhym import CalabiInput, build_polynomials
+    from levelgraph.kempf_ness import default_sigma, make_grid_function, run_flow
+
+    argv = ["dhym", "--m", "2", "--r", "0", "--xi1", "1", "--xi2", "0", "--b", "1",
+            "--q", "0.5", "--witness"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0, err
+    flow = json.loads(out)["witness"]["flow"]
+
+    inp = CalabiInput(2, 0, 1.0, 0.0, 1.0, 0.5)
+    w, _, _ = build_polynomials(inp)
+    f0 = make_grid_function(0.0, 1.0, lambda x: 0.5 * x, boundary=(0.0, 0.5))
+    trace = run_flow(f0, w, default_sigma(0.0, 1.0, f0.nodes))
+    assert flow["steps"] == len(trace.times) - 1 > 0
+    assert flow["final_J"] == trace.J_values[-1] < 0.0
+    assert flow["membership_min_start"] == trace.membership_min[0]
+    assert flow["membership_min_over_run"] == min(trace.membership_min)
+
+
 def test_dhym_witness_null_when_no_solution(capsys):
     q = math.sqrt(3.0)
     rc, out, err = run_cli(
@@ -368,6 +390,9 @@ def test_flow_fixed_point(capsys, tmp_path):
     assert summary["final_residual_sup"] <= 1e-8
     assert summary["steps"] == 0
     assert summary["rejected_steps"] == 0
+    # w' = 1 everywhere: the membership minimum is 1 from start to end
+    assert summary["membership_min_start"] == summary["membership_min_over_run"] == 1.0
+    assert summary["final_J"] == 0.0
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "t,J,residual_sup,membership_min"
     assert len(lines) == 2
@@ -434,6 +459,29 @@ def test_flow_reports_accepted_and_rejected_steps(capsys, tmp_path):
     lines = target.read_text().strip().splitlines()
     assert summary["steps"] == len(lines) - 2  # header and the start row
     assert summary["rejected_steps"] == 3
+
+
+def test_flow_reports_membership_at_start_and_over_the_run(capsys, tmp_path):
+    # w = z^3/3 from the chord of the unstable pair z1 = 1 - i sqrt(3),
+    # z2 = 2: the chord starts inside the membership set, and the flow
+    # leaves it
+    target = tmp_path / "flow.csv"
+    rc, out, err = run_cli(
+        capsys,
+        [
+            "flow", "--poly", "0,0,0,0.3333333333333333",
+            "--z1", "1,%.17g" % -math.sqrt(3.0), "--z2", "2,0",
+            "--f0", "line", "--out", str(target),
+        ],
+    )
+    assert rc == 0, err
+    summary = json.loads(out)
+    rows = [[float(c) for c in row.split(",")]
+            for row in target.read_text().strip().splitlines()[1:]]
+    membership = [row[3] for row in rows]
+    assert summary["membership_min_start"] == membership[0] > 0.0
+    assert summary["membership_min_over_run"] == min(membership) < 0.0
+    assert summary["final_J"] == rows[-1][1]
 
 
 def test_flow_level_mismatch(capsys, tmp_path):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levelgraph import kempf_ness
 from levelgraph.errors import Diverged, NonIntegrableEndpoint
@@ -20,7 +22,7 @@ from levelgraph.kempf_ness import (
     run_flow,
     second_variation_at,
 )
-from levelgraph.poly import ComplexPolynomial
+from levelgraph.poly import ComplexPolynomial, _horner
 
 W_LINEAR = ComplexPolynomial([0, 1])          # w = z
 CUBE_THIRD = ComplexPolynomial([0, 0, 0, 1 / 3])
@@ -186,6 +188,41 @@ def test_sigma_rejects_nonpositive():
 
 
 # ---------------------------------------------------------------------------
+# per-node tables of Im w, Re w' and Im w' on vertical lines
+
+
+def _magnitude(top):
+    # 0, or a float whose magnitude lies in [1e-3, top]: no underflow in a
+    # degree-8 Horner sum, so rounding is the only error
+    return st.one_of(st.just(0.0), st.floats(1e-3, top), st.floats(-top, -1e-3))
+
+
+_COEFF = st.builds(complex, _magnitude(1e3), _magnitude(1e3))
+_POINT = st.tuples(_magnitude(5.0), _magnitude(5.0))
+
+
+@given(st.lists(_COEFF, max_size=9), st.lists(_POINT, min_size=1, max_size=6))
+@example([], [(0.5, -0.25)])  # the zero polynomial
+@example([0.5j], [(0.0, 0.0), (-3.0, 4.0)])
+@settings(max_examples=300, deadline=None)
+def test_vertical_line_tables_match_complex_horner(coeffs, points):
+    # the complex Horner of w and w' at x + iy is the oracle; each side's
+    # rounding is within 2 n eps sum |c_k| (|x| + |y|)^k of the exact value
+    w = ComplexPolynomial(coeffs)
+    wp = w.derivative()
+    x = np.array([p[0] for p in points])
+    y = np.array([p[1] for p in points])
+    im_w, re_dw, im_dw = _horner(kempf_ness._vertical_line_tables(w, x), y, 0.0)
+    z = x + 1j * y
+    reach = np.abs(x) + np.abs(y)
+    eps = np.finfo(float).eps
+    for got, want, p in ((im_w, w(z).imag, w), (re_dw, wp(z).real, wp), (im_dw, wp(z).imag, wp)):
+        n = max(len(p.coeffs), 1)
+        scale = _horner([abs(c) for c in p.coeffs], reach, np.zeros_like(reach))
+        assert np.all(np.abs(got - want) <= 4.0 * eps * n * scale)
+
+
+# ---------------------------------------------------------------------------
 # membership
 
 
@@ -258,6 +295,41 @@ def test_flow_fixed_point_stops_immediately():
     assert trace.times == [0.0]
     assert trace.J_values == [0.0]
     assert trace.residual_sup[0] == 0.0
+
+
+def _sine_start():
+    # 65 nodes on (0, 1) under the bump 0.1 sin(pi x)
+    f0 = make_grid_function(0.0, 1.0, lambda x: 0.1 * np.sin(np.pi * x), n=65)
+    return f0, default_sigma(0.0, 1.0, f0.nodes)
+
+
+@pytest.mark.parametrize("coeffs", [[], [0.5]], ids=["zero", "real-constant"])
+def test_flow_with_no_imaginary_part_stops_at_the_start(coeffs):
+    # Im w = 0 everywhere: the start is already a solution
+    f0, sigma = _sine_start()
+    trace = run_flow(f0, ComplexPolynomial(coeffs), sigma, t_max=1.0)
+    assert trace.times == [0.0]
+    assert trace.J_values == [0.0]
+    assert trace.residual_sup == [0.0]
+    assert trace.rejected_steps == 0
+    assert np.array_equal(trace.final.values, f0.values)
+
+
+def test_flow_constant_imaginary_w_shifts_heights():
+    # w = 1e-3 i: f' = -1e-3 at every node, which one exprb32 step with a
+    # zero Jacobian integrates exactly, so t_max = 1 is reached in one step
+    f0, sigma = _sine_start()
+    trace = run_flow(f0, ComplexPolynomial([1e-3j]), sigma, t_max=1.0)
+    assert trace.times == [0.0, 1.0]
+    assert np.array_equal(trace.final.values, f0.values - 1e-3)
+    assert trace.J_values[-1] == pytest.approx(-1.9037102076363144e-05, rel=1e-12)
+
+
+def test_flow_linear_w_reaches_pinned_J():
+    f0, sigma = _sine_start()
+    trace = run_flow(f0, W_LINEAR, sigma, t_max=1.0)
+    assert trace.times[-1] == 1.0
+    assert trace.J_values[-1] == pytest.approx(-0.010538764403375697, rel=1e-12)
 
 
 def test_flow_converges_to_zero_level_curve():
@@ -364,6 +436,17 @@ def test_flow_J_equals_closed_form_at_every_state(monkeypatch):
         bound = 1e-10 * abs(trace.J_values[-1])
         for J, vals in zip(trace.J_values, states):
             assert abs(J - _closed_form_J(f0, w, sigma, vals)) <= bound
+
+
+def test_flow_membership_column_matches_membership(monkeypatch):
+    # run_flow's tables and interior block against membership(), which
+    # evaluates w' in complex arithmetic on the full differentiation matrix
+    f0, w, sigma = _witness_like_cubic()
+    trace, states = _flow_with_states(monkeypatch, f0, w, sigma)
+    assert len(states) > 3
+    for memb, vals in zip(trace.membership_min, states):
+        state = GridFunction(f0.a, f0.b, f0.nodes, vals, f0.boundary)
+        assert memb == pytest.approx(membership(state, w)[1], rel=1e-12)
 
 
 def test_flow_rejects_a_step_that_raises_J(monkeypatch):

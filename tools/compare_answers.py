@@ -1,10 +1,10 @@
 """Compare every answer of two levelgraph checkouts on the benchmark inputs.
 
-    python3 tools/compare_answers.py PARENT_DIR CHANGE_DIR
+    python3 tools/compare_answers.py PARENT_DIR CHANGE_DIR [--seeds 1 2 ...]
 
-For each workload of ``bench/ops.py`` and seeds 1 and 2, the inputs of
-``bench/gen.py`` are run once against each checkout's ``src`` package, each
-side in a child interpreter of its own.  On ``verdicts`` and ``dhym-sweep``
+For each workload of ``bench/ops.py`` and each seed (``--seeds``, 1 and 2
+by default), the inputs of ``bench/gen.py`` are run once against each
+checkout's ``src`` package, each side in a child interpreter of its own.  On ``verdicts`` and ``dhym-sweep``
 these are all the inputs a 25 s ``bench/run.py`` run times (3750 and 6000),
 so an answer that flips anywhere in a timed run shows here; ``witness``
 takes its first 40.  A fourth set, ``witness-vertical-tangent``, which no
@@ -18,15 +18,22 @@ next to this script, so both sides see the same data; nothing under
 ``bench/`` is changed.
 
 Prints one summary line per workload and seed, each after the first
-differing field of its differing answers (``SHOW`` in all at most).  Exits
-with status 0 when every answer matches and 1 when one does not.
+differing field of its differing answers (``SHOW`` in all at most).  The
+line counts the answers that are not byte-equal, and of those the answers
+whose non-float fields differ: a length, an int, a bool, a string, an
+exception's text, or a field present on one side only.  It also gives the
+largest relative change |new - old| / |old| over the float (and complex)
+fields of the differing answers.  Exits with status 0 when every answer
+matches byte for byte and 1 when one does not.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,6 +69,28 @@ def _flatten(obj, path: str, out: dict) -> None:
         out[path] = f"{type(obj).__name__}: {obj}"
     else:
         out[path] = repr(obj)
+
+
+def _number(text: str):
+    """The float or complex number a recorded field holds, else None."""
+    try:
+        value = ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        # nan and inf, alone or inside a complex, are not literals
+        try:
+            return complex(text) if "j" in text else float(text)
+        except ValueError:
+            return None
+    return value if isinstance(value, (float, complex)) else None
+
+
+def _relative_change(old, new) -> float:
+    """|new - old| / |old|: 0 when both are equal or both nan, and inf when
+    old is 0 or the quotient is undefined (a nan or an infinity on one side)."""
+    if old == new or (old != old and new != new):
+        return 0.0
+    change = abs(new - old) / abs(old) if old != 0 else math.inf
+    return change if change == change else math.inf
 
 
 def _vertical_tangent_set(ops):
@@ -111,25 +140,36 @@ def _answers(checkout: Path, workload: str, seed: int, count: int) -> list:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
-def compare(parent: Path, change: Path) -> int:
+def compare(parent: Path, change: Path, seeds) -> int:
     differing = 0
     for workload, count in COUNTS.items():
-        for seed in SEEDS:
+        for seed in seeds:
             old = _answers(parent, workload, seed, count)
             new = _answers(change, workload, seed, count)
-            fields = bad = 0
+            fields = bad = structural = 0
+            largest = 0.0
             for i, (a, b) in enumerate(zip(old, new)):
                 fields += len(a)
                 diff = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-                if diff:
-                    bad += 1
-                    if differing + bad <= SHOW:
-                        k = diff[0]
-                        print(f"  {workload} seed {seed} input {i}: {len(diff)} fields "
-                              f"differ, first {k}: {a.get(k)} -> {b.get(k)}")
-            bad += abs(len(old) - len(new))
+                if not diff:
+                    continue
+                bad += 1
+                if differing + bad <= SHOW:
+                    k = diff[0]
+                    print(f"  {workload} seed {seed} input {i}: {len(diff)} fields "
+                          f"differ, first {k}: {a.get(k)} -> {b.get(k)}")
+                numbers = [(_number(a[k]), _number(b[k])) if k in a and k in b else (None, None)
+                           for k in diff]
+                if any(x is None or y is None for x, y in numbers):
+                    structural += 1
+                largest = max([largest] + [_relative_change(x, y) for x, y in numbers
+                                           if x is not None and y is not None])
+            unmatched = abs(len(old) - len(new))
+            bad += unmatched
+            structural += unmatched
             print(f"{workload} seed {seed}: {len(old)} answers, {fields} fields, "
-                  f"{bad} answers differ")
+                  f"{bad} answers differ, {structural} in a non-float field; "
+                  f"largest relative float change {largest:.3g}")
             differing += bad
     return 0 if differing == 0 else 1
 
@@ -138,6 +178,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", nargs="?", type=Path)
     parser.add_argument("change", nargs="?", type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS,
+                        help="seeds of the inputs to compare (default: 1 2)")
     parser.add_argument("--dump", help=argparse.SUPPRESS)
     parser.add_argument("--workload", help=argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, help=argparse.SUPPRESS)
@@ -151,7 +193,7 @@ def main(argv=None) -> int:
     for checkout in (args.parent, args.change):
         if not (checkout / "src" / "levelgraph" / "__init__.py").is_file():
             parser.error(f"no levelgraph sources under {checkout}")
-    return compare(args.parent.resolve(), args.change.resolve())
+    return compare(args.parent.resolve(), args.change.resolve(), args.seeds)
 
 
 if __name__ == "__main__":
