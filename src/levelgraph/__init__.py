@@ -13,7 +13,7 @@ Subpackages build on each other roughly bottom-up:
 - ``tracer``: numeric continuation of the level curves and gradient-direction
   field curves, graphical-connection checks
 - ``kempf_ness``: weighted energy functional on an interval, its flow, and
-  convexity along geodesics
+  its second variation
 - ``dhym``: existence of solutions to the degenerate special-Lagrangian /
   line-bundle equation via phase lifts and Cauchy indices
 - ``cli``: JSON/CSV command-line front end

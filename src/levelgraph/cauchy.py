@@ -37,7 +37,6 @@ from .poly import RealPolynomial, divide_linear
 __all__ = [
     "HalfInteger",
     "RationalFunction",
-    "index_at_point",
     "index_one_sided",
     "index_on_interval",
     "line_crossings",
@@ -268,11 +267,6 @@ def index_one_sided(h: RationalFunction, s: float, side: int) -> HalfInteger:
     den = _local(_integer_coeffs(h.den), s)
     num = _local(_integer_coeffs(h.num), s)
     return HalfInteger(_pole_sign(den, num, side))
-
-
-def index_at_point(h: RationalFunction, s: float) -> HalfInteger:
-    """Full jump index at s: ind^+ - ind^-."""
-    return index_one_sided(h, s, +1) - index_one_sided(h, s, -1)
 
 
 def index_on_interval(h: RationalFunction, c: float, d: float) -> HalfInteger:

@@ -22,7 +22,7 @@ SNAP_TOL = 1e-8
 # continuation (tracer)
 CORRECTOR_TOL = 1e-10      # |level function| after Newton correction
 MAX_TURN_ANGLE = 0.2       # radians per accepted step
-TRACE_RADIUS_FACTOR = 4.0  # radius = factor * (1 + max |root of w|)
+TRACE_RADIUS_FACTOR = 4.0  # radius = factor * (1 + Fujiwara's bound on |roots of w|)
 
 # flow
 FLOW_STOP_TOL = 1e-8
@@ -39,7 +39,7 @@ class RunConfig:
 
     stop_tol: float = FLOW_STOP_TOL
     grid_nodes: int = GRID_NODES
-    trace_radius: float = 0.0   # 0 means "derive from the roots of w"
+    trace_radius: float = 0.0   # 0 means "derive from the coefficients of w"
     out_path: str = ""
 
     def __post_init__(self):

@@ -135,7 +135,7 @@ class Potential:
         wp = w.derivative()
         if wp.is_zero:
             raise ZeroPolynomial("w is constant; it has no level-curve geometry")
-        self.roots = tuple(roots(wp)) if wp.degree > 0 else ()
+        self.roots = tuple(roots(wp))
         on_axis, off_axis = [], []
         for r in self.roots:
             c, k = r.location, r.multiplicity
@@ -346,8 +346,7 @@ def tangent_cone_at_infinity(w: ComplexPolynomial) -> TangentConeAtInfinity:
     if n < 1:
         raise ZeroPolynomial("w must be nonconstant")
     beta = w.coeffs[-1]
-    c_prev = w.coeffs[-2] if n >= 1 else 0.0
-    vertex = -c_prev / (n * beta)
+    vertex = -w.coeffs[-2] / (n * beta)
     # atan2 rather than cmath.phase: the latter overflows on subnormal parts
     a = math.atan2(beta.imag, beta.real)
     generic = abs((beta * I_POWERS[n % 4]).imag) >= SIGN_TOL * abs(beta)

@@ -138,14 +138,24 @@ def _orient(t: complex, direction: int) -> complex:
     return -t if t.imag * direction < 0 else t
 
 
+def _root_bound(w: ComplexPolynomial) -> float:
+    """Fujiwara's bound (Tohoku Math. J. 10, 1916): every root of w lies within
+    2 max(|c_{n-1}/c_n|, |c_{n-2}/c_n|^(1/2), ..., |c_0/(2 c_n)|^(1/n))."""
+    n = w.degree
+    if n < 1:
+        return 0.0
+    lead = abs(w.coeffs[-1])
+    return 2.0 * max(
+        (abs(c) / (2.0 * lead if k == 0 else lead)) ** (1.0 / (n - k))
+        for k, c in enumerate(w.coeffs[:-1])
+    )
+
+
 def _escape_radius(w: ComplexPolynomial, seed: complex, radius) -> float:
     if radius is not None and radius > 0:
         return float(radius)
-    rmax = 0.0
-    if w.degree >= 1:
-        rmax = max((abs(r.location) for r in roots(w)), default=0.0)
     # never start outside the escape circle
-    return max(TRACE_RADIUS_FACTOR * (1.0 + rmax), 1.25 * (abs(seed) + 1.0))
+    return max(TRACE_RADIUS_FACTOR * (1.0 + _root_bound(w)), 1.25 * (abs(seed) + 1.0))
 
 
 def _clip_to_axis(field, grad, prev: complex, cur: complex) -> complex:

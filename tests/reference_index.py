@@ -4,12 +4,15 @@ Every double is a rational number, so this chain is exact for any float
 input.  It is slow and refuses pole endpoints (raising IndeterminateSign),
 which is why the library does not use it; the tests compare the library's
 integer chain, ``levelgraph.cauchy.index_on_interval``, against it.
+
+``index_at_point``, the full jump of the index at one point, is kept here
+too: the library needs only one-sided jumps, and the tests use the full one.
 """
 
 import math
 from fractions import Fraction
 
-from levelgraph.cauchy import HalfInteger, RationalFunction
+from levelgraph.cauchy import HalfInteger, RationalFunction, index_one_sided
 from levelgraph.errors import LevelGraphError
 
 
@@ -93,3 +96,8 @@ def index_on_interval_exact(h: RationalFunction, c: float, d: float) -> HalfInte
     vc = _variations([_sign_at_exact(f, cx) for f in chain])
     vd = _variations([_sign_at_exact(f, dx) for f in chain])
     return HalfInteger.from_int(vc - vd)
+
+
+def index_at_point(h: RationalFunction, s: float) -> HalfInteger:
+    """Full jump index at s: ind^+ - ind^-."""
+    return index_one_sided(h, s, +1) - index_one_sided(h, s, -1)

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference_index import index_on_interval_exact
+from reference_index import index_at_point, index_on_interval_exact
 
 from levelgraph.cauchy import (
     HalfInteger,
     RationalFunction,
-    index_at_point,
     index_on_interval,
     index_one_sided,
     one_sided_sign,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_geodesic import geodesic_residual, relax_geodesic
 
 from levelgraph import kempf_ness
 from levelgraph.errors import Diverged, NonIntegrableEndpoint
@@ -14,11 +15,9 @@ from levelgraph.kempf_ness import (
     default_sigma,
     derivative_values,
     gauss_interior_nodes,
-    geodesic_residual,
     j_derivative,
     make_grid_function,
     membership,
-    relax_geodesic,
     run_flow,
     second_variation_at,
 )

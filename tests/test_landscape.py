@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference_index import index_at_point
 
 from levelgraph import cauchy, poly
-from levelgraph.cauchy import HalfInteger, RationalFunction, index_at_point, line_crossings
+from levelgraph.cauchy import HalfInteger, RationalFunction, line_crossings
 from levelgraph.config import SNAP_TOL
 from levelgraph.errors import CriticalPointInRHP, DegenerateLine, LevelGraphError
 from levelgraph.landscape import (

@@ -1,11 +1,24 @@
+import cmath
 import math
+import sys
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from levelgraph import poly
 from levelgraph.cauchy import HalfInteger
 from levelgraph.errors import SeedNotOnCurve
-from levelgraph.poly import ComplexPolynomial
-from levelgraph.tracer import Polyline, graphical_connection, sample_regions, trace_level
+from levelgraph.poly import ComplexPolynomial, from_roots
+from levelgraph.tracer import (
+    Polyline,
+    _root_bound,
+    graphical_connection,
+    sample_regions,
+    trace_level,
+)
 
 CUBE_THIRD = ComplexPolynomial([0, 0, 0, 1 / 3])
 CUBIC_MIXED = ComplexPolynomial([0, 0, 1 / 2, 1 / 3])
@@ -215,3 +228,109 @@ def test_sample_regions_solves_w_prime_once(monkeypatch):
     labels = sample_regions(CUBE_THIRD, points)
     assert len(labels) == 5
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# one root solve per trace: the escape circle comes from the coefficients
+
+
+def _count_root_solves(monkeypatch) -> list:
+    calls = []
+    real_roots = poly.roots
+
+    def counted(p):
+        calls.append(p)
+        return real_roots(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("levelgraph") and getattr(module, "roots", None) is real_roots:
+            monkeypatch.setattr(module, "roots", counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda: graphical_connection(CUBE_THIRD, 1, 2),
+    lambda: trace_level(CUBE_THIRD, 2.0 + 0j, direction=-1),
+    lambda: trace_level(CUBE_THIRD, 1 + 1j, kind="vertical_tangent"),
+], ids=["graphical_connection", "level", "vertical_tangent"])
+def test_each_trace_makes_one_root_solve(monkeypatch, run):
+    calls = _count_root_solves(monkeypatch)
+    run()
+    assert calls == [CUBE_THIRD.derivative()]
+
+
+def _magnitudes(top: int):
+    return st.builds(
+        lambda m, e, phase: cmath.rect(m * 10.0**e, phase),
+        st.floats(1.0, 10.0), st.integers(-top, top), st.floats(0.0, 2 * math.pi),
+    )
+
+
+_COEFFS = st.lists(_magnitudes(30) | st.just(0j), min_size=1, max_size=12).flatmap(
+    lambda low: _magnitudes(30).map(lambda lead: ComplexPolynomial(low + [lead]))
+)
+# roots drawn from a few values, so that some come out multiple; 12 roots of
+# size 1e20 and a leading 1e30 keep every coefficient a normal double
+_PLANTED = st.builds(
+    from_roots,
+    st.lists(_magnitudes(20), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+    ),
+    _magnitudes(30),
+)
+
+
+def _largest_root(w) -> float:
+    """max |root of w| at 50 digits, by mpmath.polyroots or, failing it, mpmath.eig.
+
+    The variable is first scaled by the largest double-precision companion
+    eigenvalue, which polyroots needs because it stops on an absolute step;
+    the eigenvalues also seed it.  On a multiple root, such as that of
+    (z - 1)^3, or a tight cluster, polyroots converges only linearly, and the
+    QR iteration of mpmath.eig on the scaled companion matrix gives the roots
+    instead.  The zero roots that vanishing low coefficients give are set
+    aside.
+    """
+    low = next(k for k, c in enumerate(w.coeffs) if c != 0)
+    rest = w.coeffs[low:]
+    n = len(rest) - 1
+    if n == 0:
+        return 0.0
+    approx = np.roots(rest[::-1])
+    scale = float(np.max(np.abs(approx)))
+    with mpmath.workdps(50):
+        monic = [mpmath.mpc(c) / mpmath.mpc(rest[-1]) * mpmath.mpf(scale) ** (k - n)
+                 for k, c in enumerate(rest)]
+        try:
+            found = mpmath.polyroots(monic[::-1], maxsteps=15, extraprec=20,
+                                     roots_init=[mpmath.mpc(z / scale) for z in approx])
+        except mpmath.libmp.NoConvergence:
+            companion = mpmath.matrix(n, n)
+            for k in range(n):
+                companion[0, k] = -monic[n - 1 - k]
+            for k in range(1, n):
+                companion[k, k - 1] = 1
+            # (mpmath.eig returns a tuple for a 1-by-1 matrix, which polyroots
+            # always solves)
+            found = mpmath.eig(companion, left=False, right=False)
+        return float(scale * max(abs(r) for r in found))
+
+
+# B is evaluated in floats: an abs, a division and a power per term, each
+# good to about an ulp.  In degree 1 B equals R exactly, and on an exact n-fold
+# root it equals 2n R, so each comparison allows B that rounding.
+_ROUNDING = 1.0 + 8.0 * sys.float_info.epsilon
+
+
+# a 50-digit eigenvalue solve takes about 0.1 s at degree 12
+@settings(max_examples=50, deadline=None)
+@given(_COEFFS | _PLANTED)
+@example(w=from_roots([0.0640996858163325 + 0.07675435022360272j], 0.0007140625000000001 + 0j))
+@example(w=from_roots([1, 1, 1], 1))
+@example(w=from_roots([10, 10], 1))
+def test_root_bound_encloses_roots_and_is_within_2n_of_them(w):
+    r_max = _largest_root(w)
+    bound = _root_bound(w)
+    assert r_max <= bound * _ROUNDING
+    # |c_{n-k}/c_n| = |e_k| <= C(n, k) R^k <= n^k R^k, so no term passes n R
+    assert bound <= 2 * w.degree * r_max * _ROUNDING
