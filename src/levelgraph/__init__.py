@@ -36,8 +36,6 @@ from .errors import (
     ZeroTotalCharge,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "BoundaryPointUnreachable",
     "CorrectorDiverged",
@@ -53,5 +51,4 @@ __all__ = [
     "SeedNotOnCurve",
     "ZeroPolynomial",
     "ZeroTotalCharge",
-    "__version__",
 ]

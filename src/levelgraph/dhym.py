@@ -18,9 +18,11 @@ sum.  The charge paths of Z_P and Z_Dinf keep every factor in the right
 half-plane, so each lift has a closed form in atan2 and rises strictly, and
 an index is the number of lines through the total charge Z_X that the lift
 still crosses: a floor formula.  A count is trusted only when its lift lies
-farther from every line than a stated rounding bound.  Otherwise, and for
-the axis index of a non-generic input, the exact signed-remainder chain of
-:mod:`levelgraph.cauchy` decides.
+farther from every line than a stated rounding bound.  The axis index of a
+non-generic input, whose Z_P path starts on a line, counts the lines after
+that one, and is trusted when the start is within that bound of its line
+and far enough inside the sector for the lift to keep rising.  Otherwise
+the exact signed-remainder chain of :mod:`levelgraph.cauchy` decides.
 
 Orientation note: the index machinery in :mod:`levelgraph.cauchy` counts a
 -inf -> +inf jump as +1.  The lift formulas below need the opposite sign --
@@ -111,8 +113,9 @@ class LiftData:
     """What compute_lifts decides; analyze copies all but the last two fields.
 
     line_margin is the smallest distance, in units of pi, from a crossing
-    count's ends to a line of Z_X, and index_fallbacks (0 to 2) is how many
-    of the two indices the exact chain decided.
+    count's ends to a line of Z_X, leaving out the start of a non-generic
+    Z_P path, which lies on a line; index_fallbacks (0 to 2) is how many of
+    the two indices the exact chain decided.
     """
 
     theta_top: float
@@ -294,19 +297,88 @@ def _crossings(lift: float, line_angle: float, bound: float):
     return line_crossings((lift - line_angle) / math.pi, 1 - line_angle / math.pi, bound)
 
 
+def _crossings_from_line(lift: float, line_angle: float, bound: float, xi: complex, m: int):
+    """(count, margin): the axis index of a non-generic input, from its lift.
+
+    For a non-generic input the Z_P path starts within rounding of a line
+    of Z_X.  The index that the exact chain decides is that of
+    F(t) = g(it) - a over t > 0, where g(z) = e^{-i theta_hat} i^r (xi + z)^m
+    is w' with t^r cancelled, whose phase is the Z_P path's lift turned so
+    that the lines of Z_X are {Re g = 0}, and a = Re g(0): the chain zeroes
+    a, which puts the start exactly on a line, and the start's half-jump
+    cancels (_ccw_index negates it and index_one_sided adds it back).  So
+    the index counts the lines F's lift crosses after its start, and with
+    lo = (lift - line_angle)/pi, k0 = round(lo) and hi = 1 - line_angle/pi
+    it is floor(hi) - k0, the lines in (k0, hi], when
+
+    - F's lift rises strictly for t >= 0.  With u = xi + it and |c| = 1,
+      its rate is m Re(1/(u (1 - a/(c u^m)))), which is positive while
+      xi1 |u|^m > |a| (|u| + xi1); since |u| >= xi1, that holds for every
+      t once xi1^m > 2|a|.
+    - F starts on line k0 and ends on g's asymptote.  |a| < |g(it)|/2 for
+      every t keeps F's lift within 1/6 (in units of pi) of g's, so both
+      reach hi, and F's start is the line within 1/6 of g's start, which
+      is k0 while g's start lies within 1/3 of it.
+    - hi lies farther than bound from an integer, so floor(hi) is exact.
+
+    With delta the exact distance of g's start from line k0 in units of
+    pi, |a| = |xi|^m |sin(pi delta)| <= pi |delta| |xi|^m and |delta| <=
+    |lo - k0| + bound, so the test 2 pi (|lo - k0| + bound) < (xi1/|xi|)^m
+    gives xi1^m > 2|a| and |delta| < 1/(2 pi) < 1/3.  The test's own
+    rounding, below (m + 4) eps, is covered by the slack in bound, which
+    exceeds the 6 eps (n + |ell|) it must cover by 2 eps (n + |ell|):
+    times 2 pi, more than 12 n eps.  margin is hi's distance from its
+    nearest line, and the count is None unless the test passes and
+    margin > bound.
+    """
+    lo = (lift - line_angle) / math.pi
+    hi = 1 - line_angle / math.pi
+    k0 = round(lo)
+    hi_floor = math.floor(hi)
+    margin = min(hi - hi_floor, hi_floor + 1 - hi)
+    rising = 2 * math.pi * (abs(lo - k0) + bound) < (xi.real / abs(xi)) ** m
+    return (hi_floor - k0 if rising and margin > bound else None), margin
+
+
+def _chain_index(inp: CalabiInput, wp, theta_hat: float, generic: bool,
+                 axis: bool) -> HalfInteger:
+    """One index from the exact signed-remainder chain alone.
+
+    axis False gives ind_Rb, along the vertical ray above z2 on w' itself.
+    axis True gives ind_R0 along the imaginary axis.  The common factor t^r
+    of Re and Im of w'(it) is cancelled first, leaving g(it),
+    g(z) = e^{-i theta_hat} i^r (xi + z)^m.  A non-generic Re g(0) is zero
+    up to SIGN_TOL: it is made exact, and the half-jump at t = 0, where the
+    Z_P path starts on the Z_X line, is left out.
+    """
+    if not axis:
+        re_b, im_b = restrict_to_vertical_line(wp, inp.b)
+        return _ccw_index(re_b, im_b, inp.q, math.inf)
+    g = from_roots([-inp.xi] * inp.m) * (cmath.exp(-1j * theta_hat) * I_POWERS[inp.r % 4])
+    re_0, im_0 = restrict_to_vertical_line(g, 0.0)
+    if generic:
+        return _ccw_index(re_0, im_0, 0.0, math.inf)
+    re_0 = RealPolynomial((0.0,) + re_0.coeffs[1:])
+    return _ccw_index(re_0, im_0, 0.0, math.inf) + index_one_sided(
+        RationalFunction(im_0, re_0), 0.0, +1
+    )
+
+
 def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
     """Lifted phases, Cauchy indices, and the genericity flag.
 
     Z_X and Z_Dinf are the charges from compute_charges.  The closed-form
-    lifts of the Z_Dinf and Z_P paths decide ind_Rb and, for generic inputs,
-    ind_R0 as counts of crossings of the Z_X line, each certified by
-    _crossings against the rounding bound of _z_x_line.  An index whose
-    count is not certified, and the axis index of a non-generic input, come
-    from the exact signed-remainder chain instead; ``index_fallbacks``
-    counts these.  ``line_margin`` is the smallest distance, in units of pi,
-    from a count's ends to a line.  The Z_Dinf path's end grade must agree
-    with phi_X + delta/pi, otherwise LiftInconsistency is raised.  Class
-    data with Re w'(z2) <= 0 raise BoundaryPointUnreachable.
+    lifts of the Z_Dinf and Z_P paths decide both indices as counts of
+    crossings of the Z_X line, each certified against the rounding bound
+    of _z_x_line: ind_Rb and a generic ind_R0 by _crossings, and the axis
+    index of a non-generic input, whose path starts on a line, by
+    _crossings_from_line.  An index whose count is not certified comes
+    from the exact signed-remainder chain instead (_chain_index);
+    ``index_fallbacks`` counts these.  ``line_margin`` is the smallest
+    distance, in units of pi, from a count's ends to a line, the start of
+    a non-generic Z_P path left out.  The Z_Dinf path's end grade must
+    agree with phi_X + delta/pi, otherwise LiftInconsistency is raised.
+    Class data with Re w'(z2) <= 0 raise BoundaryPointUnreachable.
     """
     m, r = inp.m, inp.r
     n = m + r + 1
@@ -331,8 +403,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     fallbacks = 0
     if count is None:
         fallbacks += 1
-        re_b, im_b = restrict_to_vertical_line(wp, inp.b)
-        ind_Rb = _ccw_index(re_b, im_b, inp.q, math.inf)
+        ind_Rb = _chain_index(inp, wp, theta_hat, generic, axis=False)
     else:
         ind_Rb = HalfInteger.from_int(count)
     on_wall = not ind_Rb.is_integer
@@ -348,29 +419,17 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
             f"{SIGN_TOL * abs(wp_z2):.3g}: no graph over [0, b] ends at z2"
         )
 
-    # index along the imaginary axis.  A non-generic Z_P path starts on the
-    # Z_X line, a crossing no count decides
-    count = None
+    # index along the imaginary axis
     if generic:
         count, margin = _crossings(lift_P, line_angle, bound)
-        line_margin = min(line_margin, margin)
-    if count is not None:
-        ind_R0 = HalfInteger.from_int(count)
     else:
-        # the common factor t^r of Re and Im of w'(it) is cancelled first,
-        # leaving g(it), g(z) = e^{-i theta} i^r (xi + z)^m.  A non-generic
-        # Re g(0) is zero up to SIGN_TOL: make it exact, and leave out the
-        # half-jump at t = 0, where the Z_P path starts on the Z_X line
+        count, margin = _crossings_from_line(lift_P, line_angle, bound, inp.xi, m)
+    line_margin = min(line_margin, margin)
+    if count is None:
         fallbacks += 1
-        g = from_roots([-inp.xi] * m) * (cmath.exp(-1j * theta_hat) * I_POWERS[r % 4])
-        re_0, im_0 = restrict_to_vertical_line(g, 0.0)
-        if generic:
-            ind_R0 = _ccw_index(re_0, im_0, 0.0, math.inf)
-        else:
-            re_0 = RealPolynomial((0.0,) + re_0.coeffs[1:])
-            ind_R0 = _ccw_index(re_0, im_0, 0.0, math.inf) + index_one_sided(
-                RationalFunction(im_0, re_0), 0.0, +1
-            )
+        ind_R0 = _chain_index(inp, wp, theta_hat, generic, axis=True)
+    else:
+        ind_R0 = HalfInteger.from_int(count)
 
     Theta_lift = theta_top - float(ind_Rb) * math.pi
     phi_X = (theta_top - float(ind_Rb) * math.pi - n * math.pi / 2 + math.pi) / math.pi

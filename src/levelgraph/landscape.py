@@ -272,6 +272,7 @@ def _exact_index(pot: Potential, z0: complex, on_axis: bool) -> HalfInteger:
     too, so that the pole lands exactly on the endpoint: the dropped factor
     is negative below y_j, which negates the index of the reduced ratio,
     and the pole's half jump is added from the exact sign of that ratio.
+    Raises DegenerateLine when the division leaves Re w' zero.
     """
     y0 = z0.imag
     ratio = vertical_line_ratio(pot.w, 0.0 if on_axis else z0.real)
@@ -284,6 +285,11 @@ def _exact_index(pot: Potential, z0: complex, on_axis: bool) -> HalfInteger:
     for cp in pot.axis_critical_points:
         re = _deflate(re, cp.y0, cp.order + (cp is pole))
         im = _deflate(im, cp.y0, cp.order)
+    if re.is_zero:
+        raise DegenerateLine(
+            f"Re(w') on the axis is zero once its critical-point factors are "
+            f"divided out: {ratio.den.coeffs!r} deflates to the zero polynomial"
+        )
     idx = index_on_interval(RationalFunction(im, re), -math.inf, y0)
     if pole is not None:
         jump = one_sided_sign(im, pole.y0, -1) * one_sided_sign(re, pole.y0, -1)
@@ -309,7 +315,8 @@ def counting_function(pot: Potential, z0: complex) -> CountingResult:
     end within the bound of a line (z0 on an arc among them), or a
     non-generic critical point on the axis -- the exact signed-remainder
     chain decides the index (_exact_index).  Raises DegenerateLine when
-    Re w' vanishes identically on the line.
+    Re w' vanishes identically on the line, or on the axis once the
+    chain divides the critical points' factors out of it.
     """
     z0 = complex(z0)
     x0, y0 = z0.real, z0.imag

@@ -213,11 +213,28 @@ def as_complex_polynomial(w) -> ComplexPolynomial:
 
 
 def from_roots(roots: Sequence[complex], leading: complex = 1.0) -> ComplexPolynomial:
-    """Monic-times-`leading` polynomial with the given roots (with repetition)."""
-    p = ComplexPolynomial([leading])
+    """Monic-times-`leading` polynomial with the given roots (with repetition).
+
+    Each factor (z - r) multiplies one coefficient list in place, from the
+    top down, and one polynomial is built at the end.  Every coefficient
+    takes the generic product's operations in its order,
+    out[k] = (0j + a[k-1] * (1+0j)) + a[k] * (-r), so the result is
+    byte-equal to the product of ComplexPolynomial([leading]) and the
+    factors ComplexPolynomial([-r, 1.0]), signed zeros included.  A zero
+    `leading` gives the zero polynomial.
+    """
+    lead = complex(leading)
+    if lead == 0:
+        return ComplexPolynomial(())
+    one = 1 + 0j
+    a = [lead]
     for r in roots:
-        p = p * ComplexPolynomial([-r, 1.0])
-    return p
+        neg = complex(-r)
+        a.append(0j + a[-1] * one)
+        for k in range(len(a) - 2, 0, -1):
+            a[k] = (0j + a[k - 1] * one) + a[k] * neg
+        a[0] = 0j + a[0] * neg
+    return ComplexPolynomial(a)
 
 
 def restrict_to_vertical_line(p: ComplexPolynomial, x0: float):

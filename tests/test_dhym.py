@@ -18,6 +18,7 @@ from levelgraph.dhym import (
     _LINE_ROUNDING,
     _ccw_index,
     _crossings,
+    _crossings_from_line,
     _path_lift,
     _z_x_line,
     analyze,
@@ -195,6 +196,12 @@ PLANTED_39 = CalabiInput(2, 0, 1.2443289121140952, -0.9338581957085412,
                          0.5120912257056114, 0.759702860137234)
 PLANTED_198 = CalabiInput(3, 0, 1.4405456336916118, -1.9075008892519367,
                           1.025635705615961, -2.696975544214713)
+# non-generic with xi1 = 1e-13: the axis path runs 1e-13 from the origin,
+# and zeroing Re g(0), 3e-11 in size, moves it past the origin: its lift falls
+THIN_SECTOR = CalabiInput(1, 0, 1e-13, 1.0, 1.0, -0.99999999997)
+# non-generic with the Z_P path's start 3.5e-17 pi below its line
+PLANTED_59 = CalabiInput(1, 0, 1.019931112311693, -0.7330594124575915,
+                         2.1636964848176734, 2.1588544599659016)
 
 
 def lift_paths(inp):
@@ -240,7 +247,12 @@ def lifts_of(inp):
 @example(**dataclasses.asdict(HIGH_DEGREE), real=False)
 @example(**dataclasses.asdict(PLANTED_39), real=False)
 @example(**dataclasses.asdict(PLANTED_198), real=False)
+@example(**dataclasses.asdict(PLANTED_59), real=False)
+@example(**dataclasses.asdict(THIN_SECTOR), real=False)
 @example(m=1, r=0, xi1=1.0, xi2=-1.9367323075281756e-233, b=1.0, q=0.0, real=False)
+# non-generic, with the Z_X line through the asymptote: both ends sit on a
+# line, so the chain decides both indices
+@example(m=2, r=1, xi1=1.0, xi2=0.0, b=1.0, q=0.0, real=True)
 def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
     # real class data put theta_hat at 0: non-generic for odd r, and for even
     # m + r + 1 the Z_X line runs through the asymptote, where no count is
@@ -260,6 +272,9 @@ def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
     count_P, _ = _crossings(_path_lift(factors_P, t_P), line_angle, bound)
     if generic:
         assert count_P is None or count_P == ind_R0
+    else:
+        count_P, _ = _crossings_from_line(_path_lift(factors_P, t_P), line_angle, bound,
+                                          inp.xi, m)
     Z_X, Z_Dinf, _ = compute_charges(inp, P)
     try:
         lifts = compute_lifts(inp, w, theta_hat, Z_X, Z_Dinf)
@@ -267,7 +282,7 @@ def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
         return
     assert (lifts.ind_R0, lifts.ind_Rb) == (ind_R0, ind_Rb)
     assert lifts.genericity == ("generic" if generic else "non_generic")
-    assert lifts.index_fallbacks == (count_D is None) + (count_P is None or not generic)
+    assert lifts.index_fallbacks == (count_D is None) + (count_P is None)
 
 
 @pytest.mark.parametrize("xi2, ind, theta_top", [
@@ -336,14 +351,46 @@ def test_generic_analyze_runs_no_exact_chain(monkeypatch):
     assert calls == []
 
 
-def test_nongeneric_analyze_runs_one_exact_chain(monkeypatch):
-    chains = []
-    real = dhym.index_on_interval
-    monkeypatch.setattr(dhym, "index_on_interval", lambda *a: chains.append(a) or real(*a))
+def test_nongeneric_analyze_runs_no_exact_chain(monkeypatch):
+    calls = []
+    for name in ("index_on_interval", "restrict_to_vertical_line"):
+        real = getattr(dhym, name)
+        monkeypatch.setattr(dhym, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
     report = analyze(PLANTED_39)
     assert report.genericity == "non_generic"
-    assert len(chains) == 1
-    assert lifts_of(PLANTED_39).index_fallbacks == 1
+    assert calls == []
+    assert lifts_of(PLANTED_39).index_fallbacks == 0
+    assert calls == []
+
+
+def test_nongeneric_count_needs_a_rising_lift():
+    # counted from its line, the axis index would read -1; the chain, which
+    # sees the falling lift, finds 0
+    w, _, theta_hat = build_polynomials(THIN_SECTOR)
+    _, line_angle, bound = _z_x_line(theta_hat, 2)
+    (factors_P, t_P), _ = lift_paths(THIN_SECTOR)
+    lo = (_path_lift(factors_P, t_P) - line_angle) / math.pi
+    assert math.floor(1 - line_angle / math.pi) - round(lo) == -1
+    assert _crossings_from_line(_path_lift(factors_P, t_P), line_angle, bound,
+                                THIN_SECTOR.xi, 1)[0] is None
+    lifts = lifts_of(THIN_SECTOR)
+    assert lifts.genericity == "non_generic"
+    assert lifts.index_fallbacks == 1
+    assert lifts.ind_R0 == exact_chain_indices(THIN_SECTOR, w, theta_hat)[0] == 0
+
+
+def test_nongeneric_start_below_its_line_counts_from_that_line():
+    # the start rounds up to its line: the count runs from there, and the
+    # lines below it are not crossed
+    w, _, theta_hat = build_polynomials(PLANTED_59)
+    _, line_angle, bound = _z_x_line(theta_hat, 2)
+    (factors_P, t_P), _ = lift_paths(PLANTED_59)
+    lo = (_path_lift(factors_P, t_P) - line_angle) / math.pi
+    assert -bound < lo - round(lo) < 0.0
+    lifts = lifts_of(PLANTED_59)
+    assert lifts.genericity == "non_generic"
+    assert lifts.index_fallbacks == 0
+    assert lifts.ind_R0 == exact_chain_indices(PLANTED_59, w, theta_hat)[0] == 0
 
 
 def test_count_on_or_within_bound_of_a_line_is_uncertified():

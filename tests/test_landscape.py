@@ -379,6 +379,9 @@ FALLBACK_SEED5_982 = _example(
 NONGENERIC_AT_ZERO = ComplexPolynomial([0, 1, 1]).antiderivative()
 # w' = (z - i)(z + 0.5i)^2: every root on the axis, all critical points generic
 ALL_ON_AXIS = from_roots([1j, -0.5j, -0.5j], 1j).antiderivative()
+# w' = (1 + 4.8e-269i) z^3: Re w' on the axis is 4.8e-269 y^3, all of it the
+# factor of the non-generic triple point at 0
+SUBNORMAL_TRIPLE = ComplexPolynomial([0, 0, 0, 0, complex(0.25, 1.1954221117477852e-269)])
 
 
 @given(potentials_with_points())
@@ -391,8 +394,8 @@ ALL_ON_AXIS = from_roots([1j, -0.5j, -0.5j], 1j).antiderivative()
 @example((ALL_ON_AXIS, [0j, 1j, -0.5j, 2j, 0.5 + 0.2j, 0.3 - 2j]))
 @example((HALF_SQUARE, [0.5j, 1 + 0j]))
 # w' = (1 + 4.8e-269i) z^3: a non-generic triple point at z1 = 0 whose reduced
-# Re w' deflates to zero; the chain raises DenominatorIdenticallyZero there
-@example((ComplexPolynomial([0, 0, 0, 0, complex(0.25, 1.1954221117477852e-269)]), [0j]))
+# Re w' deflates to zero; the chain and the label raise DegenerateLine there
+@example((SUBNORMAL_TRIPLE, [0j]))
 def test_phase_sum_label_matches_exact_chain(case):
     w, points = case
     try:
@@ -414,6 +417,18 @@ def test_phase_sum_label_matches_exact_chain(case):
         assert res.exact_fallback == (not res.margin > 0)
         if nongeneric and z.real == 0:
             assert res.exact_fallback and res.margin == -math.inf
+
+
+def test_deflated_zero_re_w_prime_is_a_degenerate_line():
+    # at the non-generic triple point the chain divides y^(3+1) out of
+    # Re w' = 4.8e-269 y^3, which leaves nothing of it
+    pot = Potential(SUBNORMAL_TRIPLE)
+    (cp,) = pot.axis_critical_points
+    assert (cp.y0, cp.order, cp.genericity) == (0.0, 3, "non_generic")
+    with pytest.raises(DegenerateLine, match="deflates to the zero polynomial"):
+        counting_function(pot, 0j)
+    with pytest.raises(DegenerateLine, match="deflates to the zero polynomial"):
+        classify(BoundaryData(SUBNORMAL_TRIPLE, 0, 2))
 
 
 def test_planted_fallbacks_are_the_wide_double_roots():

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -262,6 +264,30 @@ coeff = st.complex_numbers(
     min_magnitude=0, max_magnitude=5, allow_nan=False, allow_infinity=False
 )
 small_poly = st.lists(coeff, min_size=1, max_size=6).map(ComplexPolynomial)
+
+
+# roots and leading coefficients with zeros of either sign, huge, tiny and infinite
+# parts, and any finite value; the roots of one polynomial are drawn from a
+# pool of at most four, so repeated roots are common
+signed_zeros = [0.0, -0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+extreme = st.one_of(
+    st.sampled_from(signed_zeros + [1e300, -1e300j, complex(1e-300, -1e300), 5e-324, math.inf]),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+root_lists = st.lists(extreme, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=8) if pool else st.just([])
+)
+
+
+@given(root_lists, st.one_of(st.sampled_from([0, 1.0, -1j]), extreme))
+@settings(max_examples=300)
+def test_from_roots_is_byte_equal_to_the_product_of_its_factors(rs, leading):
+    product = functools.reduce(
+        operator.mul, [ComplexPolynomial([-r, 1.0]) for r in rs], ComplexPolynomial([leading])
+    )
+    got = from_roots(rs, leading)
+    assert [repr(c) for c in got.coeffs] == [repr(c) for c in product.coeffs]
+    assert got.is_zero == (leading == 0)
 
 
 @given(small_poly, small_poly, st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))

@@ -3,8 +3,9 @@
 A name in a ``levelgraph`` module's ``__all__`` counts as used when one of
 these refers to it:
 
-- a NAME token in ``src/`` other than those on the name's own ``def`` or
-  ``class`` line (the ``__all__`` entry is a string, not a NAME);
+- a NAME token in ``src/`` other than those on the lines that define the
+  name: its ``def`` or ``class`` line, or a module-level ``name = ...``
+  line (the ``__all__`` entry is a string, not a NAME);
 - a NAME token in ``bench/``, ``demos/`` or ``tools/``;
 - a string literal ``"module.name"`` anywhere in those four trees, which is
   how the benchmark's trace targets name functions.
@@ -24,15 +25,18 @@ USERS = ("bench", "demos", "tools")
 
 
 def _scan(path: pathlib.Path):
-    """(NAME token -> set of its lines, string-literal values, def/class lines)."""
+    """(NAME token -> set of its lines, string-literal values, NAME -> its
+    def, class and module-level assignment lines)."""
     names, strings, defined = {}, set(), {}
     with tokenize.open(path) as fh:
         tokens = list(tokenize.generate_tokens(fh.readline))
-    for prev, tok in zip([None] + tokens, tokens):
+    for prev, tok, nxt in zip([None] + tokens, tokens, tokens[1:] + [None]):
         if tok.type == tokenize.NAME:
             names.setdefault(tok.string, set()).add(tok.start[0])
-            if prev is not None and prev.string in ("def", "class"):
-                defined[tok.string] = tok.start[0]
+            defines = prev is not None and prev.string in ("def", "class")
+            assigns = tok.start[1] == 0 and nxt is not None and nxt.string == "="
+            if defines or assigns:
+                defined.setdefault(tok.string, set()).add(tok.start[0])
         elif tok.type == tokenize.STRING:
             try:
                 value = ast.literal_eval(tok.string)
@@ -51,9 +55,9 @@ def test_every_public_name_is_used_outside_the_tests():
         stem = "levelgraph" if home.stem == "__init__" else f"levelgraph.{home.stem}"
         for name in getattr(importlib.import_module(stem), "__all__", ()):
             dotted = f"{home.stem}.{name}"
-            own_line = defined.get(name)
+            own_lines = defined.get(name, set())
             in_src = any(
-                path != home or line != own_line
+                path != home or line not in own_lines
                 for path, (names, _, _) in src.items()
                 for line in names.get(name, ())
             )

@@ -1,31 +1,37 @@
-"""Check the certified phase-sum band labels against the exact chain.
+"""Check the certified phase-sum labels and indices against the exact chain.
 
-    python3 tools/label_margins.py [--count N] [SEED ...]
+    python3 tools/label_margins.py [--workload {verdicts,dhym-sweep}] [--count N] [SEED ...]
 
-For the first N ``verdicts`` inputs of each seed (3750 by default, all that
-a 25 s ``bench/run.py`` run times; seeds 1 to 5 by default), this script
-labels z1 and z2 the way ``classify`` does, with ``counting_function`` on
-one ``Potential`` of the shifted w, and labels each point again with the
-exact signed-remainder chain alone.  A label is certified when the phase
-sum decided it and a fallback when the chain did.  The inputs come from the
-``bench/`` directory next to this script; nothing under ``bench/`` is
-changed.
+``verdicts`` (the default): for the first N inputs of each seed (3750 by
+default, all that a 25 s ``bench/run.py`` run times; seeds 1 to 5 by
+default), this script labels z1 and z2 the way ``classify`` does, with
+``counting_function`` on one ``Potential`` of the shifted w, and labels
+each point again with the exact signed-remainder chain alone.  A label is
+certified when the phase sum decided it and a fallback when the chain did.
 
-Prints one summary line per seed: labels, fallbacks, certified labels that
-disagree with the chain (value or interval index; expected 0), inputs that
-raised, and the quantiles of the certified margins in units of pi.  Then
-each fallback and each disagreement with its input index.  Exits with
-status 0 when no certified label disagrees, and 1 otherwise.
+``dhym-sweep``: for the first N inputs of each seed (6000 by default, all
+that a 25 s run times), this script runs ``compute_lifts`` the way
+``analyze`` does and decides ind_R0 and ind_Rb again with the exact chain
+alone (``dhym._chain_index``).  An index is certified when its lift count
+decided it and a fallback when the chain did; ``index_fallbacks`` counts
+the latter.
+
+The inputs come from the ``bench/`` directory next to this script; nothing
+under ``bench/`` is changed.  Prints one summary line per seed: labels or
+indices, fallbacks, certified ones that disagree with the chain (expected
+0), inputs that raised, and the quantiles of the certified margins in units
+of pi.  Then each fallback and each disagreement with its input index.
+Exits with status 0 when nothing certified disagrees, and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+DEFAULT_COUNT = {"verdicts": 3750, "dhym-sweep": 6000}
 
 
 def _quantiles(values, qs=(0.0, 0.01, 0.1, 0.5)):
@@ -36,8 +42,17 @@ def _quantiles(values, qs=(0.0, 0.01, 0.1, 0.5)):
                     for q in qs)
 
 
-def check(seed: int, count: int) -> int:
-    """Print the report for one seed; return the number of disagreements."""
+def _report(seed, total, what, margins, fallbacks, wrong, raised) -> int:
+    print(f"seed {seed}: {total} {what}, {len(fallbacks)} fallbacks, "
+          f"{len(wrong)} disagree, {len(raised)} raised; certified margin/pi "
+          f"{_quantiles(margins)}")
+    for line in fallbacks + wrong + raised:
+        print(line)
+    return len(wrong)
+
+
+def check_verdicts(seed: int, count: int) -> int:
+    """Print the band-label report for one seed; return the number of disagreements."""
     import gen
     import ops
     from levelgraph import landscape
@@ -63,22 +78,53 @@ def check(seed: int, count: int) -> int:
                                  f"({res.interval_index}), chain index {idx}")
         except Exception as exc:  # noqa: BLE001 -- reported, not fatal
             raised.append(f"  input {i}: {type(exc).__name__}: {exc}")
-    labels = 2 * (count - len(raised))
-    print(f"seed {seed}: {labels} labels, {len(fallbacks)} fallbacks, "
-          f"{len(wrong)} disagree, {len(raised)} raised; certified margin/pi "
-          f"{_quantiles(margins)}")
-    for line in fallbacks + wrong + raised:
-        print(line)
-    return len(wrong)
+    return _report(seed, 2 * (count - len(raised)), "labels", margins, fallbacks, wrong, raised)
+
+
+def check_dhym(seed: int, count: int) -> int:
+    """Print the lift-index report for one seed; return the number of disagreements."""
+    import gen
+    import ops
+    from levelgraph import dhym
+
+    inputs = gen.InputStream("dhym-sweep", seed).take(count)
+    margins, fallbacks, wrong, raised = [], [], [], []
+    non_generic = 0
+    for i, data in enumerate(inputs):
+        try:
+            inp = dhym.CalabiInput(*ops.prepare_dhym(data))
+            w, P, theta_hat = dhym.build_polynomials(inp)
+            Z_X, Z_Dinf, _ = dhym.compute_charges(inp, P)
+            lifts = dhym.compute_lifts(inp, w, theta_hat, Z_X, Z_Dinf)
+        except Exception as exc:  # noqa: BLE001 -- reported, not fatal
+            raised.append(f"  input {i}: {type(exc).__name__}: {exc}")
+            continue
+        generic = lifts.genericity == "generic"
+        non_generic += not generic
+        chain = tuple(dhym._chain_index(inp, w.derivative(), theta_hat, generic, axis)
+                      for axis in (True, False))
+        if lifts.index_fallbacks:
+            fallbacks.append(f"  input {i} ({lifts.genericity}): {lifts.index_fallbacks} "
+                             f"of 2, margin {lifts.line_margin:.3g}")
+        else:
+            margins.append(lifts.line_margin)
+        if (lifts.ind_R0, lifts.ind_Rb) != chain:
+            wrong.append(f"  input {i} ({lifts.genericity}): lift counts "
+                         f"({lifts.ind_R0}, {lifts.ind_Rb}), chain ({chain[0]}, {chain[1]})")
+    what = f"indices ({non_generic} inputs non-generic)"
+    return _report(seed, 2 * (count - len(raised)), what, margins, fallbacks, wrong, raised)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seeds", nargs="*", type=int, default=[1, 2, 3, 4, 5])
-    parser.add_argument("--count", type=int, default=3750)
+    parser.add_argument("--workload", choices=sorted(DEFAULT_COUNT), default="verdicts")
+    parser.add_argument("--count", type=int)
     args = parser.parse_args(argv)
+    count = args.count or DEFAULT_COUNT[args.workload]
+    check = check_dhym if args.workload == "dhym-sweep" else check_verdicts
     sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
-    bad = sum(check(seed, args.count) for seed in args.seeds)
+    bad = sum(check(seed, count) for seed in args.seeds)
     return 1 if bad else 0
 
 
