@@ -1,35 +1,53 @@
-"""Tolerance and discretization defaults, collected in one place.
+"""Tolerances, one object read at call time, and run-wide defaults.
 
-All tolerances that decide a *sign* or a *snap* are relative: they get
-multiplied by a scale derived from the coefficients or the geometry at hand.
-The constants here are the bare factors.  Root multiplicities need none:
-``poly.roots`` counts the zeros in each component of inclusion discs.
+Every tolerance is a field of ``TOL``, the one :class:`Tolerances`.  Modules
+read ``config.TOL.<field>`` when called and import none by name, so one
+rebinding of ``config.TOL`` to a ``dataclasses.replace`` copy reaches all
+of them.  Sign and snap tolerances are bare factors of a scale from the
+data at hand.  The rounding bounds ``_PHASE_ROUNDING`` and ``_LINE_ROUNDING``
+stay out: they are proven, certify a float count, and must never be scaled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
-# a w'-root is on the imaginary axis when |Re| <= SIGN_TOL * (1 + |root|); the
-# same relative factor decides genericity and whether z1, z2 share a level
-SIGN_TOL = 1e-9
 
-# a point z counts as on the imaginary axis, or on an on-axis critical point,
-# when it lies within SNAP_TOL * (1 + |z|) of it
-SNAP_TOL = 1e-8
+@dataclass(frozen=True)
+class Tolerances:
+    """Every tolerance of the package; ``TOL`` is the instance in force."""
 
-# continuation (tracer)
-CORRECTOR_TOL = 1e-10      # |level function| after Newton correction
-MAX_TURN_ANGLE = 0.2       # radians per accepted step
-TRACE_RADIUS_FACTOR = 4.0  # radius = factor * (1 + Fujiwara's bound on |roots of w|)
+    # a w'-root c is on the imaginary axis when |Re c| <= sign (1 + |c|); the
+    # same relative factor decides genericity and whether z1, z2 share a level
+    sign: float = 1e-9
+    # a point z counts as on the imaginary axis, or on an on-axis critical
+    # point, when it lies within snap (1 + |z|) of it
+    snap: float = 1e-8
+    zero_charge: float = 1e-12  # |P(z2)| below this times its rounding scale: no total charge
+    # continuation (tracer), each relative to a local scale
+    corrector: float = 1e-10          # |level function| after Newton correction
+    max_turn_angle: float = 0.2       # radians per accepted step
+    trace_radius_factor: float = 4.0  # radius = factor * (1 + Fujiwara's bound on |roots of w|)
+    step_initial: float = 1e-3        # initial step, times (1 + |seed|)
+    step_max: float = 0.05            # step cap, times (1 + escape radius)
+    step_floor: float = 1e-11         # below this the corrector has genuinely failed
+    crit_snap: float = 1e-4           # |u - c| below this counts as hitting c
+    connect: float = 1e-6             # |u - target| below this counts as arrival
+    seed_snap: float = 1e-2           # how far the seed may move onto the curve
+    vertical_tangent: float = 1e-9    # a unit tangent with |Re| at most this is vertical
+    graph_slack: float = 1e-10        # a rightward step a graph tolerates: corrector rounding
+    # flow
+    flow_stop: float = 1e-8
+    # accepted flow step: embedded error per unit time <= flow_step_rtol * sup |Im w|
+    flow_step_rtol: float = 1e-3
+    flow_diverged: float = 1e6         # height residual past this: Diverged
+    flow_endpoint_blowup: float = 1e8  # residual per unit sigma past this: NonIntegrableEndpoint
+    grid_match: float = 1e-12          # GridFunction nodes: the Gauss nodes within this * (b - a)
 
-# flow
-FLOW_STOP_TOL = 1e-8
-# accepted flow step: embedded error per unit time <= FLOW_STEP_RTOL * sup |Im w|
-FLOW_STEP_RTOL = 1e-3
-FLOW_DIVERGED = 1e6
-FLOW_ENDPOINT_BLOWUP = 1e8
+
+TOL = Tolerances()
+
 GRID_NODES = 257
 
 
@@ -37,7 +55,7 @@ GRID_NODES = 257
 class RunConfig:
     """Run-wide knobs, mirrored by the CLI ``--config`` JSON file."""
 
-    stop_tol: float = FLOW_STOP_TOL
+    stop_tol: float = field(default_factory=lambda: TOL.flow_stop)
     grid_nodes: int = GRID_NODES
     trace_radius: float = 0.0   # 0 means "derive from the coefficients of w"
     out_path: str = ""

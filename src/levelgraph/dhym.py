@@ -38,9 +38,9 @@ import math
 import sys
 from dataclasses import dataclass
 
+from . import config
 from .cauchy import HalfInteger, RationalFunction, index_on_interval, index_one_sided
 from .cauchy import line_crossings
-from .config import SIGN_TOL
 from .errors import (
     BoundaryPointUnreachable,
     CrossCheckFailure,
@@ -188,7 +188,7 @@ def build_polynomials(inp: CalabiInput):
             f"the class data overflow a double: P(z2) = {zeta!r} for P of degree "
             f"{P.degree} at |z2| = {abs(inp.z2)!r}"
         )
-    if abs(zeta) < 1e-12 * scale:
+    if abs(zeta) < config.TOL.zero_charge * scale:
         raise ZeroTotalCharge(
             f"P({inp.z2}) = {zeta}: total charge vanishes, phase angle undefined"
         )
@@ -197,9 +197,11 @@ def build_polynomials(inp: CalabiInput):
         theta_hat = math.pi
     w = P * cmath.exp(-1j * theta_hat)
     wz2 = w(inp.z2)
-    if abs(wz2.imag) > SIGN_TOL * abs(wz2):
+    threshold = config.TOL.sign * abs(wz2)
+    if abs(wz2.imag) > threshold:
         raise LevelMismatch(
-            f"Im(w(z2)) = {wz2.imag} is not zero relative to |w(z2)| = {abs(wz2)}"
+            wz2.imag, threshold,
+            f"Im(w(z2)) = {wz2.imag} is not zero relative to |w(z2)| = {abs(wz2)}",
         )
     return w, P, theta_hat
 
@@ -348,7 +350,7 @@ def _chain_index(inp: CalabiInput, wp, theta_hat: float, generic: bool,
     axis True gives ind_R0 along the imaginary axis.  The common factor t^r
     of Re and Im of w'(it) is cancelled first, leaving g(it),
     g(z) = e^{-i theta_hat} i^r (xi + z)^m.  A non-generic Re g(0) is zero
-    up to SIGN_TOL: it is made exact, and the half-jump at t = 0, where the
+    up to TOL.sign: it is made exact, and the half-jump at t = 0, where the
     Z_P path starts on the Z_X line, is left out.
     """
     if not axis:
@@ -388,7 +390,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     # genericity: does the tangent direction of the zero level at the origin
     # contain the vertical?  Equivalently, is Z_P(0) on the Z_X line?
     g0 = cmath.exp(-1j * theta_hat) * I_POWERS[r % 4] * inp.xi**m
-    generic = abs(g0.real) >= SIGN_TOL * abs(inp.xi) ** m
+    generic = abs(g0.real) >= config.TOL.sign * abs(inp.xi) ** m
     genericity = "generic" if generic else "non_generic"
 
     # explicit paths from each charge out to the shared negative-real-axis
@@ -413,10 +415,12 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     # also the sector condition 0 < delta < pi below, because
     # Z_Dinf/Z_X = i w'(z2)/w(z2).
     wp_z2 = wp(inp.z2)
-    if not on_wall and not wp_z2.real > SIGN_TOL * abs(wp_z2):
+    threshold = config.TOL.sign * abs(wp_z2)
+    if not on_wall and not wp_z2.real > threshold:
         raise BoundaryPointUnreachable(
+            wp_z2.real, threshold,
             f"Re w'(z2) = {wp_z2.real:.17g} is not above SIGN_TOL * |w'(z2)| = "
-            f"{SIGN_TOL * abs(wp_z2):.3g}: no graph over [0, b] ends at z2"
+            f"{threshold:.3g}: no graph over [0, b] ends at z2",
         )
 
     # index along the imaginary axis
@@ -436,7 +440,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     delta = (cmath.phase(Z_Dinf) - cmath.phase(Z_X)) % (2.0 * math.pi)
     phi_Dinf = phi_X + delta / math.pi
 
-    if not on_wall and abs(lift_D / math.pi - phi_Dinf) > SIGN_TOL:
+    if not on_wall and abs(lift_D / math.pi - phi_Dinf) > config.TOL.sign:
         raise LiftInconsistency(
             f"Z_Dinf path grade {lift_D / math.pi} disagrees with "
             f"phi_X + delta/pi = {phi_Dinf}"
@@ -506,7 +510,7 @@ def analyze(inp: CalabiInput) -> ChargeReport:
         if lifts.genericity == "generic":
             grade_exists = 0.0 < D < inp.r + 1.0
         else:
-            grade_exists = 1.0 - SIGN_TOL <= D <= inp.r + SIGN_TOL
+            grade_exists = 1.0 - config.TOL.sign <= D <= inp.r + config.TOL.sign
         if grade_exists != (verdict == "exists"):
             raise CrossCheckFailure(
                 f"grade difference phi_P - phi_X = {D} puts the grade-form "

@@ -16,6 +16,17 @@ class LevelGraphError(Exception):
     """Base class for all levelgraph errors."""
 
 
+class _FailedComparison(LevelGraphError):
+    """A rejection decided by one comparison: value against threshold."""
+
+    def __init__(self, value, threshold, message):
+        self.value, self.threshold = value, threshold
+        super().__init__(message)
+
+    def __reduce__(self):  # args holds the message only; pickle all three
+        return type(self), (self.value, self.threshold, str(self))
+
+
 # ---------------------------------------------------------------------------
 # polynomial layer
 
@@ -48,8 +59,9 @@ class DegenerateLine(LevelGraphError):
     """Re(w'(x0+iy)) is identically zero in y; counting is undefined on that line."""
 
 
-class LevelMismatch(LevelGraphError):
-    """The two boundary points do not lie on a common level set of Im(w)."""
+class LevelMismatch(_FailedComparison):
+    """The two boundary points do not lie on a common level set of Im(w):
+    |value| = |Im w(z2)|, level of z1 shifted to 0, exceeds threshold."""
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +96,12 @@ class ZeroTotalCharge(LevelGraphError):
     """P(z2) = 0: the total charge vanishes and the phase angle is undefined."""
 
 
-class BoundaryPointUnreachable(LevelGraphError):
+class BoundaryPointUnreachable(_FailedComparison):
     """Re w'(z2) <= 0: no graph over [0, b] on the zero level ends at z2.
 
     Along such a graph Re(w) rises strictly from w(0) = 0 to w(z2) > 0, so
     it needs Re w'(z2) > 0; the class data admit no level graph to test.
+    value = Re w'(z2) does not exceed threshold = TOL.sign |w'(z2)|.
     """
 
 

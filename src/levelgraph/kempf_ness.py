@@ -41,8 +41,8 @@ grid size on [-1, 1] and mapped affinely onto each interval; the matrix's
 interior block and endpoint columns are cached beside it, so the flow's f'
 at the nodes is one n-by-n product plus a fixed endpoint term, scaled by
 2/(b - a).  A GridFunction is validated on construction: its nodes must be
-this map of the Gauss nodes (within 1e-12 (b - a)), so quadrature and
-differentiation look their rule up without checking the grid again.
+this map of the Gauss nodes (within TOL.grid_match (b - a)), so quadrature
+and differentiation look their rule up without checking the grid again.
 """
 
 from __future__ import annotations
@@ -53,13 +53,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import (
-    FLOW_DIVERGED,
-    FLOW_ENDPOINT_BLOWUP,
-    FLOW_STEP_RTOL,
-    FLOW_STOP_TOL,
-    GRID_NODES,
-)
+from . import config
+from .config import GRID_NODES
 from .errors import Diverged, NonIntegrableEndpoint
 from .poly import I_POWERS, _horner, as_complex_polynomial, taylor_coeffs
 
@@ -154,7 +149,7 @@ class GridFunction:
         if nodes.size < 2:
             raise ValueError("need at least two interior nodes")
         gauss = _gauss_rule(self.a, self.b, nodes.size)[0]
-        if not np.all(np.abs(nodes - gauss) <= 1e-12 * (self.b - self.a)):
+        if not np.all(np.abs(nodes - gauss) <= config.TOL.grid_match * (self.b - self.a)):
             raise ValueError("nodes must be the Gauss-Legendre nodes of (a, b)")
         if not np.all(np.isfinite(values)):
             raise ValueError("nonfinite height values")
@@ -357,7 +352,7 @@ def run_flow(
     f0: GridFunction,
     w,
     sigma: BackgroundSigma,
-    stop_tol: float = FLOW_STOP_TOL,
+    stop_tol: float | None = None,
     t_max: float = 200.0,
 ) -> FlowTrace:
     """Flow f0 downhill until the height residual drops below stop_tol.
@@ -373,7 +368,7 @@ def run_flow(
 
     The linear part is treated exactly, so no stability bound limits dt.
     The correction 2 dt phi3 D is the embedded error estimate: a step is
-    accepted when its sup is at most FLOW_STEP_RTOL * sup|Im w| * dt.
+    accepted when its sup is at most TOL.flow_step_rtol * sup|Im w| * dt.
 
     Evaluation.  The nodes never move, so w is tabulated once per call:
     rows of Im w, Re w' and Im w' as real polynomials in the height y at
@@ -396,13 +391,18 @@ def run_flow(
     ratio is the error-to-tolerance ratio (a rejection by J shrinks by 0.2).
     The first trial step is one relaxation time 1 / max|Re w'|.
 
-    Raises Diverged when the residual passes 1e6, or when rejections shrink
-    the step below the rounding of t; and NonIntegrableEndpoint when the
-    residual per unit sigma passes 1e8 (heights off the zero level at an
-    endpoint).
+    Raises Diverged when the residual passes TOL.flow_diverged, or when
+    rejections shrink the step below the rounding of t; and
+    NonIntegrableEndpoint when the residual per unit sigma passes
+    TOL.flow_endpoint_blowup (heights off the zero level at an endpoint).
+    stop_tol None means TOL.flow_stop; TOL is read once per call.
     """
     w = as_complex_polynomial(w)
     _check_sigma(f0, sigma)
+    if stop_tol is None:
+        stop_tol = config.TOL.flow_stop
+    rtol, diverged = config.TOL.flow_step_rtol, config.TOL.flow_diverged
+    blowup = config.TOL.flow_endpoint_blowup
     x = f0.nodes
     sig = sigma.values
     qw = _quadrature_for(f0) / sig  # J(f) = sum(qw * (Re W(x + i f0) - Re W(x + i f)))
@@ -452,10 +452,10 @@ def run_flow(
     while True:
         size = np.abs(k)
         resid = float(size.max())
-        if not resid <= FLOW_DIVERGED:
+        if not resid <= diverged:
             raise Diverged(f"height residual reached {resid:.3g}")
         ratio = float((size / sig).max())
-        if ratio > FLOW_ENDPOINT_BLOWUP:
+        if ratio > blowup:
             raise NonIntegrableEndpoint(
                 f"residual per unit sigma reached {ratio:.3g} near an endpoint"
             )
@@ -473,7 +473,7 @@ def run_flow(
             with np.errstate(over="ignore", invalid="ignore"):
                 f_new, corr = _exprb32(f, k, jac, rhs, dt)
                 err = float(np.abs(corr).max())
-                scale = 0.0 if err == 0.0 else err / (FLOW_STEP_RTOL * resid * dt)
+                scale = 0.0 if err == 0.0 else err / (rtol * resid * dt)
                 if scale <= 1.0:
                     dj = j_increment(f, f_new)
                     # the flow only lowers J: a rise, or a nonfinite

@@ -32,9 +32,9 @@ import math
 import sys
 from dataclasses import dataclass
 
+from . import config
 from .cauchy import HalfInteger, RationalFunction, index_on_interval, line_crossings
 from .cauchy import one_sided_sign
-from .config import SIGN_TOL, SNAP_TOL
 from .errors import CriticalPointInRHP, DegenerateLine, LevelGraphError, ZeroPolynomial
 from .poly import I_POWERS, ComplexPolynomial, RealPolynomial, divide_linear, roots
 from .poly import restrict_to_vertical_line, taylor_coeffs
@@ -123,7 +123,7 @@ class Potential:
 
     Each root from poly.roots stands for a component of inclusion discs
     that holds exactly as many zeros of w' as its multiplicity, all within
-    r = cluster_radius of its location c.  With tol = SIGN_TOL * (1 + |c|),
+    r = cluster_radius of its location c.  With tol = TOL.sign * (1 + |c|),
     it raises CriticalPointInRHP when Re c - r > tol, and it is an axis
     critical point of that order when |Re c| <= tol + r; otherwise all its
     zeros lie left of the band.
@@ -139,13 +139,13 @@ class Potential:
         on_axis, off_axis = [], []
         for r in self.roots:
             c, k = r.location, r.multiplicity
-            tol = SIGN_TOL * (1.0 + abs(c))
+            tol = config.TOL.sign * (1.0 + abs(c))
             if c.real - r.cluster_radius > tol:
                 raise CriticalPointInRHP(c, f"critical point at {c!r} has positive real part")
             if abs(c.real) <= tol + r.cluster_radius:
                 y0 = c.imag
                 lead = taylor_coeffs(wp.coeffs, 1j * y0, k + 1)[k]
-                generic = abs((lead * I_POWERS[k % 4]).real) >= SIGN_TOL * abs(lead)
+                generic = abs((lead * I_POWERS[k % 4]).real) >= config.TOL.sign * abs(lead)
                 on_axis.append(
                     CriticalPoint(y0, k, lead, "generic" if generic else "non_generic")
                 )
@@ -159,9 +159,9 @@ class Potential:
         self.lead_phase = math.atan2(lc.imag, lc.real)
 
     def critical_point_at(self, z: complex) -> CriticalPoint | None:
-        """The on-axis critical point that z sits on, within SNAP_TOL * (1 + |z|)."""
+        """The on-axis critical point that z sits on, within TOL.snap * (1 + |z|)."""
         z = complex(z)
-        snap = SNAP_TOL * (1.0 + abs(z))
+        snap = config.TOL.snap * (1.0 + abs(z))
         if abs(z.real) > snap:
             return None
         for cp in self.axis_critical_points:
@@ -320,7 +320,7 @@ def counting_function(pot: Potential, z0: complex) -> CountingResult:
     """
     z0 = complex(z0)
     x0, y0 = z0.real, z0.imag
-    axis_snap = SNAP_TOL * (1.0 + abs(z0))
+    axis_snap = config.TOL.snap * (1.0 + abs(z0))
     if x0 < -axis_snap:
         raise ValueError(f"z0={z0!r} lies in the open left half-plane")
     on_axis = x0 <= axis_snap
@@ -356,11 +356,11 @@ def tangent_cone_at_infinity(w: ComplexPolynomial) -> TangentConeAtInfinity:
     vertex = -w.coeffs[-2] / (n * beta)
     # atan2 rather than cmath.phase: the latter overflows on subnormal parts
     a = math.atan2(beta.imag, beta.real)
-    generic = abs((beta * I_POWERS[n % 4]).imag) >= SIGN_TOL * abs(beta)
-    # a generic cone keeps every ray about SIGN_TOL / n or more off the
+    generic = abs((beta * I_POWERS[n % 4]).imag) >= config.TOL.sign * abs(beta)
+    # a generic cone keeps every ray about TOL.sign / n or more off the
     # imaginary axis, far past rounding; a non-generic one has a ray within
     # that distance of it, which is put on the axis
-    snap = 0.0 if generic else SIGN_TOL
+    snap = 0.0 if generic else config.TOL.sign
     angles = []
     k_lo = math.floor(a / math.pi - n / 2) - 1
     k_hi = math.ceil(a / math.pi + n / 2) + 1

@@ -23,8 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from . import config
 from .cauchy import HalfInteger
-from .config import SIGN_TOL, SNAP_TOL
 from .errors import LevelMismatch
 from .landscape import Potential, counting_function
 from .poly import ComplexPolynomial
@@ -52,7 +52,7 @@ class BoundaryData:
         wp = self.w.derivative().coeffs
         if not all(map(cmath.isfinite, wp)):
             raise ValueError(f"the derivative of w overflows a double: w' = {wp!r}")
-        snap = SNAP_TOL * (1.0 + abs(self.z1))
+        snap = config.TOL.snap * (1.0 + abs(self.z1))
         if self.z1.real < -snap:
             raise ValueError(f"z1={self.z1!r} must have nonnegative real part")
         if not self.z2.real > self.z1.real:
@@ -99,10 +99,11 @@ def shift_to_zero_level(data: BoundaryData) -> BoundaryData:
             f"w(z2) = {w2!r}, rounding scale max|c_k| (1 + |z2|)^{w.degree} = {scale!r}"
         )
     resid = w2.imag
-    scale = max(abs(w2), scale)
-    if abs(resid) > SIGN_TOL * max(scale, 1.0):
+    threshold = config.TOL.sign * max(abs(w2), scale, 1.0)
+    if abs(resid) > threshold:
         raise LevelMismatch(
-            f"Im w(z2) = {resid!r} after shifting; z1 and z2 sit on different levels"
+            resid, threshold,
+            f"Im w(z2) = {resid!r} after shifting; z1 and z2 sit on different levels",
         )
     return BoundaryData(w, data.z1, data.z2)
 

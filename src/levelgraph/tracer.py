@@ -31,22 +31,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import CORRECTOR_TOL, MAX_TURN_ANGLE, TRACE_RADIUS_FACTOR
+from . import config
 from .errors import CorrectorDiverged, SeedNotOnCurve
 from .landscape import Potential, counting_function
 from .poly import ComplexPolynomial, as_complex_polynomial, roots, taylor_coeffs
 
-# step-size bookkeeping, all relative to local scale
-_H0_FACTOR = 1e-3        # initial step: 1e-3 * (1 + |seed|)
-_HMAX_FACTOR = 0.05      # cap: 0.05 * (1 + escape radius)
-_HFLOOR_FACTOR = 1e-11   # below this the corrector has genuinely failed
 _GROW = 1.3
-
-# arrival detection
-_CRIT_SNAP_FACTOR = 1e-4     # |u - c| below this counts as hitting c
-_CONNECT_TOL_FACTOR = 1e-6   # |u - target| below this counts as arrival
-_SEED_SNAP_FACTOR = 1e-2     # how far the seed may move onto the curve
-
 _MAX_NEWTON = 12
 _MAX_STEPS = 20000
 
@@ -101,7 +91,7 @@ def _make_field(base: ComplexPolynomial, level: float):
         d = dbase(u)
         return complex(d.imag, d.real)
 
-    fscale = CORRECTOR_TOL * max(base.coeff_scale, 1e-300)
+    fscale = config.TOL.corrector * max(base.coeff_scale, 1e-300)
     deg = max(base.degree, 1)
 
     def ftol(u: complex) -> float:
@@ -133,7 +123,7 @@ def _unit_tangent(g: complex) -> complex:
 
 
 def _orient(t: complex, direction: int) -> complex:
-    if abs(t.real) > 1e-9:
+    if abs(t.real) > config.TOL.vertical_tangent:
         return -t if t.real * direction < 0 else t
     return -t if t.imag * direction < 0 else t
 
@@ -155,7 +145,7 @@ def _escape_radius(w: ComplexPolynomial, seed: complex, radius) -> float:
     if radius is not None and radius > 0:
         return float(radius)
     # never start outside the escape circle
-    return max(TRACE_RADIUS_FACTOR * (1.0 + _root_bound(w)), 1.25 * (abs(seed) + 1.0))
+    return max(config.TOL.trace_radius_factor * (1.0 + _root_bound(w)), 1.25 * (abs(seed) + 1.0))
 
 
 def _clip_to_axis(field, grad, prev: complex, cur: complex) -> complex:
@@ -192,8 +182,8 @@ def _trace(
         )
     seed_scale = 1.0 + abs(seed)
 
-    u0 = _correct(field, grad, ftol, seed, _SEED_SNAP_FACTOR * seed_scale)
-    if u0 is None or abs(u0 - seed) > _SEED_SNAP_FACTOR * seed_scale:
+    u0 = _correct(field, grad, ftol, seed, config.TOL.seed_snap * seed_scale)
+    if u0 is None or abs(u0 - seed) > config.TOL.seed_snap * seed_scale:
         raise SeedNotOnCurve(
             f"seed {seed!r} does not lie near the requested {kind} curve"
         )
@@ -202,7 +192,7 @@ def _trace(
         raise SeedNotOnCurve(f"the curve degenerates at the seed {seed!r}")
 
     escape = _escape_radius(w, u0, radius)
-    h_max = _HMAX_FACTOR * (1.0 + escape)
+    h_max = config.TOL.step_max * (1.0 + escape)
     # a step from inside the escape circle moves at most h_max, and its
     # corrector at most 4 h_max more, so ftol is never needed farther out
     far = escape + 5.0 * h_max
@@ -220,7 +210,7 @@ def _trace(
     if wp.degree >= 1:
         for r in roots(wp):
             c, k = r.location, r.multiplicity
-            snap = _CRIT_SNAP_FACTOR * (1.0 + abs(c))
+            snap = config.TOL.crit_snap * (1.0 + abs(c))
             if kind == "level":
                 # An arc traced at the critical level rounds the corner at a
                 # standoff distance set by the corrector tolerance: the level
@@ -233,13 +223,12 @@ def _trace(
                     snap = max(snap, 4.0 * standoff)
             crit.append((c, snap))
 
-    conn_tol = (
-        _CONNECT_TOL_FACTOR * (1.0 + abs(target)) if target is not None else 0.0
-    )
+    conn_tol = config.TOL.connect * (1.0 + abs(target)) if target is not None else 0.0
 
     tangent = _orient(_unit_tangent(g0), direction)
-    h = _H0_FACTOR * seed_scale
-    h_floor = _HFLOOR_FACTOR * seed_scale
+    h = config.TOL.step_initial * seed_scale
+    h_floor = config.TOL.step_floor * seed_scale
+    max_turn = config.TOL.max_turn_angle
 
     def arrival(u):
         if target is not None and abs(u - target) <= conn_tol:
@@ -287,7 +276,7 @@ def _trace(
                         t_new = -t_new
                     dot = t_new.real * tangent.real + t_new.imag * tangent.imag
                     turn = math.acos(max(-1.0, min(1.0, dot)))
-                    if turn > MAX_TURN_ANGLE:
+                    if turn > max_turn:
                         t_new = None
             if t_new is not None:
                 break
@@ -307,7 +296,7 @@ def _trace(
 
         pts.append(u_new)
         tangent = t_new
-        h = min(h_step * _GROW, h_max) if turn < 0.5 * MAX_TURN_ANGLE else h_step
+        h = min(h_step * _GROW, h_max) if turn < 0.5 * max_turn else h_step
 
     return Polyline(tuple(pts), kind, terminated)
 
@@ -352,14 +341,15 @@ def graphical_connection(w, z1, z2) -> GraphCheck:
     if line.terminated_by == "target":
         connected = True
     elif line.terminated_by == "critical_point":
-        snap = _CRIT_SNAP_FACTOR * (1.0 + abs(last))
-        connected = abs(last - z1) <= max(2.0 * snap, _CONNECT_TOL_FACTOR * (1.0 + abs(z1)))
+        snap = config.TOL.crit_snap * (1.0 + abs(last))
+        connected = abs(last - z1) <= max(2.0 * snap, config.TOL.connect * (1.0 + abs(z1)))
     else:
         connected = False
 
     dxs = [a.real - b.real for a, b in zip(line.points, line.points[1:])]
     min_dx = min(dxs) if dxs else 0.0
-    graphical = all(d >= -1e-10 * (1.0 + abs(z2)) for d in dxs)
+    slack = config.TOL.graph_slack * (1.0 + abs(z2))
+    graphical = all(d >= -slack for d in dxs)
     slope = 0.0
     for a, b in zip(line.points, line.points[1:]):
         s = abs(b.imag - a.imag) / max(abs(b.real - a.real), 1e-300)

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import levelgraph.config as config
 import levelgraph.dhym as dhym
 import levelgraph.poly as poly
 from levelgraph.cauchy import RationalFunction, index_one_sided
-from levelgraph.config import SIGN_TOL
 from levelgraph.dhym import (
     CalabiInput,
     _LINE_ROUNDING,
@@ -142,6 +142,9 @@ def test_lift_sector_failure_names_re_w_prime_at_z2():
     w, _, _ = build_polynomials(inp)
     assert float(found.group(1)) == w.derivative()(inp.z2).real
     assert float(found.group(1)) == pytest.approx(-4.4623716979992469, rel=1e-12)
+    # the deciding comparison is data too
+    assert info.value.value == w.derivative()(inp.z2).real
+    assert info.value.threshold == config.TOL.sign * abs(w.derivative()(inp.z2))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,7 @@ def exact_chain_indices(inp, w, theta_hat):
     g = poly.from_roots([-inp.xi] * inp.m) * (
         cmath.exp(-1j * theta_hat) * poly.I_POWERS[inp.r % 4])
     re_0, im_0 = poly.restrict_to_vertical_line(g, 0.0)
-    generic = abs(re_0.coeffs[0]) >= SIGN_TOL * abs(inp.xi) ** inp.m
+    generic = abs(re_0.coeffs[0]) >= config.TOL.sign * abs(inp.xi) ** inp.m
     if generic:
         return _ccw_index(re_0, im_0, 0.0, math.inf), ind_Rb, True
     re_0 = poly.RealPolynomial((0.0,) + re_0.coeffs[1:])

@@ -8,9 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_index import index_at_point
 
-from levelgraph import cauchy, poly
+from levelgraph import cauchy, config, poly
 from levelgraph.cauchy import HalfInteger, RationalFunction, line_crossings
-from levelgraph.config import SNAP_TOL
 from levelgraph.errors import CriticalPointInRHP, DegenerateLine, LevelGraphError
 from levelgraph.landscape import (
     Potential,
@@ -80,7 +79,7 @@ def test_rhp_root_with_overflowing_rounding_bound_still_raises():
 # with axis roots planted at heights 1.2263, 1.6967, 1.7297 and a double one
 # at 1.7387.  The cluster near 1.70i-1.74i is ill-conditioned: the eigenvalue
 # at 1.7297i stays 4.6e-8 left of the axis, inside its inclusion radius but
-# far outside SIGN_TOL (1 + |r|), so the band alone would drop it.
+# far outside TOL.sign (1 + |r|), so the band alone would drop it.
 W_ILL_CONDITIONED = ComplexPolynomial([
     complex(0.0, 0.0),
     complex(-4.760270952264252, -23.016257917738734),
@@ -322,10 +321,10 @@ def test_count_region_constancy_near_point(n, y0, x0):
 
 def chain_label(pot, z):
     """(value, interval_index) of z from the exact chain alone."""
-    on_axis = z.real <= SNAP_TOL * (1.0 + abs(z))
+    on_axis = z.real <= config.TOL.snap * (1.0 + abs(z))
     idx = _exact_index(pot, z, on_axis)
     crit_sum = sum(cp.order for cp in pot.axis_critical_points
-                   if on_axis and cp.y0 <= z.imag + SNAP_TOL * (1.0 + abs(z)))
+                   if on_axis and cp.y0 <= z.imag + config.TOL.snap * (1.0 + abs(z)))
     return abs(idx) + crit_sum + 1, idx
 
 

@@ -1,7 +1,9 @@
 import math
+import pickle
 
 import pytest
 
+from levelgraph import config
 from levelgraph.cauchy import HalfInteger
 from levelgraph.errors import CriticalPointInRHP, LevelMismatch
 from levelgraph.poly import ComplexPolynomial
@@ -63,8 +65,16 @@ def test_shift_rejects_overflow_at_a_far_boundary_point():
 
 
 def test_shift_rejects_level_mismatch():
-    with pytest.raises(LevelMismatch):
+    with pytest.raises(LevelMismatch) as info:
         shift_to_zero_level(BoundaryData(CUBE_THIRD, 1 + 0j, 2 + 1j))
+    # Im w(2 + i) = 11/3 against TOL.sign times the rounding scale
+    # max|c_k| (1 + |z2|)^3 = (1 + sqrt 5)^3 / 3
+    assert info.value.value == pytest.approx(11 / 3)
+    assert info.value.threshold == pytest.approx(config.TOL.sign * (1 + math.sqrt(5)) ** 3 / 3)
+    assert repr(info.value.value) in str(info.value)
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert (copy.value, copy.threshold, str(copy)) == (
+        info.value.value, info.value.threshold, str(info.value))
 
 
 def test_classify_rejects_rhp_critical_point():

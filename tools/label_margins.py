@@ -56,7 +56,7 @@ def check_verdicts(seed: int, count: int) -> int:
     import gen
     import ops
     from levelgraph import landscape
-    from levelgraph.config import SNAP_TOL
+    from levelgraph import config
     from levelgraph.stability import BoundaryData, shift_to_zero_level
 
     inputs = gen.InputStream("verdicts", seed).take(count)
@@ -71,7 +71,7 @@ def check_verdicts(seed: int, count: int) -> int:
                     fallbacks.append(f"  input {i} {name}: margin {res.margin:.3g}")
                     continue
                 margins.append(res.margin)
-                on_axis = z.real <= SNAP_TOL * (1.0 + abs(z))
+                on_axis = z.real <= config.TOL.snap * (1.0 + abs(z))
                 idx = landscape._exact_index(pot, z, on_axis)
                 if (res.interval_index, res.value) != (idx, abs(idx) + res.crit_sum + 1):
                     wrong.append(f"  input {i} {name}: phase sum {res.value} "
