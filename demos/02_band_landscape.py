@@ -9,7 +9,6 @@ so the labels organise which boundary pairs can be joined by a graph.
 
 from levelgraph.landscape import Potential, counting_function, tangent_cone_at_infinity
 from levelgraph.poly import ComplexPolynomial
-from levelgraph.tracer import sample_regions
 
 # w = z^3/3 - i z^2: critical points at 0 and 2i, both on the axis
 w = ComplexPolynomial([0.0, 0.0, -1j, 1.0 / 3.0])
@@ -28,10 +27,9 @@ print(f"tangent cone at infinity: {cone.genericity}")
 print()
 
 pts = [0.5 + 0.0j, 0.5 + 1.0j, 0.5 + 2.5j, 2.0 + 0.0j, 2.0 - 2.0j]
-labels = sample_regions(w, pts)
 print("labels at sample points (constant within each region)")
-for p, lab in zip(pts, labels):
+for p in pts:
     res = counting_function(pot, p)
-    print(f"  N({p.real:+.1f}{p.imag:+.1f}i) = {str(lab):>4s}"
+    print(f"  N({p.real:+.1f}{p.imag:+.1f}i) = {str(res.value):>4s}"
           f"   (interval part {res.interval_index}, "
           f"critical part {res.crit_sum})")

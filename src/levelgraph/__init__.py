@@ -1,6 +1,8 @@
 """Level-curve geometry of harmonic functions Im(w) for polynomial w.
 
-Subpackages build on each other roughly bottom-up:
+The modules build strictly bottom-up (``tests/test_source_rules.py``): each
+imports only ``config``, ``errors`` and modules listed above it, except that
+``tracer``, ``kempf_ness`` and ``dhym`` need only ``poly`` and ``cauchy``:
 
 - ``poly``: the only polynomial arithmetic -- complex/real polynomials on
   one shared body, synthetic division and Taylor coefficients (exact on
@@ -16,7 +18,8 @@ Subpackages build on each other roughly bottom-up:
   its second variation
 - ``dhym``: existence of solutions to the degenerate special-Lagrangian /
   line-bundle equation via phase lifts and Cauchy indices
-- ``cli``: JSON/CSV command-line front end
+- ``cli``: JSON/CSV command-line front end; the one place that encodes,
+  traces and flows a verdict for output
 """
 
 from .errors import (

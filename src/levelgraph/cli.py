@@ -3,7 +3,8 @@
 Verdicts and reports are printed as single-line JSON on stdout; polylines and
 flow histories go to CSV files named by --out.  The exit code only says
 success (0) or error (1) -- verdicts are data and scripts should parse the
-JSON.  All numeric JSON fields are rendered with 17 significant digits so a
+JSON; for ``classify`` and ``dhym`` it is the verdict record's fields, in
+order.  All numeric JSON fields are rendered with 17 significant digits so a
 double round-trips losslessly, half-integers are rendered as strings like
 "5/2", and complex numbers as [re, im] pairs.  Identical inputs produce
 byte-identical output; nothing here consults the clock or an RNG.
@@ -12,6 +13,7 @@ byte-identical output; nothing here consults the clock or an RNG.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -20,12 +22,13 @@ import numpy as np
 
 from .cauchy import HalfInteger, RationalFunction, index_on_interval
 from .config import RunConfig
-from .dhym import CalabiInput, analyze, build_polynomials, exhibit_solution
+from .dhym import CalabiInput, analyze, build_polynomials
 from .errors import LevelGraphError
 from .kempf_ness import default_sigma, j_derivative, make_grid_function, run_flow
+from .landscape import Potential, counting_function
 from .poly import ComplexPolynomial, RealPolynomial, from_roots
 from .stability import BoundaryData, classify, shift_to_zero_level
-from .tracer import graphical_connection, sample_regions, trace_level
+from .tracer import graphical_connection, trace_level
 
 __all__ = ["main", "render_json"]
 
@@ -43,9 +46,14 @@ def _fmt_float(v: float) -> str:
     return text
 
 
+def _record_fields(record) -> dict:
+    """A dataclass record's fields, in declaration order."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def render_json(obj) -> str:
-    """Render with a fixed, locale-free format: dict order preserved,
-    floats at 17 significant digits, no whitespace."""
+    """Render with a fixed, locale-free format: dict and record field order
+    preserved, floats at 17 significant digits, no whitespace."""
     if obj is None:
         return "null"
     if obj is True:
@@ -58,6 +66,12 @@ def render_json(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
+    if isinstance(obj, complex):
+        return render_json([obj.real, obj.imag])
+    if isinstance(obj, HalfInteger):
+        return json.dumps(str(obj))
+    if dataclasses.is_dataclass(obj):
+        return render_json(_record_fields(obj))
     if isinstance(obj, dict):
         parts = (f"{json.dumps(str(k))}:{render_json(v)}" for k, v in obj.items())
         return "{" + ",".join(parts) + "}"
@@ -116,14 +130,6 @@ def _load_config(path: str | None) -> RunConfig:
         return RunConfig.from_dict(json.load(fh))
 
 
-def _the_polynomial(args) -> ComplexPolynomial:
-    if args.roots is not None:
-        return args.roots
-    if args.poly is not None:
-        return args.poly
-    raise ValueError("one of --poly or --roots is required")
-
-
 def _resolve_out(args, cfg: RunConfig, required: bool) -> str | None:
     out = args.out or cfg.out_path or None
     if required and out is None:
@@ -136,28 +142,19 @@ def _resolve_out(args, cfg: RunConfig, required: bool) -> str | None:
 
 
 def _cmd_classify(args, cfg: RunConfig) -> int:
-    w = _the_polynomial(args)
-    verdict = classify(BoundaryData(w, args.z1, args.z2))
-    payload = {
-        "verdict": verdict.verdict,
-        "n1": str(verdict.n1),
-        "n2": str(verdict.n2),
-        "case": verdict.case,
-        "critical_order": verdict.critical_order,
-    }
-    _emit(payload, _resolve_out(args, cfg, required=False))
+    verdict = classify(BoundaryData(args.w, args.z1, args.z2))
+    _emit(verdict, _resolve_out(args, cfg, required=False))
     return 0
 
 
 def _cmd_trace(args, cfg: RunConfig) -> int:
-    w = _the_polynomial(args)
     if args.kind == "c0":
-        kind, level = "level", w(args.seed).imag
+        kind, level = "level", args.w(args.seed).imag
     else:
         kind, level = "vertical_tangent", 0.0
     radius = cfg.trace_radius if cfg.trace_radius > 0 else None
     line = trace_level(
-        w, args.seed, kind=kind, direction=args.direction, level=level, radius=radius
+        args.w, args.seed, kind=kind, direction=args.direction, level=level, radius=radius
     )
     out = _resolve_out(args, cfg, required=True)
     with open(out, "w") as fh:
@@ -193,18 +190,29 @@ def _interp_f0_from_file(path: str):
     return lambda x: np.interp(x, xs, fs)
 
 
-def _membership_fields(trace) -> dict:
-    """The membership minimum of the start state, and its least value over
-    every recorded state of the run."""
+def _flow(w, z1: complex, z2: complex, fn, cfg: RunConfig):
+    """Flow from fn sampled on the grid of (Re z1, Re z2), its ends pinned at
+    Im z1 and Im z2, under the default sigma."""
+    a, b = z1.real, z2.real
+    f0 = make_grid_function(a, b, fn, n=cfg.grid_nodes, boundary=(z1.imag, z2.imag))
+    return run_flow(f0, w, default_sigma(a, b, f0.nodes), stop_tol=cfg.stop_tol)
+
+
+def _flow_summary(trace, residual_key: str) -> dict:
+    """Steps, final residual and J, and the membership minimum of the start
+    state and over every recorded state of the run."""
     return {
+        "steps": len(trace.times) - 1,
+        "rejected_steps": trace.rejected_steps,
+        residual_key: trace.residual_sup[-1],
+        "final_J": trace.J_values[-1],
         "membership_min_start": trace.membership_min[0],
         "membership_min_over_run": min(trace.membership_min),
     }
 
 
 def _cmd_flow(args, cfg: RunConfig) -> int:
-    w = _the_polynomial(args)
-    data = shift_to_zero_level(BoundaryData(w, args.z1, args.z2))
+    data = shift_to_zero_level(BoundaryData(args.w, args.z1, args.z2))
     a, b = data.z1.real, data.z2.real
     ya, yb = data.z1.imag, data.z2.imag
 
@@ -213,23 +221,11 @@ def _cmd_flow(args, cfg: RunConfig) -> int:
             return ya + (yb - ya) * (x - a) / (b - a)
     else:
         fn = _interp_f0_from_file(args.f0)
-    f0 = make_grid_function(a, b, fn, n=cfg.grid_nodes, boundary=(ya, yb))
-    sigma = default_sigma(a, b, f0.nodes)
-    trace = run_flow(f0, data.w, sigma, stop_tol=cfg.stop_tol)
+    trace = _flow(data.w, data.z1, data.z2, fn, cfg)
     out = _resolve_out(args, cfg, required=True)
     with open(out, "w") as fh:
         fh.write(trace.to_csv())
-    _emit(
-        {
-            "out": out,
-            "steps": len(trace.times) - 1,
-            "rejected_steps": trace.rejected_steps,
-            "final_residual_sup": trace.residual_sup[-1],
-            "final_J": trace.J_values[-1],
-            **_membership_fields(trace),
-        },
-        None,
-    )
+    _emit({"out": out, **_flow_summary(trace, "final_residual_sup")}, None)
     return 0
 
 
@@ -244,31 +240,16 @@ def _decimate(seq, cap: int):
 
 
 def _witness(inp: CalabiInput, cfg: RunConfig):
-    check = exhibit_solution(inp)
+    w, _, _ = build_polynomials(inp)
+    check = graphical_connection(w, 0j, inp.z2)
     curve = [[p.real, p.imag] for p in _decimate(check.trace.points, 512)]
-    flow_part = None
     try:
-        w, _, _ = build_polynomials(inp)
-        f0 = make_grid_function(
-            0.0, inp.b,
-            lambda x: inp.q * x / inp.b,
-            n=cfg.grid_nodes,
-            boundary=(0.0, inp.q),
-        )
-        sigma = default_sigma(0.0, inp.b, f0.nodes)
-        trace = run_flow(f0, w, sigma, stop_tol=cfg.stop_tol)
+        trace = _flow(w, 0j, inp.z2, lambda x: inp.q * x / inp.b, cfg)
         final = trace.final
         xs = [final.a, *final.nodes.tolist(), final.b]
         hs = [final.boundary[0], *final.values.tolist(), final.boundary[1]]
         heights = _decimate([[x, h] for x, h in zip(xs, hs)], 65)
-        flow_part = {
-            "steps": len(trace.times) - 1,
-            "rejected_steps": trace.rejected_steps,
-            "residual_sup": trace.residual_sup[-1],
-            "final_J": trace.J_values[-1],
-            **_membership_fields(trace),
-            "heights": heights,
-        }
+        flow_part = {**_flow_summary(trace, "residual_sup"), "heights": heights}
     except LevelGraphError:
         flow_part = None
     return {
@@ -282,10 +263,10 @@ def _witness(inp: CalabiInput, cfg: RunConfig):
 
 def _cmd_dhym(args, cfg: RunConfig) -> int:
     inp = CalabiInput(args.m, args.r, args.xi1, args.xi2, args.b, args.q)
-    report = analyze(inp)
-    payload = report.to_dict()
+    payload = report = analyze(inp)
     if args.witness:
-        payload["witness"] = _witness(inp, cfg) if report.verdict == "exists" else None
+        witness = _witness(inp, cfg) if report.verdict == "exists" else None
+        payload = {**_record_fields(report), "witness": witness}
     _emit(payload, _resolve_out(args, cfg, required=False))
     return 0
 
@@ -329,8 +310,9 @@ _CUBE = ComplexPolynomial([0.0, 0.0, 0.0, 1.0 / 3.0])
 
 
 def _check_band_labels():
-    labels = sample_regions(_CUBE, [1.0 + 0.0j, 2.0 + 0.0j])
-    _expect(tuple(str(v) for v in labels) == ("2", "2"), labels)
+    pot = Potential(_CUBE)
+    labels = tuple(str(counting_function(pot, p).value) for p in (1.0 + 0.0j, 2.0 + 0.0j))
+    _expect(labels == ("2", "2"), labels)
 
 
 def _check_classify():
@@ -404,8 +386,7 @@ def _check_scale_invariance():
 
 
 def _check_json_round_trip():
-    payload = analyze(CalabiInput(1, 0, 1.0, 0.0, 1.0, 0.0)).to_dict()
-    text = render_json(payload)
+    text = render_json(analyze(CalabiInput(1, 0, 1.0, 0.0, 1.0, 0.0)))
     _expect(render_json(json.loads(text)) == text, text)
 
 
@@ -442,9 +423,9 @@ def _cmd_selfcheck(args, cfg: RunConfig) -> int:
 
 def _add_poly_options(sub):
     group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--poly", type=_parse_poly, default=None,
+    group.add_argument("--poly", type=_parse_poly, dest="w", metavar="POLY",
                        help="comma-separated coefficients, ascending; 're+imi' per entry")
-    group.add_argument("--roots", type=_parse_roots, default=None,
+    group.add_argument("--roots", type=_parse_roots, dest="w", metavar="ROOTS",
                        help="comma-separated roots of a monic polynomial")
 
 

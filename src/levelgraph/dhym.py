@@ -60,7 +60,6 @@ __all__ = [
     "compute_lifts",
     "decide_existence",
     "analyze",
-    "exhibit_solution",
 ]
 
 _NORMALIZATION_BASE = (
@@ -146,23 +145,6 @@ class ChargeReport:
     genericity: str
     verdict: str
     normalization_note: str
-
-    def to_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, complex):
-                return [v.real, v.imag]
-            if isinstance(v, HalfInteger):
-                return str(v)
-            return v
-
-        return {
-            name: enc(getattr(self, name))
-            for name in (
-                "theta_hat", "theta_top", "Theta_lift", "Z_X", "Z_Dinf", "Z_P",
-                "phi_X", "phi_Dinf", "phi_P", "ind_R0", "ind_Rb",
-                "genericity", "verdict", "normalization_note",
-            )
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +401,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     if not on_wall and not wp_z2.real > threshold:
         raise BoundaryPointUnreachable(
             wp_z2.real, threshold,
-            f"Re w'(z2) = {wp_z2.real:.17g} is not above SIGN_TOL * |w'(z2)| = "
+            f"Re w'(z2) = {wp_z2.real:.17g} is not above TOL.sign * |w'(z2)| = "
             f"{threshold:.3g}: no graph over [0, b] ends at z2",
         )
 
@@ -537,16 +519,3 @@ def analyze(inp: CalabiInput) -> ChargeReport:
         verdict=verdict,
         normalization_note=note,
     )
-
-
-def exhibit_solution(inp: CalabiInput):
-    """Trace the zero level of Im(w) from z2 back to the origin.
-
-    Returns the tracer's graph check; for inputs where analyze() says
-    ``exists`` the curve should arrive (connected) and be a graph over the
-    x-axis (graphical).
-    """
-    from .tracer import graphical_connection
-
-    w, _, _ = build_polynomials(inp)
-    return graphical_connection(w, 0j, inp.z2)

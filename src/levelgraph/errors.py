@@ -54,6 +54,9 @@ class CriticalPointInRHP(LevelGraphError):
         self.root = root
         super().__init__(message or f"critical point {root} lies in the open right half-plane")
 
+    def __reduce__(self):  # args holds the message only; pickle the root too
+        return type(self), (self.root, str(self))
+
 
 class DegenerateLine(LevelGraphError):
     """Re(w'(x0+iy)) is identically zero in y; counting is undefined on that line."""

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import CorrectorDiverged, SeedNotOnCurve
-from .landscape import Potential, counting_function
 from .poly import ComplexPolynomial, as_complex_polynomial, roots, taylor_coeffs
 
 _GROW = 1.3
@@ -355,9 +354,3 @@ def graphical_connection(w, z1, z2) -> GraphCheck:
         s = abs(b.imag - a.imag) / max(abs(b.real - a.real), 1e-300)
         slope = max(slope, min(s, 1e18))
     return GraphCheck(connected, graphical, min_dx, slope, line)
-
-
-def sample_regions(w, points) -> tuple:
-    """Band label of each point (constant as long as no arc is crossed)."""
-    pot = Potential(as_complex_polynomial(w))
-    return tuple(counting_function(pot, p).value for p in points)

@@ -40,7 +40,7 @@ from levelgraph.poly import (
     roots,
 )
 from levelgraph.stability import BoundaryData, classify, shift_to_zero_level
-from levelgraph.tracer import graphical_connection, sample_regions, trace_level
+from levelgraph.tracer import graphical_connection, trace_level
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +329,9 @@ def test_region_labels_constant_between_walls():
         if not segs:
             continue
         traces += 1
+        pot = Potential(w)
         for seg in segs:
-            labels = sample_regions(w, seg)
+            labels = tuple(counting_function(pot, p).value for p in seg)
             assert len(set(labels)) == 1, (
                 [repr(c) for c in w.coeffs], seg[:3], labels)
             segments += 1

@@ -34,6 +34,11 @@ def test_classify_cube_third(capsys):
     assert d["verdict"] == "stable"
     assert d["n1"] == "2"
     assert d["n2"] == "2"
+    # the StabilityVerdict's fields in declaration order, labels as strings
+    assert out == (
+        '{"verdict":"stable","n1":"2","n2":"2","case":"noncritical",'
+        '"critical_order":null}\n'
+    )
 
 
 def test_classify_linear(capsys):
@@ -224,11 +229,39 @@ def test_dhym_json_round_trip(capsys):
     assert cli.render_json(d) + "\n" == out
 
 
+def test_dhym_json_bytes_pinned(capsys):
+    # the ChargeReport's fields in declaration order: complex charges as
+    # [re, im], indices as strings
+    argv = ["dhym", "--m", "1", "--r", "1", "--xi1", "1", "--xi2", "0", "--b", "1", "--q", "0"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0, err
+    assert out == (
+        '{"theta_hat":0.0,"theta_top":3.1415926535897931,"Theta_lift":0.0,'
+        '"Z_X":[0.0,-0.83333333333333326],"Z_Dinf":[2.0,0.0],"Z_P":[0.0,1.0],'
+        '"phi_X":-0.5,"phi_Dinf":0.0,"phi_P":0.5,"ind_R0":"0","ind_Rb":"1",'
+        '"genericity":"non_generic","verdict":"exists","normalization_note":'
+        '"charges reported up to the positive volume normalization fixing the '
+        'top intersection number to one; boundary: the grade difference '
+        'phi_P - phi_X equals the lower end of the admissible window '
+        '(semistable threshold)"}\n'
+    )
+
+
 def test_dhym_witness(capsys):
     rc, out, err = run_cli(capsys, dhym_hand_args() + ["--witness"])
     assert rc == 0, err
     d = json.loads(out)
+    assert list(d) == [
+        "theta_hat", "theta_top", "Theta_lift", "Z_X", "Z_Dinf", "Z_P",
+        "phi_X", "phi_Dinf", "phi_P", "ind_R0", "ind_Rb",
+        "genericity", "verdict", "normalization_note", "witness",
+    ]
     wit = d["witness"]
+    assert list(wit) == ["connected", "graphical", "slope_sup", "curve", "flow"]
+    assert list(wit["flow"]) == [
+        "steps", "rejected_steps", "residual_sup", "final_J",
+        "membership_min_start", "membership_min_over_run", "heights",
+    ]
     assert wit["connected"] is True
     assert wit["graphical"] is True
     curve = wit["curve"]
@@ -387,6 +420,10 @@ def test_flow_fixed_point(capsys, tmp_path):
     )
     assert rc == 0, err
     summary = json.loads(out)
+    assert list(summary) == [
+        "out", "steps", "rejected_steps", "final_residual_sup", "final_J",
+        "membership_min_start", "membership_min_over_run",
+    ]
     assert summary["final_residual_sup"] <= 1e-8
     assert summary["steps"] == 0
     assert summary["rejected_steps"] == 0

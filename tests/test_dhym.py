@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 import random
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import levelgraph.config as config
 import levelgraph.dhym as dhym
 import levelgraph.poly as poly
+from levelgraph import cli
 from levelgraph.cauchy import RationalFunction, index_one_sided
 from levelgraph.dhym import (
     CalabiInput,
@@ -25,9 +27,9 @@ from levelgraph.dhym import (
     build_polynomials,
     compute_charges,
     compute_lifts,
-    exhibit_solution,
 )
 from levelgraph.errors import BoundaryPointUnreachable, ZeroTotalCharge
+from levelgraph.tracer import graphical_connection
 from reference_lift import _unwrap_lift
 
 SQ3 = math.sqrt(3.0)
@@ -114,7 +116,9 @@ def test_twisted_case_is_nongeneric_and_exists():
 
 
 def test_twisted_case_tracer_agreement():
-    check = exhibit_solution(CalabiInput(m=1, r=1, xi1=1.0, xi2=0.0, b=1.0, q=0.0))
+    inp = CalabiInput(m=1, r=1, xi1=1.0, xi2=0.0, b=1.0, q=0.0)
+    w, _, _ = build_polynomials(inp)
+    check = graphical_connection(w, 0j, inp.z2)
     assert check.connected and check.graphical
 
 
@@ -142,6 +146,9 @@ def test_lift_sector_failure_names_re_w_prime_at_z2():
     w, _, _ = build_polynomials(inp)
     assert float(found.group(1)) == w.derivative()(inp.z2).real
     assert float(found.group(1)) == pytest.approx(-4.4623716979992469, rel=1e-12)
+    # the threshold is named by the tolerance field that sets it
+    assert "not above TOL.sign * |w'(z2)| = " in str(info.value)
+    assert "SIGN_TOL" not in str(info.value)
     # the deciding comparison is data too
     assert info.value.value == w.derivative()(inp.z2).real
     assert info.value.threshold == config.TOL.sign * abs(w.derivative()(inp.z2))
@@ -499,7 +506,7 @@ def test_Z_P_ignores_z2():
 
 def test_report_dict_fields():
     report = analyze(CalabiInput(m=1, r=0, xi1=1.0, xi2=0.0, b=1.0, q=0.0))
-    d = report.to_dict()
+    d = json.loads(cli.render_json(report))
     assert list(d.keys()) == [
         "theta_hat", "theta_top", "Theta_lift", "Z_X", "Z_Dinf", "Z_P",
         "phi_X", "phi_Dinf", "phi_P", "ind_R0", "ind_Rb",

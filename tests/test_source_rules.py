@@ -16,3 +16,48 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# the package modules each module may import; the layers are strictly
+# bottom-up, and only the CLI, which presents every verdict, may import any
+LOWER_LAYERS = {
+    "errors": set(),
+    "config": set(),
+    "__init__": {"errors"},
+    "poly": {"errors"},
+    "cauchy": {"poly", "errors"},
+    "landscape": {"cauchy", "poly", "config", "errors"},
+    "stability": {"cauchy", "landscape", "poly", "config", "errors"},
+    "tracer": {"poly", "config", "errors"},
+    "kempf_ness": {"poly", "config", "errors"},
+    "dhym": {"cauchy", "poly", "config", "errors"},
+}
+
+
+def _package_imports(tree) -> set:
+    """Package modules imported anywhere in tree, inside functions too."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("levelgraph."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("levelgraph."))
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    upward = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        assert path.stem in LOWER_LAYERS, f"{path.name} has no layer"
+        extra = _package_imports(ast.parse(path.read_text(), str(path))) - LOWER_LAYERS[path.stem]
+        if extra:
+            upward[path.stem] = sorted(extra)
+    assert upward == {}

@@ -80,8 +80,14 @@ def test_shift_rejects_level_mismatch():
 def test_classify_rejects_rhp_critical_point():
     w = ComplexPolynomial([0, 1, -1, 1 / 3])  # w' = (z-1)^2 + ... roots in RHP
     # w' = z^2 - 2z + 1 = (z-1)^2
-    with pytest.raises(CriticalPointInRHP):
+    with pytest.raises(CriticalPointInRHP) as info:
         classify(BoundaryData(w, 0j, 1 + 0j))
+    # both constructor forms keep root and message through pickle: the
+    # raised one with its own message, and the default message
+    for exc in (info.value, CriticalPointInRHP(1 + 1j)):
+        copy = pickle.loads(pickle.dumps(exc))
+        assert (copy.root, str(copy)) == (exc.root, str(exc))
+    assert str(CriticalPointInRHP(1 + 1j)).count("critical point") == 1
 
 
 # ---------------------------------------------------------------------------

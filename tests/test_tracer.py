@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from levelgraph import poly
 from levelgraph.cauchy import HalfInteger
 from levelgraph.errors import SeedNotOnCurve
+from levelgraph.landscape import Potential, counting_function
 from levelgraph.poly import ComplexPolynomial, from_roots
 from levelgraph.tracer import (
     Polyline,
     _root_bound,
     graphical_connection,
-    sample_regions,
     trace_level,
 )
 
@@ -199,35 +199,25 @@ def test_connection_stable_nongeneric_window():
 
 
 # ---------------------------------------------------------------------------
-# region sampling along a traced curve
+# band labels along a traced curve
 
 
 def test_sample_regions_constant_between_folds():
     line = trace_level(CUBE_THIRD, 2.0 + 0j, direction=-1)
     inside = [p for p in line.points if p.real > 1e-3]
-    labels = sample_regions(CUBE_THIRD, inside[::4])
+    pot = Potential(CUBE_THIRD)
+    labels = [counting_function(pot, p).value for p in inside[::4]]
     assert set(labels) == {HalfInteger.from_int(2)}
 
 
 def test_sample_regions_jump_across_fold():
     y_hi = _bisect(lambda y: 12 * y - y**3 - 2, 2.0, 3.45)
     line = trace_level(CUBE_THIRD, 2 + 1j * y_hi, direction=-1, level=2 / 3)
-    labels = sample_regions(CUBE_THIRD, [line.points[0], line.points[-1]])
+    pot = Potential(CUBE_THIRD)
+    labels = [counting_function(pot, p).value for p in (line.points[0], line.points[-1])]
     # started in band 3, escaped rightward in band 2 after the fold at 1+i
     assert labels[0] == HalfInteger.from_int(3)
     assert labels[-1] == HalfInteger.from_int(2)
-
-
-def test_sample_regions_solves_w_prime_once(monkeypatch):
-    import levelgraph.landscape as landscape
-
-    calls = []
-    real_roots = landscape.roots
-    monkeypatch.setattr(landscape, "roots", lambda p: calls.append(p) or real_roots(p))
-    points = [1.0 + 0j, 2.0 + 0j, 1.0 + 1.0j, 1.0j, 0j]
-    labels = sample_regions(CUBE_THIRD, points)
-    assert len(labels) == 5
-    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
