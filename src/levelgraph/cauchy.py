@@ -79,22 +79,11 @@ class HalfInteger:
         t = self._twice(other)
         return NotImplemented if t is NotImplemented else HalfInteger(self.twice_value - t)
 
-    def __rsub__(self, other):
-        t = self._twice(other)
-        return NotImplemented if t is NotImplemented else HalfInteger(t - self.twice_value)
-
     def __neg__(self):
         return HalfInteger(-self.twice_value)
 
     def __abs__(self):
         return HalfInteger(abs(self.twice_value))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInteger(self.twice_value * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         t = self._twice(other)
@@ -150,9 +139,6 @@ class RationalFunction:
             raise DenominatorIdenticallyZero("denominator is the zero polynomial")
         self.num = num
         self.den = den
-
-    def __call__(self, y: float) -> float:
-        return self.num(y) / self.den(y)
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den)

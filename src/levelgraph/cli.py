@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -152,9 +153,9 @@ def _cmd_trace(args, cfg: RunConfig) -> int:
         kind, level = "level", args.w(args.seed).imag
     else:
         kind, level = "vertical_tangent", 0.0
-    radius = cfg.trace_radius if cfg.trace_radius > 0 else None
     line = trace_level(
-        args.w, args.seed, kind=kind, direction=args.direction, level=level, radius=radius
+        args.w, args.seed, kind=kind, direction=args.direction, level=level,
+        radius=cfg.trace_radius,
     )
     out = _resolve_out(args, cfg, required=True)
     with open(out, "w") as fh:
@@ -255,7 +256,7 @@ def _witness(inp: CalabiInput, cfg: RunConfig):
     return {
         "connected": check.connected,
         "graphical": check.graphical,
-        "slope_sup": min(check.slope_sup, 1e300),
+        "slope_sup": check.slope_sup,
         "curve": curve,
         "flow": flow_part,
     }
@@ -486,10 +487,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value that starts with '-' as an option unless it looks
+# like -12 or -.5, so -1e-3, -1j,1 and -1,-2 would each be rejected; no
+# levelgraph option starts with a digit, so such a token after a long option
+# is joined to it as --option=value
+_NEGATIVE_VALUE = re.compile(r"-\.?[0-9]")
+
+
+def _join_negative_values(argv: list) -> list:
+    out: list = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -418,7 +418,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
         ind_R0 = HalfInteger.from_int(count)
 
     Theta_lift = theta_top - float(ind_Rb) * math.pi
-    phi_X = (theta_top - float(ind_Rb) * math.pi - n * math.pi / 2 + math.pi) / math.pi
+    phi_X = (Theta_lift - n * math.pi / 2 + math.pi) / math.pi
     delta = (cmath.phase(Z_Dinf) - cmath.phase(Z_X)) % (2.0 * math.pi)
     phi_Dinf = phi_X + delta / math.pi
 

@@ -56,7 +56,7 @@ import numpy as np
 from . import config
 from .config import GRID_NODES
 from .errors import Diverged, NonIntegrableEndpoint
-from .poly import I_POWERS, _horner, as_complex_polynomial, taylor_coeffs
+from .poly import I_POWERS, ComplexPolynomial, _horner, taylor_coeffs
 
 __all__ = [
     "GridFunction",
@@ -153,12 +153,14 @@ class GridFunction:
             raise ValueError("nodes must be the Gauss-Legendre nodes of (a, b)")
         if not np.all(np.isfinite(values)):
             raise ValueError("nonfinite height values")
-        p, q = self.boundary
+        p, q = map(float, self.boundary)
+        if not (math.isfinite(p) and math.isfinite(q)):
+            raise ValueError("nonfinite boundary heights")
         nodes.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "boundary", (float(p), float(q)))
+        object.__setattr__(self, "boundary", (p, q))
 
 
 def make_grid_function(a, b, fn, n: int = GRID_NODES, boundary=None) -> GridFunction:
@@ -214,13 +216,13 @@ def _check_sigma(f: GridFunction, sigma: BackgroundSigma):
         raise ValueError("sigma grid does not match the function grid")
 
 
-def membership(f: GridFunction, w):
+def membership(f: GridFunction, w: ComplexPolynomial):
     """Is the graph of f inside the region where heights can only improve?
 
     Returns (in_set, min_value) where min_value is the minimum over nodes of
     d/dx Re(w(x+if)) = Re(w'(z)) - f'(x) Im(w'(z)).
     """
-    wp = as_complex_polynomial(w).derivative()
+    wp = w.derivative()
     z = f.nodes + 1j * f.values
     d = wp(z)
     vals = d.real - derivative_values(f) * d.imag
@@ -228,11 +230,11 @@ def membership(f: GridFunction, w):
     return mn > 0.0, mn
 
 
-def j_derivative(f: GridFunction, f_dot, w, sigma: BackgroundSigma) -> float:
+def j_derivative(f: GridFunction, f_dot, w: ComplexPolynomial, sigma: BackgroundSigma) -> float:
     """dJ/dt along a path through f with interior velocity f_dot."""
     _check_sigma(f, sigma)
     weights = _quadrature_for(f)
-    v = as_complex_polynomial(w)(f.nodes + 1j * f.values).imag
+    v = w(f.nodes + 1j * f.values).imag
     return float(np.sum(weights * np.asarray(f_dot, dtype=float) * v / sigma.values))
 
 
@@ -350,7 +352,7 @@ def _vertical_line_tables(w, x: np.ndarray) -> np.ndarray:
 
 def run_flow(
     f0: GridFunction,
-    w,
+    w: ComplexPolynomial,
     sigma: BackgroundSigma,
     stop_tol: float | None = None,
     t_max: float = 200.0,
@@ -397,7 +399,6 @@ def run_flow(
     TOL.flow_endpoint_blowup (heights off the zero level at an endpoint).
     stop_tol None means TOL.flow_stop; TOL is read once per call.
     """
-    w = as_complex_polynomial(w)
     _check_sigma(f0, sigma)
     if stop_tol is None:
         stop_tol = config.TOL.flow_stop
@@ -501,7 +502,9 @@ def run_flow(
     return FlowTrace(times, js, resids, membs, final, rejected)
 
 
-def second_variation_at(f: GridFunction, psi: GridFunction, w, sigma: BackgroundSigma) -> float:
+def second_variation_at(
+    f: GridFunction, psi: GridFunction, w: ComplexPolynomial, sigma: BackgroundSigma
+) -> float:
     """Quadratic form of J at a critical graph in direction psi.
 
     integral of (d(psi)/dx)^2 sigma Re(w'(x+if)) dx; positive on stable
@@ -510,5 +513,5 @@ def second_variation_at(f: GridFunction, psi: GridFunction, w, sigma: Background
     _check_sigma(f, sigma)
     weights = _quadrature_for(f)
     dpsi = derivative_values(psi)
-    d = as_complex_polynomial(w).derivative()(f.nodes + 1j * f.values)
+    d = w.derivative()(f.nodes + 1j * f.values)
     return float(np.sum(weights * dpsi * dpsi * sigma.values * d.real))

@@ -163,12 +163,12 @@ class ComplexPolynomial(_Polynomial):
         """The antiderivative q with q' = self and q(0) = 0."""
         return ComplexPolynomial([0.0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
-    def __add__(self, other):
-        pairs = zip_longest(self.coeffs, as_complex_polynomial(other).coeffs, fillvalue=0j)
+    def __add__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0j)
         return ComplexPolynomial(x + y for x, y in pairs)
 
-    def __sub__(self, other):
-        return self + (-as_complex_polynomial(other))
+    def __sub__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
+        return self + (-other)
 
 
 class RealPolynomial(_Polynomial):
@@ -198,18 +198,6 @@ class RootWithMultiplicity:
     multiplicity: int
     cluster_radius: float
     certified: bool
-
-
-def as_complex_polynomial(w) -> ComplexPolynomial:
-    """w as a ComplexPolynomial: real polynomials are widened, a scalar is a
-    constant, and a coefficient sequence (ascending) is wrapped."""
-    if isinstance(w, ComplexPolynomial):
-        return w
-    if isinstance(w, RealPolynomial):
-        return w.to_complex()
-    if isinstance(w, (int, float, complex)):
-        return ComplexPolynomial([w])
-    return ComplexPolynomial(w)
 
 
 def from_roots(roots: Sequence[complex], leading: complex = 1.0) -> ComplexPolynomial:

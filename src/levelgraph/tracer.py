@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import CorrectorDiverged, SeedNotOnCurve
-from .poly import ComplexPolynomial, as_complex_polynomial, roots, taylor_coeffs
+from .poly import ComplexPolynomial, roots, taylor_coeffs
 
 _GROW = 1.3
 _MAX_NEWTON = 12
@@ -131,8 +131,6 @@ def _root_bound(w: ComplexPolynomial) -> float:
     """Fujiwara's bound (Tohoku Math. J. 10, 1916): every root of w lies within
     2 max(|c_{n-1}/c_n|, |c_{n-2}/c_n|^(1/2), ..., |c_0/(2 c_n)|^(1/n))."""
     n = w.degree
-    if n < 1:
-        return 0.0
     lead = abs(w.coeffs[-1])
     return 2.0 * max(
         (abs(c) / (2.0 * lead if k == 0 else lead)) ** (1.0 / (n - k))
@@ -205,22 +203,20 @@ def _trace(
             f"overflows a double at distance {far!r} from the origin"
         )
     crit = []
-    wp = w.derivative()
-    if wp.degree >= 1:
-        for r in roots(wp):
-            c, k = r.location, r.multiplicity
-            snap = config.TOL.crit_snap * (1.0 + abs(c))
-            if kind == "level":
-                # An arc traced at the critical level rounds the corner at a
-                # standoff distance set by the corrector tolerance: the level
-                # offset a distance d away is ~ |B| d^{k+1}, B the order-(k+1)
-                # Taylor coefficient of w there, so anything inside the d
-                # that solves that = ftol is numerically "at" the point.
-                lead = taylor_coeffs(w.coeffs, c, k + 2)[k + 1]
-                if abs(lead) > 1e-300:
-                    standoff = (ftol(c) / abs(lead)) ** (1.0 / (k + 1))
-                    snap = max(snap, 4.0 * standoff)
-            crit.append((c, snap))
+    for r in roots(w.derivative()):
+        c, k = r.location, r.multiplicity
+        snap = config.TOL.crit_snap * (1.0 + abs(c))
+        if kind == "level":
+            # An arc traced at the critical level rounds the corner at a
+            # standoff distance set by the corrector tolerance: the level
+            # offset a distance d away is ~ |B| d^{k+1}, B the order-(k+1)
+            # Taylor coefficient of w there, so anything inside the d
+            # that solves that = ftol is numerically "at" the point.
+            lead = taylor_coeffs(w.coeffs, c, k + 2)[k + 1]
+            if abs(lead) > 1e-300:
+                standoff = (ftol(c) / abs(lead)) ** (1.0 / (k + 1))
+                snap = max(snap, 4.0 * standoff)
+        crit.append((c, snap))
 
     conn_tol = config.TOL.connect * (1.0 + abs(target)) if target is not None else 0.0
 
@@ -301,7 +297,7 @@ def _trace(
 
 
 def trace_level(
-    w,
+    w: ComplexPolynomial,
     seed: complex,
     kind: str = "level",
     direction: int = 1,
@@ -312,27 +308,25 @@ def trace_level(
 
     ``direction`` picks the initial heading by the sign of Re(tangent)
     (falling back to Im when the tangent starts out vertical).  The trace
-    runs until it arrives somewhere meaningful -- see Polyline.  Raises
-    ValueError when the radius is so large that the corrector tolerance
-    would overflow a double within one step past it.
+    runs until it arrives somewhere meaningful -- see Polyline.  A radius
+    that is None or not positive is derived from the coefficients of w.
+    Raises ValueError when the radius is so large that the corrector
+    tolerance would overflow a double within one step past it.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     if kind not in ("level", "vertical_tangent"):
         raise ValueError(f"unknown curve kind {kind!r}")
-    return _trace(
-        as_complex_polynomial(w), complex(seed), kind, direction, float(level), radius
-    )
+    return _trace(w, complex(seed), kind, direction, float(level), radius)
 
 
-def graphical_connection(w, z1, z2) -> GraphCheck:
+def graphical_connection(w: ComplexPolynomial, z1, z2) -> GraphCheck:
     """Trace the level curve of Im w through z2 leftward toward z1.
 
     The verdict data mirrors what the classification needs: did the arc
     arrive (at z1 itself, or at the critical point z1 marks), did Re z
     decrease the whole way, and how steep did the approach get.
     """
-    w = as_complex_polynomial(w)
     z1 = complex(z1)
     z2 = complex(z2)
     line = _trace(w, z2, "level", -1, w(z2).imag, target=z1)

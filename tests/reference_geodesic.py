@@ -16,7 +16,6 @@ from levelgraph.kempf_ness import (
     _diff_matrix,
     _full_values,
 )
-from levelgraph.poly import as_complex_polynomial
 
 
 def _path_arrays(path, times):
@@ -60,7 +59,7 @@ def geodesic_residual(path, times, w, sigma: BackgroundSigma, f0: GridFunction) 
     f = f0 + sigma * d(phi)/dx.  The equation checked at interior times and
     nodes is  phi_tt * d/dx Re(w(z_f)) + (d(phi_t)/dx)^2 sigma Im(w'(z_f)).
     """
-    wp = as_complex_polynomial(w).derivative()
+    wp = w.derivative()
     times, base, full = _path_arrays(path, times)
     _check_sigma(base, sigma)
     dmat = _diff_matrix(base)
@@ -89,7 +88,7 @@ def relax_geodesic(
     sup residual, measured every 20 sweeps on the working array, drops below
     _GEODESIC_TOL.  Returns (times, path).
     """
-    wp = as_complex_polynomial(w).derivative()
+    wp = w.derivative()
     _check_sigma(phi0, sigma)
     dmat = _diff_matrix(phi0)
     x = phi0.nodes

@@ -82,6 +82,27 @@ def test_classify_parse_error_exits_one(capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("argv, expect", [
+    (["classify", "--poly", "-1,1,0.5", "--z1", "0,0", "--z2", "1,0"], "stable"),
+    (["classify", "--poly", "-1j,1", "--z1", "0,0", "--z2", "1,0"], "stable"),
+    (["classify", "--roots", "-1,-2", "--z1", "0,0", "--z2", "1,0"], "stable"),
+    (["dhym", "--m", "1", "--r", "0", "--xi1", "1", "--xi2", "0", "--b", "1", "--q", "-1e-3"],
+     "exists"),
+    (["dhym", "--m", "1", "--r", "0", "--xi1", "1", "--xi2", "-4e-1", "--b", "1", "--q", "0"],
+     "exists"),
+    (["classify", "--poly", "0,1", "--z1", "-1e-3,0", "--z2", "1,0"],
+     "error: z1=(-0.001+0j) must have nonnegative real part"),
+], ids=["poly", "poly-imaginary", "roots", "q-exponent", "xi2-exponent", "z1-exponent"])
+def test_negative_values_reach_the_library(capsys, argv, expect):
+    # argparse alone reads each of these values as an option and exits 1
+    # with "expected one argument" before the library sees the input
+    rc, out, err = run_cli(capsys, argv)
+    if rc == 0:
+        assert json.loads(out)["verdict"] == expect
+    else:
+        assert err.strip() == expect
+
+
 @pytest.mark.parametrize(
     "poly, z2", [("0,1", "1,inf"), ("nan,1", "1,0")], ids=["inf_z2", "nan_coefficient"]
 )

@@ -158,6 +158,10 @@ def test_grid_function_validation():
         GridFunction(A, B, nodes, np.zeros(16), (0.0, 0.0))
     with pytest.raises(ValueError):
         GridFunction(A, B, nodes[::-1], np.zeros(17), (0.0, 0.0))
+    # a nan end height would flow to residual 0 with a nan membership minimum
+    for boundary in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="nonfinite boundary"):
+            make_grid_function(0.0, 1.0, lambda x: 0 * x, n=9, boundary=boundary)
 
 
 def test_diff_matrix_rejects_other_grids():

@@ -23,8 +23,19 @@ line counts the answers that are not byte-equal, and of those the answers
 whose non-float fields differ: a length, an int, a bool, a string, an
 exception's text, or a field present on one side only.  It also gives the
 largest relative change |new - old| / |old| over the float (and complex)
-fields of the differing answers.  Exits with status 0 when every answer
-matches byte for byte and 1 when one does not.
+fields of the differing answers.
+
+A last set, ``cli``, does not depend on the seeds and runs once per side:
+each of the fixed invocations in ``CLI_SET`` (every subcommand, the README
+examples, ``--out``, ``--config``, each error exit and negative values)
+runs ``python -m levelgraph.cli`` in a fresh temporary directory, which
+holds only the input files it names.  Its exit code, stdout, stderr and
+every file in the directory afterwards are compared byte for byte, with
+the checkout's path replaced by a placeholder.  Prints one line per
+differing invocation and one summary line.
+
+Exits with status 0 when every answer matches byte for byte and 1 when one
+does not.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -48,6 +60,56 @@ COUNTS = {"verdicts": 3750, "dhym-sweep": 6000, "witness": 40,
           "witness-vertical-tangent": 40}
 # differing answers printed at most, over all workloads and seeds
 SHOW = 10
+
+_CUBE = "0,0,0,0.3333333333333333"
+_F0_ROWS = "x,f\n" + "".join(
+    "%.17g,%.17g\n" % (1.0 + i / 8.0, 0.3 * math.sin(math.pi * i / 8.0)) for i in range(9))
+# (name, argv, input files) of the cli set; each runs in its own directory
+CLI_SET = (
+    ("readme-classify", ["classify", "--poly", "0,0,0,0.3333", "--z1", "1,0", "--z2", "2,0"], {}),
+    ("readme-trace", ["trace", "--kind", "c0", "--poly", "0,1", "--seed", "1,0",
+                      "--direction", "-1", "--out", "curve.csv"], {}),
+    ("readme-flow", ["flow", "--poly", "0,1", "--z1", "0,0", "--z2", "2,0", "--f0", "line",
+                     "--out", "flow.csv"], {}),
+    ("readme-dhym-witness", ["dhym", "--m", "1", "--r", "0", "--xi1", "1", "--xi2", "0",
+                             "--b", "1", "--q", "0", "--witness"], {}),
+    ("readme-selfcheck", ["selfcheck"], {}),
+    ("classify-roots-out", ["classify", "--roots", "0", "--z1", "0,0", "--z2", "1,0",
+                            "--out", "verdict.json"], {}),
+    ("trace-wall", ["trace", "--kind", "d0", "--poly", _CUBE, "--seed", "1,1",
+                    "--out", "wall.csv"], {}),
+    ("flow-from-file", ["flow", "--poly", _CUBE, "--z1", "1,0", "--z2", "2,0",
+                        "--f0", "f0.csv", "--out", "flow.csv"], {"f0.csv": _F0_ROWS}),
+    ("dhym-non-generic-out", ["dhym", "--m", "1", "--r", "1", "--xi1", "1", "--xi2", "0",
+                              "--b", "1", "--q", "0", "--out", "report.json"], {}),
+    ("config-before-out-path", ["--config", "cfg.json", "classify", "--poly", "0,1",
+                                "--z1", "0,0", "--z2", "1,0"],
+     {"cfg.json": '{"out_path": "verdict.json"}\n'}),
+    ("config-after-trace-radius", ["trace", "--config", "cfg.json", "--kind", "c0",
+                                   "--poly", _CUBE, "--seed", "1,0"],
+     {"cfg.json": '{"trace_radius": 3.0, "out_path": "curve.csv"}\n'}),
+    ("config-flow-grid", ["flow", "--config", "cfg.json", "--poly", _CUBE, "--z1", "1,0",
+                          "--z2", "2,0", "--f0", "f0.csv", "--out", "flow.csv"],
+     {"cfg.json": '{"grid_nodes": 33, "stop_tol": 1e-10}\n', "f0.csv": _F0_ROWS}),
+    ("error-no-subcommand", [], {}),
+    ("error-parse", ["classify", "--poly", "0,abc", "--z1", "0,0", "--z2", "1,0"], {}),
+    ("error-level-mismatch", ["classify", "--poly", "0,1", "--z1", "0,0", "--z2", "1,1"], {}),
+    ("error-rhp-critical-point", ["classify", "--roots", "1,1", "--z1", "0,0",
+                                  "--z2", "2,0"], {}),
+    ("error-trace-without-out", ["trace", "--kind", "c0", "--poly", "0,1", "--seed", "1,0"],
+     {}),
+    ("error-config-unknown-key", ["--config", "cfg.json", "selfcheck"],
+     {"cfg.json": '{"nope": 1}\n'}),
+    ("error-config-missing", ["--config", "missing.json", "selfcheck"], {}),
+    ("error-dhym-overflow", ["dhym", "--m", "3", "--r", "2", "--xi1", "1", "--xi2", "0",
+                             "--b", "1e200", "--q", "0"], {}),
+    ("negative-poly", ["classify", "--poly", "-1,1,0.5", "--z1", "0,0", "--z2", "1,0"], {}),
+    ("negative-roots", ["classify", "--roots", "-1,-2", "--z1", "0,0", "--z2", "1,0"], {}),
+    ("negative-dhym-exponent", ["dhym", "--m", "1", "--r", "0", "--xi1", "1",
+                                "--xi2", "-4e-1", "--b", "1", "--q", "-1e-3"], {}),
+    ("negative-z1-exponent", ["classify", "--poly", "0,1", "--z1", "-1e-3,0",
+                              "--z2", "1,0"], {}),
+)
 
 
 def _flatten(obj, path: str, out: dict) -> None:
@@ -140,6 +202,41 @@ def _answers(checkout: Path, workload: str, seed: int, count: int) -> list:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
+def _cli_outcome(checkout: Path, argv: list, inputs: dict) -> dict:
+    """Exit code, stdout, stderr and every file left behind by one CLI run
+    in a fresh directory that holds only the input files."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), COLUMNS="80",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in inputs.items():
+            Path(tmp, name).write_text(text)
+        proc = subprocess.run([sys.executable, "-m", "levelgraph.cli", *argv], cwd=tmp,
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        files = {f.name: f.read_bytes() for f in sorted(Path(tmp).iterdir())}
+    # a traceback names the checkout's files
+    place = str(checkout).encode()
+    return {"exit": proc.returncode, "stdout": proc.stdout.replace(place, b"<checkout>"),
+            "stderr": proc.stderr.replace(place, b"<checkout>"), "files": files}
+
+
+def compare_cli(parent: Path, change: Path, shown: int) -> int:
+    """Run the cli set on both checkouts; the number of differing invocations."""
+    bad = []
+    for name, argv, inputs in CLI_SET:
+        old = _cli_outcome(parent, argv, inputs)
+        new = _cli_outcome(change, argv, inputs)
+        diff = [k for k in old if old[k] != new[k]]
+        if not diff:
+            continue
+        bad.append(name)
+        if shown + len(bad) <= SHOW:
+            what = ", ".join(f"exit {old[k]} -> {new[k]}" if k == "exit" else k for k in diff)
+            print(f"  cli {name}: {what} differ; levelgraph {' '.join(argv)}")
+    print(f"cli: {len(CLI_SET)} invocations, {len(bad)} differ"
+          + (f": {', '.join(bad)}" if bad else ""))
+    return len(bad)
+
+
 def compare(parent: Path, change: Path, seeds) -> int:
     differing = 0
     for workload, count in COUNTS.items():
@@ -171,6 +268,7 @@ def compare(parent: Path, change: Path, seeds) -> int:
                   f"{bad} answers differ, {structural} in a non-float field; "
                   f"largest relative float change {largest:.3g}")
             differing += bad
+    differing += compare_cli(parent, change, differing)
     return 0 if differing == 0 else 1
 
 
