@@ -7,7 +7,8 @@ imports only ``config``, ``errors`` and modules listed above it, except that
 - ``poly``: the only polynomial arithmetic -- complex/real polynomials on
   one shared body, synthetic division and Taylor coefficients (exact on
   integers), vertical-line restriction, multiplicity-aware root finding
-- ``cauchy``: exact Cauchy indices of real rational functions
+- ``cauchy``: exact Cauchy indices of real rational functions, and the
+  certified phase climb that both verdicts' crossing counts share
 - ``landscape``: critical points of Im(w) on the imaginary axis, counting
   function for level-curve crossings, tangent cone at infinity
 - ``stability``: the boundary-data trichotomy (stable / strictly semistable /

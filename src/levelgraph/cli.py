@@ -488,10 +488,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # argparse reads a value that starts with '-' as an option unless it looks
-# like -12 or -.5, so -1e-3, -1j,1 and -1,-2 would each be rejected; no
-# levelgraph option starts with a digit, so such a token after a long option
-# is joined to it as --option=value
-_NEGATIVE_VALUE = re.compile(r"-\.?[0-9]")
+# like -12 or -.5; no levelgraph option starts with -digit, -i, -j or -n (-h
+# stays help), so a token that does, such as -1e-3, -1j,1, -1,-2, -i,1 or
+# -inf,0, is joined to the long option before it as --option=value
+_NEGATIVE_VALUE = re.compile(r"-(\.?[0-9]|[ijn])")
 
 
 def _join_negative_values(argv: list) -> list:

@@ -4,8 +4,8 @@ Every tolerance is a field of ``TOL``, the one :class:`Tolerances`.  Modules
 read ``config.TOL.<field>`` when called and import none by name, so one
 rebinding of ``config.TOL`` to a ``dataclasses.replace`` copy reaches all
 of them.  Sign and snap tolerances are bare factors of a scale from the
-data at hand.  The rounding bounds ``_PHASE_ROUNDING`` and ``_LINE_ROUNDING``
-stay out: they are proven, certify a float count, and must never be scaled.
+data at hand.  The rounding bound ``cauchy.CLIMB_ROUNDING`` stays out: it is
+proven, certifies a float count, and must never be scaled.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ they agree.
 
 The roots of w' are known exactly (-xi and 0), so each index is a phase
 sum.  The charge paths of Z_P and Z_Dinf keep every factor in the right
-half-plane, so each lift has a closed form in atan2 and rises strictly, and
-an index is the number of lines through the total charge Z_X that the lift
-still crosses: a floor formula.  A count is trusted only when its lift lies
-farther from every line than a stated rounding bound.  The axis index of a
+half-plane, so each lift is pi less a :func:`levelgraph.cauchy.phase_climb`
+(the sum the band labels use too) and rises strictly, and an index is the
+number of lines through the total charge Z_X that the lift still crosses:
+a floor formula.  A count is trusted only when its lift lies farther from
+every line than a stated rounding bound.  The axis index of a
 non-generic input, whose Z_P path starts on a line, counts the lines after
 that one, and is trusted when the start is within that bound of its line
 and far enough inside the sector for the lift to keep rising.  Otherwise
@@ -35,12 +36,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 from . import config
-from .cauchy import HalfInteger, RationalFunction, index_on_interval, index_one_sided
-from .cauchy import line_crossings
+from .cauchy import CLIMB_ROUNDING, HalfInteger, RationalFunction, index_on_interval
+from .cauchy import index_one_sided, line_crossings, phase_climb
 from .errors import (
     BoundaryPointUnreachable,
     CrossCheckFailure,
@@ -208,24 +208,7 @@ def _ccw_index(re: RealPolynomial, im: RealPolynomial, c: float, d: float) -> Ha
 
 
 # ---------------------------------------------------------------------------
-# phase lifts along the charge paths and their certified crossing counts
-
-
-def _path_lift(factors, t: float) -> float:
-    """Lift at t of the phase of c * prod (x_j + i(y_j + t))^{k_j}, anchored at pi.
-
-    ``factors`` is a sequence of (x, y, k) with x > 0, and the prefactor c
-    satisfies c * i^{sum k} = -1, so the path tends to the negative real axis
-    as t -> infinity and its lift there is pi.  Every factor stays in the
-    right half-plane, where its continuous argument is atan2(y + t, x) and
-    climbs to pi/2; the lift at t is pi minus the climb still to come, and it
-    strictly increases in t.
-    """
-    return math.pi - sum(k * (math.pi / 2 - math.atan2(y + t, x)) for x, y, k in factors)
-
-
-# rounding bound of a crossing count, in units of pi per unit of n + |ell|
-_LINE_ROUNDING = 8 * sys.float_info.epsilon
+# crossing counts of the charge paths' lifts
 
 
 def _z_x_line(theta_hat: float, n: int):
@@ -237,24 +220,22 @@ def _z_x_line(theta_hat: float, n: int):
     in the lift frame, in [0, pi) up to rounding; its lines are
     {line_angle + k pi}.
 
-    bound = 8 eps (n + |ell|), with eps = 2^-52, is in units of pi.  It
-    bounds how far rounding moves the distance from a lift of _path_lift to
-    its nearest line, against exact arithmetic on the same doubles.  With
-    u = eps/2 and a libm atan2 within 2 ulp, the terms are:
+    A path lift (see compute_lifts) rises strictly to pi, crossing each
+    line in (lift, pi) once, counterclockwise: line_crossings counts them
+    between (lift - line_angle)/pi and 1 - line_angle/pi, and a line_angle
+    rounded out of [0, pi) leaves a margin below bound.  A certified count
+    is the index of w' for the computed theta_hat.
 
-    - atan2(y_j + t, x_j): rounding x_j and y_j + t moves it by at most u,
-      and atan2 itself errs by at most 4u;
-    - pi/2 - atan2 (float pi) and its product by k_j: at most 12 k_j u per
-      factor in all;
-    - the sum in _path_lift and pi - sum: at most 3.2 (n - 1) u + 4.4 u, so
-      a lift is within 19 n u;
-    - theta_top (float pi times ell, then the sum) and lo: at most
-      (7.5 |ell| + 3.8 n + 7.5) u together;
-    - forming (lift - line_angle)/pi: 2.4 n u in units of pi, and
-      1 - line_angle/pi, the end at pi: 2 u more.
-
-    The total is below 12 u (n + |ell|) = 6 eps (n + |ell|) in units of
-    pi, since n >= 2.
+    bound = CLIMB_ROUNDING (n + |ell|) = 16u (n + |ell|), u = eps/2, in
+    units of pi, bounds how far rounding moves the distance from a lift to
+    its nearest line.  A lift is pi - climb over at most n - 1 roots: to
+    phase_climb's bound, math.pi adds 1.1u and the subtraction
+    u max(pi, climb), so with climb <= (n - 1) pi it is within
+    (1.1 + 17.1 (n - 1)) u < 17 n u.  theta_top (float pi times ell, then
+    the sum) and lo add (7.5 |ell| + 3.8 n + 7.5) u, forming
+    (lift - line_angle)/pi 2.4 n u in units of pi, and 1 - line_angle/pi
+    2u more.  The total is below 12u (n + |ell|) = 6 eps (n + |ell|) in
+    units of pi, since n >= 2.
     """
     # ell = ceil((lo - theta_hat)/pi) = (n - 1 - floor(2 theta_hat/pi)) // 2
     # for theta_hat in (-pi, pi).  math.pi/2 is below pi/2 and no double lies
@@ -263,22 +244,7 @@ def _z_x_line(theta_hat: float, n: int):
     ell = (n - 1 - quadrant) // 2
     theta_top = theta_hat + ell * math.pi
     line_angle = theta_top - (n * math.pi / 2 - math.pi)
-    return theta_top, line_angle, _LINE_ROUNDING * (n + abs(ell))
-
-
-def _crossings(lift: float, line_angle: float, bound: float):
-    """(count, margin): the lines {line_angle + k pi} a lift crosses on its way to pi.
-
-    A lift of _path_lift rises strictly to pi without reaching it, so it
-    crosses each line in (lift, pi) once, counterclockwise.  Measured from
-    the line line_angle in units of pi, the ends of (lift, pi) are
-    (lift - line_angle)/pi and 1 - line_angle/pi, and line_crossings counts
-    the lines between them and certifies the count against bound.  For
-    0 <= line_angle < pi the count is -floor((lift - line_angle)/pi); a
-    line_angle rounded out of [0, pi) gives a margin below its rounding.
-    A certified count is the index of w' for the computed theta_hat.
-    """
-    return line_crossings((lift - line_angle) / math.pi, 1 - line_angle / math.pi, bound)
+    return theta_top, line_angle, CLIMB_ROUNDING * (n + abs(ell))
 
 
 def _crossings_from_line(lift: float, line_angle: float, bound: float, xi: complex, m: int):
@@ -293,7 +259,8 @@ def _crossings_from_line(lift: float, line_angle: float, bound: float, xi: compl
     cancels (_ccw_index negates it and index_one_sided adds it back).  So
     the index counts the lines F's lift crosses after its start, and with
     lo = (lift - line_angle)/pi, k0 = round(lo) and hi = 1 - line_angle/pi
-    it is floor(hi) - k0, the lines in (k0, hi], when
+    it is floor(hi) - k0, the lines in (k0, hi] that line_crossings counts
+    from k0 + 1/2, when
 
     - F's lift rises strictly for t >= 0.  With u = xi + it and |c| = 1,
       its rate is m Re(1/(u (1 - a/(c u^m)))), which is positive while
@@ -316,12 +283,10 @@ def _crossings_from_line(lift: float, line_angle: float, bound: float, xi: compl
     margin > bound.
     """
     lo = (lift - line_angle) / math.pi
-    hi = 1 - line_angle / math.pi
     k0 = round(lo)
-    hi_floor = math.floor(hi)
-    margin = min(hi - hi_floor, hi_floor + 1 - hi)
+    count, margin = line_crossings(k0 + 0.5, 1 - line_angle / math.pi, bound)
     rising = 2 * math.pi * (abs(lo - k0) + bound) < (xi.real / abs(xi)) ** m
-    return (hi_floor - k0 if rising and margin > bound else None), margin
+    return (count if rising else None), margin
 
 
 def _chain_index(inp: CalabiInput, wp, theta_hat: float, generic: bool,
@@ -354,7 +319,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     Z_X and Z_Dinf are the charges from compute_charges.  The closed-form
     lifts of the Z_Dinf and Z_P paths decide both indices as counts of
     crossings of the Z_X line, each certified against the rounding bound
-    of _z_x_line: ind_Rb and a generic ind_R0 by _crossings, and the axis
+    of _z_x_line: ind_Rb and a generic ind_R0 by line_crossings, and the axis
     index of a non-generic input, whose path starts on a line, by
     _crossings_from_line.  An index whose count is not certified comes
     from the exact signed-remainder chain instead (_chain_index);
@@ -377,13 +342,16 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
 
     # explicit paths from each charge out to the shared negative-real-axis
     # asymptote: Z_P(t) = -(-i)^m (xi + it)^m from t = 0, and
-    # Z_Dinf(t) = -(-i)^{m+r} (b + it)^r (xi + b + it)^m from t = q
-    lift_P = _path_lift(((inp.xi1, inp.xi2, m),), 0.0)
-    lift_D = _path_lift(((inp.b, 0.0, r), (inp.xi1 + inp.b, inp.xi2, m)), inp.q)
+    # Z_Dinf(t) = -(-i)^{m+r} (b + it)^r (xi + b + it)^m from t = q, each
+    # lifted down from pi at t = inf; build_polynomials keeps the distances
+    # to the roots finite, so phase_climb returns
+    lift_P = math.pi - phase_climb(((-inp.xi, m, 0.0),), 0.0, 0.0)[0]
+    lift_D = math.pi - phase_climb(((0j, r, 0.0), (-inp.xi, m, 0.0)), inp.b, inp.q)[0]
     phi_P = lift_P / math.pi
+    asymptote = 1 - line_angle / math.pi
 
     # index along the vertical ray above z2
-    count, line_margin = _crossings(lift_D, line_angle, bound)
+    count, line_margin = line_crossings((lift_D - line_angle) / math.pi, asymptote, bound)
     fallbacks = 0
     if count is None:
         fallbacks += 1
@@ -407,7 +375,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
 
     # index along the imaginary axis
     if generic:
-        count, margin = _crossings(lift_P, line_angle, bound)
+        count, margin = line_crossings((lift_P - line_angle) / math.pi, asymptote, bound)
     else:
         count, margin = _crossings_from_line(lift_P, line_angle, bound, inp.xi, m)
     line_margin = min(line_margin, margin)

@@ -15,7 +15,8 @@ itself where critical points sit.
 
 Right of every critical point the phase of w' is a sum of atan2 terms over
 the roots of w', one per root, and it rises strictly; the label is a floor
-of that phase sum.  The root solve bounds each root to a disc, and a label
+of that phase sum, :func:`levelgraph.cauchy.phase_climb`, which the dHYM
+indices use too.  The root solve bounds each root to a disc, and a label
 is taken from the phase sum when its ends lie farther from a line than the
 discs and rounding can move them.  Otherwise the exact signed-remainder
 chain of :mod:`levelgraph.cauchy` decides the index.
@@ -29,12 +30,11 @@ label needs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from . import config
-from .cauchy import HalfInteger, RationalFunction, index_on_interval, line_crossings
-from .cauchy import one_sided_sign
+from .cauchy import CLIMB_ROUNDING, HalfInteger, RationalFunction, index_on_interval
+from .cauchy import line_crossings, one_sided_sign, phase_climb
 from .errors import CriticalPointInRHP, DegenerateLine, LevelGraphError, ZeroPolynomial
 from .poly import I_POWERS, ComplexPolynomial, RealPolynomial, divide_linear, roots
 from .poly import restrict_to_vertical_line, taylor_coeffs
@@ -180,53 +180,35 @@ def on_axis_critical_points(w: ComplexPolynomial) -> tuple:
     return Potential(w).axis_critical_points
 
 
-# rounding bound of a phase-sum end, in units of pi per unit of n + 2
-_PHASE_ROUNDING = 8 * sys.float_info.epsilon
-
-
 def _phase_ends(pot: Potential, x: float, y: float, on_axis: bool):
     """(lo, hi, spread, rounding) of the phase of w' below x + iy, or None.
 
     Off the axis (x > 0) the phase along the line is
     arg lc + sum k_j atan2(t - Im c_j, x - Re c_j) over the roots c_j of w'
-    with multiplicities k_j; it rises strictly from arg lc - n pi/2 at
-    t = -inf, n = deg w', while every root lies left of the line.  On the
+    with multiplicities k_j; it rises strictly from arg lc - N pi/2 at
+    t = -inf, N = deg w', while every root lies left of the line.  On the
     axis the model is the one the exact chain uses after deflation: each
     axis critical point of order k contributes the constant k pi/2, and
     each other root its atan2 term with x = 0.  lo and hi are the phase at
     t = -inf and at t = y, in units of pi and measured from the line pi/2,
     so the lines {pi/2 + k pi} crossed below y are the integers in
     (lo, hi], and their number is minus the Cauchy index of R over
-    (-inf, y].
-
-    A root component of radius r at distance d from x + iy moves its term
-    by at most k asin(r/d); spread is the sum of these in units of pi.  The
-    result is None, and no phase sum is formed, when a root is uncertified
-    (see poly.roots), a disc reaches the line (x - Re c <= r) or its
-    angular radius asin(r/d) exceeds pi/6 (d < 2r, nearer to where asin is
-    ill conditioned), or, on the axis, a critical point is non-generic: its
+    (-inf, y].  With climb, spread and n from cauchy.phase_climb over
+    these terms, hi = (arg lc - climb)/pi + offset + n/2.  None, and no
+    phase sum, when a root is uncertified (see poly.roots), phase_climb
+    refuses a disc, or, on the axis, a critical point is non-generic: its
     pole is the exact chain's to place.
 
-    rounding = 8 eps (n + 2), in units of pi, bounds twice the error of
-    either end and of spread together against exact arithmetic on the same
-    doubles.  With u = eps/2 and libm atan2, asin and hypot within 2 ulp:
-
-    - arg lc = atan2 of the exact leading coefficient: at most 4 pi u;
-    - a term k atan2(dy, dx): rounding dx and dy moves the angle by at
-      most u, atan2 errs by at most 2 pi u on an angle below pi/2, and the
-      product adds k pi u/2: at most 8.9 k u;
-    - math.fsum of arg lc and the terms: u |sum| <= (1 + n/2) pi u;
-    - dividing by math.pi (within 0.4 u of pi) and adding the half-integer
-      offset: (1.4 + 0.7 n) u and (1.5 + n) u in units of pi.
-
-    So hi is within (7.9 + 5.1 n) u and lo, which takes arg lc/pi and one
-    addition, within (6.9 + n) u.  In spread, d is within 3u, r/d within
-    4u, asin (condition at most 1.1 for r/d <= 1/2) within 8.4u, and the
-    products, the sum and the division by pi within (n + 10) u of its
-    value, all relative; spread certifies only below the distance to a
-    line, hence below 1/2, so it is within (n + 10) u/2.  With one more u
-    for adding spread and rounding, an end and spread together err by at
-    most (13.9 + 5.6 n) u < 7 u (n + 2), under half of rounding.
+    rounding = CLIMB_ROUNDING (N + 2), N = deg w' >= n, bounds twice the
+    error of either end and of spread together.  With u = eps/2, hi adds
+    to phase_climb's bound: arg lc (atan2 of the exact coefficient, 8u),
+    the difference (u (pi + climb)), the division by math.pi (1.4u
+    relative) and the half-integer offset + n/2 = (N - 1)/2 (u |hi| <=
+    (N + 3) u/2).  With climb <= n pi, hi is within (6.5 + 7.4 N) u, and
+    lo, which takes arg lc/pi and one addition, within (5.5 + N/2) u.
+    spread/pi is within (n + 12.4) u relative, and below 1/2 where it
+    certifies.  With one u for adding spread and rounding, an end and
+    spread together err by less than (13.7 + 7.9 N) u < 8u (N + 2).
     """
     if not all(r.certified for r in pot.roots):
         return None
@@ -238,19 +220,13 @@ def _phase_ends(pot: Potential, x: float, y: float, on_axis: bool):
     else:
         terms = pot.roots
         offset = -0.5
-    phase, spread, n = [pot.lead_phase], 0.0, 0
-    for r in terms:
-        dx, dy, rad = x - r.location.real, y - r.location.imag, r.cluster_radius
-        d = math.hypot(dx, dy)
-        if not (dx > rad and 2 * rad <= d < math.inf):
-            return None
-        phase.append(r.multiplicity * math.atan2(dy, dx))
-        spread += r.multiplicity * math.asin(rad / d)
-        n += r.multiplicity
+    climb = phase_climb([(r.location, r.multiplicity, r.cluster_radius) for r in terms], x, y)
+    if climb is None:
+        return None
+    climb, spread, n = climb
     lo = pot.lead_phase / math.pi + (offset - n / 2)
-    hi = math.fsum(phase) / math.pi + offset
-    degree = sum(r.multiplicity for r in pot.roots)
-    return lo, hi, spread / math.pi, _PHASE_ROUNDING * (degree + 2)
+    hi = (pot.lead_phase - climb) / math.pi + (offset + n / 2)
+    return lo, hi, spread / math.pi, CLIMB_ROUNDING * (pot.w.degree + 1)
 
 
 def _deflate(p: RealPolynomial, y0: float, times: int) -> RealPolynomial:

@@ -271,14 +271,23 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
     Lagrange interpolation makes the zeros of p the eigenvalues of
     diag(z) - 1 W^T.  After the similarity diag(a_j^(-1/2)), with a_j >= |W_j|,
     Gerschgorin's theorem puts them in the discs of center z_j - W_j and
-    radius sqrt(a_j) * sum_{k!=j} sqrt(a_k), and a connected union of k
-    discs that meets no other disc holds exactly k of them (Carstensen,
-    Numer. Math. 59, 1991, is the unscaled case).  a_j takes |p(z_j)| as the
-    computed value plus its Horner rounding bound
-    2 (n + 1) eps sum |c_k| |z_j|^k, or as the computed value alone where
-    that bound overflows.  The center takes W_j from the computed p(z_j);
-    that rounding, and the rounding of the product and the quotient, are
-    not added to the radius.
+    radius sqrt(a_j) * sum_{k!=j} sqrt(a_k), and a union of k discs that
+    meets no other disc holds exactly k of them (Carstensen, Numer. Math.
+    59, 1991, is the unscaled case).  Each computed disc, about the
+    computed center c_j, holds its exact disc, so the count holds for the
+    computed discs too.
+
+    With u = eps/2 and f = 2 (n + 1) eps = 4 (n + 1) u: |p(z_j)| <= |v| + e,
+    v the computed value and e = f sum |c_k| |z_j|^k its Horner rounding
+    bound.  The computed product P is within rho = 3.3 (n - 1) u, relative
+    (u per difference, sqrt(5) u per product).  Past rho and the roundings
+    of |v| + e, |P|, the quotient and the factor, (3.3 n + 5) u in all,
+    a_j = (|v| + e)/|P| (1 + 2f) exceeds |W_j| by the (n + 1.5) u that the
+    radius's own arithmetic can lose.  The center c_j = z_j - v/P misses
+    z_j - W_j by e/|P| (from v), (9u + rho) a_j (the quotient, within 9u by
+    Smith's method, and P) and u |c_j| (the subtraction): the shift
+    e/|P| + 2f a_j + eps |c_j| covers these and its own rounding, and is
+    added to the radius.
 
     Where W_j is undefined (an approximation repeats), p(z_j) is not finite
     or the product is not finite, a_j is 0: the disc is the point z_j, it
@@ -290,7 +299,7 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
     lc = p.coeffs[-1]
     abs_coeffs = [abs(c) for c in p.coeffs]
     round_factor = 2 * (n + 1) * sys.float_info.epsilon
-    centers, sizes = [], []
+    centers, sizes, shifts = [], [], []
     certified = True
     for j, z in enumerate(approx):
         prod = lc
@@ -298,20 +307,25 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
             if k != j:
                 prod *= z - y
         v = p(z)
-        a = 0.0
+        a = shift = 0.0
         if prod != 0 and cmath.isfinite(prod) and cmath.isfinite(v):
-            bound = abs(v) + round_factor * _horner(abs_coeffs, abs(z), 0.0)
-            certified = certified and math.isfinite(bound)
-            a = (bound if math.isfinite(bound) else abs(v)) / abs(prod)
+            e = round_factor * _horner(abs_coeffs, abs(z), 0.0)
+            if not math.isfinite(abs(v) + e):
+                certified, e = False, 0.0
+            scale = abs(prod)
+            a = (abs(v) + e) / scale * (1 + 2 * round_factor)
+            shift = e / scale + 2 * round_factor * a
         if math.isfinite(a) and a > 0:
             z -= v / prod
+            shift += sys.float_info.epsilon * abs(z)
         else:
-            a = 0.0
+            a = shift = 0.0
             certified = False
         centers.append(z)
         sizes.append(math.sqrt(a))
-    discs = [(c, s * sum(sizes[k] for k in range(n) if k != j))
-             for j, (c, s) in enumerate(zip(centers, sizes))]
+        shifts.append(shift)
+    discs = [(c, s * sum(sizes[k] for k in range(n) if k != j) + shift)
+             for j, (c, s, shift) in enumerate(zip(centers, sizes, shifts))]
     return discs, certified
 
 

@@ -12,6 +12,7 @@ from levelgraph.cauchy import (
     index_on_interval,
     index_one_sided,
     one_sided_sign,
+    phase_climb,
 )
 from levelgraph.errors import DenominatorIdenticallyZero
 from levelgraph.poly import RealPolynomial
@@ -257,3 +258,46 @@ def test_negation_antisymmetry(num, den, c, d):
     assume(c < d)
     h = RationalFunction(num, den)
     assert index_on_interval(h, c, d) == -index_on_interval(-h, c, d)
+
+
+# ---------------------------------------------------------------------------
+# the certified phase climb against 60-digit values
+
+
+@st.composite
+def climb_terms(draw):
+    """1-6 (c, k, r) terms left of the imaginary axis: multiplicities up to 8,
+    total degree up to 24, radius 0 or positive."""
+    terms, degree = [], 0
+    for _ in range(draw(st.integers(1, 6))):
+        if degree == 24:
+            break
+        k = draw(st.integers(1, min(8, 24 - degree)))
+        degree += k
+        c = complex(draw(st.floats(-50.0, 0.0)), draw(st.floats(-50.0, 50.0)))
+        r = draw(st.one_of(st.just(0.0), st.floats(1e-15, 1.0)))
+        terms.append((c, k, r))
+    return terms
+
+
+@given(climb_terms(), st.floats(0.0, 50.0), st.floats(-100.0, 100.0))
+@example([(-1 + 0.5j, 8, 0.0), (-2e-3 - 3j, 8, 1e-4), (-40 + 40j, 8, 0.5)], 1e-3, 0.5)
+@example([(-1e-9 + 0j, 1, 0.0)], 0.0, -1e-300)
+@settings(max_examples=150, deadline=None)
+def test_phase_climb_within_its_rounding_bound(terms, x, y):
+    mpmath = pytest.importorskip("mpmath")
+    got = phase_climb(terms, x, y)
+    assume(got is not None)
+    climb, spread, n = got
+    assert n == sum(k for _, k, _ in terms)
+    u = 2.0**-53
+    with mpmath.workdps(60):
+        exact_climb = exact_spread = mpmath.mpf(0)
+        for c, k, r in terms:
+            dx, dy = mpmath.mpf(x) - c.real, mpmath.mpf(y) - c.imag
+            exact_climb += k * (mpmath.pi / 2 - mpmath.atan2(dy, dx))
+            exact_spread += k * mpmath.asin(r / mpmath.sqrt(dx * dx + dy * dy))
+        # the bounds of phase_climb's docstring
+        assert abs(climb - exact_climb) <= (7.6 * n + 2 * exact_climb) * u
+        assert abs(spread - exact_spread) <= (n + 11) * u * exact_spread
+

@@ -92,7 +92,12 @@ def test_classify_parse_error_exits_one(capsys):
      "exists"),
     (["classify", "--poly", "0,1", "--z1", "-1e-3,0", "--z2", "1,0"],
      "error: z1=(-0.001+0j) must have nonnegative real part"),
-], ids=["poly", "poly-imaginary", "roots", "q-exponent", "xi2-exponent", "z1-exponent"])
+    (["classify", "--poly", "-i,1", "--z1", "0,0", "--z2", "1,0"], "stable"),
+    (["classify", "--poly", "-j,1", "--z1", "0,0", "--z2", "1,0"], "stable"),
+    (["classify", "--poly", "0,1", "--z1", "0,0", "--z2", "-inf,0"],
+     "error: z1=0j, z2=(-inf+0j) and the coefficients of w must be finite"),
+], ids=["poly", "poly-imaginary", "roots", "q-exponent", "xi2-exponent", "z1-exponent",
+        "poly-minus-i", "poly-minus-j", "z2-minus-inf"])
 def test_negative_values_reach_the_library(capsys, argv, expect):
     # argparse alone reads each of these values as an option and exits 1
     # with "expected one argument" before the library sees the input

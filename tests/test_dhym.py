@@ -14,14 +14,12 @@ import levelgraph.config as config
 import levelgraph.dhym as dhym
 import levelgraph.poly as poly
 from levelgraph import cli
-from levelgraph.cauchy import RationalFunction, index_one_sided
+from levelgraph.cauchy import CLIMB_ROUNDING, RationalFunction, index_one_sided
+from levelgraph.cauchy import line_crossings, phase_climb
 from levelgraph.dhym import (
     CalabiInput,
-    _LINE_ROUNDING,
     _ccw_index,
-    _crossings,
     _crossings_from_line,
-    _path_lift,
     _z_x_line,
     analyze,
     build_polynomials,
@@ -215,11 +213,23 @@ PLANTED_59 = CalabiInput(1, 0, 1.019931112311693, -0.7330594124575915,
 
 
 def lift_paths(inp):
-    """The Z_P and Z_Dinf paths of compute_lifts, as (factors, start)."""
+    """The Z_P and Z_Dinf paths of compute_lifts, as (terms, x, start): the
+    phase_climb terms of w' and the point x + i start where each path starts."""
     return (
-        (((inp.xi1, inp.xi2, inp.m),), 0.0),
-        (((inp.b, 0.0, inp.r), (inp.xi1 + inp.b, inp.xi2, inp.m)), inp.q),
+        (((-inp.xi, inp.m, 0.0),), 0.0, 0.0),
+        (((0j, inp.r, 0.0), (-inp.xi, inp.m, 0.0)), inp.b, inp.q),
     )
+
+
+def path_lift(terms, x, t):
+    """The lift of compute_lifts at x + it: pi less the climb still to come."""
+    return math.pi - phase_climb(terms, x, t)[0]
+
+
+def crossings(lift, line_angle, bound):
+    """The lines {line_angle + k pi} a lift crosses on its way to pi, counted
+    and certified as compute_lifts does."""
+    return line_crossings((lift - line_angle) / math.pi, 1 - line_angle / math.pi, bound)
 
 
 def exact_chain_indices(inp, w, theta_hat):
@@ -276,15 +286,14 @@ def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
         assume(False)
     ind_R0, ind_Rb, generic = exact_chain_indices(inp, w, theta_hat)
     _, line_angle, bound = _z_x_line(theta_hat, m + r + 1)
-    (factors_P, t_P), (factors_D, t_D) = lift_paths(inp)
-    count_D, _ = _crossings(_path_lift(factors_D, t_D), line_angle, bound)
+    path_P, path_D = lift_paths(inp)
+    count_D, _ = crossings(path_lift(*path_D), line_angle, bound)
     assert count_D is None or count_D == ind_Rb
-    count_P, _ = _crossings(_path_lift(factors_P, t_P), line_angle, bound)
+    count_P, _ = crossings(path_lift(*path_P), line_angle, bound)
     if generic:
         assert count_P is None or count_P == ind_R0
     else:
-        count_P, _ = _crossings_from_line(_path_lift(factors_P, t_P), line_angle, bound,
-                                          inp.xi, m)
+        count_P, _ = _crossings_from_line(path_lift(*path_P), line_angle, bound, inp.xi, m)
     Z_X, Z_Dinf, _ = compute_charges(inp, P)
     try:
         lifts = compute_lifts(inp, w, theta_hat, Z_X, Z_Dinf)
@@ -326,22 +335,20 @@ def test_line_distance_within_rounding_bound():
         checked += 1
         n = m + r + 1
         _, line_angle, bound = _z_x_line(theta_hat, n)
-        largest_ell = max(largest_ell, round(bound / _LINE_ROUNDING) - n)
+        largest_ell = max(largest_ell, round(bound / CLIMB_ROUNDING) - n)
         with mpmath.workdps(50):
             pi = mpmath.pi
             exact_line = (mpmath.mpf(theta_hat) - n * pi / 2 + pi) % pi
             end = exact_line / pi
-            (factors_P, t_P), (factors_D, t_D) = lift_paths(inp)
-            # the exact Z_Dinf path has xi1 + b unrounded
-            exact_D = ((inp.b, 0.0, r), (mpmath.mpf(inp.xi1) + inp.b, inp.xi2, m))
-            for factors, exact_factors, t in ((factors_P, factors_P, t_P),
-                                              (factors_D, exact_D, t_D)):
-                lift = pi - sum(k * (pi / 2 - mpmath.atan2(mpmath.mpf(y) + t, x))
-                                for x, y, k in exact_factors)
+            for terms, x, t in lift_paths(inp):
+                # the exact Z_Dinf path has xi1 + b unrounded
+                lift = pi - sum(k * (pi / 2 - mpmath.atan2(mpmath.mpf(t) - c.imag,
+                                                           mpmath.mpf(x) - c.real))
+                                for c, k, _ in terms)
                 lines = (lift - exact_line) / pi
                 below = mpmath.floor(lines)
                 exact = min(lines - below, below + 1 - lines, end, 1 - end)
-                _, margin = _crossings(_path_lift(factors, t), line_angle, bound)
+                _, margin = crossings(path_lift(terms, x, t), line_angle, bound)
                 assert abs(margin - float(exact)) <= bound, (inp, margin, exact, bound)
     assert largest_ell >= 7
 
@@ -378,10 +385,10 @@ def test_nongeneric_count_needs_a_rising_lift():
     # sees the falling lift, finds 0
     w, _, theta_hat = build_polynomials(THIN_SECTOR)
     _, line_angle, bound = _z_x_line(theta_hat, 2)
-    (factors_P, t_P), _ = lift_paths(THIN_SECTOR)
-    lo = (_path_lift(factors_P, t_P) - line_angle) / math.pi
+    path_P, _ = lift_paths(THIN_SECTOR)
+    lo = (path_lift(*path_P) - line_angle) / math.pi
     assert math.floor(1 - line_angle / math.pi) - round(lo) == -1
-    assert _crossings_from_line(_path_lift(factors_P, t_P), line_angle, bound,
+    assert _crossings_from_line(path_lift(*path_P), line_angle, bound,
                                 THIN_SECTOR.xi, 1)[0] is None
     lifts = lifts_of(THIN_SECTOR)
     assert lifts.genericity == "non_generic"
@@ -394,8 +401,8 @@ def test_nongeneric_start_below_its_line_counts_from_that_line():
     # lines below it are not crossed
     w, _, theta_hat = build_polynomials(PLANTED_59)
     _, line_angle, bound = _z_x_line(theta_hat, 2)
-    (factors_P, t_P), _ = lift_paths(PLANTED_59)
-    lo = (_path_lift(factors_P, t_P) - line_angle) / math.pi
+    path_P, _ = lift_paths(PLANTED_59)
+    lo = (path_lift(*path_P) - line_angle) / math.pi
     assert -bound < lo - round(lo) < 0.0
     lifts = lifts_of(PLANTED_59)
     assert lifts.genericity == "non_generic"
@@ -406,15 +413,15 @@ def test_nongeneric_start_below_its_line_counts_from_that_line():
 def test_count_on_or_within_bound_of_a_line_is_uncertified():
     _, line_angle, bound = _z_x_line(0.3, 4)
     assert 0.0 < line_angle < math.pi and bound > 0.0
-    assert _crossings(line_angle, line_angle, bound) == (None, 0.0)
-    count, margin = _crossings(line_angle + 0.5 * bound * math.pi, line_angle, bound)
+    assert crossings(line_angle, line_angle, bound) == (None, 0.0)
+    count, margin = crossings(line_angle + 0.5 * bound * math.pi, line_angle, bound)
     assert count is None and 0.0 < margin <= bound
     # half a turn off every line, and the asymptote pi far from them too
-    count, margin = _crossings(line_angle - 1.5 * math.pi, line_angle, bound)
+    count, margin = crossings(line_angle - 1.5 * math.pi, line_angle, bound)
     assert count == 2
     assert margin == pytest.approx(min(0.5, line_angle / math.pi, 1 - line_angle / math.pi))
     # a Z_X line through the asymptote: the last crossing is undecided
-    assert _crossings(0.5, 0.5 * bound * math.pi, bound)[0] is None
+    assert crossings(0.5, 0.5 * bound * math.pi, bound)[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +444,17 @@ def test_count_on_or_within_bound_of_a_line_is_uncertified():
 )
 def test_path_lift_matches_unwrap(factors, t0, step):
     # the prefactor c = -(-i)^K with K = sum k sends the path to the negative
-    # real axis, where _path_lift anchors its lift at pi
+    # real axis, where path_lift anchors its lift at pi; the factor
+    # x + i(y + t) is it - c for the root c = -(x + iy)
     K = sum(k for _, _, k in factors)
     prefactor = -((-1j) ** (K % 4))
+    terms = [(complex(-x, -y), k, 0.0) for x, y, k in factors]
     t1 = t0 + step
     t_big = 64.0 * max(1.0, abs(t1), *(max(x, abs(y)) for x, y, _ in factors))
     rec, total = _unwrap_lift(prefactor, factors, t0, [t0, t1], t_big)
-    lift0 = _path_lift(factors, t0)
+    lift0 = path_lift(terms, 0.0, t0)
     assert total == pytest.approx(math.pi - lift0, abs=1e-9)
-    assert rec[t1] - rec[t0] == pytest.approx(_path_lift(factors, t1) - lift0, abs=1e-9)
+    assert rec[t1] - rec[t0] == pytest.approx(path_lift(terms, 0.0, t1) - lift0, abs=1e-9)
     # the raw start phase is the anchored lift up to whole turns
     turns = (rec[t0] - lift0) / (2.0 * math.pi)
     assert turns == pytest.approx(round(turns), abs=1e-9)

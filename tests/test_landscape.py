@@ -437,7 +437,7 @@ def test_planted_fallbacks_are_the_wide_double_roots():
         (cp,) = pot.axis_critical_points
         assert cp.order == 2
         (double,) = [r for r in pot.roots if r.multiplicity == 2]
-        assert 18 < double.cluster_radius < 62
+        assert 35 < double.cluster_radius < 123
         assert not counting_function(pot, z1).exact_fallback
         # the disc reaches past z2's line, so no phase sum is formed
         res = counting_function(pot, z2)

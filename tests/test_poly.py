@@ -195,8 +195,29 @@ def test_repeated_approximations_get_a_point_disc():
     p = from_roots([1.0, 2.0, 5.0])
     discs, certified = poly._discs(p, [1 + 0j, 1 + 0j, 5 + 0j])
     assert discs[:2] == [(1 + 0j, 0.0), (1 + 0j, 0.0)]
-    assert discs[2] == (5 + 0j, 0.0)
+    # the third disc keeps only the rounding of its center, 4.8e-14 at 5
+    center, radius = discs[2]
+    assert center == 5 + 0j and 0.0 < radius < 1e-13
     assert not certified
+
+
+def test_disc_radius_covers_the_rounding_of_its_center():
+    # w' of verdicts seed 1 input 1918: the zero near -0.898i lies 3.0e-17
+    # from its computed center, past the Gerschgorin radius of 2.7e-17; the
+    # radius must also carry the rounding of the center, the product and
+    # the quotient
+    mpmath = pytest.importorskip("mpmath")
+    p = ComplexPolynomial([6.831528085836432e-05 + 6.322662062995094e-05j,
+                           0.7932956613066551 - 0.8571423771495037j,
+                           -0.9541988123997044 - 0.8831225687592137j])
+    rs = roots(p)
+    assert [r.multiplicity for r in rs] == [1, 1] and all(r.certified for r in rs)
+    with mpmath.workdps(60):
+        zeros = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in reversed(p.coeffs)],
+                                 maxsteps=200, extraprec=200)
+        for r in rs:
+            c = mpmath.mpc(r.location.real, r.location.imag)
+            assert min(abs(c - z) for z in zeros) <= r.cluster_radius
 
 
 def test_certified_flag_marks_a_proven_solve():

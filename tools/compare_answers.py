@@ -109,6 +109,10 @@ CLI_SET = (
                                 "--xi2", "-4e-1", "--b", "1", "--q", "-1e-3"], {}),
     ("negative-z1-exponent", ["classify", "--poly", "0,1", "--z1", "-1e-3,0",
                               "--z2", "1,0"], {}),
+    ("negative-imaginary-unit", ["classify", "--poly", "-i,1", "--z1", "0,0",
+                                 "--z2", "1,0"], {}),
+    ("negative-infinity", ["classify", "--poly", "0,1", "--z1", "0,0", "--z2", "-inf,0"],
+     {}),
 )
 
 
