@@ -296,7 +296,8 @@ def phase_climb(terms, x: float, y: float):
     above t = y, and n = sum k.  A root moved within its disc, at distance
     d, moves its term by at most k asin(r/d); spread sums these.  None when
     a disc reaches the line (x - Re c <= r), d < 2r (asin ill conditioned)
-    or d is not finite.  math.fsum of one or two terms is their plain sum.
+    or d is not finite.  A term of radius 0 adds k asin(0) = 0 to spread,
+    so it adds nothing.  math.fsum of one or two terms is their plain sum.
 
     Rounding, with u = eps/2 and libm atan2, asin and hypot within 2 ulp,
     against exact arithmetic on the same doubles: dx and dy move a term's
@@ -315,7 +316,8 @@ def phase_climb(terms, x: float, y: float):
         if not (dx > r and 2 * r <= d < math.inf):
             return None
         climb.append(k * (math.pi / 2 - math.atan2(dy, dx)))
-        spread += k * math.asin(r / d)
+        if r:
+            spread += k * math.asin(r / d)
         n += k
     return math.fsum(climb), spread, n
 

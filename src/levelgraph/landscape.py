@@ -119,7 +119,8 @@ class Potential:
     in roots, those near the axis in axis_critical_points, ordered by
     height, and the others in off_axis_roots; lead_phase is the argument of
     the leading coefficient of w'.  The band labels are phase sums over
-    these roots.
+    these roots, whose phase_climb terms (location, multiplicity, radius)
+    it keeps once: terms over all roots, off_axis_terms over the others.
 
     Each root from poly.roots stands for a component of inclusion discs
     that holds exactly as many zeros of w' as its multiplicity, all within
@@ -129,16 +130,19 @@ class Potential:
     zeros lie left of the band.
     """
 
-    __slots__ = ("w", "roots", "axis_critical_points", "off_axis_roots", "lead_phase")
+    __slots__ = ("w", "roots", "axis_critical_points", "off_axis_roots", "lead_phase",
+                 "terms", "off_axis_terms")
 
     def __init__(self, w: ComplexPolynomial):
         wp = w.derivative()
         if wp.is_zero:
             raise ZeroPolynomial("w is constant; it has no level-curve geometry")
         self.roots = tuple(roots(wp))
-        on_axis, off_axis = [], []
+        on_axis, off_axis, terms, off_axis_terms = [], [], [], []
         for r in self.roots:
             c, k = r.location, r.multiplicity
+            term = (c, k, r.cluster_radius)
+            terms.append(term)
             tol = config.TOL.sign * (1.0 + abs(c))
             if c.real - r.cluster_radius > tol:
                 raise CriticalPointInRHP(c, f"critical point at {c!r} has positive real part")
@@ -151,10 +155,13 @@ class Potential:
                 )
             else:
                 off_axis.append(r)
+                off_axis_terms.append(term)
         on_axis.sort(key=lambda c: c.y0)
         self.w = w
         self.axis_critical_points = tuple(on_axis)
         self.off_axis_roots = tuple(off_axis)
+        self.terms = tuple(terms)
+        self.off_axis_terms = tuple(off_axis_terms)
         lc = wp.coeffs[-1]
         self.lead_phase = math.atan2(lc.imag, lc.real)
 
@@ -215,12 +222,12 @@ def _phase_ends(pot: Potential, x: float, y: float, on_axis: bool):
     if on_axis:
         if any(cp.genericity != "generic" for cp in pot.axis_critical_points):
             return None
-        terms = pot.off_axis_roots
+        terms = pot.off_axis_terms
         offset = (sum(cp.order for cp in pot.axis_critical_points) - 1) / 2
     else:
-        terms = pot.roots
+        terms = pot.terms
         offset = -0.5
-    climb = phase_climb([(r.location, r.multiplicity, r.cluster_radius) for r in terms], x, y)
+    climb = phase_climb(terms, x, y)
     if climb is None:
         return None
     climb, spread, n = climb

@@ -13,11 +13,12 @@ repeated, it gives the Taylor coefficients at x (``taylor_coeffs``): the
 restriction to a vertical line, the exact sign of an integer polynomial
 beside a point, and the cancellation of a known factor all come from it.
 
-Root finding goes through the companion matrix (``numpy.roots``) and one
-inclusion theorem.  Each eigenvalue z_j gets a Gerschgorin disc about
-z_j - W_j, W_j its Weierstrass correction, and each connected union of k
-discs that meets no other disc holds exactly k zeros: it becomes one root
-of multiplicity k (``roots``).  Its ``cluster_radius`` reaches every point
+Root finding takes the eigenvalues of the companion matrix that
+``numpy.roots`` builds, built here and handed straight to
+``numpy.linalg.eigvals``, and one inclusion theorem.  Each eigenvalue z_j
+gets a Gerschgorin disc about z_j - W_j, W_j its Weierstrass correction,
+and each connected union of k discs that meets no other disc holds exactly
+k zeros: it becomes one root of multiplicity k (``roots``).  Its ``cluster_radius`` reaches every point
 of that union, so all k zeros lie within it of the reported location.  An
 exact zero at 0 is split off first.  When one disc of a solve has no
 certificate (``_discs``), the inclusion theorem holds for none of them, and
@@ -100,8 +101,7 @@ class _Polynomial:
     coeffs: tuple
 
     def __init__(self, coeffs: Iterable):
-        field = self._field
-        object.__setattr__(self, "coeffs", _trimmed(field(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", _trimmed(map(self._field, coeffs)))
 
     # -- structure ---------------------------------------------------------
 
@@ -127,7 +127,7 @@ class _Polynomial:
     # -- algebra ------------------------------------------------------------
 
     def derivative(self):
-        return type(self)(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+        return type(self)([k * c for k, c in enumerate(self.coeffs[1:], 1)])
 
     def __neg__(self):
         return type(self)(-c for c in self.coeffs)
@@ -250,13 +250,14 @@ def _newton(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex) -> complex:
     Each step evaluates p once, at the new point, and the pass stops at the
     first step that does not lower |p|, or after 8 steps.
     """
-    v = p(z)
+    coeffs, dcoeffs = p.coeffs, dp.coeffs
+    v = _horner(coeffs, z, 0j)
     for _ in range(8):
-        d = dp(z)
+        d = _horner(dcoeffs, z, 0j)
         if d == 0:
             break
         step = z - v / d
-        v_step = p(step)
+        v_step = _horner(coeffs, step, 0j)
         if not abs(v_step) < abs(v):
             break
         z, v = step, v_step
@@ -296,17 +297,21 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
     its rounding bound, since the theorem then covers no disc.
     """
     n = len(approx)
-    lc = p.coeffs[-1]
-    abs_coeffs = [abs(c) for c in p.coeffs]
-    round_factor = 2 * (n + 1) * sys.float_info.epsilon
+    coeffs = p.coeffs
+    lc = coeffs[-1]
+    abs_coeffs = [abs(c) for c in coeffs]
+    eps = sys.float_info.epsilon
+    round_factor = 2 * (n + 1) * eps
     centers, sizes, shifts = [], [], []
     certified = True
     for j, z in enumerate(approx):
         prod = lc
+        # each product forms its own differences: z_k - z_j is -(z_j - z_k)
+        # only up to the sign of a zero part, which can reach the center
         for k, y in enumerate(approx):
             if k != j:
                 prod *= z - y
-        v = p(z)
+        v = _horner(coeffs, z, 0j)
         a = shift = 0.0
         if prod != 0 and cmath.isfinite(prod) and cmath.isfinite(v):
             e = round_factor * _horner(abs_coeffs, abs(z), 0.0)
@@ -317,14 +322,14 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
             shift = e / scale + 2 * round_factor * a
         if math.isfinite(a) and a > 0:
             z -= v / prod
-            shift += sys.float_info.epsilon * abs(z)
+            shift += eps * abs(z)
         else:
             a = shift = 0.0
             certified = False
         centers.append(z)
         sizes.append(math.sqrt(a))
         shifts.append(shift)
-    discs = [(c, s * sum(sizes[k] for k in range(n) if k != j) + shift)
+    discs = [(c, s * sum(sizes[:j] + sizes[j + 1:]) + shift)
              for j, (c, s, shift) in enumerate(zip(centers, sizes, shifts))]
     return discs, certified
 
@@ -335,10 +340,15 @@ def _cluster(discs: list) -> list:
     radii.  Each disc joins every component it touches, merging them."""
     components: list[list[tuple]] = []
     for disc in discs:
+        c, r = disc
         near, far = [], []
         for comp in components:
-            touches = any(abs(disc[0] - q[0]) <= disc[1] + q[1] for q in comp)
-            (near if touches else far).append(comp)
+            for q in comp:
+                if abs(c - q[0]) <= r + q[1]:
+                    near.append(comp)
+                    break
+            else:
+                far.append(comp)
         components = far + [[q for comp in near for q in comp] + [disc]]
     return components
 
@@ -348,7 +358,8 @@ def roots(p: ComplexPolynomial) -> list:
 
     An m-fold exact zero at 0 (the m lowest coefficients are 0) gives m discs
     of radius 0 at 0; the other zeros get one disc each about the companion
-    eigenvalues of the rest (``_discs``).  A connected union of k discs that
+    eigenvalues of the rest (``_discs``), from numpy.roots' companion matrix
+    solved by numpy.linalg.eigvals.  A connected union of k discs that
     meets no other disc holds exactly k zeros of p (Gerschgorin), and becomes
     one root of multiplicity k.  A simple root is reported at its disc's
     center; a k-fold one at a Newton pass on p^(k-1) from the mean of its
@@ -363,8 +374,15 @@ def roots(p: ComplexPolynomial) -> list:
     if p.degree == 0:
         return []
     m = next(k for k, c in enumerate(p.coeffs) if c != 0)
-    rest = ComplexPolynomial(p.coeffs[m:])
-    approx = [complex(z) for z in np.roots(np.array(rest.coeffs[::-1], dtype=complex))]
+    rest = ComplexPolynomial(p.coeffs[m:]) if m else p
+    approx = []
+    if rest.degree:
+        # numpy.roots' companion matrix, whose first row is -desc[1:]/desc[0];
+        # rest has no zero at either end, so numpy.roots would strip nothing
+        desc = np.array(rest.coeffs[::-1], dtype=complex)
+        companion = np.eye(rest.degree, k=-1, dtype=complex)
+        companion[0] = -desc[1:] / desc[0]
+        approx = np.linalg.eigvals(companion).tolist()
     discs, certified = _discs(rest, approx)
     out: list[RootWithMultiplicity] = []
     for comp in _cluster([(0j, 0.0)] * m + discs):

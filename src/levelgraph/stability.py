@@ -9,12 +9,14 @@ the far end.  When z1 sits at a critical point of order k the level set
 branches there, opening a window of k+1 (or k, in the non-generic case)
 admissible bands for z2.
 
-classify solves w' once per verdict: both band labels and the critical point
-under z1 are read from one :class:`~levelgraph.landscape.Potential`.  Each
-label is a phase sum over the roots of w' that the Potential holds,
-certified against their inclusion discs and a stated rounding bound; the
-exact signed-remainder chain decides a label only where that certificate
-fails (see :func:`~levelgraph.landscape.counting_function`).
+classify forms and solves w' once per verdict (the BoundaryData it is given
+formed w' of the unshifted w only to check it finite): the shifted w goes
+straight to one :class:`~levelgraph.landscape.Potential`, and both band
+labels and the critical point under z1 are read from it.  Each label is a
+phase sum over the roots of w' that the Potential holds, certified against
+their inclusion discs and a stated rounding bound; the exact
+signed-remainder chain decides a label only where that certificate fails
+(see :func:`~levelgraph.landscape.counting_function`).
 """
 
 from __future__ import annotations
@@ -86,6 +88,17 @@ def shift_to_zero_level(data: BoundaryData) -> BoundaryData:
     sense at all.  Raises ValueError when w(z1), w(z2) or the rounding scale
     of w at z2 overflows a double.
     """
+    return BoundaryData(_shifted_w(data), data.z1, data.z2)
+
+
+def _shifted_w(data: BoundaryData) -> ComplexPolynomial:
+    """The shifted w of shift_to_zero_level, raising as that documents.
+
+    classify takes it bare, without a second BoundaryData that would form
+    w' again to check it: the shift changes only the constant term, to a
+    finite one, and adds 0j to the others, which clears the sign of a zero
+    part but keeps every check that data passed.
+    """
     w1 = data.w(data.z1)
     w = data.w - ComplexPolynomial([1j * w1.imag])
     w2 = w(data.z2)
@@ -105,13 +118,12 @@ def shift_to_zero_level(data: BoundaryData) -> BoundaryData:
             resid, threshold,
             f"Im w(z2) = {resid!r} after shifting; z1 and z2 sit on different levels",
         )
-    return BoundaryData(w, data.z1, data.z2)
+    return w
 
 
 def classify(data: BoundaryData) -> StabilityVerdict:
     """Decide whether z2 connects to z1 graphically along their level curve."""
-    data = shift_to_zero_level(data)
-    pot = Potential(data.w)
+    pot = Potential(_shifted_w(data))
     n1 = counting_function(pot, data.z1).value
     n2 = counting_function(pot, data.z2).value
     cp = pot.critical_point_at(data.z1)

@@ -1,0 +1,113 @@
+"""Reference root solve: the plain form of ``levelgraph.poly.roots``.
+
+It takes the companion eigenvalues from ``numpy.roots``, evaluates p
+through ``__call__``, sums the other discs' sizes over a generator and
+tests a disc against a whole component with ``any``.  The library's solve
+builds numpy's companion matrix itself, calls its Horner loop directly and
+stops testing a component at its first touching disc; it must return the
+same roots, repr for repr, and the tests compare the two.
+"""
+
+import cmath
+import math
+import sys
+
+import numpy as np
+
+from levelgraph.errors import LevelGraphError, ZeroPolynomial
+from levelgraph.poly import ComplexPolynomial, RootWithMultiplicity, _horner
+
+
+def newton(p, dp, z):
+    """One Newton pass from z on p: the point of least |p| seen."""
+    v = p(z)
+    for _ in range(8):
+        d = dp(z)
+        if d == 0:
+            break
+        step = z - v / d
+        v_step = p(step)
+        if not abs(v_step) < abs(v):
+            break
+        z, v = step, v_step
+    return z
+
+
+def discs(p, approx):
+    """(discs, certified): one Gerschgorin disc per approximation, as
+    ``levelgraph.poly._discs`` documents them."""
+    n = len(approx)
+    lc = p.coeffs[-1]
+    abs_coeffs = [abs(c) for c in p.coeffs]
+    round_factor = 2 * (n + 1) * sys.float_info.epsilon
+    centers, sizes, shifts = [], [], []
+    certified = True
+    for j, z in enumerate(approx):
+        prod = lc
+        for k, y in enumerate(approx):
+            if k != j:
+                prod *= z - y
+        v = p(z)
+        a = shift = 0.0
+        if prod != 0 and cmath.isfinite(prod) and cmath.isfinite(v):
+            e = round_factor * _horner(abs_coeffs, abs(z), 0.0)
+            if not math.isfinite(abs(v) + e):
+                certified, e = False, 0.0
+            scale = abs(prod)
+            a = (abs(v) + e) / scale * (1 + 2 * round_factor)
+            shift = e / scale + 2 * round_factor * a
+        if math.isfinite(a) and a > 0:
+            z -= v / prod
+            shift += sys.float_info.epsilon * abs(z)
+        else:
+            a = shift = 0.0
+            certified = False
+        centers.append(z)
+        sizes.append(math.sqrt(a))
+        shifts.append(shift)
+    out = [(c, s * sum(sizes[k] for k in range(n) if k != j) + shift)
+           for j, (c, s, shift) in enumerate(zip(centers, sizes, shifts))]
+    return out, certified
+
+
+def cluster(discs):
+    """Connected components of closed discs, each disc joining, after the
+    components it does not touch, the merge of those it touches."""
+    components = []
+    for disc in discs:
+        near, far = [], []
+        for comp in components:
+            touches = any(abs(disc[0] - q[0]) <= disc[1] + q[1] for q in comp)
+            (near if touches else far).append(comp)
+        components = far + [[q for comp in near for q in comp] + [disc]]
+    return components
+
+
+def roots(p):
+    """All roots of p with multiplicities, as ``levelgraph.poly.roots``."""
+    if p.is_zero:
+        raise ZeroPolynomial("cannot extract roots of the zero polynomial")
+    if p.degree == 0:
+        return []
+    m = next(k for k, c in enumerate(p.coeffs) if c != 0)
+    rest = ComplexPolynomial(p.coeffs[m:])
+    approx = [complex(z) for z in np.roots(np.array(rest.coeffs[::-1], dtype=complex))]
+    found_discs, certified = discs(rest, approx)
+    out = []
+    for comp in cluster([(0j, 0.0)] * m + found_discs):
+        k = len(comp)
+        center = comp[0][0]
+        if k > 1:
+            dk = p
+            for _ in range(k - 1):
+                dk = dk.derivative()
+            center = newton(dk, dk.derivative(), sum(c for c, _ in comp) / k)
+        out.append(RootWithMultiplicity(center, k, max(abs(c - center) + r for c, r in comp),
+                                        certified))
+    out.sort(key=lambda r: (r.location.real, r.location.imag))
+    found = sum(r.multiplicity for r in out)
+    if found != p.degree:
+        raise LevelGraphError(
+            f"root multiplicities sum to {found}, not the degree {p.degree}"
+        )
+    return out

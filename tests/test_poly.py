@@ -4,9 +4,10 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference_roots
 from levelgraph import poly
 from levelgraph.poly import (
     ComplexPolynomial,
@@ -405,3 +406,82 @@ def test_restriction_matches_direct_evaluation(p, x0, y):
     scale = (1 + p.coeff_scale) * (1 + abs(x0) + abs(y)) ** 8
     assert abs(re(y) - direct.real) <= 1e-9 * scale
     assert abs(im(y) - direct.imag) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# the root solve against its plain reference form
+
+
+def _outcome(solve, *args):
+    """The repr of what a solve returns, which shows every float and complex
+    field to the last bit and the sign of a zero, or what it raises."""
+    try:
+        return repr(solve(*args))
+    except Exception as exc:  # noqa: BLE001 -- a raised error is an outcome too
+        return type(exc).__name__, str(exc)
+
+
+# parts with signed zeros, unit values and any value of moderate size
+part = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                 st.floats(-4, 4, allow_nan=False, allow_infinity=False))
+number = st.builds(complex, part, part)
+signed_zero = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                               complex(-0.0, -0.0)])
+
+
+@st.composite
+def solve_inputs(draw):
+    """Polynomials of degree 1-12: any coefficients (signed zeros among
+    them), or planted roots drawn from a pool of at most four with repeats
+    and clusters within 1e-2; some have an exact zero at 0 of some order."""
+    degree = draw(st.integers(1, 12))
+    m = draw(st.integers(0, degree - 1)) if draw(st.booleans()) else 0
+    low = [draw(signed_zero) for _ in range(m)]
+    if draw(st.booleans()):
+        top = draw(st.lists(number, min_size=degree - m + 1, max_size=degree - m + 1))
+        if top[-1] == 0:
+            top[-1] = 1 + 0j
+        return ComplexPolynomial(low + top)
+    pool = draw(st.lists(number, min_size=1, max_size=4))
+    planted = [draw(st.sampled_from(pool))
+               + draw(st.sampled_from([0.0, 0.0, 1e-3, -4e-3j, 9e-3 + 5e-3j, 1e-8]))
+               for _ in range(degree - m)]
+    lead = draw(st.sampled_from([1.0, -2.5j, 0.3 - 0.7j]))
+    return ComplexPolynomial(low + list(from_roots(planted, lead).coeffs))
+
+
+@given(solve_inputs())
+@settings(max_examples=300, deadline=None)
+def test_roots_match_the_reference_solve(p):
+    assert _outcome(roots, p) == _outcome(reference_roots.roots, p)
+
+
+# approximations that repeat and that share a real or an imaginary part
+approximations = st.lists(st.sampled_from([1 + 0j, -1j, 2 - 1j, 2 + 1j, complex(0.0, -1.0),
+                                            complex(-0.0, 1.0), 0.5 + 3j]) | number,
+                          min_size=1, max_size=8)
+
+
+@given(solve_inputs(), approximations)
+# both approximations have imaginary part -0.0, so z_0 - z_1 and z_1 - z_0
+# both have +0.0 there: taking z_1 - z_0 as -(z_0 - z_1) would give -0.0,
+# and that sign reaches the second center
+@example(ComplexPolynomial([2j, complex(-0.0, -1.0), 1e-300j]),
+         [complex(0.5, -0.0), complex(-0.0, -0.0)])
+@settings(max_examples=200, deadline=None)
+def test_discs_match_the_reference_discs(p, approx):
+    approx = approx[: p.degree]
+    assert _outcome(poly._discs, p, approx) == _outcome(reference_roots.discs, p, approx)
+
+
+# 0 and 5 touch, 3 and 6 touch, and 7 touches both pairs, so the component
+# that 7 closes lists its discs as 0, 5, 3, 6, 7: out of index order
+CHAIN = [(0j, 0.5), (10 + 0j, 0.1), (20 + 0j, 0.1), (5 + 0j, 0.5), (30 + 0j, 0.1),
+         (1 + 0j, 0.6), (4 + 0j, 0.6), (2.5 + 0j, 1.0)]
+
+
+@given(st.lists(st.tuples(number, st.floats(0, 2)), max_size=10))
+@example(CHAIN)
+@settings(max_examples=200, deadline=None)
+def test_cluster_matches_the_reference_cluster(discs):
+    assert _outcome(poly._cluster, discs) == _outcome(reference_roots.cluster, discs)

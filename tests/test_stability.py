@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from levelgraph import config
+from levelgraph import config, poly
 from levelgraph.cauchy import HalfInteger
 from levelgraph.errors import CriticalPointInRHP, LevelMismatch
 from levelgraph.poly import ComplexPolynomial
@@ -256,6 +256,32 @@ def test_classify_solves_w_prime_once(monkeypatch, on_critical_point):
         # Im w(1 + iy) = (3y - y^3)/3 meets Im w(i) = -1/3 at y^3 - 3y - 1 = 0
         y2 = _bisect(lambda y: y**3 - 3 * y - 1, 1.5, 2.0)
         data = BoundaryData(CUBE_THIRD, 1j, 1 + 1j * y2)
+    # the derivatives of a cubic are the w' formed; roots forms those of w'
+    # itself, for the Newton pass at its double root
+    formed = []
+    real_derivative = poly._Polynomial.derivative
+    monkeypatch.setattr(poly._Polynomial, "derivative",
+                        lambda p: formed.append(p) or real_derivative(p))
     res = classify(data)
     assert res.case == ("generic_critical" if on_critical_point else "noncritical")
     assert len(calls) == 1
+    assert [p.degree for p in formed].count(3) == 1
+
+
+def test_classify_solves_the_shifted_w_prime_of_a_negative_zero(monkeypatch):
+    # w = (-1 + i/2) + (1/2 - 0i) z + (-0 + 2i) z^2: w' = 1/2 + (-0 + 4i) z
+    # has a generic critical point at i/8.  Shifting w adds 0j to every
+    # higher coefficient, which clears the -0.0: classify solves 1/2 + 4i z,
+    # and the unshifted w' would give another companion matrix
+    import levelgraph.landscape as landscape
+
+    w = ComplexPolynomial([complex(-1, 0.5), complex(0.5, -0.0), complex(-0.0, 2.0)])
+    solved = []
+    real_roots = landscape.roots
+    monkeypatch.setattr(landscape, "roots", lambda p: solved.append(p) or real_roots(p))
+    # Im w(1 + iy) - Im w(i/8) = 63/32 + y/2 - 2 y^2 vanishes at y = -7/8 and 9/8
+    for z2, n2 in ((1 - 0.875j, 1), (1 + 1.125j, 2)):
+        res = classify(BoundaryData(w, 0.125j, z2))
+        assert (res.verdict, res.case, res.critical_order) == ("stable", "generic_critical", 1)
+        assert (res.n1, res.n2) == (HalfInteger.from_int(2), HalfInteger.from_int(n2))
+    assert [repr(p.coeffs) for p in solved] == [repr((0.5 + 0j, 4j))] * 2

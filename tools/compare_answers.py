@@ -9,7 +9,11 @@ these are all the inputs a 25 s ``bench/run.py`` run times (3750 and 6000),
 so an answer that flips anywhere in a timed run shows here; ``witness``
 takes its first 40.  A fourth set, ``witness-vertical-tangent``, which no
 workload runs, traces the vertical-tangent curve through z2 of the first
-40 ``witness`` inputs in both directions, at the level Re w'(z2).  Every
+40 ``witness`` inputs in both directions, at the level Re w'(z2).  A
+fifth, ``roots``, records ``poly.roots`` of the w' that ``classify`` solves
+(the derivative of the shifted w) for every timed ``verdicts`` input, then
+of w' for the first 40 ``witness`` inputs: verdicts show no radius, so this
+set is what shows a change to the root solve byte-equal.  Every
 output field is recorded, floats and complex
 numbers by ``repr`` (so a change in the last bit or in the sign of a zero
 shows), nested results field by field, and a raised exception by its type
@@ -58,6 +62,8 @@ SEEDS = (1, 2)
 # bench/run.py times (25 s at 150 and 240 ops/s); witness keeps 40
 COUNTS = {"verdicts": 3750, "dhym-sweep": 6000, "witness": 40,
           "witness-vertical-tangent": 40}
+# the roots set solves w' of the verdicts inputs, then of the witness ones
+COUNTS["roots"] = COUNTS["verdicts"] + COUNTS["witness"]
 # differing answers printed at most, over all workloads and seeds
 SHOW = 10
 
@@ -175,18 +181,39 @@ def _vertical_tangent_set(ops):
     return prepare, run
 
 
+def _roots_inputs(ops, gen, seed: int):
+    """(prepare, run, inputs) solving w' of the verdicts, then witness, inputs."""
+    from levelgraph import poly, stability
+
+    def prepare(item):
+        kind, data = item
+        if kind == "witness":
+            return ops._poly(data["w"]).derivative()
+        shifted = stability.shift_to_zero_level(
+            stability.BoundaryData(*ops.prepare_verdicts(data)))
+        return shifted.w.derivative()
+
+    inputs = [(kind, data) for kind in ("verdicts", "witness")
+              for data in gen.InputStream(kind, seed).take(COUNTS[kind])]
+    return prepare, poly.roots, inputs
+
+
 def dump(src: str, workload: str, seed: int, count: int) -> None:
     """Print one JSON line of flattened answers per input (child side)."""
     sys.path[:0] = [src, str(BENCH)]
     import gen
     import ops
 
-    if workload == "witness-vertical-tangent":
-        prepare, run = _vertical_tangent_set(ops)
-        workload = "witness"
+    if workload == "roots":
+        prepare, run, inputs = _roots_inputs(ops, gen, seed)
     else:
-        prepare, run, _ = ops.WORKLOADS[workload]
-    for data in gen.InputStream(workload, seed).take(count):
+        if workload == "witness-vertical-tangent":
+            prepare, run = _vertical_tangent_set(ops)
+            workload = "witness"
+        else:
+            prepare, run, _ = ops.WORKLOADS[workload]
+        inputs = gen.InputStream(workload, seed).take(count)
+    for data in inputs:
         try:
             answer = run(prepare(data))
         except Exception as exc:  # noqa: BLE001 -- a raised error is an answer too
