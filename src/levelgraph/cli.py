@@ -8,6 +8,11 @@ order.  All numeric JSON fields are rendered with 17 significant digits so a
 double round-trips losslessly, half-integers are rendered as strings like
 "5/2", and complex numbers as [re, im] pairs.  Identical inputs produce
 byte-identical output; nothing here consults the clock or an RNG.
+
+The CLI reads no config file, and its run settings are the library's
+defaults: ``flow`` and ``dhym --witness`` flow on ``config.GRID_NODES``
+Gauss nodes until the residual drops below ``TOL.flow_stop``, and ``trace``
+runs out to the radius that Fujiwara's bound on the roots of w gives.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import sys
 import numpy as np
 
 from .cauchy import HalfInteger, RationalFunction, index_on_interval
-from .config import RunConfig
 from .dhym import CalabiInput, analyze, build_polynomials
 from .errors import LevelGraphError
 from .kempf_ness import default_sigma, j_derivative, make_grid_function, run_flow
@@ -124,44 +128,26 @@ def _parse_point(text: str) -> complex:
     return complex(re, im)
 
 
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    with open(path) as fh:
-        return RunConfig.from_dict(json.load(fh))
-
-
-def _resolve_out(args, cfg: RunConfig, required: bool) -> str | None:
-    out = args.out or cfg.out_path or None
-    if required and out is None:
-        raise ValueError("--out is required (or set out_path in --config)")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_classify(args, cfg: RunConfig) -> int:
+def _cmd_classify(args) -> int:
     verdict = classify(BoundaryData(args.w, args.z1, args.z2))
-    _emit(verdict, _resolve_out(args, cfg, required=False))
+    _emit(verdict, args.out)
     return 0
 
 
-def _cmd_trace(args, cfg: RunConfig) -> int:
+def _cmd_trace(args) -> int:
     if args.kind == "c0":
         kind, level = "level", args.w(args.seed).imag
     else:
         kind, level = "vertical_tangent", 0.0
-    line = trace_level(
-        args.w, args.seed, kind=kind, direction=args.direction, level=level,
-        radius=cfg.trace_radius,
-    )
-    out = _resolve_out(args, cfg, required=True)
-    with open(out, "w") as fh:
+    line = trace_level(args.w, args.seed, kind=kind, direction=args.direction, level=level)
+    with open(args.out, "w") as fh:
         fh.write(line.to_csv())
     _emit(
-        {"out": out, "points": len(line.points), "terminated_by": line.terminated_by},
+        {"out": args.out, "points": len(line.points), "terminated_by": line.terminated_by},
         None,
     )
     return 0
@@ -191,12 +177,12 @@ def _interp_f0_from_file(path: str):
     return lambda x: np.interp(x, xs, fs)
 
 
-def _flow(w, z1: complex, z2: complex, fn, cfg: RunConfig):
-    """Flow from fn sampled on the grid of (Re z1, Re z2), its ends pinned at
-    Im z1 and Im z2, under the default sigma."""
+def _flow(w, z1: complex, z2: complex, fn):
+    """Flow from fn sampled on the default grid of (Re z1, Re z2), its ends
+    pinned at Im z1 and Im z2, under the default sigma, to TOL.flow_stop."""
     a, b = z1.real, z2.real
-    f0 = make_grid_function(a, b, fn, n=cfg.grid_nodes, boundary=(z1.imag, z2.imag))
-    return run_flow(f0, w, default_sigma(a, b, f0.nodes), stop_tol=cfg.stop_tol)
+    f0 = make_grid_function(a, b, fn, boundary=(z1.imag, z2.imag))
+    return run_flow(f0, w, default_sigma(a, b, f0.nodes))
 
 
 def _flow_summary(trace, residual_key: str) -> dict:
@@ -212,7 +198,7 @@ def _flow_summary(trace, residual_key: str) -> dict:
     }
 
 
-def _cmd_flow(args, cfg: RunConfig) -> int:
+def _cmd_flow(args) -> int:
     data = shift_to_zero_level(BoundaryData(args.w, args.z1, args.z2))
     a, b = data.z1.real, data.z2.real
     ya, yb = data.z1.imag, data.z2.imag
@@ -222,11 +208,10 @@ def _cmd_flow(args, cfg: RunConfig) -> int:
             return ya + (yb - ya) * (x - a) / (b - a)
     else:
         fn = _interp_f0_from_file(args.f0)
-    trace = _flow(data.w, data.z1, data.z2, fn, cfg)
-    out = _resolve_out(args, cfg, required=True)
-    with open(out, "w") as fh:
+    trace = _flow(data.w, data.z1, data.z2, fn)
+    with open(args.out, "w") as fh:
         fh.write(trace.to_csv())
-    _emit({"out": out, **_flow_summary(trace, "final_residual_sup")}, None)
+    _emit({"out": args.out, **_flow_summary(trace, "final_residual_sup")}, None)
     return 0
 
 
@@ -240,12 +225,12 @@ def _decimate(seq, cap: int):
     return picked
 
 
-def _witness(inp: CalabiInput, cfg: RunConfig):
+def _witness(inp: CalabiInput):
     w, _, _ = build_polynomials(inp)
     check = graphical_connection(w, 0j, inp.z2)
     curve = [[p.real, p.imag] for p in _decimate(check.trace.points, 512)]
     try:
-        trace = _flow(w, 0j, inp.z2, lambda x: inp.q * x / inp.b, cfg)
+        trace = _flow(w, 0j, inp.z2, lambda x: inp.q * x / inp.b)
         final = trace.final
         xs = [final.a, *final.nodes.tolist(), final.b]
         hs = [final.boundary[0], *final.values.tolist(), final.boundary[1]]
@@ -262,13 +247,13 @@ def _witness(inp: CalabiInput, cfg: RunConfig):
     }
 
 
-def _cmd_dhym(args, cfg: RunConfig) -> int:
+def _cmd_dhym(args) -> int:
     inp = CalabiInput(args.m, args.r, args.xi1, args.xi2, args.b, args.q)
     payload = report = analyze(inp)
     if args.witness:
-        witness = _witness(inp, cfg) if report.verdict == "exists" else None
+        witness = _witness(inp) if report.verdict == "exists" else None
         payload = {**_record_fields(report), "witness": witness}
-    _emit(payload, _resolve_out(args, cfg, required=False))
+    _emit(payload, args.out)
     return 0
 
 
@@ -405,7 +390,7 @@ _SELFCHECKS = (
 )
 
 
-def _cmd_selfcheck(args, cfg: RunConfig) -> int:
+def _cmd_selfcheck(args) -> int:
     failures = 0
     for name, fn in _SELFCHECKS:
         try:
@@ -435,41 +420,34 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="levelgraph",
         description="Level-curve stability, flow, and dHYM existence reports.",
     )
-    parser.add_argument("--config", default=None, metavar="PATH",
-                        help="JSON file mirroring RunConfig")
-    common = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS: an absent subcommand --config keeps the top-level value
-    common.add_argument("--config", default=argparse.SUPPRESS, metavar="PATH",
-                        help="JSON file mirroring RunConfig")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="stability verdict for a boundary pair")
+    p = sub.add_parser("classify", help="stability verdict for a boundary pair")
     _add_poly_options(p)
     p.add_argument("--z1", type=_parse_point, required=True, metavar="RE,IM")
     p.add_argument("--z2", type=_parse_point, required=True, metavar="RE,IM")
     p.add_argument("--out", default=None, help="also write the JSON here")
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("trace", parents=[common], help="trace a level or vertical-tangent curve to CSV")
+    p = sub.add_parser("trace", help="trace a level or vertical-tangent curve to CSV")
     _add_poly_options(p)
     p.add_argument("--kind", choices=("c0", "d0"), required=True,
                    help="c0: level curve of Im w through the seed; d0: Re w' = 0")
     p.add_argument("--seed", type=_parse_point, required=True, metavar="RE,IM")
     p.add_argument("--direction", type=int, choices=(1, -1), default=1)
-    p.add_argument("--out", default=None, help="CSV output path")
+    p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(fn=_cmd_trace)
 
-    p = sub.add_parser("flow", parents=[common], help="run the height flow from f0 to the level graph")
+    p = sub.add_parser("flow", help="run the height flow from f0 to the level graph")
     _add_poly_options(p)
     p.add_argument("--z1", type=_parse_point, required=True, metavar="RE,IM")
     p.add_argument("--z2", type=_parse_point, required=True, metavar="RE,IM")
     p.add_argument("--f0", required=True,
                    help="'line' for the straight segment, or a CSV file of x,f rows")
-    p.add_argument("--out", default=None, help="CSV output path")
+    p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(fn=_cmd_flow)
 
-    p = sub.add_parser("dhym", parents=[common], help="charge report and existence verdict")
+    p = sub.add_parser("dhym", help="charge report and existence verdict")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--xi1", type=float, required=True)
@@ -481,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the JSON here")
     p.set_defaults(fn=_cmd_dhym)
 
-    p = sub.add_parser("selfcheck", parents=[common], help="run the built-in invariant battery")
+    p = sub.add_parser("selfcheck", help="run the built-in invariant battery")
     p.set_defaults(fn=_cmd_selfcheck)
 
     return parser
@@ -513,8 +491,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        cfg = _load_config(args.config)
-        return args.fn(args, cfg)
+        return args.fn(args)
     except LevelGraphError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Tolerances, one object read at call time, and run-wide defaults.
+"""Tolerances, one object read at call time, and the flow grid's size.
 
 Every tolerance is a field of ``TOL``, the one :class:`Tolerances`.  Modules
 read ``config.TOL.<field>`` when called and import none by name, so one
@@ -6,12 +6,16 @@ rebinding of ``config.TOL`` to a ``dataclasses.replace`` copy reaches all
 of them.  Sign and snap tolerances are bare factors of a scale from the
 data at hand.  The rounding bound ``cauchy.CLIMB_ROUNDING`` stays out: it is
 proven, certifies a float count, and must never be scaled.
+
+``GRID_NODES`` is the default node count of the flow's Gauss grid.  No file
+or environment variable configures a run: a caller that needs another grid,
+flow stop or trace radius passes it to ``make_grid_function(n=...)``,
+``run_flow(stop_tol=...)`` or ``trace_level(radius=...)``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -50,35 +54,3 @@ TOL = Tolerances()
 
 GRID_NODES = 257
 
-
-@dataclass
-class RunConfig:
-    """Run-wide knobs, mirrored by the CLI ``--config`` JSON file."""
-
-    stop_tol: float = field(default_factory=lambda: TOL.flow_stop)
-    grid_nodes: int = GRID_NODES
-    trace_radius: float = 0.0   # 0 means "derive from the coefficients of w"
-    out_path: str = ""
-
-    def __post_init__(self):
-        def number(v) -> bool:  # a finite int or float; a bool is no number here
-            return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
-
-        for key, ok, want in (
-            ("stop_tol", number(self.stop_tol) and self.stop_tol > 0, "a finite number > 0"),
-            ("grid_nodes", number(self.grid_nodes) and isinstance(self.grid_nodes, int)
-             and self.grid_nodes >= 3, "an int >= 3"),
-            ("trace_radius", number(self.trace_radius) and self.trace_radius >= 0,
-             "a finite number >= 0"),
-            ("out_path", isinstance(self.out_path, str), "a string"),
-        ):
-            if not ok:
-                raise ValueError(f"{key} must be {want}, got {getattr(self, key)!r}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import config
 from .cauchy import HalfInteger
@@ -51,8 +52,9 @@ class BoundaryData:
             raise ValueError(
                 f"z1={self.z1!r}, z2={self.z2!r} and the coefficients of w must be finite"
             )
-        wp = self.w.derivative().coeffs
-        if not all(map(cmath.isfinite, wp)):
+        # the coefficients k c_k of w', formed in full only for the message
+        if not all(cmath.isfinite(k * c) for k, c in enumerate(self.w.coeffs[1:], 1)):
+            wp = self.w.derivative().coeffs
             raise ValueError(f"the derivative of w overflows a double: w' = {wp!r}")
         snap = config.TOL.snap * (1.0 + abs(self.z1))
         if self.z1.real < -snap:
@@ -100,7 +102,11 @@ def _shifted_w(data: BoundaryData) -> ComplexPolynomial:
     part but keeps every check that data passed.
     """
     w1 = data.w(data.z1)
-    w = data.w - ComplexPolynomial([1j * w1.imag])
+    # w - ComplexPolynomial([shift]) in one polynomial: the same additions, in
+    # the same order, so every coefficient keeps its bits
+    shift = 1j * w1.imag
+    w = ComplexPolynomial(a + b for a, b in zip_longest(
+        data.w.coeffs, (-shift,) if shift else (), fillvalue=0j))
     w2 = w(data.z2)
     try:
         scale = w.coeff_scale * (1.0 + abs(data.z2)) ** max(w.degree, 0)

@@ -78,12 +78,10 @@ def _class_lines(cls) -> range:
 
 def test_every_knob_is_read():
     """No knob that does nothing: each field of Tolerances is read as
-    ``TOL.<field>`` and each field of RunConfig as ``.<field>`` somewhere in
-    src/levelgraph outside its class.  Tolerances asks for ``TOL`` before the
-    dot, since another object's attribute (``np.sign``) would vouch for a
-    field of the same name."""
-    tol_reads, attr_reads = set(), set()
-    run_config_lines = _class_lines(config.RunConfig)
+    ``TOL.<field>`` somewhere in src/levelgraph outside its class.  The read
+    asks for ``TOL`` before the dot, since another object's attribute
+    (``np.sign``) would vouch for a field of the same name."""
+    tol_reads = set()
     tolerance_lines = _class_lines(config.Tolerances)
     for path in sorted(PACKAGE.glob("*.py")):
         with tokenize.open(path) as fh:
@@ -96,7 +94,4 @@ def test_every_knob_is_read():
                 continue
             if owner.string == "TOL":
                 tol_reads.add(name.string)
-            if not (path.stem == "config" and name.start[0] in run_config_lines):
-                attr_reads.add(name.string)
     assert sorted(FIELDS - tol_reads) == []
-    assert sorted({f.name for f in dataclasses.fields(config.RunConfig)} - attr_reads) == []

@@ -31,9 +31,9 @@ fields of the differing answers.
 
 A last set, ``cli``, does not depend on the seeds and runs once per side:
 each of the fixed invocations in ``CLI_SET`` (every subcommand, the README
-examples, ``--out``, ``--config``, each error exit and negative values)
-runs ``python -m levelgraph.cli`` in a fresh temporary directory, which
-holds only the input files it names.  Its exit code, stdout, stderr and
+examples, ``--out``, each error exit, among them the rejected ``--config``
+option, and negative values) runs ``python -m levelgraph.cli`` in a fresh
+temporary directory, which holds only the input files it names.  Its exit code, stdout, stderr and
 every file in the directory afterwards are compared byte for byte, with
 the checkout's path replaced by a placeholder.  Prints one line per
 differing invocation and one summary line.
@@ -88,15 +88,6 @@ CLI_SET = (
                         "--f0", "f0.csv", "--out", "flow.csv"], {"f0.csv": _F0_ROWS}),
     ("dhym-non-generic-out", ["dhym", "--m", "1", "--r", "1", "--xi1", "1", "--xi2", "0",
                               "--b", "1", "--q", "0", "--out", "report.json"], {}),
-    ("config-before-out-path", ["--config", "cfg.json", "classify", "--poly", "0,1",
-                                "--z1", "0,0", "--z2", "1,0"],
-     {"cfg.json": '{"out_path": "verdict.json"}\n'}),
-    ("config-after-trace-radius", ["trace", "--config", "cfg.json", "--kind", "c0",
-                                   "--poly", _CUBE, "--seed", "1,0"],
-     {"cfg.json": '{"trace_radius": 3.0, "out_path": "curve.csv"}\n'}),
-    ("config-flow-grid", ["flow", "--config", "cfg.json", "--poly", _CUBE, "--z1", "1,0",
-                          "--z2", "2,0", "--f0", "f0.csv", "--out", "flow.csv"],
-     {"cfg.json": '{"grid_nodes": 33, "stop_tol": 1e-10}\n', "f0.csv": _F0_ROWS}),
     ("error-no-subcommand", [], {}),
     ("error-parse", ["classify", "--poly", "0,abc", "--z1", "0,0", "--z2", "1,0"], {}),
     ("error-level-mismatch", ["classify", "--poly", "0,1", "--z1", "0,0", "--z2", "1,1"], {}),
@@ -104,9 +95,11 @@ CLI_SET = (
                                   "--z2", "2,0"], {}),
     ("error-trace-without-out", ["trace", "--kind", "c0", "--poly", "0,1", "--seed", "1,0"],
      {}),
-    ("error-config-unknown-key", ["--config", "cfg.json", "selfcheck"],
-     {"cfg.json": '{"nope": 1}\n'}),
-    ("error-config-missing", ["--config", "missing.json", "selfcheck"], {}),
+    ("config-rejected", ["--config", "cfg.json", "selfcheck"], {"cfg.json": "{}\n"}),
+    ("error-trace-derived-radius-c0", ["trace", "--kind", "c0", "--poly", "0,1,1e-200",
+                                       "--seed", "1,0", "--out", "curve.csv"], {}),
+    ("error-trace-derived-radius-d0", ["trace", "--kind", "d0", "--poly", _CUBE + ",1e-200",
+                                       "--seed", "1,1", "--out", "wall.csv"], {}),
     ("error-dhym-overflow", ["dhym", "--m", "3", "--r", "2", "--xi1", "1", "--xi2", "0",
                              "--b", "1e200", "--q", "0"], {}),
     ("negative-poly", ["classify", "--poly", "-1,1,0.5", "--z1", "0,0", "--z2", "1,0"], {}),
