@@ -274,26 +274,38 @@ _PHI3_SERIES = tuple(1.0 / math.factorial(k + 3) for k in range(11))
 def _phi1(z) -> np.ndarray:
     """phi_1(z) = (e^z - 1)/z elementwise, with phi_1(0) = 1.
 
-    expm1 keeps the quotient accurate to rounding at every z != 0.
+    expm1 keeps the quotient accurate to rounding at every z != 0.  When no
+    entry is zero the quotient is one plain division; otherwise the zeros
+    keep the value 1 and the division fills the rest.
     """
     z = np.asarray(z, dtype=float)
+    if np.count_nonzero(z) == z.size:
+        return np.expm1(z) / z
     return np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
 
 
 def _phi3(z) -> np.ndarray:
     """phi_3(z) = (e^z - 1 - z - z^2/2)/z^3 elementwise, with phi_3(0) = 1/6.
 
-    The series is summed by Horner over the whole array, at z where |z| is
-    below the switch and at 0 elsewhere; the closed form then overwrites it
-    where |z| is at or past the switch.
+    The series is summed by Horner where |z| is below the switch and the
+    closed form is taken where |z| is at or past it.  When every entry lies
+    on one side, only that side's formula runs, on the whole array; a mixed
+    array sums the series at z where |z| is below the switch and at 0
+    elsewhere, and the closed form then overwrites it where |z| is at or
+    past the switch.  Each entry gets the same operations either way.
     """
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < _PHI3_SWITCH
-    zs = np.where(small, z, 0.0)
+    count = np.count_nonzero(small)
+    if count == 0:
+        return (np.expm1(z) - z - 0.5 * z * z) / (z * z * z)
+    zs = z if count == z.size else np.where(small, z, 0.0)
     out = np.full_like(zs, _PHI3_SERIES[-1])
     for c in _PHI3_SERIES[-2::-1]:
         out *= zs
         out += c
+    if count == z.size:
+        return out
     return np.divide(np.expm1(z) - z - 0.5 * z * z, z * z * z, out=out, where=~small)
 
 
@@ -393,6 +405,12 @@ def run_flow(
     ratio is the error-to-tolerance ratio (a rejection by J shrinks by 0.2).
     The first trial step is one relaxation time 1 / max|Re w'|.
 
+    Floating-point overflow and invalid results raise no warning while the
+    flow steps: np.errstate is entered once per call, around the stepping
+    loop.  A trial step that overflows is rejected by its nonfinite error
+    or J increment, and the evaluation of an accepted state is silenced
+    too: a state whose residual overflows raises Diverged anyway.
+
     Raises Diverged when the residual passes TOL.flow_diverged, or when
     rejections shrink the step below the rounding of t; and
     NonIntegrableEndpoint when the residual per unit sigma passes
@@ -432,7 +450,7 @@ def run_flow(
         # J(new) - J(old): sum of qw * integral of Im w(x + iy) dy from old
         # to new, the Gauss rule in y being exact for Im w = -rhs
         half = 0.5 * (new - old)
-        ys = 0.5 * (new + old) + np.multiply.outer(yi, half)
+        ys = 0.5 * (new + old) + yi[:, None] * half
         return -float((qw * half * (yw @ _horner(rhs_at_gauss, ys, 0.0))).sum())
 
     def diag(vals):
@@ -450,28 +468,28 @@ def run_flow(
 
     times, js, resids, membs = [], [], [], []
     rejected = 0
-    while True:
-        size = np.abs(k)
-        resid = float(size.max())
-        if not resid <= diverged:
-            raise Diverged(f"height residual reached {resid:.3g}")
-        ratio = float((size / sig).max())
-        if ratio > blowup:
-            raise NonIntegrableEndpoint(
-                f"residual per unit sigma reached {ratio:.3g} near an endpoint"
-            )
-        times.append(t)
-        js.append(jval)
-        resids.append(resid)
-        membs.append(memb)
-        if resid < stop_tol or t >= t_max:
-            break
-
+    with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            last = t + dt >= t_max - dt_min
-            if last:
-                dt = t_max - t
-            with np.errstate(over="ignore", invalid="ignore"):
+            size = np.abs(k)
+            resid = float(size.max())
+            if not resid <= diverged:
+                raise Diverged(f"height residual reached {resid:.3g}")
+            ratio = float((size / sig).max())
+            if ratio > blowup:
+                raise NonIntegrableEndpoint(
+                    f"residual per unit sigma reached {ratio:.3g} near an endpoint"
+                )
+            times.append(t)
+            js.append(jval)
+            resids.append(resid)
+            membs.append(memb)
+            if resid < stop_tol or t >= t_max:
+                break
+
+            while True:
+                last = t + dt >= t_max - dt_min
+                if last:
+                    dt = t_max - t
                 f_new, corr = _exprb32(f, k, jac, rhs, dt)
                 err = float(np.abs(corr).max())
                 scale = 0.0 if err == 0.0 else err / (rtol * resid * dt)
@@ -484,19 +502,19 @@ def run_flow(
                         scale = math.inf
                 elif not math.isfinite(scale):
                     scale = math.inf
-            factor = 4.0 if scale == 0.0 else min(4.0, max(0.2, 0.9 * scale ** (-1.0 / 3.0)))
-            if scale <= 1.0:
-                break
-            dt *= factor
-            rejected += 1
-            if dt < dt_min:
-                raise Diverged(f"flow step size fell to {dt:.3g} at t = {t:.6g}")
+                factor = 4.0 if scale == 0.0 else min(4.0, max(0.2, 0.9 * scale ** (-1.0 / 3.0)))
+                if scale <= 1.0:
+                    break
+                dt *= factor
+                rejected += 1
+                if dt < dt_min:
+                    raise Diverged(f"flow step size fell to {dt:.3g} at t = {t:.6g}")
 
-        jval += dj
-        t = t_max if last else t + dt
-        f = f_new
-        k, memb, jac = diag(f)
-        dt *= factor
+            jval += dj
+            t = t_max if last else t + dt
+            f = f_new
+            k, memb, jac = diag(f)
+            dt *= factor
 
     final = GridFunction(f0.a, f0.b, f0.nodes, f, f0.boundary)
     return FlowTrace(times, js, resids, membs, final, rejected)
@@ -508,9 +526,12 @@ def second_variation_at(
     """Quadratic form of J at a critical graph in direction psi.
 
     integral of (d(psi)/dx)^2 sigma Re(w'(x+if)) dx; positive on stable
-    instances, and flips sign exactly under w -> -w.
+    instances, and flips sign exactly under w -> -w.  Raises ValueError when
+    sigma or psi is not on the grid of f.
     """
     _check_sigma(f, sigma)
+    if (psi.a, psi.b, len(psi.nodes)) != (f.a, f.b, len(f.nodes)):
+        raise ValueError("psi grid does not match the function grid")
     weights = _quadrature_for(f)
     dpsi = derivative_values(psi)
     d = w.derivative()(f.nodes + 1j * f.values)

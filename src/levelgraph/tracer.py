@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import CorrectorDiverged, SeedNotOnCurve
-from .poly import ComplexPolynomial, roots, taylor_coeffs
+from .poly import ComplexPolynomial, _horner, roots, taylor_coeffs
 
 _GROW = 1.3
 _MAX_NEWTON = 12
@@ -79,15 +79,19 @@ class GraphCheck:
 
 def _make_field(base: ComplexPolynomial, level: float):
     """Return (F, grad, ftol) for F = Im base - level, grad = F_x + i F_y,
-    and ftol the corrector's tolerance on |F| at a point."""
-    dbase = base.derivative()
+    and ftol the corrector's tolerance on |F| at a point.
+
+    F and grad evaluate base and base' at a scalar as their __call__ does,
+    by _horner from 0j, without its dispatch on the argument's type."""
+    coeffs = base.coeffs
+    dcoeffs = base.derivative().coeffs
 
     def field(u: complex) -> float:
-        return base(u).imag - level
+        return _horner(coeffs, complex(u), 0j).imag - level
 
     def grad(u: complex) -> complex:
         # Cauchy-Riemann: grad Im base = (Im base', Re base')
-        d = dbase(u)
+        d = _horner(dcoeffs, complex(u), 0j)
         return complex(d.imag, d.real)
 
     fscale = config.TOL.corrector * max(base.coeff_scale, 1e-300)

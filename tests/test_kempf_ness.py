@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_flow import phi1 as reference_phi1
+from reference_flow import phi3 as reference_phi3
 from reference_geodesic import geodesic_residual, relax_geodesic
 
 from levelgraph import kempf_ness
@@ -142,6 +144,33 @@ def test_phi_functions_finite_for_stiff_decay():
     assert kempf_ness._phi1(np.array([-1e4]))[0] == pytest.approx(1e-4, rel=1e-12)
     assert kempf_ness._phi3(np.array([-1e4]))[0] == pytest.approx(
         (1e4 - 5e7 - 1.0) / -1e12, rel=1e-12)
+
+
+_SWITCH = kempf_ness._PHI3_SWITCH
+_JUST_BELOW = float(np.nextafter(_SWITCH, 0.0))
+# entries with |z| below the switch, where phi_3 sums its series, and at or
+# past it, where it takes the closed form; both include the edges, exact
+# zeros of either sign, subnormals and a stiff decay rate
+_BELOW = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _JUST_BELOW, -_JUST_BELOW]) | st.floats(
+    -_SWITCH, _SWITCH, exclude_min=True, exclude_max=True)
+_AT_OR_PAST = st.sampled_from([_SWITCH, -_SWITCH, -1e4]) | st.floats(-1e4, -_SWITCH) | st.floats(
+    _SWITCH, 700.0)
+_PHI_ARRAYS = (
+    st.lists(_BELOW, min_size=1, max_size=20)
+    | st.lists(_AT_OR_PAST, min_size=1, max_size=20)
+    | st.lists(_BELOW | _AT_OR_PAST, min_size=2, max_size=20)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PHI_ARRAYS)
+@example([0.0, -0.0, 5e-324, -_JUST_BELOW, 0.125])  # series alone; phi_1 meets zeros
+@example([_SWITCH, -_SWITCH, -1e4, 2.5])  # closed form alone; phi_1 divides plainly
+@example([-0.0, _SWITCH, -5e-324, -1e4, _JUST_BELOW])  # mixed
+def test_phi_functions_equal_reference_bit_for_bit(values):
+    z = np.array(values)
+    assert kempf_ness._phi1(z).tobytes() == reference_phi1(z).tobytes()
+    assert kempf_ness._phi3(z).tobytes() == reference_phi3(z).tobytes()
 
 
 def test_differentiates_cubic_exactly():
@@ -594,6 +623,21 @@ def test_second_variation_positive_and_matches_quadrature():
     )
     expect = np.trapezoid(integrand, x)
     assert val == pytest.approx(expect, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        make_grid_function(0.0, 5.0, lambda x: np.sin(math.pi * x / 5.0)),
+        make_grid_function(A, B, lambda x: np.sin(math.pi * (x - 1.0)), n=33),
+    ],
+    ids=["other-interval", "other-node-count"],
+)
+def test_second_variation_rejects_psi_on_another_grid(psi):
+    nodes, sigma = _setup()
+    f = make_grid_function(A, B, lambda x: 0.0 * x)
+    with pytest.raises(ValueError, match="psi grid does not match the function grid"):
+        second_variation_at(f, psi, CUBE_THIRD, sigma)
 
 
 def test_second_variation_negates_with_w():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levelgraph import poly
+from levelgraph import poly, tracer
 from levelgraph.cauchy import HalfInteger
 from levelgraph.errors import SeedNotOnCurve
 from levelgraph.landscape import Potential, counting_function
@@ -34,6 +34,25 @@ def _bisect(f, lo, hi, iters=200):
         else:
             lo, flo = mid, f(mid)
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# the curve field
+
+
+@pytest.mark.parametrize("kind", ["level", "vertical_tangent"])
+def test_make_field_evaluates_as_the_polynomial(kind):
+    # field and grad must give what base(u) and base'(u) give, to the bit
+    w = ComplexPolynomial([0.3 - 0.7j, 1.1j, -1.7 + 0.2j, 1 / 3, 0.13 - 0.05j])
+    base = w if kind == "level" else 1j * w.derivative()
+    dbase = base.derivative()
+    points = [complex(x, y) for x in (0.0, -0.0, 1.3, -0.61) for y in (0.0, -0.0, -0.77, 2.9)]
+    for level in (0.0, 0.5):
+        field, grad, _ = tracer._make_field(base, level)
+        for u in points:
+            assert repr(field(u)) == repr(base(u).imag - level)
+            d = dbase(u)
+            assert repr(grad(u)) == repr(complex(d.imag, d.real))
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,15 @@
 
 For each workload of ``bench/ops.py`` and each seed (``--seeds``, 1 and 2
 by default), the inputs of ``bench/gen.py`` are run once against each
-checkout's ``src`` package, each side in a child interpreter of its own.  On ``verdicts`` and ``dhym-sweep``
-these are all the inputs a 25 s ``bench/run.py`` run times (3750 and 6000),
-so an answer that flips anywhere in a timed run shows here; ``witness``
-takes its first 40.  A fourth set, ``witness-vertical-tangent``, which no
+checkout's ``src`` package, each side in a child interpreter of its own.
+On ``verdicts``, ``dhym-sweep`` and ``witness`` these are all the inputs a
+25 s ``bench/run.py`` run times (3750, 6000 and 360), so an answer that
+flips anywhere in a timed run shows here.  A fourth set, ``witness-vertical-tangent``, which no
 workload runs, traces the vertical-tangent curve through z2 of the first
 40 ``witness`` inputs in both directions, at the level Re w'(z2).  A
 fifth, ``roots``, records ``poly.roots`` of the w' that ``classify`` solves
 (the derivative of the shifted w) for every timed ``verdicts`` input, then
-of w' for the first 40 ``witness`` inputs: verdicts show no radius, so this
+of w' for every timed ``witness`` input: verdicts show no radius, so this
 set is what shows a change to the root solve byte-equal.  Every
 output field is recorded, floats and complex
 numbers by ``repr`` (so a change in the last bit or in the sign of a zero
@@ -58,9 +58,10 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 SEEDS = (1, 2)
-# inputs per seed: on verdicts and dhym-sweep, every input that a 25 s run of
-# bench/run.py times (25 s at 150 and 240 ops/s); witness keeps 40
-COUNTS = {"verdicts": 3750, "dhym-sweep": 6000, "witness": 40,
+# inputs per seed: on verdicts, dhym-sweep and witness, every input that a
+# 25 s run of bench/run.py times (25 s at 150, 240 and 14 ops/s, rounded up
+# to whole batches); the vertical-tangent set keeps 40
+COUNTS = {"verdicts": 3750, "dhym-sweep": 6000, "witness": 360,
           "witness-vertical-tangent": 40}
 # the roots set solves w' of the verdicts inputs, then of the witness ones
 COUNTS["roots"] = COUNTS["verdicts"] + COUNTS["witness"]
