@@ -2,8 +2,8 @@
 
 `trace_level` follows {Im w = level} (or the wall {Re w' = 0}) through a
 seed with a predictor-corrector scheme and reports how the trace ended:
-at a target, a critical point, the imaginary axis, the escape radius, a
-vertical slope, or a closed loop.  `graphical_connection` wraps a trace
+`target`, `critical_point`, `y_axis` (the imaginary axis), `radius` (the
+escape radius) or `step_limit`.  `graphical_connection` wraps a trace
 from z2 toward z1 and says whether the result is a graph.
 
 Writes two CSV files next to this script.

@@ -8,9 +8,10 @@ data at hand.  The rounding bound ``cauchy.CLIMB_ROUNDING`` stays out: it is
 proven, certifies a float count, and must never be scaled.
 
 ``GRID_NODES`` is the default node count of the flow's Gauss grid.  No file
-or environment variable configures a run: a caller that needs another grid,
-flow stop or trace radius passes it to ``make_grid_function(n=...)``,
-``run_flow(stop_tol=...)`` or ``trace_level(radius=...)``.
+or environment variable configures a run: a caller that needs another grid
+or flow stop passes it to ``make_grid_function(n=...)`` or
+``run_flow(stop_tol=...)``.  The trace radius is always derived from the
+coefficients of w (``trace_radius_factor``).
 """
 
 from __future__ import annotations

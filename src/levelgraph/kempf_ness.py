@@ -36,13 +36,14 @@ pass of poly._horner over their stacked coefficient rows evaluates all
 three at every node; the right-hand side and the Gauss points of a J
 increment read the Im w rows only.
 
-The Gauss-Legendre rule and the differentiation matrix are built once per
-grid size on [-1, 1] and mapped affinely onto each interval; the matrix's
-interior block and endpoint columns are cached beside it, so the flow's f'
-at the nodes is one n-by-n product plus a fixed endpoint term, scaled by
-2/(b - a).  A GridFunction is validated on construction: its nodes must be
-this map of the Gauss nodes (within TOL.grid_match (b - a)), so quadrature
-and differentiation look their rule up without checking the grid again.
+The Gauss-Legendre rule and the node rows of the differentiation matrix
+are built once per grid size on [-1, 1] and mapped affinely onto each
+interval.  The rows are kept as their interior block and two endpoint
+columns, so the flow's f' at the nodes is one n-by-n product plus a fixed
+endpoint term, scaled by 2/(b - a).  A GridFunction is validated on
+construction: its nodes must be this map of the Gauss nodes (within
+TOL.grid_match (b - a)), so quadrature and differentiation look their rule
+up without checking the grid again.
 """
 
 from __future__ import annotations
@@ -91,8 +92,10 @@ def gauss_interior_nodes(a: float, b: float, n: int = GRID_NODES) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _reference_diff_matrix(n: int) -> np.ndarray:
-    """Differentiation matrix on [-1, 1] plus the n Gauss-Legendre nodes."""
+def _reference_operator(n: int):
+    """Node rows of the differentiation matrix on -1, the n Gauss-Legendre
+    nodes of [-1, 1] and 1: the contiguous n-by-n interior block and the
+    columns of the endpoints -1 and 1."""
     x = np.concatenate([[-1.0], _reference_rule(n)[0], [1.0]])
     d = x[:, None] - x[None, :]
     np.fill_diagonal(d, 1.0)
@@ -102,28 +105,10 @@ def _reference_diff_matrix(n: int) -> np.ndarray:
     mat = (sign[:, None] * sign[None, :]) * np.exp(logw[None, :] - logw[:, None]) / d
     np.fill_diagonal(mat, 0.0)
     np.fill_diagonal(mat, -mat.sum(axis=1))
-    mat.flags.writeable = False
-    return mat
-
-
-@lru_cache(maxsize=16)
-def _reference_interior_rows(n: int):
-    """The node rows of _reference_diff_matrix(n): the contiguous n-by-n
-    interior block and the columns of the endpoints -1 and 1."""
-    mat = _reference_diff_matrix(n)
     parts = (np.ascontiguousarray(mat[1:-1, 1:-1]), mat[1:-1, 0].copy(), mat[1:-1, -1].copy())
     for part in parts:
         part.flags.writeable = False
     return parts
-
-
-def _full_values(f: "GridFunction") -> np.ndarray:
-    return np.concatenate([[f.boundary[0]], f.values, [f.boundary[1]]])
-
-
-def _diff_matrix(f: "GridFunction") -> np.ndarray:
-    """Differentiation matrix on a, the nodes of f, and b."""
-    return _reference_diff_matrix(len(f.nodes)) * (2.0 / (f.b - f.a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,15 +160,17 @@ def make_grid_function(a, b, fn, n: int = GRID_NODES, boundary=None) -> GridFunc
 def derivative_values(f: GridFunction) -> np.ndarray:
     """df/dx at the interior nodes (spectral).
 
-    Subtraction form: sum_j D_ij (f_j - f_i).  Every term vanishes exactly
-    when f is constant, so no rounding survives regardless of summation
-    order -- a plain matvec against the negative-sum diagonal does not quite
-    achieve that.
+    Subtraction form: sum_j D_ij (f_j - f_i), the endpoint columns taking
+    f(a) - f_i and f(b) - f_i.  Every term vanishes exactly when f is
+    constant, so no rounding survives regardless of summation order -- a
+    plain matvec against the negative-sum diagonal does not quite achieve
+    that.  The sum is taken on [-1, 1] and scaled once by 2/(b - a).
     """
-    mat = _diff_matrix(f)
-    vals = _full_values(f)
-    der = np.einsum("ij,ij->i", mat, vals[None, :] - vals[:, None])
-    return der[1:-1]
+    inner, left, right = _reference_operator(len(f.nodes))
+    v = f.values
+    der = np.einsum("ij,ij->i", inner, v[None, :] - v[:, None])
+    der += left * (f.boundary[0] - v) + right * (f.boundary[1] - v)
+    return der * (2.0 / (f.b - f.a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,7 +424,7 @@ def run_flow(
     heights3 = np.empty(table.shape[1:])
     # f' at the nodes: the interior block acts on the heights, and the
     # pinned endpoints add a fixed column sum
-    inner, left, right = _reference_interior_rows(len(x))
+    inner, left, right = _reference_operator(len(x))
     edge = left * f0.boundary[0] + right * f0.boundary[1]
     stretch = 2.0 / (f0.b - f0.a)
     # steps shorter than this are lost in the rounding of t

@@ -116,11 +116,11 @@ class Potential:
     The constructor makes the one root solve of w' and raises
     CriticalPointInRHP when a root lies right of the imaginary axis, so every
     Potential satisfies the standing hypothesis.  It keeps every root of w'
-    in roots, those near the axis in axis_critical_points, ordered by
-    height, and the others in off_axis_roots; lead_phase is the argument of
-    the leading coefficient of w'.  The band labels are phase sums over
-    these roots, whose phase_climb terms (location, multiplicity, radius)
-    it keeps once: terms over all roots, off_axis_terms over the others.
+    in roots and those near the axis in axis_critical_points, ordered by
+    height; lead_phase is the argument of the leading coefficient of w'.
+    The band labels are phase sums over these roots, whose phase_climb
+    terms (location, multiplicity, radius) it keeps once: terms over all
+    roots, off_axis_terms over those not near the axis.
 
     Each root from poly.roots stands for a component of inclusion discs
     that holds exactly as many zeros of w' as its multiplicity, all within
@@ -130,15 +130,15 @@ class Potential:
     zeros lie left of the band.
     """
 
-    __slots__ = ("w", "roots", "axis_critical_points", "off_axis_roots", "lead_phase",
-                 "terms", "off_axis_terms")
+    __slots__ = ("w", "roots", "axis_critical_points", "lead_phase", "terms",
+                 "off_axis_terms")
 
     def __init__(self, w: ComplexPolynomial):
         wp = w.derivative()
         if wp.is_zero:
             raise ZeroPolynomial("w is constant; it has no level-curve geometry")
         self.roots = tuple(roots(wp))
-        on_axis, off_axis, terms, off_axis_terms = [], [], [], []
+        on_axis, terms, off_axis_terms = [], [], []
         for r in self.roots:
             c, k = r.location, r.multiplicity
             term = (c, k, r.cluster_radius)
@@ -154,12 +154,10 @@ class Potential:
                     CriticalPoint(y0, k, lead, "generic" if generic else "non_generic")
                 )
             else:
-                off_axis.append(r)
                 off_axis_terms.append(term)
         on_axis.sort(key=lambda c: c.y0)
         self.w = w
         self.axis_critical_points = tuple(on_axis)
-        self.off_axis_roots = tuple(off_axis)
         self.terms = tuple(terms)
         self.off_axis_terms = tuple(off_axis_terms)
         lc = wp.coeffs[-1]

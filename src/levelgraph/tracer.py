@@ -142,9 +142,7 @@ def _root_bound(w: ComplexPolynomial) -> float:
     )
 
 
-def _escape_radius(w: ComplexPolynomial, seed: complex, radius) -> float:
-    if radius is not None and radius > 0:
-        return float(radius)
+def _escape_radius(w: ComplexPolynomial, seed: complex) -> float:
     # never start outside the escape circle
     return max(config.TOL.trace_radius_factor * (1.0 + _root_bound(w)), 1.25 * (abs(seed) + 1.0))
 
@@ -167,7 +165,6 @@ def _trace(
     kind: str,
     direction: int,
     level: float,
-    radius=None,
     target=None,
 ) -> Polyline:
     # Re w' = Im(i w'), so both kinds are a level set of Im of one polynomial
@@ -184,7 +181,7 @@ def _trace(
     seed_scale = 1.0 + abs(seed)
 
     u0 = _correct(field, grad, ftol, seed, config.TOL.seed_snap * seed_scale)
-    if u0 is None or abs(u0 - seed) > config.TOL.seed_snap * seed_scale:
+    if u0 is None:
         raise SeedNotOnCurve(
             f"seed {seed!r} does not lie near the requested {kind} curve"
         )
@@ -192,7 +189,7 @@ def _trace(
     if abs(g0) <= 1e-300:
         raise SeedNotOnCurve(f"the curve degenerates at the seed {seed!r}")
 
-    escape = _escape_radius(w, u0, radius)
+    escape = _escape_radius(w, u0)
     h_max = config.TOL.step_max * (1.0 + escape)
     # a step from inside the escape circle moves at most h_max, and its
     # corrector at most 4 h_max more, so ftol is never needed farther out
@@ -306,22 +303,21 @@ def trace_level(
     kind: str = "level",
     direction: int = 1,
     level: float = 0.0,
-    radius: float | None = None,
 ) -> Polyline:
     """Trace the {Im w = level} (or {Re w' = level}) curve through seed.
 
     ``direction`` picks the initial heading by the sign of Re(tangent)
     (falling back to Im when the tangent starts out vertical).  The trace
-    runs until it arrives somewhere meaningful -- see Polyline.  A radius
-    that is None or not positive is derived from the coefficients of w.
-    Raises ValueError when the radius is so large that the corrector
-    tolerance would overflow a double within one step past it.
+    runs until it arrives somewhere meaningful -- see Polyline; the escape
+    radius is derived from Fujiwara's bound on the roots of w.  Raises
+    ValueError when that radius is so large that the corrector tolerance
+    would overflow a double within one step past it.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     if kind not in ("level", "vertical_tangent"):
         raise ValueError(f"unknown curve kind {kind!r}")
-    return _trace(w, complex(seed), kind, direction, float(level), radius)
+    return _trace(w, complex(seed), kind, direction, float(level))
 
 
 def graphical_connection(w: ComplexPolynomial, z1, z2) -> GraphCheck:

@@ -13,9 +13,19 @@ from levelgraph.kempf_ness import (
     BackgroundSigma,
     GridFunction,
     _check_sigma,
-    _diff_matrix,
-    _full_values,
+    _reference_operator,
 )
+
+
+def _node_rows(g: GridFunction) -> np.ndarray:
+    """d/dx at the nodes of g, acting on the values at a, the nodes and b."""
+    inner, left, right = _reference_operator(len(g.nodes))
+    return np.column_stack([left, inner, right]) * (2.0 / (g.b - g.a))
+
+
+def _with_ends(g: GridFunction) -> np.ndarray:
+    """Heights at a, the nodes and b: the layout _node_rows acts on."""
+    return np.concatenate([[g.boundary[0]], g.values, [g.boundary[1]]])
 
 
 def _path_arrays(path, times):
@@ -25,19 +35,19 @@ def _path_arrays(path, times):
     if not np.all(np.diff(times) > 0):
         raise ValueError("times must increase strictly")
     base = path[0]
-    full = np.stack([_full_values(g) for g in path])
+    full = np.stack([_with_ends(g) for g in path])
     return times, base, full
 
 
-def _graph_rates(phi_full, wp, dmat, x, sig, f0_full):
+def _graph_rates(phi_full, wp, rows, x, sig, f0_full):
     """d/dx Re(w(z_f)) and Im(w'(z_f)) on the graph f = f0 + sigma d(phi)/dx."""
     fvals = f0_full.copy()
-    fvals[1:-1] += sig * (dmat @ phi_full)[1:-1]
+    fvals[1:-1] += sig * (rows @ phi_full)
     d = wp(x + 1j * fvals[1:-1])
-    return d.real - (dmat @ fvals)[1:-1] * d.imag, d.imag
+    return d.real - (rows @ fvals) * d.imag, d.imag
 
 
-def _geodesic_sup(full, times, wp, dmat, x, sig, f0_full) -> float:
+def _geodesic_sup(full, times, wp, rows, x, sig, f0_full) -> float:
     """Sup geodesic defect of potentials stacked row by row in full."""
     sup = 0.0
     for k in range(1, len(times) - 1):
@@ -46,8 +56,8 @@ def _geodesic_sup(full, times, wp, dmat, x, sig, f0_full) -> float:
         acc = 2.0 * (dm * full[k + 1] - (dm + dp) * full[k] + dp * full[k - 1])
         acc /= dm * dp * (dm + dp)
         vel = (full[k + 1] - full[k - 1]) / (dm + dp)
-        dre, dim = _graph_rates(full[k], wp, dmat, x, sig, f0_full)
-        term2 = (dmat @ vel)[1:-1] ** 2 * sig * dim
+        dre, dim = _graph_rates(full[k], wp, rows, x, sig, f0_full)
+        term2 = (rows @ vel) ** 2 * sig * dim
         sup = max(sup, float(np.max(np.abs(acc[1:-1] * dre + term2))))
     return sup
 
@@ -62,8 +72,8 @@ def geodesic_residual(path, times, w, sigma: BackgroundSigma, f0: GridFunction) 
     wp = w.derivative()
     times, base, full = _path_arrays(path, times)
     _check_sigma(base, sigma)
-    dmat = _diff_matrix(base)
-    return _geodesic_sup(full, times, wp, dmat, base.nodes, sigma.values, _full_values(f0))
+    return _geodesic_sup(full, times, wp, _node_rows(base), base.nodes, sigma.values,
+                         _with_ends(f0))
 
 
 # relax_geodesic: stop below this sup residual, or after this many sweeps;
@@ -90,30 +100,30 @@ def relax_geodesic(
     """
     wp = w.derivative()
     _check_sigma(phi0, sigma)
-    dmat = _diff_matrix(phi0)
+    rows = _node_rows(phi0)
     x = phi0.nodes
     sig = sigma.values
-    f0_full = _full_values(f0)
+    f0_full = _with_ends(f0)
     times = np.linspace(0.0, 1.0, n_times)
     dt = times[1] - times[0]
 
     full = np.stack([
-        (1.0 - t) * _full_values(phi0) + t * _full_values(phi1) for t in times
+        (1.0 - t) * _with_ends(phi0) + t * _with_ends(phi1) for t in times
     ])
 
     for sweep in range(_GEODESIC_MAX_SWEEPS):
         for k in range(1, n_times - 1):
             vel = (full[k + 1] - full[k - 1]) / (2.0 * dt)
-            dre, dim = _graph_rates(full[k], wp, dmat, x, sig, f0_full)
+            dre, dim = _graph_rates(full[k], wp, rows, x, sig, f0_full)
             if np.any(dre <= 0):
                 raise ValueError("relaxation path left the membership region")
-            src = -((dmat @ vel)[1:-1] ** 2) * sig * dim / dre
+            src = -((rows @ vel) ** 2) * sig * dim / dre
             target = 0.5 * (full[k + 1][1:-1] + full[k - 1][1:-1] - dt * dt * src)
             full[k][1:-1] = (
                 (1.0 - _GEODESIC_DAMPING) * full[k][1:-1] + _GEODESIC_DAMPING * target
             )
         if sweep % 20 == 19 or sweep == _GEODESIC_MAX_SWEEPS - 1:
-            if _geodesic_sup(full, times, wp, dmat, x, sig, f0_full) < _GEODESIC_TOL:
+            if _geodesic_sup(full, times, wp, rows, x, sig, f0_full) < _GEODESIC_TOL:
                 break
     path = [
         GridFunction(phi0.a, phi0.b, x, row[1:-1], (row[0], row[-1])) for row in full

@@ -62,10 +62,27 @@ def _direct_diff_matrix(full_x):
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.3), (0.5, 4.0), (1.0, 2.0)])
 def test_scaled_reference_diff_matrix_matches_direct_build(a, b):
+    # the cached operator is the node rows of the matrix: its interior
+    # block and the columns of a and b
     f = make_grid_function(a, b, lambda x: 0.0 * x)
-    direct = _direct_diff_matrix(np.concatenate([[a], f.nodes, [b]]))
-    scaled = kempf_ness._diff_matrix(f)
+    direct = _direct_diff_matrix(np.concatenate([[a], f.nodes, [b]]))[1:-1]
+    inner, left, right = kempf_ness._reference_operator(len(f.nodes))
+    scaled = np.column_stack([left, inner, right]) * (2.0 / (b - a))
     assert np.max(np.abs(scaled - direct)) <= 1e-11 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.3), (0.5, 4.0), (1.0, 2.0)])
+def test_derivative_values_match_direct_build(a, b):
+    # the direct build applied to the full values (end heights included),
+    # in the same subtraction form; each row's error is bounded relative to
+    # the sum of its terms' magnitudes
+    for n in (9, 17, 33, 65, 129, 257):
+        f = make_grid_function(a, b, np.sin, n=n)
+        full = np.concatenate([[f.boundary[0]], f.values, [f.boundary[1]]])
+        direct = _direct_diff_matrix(np.concatenate([[a], f.nodes, [b]]))[1:-1]
+        terms = direct * (full[None, :] - f.values[:, None])
+        err = np.abs(derivative_values(f) - terms.sum(axis=1))
+        assert np.all(err <= 1e-12 * np.abs(terms).sum(axis=1)), n
 
 
 def test_gauss_rule_solved_once_per_grid_size(monkeypatch):
@@ -78,7 +95,7 @@ def test_gauss_rule_solved_once_per_grid_size(monkeypatch):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     kempf_ness._reference_rule.cache_clear()
-    kempf_ness._reference_diff_matrix.cache_clear()
+    kempf_ness._reference_operator.cache_clear()
     try:
         first = make_grid_function(0.0, 1.3, lambda x: np.sin(x), n=41)
         second = make_grid_function(0.5, 4.0, lambda x: np.sin(x), n=41)
@@ -86,7 +103,7 @@ def test_gauss_rule_solved_once_per_grid_size(monkeypatch):
         derivative_values(second)
     finally:
         kempf_ness._reference_rule.cache_clear()
-        kempf_ness._reference_diff_matrix.cache_clear()
+        kempf_ness._reference_operator.cache_clear()
     assert calls == [41]
     xi, wt = leggauss(41)
     assert np.array_equal(second.nodes, 0.5 * (0.5 + 4.0) + 0.5 * (4.0 - 0.5) * xi)

@@ -473,22 +473,21 @@ def test_phase_ends_within_rounding_bound(case):
             continue
         lo, hi, spread, rounding = ends
         if on_axis:
-            terms = pot.off_axis_roots
+            terms = pot.off_axis_terms
             offset = mpmath.mpf(sum(cp.order for cp in pot.axis_critical_points) - 1) / 2
         else:
-            terms = pot.roots
+            terms = pot.terms
             offset = mpmath.mpf(-0.5)
         with mpmath.workdps(50):
             pi = mpmath.pi
             arg = mpmath.atan2(lc.imag, lc.real)
             angles, exact_spread = [], mpmath.mpf(0)
-            for r in terms:
-                dx = mpmath.mpf(z.real) - r.location.real
-                dy = mpmath.mpf(z.imag) - r.location.imag
-                angles.append(r.multiplicity * mpmath.atan2(dy, dx))
-                exact_spread += r.multiplicity * mpmath.asin(
-                    r.cluster_radius / mpmath.sqrt(dx * dx + dy * dy))
-            n = sum(r.multiplicity for r in terms)
+            for c, k, r in terms:
+                dx = mpmath.mpf(z.real) - c.real
+                dy = mpmath.mpf(z.imag) - c.imag
+                angles.append(k * mpmath.atan2(dy, dx))
+                exact_spread += k * mpmath.asin(r / mpmath.sqrt(dx * dx + dy * dy))
+            n = sum(k for _, k, _ in terms)
             exact_ends = (arg / pi + offset - mpmath.mpf(n) / 2,
                           (arg + mpmath.fsum(angles)) / pi + offset)
             exact_spread /= pi

@@ -101,10 +101,15 @@ def test_trace_rejects_overflowing_seed(kind):
 
 @pytest.mark.parametrize("kind, seed", [("level", 1 + 0j), ("vertical_tangent", 1 + 1j)])
 def test_trace_rejects_a_radius_whose_tolerance_overflows(kind, seed):
-    # the seed is fine, but a trace run out to |u| = 1e300 would overflow
-    # the corrector tolerance (1 + |u|)^3 on its way
-    with pytest.raises(ValueError, match=r"trace radius 1e\+300 is too large"):
-        trace_level(CUBE_THIRD, seed, kind=kind, radius=1e300)
+    # the seed is fine, but a leading coefficient of 1e-200 puts Fujiwara's
+    # bound, and with it the derived radius, past 1e200: a trace run out
+    # that far would overflow the corrector tolerance (1 + |u|)^deg
+    coeffs, radius = {
+        "level": ([0, 1, 1e-200], r"8e\+200"),
+        "vertical_tangent": ([0, 0, 0, 1 / 3, 1e-200], r"2\.6666666666666667e\+200"),
+    }[kind]
+    with pytest.raises(ValueError, match=rf"trace radius {radius} is too large"):
+        trace_level(ComplexPolynomial(coeffs), seed, kind=kind)
 
 
 def test_trace_rejects_unknown_kind():

@@ -29,14 +29,23 @@ exception's text, or a field present on one side only.  It also gives the
 largest relative change |new - old| / |old| over the float (and complex)
 fields of the differing answers.
 
-A last set, ``cli``, does not depend on the seeds and runs once per side:
+The set ``cli`` does not depend on the seeds and runs once per side:
 each of the fixed invocations in ``CLI_SET`` (every subcommand, the README
 examples, ``--out``, each error exit, among them the rejected ``--config``
 option, and negative values) runs ``python -m levelgraph.cli`` in a fresh
 temporary directory, which holds only the input files it names.  Its exit code, stdout, stderr and
 every file in the directory afterwards are compared byte for byte, with
-the checkout's path replaced by a placeholder.  Prints one line per
-differing invocation and one summary line.
+the checkout's path and the temporary directory replaced by placeholders.
+Prints one line per differing invocation and one summary line.
+
+A last set, ``demos``, runs each ``demos/*.py`` of either checkout against
+that checkout's ``src`` package, from a fresh temporary copy of the script
+in a directory of its own, as ``tests/test_demos.py`` does.  Its exit
+code, stdout, stderr and the files it leaves beside the copy are compared
+byte for byte, with the checkout's path and the temporary directory
+replaced by placeholders; a demo that only one checkout has differs.  It is
+the one set that shows ``membership`` and ``second_variation_at`` as the
+demos print them.  Prints one line per differing demo and one summary line.
 
 Exits with status 0 when every answer matches byte for byte and 1 when one
 does not.
@@ -50,6 +59,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -227,39 +237,76 @@ def _answers(checkout: Path, workload: str, seed: int, count: int) -> list:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
-def _cli_outcome(checkout: Path, argv: list, inputs: dict) -> dict:
-    """Exit code, stdout, stderr and every file left behind by one CLI run
-    in a fresh directory that holds only the input files."""
+def _outcome(checkout: Path, tmp: str, cmd: list, script: str | None = None) -> dict:
+    """Exit code, stdout, stderr and every file but script left in the
+    directory tmp by one run of cmd there against the checkout's sources."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), COLUMNS="80",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(cmd, cwd=tmp, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+    files = {f.name: f.read_bytes() for f in sorted(Path(tmp).iterdir()) if f.name != script}
+
+    def mask(text: bytes) -> bytes:
+        # a traceback names the checkout's files, and a demo its directory
+        text = text.replace(str(checkout).encode(), b"<checkout>")
+        return text.replace(tmp.encode(), b"<tmp>")
+
+    return {"exit": proc.returncode, "stdout": mask(proc.stdout),
+            "stderr": mask(proc.stderr), "files": files}
+
+
+def _cli_outcome(checkout: Path, argv: list, inputs: dict) -> dict:
+    """One CLI run in a fresh directory that holds only the input files."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in inputs.items():
             Path(tmp, name).write_text(text)
-        proc = subprocess.run([sys.executable, "-m", "levelgraph.cli", *argv], cwd=tmp,
-                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        files = {f.name: f.read_bytes() for f in sorted(Path(tmp).iterdir())}
-    # a traceback names the checkout's files
-    place = str(checkout).encode()
-    return {"exit": proc.returncode, "stdout": proc.stdout.replace(place, b"<checkout>"),
-            "stderr": proc.stderr.replace(place, b"<checkout>"), "files": files}
+        return _outcome(checkout, tmp, [sys.executable, "-m", "levelgraph.cli", *argv])
 
 
-def compare_cli(parent: Path, change: Path, shown: int) -> int:
-    """Run the cli set on both checkouts; the number of differing invocations."""
+def _demo_outcome(checkout: Path, name: str):
+    """One run of the checkout's demo from a fresh temporary copy, as
+    tests/test_demos.py runs it; None when the checkout has no such demo."""
+    demo = checkout / "demos" / name
+    if not demo.is_file():
+        return None
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(demo, Path(tmp, name))
+        return _outcome(checkout, tmp, [sys.executable, str(Path(tmp, name))], script=name)
+
+
+def _count_differing(label: str, runs, shown: int) -> int:
+    """Print each differing run of (name, old, new, command) and one summary
+    line; the number of differing runs."""
     bad = []
-    for name, argv, inputs in CLI_SET:
-        old = _cli_outcome(parent, argv, inputs)
-        new = _cli_outcome(change, argv, inputs)
-        diff = [k for k in old if old[k] != new[k]]
+    for name, old, new, command in runs:
+        if old is not None and new is not None:
+            diff = [k for k in old if old[k] != new[k]]
+        else:
+            diff = [] if old is new else ["presence"]
         if not diff:
             continue
         bad.append(name)
         if shown + len(bad) <= SHOW:
             what = ", ".join(f"exit {old[k]} -> {new[k]}" if k == "exit" else k for k in diff)
-            print(f"  cli {name}: {what} differ; levelgraph {' '.join(argv)}")
-    print(f"cli: {len(CLI_SET)} invocations, {len(bad)} differ"
+            print(f"  {label} {name}: {what} differ; {command}")
+    print(f"{label}: {len(runs)} runs, {len(bad)} differ"
           + (f": {', '.join(bad)}" if bad else ""))
     return len(bad)
+
+
+def compare_cli(parent: Path, change: Path, shown: int) -> int:
+    """Run the cli set on both checkouts; the number of differing invocations."""
+    runs = [(name, _cli_outcome(parent, argv, inputs), _cli_outcome(change, argv, inputs),
+             "levelgraph " + " ".join(argv)) for name, argv, inputs in CLI_SET]
+    return _count_differing("cli", runs, shown)
+
+
+def compare_demos(parent: Path, change: Path, shown: int) -> int:
+    """Run every demo of either checkout on both; the number that differ."""
+    names = sorted({p.name for side in (parent, change) for p in (side / "demos").glob("*.py")})
+    runs = [(name, _demo_outcome(parent, name), _demo_outcome(change, name), f"demos/{name}")
+            for name in names]
+    return _count_differing("demos", runs, shown)
 
 
 def compare(parent: Path, change: Path, seeds) -> int:
@@ -294,6 +341,7 @@ def compare(parent: Path, change: Path, seeds) -> int:
                   f"largest relative float change {largest:.3g}")
             differing += bad
     differing += compare_cli(parent, change, differing)
+    differing += compare_demos(parent, change, differing)
     return 0 if differing == 0 else 1
 
 
