@@ -1,4 +1,4 @@
-"""Command-line entry point: classify / trace / flow / dhym / selfcheck.
+"""Command-line entry point: classify / trace / flow / dhym.
 
 Verdicts and reports are printed as single-line JSON on stdout; polylines and
 flow histories go to CSV files named by --out.  The exit code only says
@@ -26,12 +26,11 @@ import sys
 
 import numpy as np
 
-from .cauchy import HalfInteger, RationalFunction, index_on_interval
+from .cauchy import HalfInteger
 from .dhym import CalabiInput, analyze, build_polynomials
 from .errors import LevelGraphError
-from .kempf_ness import default_sigma, j_derivative, make_grid_function, run_flow
-from .landscape import Potential, counting_function
-from .poly import ComplexPolynomial, RealPolynomial, from_roots
+from .kempf_ness import default_sigma, make_grid_function, run_flow
+from .poly import ComplexPolynomial, from_roots
 from .stability import BoundaryData, classify, shift_to_zero_level
 from .tracer import graphical_connection, trace_level
 
@@ -154,26 +153,31 @@ def _cmd_trace(args) -> int:
 
 
 def _interp_f0_from_file(path: str):
-    """Linear interpolant of the x,f rows of a CSV file."""
-    xs, fs = [], []
+    """Linear interpolant of the x,f rows of a CSV file.  The first nonblank
+    row may be a header; every x must be finite and appear once."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh):
-            row = raw.strip()
-            if not row:
-                continue
-            parts = row.split(",")
-            try:
-                xs.append(float(parts[0]))
-                fs.append(float(parts[1]))
-            except (ValueError, IndexError):
-                if lineno == 0:
-                    continue  # header row
-                raise ValueError(f"bad row in {path!r}: {row!r}")
+        rows = [row for row in map(str.strip, fh) if row]
+    xs, fs = [], []
+    for i, row in enumerate(rows):
+        parts = row.split(",")
+        try:
+            x, f = float(parts[0]), float(parts[1])
+        except (ValueError, IndexError):
+            if i == 0:
+                continue  # header row
+            raise ValueError(f"bad row in {path!r}: {row!r}")
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite x in {path!r}: {row!r}")
+        xs.append(x)
+        fs.append(f)
     if len(xs) < 2:
         raise ValueError(f"need at least two samples in {path!r}")
     order = sorted(range(len(xs)), key=xs.__getitem__)
     xs = [xs[i] for i in order]
     fs = [fs[i] for i in order]
+    repeated = [a for a, b in zip(xs, xs[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"repeated x = {repeated[0]!r} in {path!r}")
     return lambda x: np.interp(x, xs, fs)
 
 
@@ -258,152 +262,6 @@ def _cmd_dhym(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selfcheck: a fast battery of cross-module invariants on fixed inputs
-
-
-def _expect(ok: bool, detail) -> None:
-    # a raise, not an assert, so the battery still checks under python -O
-    if not ok:
-        raise AssertionError(detail)
-
-
-def _check_index_hand_case():
-    num = RealPolynomial([-2.0, 0.0, 1.0])
-    den = RealPolynomial([0.0, -1.0, 0.0, 1.0])  # y^3 - y
-    r = RationalFunction(num, den)
-    # simple poles at -1, 0, 1 jumping down, up, down
-    a = index_on_interval(r, -3.0, 3.0)
-    _expect(a == HalfInteger.from_int(-1), f"expected index -1, got {a}")
-    for split in (0.5, 0.0):
-        parts = index_on_interval(r, -3.0, split) + index_on_interval(r, split, 3.0)
-        _expect(parts == a, f"index not additive at {split}: {parts} != {a}")
-
-
-def _check_root_counting():
-    p = (
-        RealPolynomial([1.0, 0.0, 1.0])
-        * RealPolynomial([0.0, 1.0])
-        * RealPolynomial([-3.0, 1.0])
-        * RealPolynomial([2.0, 1.0])
-    )
-    ind = index_on_interval(
-        RationalFunction(p.derivative(), p), -math.inf, math.inf
-    )
-    _expect(float(ind) == 3.0, f"expected 3 distinct real roots, got {ind}")
-
-
-_CUBE = ComplexPolynomial([0.0, 0.0, 0.0, 1.0 / 3.0])
-
-
-def _check_band_labels():
-    pot = Potential(_CUBE)
-    labels = tuple(str(counting_function(pot, p).value) for p in (1.0 + 0.0j, 2.0 + 0.0j))
-    _expect(labels == ("2", "2"), labels)
-
-
-def _check_classify():
-    v = classify(BoundaryData(_CUBE, 1.0, 2.0))
-    _expect(v.verdict == "stable", v)
-    v = classify(BoundaryData(ComplexPolynomial([0.0, 1.0]), 0.0, 1.0))
-    _expect(v.verdict == "stable", v)
-
-
-def _check_tracer():
-    check = graphical_connection(_CUBE, 1.0, 2.0)
-    _expect(check.connected and check.graphical, check)
-
-
-def _check_flow():
-    # w = z: the flow f' = -f is linear with Jacobian -1, which the
-    # exponential steps integrate exactly, so f(t) = f0 e^{-t} and
-    # J(t) = (1 - e^{-2t})/2 * dJ/dt(0), with dJ/dt(0) = -integral f0^2/sigma
-    w = ComplexPolynomial([0.0, 1.0])
-    f0 = make_grid_function(
-        1.0, 2.0, lambda x: 0.3 * np.sin(math.pi * (x - 1.0)), n=65, boundary=(0.0, 0.0),
-    )
-    sigma = default_sigma(1.0, 2.0, f0.nodes)
-    trace = run_flow(f0, w, sigma, stop_tol=1e-8)
-    _expect(trace.residual_sup[-1] < 1e-8, trace.residual_sup[-1])
-    for prev, cur in zip(trace.J_values, trace.J_values[1:]):
-        _expect(cur <= prev, "J increased along the flow")
-    t = trace.times[-1]
-    exact = f0.values * math.exp(-t)
-    err = float(np.max(np.abs(trace.final.values - exact)))
-    _expect(err <= 1e-12 * float(np.max(np.abs(exact))), f"final state off e^-t f0 by {err:.3g}")
-    J_exact = 0.5 * -math.expm1(-2.0 * t) * j_derivative(f0, -f0.values, w, sigma)
-    _expect(abs(trace.J_values[-1] - J_exact) <= 1e-12 * abs(J_exact),
-            (trace.J_values[-1], J_exact))
-
-    # w = z^3/3 is nonlinear, but J depends only on the state:
-    # J(f) = integral of (Re W(x + i f0) - Re W(x + i f)) / sigma, W = z^4/12
-    trace = run_flow(f0, _CUBE, sigma, stop_tol=1e-8)
-    _expect(trace.residual_sup[-1] < 1e-8, trace.residual_sup[-1])
-    for prev, cur in zip(trace.J_values, trace.J_values[1:]):
-        _expect(cur <= prev, "J increased along the cubic flow")
-    big_w = _CUBE.antiderivative()
-    half = 0.5 * (f0.b - f0.a)
-    weights = half * np.polynomial.legendre.leggauss(len(f0.nodes))[1] / sigma.values
-    drop = big_w(f0.nodes + 1j * f0.values).real - big_w(f0.nodes + 1j * trace.final.values).real
-    J_exact = float(np.sum(weights * drop))
-    _expect(abs(trace.J_values[-1] - J_exact) <= 1e-10 * abs(J_exact),
-            (trace.J_values[-1], J_exact))
-
-
-def _check_dhym_hand_case():
-    report = analyze(CalabiInput(1, 0, 1.0, 0.0, 1.0, 0.0))
-    _expect(report.verdict == "exists", report)
-    _expect(report.phi_X == 0.0 and abs(report.phi_Dinf - 0.5) < 1e-9, report)
-    # the closed-form lift is pi - pi/2, exact in floating point
-    _expect(report.phi_P == 0.5, report)
-
-
-def _check_dhym_twisted():
-    report = analyze(CalabiInput(1, 1, 1.0, 0.0, 1.0, 0.0))
-    _expect(report.genericity == "non_generic", report)
-    _expect(report.verdict == "exists" and str(report.ind_Rb) == "1", report)
-
-
-def _check_scale_invariance():
-    lam = 2.5
-    for m, r, x1, x2, b, q in ((1, 0, 1.0, 0.0, 1.0, 0.0), (1, 1, 1.0, 0.0, 1.0, 0.0)):
-        v1 = analyze(CalabiInput(m, r, x1, x2, b, q)).verdict
-        v2 = analyze(CalabiInput(m, r, lam * x1, lam * x2, lam * b, lam * q)).verdict
-        _expect(v1 == v2, (v1, v2))
-
-
-def _check_json_round_trip():
-    text = render_json(analyze(CalabiInput(1, 0, 1.0, 0.0, 1.0, 0.0)))
-    _expect(render_json(json.loads(text)) == text, text)
-
-
-_SELFCHECKS = (
-    ("index_hand_case_and_additivity", _check_index_hand_case),
-    ("index_counts_distinct_real_roots", _check_root_counting),
-    ("band_labels", _check_band_labels),
-    ("classify_hand_cases", _check_classify),
-    ("tracer_connects_level_curve", _check_tracer),
-    ("flow_decays_to_solution", _check_flow),
-    ("dhym_hand_case", _check_dhym_hand_case),
-    ("dhym_twisted_boundary_case", _check_dhym_twisted),
-    ("scale_invariance", _check_scale_invariance),
-    ("json_round_trip", _check_json_round_trip),
-)
-
-
-def _cmd_selfcheck(args) -> int:
-    failures = 0
-    for name, fn in _SELFCHECKS:
-        try:
-            fn()
-        except Exception as exc:  # noqa: BLE001 -- report, don't crash the battery
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"ok {name}")
-    return 1 if failures else 0
-
-
-# ---------------------------------------------------------------------------
 # wiring
 
 
@@ -458,9 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="attach traced and flowed solution samples")
     p.add_argument("--out", default=None, help="also write the JSON here")
     p.set_defaults(fn=_cmd_dhym)
-
-    p = sub.add_parser("selfcheck", help="run the built-in invariant battery")
-    p.set_defaults(fn=_cmd_selfcheck)
 
     return parser
 

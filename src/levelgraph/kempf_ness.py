@@ -68,7 +68,6 @@ __all__ = [
     "derivative_values",
     "default_sigma",
     "membership",
-    "j_derivative",
     "run_flow",
     "second_variation_at",
 ]
@@ -215,14 +214,6 @@ def membership(f: GridFunction, w: ComplexPolynomial):
     vals = d.real - derivative_values(f) * d.imag
     mn = float(np.min(vals))
     return mn > 0.0, mn
-
-
-def j_derivative(f: GridFunction, f_dot, w: ComplexPolynomial, sigma: BackgroundSigma) -> float:
-    """dJ/dt along a path through f with interior velocity f_dot."""
-    _check_sigma(f, sigma)
-    weights = _quadrature_for(f)
-    v = w(f.nodes + 1j * f.values).imag
-    return float(np.sum(weights * np.asarray(f_dot, dtype=float) * v / sigma.values))
 
 
 @dataclass(frozen=True)
@@ -393,10 +384,10 @@ def run_flow(
     The first trial step is one relaxation time 1 / max|Re w'|.
 
     Floating-point overflow and invalid results raise no warning while the
-    flow steps: np.errstate is entered once per call, around the stepping
-    loop.  A trial step that overflows is rejected by its nonfinite error
-    or J increment, and the evaluation of an accepted state is silenced
-    too: a state whose residual overflows raises Diverged anyway.
+    flow runs: np.errstate is entered once per call, around the evaluation
+    of f0 and the stepping loop.  A trial step that overflows is rejected by
+    its nonfinite error or J increment, and the evaluation of a state is
+    silenced too: a state whose residual overflows raises Diverged anyway.
 
     Raises Diverged when the residual passes TOL.flow_diverged, or when
     rejections shrink the step below the rounding of t; and
@@ -449,13 +440,12 @@ def run_flow(
 
     f = f0.values.copy()
     t, jval = 0.0, 0.0
-    k, memb, jac = diag(f)
-    fastest = float(np.abs(jac).max())
-    dt = min(t_max, 1.0 / fastest if fastest > 0.0 else math.inf)
-
     times, js, resids, membs = [], [], [], []
     rejected = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        k, memb, jac = diag(f)
+        fastest = float(np.abs(jac).max())
+        dt = min(t_max, 1.0 / fastest if fastest > 0.0 else math.inf)
         while True:
             size = np.abs(k)
             resid = float(size.max())

@@ -3,8 +3,9 @@
 A potential phi parametrizes the graph f = f0 + sigma d(phi)/dx, and a path
 of potentials is a geodesic when it solves the equation that
 ``geodesic_residual`` measures.  Convexity of the energy along such a path
-is a property of ``levelgraph.kempf_ness`` that the tests check; no verdict
-uses it, so the geodesic code lives here beside those tests.
+is a property of ``levelgraph.kempf_ness`` that the tests check, through
+the energy's rate ``j_derivative``; no verdict uses either, so the geodesic
+code and the rate live here beside those tests.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from levelgraph.kempf_ness import (
     BackgroundSigma,
     GridFunction,
     _check_sigma,
+    _quadrature_for,
     _reference_operator,
 )
 
@@ -129,3 +131,11 @@ def relax_geodesic(
         GridFunction(phi0.a, phi0.b, x, row[1:-1], (row[0], row[-1])) for row in full
     ]
     return times, path
+
+
+def j_derivative(f: GridFunction, f_dot, w, sigma: BackgroundSigma) -> float:
+    """dJ/dt along a path through f with interior velocity f_dot."""
+    _check_sigma(f, sigma)
+    weights = _quadrature_for(f)
+    v = w(f.nodes + 1j * f.values).imag
+    return float(np.sum(weights * np.asarray(f_dot, dtype=float) * v / sigma.values))

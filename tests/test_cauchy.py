@@ -191,6 +191,13 @@ def test_additivity_through_pole():
     left = index_on_interval(h, -1, 0)
     right = index_on_interval(h, 0, 1)
     assert left + right == index_on_interval(h, -1, 1)
+    # (y^2 - 2)/(y^3 - y): simple poles at -1, 0, 1 jumping down, up, down;
+    # additive off the poles and at the pole 0
+    h = rf([-2, 0, 1], [0, -1, 0, 1])
+    whole = index_on_interval(h, -3, 3)
+    assert whole == HalfInteger.from_int(-1)
+    for split in (0.5, 0.0):
+        assert index_on_interval(h, -3, split) + index_on_interval(h, split, 3) == whole, split
 
 
 def test_zero_numerator():

@@ -498,6 +498,47 @@ def test_flow_from_file_decays(capsys, tmp_path):
         assert cur[1] <= prev[1] + 1e-10
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "x,f\n0,0\n1,0.5\n1,-0.5\n2,0\n",
+        "x,f\n0,0\n1,0.5\ninf,5\n2,0\n",
+        "x,f\n0,0\nfoo,1\n2,0\n",
+        "x,f\n1,0.5\n",
+    ],
+    ids=["repeated-x", "infinite-x", "bad-row", "single-sample"],
+)
+def test_flow_rejects_unusable_samples(capsys, tmp_path, rows):
+    f0_file = tmp_path / "f0.csv"
+    f0_file.write_text(rows)
+    target = tmp_path / "flow.csv"
+    rc, out, err = run_cli(
+        capsys,
+        ["flow", "--poly", "0,1", "--z1", "0,0", "--z2", "2,0",
+         "--f0", str(f0_file), "--out", str(target)],
+    )
+    assert rc == 1 and not out
+    assert str(f0_file) in err
+    assert not target.exists()
+
+
+def test_flow_header_after_blank_lines(capsys, tmp_path):
+    # the header is the first nonblank row, wherever it sits
+    outs = []
+    for name, head in (("plain", ""), ("blank", "\n\n")):
+        f0_file = tmp_path / f"{name}.csv"
+        f0_file.write_text(head + "x,f\n0,0\n1,0.5\n2,0\n")
+        target = tmp_path / f"{name}-flow.csv"
+        rc, out, err = run_cli(
+            capsys,
+            ["flow", "--poly", "0,1", "--z1", "0,0", "--z2", "2,0",
+             "--f0", str(f0_file), "--out", str(target)],
+        )
+        assert rc == 0, err
+        outs.append((json.loads(out)["steps"], target.read_text()))
+    assert outs[0] == outs[1]
+
+
 def test_flow_reports_accepted_and_rejected_steps(capsys, tmp_path):
     # w = z^3/3 from a bump of height 0.875 on [0.5, 4]: the first trial
     # step, one relaxation time 1/max|Re w'| = 1/16, is too long for the
@@ -588,46 +629,7 @@ def test_config_option_rejected(capsys, tmp_path, monkeypatch, before):
 
 
 # ---------------------------------------------------------------------------
-# selfcheck and process-level entry
-
-
-def test_selfcheck_passes(capsys):
-    rc, out, err = run_cli(capsys, ["selfcheck"])
-    assert rc == 0, err + out
-    lines = [ln for ln in out.strip().splitlines() if ln]
-    assert len(lines) >= 6
-    assert all(ln.startswith("ok ") for ln in lines)
-
-
-def test_selfcheck_passes_under_optimize():
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "levelgraph.cli", "selfcheck"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.split()
-    assert lines.count("ok") == 10, proc.stdout
-
-
-def test_selfcheck_failure_exits_one_under_optimize():
-    # a broken index must still fail the battery when asserts are stripped
-    script = (
-        "import sys\n"
-        "from levelgraph import cli\n"
-        "from levelgraph.cauchy import HalfInteger\n"
-        "cli.index_on_interval = lambda *args: HalfInteger(0)\n"
-        "sys.exit(cli.main(['selfcheck']))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "FAIL index_hand_case_and_additivity" in proc.stdout
+# process-level entry
 
 
 def test_module_entry_point():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_flow import phi1 as reference_phi1
 from reference_flow import phi3 as reference_phi3
-from reference_geodesic import geodesic_residual, relax_geodesic
+from reference_geodesic import geodesic_residual, j_derivative, relax_geodesic
 
 from levelgraph import kempf_ness
 from levelgraph.errors import Diverged, NonIntegrableEndpoint
@@ -17,7 +18,6 @@ from levelgraph.kempf_ness import (
     default_sigma,
     derivative_values,
     gauss_interior_nodes,
-    j_derivative,
     make_grid_function,
     membership,
     run_flow,
@@ -539,6 +539,19 @@ def test_flow_finite_time_blowup_raises_diverged():
     f0 = GridFunction(A, B, nodes, nodes + 4.0 * sigma.values, (A, B))
     with pytest.raises(Diverged):
         run_flow(f0, ComplexPolynomial([0, 0, 1j]), sigma)
+
+
+def test_flow_overflowing_start_raises_diverged_without_warning():
+    # heights up to 1e308: the slope at the start state overflows, silently
+    # as at every later state, and the residual past TOL.flow_diverged raises
+    f0 = make_grid_function(
+        0.0, 2.0, lambda x: np.interp(x, [0.0, 1.0, 2.0], [0.0, 1e308, 0.0]), boundary=(0.0, 0.0)
+    )
+    sigma = default_sigma(0.0, 2.0, f0.nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged):
+            run_flow(f0, W_LINEAR, sigma)
 
 
 def test_flow_trace_csv():

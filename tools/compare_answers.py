@@ -30,13 +30,15 @@ largest relative change |new - old| / |old| over the float (and complex)
 fields of the differing answers.
 
 The set ``cli`` does not depend on the seeds and runs once per side:
-each of the fixed invocations in ``CLI_SET`` (every subcommand, the README
-examples, ``--out``, each error exit, among them the rejected ``--config``
-option, and negative values) runs ``python -m levelgraph.cli`` in a fresh
-temporary directory, which holds only the input files it names.  Its exit code, stdout, stderr and
-every file in the directory afterwards are compared byte for byte, with
-the checkout's path and the temporary directory replaced by placeholders.
-Prints one line per differing invocation and one summary line.
+each of the fixed invocations in ``CLI_SET`` (the four subcommands
+``classify``, ``trace``, ``flow`` and ``dhym``, the README examples,
+``--out``, each error exit, among them the rejected ``--config`` option,
+and negative values) runs ``python -m levelgraph.cli`` in a fresh
+temporary directory, which holds only the input files it names.  Its exit
+code, stdout, stderr and every file in the directory afterwards are
+compared byte for byte, with the checkout's path and the temporary
+directory replaced by placeholders.  Prints one line per differing
+invocation and one summary line.
 
 A last set, ``demos``, runs each ``demos/*.py`` of either checkout against
 that checkout's ``src`` package, from a fresh temporary copy of the script
@@ -90,7 +92,6 @@ CLI_SET = (
                      "--out", "flow.csv"], {}),
     ("readme-dhym-witness", ["dhym", "--m", "1", "--r", "0", "--xi1", "1", "--xi2", "0",
                              "--b", "1", "--q", "0", "--witness"], {}),
-    ("readme-selfcheck", ["selfcheck"], {}),
     ("classify-roots-out", ["classify", "--roots", "0", "--z1", "0,0", "--z2", "1,0",
                             "--out", "verdict.json"], {}),
     ("trace-wall", ["trace", "--kind", "d0", "--poly", _CUBE, "--seed", "1,1",
@@ -106,7 +107,8 @@ CLI_SET = (
                                   "--z2", "2,0"], {}),
     ("error-trace-without-out", ["trace", "--kind", "c0", "--poly", "0,1", "--seed", "1,0"],
      {}),
-    ("config-rejected", ["--config", "cfg.json", "selfcheck"], {"cfg.json": "{}\n"}),
+    ("config-rejected", ["--config", "cfg.json", "classify", "--poly", "0,1", "--z1", "0,0",
+                         "--z2", "1,0"], {"cfg.json": "{}\n"}),
     ("error-trace-derived-radius-c0", ["trace", "--kind", "c0", "--poly", "0,1,1e-200",
                                        "--seed", "1,0", "--out", "curve.csv"], {}),
     ("error-trace-derived-radius-d0", ["trace", "--kind", "d0", "--poly", _CUBE + ",1e-200",
