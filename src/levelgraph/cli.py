@@ -154,7 +154,8 @@ def _cmd_trace(args) -> int:
 
 def _interp_f0_from_file(path: str):
     """Linear interpolant of the x,f rows of a CSV file.  The first nonblank
-    row may be a header; every x must be finite and appear once."""
+    row may be a header; every x and height must be finite, and every x
+    appear once."""
     with open(path) as fh:
         rows = [row for row in map(str.strip, fh) if row]
     xs, fs = [], []
@@ -168,6 +169,8 @@ def _interp_f0_from_file(path: str):
             raise ValueError(f"bad row in {path!r}: {row!r}")
         if not math.isfinite(x):
             raise ValueError(f"non-finite x in {path!r}: {row!r}")
+        if not math.isfinite(f):
+            raise ValueError(f"non-finite height in {path!r}: {row!r}")
         xs.append(x)
         fs.append(f)
     if len(xs) < 2:

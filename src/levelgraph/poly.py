@@ -136,12 +136,7 @@ class _Polynomial:
         if isinstance(other, self._scalars):
             return type(self)(c * other for c in self.coeffs)
         if not isinstance(other, type(self)):
-            # a real factor widens to complex; a complex one is not narrowed
-            if not isinstance(other, RealPolynomial):
-                return NotImplemented
-            other = other.to_complex()
-        if self.is_zero or other.is_zero:
-            return type(self)([])
+            return NotImplemented
         out = [self._zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -381,7 +376,11 @@ def roots(p: ComplexPolynomial) -> list:
         # rest has no zero at either end, so numpy.roots would strip nothing
         desc = np.array(rest.coeffs[::-1], dtype=complex)
         companion = np.eye(rest.degree, k=-1, dtype=complex)
-        companion[0] = -desc[1:] / desc[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            companion[0] = -desc[1:] / desc[0]
+        if not np.isfinite(companion[0]).all():
+            raise LevelGraphError(f"the leading coefficient {p.coeffs[-1]!r} is too small: "
+                                  "the companion matrix of the root solve overflows a double")
         approx = np.linalg.eigvals(companion).tolist()
     discs, certified = _discs(rest, approx)
     out: list[RootWithMultiplicity] = []

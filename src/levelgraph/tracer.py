@@ -14,15 +14,20 @@ would be constant inside it), so a trace never closes on itself.
 The engine is a standard arc-length continuation: step along the unit
 tangent, then pull the prediction back onto the curve with Newton steps in
 the gradient direction.  Step size is controlled by the turn angle between
-consecutive tangents, with two extra proximity clamps that matter in
-practice: near a critical point of w and near a requested target the step
-is tied to the remaining distance.  Without those clamps the turn-angle
-control happily strides past arrival points, because the interesting
-arrivals (vertical tangencies, critical points) happen along arcs of
-bounded curvature.
+consecutive tangents.  Where a trace ends is decided by one table of stops,
+rows (point, ball, pull, name, reaches_z1) checked in order: first the
+target z1 of ``graphical_connection`` (ball TOL.connect (1 + |z1|), pull
+0.25), where the trace ends as ``target``; then each root c of w' (ball
+TOL.crit_snap (1 + |c|), widened on a level curve to the corrector's
+standoff, pull 0.3), onto which it snaps as ``critical_point``, reaching z1
+when |c - z1| <= max(2 TOL.crit_snap (1 + |c|), TOL.connect (1 + |z1|)).  A
+trace ends by the first row whose ball holds its endpoint, and each step is
+cut to max(pull |u - point|, ball / 2): without that clamp the turn-angle
+control strides past arrival points, which lie on arcs of bounded curvature.
 
 Traces stay in the closed right half-plane: a step that crosses the
-imaginary axis is clipped onto it and the trace ends there.
+imaginary axis is clipped onto it and the trace ends there, by the stop
+whose ball holds the clip if there is one.
 """
 
 from __future__ import annotations
@@ -165,8 +170,9 @@ def _trace(
     kind: str,
     direction: int,
     level: float,
-    target=None,
-) -> Polyline:
+    targets=(),
+):
+    """(Polyline, whether the stop the trace ended by reaches a target)."""
     # Re w' = Im(i w'), so both kinds are a level set of Im of one polynomial
     base = w if kind == "level" else 1j * w.derivative()
     field, grad, ftol = _make_field(base, level)
@@ -203,10 +209,13 @@ def _trace(
             f"trace radius {escape!r} is too large: the {kind} corrector tolerance "
             f"overflows a double at distance {far!r} from the origin"
         )
-    crit = []
+    # the table of stops, in the order they are checked
+    aims = [(z, config.TOL.connect * (1.0 + abs(z)), 0.25, "target", True) for z in targets]
+    stops = list(aims)
     for r in roots(w.derivative()):
         c, k = r.location, r.multiplicity
         snap = config.TOL.crit_snap * (1.0 + abs(c))
+        reaches = any(abs(c - z) <= max(2.0 * snap, ball) for z, ball, *_ in aims)
         if kind == "level":
             # An arc traced at the critical level rounds the corner at a
             # standoff distance set by the corrector tolerance: the level
@@ -217,9 +226,7 @@ def _trace(
             if abs(lead) > 1e-300:
                 standoff = (ftol(c) / abs(lead)) ** (1.0 / (k + 1))
                 snap = max(snap, 4.0 * standoff)
-        crit.append((c, snap))
-
-    conn_tol = config.TOL.connect * (1.0 + abs(target)) if target is not None else 0.0
+        stops.append((c, snap, 0.3, "critical_point", reaches))
 
     tangent = _orient(_unit_tangent(g0), direction)
     h = config.TOL.step_initial * seed_scale
@@ -227,12 +234,11 @@ def _trace(
     max_turn = config.TOL.max_turn_angle
 
     def arrival(u):
-        if target is not None and abs(u - target) <= conn_tol:
-            return "target", u
-        for c, snap in crit:
-            if abs(u - c) <= snap:
-                return "critical_point", c
-        return None, None
+        # a target ends the trace at u, a critical point at the point itself
+        for point, ball, _, name, reaches in stops:
+            if abs(u - point) <= ball:
+                return name, (u if name == "target" else point), reaches
+        return None, None, False
 
     pts = [u0]
     terminated = "step_limit"
@@ -241,7 +247,7 @@ def _trace(
         u = pts[-1]
 
         # --- arrival checks on the current endpoint ---------------------
-        kind_hit, snapped = arrival(u)
+        kind_hit, snapped, reached = arrival(u)
         if kind_hit is not None:
             if pts[-1] != snapped:
                 pts.append(snapped)
@@ -253,10 +259,8 @@ def _trace(
 
         # --- proximity clamps: approach arrivals geometrically ----------
         h_step = min(h, h_max)
-        for c, snap in crit:
-            h_step = min(h_step, max(0.3 * abs(u - c), 0.5 * snap))
-        if target is not None:
-            h_step = min(h_step, max(0.25 * abs(u - target), 0.5 * conn_tol))
+        for point, ball, pull, _, _ in stops:
+            h_step = min(h_step, max(pull * abs(u - point), 0.5 * ball))
 
         # --- predictor / corrector with turn-angle control ---------------
         while True:
@@ -268,9 +272,9 @@ def _trace(
                 g = grad(u_new)
                 if abs(g) > 1e-300:
                     t_new = _unit_tangent(g)
-                    if t_new.real * tangent.real + t_new.imag * tangent.imag < 0:
-                        t_new = -t_new
                     dot = t_new.real * tangent.real + t_new.imag * tangent.imag
+                    if dot < 0:
+                        t_new, dot = -t_new, -dot
                     turn = math.acos(max(-1.0, min(1.0, dot)))
                     if turn > max_turn:
                         t_new = None
@@ -284,9 +288,9 @@ def _trace(
 
         if u_new.real < 0.0 <= u.real:
             clip = _clip_to_axis(field, grad, u, u_new)
-            # a clip landing inside an arrival ball is that arrival
-            kind_hit, snapped = arrival(clip)
-            pts.append(snapped if kind_hit == "critical_point" else clip)
+            # a clip landing inside a stop's ball is that stop
+            kind_hit, snapped, reached = arrival(clip)
+            pts.append(snapped if kind_hit else clip)
             terminated = kind_hit or "y_axis"
             break
 
@@ -294,7 +298,7 @@ def _trace(
         tangent = t_new
         h = min(h_step * _GROW, h_max) if turn < 0.5 * max_turn else h_step
 
-    return Polyline(tuple(pts), kind, terminated)
+    return Polyline(tuple(pts), kind, terminated), reached
 
 
 def trace_level(
@@ -317,7 +321,7 @@ def trace_level(
         raise ValueError("direction must be +1 or -1")
     if kind not in ("level", "vertical_tangent"):
         raise ValueError(f"unknown curve kind {kind!r}")
-    return _trace(w, complex(seed), kind, direction, float(level))
+    return _trace(w, complex(seed), kind, direction, float(level))[0]
 
 
 def graphical_connection(w: ComplexPolynomial, z1, z2) -> GraphCheck:
@@ -329,16 +333,7 @@ def graphical_connection(w: ComplexPolynomial, z1, z2) -> GraphCheck:
     """
     z1 = complex(z1)
     z2 = complex(z2)
-    line = _trace(w, z2, "level", -1, w(z2).imag, target=z1)
-    last = line.points[-1]
-    if line.terminated_by == "target":
-        connected = True
-    elif line.terminated_by == "critical_point":
-        snap = config.TOL.crit_snap * (1.0 + abs(last))
-        connected = abs(last - z1) <= max(2.0 * snap, config.TOL.connect * (1.0 + abs(z1)))
-    else:
-        connected = False
-
+    line, connected = _trace(w, z2, "level", -1, w(z2).imag, (z1,))
     dxs = [a.real - b.real for a, b in zip(line.points, line.points[1:])]
     min_dx = min(dxs) if dxs else 0.0
     slack = config.TOL.graph_slack * (1.0 + abs(z2))

@@ -91,7 +91,15 @@ def roots(p):
         return []
     m = next(k for k, c in enumerate(p.coeffs) if c != 0)
     rest = ComplexPolynomial(p.coeffs[m:])
-    approx = [complex(z) for z in np.roots(np.array(rest.coeffs[::-1], dtype=complex))]
+    desc = np.array(rest.coeffs[::-1], dtype=complex)
+    # numpy.roots' companion row, -desc[1:] / desc[0], must be finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(-desc[1:] / desc[0]).all()
+    if not finite:
+        raise LevelGraphError(
+            f"the leading coefficient {p.coeffs[-1]!r} is too small: "
+            "the companion matrix of the root solve overflows a double")
+    approx = [complex(z) for z in np.roots(desc)]
     found_discs, certified = discs(rest, approx)
     out = []
     for comp in cluster([(0j, 0.0)] * m + found_discs):

@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from levelgraph.poly import (
     roots,
     taylor_coeffs,
 )
-from levelgraph.errors import ZeroPolynomial
+from levelgraph.errors import LevelGraphError, ZeroPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +452,18 @@ def solve_inputs(draw):
 
 
 @given(solve_inputs())
+# a leading coefficient so small that the companion row overflows
+@example(ComplexPolynomial([1, 2, 3, 1e-310]))
 @settings(max_examples=300, deadline=None)
 def test_roots_match_the_reference_solve(p):
     assert _outcome(roots, p) == _outcome(reference_roots.roots, p)
+
+
+def test_roots_name_a_leading_coefficient_that_overflows_the_companion_row():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LevelGraphError, match=r"leading coefficient \(1e-310\+0j\)"):
+            roots(ComplexPolynomial([1, 2, 3, 1e-310]))
 
 
 # approximations that repeat and that share a real or an imaginary part

@@ -13,6 +13,7 @@ from levelgraph.cauchy import HalfInteger
 from levelgraph.errors import SeedNotOnCurve
 from levelgraph.landscape import Potential, counting_function
 from levelgraph.poly import ComplexPolynomial, from_roots
+from levelgraph.stability import BoundaryData, classify
 from levelgraph.tracer import (
     Polyline,
     _root_bound,
@@ -220,6 +221,135 @@ def test_connection_stable_nongeneric_window():
     chk = graphical_connection(CUBIC_MIXED, 0j, 2 + 0j)
     assert chk.connected and chk.graphical
     assert chk.slope_sup < 50.0
+
+
+@pytest.mark.parametrize("y1, connected", [(1.9e-4, True), (2.1e-4, False)])
+def test_critical_point_reaches_z1_within_twice_its_snap(y1, connected):
+    # the ray ends at the critical point 0, which reaches z1 within
+    # max(2 TOL.crit_snap (1 + |0|), TOL.connect (1 + |z1|)) = 2e-4
+    chk = graphical_connection(CUBE_THIRD, 1j * y1, 2 + 1j * math.sqrt(12))
+    assert chk.trace.terminated_by == "critical_point"
+    assert chk.trace.points[-1] == 0
+    assert chk.connected is connected
+
+
+# ROADMAP item 18: the verdicts inputs of bench/gen.py (seed, index) on which
+# the traced witness disagrees with classify; each trace ends at a critical
+# point.  Each row is w as (re, im) pairs, ascending, then z1 and z2.
+_ITEM_18 = {
+    "seed1-273": (
+        [(0.0, 0.0), (-2.4137877576103106, -2.734869274672698),
+         (-0.7868510557291472, -2.414495400575947), (-3.3389681430931346, -5.1690608839003005),
+         (-2.920494990772799, -3.88321202642293), (-4.04374351805445, -4.764814734710653),
+         (-3.5904109966392777, -2.449937111085433), (-2.6731675218630193, -1.6544558439145778),
+         (-1.7244402580995057, -0.4383575373563262),
+         (-0.7303382915419135, -0.013841434070618823),
+         (-0.24026321788641908, 0.053504367664448424),
+         (-0.03683671434925348, 0.03685530276400659)],
+        (0.0, -1.169117391781748), (1.3061604515563232, -0.15392143372088068)),
+    "seed1-343": (
+        [(0.0, 0.0), (-112.86761263229978, -301.6028916561676),
+         (-48.157576590504206, -279.42701039191866), (-4.318191362398825, -266.4709544514974),
+         (20.895060978328587, -198.21237208268394), (36.066730452212006, -118.9203529482478),
+         (28.244513088696266, -55.52906125441737), (14.687437377280872, -18.62776454818093),
+         (5.137236350749321, -4.628501456333563), (1.093918882656617, -0.765024516156247),
+         (0.12001475441653717, -0.0772884583693735)],
+        (0.0, 1.4611049791514736), (0.23433989394589488, 1.4213618357285085)),
+    "seed1-377": (
+        [(0.0, 0.0), (14.042937960273235, -22.81531263804034),
+         (57.131464425329945, 11.484639442431178), (24.766924638297798, 66.14474194760935),
+         (-24.016953800266243, 54.63022547209586), (-34.36859135205538, 20.764709859225245),
+         (-21.947356018089938, 0.931895829549461), (-9.158135225079729, -3.7640044498157716),
+         (-2.526297658758147, -2.559109579965463), (-0.32148279643199174, -0.8736516528588828),
+         (0.010553262875786153, -0.1461143469306418)],
+        (0.0, 1.2591654244017614), (1.281913356723725, 0.9026920899435762)),
+    "seed1-404": (
+        [(0.0, 0.0), (6.255687110538158, 3.9121556310717316),
+         (-5.098160656972704, 8.152154698544026), (-5.299956039078257, -3.3144645018745074),
+         (1.0750018138986415, -1.7189691886487137), (0.22251349993975902, 0.13915456869835688)],
+        (0.0, 1.4188052372710411), (1.592704647874359, 1.3647895011899265)),
+    "seed1-405": (
+        [(0.0, 0.0), (-0.8695587591699308, -0.5190945160787024),
+         (0.11831282656507203, -2.9593526347483476), (3.5290216300993698, -3.5452226281161843),
+         (6.395897690300134, -1.969740537604924), (7.117167016169423, 0.5784367566229058),
+         (5.603969245490958, 2.097746353619627), (3.3570074040239244, 1.9307855483314733),
+         (1.4832593412939432, 1.019300682651086), (0.43900450706979827, 0.30875199695751054),
+         (0.06878958362965562, 0.046838040561932304)],
+        (0.0, 0.5213198839004762), (0.49785247881598294, 0.16626308365680978)),
+    "seed1-569": (
+        [(0.0, 0.0), (243.80373738617922, 252.58464954762522),
+         (49.59224341554656, 534.5574941987601), (-256.61523832498614, 434.0168817214514),
+         (-289.19348817694805, 145.62041195646128), (-148.7354938356494, -8.213718271859943),
+         (-41.96564711047629, -25.784142545928617), (-5.571615956182463, -9.675168708758605),
+         (-0.0077284920599204054, -1.5418799234364726),
+         (0.049686110956187496, -0.0831146856235152)],
+        (0.0, 1.387395760520002), (2.7668758699266607, 3.1338488107002087)),
+    "seed1-902": (
+        [(0.0, 0.0), (-2.4764362550453742, 1.458862424735661),
+         (-1.6426005948775453, -2.350961339704368), (0.9840756968443799, -0.8164868611725516),
+         (0.15132326662860848, 0.15299568085190013)],
+        (0.0, 1.4499956080146357), (1.0583863701848764, -0.28224958277450324)),
+    "seed1-1023": (
+        [(0.0, 0.0), (6.835662872361324, 40.81293362106115),
+         (-74.2491305816938, 66.06117815775062), (-149.19872099145584, -29.621843820863674),
+         (-83.56739686265165, -148.3459247298486), (47.99467674674954, -140.27856661956463),
+         (93.8595889409083, -37.40890887986171), (45.53485066305582, 26.023477433033143),
+         (2.3274772118869795, 19.7464643908714), (-3.885637133777829, 3.4411389204545904),
+         (-0.8086599334930696, -0.21814899985272446),
+         (-0.01830974259439859, -0.06053170269248986)],
+        (0.0, 1.4416148299125864), (0.442805940711945, 1.4422684910974295)),
+    "seed2-1105": (
+        [(0.0, 0.0), (-0.10300555562591475, 1.059065483750235),
+         (-2.585501380456956, 0.5320586467563392), (-2.0389697268795532, -2.5250534238773326),
+         (-0.27835124105736075, -2.5231052280719215),
+         (0.8289413304640803, -2.4472029320360478), (1.380844834894196, -0.8851143968732295),
+         (0.9202312734373519, -0.3903335677447242), (0.5849382111108722, 0.2989376276962793),
+         (-0.029253872942016312, 0.14677424605787617)],
+        (0.0, 1.2603600394545371), (2.565603865916178, 3.665414834161511)),
+    "seed2-1547": (
+        [(0.0, 0.0), (-0.19057594863805152, 1.8368847936983626),
+         (-0.2467236000574602, 7.406398064559596), (8.371496368591165, 14.90744919303827),
+         (20.33625634624296, 13.860652741111192), (25.17616389328871, 5.0914654829041535),
+         (19.586108097802214, -2.383180982248567), (10.438456930349675, -3.9667996039155256),
+         (3.880202308030521, -2.199644443339439), (0.9580336169890357, -0.6034855410163055),
+         (0.11794393387182238, -0.061673097753904685)],
+        (0.0, -0.7321018443868632), (1.9296536234120438, -0.8426805763326332)),
+    "seed2-2913": (
+        [(0.0, 0.0), (22.28423485893626, 1.8345334526837829),
+         (38.44673936620772, 26.579328451114666), (29.460669572055025, 63.670511019127126),
+         (-9.52924624480973, 77.557690758192), (-40.71414644106776, 49.64465384372686),
+         (-36.72544090149472, 14.547172948634168), (-19.926100376657605, -0.4563538459706657),
+         (-8.45230874047116, -3.795594703171739), (-1.883835181195207, -2.9797908296048226),
+         (0.18786913316660614, -0.8431156666964279),
+         (0.08972529880829111, -0.037855010055808505)],
+        (0.0, 1.4990051742877386), (0.824811840343861, 1.4850444014820379)),
+    "seed2-3317": (
+        [(0.0, 0.0), (2.3159553173161695, -23.09737590301431),
+         (44.138317331744716, -33.343857979902275), (76.90826702112665, 1.2259467091405725),
+         (72.83738813906123, 32.898277484861985), (60.63679838924544, 56.22665842260093),
+         (23.060626460255264, 71.74722551027993), (-16.984798168409743, 47.30489039852345),
+         (-20.419656782430955, 11.227572015945483), (-6.950879660291946, -1.8136490203437472),
+         (-0.6823130779568529, -1.1442529852703236),
+         (0.027947011256584265, -0.10976863739169346)],
+        (0.0, 1.19996449693552), (0.2364287194847369, 1.6322894970083444)),
+    "seed2-3657": (
+        [(0.0, 0.0), (-6.1730991664148736, 4.963489350003037),
+         (-15.004882572563284, -15.510704555384715), (21.097338294994838, -25.380957315364814),
+         (26.235526546757374, 16.709579238475214), (-7.610450430119857, 16.935597887434152),
+         (-6.648734482094505, -1.7648441157330519), (0.11514670398438556, -1.4459674786660501),
+         (0.13271093336718734, -0.015551208946547034)],
+        (0.0, 1.1561976427907419), (1.743659740659735, -0.6157176759348922)),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 18")
+@pytest.mark.parametrize("w, z1, z2", list(_ITEM_18.values()), ids=list(_ITEM_18))
+def test_witness_is_a_graph_exactly_when_classify_says_stable(w, z1, z2):
+    w = ComplexPolynomial(complex(*p) for p in w)
+    z1, z2 = complex(*z1), complex(*z2)
+    chk = graphical_connection(w, z1, z2)
+    verdict = classify(BoundaryData(w, z1, z2)).verdict
+    assert (verdict == "stable") == (chk.connected and chk.graphical)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,11 @@ workload runs, traces the vertical-tangent curve through z2 of the first
 fifth, ``roots``, records ``poly.roots`` of the w' that ``classify`` solves
 (the derivative of the shifted w) for every timed ``verdicts`` input, then
 of w' for every timed ``witness`` input: verdicts show no radius, so this
-set is what shows a change to the root solve byte-equal.  Every
+set is what shows a change to the root solve byte-equal.  A sixth,
+``verdicts-trace``, runs ``graphical_connection`` on the shifted w (as
+``classify`` shifts it), z1 and z2 of every timed ``verdicts`` input: every
+``witness`` trace ends at its target, so this set is what reaches the
+tracer's critical-point, radius and y-axis stops.  Every
 output field is recorded, floats and complex
 numbers by ``repr`` (so a change in the last bit or in the sign of a zero
 shows), nested results field by field, and a raised exception by its type
@@ -77,6 +81,7 @@ COUNTS = {"verdicts": 3750, "dhym-sweep": 6000, "witness": 360,
           "witness-vertical-tangent": 40}
 # the roots set solves w' of the verdicts inputs, then of the witness ones
 COUNTS["roots"] = COUNTS["verdicts"] + COUNTS["witness"]
+COUNTS["verdicts-trace"] = COUNTS["verdicts"]
 # differing answers printed at most, over all workloads and seeds
 SHOW = 10
 
@@ -187,6 +192,20 @@ def _vertical_tangent_set(ops):
     return prepare, run
 
 
+def _verdicts_trace_set(ops):
+    """(prepare, run) tracing z2 toward z1 on the level of the shifted w."""
+    from levelgraph import stability, tracer
+
+    def prepare(data):
+        return stability.shift_to_zero_level(
+            stability.BoundaryData(*ops.prepare_verdicts(data)))
+
+    def run(shifted):
+        return tracer.graphical_connection(shifted.w, shifted.z1, shifted.z2)
+
+    return prepare, run
+
+
 def _roots_inputs(ops, gen, seed: int):
     """(prepare, run, inputs) solving w' of the verdicts, then witness, inputs."""
     from levelgraph import poly, stability
@@ -216,6 +235,9 @@ def dump(src: str, workload: str, seed: int, count: int) -> None:
         if workload == "witness-vertical-tangent":
             prepare, run = _vertical_tangent_set(ops)
             workload = "witness"
+        elif workload == "verdicts-trace":
+            prepare, run = _verdicts_trace_set(ops)
+            workload = "verdicts"
         else:
             prepare, run, _ = ops.WORKLOADS[workload]
         inputs = gen.InputStream(workload, seed).take(count)
