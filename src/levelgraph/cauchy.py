@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DenominatorIdenticallyZero
+from .errors import DenominatorIdenticallyZero, ZeroPolynomial
 from .poly import RealPolynomial, divide_linear
 
 __all__ = [
@@ -231,6 +231,8 @@ def _beside(local: tuple, side: int) -> int:
 
 def one_sided_sign(p: RealPolynomial, y: float, side: int) -> int:
     """Exact sign of a nonzero p just right (side=+1) or left (side=-1) of y."""
+    if p.is_zero:
+        raise ZeroPolynomial("the zero polynomial has no one-sided sign")
     return _beside(_local(_integer_coeffs(p), y), side)
 
 

@@ -152,10 +152,10 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _interp_f0_from_file(path: str):
+def _interp_f0_from_file(path: str, a: float, b: float):
     """Linear interpolant of the x,f rows of a CSV file.  The first nonblank
-    row may be a header; every x and height must be finite, and every x
-    appear once."""
+    row may be a header; every x and height must be finite, every x appear
+    once, and the samples span [a, b]."""
     with open(path) as fh:
         rows = [row for row in map(str.strip, fh) if row]
     xs, fs = [], []
@@ -181,6 +181,11 @@ def _interp_f0_from_file(path: str):
     repeated = [a for a, b in zip(xs, xs[1:]) if a == b]
     if repeated:
         raise ValueError(f"repeated x = {repeated[0]!r} in {path!r}")
+    if xs[0] > a or xs[-1] < b:
+        raise ValueError(
+            f"the samples of {path!r} span [{xs[0]!r}, {xs[-1]!r}], "
+            f"not [Re z1, Re z2] = [{a!r}, {b!r}]"
+        )
     return lambda x: np.interp(x, xs, fs)
 
 
@@ -214,7 +219,7 @@ def _cmd_flow(args) -> int:
         def fn(x):
             return ya + (yb - ya) * (x - a) / (b - a)
     else:
-        fn = _interp_f0_from_file(args.f0)
+        fn = _interp_f0_from_file(args.f0, a, b)
     trace = _flow(data.w, data.z1, data.z2, fn)
     with open(args.out, "w") as fh:
         fh.write(trace.to_csv())
@@ -304,7 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z1", type=_parse_point, required=True, metavar="RE,IM")
     p.add_argument("--z2", type=_parse_point, required=True, metavar="RE,IM")
     p.add_argument("--f0", required=True,
-                   help="'line' for the straight segment, or a CSV file of x,f rows")
+                   help="'line' for the straight segment, or a CSV file of x,f rows "
+                        "spanning [Re z1, Re z2]")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(fn=_cmd_flow)
 

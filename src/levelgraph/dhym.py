@@ -28,8 +28,8 @@ the exact signed-remainder chain of :mod:`levelgraph.cauchy` decides.
 Orientation note: the index machinery in :mod:`levelgraph.cauchy` counts a
 -inf -> +inf jump as +1.  The lift formulas below need the opposite sign --
 a counterclockwise crossing of the Z_X line by w' along an upward ray, which
-shows up as a +inf -> -inf jump of Im(w')/Re(w').  Hence the negations in
-``_ccw_index``.
+shows up as a +inf -> -inf jump of Im(w')/Re(w').  Hence ``_chain_index``
+negates the index it takes.
 """
 
 from __future__ import annotations
@@ -198,16 +198,6 @@ def compute_charges(inp: CalabiInput, P):
 
 
 # ---------------------------------------------------------------------------
-# indices
-
-
-def _ccw_index(re: RealPolynomial, im: RealPolynomial, c: float, d: float) -> HalfInteger:
-    # counterclockwise crossings of {Re = 0}: the +inf -> -inf jumps of im/re,
-    # which the classical index counts with the opposite sign
-    return -index_on_interval(RationalFunction(im, re), c, d)
-
-
-# ---------------------------------------------------------------------------
 # crossing counts of the charge paths' lifts
 
 
@@ -256,11 +246,11 @@ def _crossings_from_line(lift: float, line_angle: float, bound: float, xi: compl
     is w' with t^r cancelled, whose phase is the Z_P path's lift turned so
     that the lines of Z_X are {Re g = 0}, and a = Re g(0): the chain zeroes
     a, which puts the start exactly on a line, and the start's half-jump
-    cancels (_ccw_index negates it and index_one_sided adds it back).  So
-    the index counts the lines F's lift crosses after its start, and with
-    lo = (lift - line_angle)/pi, k0 = round(lo) and hi = 1 - line_angle/pi
-    it is floor(hi) - k0, the lines in (k0, hi] that line_crossings counts
-    from k0 + 1/2, when
+    cancels (the chain negates its index and index_one_sided adds the
+    half-jump back).  So the index counts the lines F's lift crosses after
+    its start, and with lo = (lift - line_angle)/pi, k0 = round(lo) and
+    hi = 1 - line_angle/pi it is floor(hi) - k0, the lines in (k0, hi]
+    that line_crossings counts from k0 + 1/2, when
 
     - F's lift rises strictly for t >= 0.  With u = xi + it and |c| = 1,
       its rate is m Re(1/(u (1 - a/(c u^m)))), which is positive while
@@ -289,28 +279,30 @@ def _crossings_from_line(lift: float, line_angle: float, bound: float, xi: compl
     return (count if rising else None), margin
 
 
-def _chain_index(inp: CalabiInput, wp, theta_hat: float, generic: bool,
-                 axis: bool) -> HalfInteger:
+def _chain_index(inp: CalabiInput, wp, generic: bool, axis: bool) -> HalfInteger:
     """One index from the exact signed-remainder chain alone.
 
-    axis False gives ind_Rb, along the vertical ray above z2 on w' itself.
-    axis True gives ind_R0 along the imaginary axis.  The common factor t^r
-    of Re and Im of w'(it) is cancelled first, leaving g(it),
-    g(z) = e^{-i theta_hat} i^r (xi + z)^m.  A non-generic Re g(0) is zero
-    up to TOL.sign: it is made exact, and the half-jump at t = 0, where the
-    Z_P path starts on the Z_X line, is left out.
+    Restricts wp, the w' that compute_lifts formed, to the vertical ray
+    above z2 (axis False, ind_Rb) or to the imaginary axis (axis True,
+    ind_R0).  On the axis, w' = e^{-i theta_hat} z^r (xi + z)^m has its r
+    lowest coefficients exactly zero (the antiderivative P starts with
+    r + 1 of them, 0/(k + 1) = 0), so dropping them divides t^r out of Re
+    and Im of w'(it) exactly and leaves those of g(it), g(z) = e^{-i
+    theta_hat} i^r (xi + z)^m.  A non-generic Re g(0) is zero up to
+    TOL.sign: it is made exact, and the half-jump at t = 0, where the Z_P
+    path starts on the Z_X line, is left out: index_one_sided adds back
+    what the negated index counts for it.
     """
-    if not axis:
-        re_b, im_b = restrict_to_vertical_line(wp, inp.b)
-        return _ccw_index(re_b, im_b, inp.q, math.inf)
-    g = from_roots([-inp.xi] * inp.m) * (cmath.exp(-1j * theta_hat) * I_POWERS[inp.r % 4])
-    re_0, im_0 = restrict_to_vertical_line(g, 0.0)
-    if generic:
-        return _ccw_index(re_0, im_0, 0.0, math.inf)
-    re_0 = RealPolynomial((0.0,) + re_0.coeffs[1:])
-    return _ccw_index(re_0, im_0, 0.0, math.inf) + index_one_sided(
-        RationalFunction(im_0, re_0), 0.0, +1
-    )
+    re, im = restrict_to_vertical_line(wp, 0.0 if axis else inp.b)
+    if axis:
+        re, im = RealPolynomial(re.coeffs[inp.r:]), RealPolynomial(im.coeffs[inp.r:])
+        if not generic:
+            re = RealPolynomial((0.0,) + re.coeffs[1:])
+    ratio = RationalFunction(im, re)
+    idx = -index_on_interval(ratio, 0.0 if axis else inp.q, math.inf)
+    if axis and not generic:
+        idx += index_one_sided(ratio, 0.0, +1)
+    return idx
 
 
 def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
@@ -355,7 +347,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     fallbacks = 0
     if count is None:
         fallbacks += 1
-        ind_Rb = _chain_index(inp, wp, theta_hat, generic, axis=False)
+        ind_Rb = _chain_index(inp, wp, generic, axis=False)
     else:
         ind_Rb = HalfInteger.from_int(count)
     on_wall = not ind_Rb.is_integer
@@ -381,7 +373,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     line_margin = min(line_margin, margin)
     if count is None:
         fallbacks += 1
-        ind_R0 = _chain_index(inp, wp, theta_hat, generic, axis=True)
+        ind_R0 = _chain_index(inp, wp, generic, axis=True)
     else:
         ind_R0 = HalfInteger.from_int(count)
 

@@ -44,7 +44,6 @@ __all__ = [
     "TangentConeAtInfinity",
     "CountingResult",
     "Potential",
-    "vertical_line_ratio",
     "validate_no_rhp_critical_points",
     "on_axis_critical_points",
     "counting_function",
@@ -97,27 +96,15 @@ class CountingResult:
     exact_fallback: bool
 
 
-def vertical_line_ratio(w: ComplexPolynomial, x0: float) -> RationalFunction:
-    """R_{x0}(y) = Im(w'(x0+iy)) / Re(w'(x0+iy)) as a rational function.
-
-    Raises DegenerateLine when Re(w') vanishes identically on the line.
-    """
-    re, im = restrict_to_vertical_line(w.derivative(), x0)
-    if re.is_zero:
-        raise DegenerateLine(
-            f"Re(w') vanishes identically on the line Re z = {x0!r}"
-        )
-    return RationalFunction(im, re)
-
-
 class Potential:
     """A potential w whose critical points have been found and checked once.
 
-    The constructor makes the one root solve of w' and raises
-    CriticalPointInRHP when a root lies right of the imaginary axis, so every
-    Potential satisfies the standing hypothesis.  It keeps every root of w'
-    in roots and those near the axis in axis_critical_points, ordered by
-    height; lead_phase is the argument of the leading coefficient of w'.
+    The constructor forms w' once, keeps it as wp, makes its one root solve
+    and raises CriticalPointInRHP when a root lies right of the imaginary
+    axis, so every Potential satisfies the standing hypothesis.  It keeps
+    every root of w' in roots and those near the axis in
+    axis_critical_points, ordered by height; lead_phase is the argument of
+    the leading coefficient of w'.  The exact chain reads wp on its line.
     The band labels are phase sums over these roots, whose phase_climb
     terms (location, multiplicity, radius) it keeps once: terms over all
     roots, off_axis_terms over those not near the axis.
@@ -130,7 +117,7 @@ class Potential:
     zeros lie left of the band.
     """
 
-    __slots__ = ("w", "roots", "axis_critical_points", "lead_phase", "terms",
+    __slots__ = ("w", "wp", "roots", "axis_critical_points", "lead_phase", "terms",
                  "off_axis_terms")
 
     def __init__(self, w: ComplexPolynomial):
@@ -157,6 +144,7 @@ class Potential:
                 off_axis_terms.append(term)
         on_axis.sort(key=lambda c: c.y0)
         self.w = w
+        self.wp = wp
         self.axis_critical_points = tuple(on_axis)
         self.terms = tuple(terms)
         self.off_axis_terms = tuple(off_axis_terms)
@@ -245,33 +233,33 @@ def _deflate(p: RealPolynomial, y0: float, times: int) -> RealPolynomial:
 def _exact_index(pot: Potential, z0: complex, on_axis: bool) -> HalfInteger:
     """Index of R over (-inf, Im z0] from the exact signed-remainder chain.
 
-    On the axis, Re w' and Im w' share the factor (y - y_j)^k_j of each
-    critical point, but only up to rounding, so it is divided out of both
-    before the exact index sees them; the ratio is unchanged.  At a
+    The chain reads pot.wp restricted to the line Re z = Re z0, or Re z = 0
+    on the axis.  There Re w' and Im w' share the factor (y - y_j)^k_j of
+    each critical point, but only up to rounding, so it is divided out of
+    both before the exact index sees them; the ratio is unchanged.  At a
     non-generic point the reduced Re w' keeps a simple zero at y_j, the
     point's own pole.  When z0 sits on that point, this zero is divided out
     too, so that the pole lands exactly on the endpoint: the dropped factor
     is negative below y_j, which negates the index of the reduced ratio,
     and the pole's half jump is added from the exact sign of that ratio.
-    Raises DegenerateLine when the division leaves Re w' zero.
+    Raises DegenerateLine when Re w' on the line, so reduced, is zero.
     """
-    y0 = z0.imag
-    ratio = vertical_line_ratio(pot.w, 0.0 if on_axis else z0.real)
-    if not on_axis:
-        return index_on_interval(ratio, -math.inf, y0)
-    re, im = ratio.den, ratio.num
-    pole = pot.critical_point_at(z0)
-    if pole is not None and pole.genericity == "generic":
-        pole = None
-    for cp in pot.axis_critical_points:
-        re = _deflate(re, cp.y0, cp.order + (cp is pole))
-        im = _deflate(im, cp.y0, cp.order)
+    x = 0.0 if on_axis else z0.real
+    re, im = restrict_to_vertical_line(pot.wp, x)
+    pole = None
+    if on_axis:
+        pole = pot.critical_point_at(z0)
+        if pole is not None and pole.genericity == "generic":
+            pole = None
+        for cp in pot.axis_critical_points:
+            re = _deflate(re, cp.y0, cp.order + (cp is pole))
+            im = _deflate(im, cp.y0, cp.order)
     if re.is_zero:
         raise DegenerateLine(
-            f"Re(w') on the axis is zero once its critical-point factors are "
-            f"divided out: {ratio.den.coeffs!r} deflates to the zero polynomial"
+            f"Re(w') on the line Re z = {x!r} deflates to the zero polynomial "
+            f"once the factors of the critical points on it are divided out"
         )
-    idx = index_on_interval(RationalFunction(im, re), -math.inf, y0)
+    idx = index_on_interval(RationalFunction(im, re), -math.inf, z0.imag)
     if pole is not None:
         jump = one_sided_sign(im, pole.y0, -1) * one_sided_sign(re, pole.y0, -1)
         idx = HalfInteger(jump) - idx

@@ -14,7 +14,7 @@ from levelgraph.cauchy import (
     one_sided_sign,
     phase_climb,
 )
-from levelgraph.errors import DenominatorIdenticallyZero
+from levelgraph.errors import DenominatorIdenticallyZero, ZeroPolynomial
 from levelgraph.poly import RealPolynomial
 
 INF = math.inf
@@ -54,6 +54,8 @@ def test_half_integer_arithmetic():
     assert int(b) == 2
     with pytest.raises(ValueError):
         int(a)
+    with pytest.raises(TypeError, match="twice_value must be an int"):
+        HalfInteger(1.5)
 
 
 def test_half_integer_ordering():
@@ -96,6 +98,17 @@ def test_one_sided_sign_at_roots_and_infinity():
     assert (one_sided_sign(p, 1.0, -1), one_sided_sign(p, 1.0, +1)) == (-1, 1)
     assert one_sided_sign(p, 0.5, +1) == -1
     assert (one_sided_sign(p, -INF, +1), one_sided_sign(p, INF, -1)) == (-1, 1)
+    with pytest.raises(ZeroPolynomial, match="zero polynomial has no one-sided sign"):
+        one_sided_sign(RealPolynomial([]), 0.0, 1)
+
+
+def test_index_rejects_bad_sides_and_intervals():
+    h = rf([1], [0, 1])
+    with pytest.raises(ValueError, match="side must be"):
+        index_one_sided(h, 0.0, 0)
+    for c, d in ((1.0, 1.0), (1.0, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="need c < d"):
+            index_on_interval(h, c, d)
 
 
 def test_even_pole_contributes_zero():

@@ -507,9 +507,10 @@ def test_flow_from_file_decays(capsys, tmp_path):
         "x,f\n1,0.5\n",
         "x,f\n0,0\n1,inf\n2,0\n",
         "x,f\n0,0\n1,nan\n2,0\n",
+        "x,f\n0.2,0.5\n0.4,0.5\n",
     ],
     ids=["repeated-x", "infinite-x", "bad-row", "single-sample", "infinite-height",
-         "nan-height"],
+         "nan-height", "short-range"],
 )
 def test_flow_rejects_unusable_samples(capsys, tmp_path, rows):
     f0_file = tmp_path / "f0.csv"

@@ -14,17 +14,18 @@ import levelgraph.config as config
 import levelgraph.dhym as dhym
 import levelgraph.poly as poly
 from levelgraph import cli
-from levelgraph.cauchy import CLIMB_ROUNDING, RationalFunction, index_one_sided
+from levelgraph.cauchy import CLIMB_ROUNDING, HalfInteger, RationalFunction, index_on_interval
+from levelgraph.cauchy import index_one_sided
 from levelgraph.cauchy import line_crossings, phase_climb
 from levelgraph.dhym import (
     CalabiInput,
-    _ccw_index,
     _crossings_from_line,
     _z_x_line,
     analyze,
     build_polynomials,
     compute_charges,
     compute_lifts,
+    decide_existence,
 )
 from levelgraph.errors import BoundaryPointUnreachable, ZeroTotalCharge
 from levelgraph.tracer import graphical_connection
@@ -94,6 +95,15 @@ def test_hand_case_lifts_and_verdict():
     assert report.phi_P == 0.5
     assert report.genericity == "generic"
     assert report.verdict == "exists"
+
+
+def test_half_integer_ray_index_is_the_wall():
+    # z2 on a turning arc: whatever the window, the wall has no solution
+    lifts = dataclasses.replace(lifts_of(CalabiInput(1, 0, 1.0, 0.0, 1.0, 0.0)),
+                                ind_Rb=HalfInteger(1))
+    verdict, notes = decide_existence(lifts, 0)
+    assert verdict == "no_solution"
+    assert len(notes) == 1 and notes[0].startswith("boundary: the vertical-ray index")
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +241,11 @@ def crossings(lift, line_angle, bound):
     """The lines {line_angle + k pi} a lift crosses on its way to pi, counted
     and certified as compute_lifts does."""
     return line_crossings((lift - line_angle) / math.pi, 1 - line_angle / math.pi, bound)
+
+
+def _ccw_index(re, im, c, d):
+    # counterclockwise crossings of {Re = 0}: minus the classical index
+    return -index_on_interval(RationalFunction(im, re), c, d)
 
 
 def exact_chain_indices(inp, w, theta_hat):
@@ -379,6 +394,19 @@ def test_nongeneric_analyze_runs_no_exact_chain(monkeypatch):
     assert calls == []
     assert lifts_of(PLANTED_39).index_fallbacks == 0
     assert calls == []
+
+
+def test_chain_decided_analyze_builds_w_prime_once(monkeypatch):
+    # non-generic, with the Z_X line through the asymptote: the chain
+    # decides both indices, and reads the w' that compute_lifts formed
+    inp = CalabiInput(2, 1, 1.0, 0.0, 1.0, 0.0)
+    assert lifts_of(inp).index_fallbacks == 2
+    calls = []
+    real = dhym.from_roots
+    monkeypatch.setattr(dhym, "from_roots", lambda *a: calls.append(a) or real(*a))
+    report = analyze(inp)
+    assert (report.genericity, report.verdict) == ("non_generic", "exists")
+    assert len(calls) == 1
 
 
 def test_nongeneric_count_needs_a_rising_lift():

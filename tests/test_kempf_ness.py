@@ -14,6 +14,7 @@ from levelgraph import kempf_ness
 from levelgraph.errors import Diverged, NonIntegrableEndpoint
 from levelgraph.kempf_ness import (
     BackgroundSigma,
+    FlowTrace,
     GridFunction,
     default_sigma,
     derivative_values,
@@ -208,6 +209,27 @@ def test_grid_function_validation():
     for boundary in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)):
         with pytest.raises(ValueError, match="nonfinite boundary"):
             make_grid_function(0.0, 1.0, lambda x: 0 * x, n=9, boundary=boundary)
+    with pytest.raises(ValueError, match="nonfinite height values"):
+        make_grid_function(0.0, 1.0, lambda x: math.nan * x, n=9)
+    with pytest.raises(ValueError, match="need at least two interior nodes"):
+        make_grid_function(0.0, 1.0, lambda x: 0 * x, n=1)
+
+
+def test_flow_and_second_variation_reject_sigma_on_another_grid():
+    f = make_grid_function(A, B, lambda x: 0.0 * x, n=9)
+    _, sigma = _setup(17)
+    with pytest.raises(ValueError, match="sigma grid does not match the function grid"):
+        run_flow(f, W_LINEAR, sigma)
+    with pytest.raises(ValueError, match="sigma grid does not match the function grid"):
+        second_variation_at(f, f, W_LINEAR, sigma)
+
+
+def test_flow_trace_checks_its_columns():
+    f = make_grid_function(A, B, lambda x: 0.0 * x, n=9)
+    with pytest.raises(ValueError, match="equal length"):
+        FlowTrace([0.0], [0.0, -1.0], [0.0], [1.0], f)
+    with pytest.raises(ValueError, match="relative to the start"):
+        FlowTrace([0.0], [1.0], [0.0], [1.0], f)
 
 
 def test_diff_matrix_rejects_other_grids():

@@ -11,6 +11,7 @@ from reference_index import index_at_point
 from levelgraph import cauchy, config, poly
 from levelgraph.cauchy import HalfInteger, RationalFunction, line_crossings
 from levelgraph.errors import CriticalPointInRHP, DegenerateLine, LevelGraphError
+from levelgraph.errors import ZeroPolynomial
 from levelgraph.landscape import (
     Potential,
     _exact_index,
@@ -19,7 +20,6 @@ from levelgraph.landscape import (
     on_axis_critical_points,
     tangent_cone_at_infinity,
     validate_no_rhp_critical_points,
-    vertical_line_ratio,
 )
 from levelgraph.poly import ComplexPolynomial, from_roots, restrict_to_vertical_line
 from levelgraph.stability import BoundaryData, classify, shift_to_zero_level
@@ -170,9 +170,8 @@ def test_one_off_checks_agree_with_potential():
     ],
 )
 def test_critical_point_index_contribution(wp_coeffs, expect):
-    w = ComplexPolynomial(wp_coeffs).antiderivative()
-    ratio = vertical_line_ratio(w, 0.0)
-    assert index_at_point(ratio, 0.0) == HalfInteger.from_int(expect)
+    re, im = restrict_to_vertical_line(ComplexPolynomial(wp_coeffs), 0.0)
+    assert index_at_point(RationalFunction(im, re), 0.0) == HalfInteger.from_int(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +255,14 @@ def test_cone_of_square_touches_axis():
     assert cone.genericity == "non_generic"
 
 
+def test_constant_w_has_no_cone_and_no_verdict():
+    w = ComplexPolynomial([1 + 2j])
+    with pytest.raises(ZeroPolynomial, match="w must be nonconstant"):
+        tangent_cone_at_infinity(w)
+    with pytest.raises(ZeroPolynomial, match="w is constant"):
+        classify(BoundaryData(w, 0j, 1 + 0j))
+
+
 def test_cone_vertex_is_root_mean():
     w = from_roots([1 + 1j, 1 + 1j, 1 + 1j])  # (z-(1+i))^3
     cone = tangent_cone_at_infinity(w)
@@ -305,8 +312,8 @@ def test_count_region_constancy_near_point(n, y0, x0):
     # the point is well off every curve and every pole
     w = ComplexPolynomial([0] * n + [1.0 / n])
     z0 = complex(x0, y0)
-    ratio = vertical_line_ratio(w, x0)
-    assume(abs(ratio.den(y0)) > 1e-3)
+    re, _ = restrict_to_vertical_line(w.derivative(), x0)
+    assume(abs(re(y0)) > 1e-3)
     assume(abs(w.derivative()(z0)) > 1e-3)
     assume(abs((restrict_to_vertical_line(w, x0)[1])(y0)) > 1e-3)
     pot = Potential(w)

@@ -243,29 +243,60 @@ def test_nongeneric_critical_unstable():
 # work done: one verdict, one solve of w' = 0
 
 
-@pytest.mark.parametrize("on_critical_point", [True, False])
-def test_classify_solves_w_prime_once(monkeypatch, on_critical_point):
+# verdicts seed 1 input 1616 (bench/gen.py): a planted double axis root of w'
+# whose disc is too wide to certify the phase sum, so the z2 label falls back
+# to the exact chain
+FALLBACK_1616 = BoundaryData(
+    ComplexPolynomial([0, complex(-0.9763168428237886, 2.082063962473882),
+                       complex(-1.4010367503604904, -0.6569710640237899),
+                       complex(0.14736028306692178, -0.31425611176203333)]),
+    1.7439334496345507j, complex(2.9211556824970453, -0.8268307972808214))
+
+
+def _classify_counting_work(monkeypatch, data):
+    """(verdict, root solves, cubics differentiated, exact-chain labels)."""
     import levelgraph.landscape as landscape
 
-    calls = []
+    calls, formed, fallbacks = [], [], []
     real_roots = landscape.roots
     monkeypatch.setattr(landscape, "roots", lambda p: calls.append(p) or real_roots(p))
+    real_exact_index = landscape._exact_index
+    monkeypatch.setattr(landscape, "_exact_index",
+                        lambda *a: fallbacks.append(a) or real_exact_index(*a))
+    # the derivatives of a cubic are the w' formed; roots forms those of w'
+    # itself, for the Newton pass at its double root
+    real_derivative = poly._Polynomial.derivative
+    monkeypatch.setattr(poly._Polynomial, "derivative",
+                        lambda p: formed.append(p) or real_derivative(p))
+    res = classify(data)
+    return res, len(calls), [p.degree for p in formed].count(3), len(fallbacks)
+
+
+@pytest.mark.parametrize("on_critical_point", [True, False])
+def test_classify_solves_w_prime_once(monkeypatch, on_critical_point):
     if on_critical_point:
         data = BoundaryData(CUBE_THIRD, 0j, 2 + 0j)
     else:
         # Im w(1 + iy) = (3y - y^3)/3 meets Im w(i) = -1/3 at y^3 - 3y - 1 = 0
         y2 = _bisect(lambda y: y**3 - 3 * y - 1, 1.5, 2.0)
         data = BoundaryData(CUBE_THIRD, 1j, 1 + 1j * y2)
-    # the derivatives of a cubic are the w' formed; roots forms those of w'
-    # itself, for the Newton pass at its double root
-    formed = []
-    real_derivative = poly._Polynomial.derivative
-    monkeypatch.setattr(poly._Polynomial, "derivative",
-                        lambda p: formed.append(p) or real_derivative(p))
-    res = classify(data)
+    res, solves, formed, fallbacks = _classify_counting_work(monkeypatch, data)
     assert res.case == ("generic_critical" if on_critical_point else "noncritical")
-    assert len(calls) == 1
-    assert [p.degree for p in formed].count(3) == 1
+    assert (solves, formed, fallbacks) == (1, 1, 0)
+
+
+def test_classify_with_an_exact_label_forms_w_prime_once(monkeypatch):
+    # verdicts seed 1 input 1616 (bench/gen.py): the disc of a planted double
+    # axis root of w' is too wide to certify the phase sum, so the z2 label
+    # falls back to the exact chain, which reads the w' that was solved
+    data = BoundaryData(
+        ComplexPolynomial([0, complex(-0.9763168428237886, 2.082063962473882),
+                           complex(-1.4010367503604904, -0.6569710640237899),
+                           complex(0.14736028306692178, -0.31425611176203333)]),
+        1.7439334496345507j, complex(2.9211556824970453, -0.8268307972808214))
+    res, solves, formed, fallbacks = _classify_counting_work(monkeypatch, data)
+    assert (res.verdict, res.case) == ("unstable", "noncritical")
+    assert (solves, formed, fallbacks) == (1, 1, 1)
 
 
 def test_classify_solves_the_shifted_w_prime_of_a_negative_zero(monkeypatch):

@@ -118,6 +118,27 @@ def test_trace_rejects_unknown_kind():
         trace_level(CUBE_THIRD, 1.0 + 0j, kind="gradient")
 
 
+def test_trace_rejects_direction_zero():
+    with pytest.raises(ValueError, match="direction must be"):
+        trace_level(CUBE_THIRD, 1.0 + 0j, direction=0)
+
+
+def test_trace_rejects_a_seed_on_a_critical_point():
+    # w = z^2: the level curve through the saddle at 0 has no tangent there
+    with pytest.raises(SeedNotOnCurve, match="the curve degenerates at the seed"):
+        trace_level(ComplexPolynomial([0, 0, 1]), 0j)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_trace_vertical_start_heads_by_its_imaginary_part(direction):
+    # w = iz: the level Im w = 1 is the vertical line Re z = 1, so the
+    # heading is picked by the sign of Im(tangent)
+    line = trace_level(ComplexPolynomial([0, 1j]), 1 + 0j, direction=direction, level=1.0)
+    assert line.points[1] == pytest.approx(1 + 0.002j * direction, abs=1e-12)
+    assert all(p.real == pytest.approx(1.0, abs=1e-12) for p in line.points)
+    assert line.terminated_by == "radius"
+
+
 def test_trace_vertical_tangent_curve():
     # {Re w' = 0} for w = z^3/3 is the pair of diagonals y = +-x
     line = trace_level(CUBE_THIRD, 1 + 1j, kind="vertical_tangent", direction=+1)
