@@ -31,10 +31,13 @@ During a flow the nodes x_j never move; only the heights y do.  run_flow
 therefore tabulates, once per call and by poly.taylor_coeffs on the node
 array, C_k(x_j) = i^k w^(k)(x_j)/k!, so that w(x_j + iy) = sum_k C_k y^k.
 Im w = sum Im C_k y^k, Re w' = sum k Im C_k y^(k-1) and
-Im w' = -sum k Re C_k y^(k-1) are then real polynomials in y, and one
-pass of poly._horner over their stacked coefficient rows evaluates all
-three at every node; the right-hand side and the Gauss points of a J
-increment read the Im w rows only.
+Im w' = -sum k Re C_k y^(k-1) are then real polynomials in y.  Under
+their three coefficient rows the Im w rows are stacked once more for each
+Gauss height of a J increment, so one pass of poly._horner gives a trial
+step that passed its error test both its J increment and its new state's
+right-hand side, Jacobian and membership integrand; the start state reads
+the three state rows alone, and the stage value F(U) the Im w rows alone.
+Each element goes through the same operations as in separate passes.
 
 The Gauss-Legendre rule and the node rows of the differentiation matrix
 are built once per grid size on [-1, 1] and mapped affinely onto each
@@ -249,21 +252,22 @@ _PHI3_SWITCH = 0.35
 _PHI3_SERIES = tuple(1.0 / math.factorial(k + 3) for k in range(11))
 
 
-def _phi1(z) -> np.ndarray:
-    """phi_1(z) = (e^z - 1)/z elementwise, with phi_1(0) = 1.
+def _phi1(z: np.ndarray, em1: np.ndarray) -> np.ndarray:
+    """phi_1(z) = (e^z - 1)/z elementwise, with phi_1(0) = 1; em1 is
+    np.expm1(z), which _phi3 shares.
 
     expm1 keeps the quotient accurate to rounding at every z != 0.  When no
     entry is zero the quotient is one plain division; otherwise the zeros
     keep the value 1 and the division fills the rest.
     """
-    z = np.asarray(z, dtype=float)
     if np.count_nonzero(z) == z.size:
-        return np.expm1(z) / z
-    return np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+        return em1 / z
+    return np.divide(em1, z, out=np.ones_like(z), where=z != 0.0)
 
 
-def _phi3(z) -> np.ndarray:
-    """phi_3(z) = (e^z - 1 - z - z^2/2)/z^3 elementwise, with phi_3(0) = 1/6.
+def _phi3(z: np.ndarray, em1: np.ndarray) -> np.ndarray:
+    """phi_3(z) = (e^z - 1 - z - z^2/2)/z^3 elementwise, with phi_3(0) = 1/6;
+    em1 is np.expm1(z), which _phi1 shares.
 
     The series is summed by Horner where |z| is below the switch and the
     closed form is taken where |z| is at or past it.  When every entry lies
@@ -272,11 +276,10 @@ def _phi3(z) -> np.ndarray:
     elsewhere, and the closed form then overwrites it where |z| is at or
     past the switch.  Each entry gets the same operations either way.
     """
-    z = np.asarray(z, dtype=float)
     small = np.abs(z) < _PHI3_SWITCH
     count = np.count_nonzero(small)
     if count == 0:
-        return (np.expm1(z) - z - 0.5 * z * z) / (z * z * z)
+        return (em1 - z - 0.5 * z * z) / (z * z * z)
     zs = z if count == z.size else np.where(small, z, 0.0)
     out = np.full_like(zs, _PHI3_SERIES[-1])
     for c in _PHI3_SERIES[-2::-1]:
@@ -284,7 +287,7 @@ def _phi3(z) -> np.ndarray:
         out += c
     if count == z.size:
         return out
-    return np.divide(np.expm1(z) - z - 0.5 * z * z, z * z * z, out=out, where=~small)
+    return np.divide(em1 - z - 0.5 * z * z, z * z * z, out=out, where=~small)
 
 
 def _exprb32(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, rhs, dt: float):
@@ -295,14 +298,16 @@ def _exprb32(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, rhs, dt: float):
     times the nonlinear remainder k - jac vals: the same value, but a mode
     that decays by e^{dt jac} keeps its relative accuracy.  The arrays are
     combined in place, in the order of the formulas; vals, k and jac are
-    not written.
+    not written.  One expm1(dt jac) serves both phi-functions; e^{dt jac}
+    is its own exp, since expm1 + 1 rounds differently.
     """
     hj = dt * jac
+    em1 = np.expm1(hj)
     u = np.exp(hj)
     u *= vals
     rem = jac * vals
     np.subtract(k, rem, out=rem)
-    step = _phi1(hj)
+    step = _phi1(hj, em1)
     step *= dt
     step *= rem
     u += step
@@ -311,7 +316,7 @@ def _exprb32(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, rhs, dt: float):
     moved = u - vals
     moved *= jac
     d -= moved
-    corr = _phi3(hj)
+    corr = _phi3(hj, em1)
     corr *= 2.0 * dt
     corr *= d
     u += corr
@@ -366,10 +371,13 @@ def run_flow(
     rows of Im w, Re w' and Im w' as real polynomials in the height y at
     each node, from the Taylor coefficients i^k w^(k)(x_j)/k!
     (_vertical_line_tables).  Each accepted state costs one real Horner
-    pass over the stacked rows, which gives F, J_n and the membership
-    integrand Re w' - f' Im w' together; F(U) and the Gauss points of the
-    J increment read the Im w rows only.  f' takes the cached interior
-    block of the differentiation matrix and its two endpoint columns.
+    pass: the Im w rows at the Gauss points of the J increment are stacked
+    under the three state rows, so a trial that passes its error test gets
+    its J increment, and its new state's F, J_n and membership integrand
+    Re w' - f' Im w', from one pass.  The start state reads the three
+    state rows alone and F(U) the Im w rows alone.  f' takes the cached
+    interior block of the differentiation matrix and its two endpoint
+    columns.
 
     Energy.  J depends only on the state, so each step adds its exact
     increment: at each node the integral of Im w(x + iy) dy from f to f_new,
@@ -404,15 +412,15 @@ def run_flow(
     sig = sigma.values
     qw = _quadrature_for(f0) / sig  # J(f) = sum(qw * (Re W(x + i f0) - Re W(x + i f)))
     # the nodes never move: rows in the height y of the right-hand side
-    # -Im w, of Re w' and of Im w', with each state's heights laid out to
-    # the same (3, n) shape; and the right-hand side's rows tiled to the
-    # (len(yi), n) Gauss heights of a J increment
+    # -Im w, of Re w' and of Im w'; stacked under them, the right-hand
+    # side's rows once more for each of the len(yi) Gauss heights of a J
+    # increment, and the heights of one pass laid out to the same shape
     table = _vertical_line_tables(w, x)
     table[:, 0] *= -1.0
     rhs_rows = table[:, 0]
     yi, yw = _reference_rule(max(w.degree // 2 + 1, 1))
-    rhs_at_gauss = np.repeat(table[:, :1], len(yi), axis=1)
-    heights3 = np.empty(table.shape[1:])
+    stacked = np.concatenate([table, np.repeat(table[:, :1], len(yi), axis=1)], axis=1)
+    heights = np.empty(stacked.shape[1:])
     # f' at the nodes: the interior block acts on the heights, and the
     # pinned endpoints add a fixed column sum
     inner, left, right = _reference_operator(len(x))
@@ -424,17 +432,20 @@ def run_flow(
     def rhs(vals):
         return _horner(rhs_rows, vals, 0.0)
 
-    def j_increment(old, new):
-        # J(new) - J(old): sum of qw * integral of Im w(x + iy) dy from old
-        # to new, the Gauss rule in y being exact for Im w = -rhs
+    def step_pass(old, new):
+        # one Horner pass: J(new) - J(old), the sum of qw * integral of
+        # Im w(x + iy) dy from old to new (the Gauss rule in y being exact
+        # for Im w = -rhs), and the three state rows at new
         half = 0.5 * (new - old)
-        ys = 0.5 * (new + old) + yi[:, None] * half
-        return -float((qw * half * (yw @ _horner(rhs_at_gauss, ys, 0.0))).sum())
+        heights[:3] = new
+        np.add(0.5 * (new + old), yi[:, None] * half, out=heights[3:])
+        rows = _horner(stacked, heights, 0.0)
+        return -float((qw * half * (yw @ rows[3:])).sum()), rows[:3]
 
-    def diag(vals):
-        # (right-hand side, membership minimum, Jacobian) at vals
-        heights3[...] = vals
-        k, re_d, im_d = _horner(table, heights3, 0.0)
+    def diag(vals, rows):
+        # (right-hand side, membership minimum, Jacobian) at vals, from
+        # its three state rows
+        k, re_d, im_d = rows
         fp = (inner @ vals + edge) * stretch
         return k, float((re_d - fp * im_d).min()), -re_d
 
@@ -443,7 +454,7 @@ def run_flow(
     times, js, resids, membs = [], [], [], []
     rejected = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        k, memb, jac = diag(f)
+        k, memb, jac = diag(f, _horner(table, f, 0.0))
         fastest = float(np.abs(jac).max())
         dt = min(t_max, 1.0 / fastest if fastest > 0.0 else math.inf)
         while True:
@@ -471,7 +482,7 @@ def run_flow(
                 err = float(np.abs(corr).max())
                 scale = 0.0 if err == 0.0 else err / (rtol * resid * dt)
                 if scale <= 1.0:
-                    dj = j_increment(f, f_new)
+                    dj, rows = step_pass(f, f_new)
                     # the flow only lowers J: a rise, or a nonfinite
                     # increment, is integrator error (a plain if, so it
                     # holds under -O)
@@ -490,7 +501,7 @@ def run_flow(
             jval += dj
             t = t_max if last else t + dt
             f = f_new
-            k, memb, jac = diag(f)
+            k, memb, jac = diag(f, rows)
             dt *= factor
 
     final = GridFunction(f0.a, f0.b, f0.nodes, f, f0.boundary)

@@ -25,6 +25,30 @@ trace ends by the first row whose ball holds its endpoint, and each step is
 cut to max(pull |u - point|, ball / 2): without that clamp the turn-angle
 control strides past arrival points, which lie on arcs of bounded curvature.
 
+A regular target z1 also gets a landing disc, which ends the trace in one
+step instead of the ~40 quarter steps of the clamp.  Let g = |w'(z1)| > 0,
+t = conj w'(z1) / g the unit tangent there, q = min(1/2, |Re t| / 2),
+M2(s) = sum_{k>=2} k (k-1) |c_k| (|z1| + s)^(k-2) (a bound for |w''| on
+D(z1, s)) and r = min(1, q g / M2(1)).  On D(z1, r), |w'(p) - w'(z1)| <=
+M2(r) r <= q g.  The gradient of Im w is i conj w', so its component along
+n, the unit gradient at z1, is at least (1 - q) g > 0 on the disc: Im w -
+level strictly increases along every chord parallel to n, and the level
+set inside the disc meets each such chord once, a single arc through the
+disc.  Along the arc the gradient turns less than arcsin q from n, so the
+arc's tangent stays within arcsin q of t; moving from one arc point to
+another it turns at most 60 degrees, so the distance to any arc point is
+monotone on either side of it, and |Re| of the tangent stays above
+|Re t| - 2 sin(arcsin(q) / 2) > |Re t| / 3 > 0, so x is monotone along the
+arc.  The landing radius is min(r / 2, |c - z1| - ball for each critical
+row), so no critical ball meets it, and it is used only when it exceeds
+the target ball.  z1 is then corrected onto the level once, moving at most
+the target ball, to a point p; there is no landing when that fails (z1 off
+the level) or when Re p < 0, where the arc would cross the imaginary axis
+first.  A trace point inside the landing radius whose tangent heads toward
+p lies on the disc's one arc and would run monotonically into the target
+ball: the trace appends p and ends as ``target``.  Outside the disc, and
+on a trace with no target, every step is as before.
+
 Traces stay in the closed right half-plane: a step that crosses the
 imaginary axis is clipped onto it and the trace ends there, by the stop
 whose ball holds the clip if there is one.
@@ -152,6 +176,19 @@ def _escape_radius(w: ComplexPolynomial, seed: complex) -> float:
     return max(config.TOL.trace_radius_factor * (1.0 + _root_bound(w)), 1.25 * (abs(seed) + 1.0))
 
 
+def _landing_disc(coeffs, z: complex) -> float:
+    """Radius r of the landing disc about z of the level curve of Im w
+    through z, w given by its ascending coeffs (see the module docstring);
+    0 where w'(z) vanishes or overflows."""
+    d = _horner([k * c for k, c in enumerate(coeffs)][1:], z, 0j)
+    g = abs(d)
+    if not 0.0 < g < math.inf:
+        return 0.0
+    q = min(0.5, 0.5 * abs(d.real) / g)
+    m2 = _horner([k * (k - 1) * abs(c) for k, c in enumerate(coeffs)][2:], abs(z) + 1.0, 0.0)
+    return 1.0 if m2 == 0.0 else min(1.0, q * g / m2)
+
+
 def _clip_to_axis(field, grad, prev: complex, cur: complex) -> complex:
     """Intersect the segment prev->cur with {Re z = 0} and polish on-curve."""
     t = prev.real / (prev.real - cur.real)
@@ -228,6 +265,17 @@ def _trace(
                 snap = max(snap, 4.0 * standoff)
         stops.append((c, snap, 0.3, "critical_point", reaches))
 
+    # the landing disc of each regular target: (z1, landing radius, z1
+    # corrected onto the level)
+    landings = []
+    for z, ball, *_ in aims:
+        land = min([0.5 * _landing_disc(base.coeffs, z)]
+                   + [abs(c - z) - snap for c, snap, *_ in stops[len(aims):]])
+        if land > ball:
+            landed = _correct(field, grad, ftol, z, ball)
+            if landed is not None and landed.real >= 0.0:
+                landings.append((z, land, landed))
+
     tangent = _orient(_unit_tangent(g0), direction)
     h = config.TOL.step_initial * seed_scale
     h_floor = config.TOL.step_floor * seed_scale
@@ -255,6 +303,12 @@ def _trace(
             break
         if abs(u) >= escape:
             terminated = "radius"
+            break
+        landed = next((p for z, land, p in landings if abs(u - z) < land
+                       and ((p - u) * tangent.conjugate()).real > 0.0), None)
+        if landed is not None:
+            pts.append(landed)
+            terminated, reached = "target", True
             break
 
         # --- proximity clamps: approach arrivals geometrically ----------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from reference_flow import phi1 as reference_phi1
 from reference_flow import phi3 as reference_phi3
 from reference_geodesic import geodesic_residual, j_derivative, relax_geodesic
@@ -114,9 +115,17 @@ def test_gauss_rule_solved_once_per_grid_size(monkeypatch):
 # phi-functions of the exponential flow steps
 
 
+def _phi1(z):
+    return kempf_ness._phi1(z, np.expm1(z))
+
+
+def _phi3(z):
+    return kempf_ness._phi3(z, np.expm1(z))
+
+
 def test_phi_functions_at_zero():
-    assert kempf_ness._phi1(np.array([0.0]))[0] == 1.0
-    assert kempf_ness._phi3(np.array([0.0]))[0] == 1.0 / 6.0
+    assert _phi1(np.array([0.0]))[0] == 1.0
+    assert _phi3(np.array([0.0]))[0] == 1.0 / 6.0
 
 
 def test_phi3_continuous_across_series_switch():
@@ -124,11 +133,11 @@ def test_phi3_continuous_across_series_switch():
     switch = kempf_ness._PHI3_SWITCH
     for edge in (switch, -switch):
         below = np.nextafter(edge, 0.0)
-        pair = kempf_ness._phi3(np.array([below, edge]))
+        pair = _phi3(np.array([below, edge]))
         assert abs(pair[1] - pair[0]) <= 1e-14 * abs(pair[1])
     # and phi_1 = expm1(z)/z meets its value 1 at z = 0
     tiny = np.array([-1e-9, 1e-9, -1e-300, 1e-300])
-    assert np.all(np.abs(kempf_ness._phi1(tiny) - (1.0 + tiny / 2.0)) <= 1e-14)
+    assert np.all(np.abs(_phi1(tiny) - (1.0 + tiny / 2.0)) <= 1e-14)
 
 
 def _phi_series(z, k, terms=40):
@@ -139,7 +148,7 @@ def _phi_series(z, k, terms=40):
 
 def test_phi_functions_match_exact_series():
     z = np.array([-2.0, -1.5, -0.7, -0.2, -0.05, 0.05, 0.3, 0.9, 2.0])
-    for phi, k in ((kempf_ness._phi1, 1), (kempf_ness._phi3, 3)):
+    for phi, k in ((_phi1, 1), (_phi3, 3)):
         exact = np.array([_phi_series(v, k) for v in z])
         assert np.allclose(phi(z), exact, rtol=1e-14, atol=0), phi.__name__
 
@@ -151,16 +160,16 @@ def test_phi3_matches_exact_series_around_switch():
     z = np.concatenate([np.linspace(0.2, 0.6, 81), [np.nextafter(switch, 0.0), switch]])
     z = np.concatenate([z, -z])
     exact = np.array([_phi_series(v, 3) for v in z])
-    assert np.allclose(kempf_ness._phi3(z), exact, rtol=1e-14, atol=0)
+    assert np.allclose(_phi3(z), exact, rtol=1e-14, atol=0)
 
 
 def test_phi_functions_finite_for_stiff_decay():
     z = -np.geomspace(1e-3, 1e4, 50)
-    for phi in (kempf_ness._phi1, kempf_ness._phi3):
+    for phi in (_phi1, _phi3):
         vals = phi(z)
         assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
-    assert kempf_ness._phi1(np.array([-1e4]))[0] == pytest.approx(1e-4, rel=1e-12)
-    assert kempf_ness._phi3(np.array([-1e4]))[0] == pytest.approx(
+    assert _phi1(np.array([-1e4]))[0] == pytest.approx(1e-4, rel=1e-12)
+    assert _phi3(np.array([-1e4]))[0] == pytest.approx(
         (1e4 - 5e7 - 1.0) / -1e12, rel=1e-12)
 
 
@@ -187,8 +196,8 @@ _PHI_ARRAYS = (
 @example([-0.0, _SWITCH, -5e-324, -1e4, _JUST_BELOW])  # mixed
 def test_phi_functions_equal_reference_bit_for_bit(values):
     z = np.array(values)
-    assert kempf_ness._phi1(z).tobytes() == reference_phi1(z).tobytes()
-    assert kempf_ness._phi3(z).tobytes() == reference_phi3(z).tobytes()
+    assert _phi1(z).tobytes() == reference_phi1(z).tobytes()
+    assert _phi3(z).tobytes() == reference_phi3(z).tobytes()
 
 
 def test_differentiates_cubic_exactly():
@@ -291,6 +300,40 @@ def test_vertical_line_tables_match_complex_horner(coeffs, points):
         n = max(len(p.coeffs), 1)
         scale = _horner([abs(c) for c in p.coeffs], reach, np.zeros_like(reach))
         assert np.all(np.abs(got - want) <= 4.0 * eps * n * scale)
+
+
+# rows of degree 0 to 10 and heights with signed zeros, subnormals and
+# magnitudes whose powers overflow
+_ENTRY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _stacked_pass(draw):
+    """(state table, Gauss count, state heights, Gauss heights)."""
+    deg, n, m = draw(st.integers(0, 10)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+
+    def array(*shape):
+        return draw(arrays(float, shape, elements=_ENTRY))
+
+    return array(deg + 1, 3, n), m, array(n), array(m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacked_pass())
+@example((np.array([[[1e150], [-0.0], [5e-324]], [[-1e3], [0.0], [1e150]]]), 2,
+          np.array([1e150]), np.array([[-0.0], [-5e-324]])))
+def test_one_stacked_horner_pass_equals_separate_passes(case):
+    # run_flow stacks the -Im w rows, tiled once per Gauss height, under the
+    # three state rows and evaluates both in one pass: each element must
+    # come out as the two separate passes give it, to the bit
+    table, m, state, gauss = case
+    tiled = np.repeat(table[:, :1], m, axis=1)
+    stacked = np.concatenate([table, tiled], axis=1)
+    heights = np.concatenate([np.broadcast_to(state, (3, len(state))), gauss])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _horner(stacked, heights, 0.0)
+        assert rows[:3].tobytes() == _horner(table, state, 0.0).tobytes()
+        assert rows[3:].tobytes() == _horner(tiled, gauss, 0.0).tobytes()
 
 
 # ---------------------------------------------------------------------------

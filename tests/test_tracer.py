@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levelgraph import poly, tracer
+from levelgraph import config, poly, tracer
 from levelgraph.cauchy import HalfInteger
 from levelgraph.errors import SeedNotOnCurve
 from levelgraph.landscape import Potential, counting_function
@@ -371,6 +371,155 @@ def test_witness_is_a_graph_exactly_when_classify_says_stable(w, z1, z2):
     chk = graphical_connection(w, z1, z2)
     verdict = classify(BoundaryData(w, z1, z2)).verdict
     assert (verdict == "stable") == (chk.connected and chk.graphical)
+
+
+# ---------------------------------------------------------------------------
+# the landing disc about a regular target
+
+
+def _exact(coeffs, z):
+    """(w(z), w'(z)) in mpmath at its working precision, the coefficients
+    taken exactly."""
+    val = der = mpmath.mpc(0)
+    for c in reversed(coeffs):
+        der = der * z + val
+        val = val * z + mpmath.mpc(c)
+    return val, der
+
+
+_DISC_COEFFS = st.lists(
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    | st.just(0j), min_size=2, max_size=8,
+).flatmap(lambda low: st.complex_numbers(
+    min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False,
+).map(lambda lead: low + [lead]))
+_DISC_POINTS = st.builds(complex, st.floats(0.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DISC_COEFFS, _DISC_POINTS)
+@example([0j, 0j, 0j, 1 / 3], 1 + 0j)
+@example([0j, 0j, 1 + 0j], 1.2e-4 + 0j)
+@example([0j, 0j, 1.0251361797078566e-169 + 1j], 1 + 0j)  # q about 1e-169
+@example([1j, 0j, 0j, 1 + 0j], 1.0033471224120806e-142j)  # r |w'(z)| about 1e-568
+@example([0j, 0j, 1 + 5.36959975691698e-250j], 4.159134091834742e-89j)  # Re w'(z) underflows
+def test_landing_disc_holds_one_monotone_arc(coeffs, z):
+    # w of degree 2 to 8: on D(z, r), |w'(p) - w'(z)| <= q |w'(z)|, and Im w
+    # rises strictly along every chord of D(z, r / 2) parallel to its
+    # gradient at z
+    r = tracer._landing_disc(coeffs, z)
+    if r == 0.0:
+        # w'(z) = 0, a vertical tangent (q = 0), or q g / M2(1) below the
+        # least double: no disc
+        return
+    # the points checked differ from z by about r, and Im w along a chord
+    # by about r |w'(z)|: enough digits to resolve that against |w| < 1e7
+    scale = math.log10(r) + math.log10(abs(ComplexPolynomial(coeffs).derivative()(z)))
+    with mpmath.workdps(60 - min(0, math.floor(scale))):
+        z0 = mpmath.mpc(z)
+        level, d = _exact(coeffs, z0)
+        g = abs(d)
+        q = min(mpmath.mpf(0.5), abs(d.real) / (2 * g))
+        allowed = q * g * (1 + mpmath.mpf(1e-12))
+        for s in (0.25, 0.5, 0.75, 1.0):
+            for k in range(8):
+                p = z0 + r * s * mpmath.expjpi(k / mpmath.mpf(4))
+                assert abs(_exact(coeffs, p)[1] - d) <= allowed
+        t = mpmath.conj(d) / g
+        n = 1j * t
+        for o in (-0.45, -0.2, 0.0, 0.2, 0.45):
+            half = mpmath.sqrt(0.25 - o * o) * r
+            heights = [(_exact(coeffs, z0 + o * r * t + (2 * j / 8 - 1) * half * n)[0]
+                        - level).imag for j in range(9)]
+            assert all(a < b for a, b in zip(heights, heights[1:]))
+
+
+# refusals: each case keeps the answer it had before the landing disc,
+# pinned as (connected, graphical, terminated_by)
+_REFUSALS = {
+    # z1 lies 1e-3 above the level: correcting it moves more than the
+    # target ball, and the trace runs on past it to the origin
+    "z1-off-level": (CUBE_THIRD, 1 + 1e-3j, 2 + 0j, (False, True, "critical_point")),
+    # w'(1 + i) = 2i: the curve arrives vertically, so q = 0
+    "vertical-arrival": (CUBE_THIRD, 1 + 1j, 2 + 0.16705517339312886j,
+                         (True, True, "target")),
+    # the ball of the critical point 0 reaches within 5e-7 of z1, less
+    # than the target ball, though r / 2 = 2.5e-5
+    "critical-ball": (ComplexPolynomial([0, 0, 1]), 1.005e-4 + 0j, 2 + 0j,
+                      (True, True, "target")),
+    # z1 = -1e-3 lies left of the imaginary axis, so p does too: the level
+    # line y = 0 of w = z reaches the axis first, and the trace ends there
+    "z1-left-of-axis": (ComplexPolynomial([0, 1]), -1e-3 + 0j, 2 + 0j,
+                        (False, True, "y_axis")),
+}
+
+
+@pytest.mark.parametrize("w, z1, z2, answer", list(_REFUSALS.values()), ids=list(_REFUSALS))
+def test_a_refused_landing_keeps_the_answer(w, z1, z2, answer):
+    chk = graphical_connection(w, z1, z2)
+    assert (chk.connected, chk.graphical, chk.trace.terminated_by) == answer
+    # no landing: the trace closes in on z1 in quarter steps
+    assert sum(abs(p - z1) < 0.05 for p in chk.trace.points) > 10
+
+
+# the first 20 witness inputs of bench/gen.py, seed 1: w as (re, im) pairs,
+# ascending, then z1 and z2
+_WITNESS_SEED_1 = (
+    (((0.0, 2.4922263392818365), (2.3936594504722626, -0.6375005782689782), (1.2924469536036414, 1.371636758094109), (-0.12828894357240564, 0.45673958866766523)),
+     (0.0, -0.7221547892670794), (1.128883477594755, -0.6241885224933369)),
+    (((0.0, -0.7314755358560411), (2.277683078119512, -0.04864193743467027), (2.0773039007057106, -2.483990999274376), (0.08281677095437641, -2.7470398920833574), (-0.6121666603259706, -1.1697505488521103), (-0.23785762213875658, -0.1693992661113074)),
+     (0.0, 0.25375717447251267), (0.6993240357423395, 0.3624751482268103)),
+    (((0.0, 1.0693156526633973), (2.892775447038714, 1.4913962505387617), (1.9795181500128294, 0.5696868148730625), (0.4897714594920333, -0.0793587089381583)),
+     (0.0, -0.352589114839732), (0.9705614638824291, -0.36451482501591875)),
+    (((0.0, 0.8521476256322955), (0.8293540362957127, 0.9841037774859759), (-0.06766133518099615, 1.3208592886118928), (-0.4604116092263051, 1.0564019750897626), (-0.044316053804882564, 0.3090226848503649)),
+     (0.0, -0.5289305362755446), (0.9995563596797974, -0.8907741505332815)),
+    (((0.0, 0.8272908790664195), (-0.4601878716515231, -0.19925476992923974), (-1.214563530999965, 2.2710357886839803), (-0.6119333271139088, 1.3048440924168627), (-0.18392859562676256, 0.27826625720167003)),
+     (0.0, -0.6661379720543057), (1.3285829931897082, -1.2764991955739724)),
+    (((0.0, 2.2634629882896866), (2.303832627340752, -1.013333793614316), (2.0368506658839998, 1.5340916344765376), (0.9914598806594436, 1.1708910835741762), (0.27137208943857777, 0.22096476799464349)),
+     (0.0, -0.8154537776887087), (1.2750661906372027, -0.374428684288931)),
+    (((0.0, -1.111088537360756), (2.5463234329151025, 0.3860452077312133), (1.774560618807842, 0.5339996568238108), (0.39535982057238833, 0.20108548779276827)),
+     (0.0, 0.5122487961596183), (1.3965037883212157, -0.1021968752439988)),
+    (((0.0, 0.2826505770401079), (1.1822751407192853, 1.2028940885338386), (-0.6442116999461324, 1.5819948194823275), (-0.8144913199280833, 0.15649061432942155), (-0.14776632391401942, -0.12949443392323537)),
+     (0.0, -0.1874077420857494), (1.4245619937033394, -2.0848860638961075)),
+    (((0.0, 0.3662014333051342), (-0.09312695596270558, 0.103225918917529), (-0.2547444645973519, 0.02504308304635637), (-0.3149395537828639, -0.12337129954095676), (-0.17309059906587632, -0.04993640273550565)),
+     (0.0, -1.058915721104421), (0.8284665445853148, -1.6316151443575297)),
+    (((0.0, -0.27307228071224326), (1.378998190466442, -1.3693670342294582), (2.2761747294459926, 0.33216386995139857), (0.9423479040772543, 1.303795759167014), (-0.07852463763858342, 0.6269763673855026), (-0.07869124836842241, 0.083631357233908)),
+     (0.0, 0.2150033731678742), (0.9443741444417912, -0.04860633804643783)),
+    (((0.0, -0.6221601634883933), (0.5451170266021259, -0.6081848019812132), (0.5229552270486685, -0.8277521412885227), (0.351491061083123, -0.43968658563708657), (0.1424193272588083, -0.11497345035084)),
+     (0.0, 0.6836910888346361), (0.509009680758303, 0.5642723696710927)),
+    (((0.0, 0.8214307768230413), (2.106630633644601, -1.0308369102193842), (0.5958089288656795, -0.985560946788766), (0.2894316654787852, -0.6599277323382978), (-0.009862311976701335, -0.20883590659824056)),
+     (0.0, -0.5389773466657564), (1.5934788804178244, 0.6771538915403525)),
+    (((0.0, 0.3153647451230525), (-1.5965331444301285, -2.0205111835790595), (-0.35200978153080703, -1.4542440136961632), (-0.11247055298634705, -0.4304453161484912)),
+     (0.0, 0.7704716188267755), (1.1858803353029632, 1.7711323821877707)),
+    (((0.0, -0.08205178834622884), (0.5813000981660555, -0.4388258485266819), (-0.17851762752785488, -0.5787570534082245), (0.03161275835646973, -0.3804516742176794)),
+     (0.0, 0.1255628115823446), (0.6816965853528002, 0.6297135494681952)),
+    (((0.0, -0.08123804515093218), (-0.12472028512247263, 0.12043711912613773), (-0.3624598561947999, 0.13859592889820246), (-0.2804194326064973, -0.2961937999153539)),
+     (0.0, 1.1213046566624698), (1.0584889755624478, 1.558324808487542)),
+    (((0.0, 0.08155420667413639), (-0.22140552349941683, 0.06756216527291192), (0.026425834789004975, 0.28269644956406864), (-0.5805509772585093, 0.25660166960025904), (-0.1835302604380267, 0.27961566649242603)),
+     (0.0, -0.643878449754654), (1.402164997249884, -1.2296165680140119)),
+    (((0.0, -0.04903667880779458), (0.432535530537306, -0.004823606329938002), (0.14033652971302407, -0.3179739497656149), (0.37219246980643567, -0.12036375393134795), (0.20736251758640856, -0.08099561363204268)),
+     (0.0, 0.10614099403724198), (1.1368839799487924, 0.21349960234061177)),
+    (((0.0, -0.14709024773882892), (-0.08129461096992857, 0.08076557845305221), (-0.32581409761900704, -0.0030546397311266293), (-0.6675511407594752, -0.30520192590416856), (-0.46565166222867005, -0.277070382483649), (-0.10864883481979101, -0.1420990827962373)),
+     (0.0, 0.8423110126891469), (0.8055538741681987, 0.8353488440481913)),
+    (((0.0, 0.41859437660819143), (0.7565263071186705, -1.5886301903277829), (0.018740661752196686, -0.21311838994276294), (0.059831100640663076, -0.3881157143368925)),
+     (0.0, -0.7391650988078904), (1.3645745681504553, 1.0533446646900053)),
+    (((0.0, -0.054288343907853844), (0.4254237514397441, 0.2703045871766031), (0.6605583429817461, 0.09131827156276484), (0.7365732988421917, -0.285160383646824), (0.4162025488777722, -0.4107939696584543), (-0.01299408611512316, -0.2892492597713222)),
+     (0.0, 0.13631988258896266), (1.4559335814112764, 0.261275474704687)),
+)
+
+
+@pytest.mark.parametrize("w, z1, z2", _WITNESS_SEED_1)
+def test_a_witness_trace_lands_on_its_target(w, z1, z2):
+    w = ComplexPolynomial(complex(*p) for p in w)
+    z1, z2 = complex(*z1), complex(*z2)
+    chk = graphical_connection(w, z1, z2)
+    assert chk.connected and chk.graphical
+    assert chk.trace.terminated_by == "target"
+    assert abs(chk.trace.points[-1] - z1) <= config.TOL.connect * (1 + abs(z1))
+    # one point lands: the rest of the trace stays outside the landing radius
+    land = 0.5 * tracer._landing_disc(w.coeffs, z1)
+    assert land > config.TOL.connect * (1 + abs(z1))
+    assert sum(abs(p - z1) < land for p in chk.trace.points[:-1]) <= 1
 
 
 # ---------------------------------------------------------------------------

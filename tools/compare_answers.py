@@ -31,7 +31,11 @@ line counts the answers that are not byte-equal, and of those the answers
 whose non-float fields differ: a length, an int, a bool, a string, an
 exception's text, or a field present on one side only.  It also gives the
 largest relative change |new - old| / |old| over the float (and complex)
-fields of the differing answers.
+fields of the differing answers.  On ``witness``, ``verdicts-trace`` and
+``witness-vertical-tangent`` it also counts the answers whose decision
+fields differ (``DECISIONS``): a raised error, ``connected``, ``graphical``
+and how each trace ended, and on ``witness`` every field of the flow.  A
+change that moves only the traced points reads "0 decisions differ".
 
 The set ``cli`` does not depend on the seeds and runs once per side:
 each of the fixed invocations in ``CLI_SET`` (the four subcommands
@@ -65,6 +69,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -84,6 +89,14 @@ COUNTS["roots"] = COUNTS["verdicts"] + COUNTS["witness"]
 COUNTS["verdicts-trace"] = COUNTS["verdicts"]
 # differing answers printed at most, over all workloads and seeds
 SHOW = 10
+# the fields that decide an answer, as flattened paths: the answer itself
+# when it is a raised error, connected, graphical and how each trace ended,
+# and on witness (a GraphCheck, then a FlowTrace) every field of the flow
+DECISIONS = {
+    "witness": re.compile(r"out(\[0\]\.(connected|graphical|trace\.terminated_by)|\[1\]\..*)?"),
+    "verdicts-trace": re.compile(r"out(\.(connected|graphical|trace\.terminated_by))?"),
+    "witness-vertical-tangent": re.compile(r"out(\[\d\]\.terminated_by)?"),
+}
 
 _CUBE = "0,0,0,0.3333333333333333"
 _F0_ROWS = "x,f\n" + "".join(
@@ -339,7 +352,8 @@ def compare(parent: Path, change: Path, seeds) -> int:
         for seed in seeds:
             old = _answers(parent, workload, seed, count)
             new = _answers(change, workload, seed, count)
-            fields = bad = structural = 0
+            decisive = DECISIONS.get(workload)
+            fields = bad = structural = decided = 0
             largest = 0.0
             for i, (a, b) in enumerate(zip(old, new)):
                 fields += len(a)
@@ -347,6 +361,8 @@ def compare(parent: Path, change: Path, seeds) -> int:
                 if not diff:
                     continue
                 bad += 1
+                if decisive and any(decisive.fullmatch(k) for k in diff):
+                    decided += 1
                 if differing + bad <= SHOW:
                     k = diff[0]
                     print(f"  {workload} seed {seed} input {i}: {len(diff)} fields "
@@ -360,9 +376,11 @@ def compare(parent: Path, change: Path, seeds) -> int:
             unmatched = abs(len(old) - len(new))
             bad += unmatched
             structural += unmatched
+            decided += unmatched
             print(f"{workload} seed {seed}: {len(old)} answers, {fields} fields, "
-                  f"{bad} answers differ, {structural} in a non-float field; "
-                  f"largest relative float change {largest:.3g}")
+                  f"{bad} answers differ, {structural} in a non-float field"
+                  + (f", {decided} decisions differ" if decisive else "")
+                  + f"; largest relative float change {largest:.3g}")
             differing += bad
     differing += compare_cli(parent, change, differing)
     differing += compare_demos(parent, change, differing)
