@@ -6,11 +6,13 @@ seed with a predictor-corrector scheme and reports how the trace ended:
 escape radius) or `step_limit`.  `graphical_connection` wraps a trace
 from z2 toward z1 and says whether the result is a graph.
 
-Writes two CSV files next to this script.
+Writes two CSV files next to this script, rendered by the command line's
+CSV encoder, `levelgraph.cli.render_csv`.
 """
 
 import os
 
+from levelgraph.cli import render_csv
 from levelgraph.poly import ComplexPolynomial
 from levelgraph.tracer import graphical_connection, trace_level
 
@@ -23,7 +25,7 @@ seed = 1.5 + 0.2j
 line = trace_level(w, seed, kind="level", level=w(seed).imag, direction=-1)
 path = os.path.join(HERE, "level_curve.csv")
 with open(path, "w") as fh:
-    fh.write(line.to_csv())
+    fh.write(render_csv(("re", "im"), ((p.real, p.imag) for p in line.points)))
 print(f"level curve through {seed}: {len(line.points)} points, "
       f"ended at '{line.terminated_by}' -> {path}")
 
@@ -34,7 +36,7 @@ wall_seed = 1.0 + (1.0 - 2.0 ** 0.5) * 1j
 wall = trace_level(w, wall_seed, kind="vertical_tangent", direction=1)
 path = os.path.join(HERE, "wall_curve.csv")
 with open(path, "w") as fh:
-    fh.write(wall.to_csv())
+    fh.write(render_csv(("re", "im"), ((p.real, p.imag) for p in wall.points)))
 print(f"wall through {wall_seed:.4f}: {len(wall.points)} points, "
       f"ended at '{wall.terminated_by}' -> {path}")
 

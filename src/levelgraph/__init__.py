@@ -19,8 +19,9 @@ imports only ``config``, ``errors`` and modules listed above it, except that
   its second variation
 - ``dhym``: existence of solutions to the degenerate special-Lagrangian /
   line-bundle equation via phase lifts and Cauchy indices
-- ``cli``: JSON/CSV command-line front end; the one place that encodes,
-  traces and flows a verdict for output
+- ``cli``: JSON/CSV command-line front end; the one place that encodes
+  output (one JSON and one CSV encoder), and that traces and flows a
+  verdict for output
 """
 
 from .errors import (

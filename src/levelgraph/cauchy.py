@@ -6,6 +6,11 @@ one-sided contributions at interval endpoints.  Indices over an interval
 [c, d] collect the right-hand contribution at c, the full jumps strictly
 inside, and minus the left-hand contribution at d; this makes the interval
 index exactly additive when intervals are concatenated, even at poles.
+Only interval indices are computed.  A caller that counts a pole at an
+endpoint in its own way divides that root out of den first: on the open
+interval the factor keeps the sign of h or flips it throughout, and at the
+endpoint it leaves no pole (``landscape._exact_index`` and
+``dhym._chain_index`` both do this).
 
 Every index here is exact.  A double is a dyadic rational, so scaling a
 polynomial by a power of two turns its coefficients into integers without
@@ -38,7 +43,6 @@ from .poly import RealPolynomial, divide_linear
 __all__ = [
     "HalfInteger",
     "RationalFunction",
-    "index_one_sided",
     "index_on_interval",
     "line_crossings",
     "one_sided_sign",
@@ -142,9 +146,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
     def __repr__(self):
         return f"RationalFunction(num={self.num.coeffs}, den={self.den.coeffs})"
 
@@ -246,17 +247,6 @@ def _pole_sign(den_local: tuple, num_local: tuple, side: int) -> int:
     if den_local[0] <= num_local[0]:
         return 0
     return _beside(den_local, side) * _beside(num_local, side)
-
-
-def index_one_sided(h: RationalFunction, s: float, side: int) -> HalfInteger:
-    """ind at s from one side: +-1/2 when the one-sided limit is +-inf."""
-    if side not in (+1, -1):
-        raise ValueError("side must be +1 or -1")
-    if h.num.is_zero:
-        return HalfInteger(0)
-    den = _local(_integer_coeffs(h.den), s)
-    num = _local(_integer_coeffs(h.num), s)
-    return HalfInteger(_pole_sign(den, num, side))
 
 
 def index_on_interval(h: RationalFunction, c: float, d: float) -> HalfInteger:

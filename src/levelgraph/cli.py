@@ -1,7 +1,8 @@
 """Command-line entry point: classify / trace / flow / dhym.
 
 Verdicts and reports are printed as single-line JSON on stdout; polylines and
-flow histories go to CSV files named by --out.  The exit code only says
+flow histories go to CSV files named by --out.  One encoder renders each
+format: ``render_json`` and ``render_csv``.  The exit code only says
 success (0) or error (1) -- verdicts are data and scripts should parse the
 JSON; for ``classify`` and ``dhym`` it is the verdict record's fields, in
 order.  All numeric JSON fields are rendered with 17 significant digits so a
@@ -34,11 +35,11 @@ from .poly import ComplexPolynomial, from_roots
 from .stability import BoundaryData, classify, shift_to_zero_level
 from .tracer import graphical_connection, trace_level
 
-__all__ = ["main", "render_json"]
+__all__ = ["main", "render_csv", "render_json"]
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON
+# deterministic JSON and CSV
 
 
 def _fmt_float(v: float) -> str:
@@ -82,6 +83,14 @@ def render_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(render_json(v) for v in obj) + "]"
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+
+
+def render_csv(header, rows) -> str:
+    """The column names joined by commas, then one line per row of floats
+    at 17 significant digits; every line ends in a newline."""
+    lines = [",".join(header)]
+    lines.extend(",".join("%.17g" % v for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -144,7 +153,7 @@ def _cmd_trace(args) -> int:
         kind, level = "vertical_tangent", 0.0
     line = trace_level(args.w, args.seed, kind=kind, direction=args.direction, level=level)
     with open(args.out, "w") as fh:
-        fh.write(line.to_csv())
+        fh.write(render_csv(("re", "im"), ((p.real, p.imag) for p in line.points)))
     _emit(
         {"out": args.out, "points": len(line.points), "terminated_by": line.terminated_by},
         None,
@@ -222,7 +231,9 @@ def _cmd_flow(args) -> int:
         fn = _interp_f0_from_file(args.f0, a, b)
     trace = _flow(data.w, data.z1, data.z2, fn)
     with open(args.out, "w") as fh:
-        fh.write(trace.to_csv())
+        fh.write(render_csv(("t", "J", "residual_sup", "membership_min"),
+                            zip(trace.times, trace.J_values, trace.residual_sup,
+                                trace.membership_min)))
     _emit({"out": args.out, **_flow_summary(trace, "final_residual_sup")}, None)
     return 0
 

@@ -29,7 +29,10 @@ Orientation note: the index machinery in :mod:`levelgraph.cauchy` counts a
 -inf -> +inf jump as +1.  The lift formulas below need the opposite sign --
 a counterclockwise crossing of the Z_X line by w' along an upward ray, which
 shows up as a +inf -> -inf jump of Im(w')/Re(w').  Hence ``_chain_index``
-negates the index it takes.
+negates the index it takes.  The start of a non-generic Z_P path, on a line
+of Z_X, is a pole of that ratio at t = 0, which the axis index leaves out:
+the chain divides its root out of Re w', as ``landscape`` divides out the
+pole of a non-generic critical point.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 from . import config
 from .cauchy import CLIMB_ROUNDING, HalfInteger, RationalFunction, index_on_interval
-from .cauchy import index_one_sided, line_crossings, phase_climb
+from .cauchy import line_crossings, phase_climb
 from .errors import (
     BoundaryPointUnreachable,
     CrossCheckFailure,
@@ -244,11 +247,11 @@ def _crossings_from_line(lift: float, line_angle: float, bound: float, xi: compl
     of Z_X.  The index that the exact chain decides is that of
     F(t) = g(it) - a over t > 0, where g(z) = e^{-i theta_hat} i^r (xi + z)^m
     is w' with t^r cancelled, whose phase is the Z_P path's lift turned so
-    that the lines of Z_X are {Re g = 0}, and a = Re g(0): the chain zeroes
-    a, which puts the start exactly on a line, and the start's half-jump
-    cancels (the chain negates its index and index_one_sided adds the
-    half-jump back).  So the index counts the lines F's lift crosses after
-    its start, and with lo = (lift - line_angle)/pi, k0 = round(lo) and
+    that the lines of Z_X are {Re g = 0}, and a = Re g(0): the chain drops
+    a, which puts the start exactly on a line, and divides t out of Re F,
+    which leaves F's sign on t > 0 and no pole at t = 0.  So the index
+    counts the lines F's lift crosses after its start, and with
+    lo = (lift - line_angle)/pi, k0 = round(lo) and
     hi = 1 - line_angle/pi it is floor(hi) - k0, the lines in (k0, hi]
     that line_crossings counts from k0 + 1/2, when
 
@@ -289,20 +292,21 @@ def _chain_index(inp: CalabiInput, wp, generic: bool, axis: bool) -> HalfInteger
     r + 1 of them, 0/(k + 1) = 0), so dropping them divides t^r out of Re
     and Im of w'(it) exactly and leaves those of g(it), g(z) = e^{-i
     theta_hat} i^r (xi + z)^m.  A non-generic Re g(0) is zero up to
-    TOL.sign: it is made exact, and the half-jump at t = 0, where the Z_P
-    path starts on the Z_X line, is left out: index_one_sided adds back
-    what the negated index counts for it.
+    TOL.sign, and the Z_P path starts on the Z_X line, whose crossing at
+    t = 0 the index leaves out.  So the constant term of Re g(it) is
+    dropped, which snaps Re g(0) to 0 and divides t out exactly, and so is
+    every exact zero after it, each one more factor t.  Dividing by t^k > 0
+    keeps the ratio's sign and its poles on t > 0, and the reduced Re
+    starts with a nonzero constant term, so no pole sits at t = 0: the
+    index over [0, inf) is that of the open ray.
     """
     re, im = restrict_to_vertical_line(wp, 0.0 if axis else inp.b)
     if axis:
         re, im = RealPolynomial(re.coeffs[inp.r:]), RealPolynomial(im.coeffs[inp.r:])
         if not generic:
-            re = RealPolynomial((0.0,) + re.coeffs[1:])
-    ratio = RationalFunction(im, re)
-    idx = -index_on_interval(ratio, 0.0 if axis else inp.q, math.inf)
-    if axis and not generic:
-        idx += index_one_sided(ratio, 0.0, +1)
-    return idx
+            k = next((k for k, c in enumerate(re.coeffs) if k and c), len(re.coeffs))
+            re = RealPolynomial(re.coeffs[k:])
+    return -index_on_interval(RationalFunction(im, re), 0.0 if axis else inp.q, math.inf)
 
 
 def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftData:

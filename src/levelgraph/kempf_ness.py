@@ -237,13 +237,6 @@ class FlowTrace:
         if k and self.J_values[0] != 0.0:
             raise ValueError("J is measured relative to the start")
 
-    def to_csv(self) -> str:
-        out = ["t,J,residual_sup,membership_min"]
-        rows = zip(self.times, self.J_values, self.residual_sup, self.membership_min)
-        for row in rows:
-            out.append(",".join("%.17g" % c for c in row))
-        return "\n".join(out) + "\n"
-
 
 # phi_3(z) = sum_k z^k / (k + 3)!, summed for |z| < _PHI3_SWITCH, where the
 # closed form cancels; 11 terms reach the rounding level there, and past it

@@ -32,7 +32,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,9 +128,6 @@ class _Polynomial:
     def derivative(self):
         return type(self)([k * c for k, c in enumerate(self.coeffs[1:], 1)])
 
-    def __neg__(self):
-        return type(self)(-c for c in self.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, self._scalars):
             return type(self)(c * other for c in self.coeffs)
@@ -157,13 +153,6 @@ class ComplexPolynomial(_Polynomial):
     def antiderivative(self) -> "ComplexPolynomial":
         """The antiderivative q with q' = self and q(0) = 0."""
         return ComplexPolynomial([0.0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
-
-    def __add__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0j)
-        return ComplexPolynomial(x + y for x, y in pairs)
-
-    def __sub__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
-        return self + (-other)
 
 
 class RealPolynomial(_Polynomial):

@@ -82,11 +82,6 @@ class Polyline:
     curve_kind: str
     terminated_by: str
 
-    def to_csv(self) -> str:
-        rows = ["re,im"]
-        rows.extend("%.17g,%.17g" % (p.real, p.imag) for p in self.points)
-        return "\n".join(rows) + "\n"
-
 
 @dataclass(frozen=True)
 class GraphCheck:
@@ -207,9 +202,9 @@ def _trace(
     kind: str,
     direction: int,
     level: float,
-    targets=(),
+    target: complex | None = None,
 ):
-    """(Polyline, whether the stop the trace ended by reaches a target)."""
+    """(Polyline, whether the stop the trace ended by reaches the target)."""
     # Re w' = Im(i w'), so both kinds are a level set of Im of one polynomial
     base = w if kind == "level" else 1j * w.derivative()
     field, grad, ftol = _make_field(base, level)
@@ -247,12 +242,14 @@ def _trace(
             f"overflows a double at distance {far!r} from the origin"
         )
     # the table of stops, in the order they are checked
-    aims = [(z, config.TOL.connect * (1.0 + abs(z)), 0.25, "target", True) for z in targets]
-    stops = list(aims)
+    stops = []
+    if target is not None:
+        aim = config.TOL.connect * (1.0 + abs(target))
+        stops.append((target, aim, 0.25, "target", True))
     for r in roots(w.derivative()):
         c, k = r.location, r.multiplicity
         snap = config.TOL.crit_snap * (1.0 + abs(c))
-        reaches = any(abs(c - z) <= max(2.0 * snap, ball) for z, ball, *_ in aims)
+        reaches = target is not None and abs(c - target) <= max(2.0 * snap, aim)
         if kind == "level":
             # An arc traced at the critical level rounds the corner at a
             # standoff distance set by the corrector tolerance: the level
@@ -265,16 +262,16 @@ def _trace(
                 snap = max(snap, 4.0 * standoff)
         stops.append((c, snap, 0.3, "critical_point", reaches))
 
-    # the landing disc of each regular target: (z1, landing radius, z1
-    # corrected onto the level)
-    landings = []
-    for z, ball, *_ in aims:
-        land = min([0.5 * _landing_disc(base.coeffs, z)]
-                   + [abs(c - z) - snap for c, snap, *_ in stops[len(aims):]])
-        if land > ball:
-            landed = _correct(field, grad, ftol, z, ball)
-            if landed is not None and landed.real >= 0.0:
-                landings.append((z, land, landed))
+    # the landing disc of a regular target: its radius land (0 for none)
+    # and z1 corrected onto the level
+    land = 0.0
+    if target is not None:
+        radius = min([0.5 * _landing_disc(base.coeffs, target)]
+                     + [abs(c - target) - snap for c, snap, *_ in stops[1:]])
+        if radius > aim:
+            landing = _correct(field, grad, ftol, target, aim)
+            if landing is not None and landing.real >= 0.0:
+                land = radius
 
     tangent = _orient(_unit_tangent(g0), direction)
     h = config.TOL.step_initial * seed_scale
@@ -304,10 +301,8 @@ def _trace(
         if abs(u) >= escape:
             terminated = "radius"
             break
-        landed = next((p for z, land, p in landings if abs(u - z) < land
-                       and ((p - u) * tangent.conjugate()).real > 0.0), None)
-        if landed is not None:
-            pts.append(landed)
+        if land and abs(u - target) < land and ((landing - u) * tangent.conjugate()).real > 0.0:
+            pts.append(landing)
             terminated, reached = "target", True
             break
 
@@ -387,7 +382,7 @@ def graphical_connection(w: ComplexPolynomial, z1, z2) -> GraphCheck:
     """
     z1 = complex(z1)
     z2 = complex(z2)
-    line, connected = _trace(w, z2, "level", -1, w(z2).imag, (z1,))
+    line, connected = _trace(w, z2, "level", -1, w(z2).imag, z1)
     dxs = [a.real - b.real for a, b in zip(line.points, line.points[1:])]
     min_dx = min(dxs) if dxs else 0.0
     slack = config.TOL.graph_slack * (1.0 + abs(z2))

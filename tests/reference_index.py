@@ -5,14 +5,16 @@ input.  It is slow and refuses pole endpoints (raising IndeterminateSign),
 which is why the library does not use it; the tests compare the library's
 integer chain, ``levelgraph.cauchy.index_on_interval``, against it.
 
-``index_at_point``, the full jump of the index at one point, is kept here
-too: the library needs only one-sided jumps, and the tests use the full one.
+The jumps at one point are kept here too, also over ``Fraction``:
+``index_one_sided``, the half jump from one side, and ``index_at_point``,
+the full jump.  The library computes neither; it divides a pole at an
+endpoint out instead.
 """
 
 import math
 from fractions import Fraction
 
-from levelgraph.cauchy import HalfInteger, RationalFunction, index_one_sided
+from levelgraph.cauchy import HalfInteger, RationalFunction
 from levelgraph.errors import LevelGraphError
 
 
@@ -96,6 +98,42 @@ def index_on_interval_exact(h: RationalFunction, c: float, d: float) -> HalfInte
     vc = _variations([_sign_at_exact(f, cx) for f in chain])
     vd = _variations([_sign_at_exact(f, dx) for f in chain])
     return HalfInteger.from_int(vc - vd)
+
+
+def _leading_taylor(coeffs, s: Fraction):
+    """(j, c): p vanishes to order j at s, and c != 0 is its j-th Taylor
+    coefficient there, by repeated division by (y - s)."""
+    p = [Fraction(x) for x in coeffs]
+    for j in range(len(p)):
+        value = Fraction(0)
+        quotient = []
+        for c in reversed(p):
+            value = value * s + c
+            quotient.append(value)
+        if value:
+            return j, value
+        p = quotient[-2::-1]
+    raise ValueError("the zero polynomial has no Taylor coefficient")
+
+
+def index_one_sided(h: RationalFunction, s: float, side: int) -> HalfInteger:
+    """ind at s from one side: +-1/2 when h runs to +-inf there, else 0.
+
+    Near s, num ~ a (y - s)^j and den ~ b (y - s)^k; h has a pole there when
+    k > j, and then its sign just right of s is that of a/b, and just left
+    of it (-1)^(k - j) times that.
+    """
+    if side not in (+1, -1):
+        raise ValueError("side must be +1 or -1")
+    if h.num.is_zero:
+        return HalfInteger(0)
+    x = Fraction(s)
+    j, a = _leading_taylor(h.num.coeffs, x)
+    k, b = _leading_taylor(h.den.coeffs, x)
+    if k <= j:
+        return HalfInteger(0)
+    sign = 1 if (a > 0) == (b > 0) else -1
+    return HalfInteger(sign if side > 0 or (k - j) % 2 == 0 else -sign)
 
 
 def index_at_point(h: RationalFunction, s: float) -> HalfInteger:

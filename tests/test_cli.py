@@ -12,6 +12,9 @@ import sys
 import pytest
 
 from levelgraph import cli
+from levelgraph.kempf_ness import GridFunction, default_sigma, gauss_interior_nodes, run_flow
+from levelgraph.poly import ComplexPolynomial
+from levelgraph.tracer import trace_level
 
 
 def run_cli(capsys, argv):
@@ -421,6 +424,17 @@ def test_trace_vertical_tangent_csv(capsys, tmp_path):
         assert abs(x - y) <= 1e-6 * (1.0 + abs(x))
 
 
+def test_csv_round_trip():
+    # the encoder trace writes with, on a traced polyline
+    line = trace_level(ComplexPolynomial([0, 0, 0, 1 / 3]), 2.0 + 0j, direction=-1)
+    text = cli.render_csv(("re", "im"), ((p.real, p.imag) for p in line.points))
+    rows = text.strip().splitlines()
+    assert rows[0] == "re,im"
+    assert len(rows) == len(line.points) + 1
+    first = rows[1].split(",")
+    assert complex(float(first[0]), float(first[1])) == line.points[0]
+
+
 # ---------------------------------------------------------------------------
 # flow
 
@@ -612,6 +626,22 @@ def test_flow_level_mismatch(capsys, tmp_path):
     )
     assert rc == 1
     assert "LevelMismatch" in err
+
+
+def test_flow_trace_csv():
+    # the encoder flow writes with, on a recorded flow
+    nodes = gauss_interior_nodes(1.0, 2.0, 257)
+    sigma = default_sigma(1.0, 2.0, nodes)
+    f0 = GridFunction(1.0, 2.0, nodes, sigma.values.copy(), (0.0, 0.0))
+    trace = run_flow(f0, ComplexPolynomial([0, 1]), sigma, stop_tol=1e-12, t_max=0.5)
+    columns = zip(trace.times, trace.J_values, trace.residual_sup, trace.membership_min)
+    rows = cli.render_csv(("t", "J", "residual_sup", "membership_min"),
+                          columns).strip().splitlines()
+    assert rows[0] == "t,J,residual_sup,membership_min"
+    assert len(rows) == len(trace.times) + 1
+    cells = rows[1].split(",")
+    assert float(cells[0]) == trace.times[0]
+    assert float(cells[3]) == trace.membership_min[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ import levelgraph.dhym as dhym
 import levelgraph.poly as poly
 from levelgraph import cli
 from levelgraph.cauchy import CLIMB_ROUNDING, HalfInteger, RationalFunction, index_on_interval
-from levelgraph.cauchy import index_one_sided
 from levelgraph.cauchy import line_crossings, phase_climb
 from levelgraph.dhym import (
     CalabiInput,
@@ -27,8 +27,9 @@ from levelgraph.dhym import (
     compute_lifts,
     decide_existence,
 )
-from levelgraph.errors import BoundaryPointUnreachable, ZeroTotalCharge
+from levelgraph.errors import BoundaryPointUnreachable, LevelMismatch, ZeroTotalCharge
 from levelgraph.tracer import graphical_connection
+from reference_index import index_one_sided
 from reference_lift import _unwrap_lift
 
 SQ3 = math.sqrt(3.0)
@@ -248,6 +249,16 @@ def _ccw_index(re, im, c, d):
     return -index_on_interval(RationalFunction(im, re), c, d)
 
 
+def added_back_index(re_0, im_0):
+    """The axis index over t > 0 of a non-generic input from Re and Im of
+    g(it): Re g(0) is zeroed, and the half-jump at t = 0 that the index over
+    [0, inf) counts is added back from the Fraction reference.  The library
+    divides t out of Re g(it) instead."""
+    re_0 = poly.RealPolynomial((0.0,) + re_0.coeffs[1:])
+    return _ccw_index(re_0, im_0, 0.0, math.inf) + index_one_sided(
+        RationalFunction(im_0, re_0), 0.0, +1)
+
+
 def exact_chain_indices(inp, w, theta_hat):
     """(ind_R0, ind_Rb, generic), both indices from the exact chain alone."""
     re_b, im_b = poly.restrict_to_vertical_line(w.derivative(), inp.b)
@@ -258,10 +269,7 @@ def exact_chain_indices(inp, w, theta_hat):
     generic = abs(re_0.coeffs[0]) >= config.TOL.sign * abs(inp.xi) ** inp.m
     if generic:
         return _ccw_index(re_0, im_0, 0.0, math.inf), ind_Rb, True
-    re_0 = poly.RealPolynomial((0.0,) + re_0.coeffs[1:])
-    ind_R0 = _ccw_index(re_0, im_0, 0.0, math.inf) + index_one_sided(
-        RationalFunction(im_0, re_0), 0.0, +1)
-    return ind_R0, ind_Rb, False
+    return added_back_index(re_0, im_0), ind_Rb, False
 
 
 def lifts_of(inp):
@@ -437,6 +445,73 @@ def test_nongeneric_start_below_its_line_counts_from_that_line():
     assert lifts.genericity == "non_generic"
     assert lifts.index_fallbacks == 0
     assert lifts.ind_R0 == exact_chain_indices(PLANTED_59, w, theta_hat)[0] == 0
+
+
+def planted_q(m, r, xi, b, pick):
+    """A q that puts Re g(0) = Re(e^{-i theta_hat} i^r xi^m) at 0, or None.
+
+    theta_hat is the phase of P(b + iq), so Re g(0) = 0 where P(b + iq) is
+    a right angle from i^r xi^m: at a real root of Re(P(b + iq) conj(c)),
+    c = i^r xi^m / |xi|^m.  Of these roots (numpy.roots, then Newton in
+    q), pick chooses one."""
+    P = poly.ComplexPolynomial((0j,) * r + poly.from_roots([-xi] * m).coeffs).antiderivative()
+    c = poly.I_POWERS[r % 4] * (xi / abs(xi)) ** m
+    re = poly.restrict_to_vertical_line(P * c.conjugate(), b)[0]
+    dre = re.derivative()
+    found = []
+    with np.errstate(all="ignore"):
+        try:
+            candidates = np.roots(re.coeffs[::-1])
+        except np.linalg.LinAlgError:  # a tiny top coefficient overflows the companion
+            return None
+    for q in candidates:
+        if abs(q.imag) > 1e-6 * (1.0 + abs(q)):
+            continue
+        q = float(q.real)
+        for _ in range(8):
+            slope = dre(q)
+            if slope == 0.0:
+                break
+            q -= re(q) / slope
+        if math.isfinite(q):
+            found.append(q)
+    return found[pick % len(found)] if found else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    r=st.integers(0, 5),
+    log_xi1=st.floats(-12.0, 0.5),
+    xi2=st.floats(-2.5, 2.5),
+    b=st.floats(0.2, 3.0),
+    pick=st.integers(0, 12),
+)
+# a thin sector far from z2: the rebuilt g of exact_chain_indices gives an
+# axis index of 2 here, the w' of compute_lifts 4
+@example(m=7, r=0, log_xi1=-1.9953604005538672, xi2=-2.0, b=1.0, pick=0)
+# xi2 subnormal: Re(P(b + iq) conj(c)) has a top coefficient near 1e-311
+@example(m=2, r=0, log_xi1=0.0, xi2=2.225073858507e-311, b=1.0, pick=0)
+# a planted q that build_polynomials rejects: Im w(z2) is not 0 to TOL.sign
+@example(m=7, r=0, log_xi1=-8.0, xi2=1.61328125, b=1.61328125, pick=7)
+def test_nongeneric_chain_index_matches_the_added_back_half_jump(m, r, log_xi1, xi2, b, pick):
+    # planted non-generic class data: on the same w', the chain's axis index
+    # divides t out of Re g(it), and the oracle zeroes Re g(0) and adds the
+    # half-jump back.  In a thin sector the index of the snapped g turns on
+    # the last bits of w', so both read the w' that compute_lifts forms
+    xi = complex(10.0 ** log_xi1, xi2)
+    q = planted_q(m, r, xi, b, pick)
+    assume(q is not None)
+    inp = CalabiInput(m, r, xi.real, xi2, b, q)
+    try:
+        w, _, _ = build_polynomials(inp)
+    except (ZeroTotalCharge, LevelMismatch, ValueError):
+        assume(False)
+    re_0, im_0 = (poly.RealPolynomial(p.coeffs[r:])
+                  for p in poly.restrict_to_vertical_line(w.derivative(), 0.0))
+    assume(abs(re_0.coeffs[0]) < config.TOL.sign * abs(xi) ** m)
+    assert dhym._chain_index(inp, w.derivative(), False, axis=True) == added_back_index(
+        re_0, im_0)
 
 
 def test_count_on_or_within_bound_of_a_line_is_uncertified():

@@ -525,7 +525,7 @@ def _witness_like_cubic():
     # f0 the chord plus a sine bump
     w = ComplexPolynomial([1.07j, 2.89 + 1.49j, 1.98 + 0.57j, 0.49 - 0.08j])
     z1 = -0.35j
-    w = w - ComplexPolynomial([1j * w(z1).imag])
+    w = ComplexPolynomial([w.coeffs[0] - 1j * w(z1).imag, *w.coeffs[1:]])
     b, y2 = 0.97, -0.36
     for _ in range(30):  # Newton on the vertical line x = b
         y2 -= w(complex(b, y2)).imag / w.derivative()(complex(b, y2)).real
@@ -617,18 +617,6 @@ def test_flow_overflowing_start_raises_diverged_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(Diverged):
             run_flow(f0, W_LINEAR, sigma)
-
-
-def test_flow_trace_csv():
-    nodes, sigma = _setup()
-    f0 = GridFunction(A, B, nodes, sigma.values.copy(), (0.0, 0.0))
-    trace = run_flow(f0, W_LINEAR, sigma, stop_tol=1e-12, t_max=0.5)
-    rows = trace.to_csv().strip().splitlines()
-    assert rows[0] == "t,J,residual_sup,membership_min"
-    assert len(rows) == len(trace.times) + 1
-    cells = rows[1].split(",")
-    assert float(cells[0]) == trace.times[0]
-    assert float(cells[3]) == trace.membership_min[0]
 
 
 # ---------------------------------------------------------------------------

@@ -174,16 +174,6 @@ def test_trace_follows_fold():
     assert min_x == pytest.approx(1.0, abs=1e-2)
 
 
-def test_csv_round_trip():
-    line = trace_level(CUBE_THIRD, 2.0 + 0j, direction=-1)
-    text = line.to_csv()
-    rows = text.strip().splitlines()
-    assert rows[0] == "re,im"
-    assert len(rows) == len(line.points) + 1
-    first = rows[1].split(",")
-    assert complex(float(first[0]), float(first[1])) == line.points[0]
-
-
 # ---------------------------------------------------------------------------
 # graphical_connection verdict data
 

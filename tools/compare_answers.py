@@ -17,7 +17,12 @@ set is what shows a change to the root solve byte-equal.  A sixth,
 ``verdicts-trace``, runs ``graphical_connection`` on the shifted w (as
 ``classify`` shifts it), z1 and z2 of every timed ``verdicts`` input: every
 ``witness`` trace ends at its target, so this set is what reaches the
-tracer's critical-point, radius and y-axis stops.  Every
+tracer's critical-point, radius and y-axis stops.  A seventh,
+``dhym-chain``, runs ``dhym._chain_index`` on both lines (the ray above z2
+and the imaginary axis) for the planted non-generic inputs among the timed
+``dhym-sweep`` ones.  ``analyze`` reaches the chain only for an index
+whose count is not certified, so this set is what compares the chain's
+non-generic axis index on every planted input.  Every
 output field is recorded, floats and complex
 numbers by ``repr`` (so a change in the last bit or in the sign of a zero
 shows), nested results field by field, and a raised exception by its type
@@ -87,6 +92,8 @@ COUNTS = {"verdicts": 3750, "dhym-sweep": 6000, "witness": 360,
 # the roots set solves w' of the verdicts inputs, then of the witness ones
 COUNTS["roots"] = COUNTS["verdicts"] + COUNTS["witness"]
 COUNTS["verdicts-trace"] = COUNTS["verdicts"]
+# the dhym-chain set keeps the planted inputs among the timed dhym-sweep ones
+COUNTS["dhym-chain"] = COUNTS["dhym-sweep"]
 # differing answers printed at most, over all workloads and seeds
 SHOW = 10
 # the fields that decide an answer, as flattened paths: the answer itself
@@ -219,6 +226,24 @@ def _verdicts_trace_set(ops):
     return prepare, run
 
 
+def _dhym_chain_inputs(ops, gen, seed: int):
+    """(prepare, run, inputs) of the exact chain on both lines of each
+    planted dhym-sweep input, all of them non-generic by construction."""
+    from levelgraph import dhym
+
+    def prepare(data):
+        inp = dhym.CalabiInput(*ops.prepare_dhym(data))
+        return inp, dhym.build_polynomials(inp)[0].derivative()
+
+    def run(args):
+        inp, wp = args
+        return tuple(dhym._chain_index(inp, wp, False, axis) for axis in (False, True))
+
+    inputs = [data for data in gen.InputStream("dhym-sweep", seed).take(COUNTS["dhym-chain"])
+              if data["kind"] == "planted"]
+    return prepare, run, inputs
+
+
 def _roots_inputs(ops, gen, seed: int):
     """(prepare, run, inputs) solving w' of the verdicts, then witness, inputs."""
     from levelgraph import poly, stability
@@ -244,6 +269,8 @@ def dump(src: str, workload: str, seed: int, count: int) -> None:
 
     if workload == "roots":
         prepare, run, inputs = _roots_inputs(ops, gen, seed)
+    elif workload == "dhym-chain":
+        prepare, run, inputs = _dhym_chain_inputs(ops, gen, seed)
     else:
         if workload == "witness-vertical-tangent":
             prepare, run = _vertical_tangent_set(ops)
