@@ -44,8 +44,10 @@ class Tolerances:
     graph_slack: float = 1e-10        # a rightward step a graph tolerates: corrector rounding
     # flow
     flow_stop: float = 1e-8
-    # accepted flow step: embedded error per unit time <= flow_step_rtol * sup |Im w|
-    flow_step_rtol: float = 1e-3
+    # accepted flow step: embedded error per unit time <= flow_step_rtol * sup |Im w|;
+    # the outputs need the drift it allows only to keep each node in its basin
+    # and to bound the membership reading (run_flow's docstring)
+    flow_step_rtol: float = 1e-2
     flow_diverged: float = 1e6         # height residual past this: Diverged
     flow_endpoint_blowup: float = 1e8  # residual per unit sigma past this: NonIntegrableEndpoint
     grid_match: float = 1e-12          # GridFunction nodes: the Gauss nodes within this * (b - a)

@@ -390,6 +390,95 @@ def test_critical_point_index_dichotomy():
 # 6 + 7. gradient flow on stable boundary data, and its second variation
 
 
+def draw_stable_flow_pair(rng):
+    """One draw of the flow battery: a stable noncritical pair whose traced
+    graph is connected and graphical, shifted to the zero level, with its
+    grid, sigma, the level curve polished at the nodes and a start f0 inside
+    the membership set; None when the draw is rejected."""
+    w = _random_w(rng, deg_hi=4, y_span=1.2, rho_re=(-1.8, -0.2),
+                  rho_im=1.5, allow_double=False)
+    wp = w.derivative()
+    cps = Potential(w).axis_critical_points
+    for _ in range(10):
+        y1 = rng.uniform(-1.2, 1.2)
+        if all(abs(y1 - c.y0) > 0.2 for c in cps):
+            break
+    else:
+        return None
+    z1 = complex(0.0, y1)
+    level = w(z1).imag
+    if any(
+        abs(w(complex(0, c.y0)).imag - level)
+        < 1e-2 * max(1.0, abs(w(complex(0, c.y0))))
+        for c in cps
+    ):
+        return None
+    z2 = _pick_z2(w, wp, level, rng, x_range=(0.5, 1.6), wall_margin=5e-2)
+    if z2 is None or abs(z2 - z1) < 0.3:
+        return None
+    try:
+        v = classify(BoundaryData(w, z1, z2))
+    except LevelGraphError:
+        return None
+    if v.verdict != "stable" or v.case != "noncritical":
+        return None
+    try:
+        chk = graphical_connection(w, z1, z2)
+    except LevelGraphError:
+        return None
+    if not (chk.connected and chk.graphical) or chk.slope_sup > 6.0:
+        return None
+    # keep the linearization rate along the graph in a comfortable
+    # band so the explicit integrator converges well inside budget
+    dre = [wp(p).real for p in chk.trace.points]
+    if min(dre) < 0.25 or max(dre) > 25.0:
+        return None
+    xs = np.array([p.real for p in chk.trace.points])[::-1]
+    ys = np.array([p.imag for p in chk.trace.points])[::-1]
+    keep = np.concatenate(([True], np.diff(xs) > 1e-12))
+    xs, ys = xs[keep], ys[keep]
+    if len(xs) < 8 or xs[0] > 1e-4 * (1 + abs(z1)):
+        return None
+    if abs(xs[-1] - z2.real) > 1e-9:
+        return None
+    if xs[0] > 0.0:
+        xs = np.concatenate(([0.0], xs))
+        ys = np.concatenate(([z1.imag], ys))
+
+    data = shift_to_zero_level(BoundaryData(w, z1, z2))
+    ws = data.w
+    a, b = 0.0, z2.real
+    nodes = gauss_interior_nodes(a, b, 257)
+    # reference graph: polish the chord interpolant of the polyline
+    # onto the exact level curve at each quadrature node (the polyline
+    # itself carries ~1e-3 chord error at these step sizes)
+    curve = np.interp(nodes, xs, ys)
+    for _ in range(6):
+        num = np.array([ws(complex(x, y)).imag
+                        for x, y in zip(nodes, curve)])
+        den = np.array([wp(complex(x, y)).real
+                        for x, y in zip(nodes, curve)])
+        curve = curve - num / den
+    sigma = default_sigma(a, b, nodes)
+    amp = 0.08
+    f0 = None
+    for _ in range(4):
+        cand = make_grid_function(
+            a, b,
+            lambda x: np.interp(x, xs, ys)
+            + amp * np.sin(math.pi * (x - a) / (b - a)),
+            n=257, boundary=(z1.imag, z2.imag))
+        in_set, mmin = membership(cand, ws)
+        if in_set and mmin > 0.05:
+            f0 = cand
+            break
+        amp *= 0.5
+    if f0 is None:
+        return None
+    return {"w": ws, "sigma": sigma, "nodes": nodes, "a": a, "b": b,
+            "curve": curve, "f0": f0}
+
+
 @pytest.fixture(scope="module")
 def flow_battery():
     rng = random.Random(101)
@@ -397,91 +486,11 @@ def flow_battery():
     out = []
     while len(out) < 20:
         assert time.monotonic() - t0 < 55.0, "flow battery over budget"
-        w = _random_w(rng, deg_hi=4, y_span=1.2, rho_re=(-1.8, -0.2),
-                      rho_im=1.5, allow_double=False)
-        wp = w.derivative()
-        cps = Potential(w).axis_critical_points
-        for _ in range(10):
-            y1 = rng.uniform(-1.2, 1.2)
-            if all(abs(y1 - c.y0) > 0.2 for c in cps):
-                break
-        else:
+        pair = draw_stable_flow_pair(rng)
+        if pair is None:
             continue
-        z1 = complex(0.0, y1)
-        level = w(z1).imag
-        if any(
-            abs(w(complex(0, c.y0)).imag - level)
-            < 1e-2 * max(1.0, abs(w(complex(0, c.y0))))
-            for c in cps
-        ):
-            continue
-        z2 = _pick_z2(w, wp, level, rng, x_range=(0.5, 1.6), wall_margin=5e-2)
-        if z2 is None or abs(z2 - z1) < 0.3:
-            continue
-        try:
-            v = classify(BoundaryData(w, z1, z2))
-        except LevelGraphError:
-            continue
-        if v.verdict != "stable" or v.case != "noncritical":
-            continue
-        try:
-            chk = graphical_connection(w, z1, z2)
-        except LevelGraphError:
-            continue
-        if not (chk.connected and chk.graphical) or chk.slope_sup > 6.0:
-            continue
-        # keep the linearization rate along the graph in a comfortable
-        # band so the explicit integrator converges well inside budget
-        dre = [wp(p).real for p in chk.trace.points]
-        if min(dre) < 0.25 or max(dre) > 25.0:
-            continue
-        xs = np.array([p.real for p in chk.trace.points])[::-1]
-        ys = np.array([p.imag for p in chk.trace.points])[::-1]
-        keep = np.concatenate(([True], np.diff(xs) > 1e-12))
-        xs, ys = xs[keep], ys[keep]
-        if len(xs) < 8 or xs[0] > 1e-4 * (1 + abs(z1)):
-            continue
-        if abs(xs[-1] - z2.real) > 1e-9:
-            continue
-        if xs[0] > 0.0:
-            xs = np.concatenate(([0.0], xs))
-            ys = np.concatenate(([z1.imag], ys))
-
-        data = shift_to_zero_level(BoundaryData(w, z1, z2))
-        ws = data.w
-        a, b = 0.0, z2.real
-        nodes = gauss_interior_nodes(a, b, 257)
-        # reference graph: polish the chord interpolant of the polyline
-        # onto the exact level curve at each quadrature node (the polyline
-        # itself carries ~1e-3 chord error at these step sizes)
-        curve = np.interp(nodes, xs, ys)
-        for _ in range(6):
-            num = np.array([ws(complex(x, y)).imag
-                            for x, y in zip(nodes, curve)])
-            den = np.array([wp(complex(x, y)).real
-                            for x, y in zip(nodes, curve)])
-            curve = curve - num / den
-        sigma = default_sigma(a, b, nodes)
-        amp = 0.08
-        f0 = None
-        for _ in range(4):
-            cand = make_grid_function(
-                a, b,
-                lambda x: np.interp(x, xs, ys)
-                + amp * np.sin(math.pi * (x - a) / (b - a)),
-                n=257, boundary=(z1.imag, z2.imag))
-            in_set, mmin = membership(cand, ws)
-            if in_set and mmin > 0.05:
-                f0 = cand
-                break
-            amp *= 0.5
-        if f0 is None:
-            continue
-        trace = run_flow(f0, ws, sigma, stop_tol=1e-7, t_max=200.0)
-        out.append({
-            "w": ws, "sigma": sigma, "nodes": nodes, "a": a, "b": b,
-            "curve": curve, "f0": f0, "trace": trace,
-        })
+        pair["trace"] = run_flow(pair["f0"], pair["w"], pair["sigma"], stop_tol=1e-7, t_max=200.0)
+        out.append(pair)
     return {"elapsed": time.monotonic() - t0, "runs": out, "rng": rng}
 
 

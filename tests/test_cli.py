@@ -558,15 +558,15 @@ def test_flow_header_after_blank_lines(capsys, tmp_path):
 
 
 def test_flow_reports_accepted_and_rejected_steps(capsys, tmp_path):
-    # w = z^3/3 from a bump of height 0.875 on [0.5, 4]: the first trial
+    # w = z^3/3 from a bump of height 2.625 on [0.5, 4]: the first trial
     # step, one relaxation time 1/max|Re w'| = 1/16, is too long for the
-    # error test, which rejects three trial steps (error ratios 3, 1.48 and
-    # 1.01) before the first is accepted
+    # error test, which rejects two trial steps (error ratios 2.74 and
+    # 1.30) before the first is accepted
     f0_file = tmp_path / "f0.csv"
     rows = ["x,f"]
     for i in range(65):
         x = 0.5 + 3.5 * i / 64.0
-        rows.append("%.17g,%.17g" % (x, (x - 0.5) * (4.0 - x) / 3.5))
+        rows.append("%.17g,%.17g" % (x, 3.0 * (x - 0.5) * (4.0 - x) / 3.5))
     f0_file.write_text("\n".join(rows) + "\n")
 
     target = tmp_path / "flow.csv"
@@ -581,7 +581,7 @@ def test_flow_reports_accepted_and_rejected_steps(capsys, tmp_path):
     summary = json.loads(out)
     lines = target.read_text().strip().splitlines()
     assert summary["steps"] == len(lines) - 2  # header and the start row
-    assert summary["rejected_steps"] == 3
+    assert summary["rejected_steps"] == 2
 
 
 def test_flow_reports_membership_at_start_and_over_the_run(capsys, tmp_path):

@@ -1,17 +1,20 @@
+import dataclasses
 import math
+import random
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from reference_flow import phi1 as reference_phi1
 from reference_flow import phi3 as reference_phi3
 from reference_geodesic import geodesic_residual, j_derivative, relax_geodesic
+from test_acceptance import draw_stable_flow_pair
 
-from levelgraph import kempf_ness
+from levelgraph import config, kempf_ness
 from levelgraph.errors import Diverged, NonIntegrableEndpoint
 from levelgraph.kempf_ness import (
     BackgroundSigma,
@@ -581,6 +584,43 @@ def test_flow_rejects_a_step_that_raises_J(monkeypatch):
     assert trials[1] == pytest.approx(0.2 * trials[0], rel=1e-15)
     assert all(b <= a for a, b in zip(trace.J_values, trace.J_values[1:]))
     assert trace.residual_sup[-1] < 1e-8
+
+
+def _stable_flow_pair(seed):
+    # the acceptance flow battery's draw, repeated from one seed until a
+    # pair passes its filters
+    rng = random.Random(seed)
+    for _ in range(200):
+        pair = draw_stable_flow_pair(rng)
+        if pair is not None:
+            return pair
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(101)  # the battery's own seed
+def test_shipped_step_test_reaches_the_limit_of_a_tight_run(seed):
+    # J and the stop depend only on the state, so the shipped step test must
+    # end at the flow's limit as a run held to 1e-5 per step does: each
+    # final state lies within stop_tol / min Re w' of the limit
+    pair = _stable_flow_pair(seed)
+    assume(pair is not None)
+    f0, w, sigma = pair["f0"], pair["w"], pair["sigma"]
+    trace = run_flow(f0, w, sigma)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config, "TOL", dataclasses.replace(config.TOL, flow_step_rtol=1e-5))
+        tight = run_flow(f0, w, sigma)
+    stop = config.TOL.flow_stop
+    slowest = float(w.derivative()(f0.nodes + 1j * tight.final.values).real.min())
+    assert slowest > 0.0
+    assert np.max(np.abs(trace.final.values - tight.final.values)) <= 2.0 * stop / slowest
+    J, J_tight = trace.J_values[-1], tight.J_values[-1]
+    assert abs(J - J_tight) <= 1e-12 * (1.0 + abs(J_tight))
+    assert (min(trace.membership_min) > 0.0) == (min(tight.membership_min) > 0.0)
+    for run in (trace, tight):
+        assert run.residual_sup[-1] < stop
+        assert all(b <= a for a, b in zip(run.J_values, run.J_values[1:]))
 
 
 def test_flow_steps_pass_old_stability_bound():

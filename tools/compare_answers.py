@@ -36,7 +36,14 @@ line counts the answers that are not byte-equal, and of those the answers
 whose non-float fields differ: a length, an int, a bool, a string, an
 exception's text, or a field present on one side only.  It also gives the
 largest relative change |new - old| / |old| over the float (and complex)
-fields of the differing answers.  On ``witness``, ``verdicts-trace`` and
+fields of the differing answers.  Under it, one line per field that
+differs anywhere names the field with its list indices collapsed (the
+tuple index right after ``out`` stays, so ``out[1].final.values[*]``,
+``out[1].J_values[*]``, ``out[1].J_values.len``), the number of answers
+in which it differs and, for a float field, its largest relative change.
+List entries are compared index by index, so when a history changes
+length, its entries past the shorter one count as non-float changes.
+On ``witness``, ``verdicts-trace`` and
 ``witness-vertical-tangent`` it also counts the answers whose decision
 fields differ (``DECISIONS``): a raised error, ``connected``, ``graphical``
 and how each trace ended, and on ``witness`` every field of the flow.  A
@@ -185,6 +192,12 @@ def _number(text: str):
         except ValueError:
             return None
     return value if isinstance(value, (float, complex)) else None
+
+
+def _field(path: str) -> str:
+    """The field a flattened path belongs to: every list index collapsed to
+    [*], except the index of the answer's own tuple right after ``out``."""
+    return re.sub(r"(?<!^out)\[\d+\]", "[*]", path)
 
 
 def _relative_change(old, new) -> float:
@@ -381,7 +394,9 @@ def compare(parent: Path, change: Path, seeds) -> int:
             new = _answers(change, workload, seed, count)
             decisive = DECISIONS.get(workload)
             fields = bad = structural = decided = 0
-            largest = 0.0
+            # per field: [the answers that differ in it, the largest relative
+            # change of its floats, or None when only non-float values differ]
+            per_field: dict = {}
             for i, (a, b) in enumerate(zip(old, new)):
                 fields += len(a)
                 diff = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
@@ -398,8 +413,13 @@ def compare(parent: Path, change: Path, seeds) -> int:
                            for k in diff]
                 if any(x is None or y is None for x, y in numbers):
                     structural += 1
-                largest = max([largest] + [_relative_change(x, y) for x, y in numbers
-                                           if x is not None and y is not None])
+                for k, (x, y) in zip(diff, numbers):
+                    entry = per_field.setdefault(_field(k), [set(), None])
+                    entry[0].add(i)
+                    if x is not None and y is not None:
+                        entry[1] = max(entry[1] or 0.0, _relative_change(x, y))
+            floats = [entry[1] for entry in per_field.values() if entry[1] is not None]
+            largest = max(floats, default=0.0)
             unmatched = abs(len(old) - len(new))
             bad += unmatched
             structural += unmatched
@@ -408,6 +428,9 @@ def compare(parent: Path, change: Path, seeds) -> int:
                   f"{bad} answers differ, {structural} in a non-float field"
                   + (f", {decided} decisions differ" if decisive else "")
                   + f"; largest relative float change {largest:.3g}")
+            for name, (answers, worst) in sorted(per_field.items()):
+                print(f"    {name}: {len(answers)} answers differ"
+                      + ("" if worst is None else f", largest relative change {worst:.3g}"))
             differing += bad
     differing += compare_cli(parent, change, differing)
     differing += compare_demos(parent, change, differing)
