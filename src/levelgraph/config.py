@@ -34,7 +34,7 @@ class Tolerances:
     corrector: float = 1e-10          # |level function| after Newton correction
     max_turn_angle: float = 0.2       # radians per accepted step
     trace_radius_factor: float = 4.0  # radius = factor * (1 + Fujiwara's bound on |roots of w|)
-    step_initial: float = 1e-3        # initial step, times (1 + |seed|)
+    step_initial: float = 1e-3        # first step where the seed has no disc, times (1 + |seed|)
     step_max: float = 0.05            # step cap, times (1 + escape radius)
     step_floor: float = 1e-11         # below this the corrector has genuinely failed
     crit_snap: float = 1e-4           # |u - c| below this counts as hitting c

@@ -29,7 +29,10 @@ A regular target z1 also gets a landing disc, which ends the trace in one
 step instead of the ~40 quarter steps of the clamp.  Let g = |w'(z1)| > 0,
 t = conj w'(z1) / g the unit tangent there, q = min(1/2, |Re t| / 2),
 M2(s) = sum_{k>=2} k (k-1) |c_k| (|z1| + s)^(k-2) (a bound for |w''| on
-D(z1, s)) and r = min(1, q g / M2(1)).  On D(z1, r), |w'(p) - w'(z1)| <=
+D(z1, s)) and r the largest radius r <= 1 with r M2(r) <= q g.  Since
+r M2(r) rises with r, a bisection finds r, starting from q g / M2(1), which
+fits.  Where q = 0 (a vertical tangent) there is no disc, r = 0, even when
+M2 = 0: the argument below needs |Re t| > 0.  On D(z1, r), |w'(p) - w'(z1)| <=
 M2(r) r <= q g.  The gradient of Im w is i conj w', so its component along
 n, the unit gradient at z1, is at least (1 - q) g > 0 on the disc: Im w -
 level strictly increases along every chord parallel to n, and the level
@@ -46,8 +49,14 @@ the target ball, to a point p; there is no landing when that fails (z1 off
 the level) or when Re p < 0, where the arc would cross the imaginary axis
 first.  A trace point inside the landing radius whose tangent heads toward
 p lies on the disc's one arc and would run monotonically into the target
-ball: the trace appends p and ends as ``target``.  Outside the disc, and
-on a trace with no target, every step is as before.
+ball: the trace appends p and ends as ``target``.
+
+The same disc launches every trace, taken about the corrected seed u0 for
+the polynomial whose level set is traced (w, or i w' on the vertical-tangent
+kind): half of it holds one arc, the seed's own, along which the tangent
+stays within arcsin q of the tangent at u0.  So the first step is
+max(TOL.step_initial (1 + |seed|), min(h_max, r(u0) / 2)), cut by the stop
+clamps like every step; a seed with no disc starts at TOL.step_initial.
 
 Traces stay in the closed right half-plane: a step that crosses the
 imaginary axis is clipped onto it and the trace ends there, by the stop
@@ -67,6 +76,9 @@ from .poly import ComplexPolynomial, _horner, roots, taylor_coeffs
 _GROW = 1.3
 _MAX_NEWTON = 12
 _MAX_STEPS = 20000
+# the landing radius is bisected until the largest r that fits lies within
+# this factor above it, so r (1 + 2^-8) no longer fits
+_DISC_WIDTH = 1.0 + 2.0**-9
 
 
 @dataclass(frozen=True)
@@ -173,15 +185,29 @@ def _escape_radius(w: ComplexPolynomial, seed: complex) -> float:
 
 def _landing_disc(coeffs, z: complex) -> float:
     """Radius r of the landing disc about z of the level curve of Im w
-    through z, w given by its ascending coeffs (see the module docstring);
-    0 where w'(z) vanishes or overflows."""
+    through z, w given by its ascending coeffs: the largest r <= 1 with
+    r M2(r) <= q |w'(z)| (see the module docstring).  0 where w'(z)
+    vanishes or overflows, or where the tangent is vertical (q = 0)."""
     d = _horner([k * c for k, c in enumerate(coeffs)][1:], z, 0j)
     g = abs(d)
     if not 0.0 < g < math.inf:
         return 0.0
-    q = min(0.5, 0.5 * abs(d.real) / g)
-    m2 = _horner([k * (k - 1) * abs(c) for k, c in enumerate(coeffs)][2:], abs(z) + 1.0, 0.0)
-    return 1.0 if m2 == 0.0 else min(1.0, q * g / m2)
+    qg = min(0.5, 0.5 * abs(d.real) / g) * g
+    if qg == 0.0:
+        return 0.0
+    b = [k * (k - 1) * abs(c) for k, c in enumerate(coeffs)][2:]
+
+    def fits(r):
+        return r * _horner(b, abs(z) + r, 0.0) <= qg
+
+    if fits(1.0):
+        return 1.0
+    # r M2(r) rises with r, and M2(r) <= M2(1): q g / M2(1) fits, 1 does not
+    lo, hi = qg / _horner(b, abs(z) + 1.0, 0.0), 1.0
+    while lo > 0.0 and hi > lo * _DISC_WIDTH:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
 
 def _clip_to_axis(field, grad, prev: complex, cur: complex) -> complex:
@@ -274,7 +300,9 @@ def _trace(
                 land = radius
 
     tangent = _orient(_unit_tangent(g0), direction)
-    h = config.TOL.step_initial * seed_scale
+    # the launch: half the disc about u0 holds one arc, the seed's own
+    h = max(config.TOL.step_initial * seed_scale,
+            min(h_max, 0.5 * _landing_disc(base.coeffs, u0)))
     h_floor = config.TOL.step_floor * seed_scale
     max_turn = config.TOL.max_turn_angle
 

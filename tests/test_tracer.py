@@ -244,20 +244,11 @@ def test_critical_point_reaches_z1_within_twice_its_snap(y1, connected):
     assert chk.connected is connected
 
 
-# ROADMAP item 18: the verdicts inputs of bench/gen.py (seed, index) on which
-# the traced witness disagrees with classify; each trace ends at a critical
-# point.  Each row is w as (re, im) pairs, ascending, then z1 and z2.
+# verdicts inputs of bench/gen.py (seed, index) whose traced witness ends at
+# a critical point.  Each row is w as (re, im) pairs, ascending, then z1 and
+# z2.  On the rows of _ITEM_18 the witness disagrees with classify (ROADMAP
+# item 18); on those of _AGREEING it agrees.
 _ITEM_18 = {
-    "seed1-273": (
-        [(0.0, 0.0), (-2.4137877576103106, -2.734869274672698),
-         (-0.7868510557291472, -2.414495400575947), (-3.3389681430931346, -5.1690608839003005),
-         (-2.920494990772799, -3.88321202642293), (-4.04374351805445, -4.764814734710653),
-         (-3.5904109966392777, -2.449937111085433), (-2.6731675218630193, -1.6544558439145778),
-         (-1.7244402580995057, -0.4383575373563262),
-         (-0.7303382915419135, -0.013841434070618823),
-         (-0.24026321788641908, 0.053504367664448424),
-         (-0.03683671434925348, 0.03685530276400659)],
-        (0.0, -1.169117391781748), (1.3061604515563232, -0.15392143372088068)),
     "seed1-343": (
         [(0.0, 0.0), (-112.86761263229978, -301.6028916561676),
          (-48.157576590504206, -279.42701039191866), (-4.318191362398825, -266.4709544514974),
@@ -266,14 +257,6 @@ _ITEM_18 = {
          (5.137236350749321, -4.628501456333563), (1.093918882656617, -0.765024516156247),
          (0.12001475441653717, -0.0772884583693735)],
         (0.0, 1.4611049791514736), (0.23433989394589488, 1.4213618357285085)),
-    "seed1-377": (
-        [(0.0, 0.0), (14.042937960273235, -22.81531263804034),
-         (57.131464425329945, 11.484639442431178), (24.766924638297798, 66.14474194760935),
-         (-24.016953800266243, 54.63022547209586), (-34.36859135205538, 20.764709859225245),
-         (-21.947356018089938, 0.931895829549461), (-9.158135225079729, -3.7640044498157716),
-         (-2.526297658758147, -2.559109579965463), (-0.32148279643199174, -0.8736516528588828),
-         (0.010553262875786153, -0.1461143469306418)],
-        (0.0, 1.2591654244017614), (1.281913356723725, 0.9026920899435762)),
     "seed1-404": (
         [(0.0, 0.0), (6.255687110538158, 3.9121556310717316),
          (-5.098160656972704, 8.152154698544026), (-5.299956039078257, -3.3144645018745074),
@@ -300,6 +283,14 @@ _ITEM_18 = {
          (-1.6426005948775453, -2.350961339704368), (0.9840756968443799, -0.8164868611725516),
          (0.15132326662860848, 0.15299568085190013)],
         (0.0, 1.4499956080146357), (1.0583863701848764, -0.28224958277450324)),
+    "seed1-915": (
+        [(0.0, 0.0), (-24.24604674930397, -22.058102073427854),
+         (-37.71392759785677, -1.170758796627739), (-40.46643265228743, 5.839532340226498),
+         (-32.471716064953945, 10.948276698809275), (-24.545811975860598, 10.334475523752767),
+         (-14.023870158635527, 5.812809174131079), (-6.561591923485145, 2.9093182707740413),
+         (-2.550893675383905, 0.8498134095021539), (-0.6481996275025597, 0.14225302152111552),
+         (-0.09003198242294391, 0.0031354067485638527)],
+        (0.0, -0.7734978309109375), (2.8218416696137156, -1.1310870292353712)),
     "seed1-1023": (
         [(0.0, 0.0), (6.835662872361324, 40.81293362106115),
          (-74.2491305816938, 66.06117815775062), (-149.19872099145584, -29.621843820863674),
@@ -353,8 +344,34 @@ _ITEM_18 = {
 }
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 18")
-@pytest.mark.parametrize("w, z1, z2", list(_ITEM_18.values()), ids=list(_ITEM_18))
+_AGREEING = {
+    "seed1-273": (
+        [(0.0, 0.0), (-2.4137877576103106, -2.734869274672698),
+         (-0.7868510557291472, -2.414495400575947), (-3.3389681430931346, -5.1690608839003005),
+         (-2.920494990772799, -3.88321202642293), (-4.04374351805445, -4.764814734710653),
+         (-3.5904109966392777, -2.449937111085433), (-2.6731675218630193, -1.6544558439145778),
+         (-1.7244402580995057, -0.4383575373563262),
+         (-0.7303382915419135, -0.013841434070618823),
+         (-0.24026321788641908, 0.053504367664448424),
+         (-0.03683671434925348, 0.03685530276400659)],
+        (0.0, -1.169117391781748), (1.3061604515563232, -0.15392143372088068)),
+    "seed1-377": (
+        [(0.0, 0.0), (14.042937960273235, -22.81531263804034),
+         (57.131464425329945, 11.484639442431178), (24.766924638297798, 66.14474194760935),
+         (-24.016953800266243, 54.63022547209586), (-34.36859135205538, 20.764709859225245),
+         (-21.947356018089938, 0.931895829549461), (-9.158135225079729, -3.7640044498157716),
+         (-2.526297658758147, -2.559109579965463), (-0.32148279643199174, -0.8736516528588828),
+         (0.010553262875786153, -0.1461143469306418)],
+        (0.0, 1.2591654244017614), (1.281913356723725, 0.9026920899435762)),
+}
+
+
+@pytest.mark.parametrize("w, z1, z2", [
+    *(pytest.param(*row, id=name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 18"))
+      for name, row in _ITEM_18.items()),
+    *(pytest.param(*row, id=name) for name, row in _AGREEING.items()),
+])
 def test_witness_is_a_graph_exactly_when_classify_says_stable(w, z1, z2):
     w = ComplexPolynomial(complex(*p) for p in w)
     z1, z2 = complex(*z1), complex(*z2)
@@ -422,6 +439,41 @@ def test_landing_disc_holds_one_monotone_arc(coeffs, z):
             heights = [(_exact(coeffs, z0 + o * r * t + (2 * j / 8 - 1) * half * n)[0]
                         - level).imag for j in range(9)]
             assert all(a < b for a, b in zip(heights, heights[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DISC_COEFFS, _DISC_POINTS)
+@example([0j, 1 + 0j, 0.01 + 0j], 1 + 0j)  # M2(1) = 0.02: r = 1
+@example([1j, 0j, 0j, 1 + 0j], 1.0033471224120806e-142j)  # q g / M2(1) about 2.5e-285
+def test_landing_disc_is_the_largest_radius_its_bound_allows(coeffs, z):
+    # r M2(r) <= q g, and r is 1 or r (1 + 2^-8) breaks the bound
+    r = tracer._landing_disc(coeffs, z)
+    with mpmath.workdps(60):
+        z0 = mpmath.mpc(z)
+        d = _exact(coeffs, z0)[1]
+        qg = min(abs(d), abs(d.real)) / 2
+        # the float w'(z) is good to about n eps sum k |c_k| |z|^(k-1), so
+        # the float q g may differ from the exact one by that much
+        slack = 1e-14 * sum(k * abs(mpmath.mpc(c)) * abs(z0) ** (k - 1)
+                            for k, c in enumerate(coeffs) if k)
+
+        def bound(s):
+            s = mpmath.mpf(s)
+            return s * sum(k * (k - 1) * abs(mpmath.mpc(c)) * (abs(z0) + s) ** (k - 2)
+                           for k, c in enumerate(coeffs) if k >= 2)
+
+        if r == 0.0:
+            # no disc: q g is 0 in floats, or q g / M2(1) below the least double
+            assert qg <= slack or qg / bound(1) < sys.float_info.min
+            return
+        assert bound(r) <= qg * (1 + mpmath.mpf(1e-12)) + slack
+        assert r == 1.0 or bound(r * (1 + mpmath.mpf(2) ** -8)) > qg - slack
+
+
+def test_landing_disc_is_none_where_the_tangent_is_vertical():
+    # w = iz: M2 = 0, but the tangent at 1 is vertical (w'(1) = i, q = 0),
+    # and the disc argument needs |Re t| > 0
+    assert tracer._landing_disc([0j, 1j], 1 + 0j) == 0.0
 
 
 # refusals: each case keeps the answer it had before the landing disc,
@@ -510,6 +562,23 @@ def test_a_witness_trace_lands_on_its_target(w, z1, z2):
     land = 0.5 * tracer._landing_disc(w.coeffs, z1)
     assert land > config.TOL.connect * (1 + abs(z1))
     assert sum(abs(p - z1) < land for p in chk.trace.points[:-1]) <= 1
+
+
+@pytest.mark.parametrize("w, z1, z2", _WITNESS_SEED_1)
+def test_a_witness_trace_launches_from_the_disc_about_its_seed(w, z1, z2):
+    w = ComplexPolynomial(complex(*p) for p in w)
+    z1, z2 = complex(*z1), complex(*z2)
+    chk = graphical_connection(w, z1, z2)
+    u0, u1 = chk.trace.points[:2]
+    h_max = config.TOL.step_max * (1 + tracer._escape_radius(w, u0))
+    launch = min(h_max, 0.5 * tracer._landing_disc(w.coeffs, u0))
+    assert launch > config.TOL.step_initial * (1 + abs(z2))
+    # the first step is the launch: the corrector pulls u0 + launch t back
+    # onto the arc, a short move across it
+    assert abs(u1 - u0) == pytest.approx(launch, rel=1e-2)
+    # a work count: the 18th input, whose landing radius at z1 is 0.0089,
+    # closes in on it in 10 quarter steps, and no trace takes more points
+    assert len(chk.trace.points) <= 24
 
 
 # ---------------------------------------------------------------------------

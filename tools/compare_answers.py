@@ -42,12 +42,19 @@ tuple index right after ``out`` stays, so ``out[1].final.values[*]``,
 ``out[1].J_values[*]``, ``out[1].J_values.len``), the number of answers
 in which it differs and, for a float field, its largest relative change.
 List entries are compared index by index, so when a history changes
-length, its entries past the shorter one count as non-float changes.
-On ``witness``, ``verdicts-trace`` and
+length, its entries past the shorter one count as non-float changes.  Each
+flow history (``HISTORIES``) also records its last entry as a field of its
+own, ``out[1].J_values[-1]``, ``out[1].membership_min[-1]``,
+``out[1].residual_sup[-1]`` and ``out[1].times[-1]`` on ``witness``, so the
+final J and the sign of the last membership reading compare directly when
+the step sequence changes.  On ``witness``, ``verdicts-trace`` and
 ``witness-vertical-tangent`` it also counts the answers whose decision
 fields differ (``DECISIONS``): a raised error, ``connected``, ``graphical``
 and how each trace ended, and on ``witness`` every field of the flow.  A
-change that moves only the traced points reads "0 decisions differ".
+change that moves only the traced points reads "0 decisions differ".  On
+these three trace sets the summary line also gives each side's mean number
+of trace points per answer (summed over an answer's traces), the tracer's
+work count.
 
 The set ``cli`` does not depend on the seeds and runs once per side:
 each of the fixed invocations in ``CLI_SET`` (the four subcommands
@@ -111,6 +118,8 @@ DECISIONS = {
     "verdicts-trace": re.compile(r"out(\.(connected|graphical|trace\.terminated_by))?"),
     "witness-vertical-tangent": re.compile(r"out(\[\d\]\.terminated_by)?"),
 }
+# the flow's histories, each of whose last entry is also a field of its own
+HISTORIES = ("times", "J_values", "residual_sup", "membership_min")
 
 _CUBE = "0,0,0,0.3333333333333333"
 _F0_ROWS = "x,f\n" + "".join(
@@ -170,7 +179,10 @@ def _flatten(obj, path: str, out: dict) -> None:
         obj = obj.item()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         for f in dataclasses.fields(obj):
-            _flatten(getattr(obj, f.name), f"{path}.{f.name}", out)
+            value = getattr(obj, f.name)
+            _flatten(value, f"{path}.{f.name}", out)
+            if f.name in HISTORIES and value:
+                _flatten(value[-1], f"{path}.{f.name}[-1]", out)
     elif isinstance(obj, (list, tuple)):
         out[f"{path}.len"] = str(len(obj))
         for i, item in enumerate(obj):
@@ -207,6 +219,12 @@ def _relative_change(old, new) -> float:
         return 0.0
     change = abs(new - old) / abs(old) if old != 0 else math.inf
     return change if change == change else math.inf
+
+
+def _mean_points(answers) -> float:
+    """Mean over answers of the trace points each records, over all its traces."""
+    total = sum(int(v) for a in answers for k, v in a.items() if k.endswith("points.len"))
+    return total / max(len(answers), 1)
 
 
 def _vertical_tangent_set(ops):
@@ -426,7 +444,8 @@ def compare(parent: Path, change: Path, seeds) -> int:
             decided += unmatched
             print(f"{workload} seed {seed}: {len(old)} answers, {fields} fields, "
                   f"{bad} answers differ, {structural} in a non-float field"
-                  + (f", {decided} decisions differ" if decisive else "")
+                  + (f", {decided} decisions differ; trace points per answer "
+                     f"{_mean_points(old):.2f} -> {_mean_points(new):.2f}" if decisive else "")
                   + f"; largest relative float change {largest:.3g}")
             for name, (answers, worst) in sorted(per_field.items()):
                 print(f"    {name}: {len(answers)} answers differ"
