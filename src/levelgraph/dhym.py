@@ -17,22 +17,25 @@ The roots of w' are known exactly (-xi and 0), so each index is a phase
 sum.  The charge paths of Z_P and Z_Dinf keep every factor in the right
 half-plane, so each lift is pi less a :func:`levelgraph.cauchy.phase_climb`
 (the sum the band labels use too) and rises strictly, and an index is the
-number of lines through the total charge Z_X that the lift still crosses:
-a floor formula.  A count is trusted only when its lift lies farther from
-every line than a stated rounding bound.  The axis index of a
-non-generic input, whose Z_P path starts on a line, counts the lines after
-that one, and is trusted when the start is within that bound of its line
-and far enough inside the sector for the lift to keep rising.  Otherwise
-the exact signed-remainder chain of :mod:`levelgraph.cauchy` decides.
+number of lines through the total charge Z_X that the lift still crosses.
+The exact frame fixes the top line both paths cross, so each count is a
+floor formula in the lift's start alone, trusted only when the start lies
+farther from every line than a stated rounding bound; otherwise the exact
+signed-remainder chain of :mod:`levelgraph.cauchy` decides.
+
+A non-generic input's Z_P path starts on a line of Z_X, up to rounding.
+The axis index reads it by rotation: g(z) = e^{-i theta_hat} i^r
+(xi + z)^m, which is w' with z^r divided out, turned by its start's small
+angle, starts on that line, and its lift m arg(xi + it) + const rises
+strictly for every xi1 > 0.  So the index counts the lines from the start's
+line to the top one, with no certificate and no chain, however thin the
+sector xi1/|xi|.
 
 Orientation note: the index machinery in :mod:`levelgraph.cauchy` counts a
 -inf -> +inf jump as +1.  The lift formulas below need the opposite sign --
 a counterclockwise crossing of the Z_X line by w' along an upward ray, which
 shows up as a +inf -> -inf jump of Im(w')/Re(w').  Hence ``_chain_index``
-negates the index it takes.  The start of a non-generic Z_P path, on a line
-of Z_X, is a pole of that ratio at t = 0, which the axis index leaves out:
-the chain divides its root out of Re w', as ``landscape`` divides out the
-pole of a non-generic critical point.
+negates the index it takes.
 """
 
 from __future__ import annotations
@@ -114,10 +117,10 @@ class CalabiInput:
 class LiftData:
     """What compute_lifts decides; analyze copies all but the last two fields.
 
-    line_margin is the smallest distance, in units of pi, from a crossing
-    count's ends to a line of Z_X, leaving out the start of a non-generic
-    Z_P path, which lies on a line; index_fallbacks (0 to 2) is how many of
-    the two indices the exact chain decided.
+    line_margin is the smallest distance, in units of pi, from a certified
+    crossing count's start to a line of Z_X, leaving out the start of a
+    non-generic Z_P path, which lies on a line; index_fallbacks (0 to 2) is
+    how many of the two indices the exact chain decided.
     """
 
     theta_top: float
@@ -210,14 +213,17 @@ def _z_x_line(theta_hat: float, n: int):
     theta_top = theta_hat + ell pi is the representative of theta_hat mod
     pi in [lo, lo + pi), lo = n pi/2 - pi, with ell decided in exact
     arithmetic.  line_angle = theta_top - lo is the angle of the Z_X line
-    in the lift frame, in [0, pi) up to rounding; its lines are
+    in the lift frame, and its exact value lies in [0, pi); its lines are
     {line_angle + k pi}.
 
     A path lift (see compute_lifts) rises strictly to pi, crossing each
-    line in (lift, pi) once, counterclockwise: line_crossings counts them
-    between (lift - line_angle)/pi and 1 - line_angle/pi, and a line_angle
-    rounded out of [0, pi) leaves a margin below bound.  A certified count
-    is the index of w' for the computed theta_hat.
+    line below pi once, counterclockwise.  In units of pi from line 0, it
+    starts at lo = (lift - line_angle)/pi and ends on the asymptote
+    hi = 1 - line_angle/pi, which lies in (0, 1]: hi = 1 only for
+    theta_hat == 0.0 with n even, where line 1 is reached only at t = inf
+    and is not crossed.  So the top line a path crosses is always 0, its
+    count is -floor(lo), and only lo's distance from a line needs proof.
+    A certified count is the index of w' for the computed theta_hat.
 
     bound = CLIMB_ROUNDING (n + |ell|) = 16u (n + |ell|), u = eps/2, in
     units of pi, bounds how far rounding moves the distance from a lift to
@@ -226,9 +232,8 @@ def _z_x_line(theta_hat: float, n: int):
     u max(pi, climb), so with climb <= (n - 1) pi it is within
     (1.1 + 17.1 (n - 1)) u < 17 n u.  theta_top (float pi times ell, then
     the sum) and lo add (7.5 |ell| + 3.8 n + 7.5) u, forming
-    (lift - line_angle)/pi 2.4 n u in units of pi, and 1 - line_angle/pi
-    2u more.  The total is below 12u (n + |ell|) = 6 eps (n + |ell|) in
-    units of pi, since n >= 2.
+    (lift - line_angle)/pi 2.4 n u in units of pi.  The total is below
+    12u (n + |ell|) = 6 eps (n + |ell|) in units of pi, since n >= 2.
     """
     # ell = ceil((lo - theta_hat)/pi) = (n - 1 - floor(2 theta_hat/pi)) // 2
     # for theta_hat in (-pi, pi).  math.pi/2 is below pi/2 and no double lies
@@ -240,72 +245,21 @@ def _z_x_line(theta_hat: float, n: int):
     return theta_top, line_angle, CLIMB_ROUNDING * (n + abs(ell))
 
 
-def _crossings_from_line(lift: float, line_angle: float, bound: float, xi: complex, m: int):
-    """(count, margin): the axis index of a non-generic input, from its lift.
-
-    For a non-generic input the Z_P path starts within rounding of a line
-    of Z_X.  The index that the exact chain decides is that of
-    F(t) = g(it) - a over t > 0, where g(z) = e^{-i theta_hat} i^r (xi + z)^m
-    is w' with t^r cancelled, whose phase is the Z_P path's lift turned so
-    that the lines of Z_X are {Re g = 0}, and a = Re g(0): the chain drops
-    a, which puts the start exactly on a line, and divides t out of Re F,
-    which leaves F's sign on t > 0 and no pole at t = 0.  So the index
-    counts the lines F's lift crosses after its start, and with
-    lo = (lift - line_angle)/pi, k0 = round(lo) and
-    hi = 1 - line_angle/pi it is floor(hi) - k0, the lines in (k0, hi]
-    that line_crossings counts from k0 + 1/2, when
-
-    - F's lift rises strictly for t >= 0.  With u = xi + it and |c| = 1,
-      its rate is m Re(1/(u (1 - a/(c u^m)))), which is positive while
-      xi1 |u|^m > |a| (|u| + xi1); since |u| >= xi1, that holds for every
-      t once xi1^m > 2|a|.
-    - F starts on line k0 and ends on g's asymptote.  |a| < |g(it)|/2 for
-      every t keeps F's lift within 1/6 (in units of pi) of g's, so both
-      reach hi, and F's start is the line within 1/6 of g's start, which
-      is k0 while g's start lies within 1/3 of it.
-    - hi lies farther than bound from an integer, so floor(hi) is exact.
-
-    With delta the exact distance of g's start from line k0 in units of
-    pi, |a| = |xi|^m |sin(pi delta)| <= pi |delta| |xi|^m and |delta| <=
-    |lo - k0| + bound, so the test 2 pi (|lo - k0| + bound) < (xi1/|xi|)^m
-    gives xi1^m > 2|a| and |delta| < 1/(2 pi) < 1/3.  The test's own
-    rounding, below (m + 4) eps, is covered by the slack in bound, which
-    exceeds the 6 eps (n + |ell|) it must cover by 2 eps (n + |ell|):
-    times 2 pi, more than 12 n eps.  margin is hi's distance from its
-    nearest line, and the count is None unless the test passes and
-    margin > bound.
-    """
-    lo = (lift - line_angle) / math.pi
-    k0 = round(lo)
-    count, margin = line_crossings(k0 + 0.5, 1 - line_angle / math.pi, bound)
-    rising = 2 * math.pi * (abs(lo - k0) + bound) < (xi.real / abs(xi)) ** m
-    return (count if rising else None), margin
-
-
-def _chain_index(inp: CalabiInput, wp, generic: bool, axis: bool) -> HalfInteger:
+def _chain_index(inp: CalabiInput, wp, axis: bool) -> HalfInteger:
     """One index from the exact signed-remainder chain alone.
 
     Restricts wp, the w' that compute_lifts formed, to the vertical ray
-    above z2 (axis False, ind_Rb) or to the imaginary axis (axis True,
-    ind_R0).  On the axis, w' = e^{-i theta_hat} z^r (xi + z)^m has its r
-    lowest coefficients exactly zero (the antiderivative P starts with
-    r + 1 of them, 0/(k + 1) = 0), so dropping them divides t^r out of Re
-    and Im of w'(it) exactly and leaves those of g(it), g(z) = e^{-i
-    theta_hat} i^r (xi + z)^m.  A non-generic Re g(0) is zero up to
-    TOL.sign, and the Z_P path starts on the Z_X line, whose crossing at
-    t = 0 the index leaves out.  So the constant term of Re g(it) is
-    dropped, which snaps Re g(0) to 0 and divides t out exactly, and so is
-    every exact zero after it, each one more factor t.  Dividing by t^k > 0
-    keeps the ratio's sign and its poles on t > 0, and the reduced Re
-    starts with a nonzero constant term, so no pole sits at t = 0: the
-    index over [0, inf) is that of the open ray.
+    above z2 (axis False, ind_Rb) or to the imaginary axis (axis True, a
+    generic ind_R0).  On the axis, w' = e^{-i theta_hat} z^r (xi + z)^m has
+    its r lowest coefficients exactly zero (the antiderivative P starts
+    with r + 1 of them, 0/(k + 1) = 0), so dropping them divides t^r out of
+    Re and Im of w'(it) exactly and leaves those of g(it), g(z) = e^{-i
+    theta_hat} i^r (xi + z)^m.  A generic Re g(0) is not zero, so no pole
+    sits at t = 0: the index over [0, inf) is that of the open ray.
     """
     re, im = restrict_to_vertical_line(wp, 0.0 if axis else inp.b)
     if axis:
         re, im = RealPolynomial(re.coeffs[inp.r:]), RealPolynomial(im.coeffs[inp.r:])
-        if not generic:
-            k = next((k for k, c in enumerate(re.coeffs) if k and c), len(re.coeffs))
-            re = RealPolynomial(re.coeffs[k:])
     return -index_on_interval(RationalFunction(im, re), 0.0 if axis else inp.q, math.inf)
 
 
@@ -314,16 +268,17 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
 
     Z_X and Z_Dinf are the charges from compute_charges.  The closed-form
     lifts of the Z_Dinf and Z_P paths decide both indices as counts of
-    crossings of the Z_X line, each certified against the rounding bound
-    of _z_x_line: ind_Rb and a generic ind_R0 by line_crossings, and the axis
-    index of a non-generic input, whose path starts on a line, by
-    _crossings_from_line.  An index whose count is not certified comes
-    from the exact signed-remainder chain instead (_chain_index);
-    ``index_fallbacks`` counts these.  ``line_margin`` is the smallest
-    distance, in units of pi, from a count's ends to a line, the start of
-    a non-generic Z_P path left out.  The Z_Dinf path's end grade must
-    agree with phi_X + delta/pi, otherwise LiftInconsistency is raised.
-    Class data with Re w'(z2) <= 0 raise BoundaryPointUnreachable.
+    crossings of the Z_X line up to its top line 0 (see _z_x_line).
+    ind_Rb and a generic ind_R0 count from their lift's start, certified
+    by line_crossings against the rounding bound of _z_x_line; an index
+    whose count is not certified comes from the exact signed-remainder
+    chain instead (_chain_index), and ``index_fallbacks`` counts these.
+    The axis index of a non-generic input counts from the line its start
+    snaps to, and needs no certificate.  ``line_margin`` is the smallest
+    distance, in units of pi, from a certified count's start to a line.
+    The Z_Dinf path's end grade must agree with phi_X + delta/pi,
+    otherwise LiftInconsistency is raised.  Class data with Re w'(z2) <= 0
+    raise BoundaryPointUnreachable.
     """
     m, r = inp.m, inp.r
     n = m + r + 1
@@ -344,14 +299,14 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     lift_P = math.pi - phase_climb(((-inp.xi, m, 0.0),), 0.0, 0.0)[0]
     lift_D = math.pi - phase_climb(((0j, r, 0.0), (-inp.xi, m, 0.0)), inp.b, inp.q)[0]
     phi_P = lift_P / math.pi
-    asymptote = 1 - line_angle / math.pi
 
-    # index along the vertical ray above z2
-    count, line_margin = line_crossings((lift_D - line_angle) / math.pi, asymptote, bound)
+    # index along the vertical ray above z2: the lines in (lo, 0], which
+    # line_crossings counts up to any end in [0, 1)
+    count, line_margin = line_crossings((lift_D - line_angle) / math.pi, 0.5, bound)
     fallbacks = 0
     if count is None:
         fallbacks += 1
-        ind_Rb = _chain_index(inp, wp, generic, axis=False)
+        ind_Rb = _chain_index(inp, wp, axis=False)
     else:
         ind_Rb = HalfInteger.from_int(count)
     on_wall = not ind_Rb.is_integer
@@ -369,15 +324,20 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
             f"{threshold:.3g}: no graph over [0, b] ends at z2",
         )
 
-    # index along the imaginary axis
+    # index along the imaginary axis.  A non-generic start lies within
+    # TOL.sign/pi (about 3e-10) of its line k0 = round(lo); turned by that
+    # small angle, g starts on line k0, and its lift m arg(xi + it) + const
+    # rises strictly for every xi1 > 0, so the index is the signed count
+    # 0 - k0 of lines from k0 to the top line
+    lo = (lift_P - line_angle) / math.pi
     if generic:
-        count, margin = line_crossings((lift_P - line_angle) / math.pi, asymptote, bound)
+        count, margin = line_crossings(lo, 0.5, bound)
+        line_margin = min(line_margin, margin)
     else:
-        count, margin = _crossings_from_line(lift_P, line_angle, bound, inp.xi, m)
-    line_margin = min(line_margin, margin)
+        count = -round(lo)
     if count is None:
         fallbacks += 1
-        ind_R0 = _chain_index(inp, wp, generic, axis=True)
+        ind_R0 = _chain_index(inp, wp, axis=True)
     else:
         ind_R0 = HalfInteger.from_int(count)
 

@@ -19,7 +19,6 @@ from levelgraph.cauchy import CLIMB_ROUNDING, HalfInteger, RationalFunction, ind
 from levelgraph.cauchy import line_crossings, phase_climb
 from levelgraph.dhym import (
     CalabiInput,
-    _crossings_from_line,
     _z_x_line,
     analyze,
     build_polynomials,
@@ -29,7 +28,6 @@ from levelgraph.dhym import (
 )
 from levelgraph.errors import BoundaryPointUnreachable, LevelMismatch, ZeroTotalCharge
 from levelgraph.tracer import graphical_connection
-from reference_index import index_one_sided
 from reference_lift import _unwrap_lift
 
 SQ3 = math.sqrt(3.0)
@@ -216,8 +214,8 @@ PLANTED_39 = CalabiInput(2, 0, 1.2443289121140952, -0.9338581957085412,
                          0.5120912257056114, 0.759702860137234)
 PLANTED_198 = CalabiInput(3, 0, 1.4405456336916118, -1.9075008892519367,
                           1.025635705615961, -2.696975544214713)
-# non-generic with xi1 = 1e-13: the axis path runs 1e-13 from the origin,
-# and zeroing Re g(0), 3e-11 in size, moves it past the origin: its lift falls
+# non-generic with xi1 = 1e-13: the Z_P path's start and its asymptote both
+# lie about 1e-11 pi below line 1
 THIN_SECTOR = CalabiInput(1, 0, 1e-13, 1.0, 1.0, -0.99999999997)
 # non-generic with the Z_P path's start 3.5e-17 pi below its line
 PLANTED_59 = CalabiInput(1, 0, 1.019931112311693, -0.7330594124575915,
@@ -239,9 +237,9 @@ def path_lift(terms, x, t):
 
 
 def crossings(lift, line_angle, bound):
-    """The lines {line_angle + k pi} a lift crosses on its way to pi, counted
+    """The lines {line_angle + k pi} a lift crosses up to line 0, counted
     and certified as compute_lifts does."""
-    return line_crossings((lift - line_angle) / math.pi, 1 - line_angle / math.pi, bound)
+    return line_crossings((lift - line_angle) / math.pi, 0.5, bound)
 
 
 def _ccw_index(re, im, c, d):
@@ -249,18 +247,13 @@ def _ccw_index(re, im, c, d):
     return -index_on_interval(RationalFunction(im, re), c, d)
 
 
-def added_back_index(re_0, im_0):
-    """The axis index over t > 0 of a non-generic input from Re and Im of
-    g(it): Re g(0) is zeroed, and the half-jump at t = 0 that the index over
-    [0, inf) counts is added back from the Fraction reference.  The library
-    divides t out of Re g(it) instead."""
-    re_0 = poly.RealPolynomial((0.0,) + re_0.coeffs[1:])
-    return _ccw_index(re_0, im_0, 0.0, math.inf) + index_one_sided(
-        RationalFunction(im_0, re_0), 0.0, +1)
-
-
 def exact_chain_indices(inp, w, theta_hat):
-    """(ind_R0, ind_Rb, generic), both indices from the exact chain alone."""
+    """(ind_R0, ind_Rb, generic), both indices from the exact chain alone.
+
+    A non-generic axis index is that of g(it) - Re g(0) over t > 0, with t
+    divided out of its real part: the lines crossed after a start snapped
+    to its line by subtraction.  Outside a thin sector, where g's lift keeps
+    rising after the subtraction, that is the count from the snapped line."""
     re_b, im_b = poly.restrict_to_vertical_line(w.derivative(), inp.b)
     ind_Rb = _ccw_index(re_b, im_b, inp.q, math.inf)
     g = poly.from_roots([-inp.xi] * inp.m) * (
@@ -269,7 +262,7 @@ def exact_chain_indices(inp, w, theta_hat):
     generic = abs(re_0.coeffs[0]) >= config.TOL.sign * abs(inp.xi) ** inp.m
     if generic:
         return _ccw_index(re_0, im_0, 0.0, math.inf), ind_Rb, True
-    return added_back_index(re_0, im_0), ind_Rb, False
+    return _ccw_index(poly.RealPolynomial(re_0.coeffs[1:]), im_0, 0.0, math.inf), ind_Rb, False
 
 
 def lifts_of(inp):
@@ -292,15 +285,15 @@ def lifts_of(inp):
 @example(**dataclasses.asdict(PLANTED_39), real=False)
 @example(**dataclasses.asdict(PLANTED_198), real=False)
 @example(**dataclasses.asdict(PLANTED_59), real=False)
-@example(**dataclasses.asdict(THIN_SECTOR), real=False)
 @example(m=1, r=0, xi1=1.0, xi2=-1.9367323075281756e-233, b=1.0, q=0.0, real=False)
-# non-generic, with the Z_X line through the asymptote: both ends sit on a
-# line, so the chain decides both indices
+# non-generic, with the Z_X line through the asymptote, which neither path
+# crosses: both counts stop at line 0
 @example(m=2, r=1, xi1=1.0, xi2=0.0, b=1.0, q=0.0, real=True)
 def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
     # real class data put theta_hat at 0: non-generic for odd r, and for even
-    # m + r + 1 the Z_X line runs through the asymptote, where no count is
-    # certified and the chain decides both indices
+    # m + r + 1 the Z_X line runs through the asymptote, line 1, reached only
+    # at t = inf.  The chain of the doubles cannot decide a thin sector
+    # (test_planted_thin_sector_counts_from_the_snapped_line covers those)
     if real:
         xi2 = q = 0.0
     inp = CalabiInput(m, r, xi1, xi2, b, q)
@@ -316,8 +309,13 @@ def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
     count_P, _ = crossings(path_lift(*path_P), line_angle, bound)
     if generic:
         assert count_P is None or count_P == ind_R0
+        # the chain that decides an uncertified count, on the w' of compute_lifts
+        wp = w.derivative()
+        assert dhym._chain_index(inp, wp, axis=False) == ind_Rb
+        assert dhym._chain_index(inp, wp, axis=True) == ind_R0
     else:
-        count_P, _ = _crossings_from_line(path_lift(*path_P), line_angle, bound, inp.xi, m)
+        count_P = -round((path_lift(*path_P) - line_angle) / math.pi)
+        assert count_P == ind_R0
     Z_X, Z_Dinf, _ = compute_charges(inp, P)
     try:
         lifts = compute_lifts(inp, w, theta_hat, Z_X, Z_Dinf)
@@ -363,7 +361,6 @@ def test_line_distance_within_rounding_bound():
         with mpmath.workdps(50):
             pi = mpmath.pi
             exact_line = (mpmath.mpf(theta_hat) - n * pi / 2 + pi) % pi
-            end = exact_line / pi
             for terms, x, t in lift_paths(inp):
                 # the exact Z_Dinf path has xi1 + b unrounded
                 lift = pi - sum(k * (pi / 2 - mpmath.atan2(mpmath.mpf(t) - c.imag,
@@ -371,7 +368,7 @@ def test_line_distance_within_rounding_bound():
                                 for c, k, _ in terms)
                 lines = (lift - exact_line) / pi
                 below = mpmath.floor(lines)
-                exact = min(lines - below, below + 1 - lines, end, 1 - end)
+                exact = min(lines - below, below + 1 - lines)
                 _, margin = crossings(path_lift(terms, x, t), line_angle, bound)
                 assert abs(margin - float(exact)) <= bound, (inp, margin, exact, bound)
     assert largest_ell >= 7
@@ -405,32 +402,48 @@ def test_nongeneric_analyze_runs_no_exact_chain(monkeypatch):
 
 
 def test_chain_decided_analyze_builds_w_prime_once(monkeypatch):
-    # non-generic, with the Z_X line through the asymptote: the chain
-    # decides both indices, and reads the w' that compute_lifts formed
-    inp = CalabiInput(2, 1, 1.0, 0.0, 1.0, 0.0)
-    assert lifts_of(inp).index_fallbacks == 2
-    calls = []
+    # z2 on the vertical-tangent locus, Re(P'(z2) conj P(z2)) = 0 (q found
+    # by bisection): Z_Dinf lies on the Z_X line, so the ray's chain decides,
+    # and reads the w' that compute_lifts formed.  Re w'(z2) is then zero to
+    # TOL.sign, so no graph over [0, b] is shown to reach z2
+    inp = CalabiInput(3, 0, 0.2, 1.0, 0.5, -1.5200270510147045)
+    calls, chained = [], []
     real = dhym.from_roots
     monkeypatch.setattr(dhym, "from_roots", lambda *a: calls.append(a) or real(*a))
-    report = analyze(inp)
-    assert (report.genericity, report.verdict) == ("non_generic", "exists")
+    chain = dhym._chain_index
+    monkeypatch.setattr(dhym, "_chain_index",
+                        lambda *a, **k: chained.append(k["axis"]) or chain(*a, **k))
+    with pytest.raises(BoundaryPointUnreachable):
+        analyze(inp)
+    assert chained == [False]
     assert len(calls) == 1
 
 
-def test_nongeneric_count_needs_a_rising_lift():
-    # counted from its line, the axis index would read -1; the chain, which
-    # sees the falling lift, finds 0
-    w, _, theta_hat = build_polynomials(THIN_SECTOR)
-    _, line_angle, bound = _z_x_line(theta_hat, 2)
-    path_P, _ = lift_paths(THIN_SECTOR)
-    lo = (path_lift(*path_P) - line_angle) / math.pi
-    assert math.floor(1 - line_angle / math.pi) - round(lo) == -1
-    assert _crossings_from_line(path_lift(*path_P), line_angle, bound,
-                                THIN_SECTOR.xi, 1)[0] is None
+def test_generic_axis_count_within_bound_of_a_line_takes_the_chain(monkeypatch):
+    # with TOL.sign at 1e-15, planted class data (planted_q(4, 0, 1.08 -
+    # 1.75i, 0.31, 0)) count as generic though their Z_P path starts within
+    # the rounding bound of a line: no count is certified, and the chain on
+    # the w' of compute_lifts decides the axis index
+    monkeypatch.setattr(config, "TOL", dataclasses.replace(config.TOL, sign=1e-15))
+    inp = CalabiInput(4, 0, 1.08, -1.75, 0.31, 9.144270049353945)
+    lifts = lifts_of(inp)
+    assert lifts.genericity == "generic"
+    assert lifts.index_fallbacks == 1
+    w, _, theta_hat = build_polynomials(inp)
+    assert lifts.ind_R0 == exact_chain_indices(inp, w, theta_hat)[0] == 3
+
+
+def test_thin_sector_counts_from_the_line_its_start_snaps_to():
+    # the start snaps up to line 1, and the asymptote lies below it too: the
+    # axis index counts from line 1 to the top line 0, which keeps d equal
+    # to the rounded grade difference
     lifts = lifts_of(THIN_SECTOR)
     assert lifts.genericity == "non_generic"
-    assert lifts.index_fallbacks == 1
-    assert lifts.ind_R0 == exact_chain_indices(THIN_SECTOR, w, theta_hat)[0] == 0
+    assert lifts.index_fallbacks == 0
+    report = analyze(THIN_SECTOR)
+    assert report.ind_R0 == -1
+    assert report.ind_Rb - report.ind_R0 == 1 == round(report.phi_P - report.phi_X)
+    assert report.verdict == "no_solution"
 
 
 def test_nongeneric_start_below_its_line_counts_from_that_line():
@@ -478,40 +491,39 @@ def planted_q(m, r, xi, b, pick):
     return found[pick % len(found)] if found else None
 
 
+def planted_input(m, r, log_xi1, xi2, b, pick):
+    """Class data with xi1 = 10^log_xi1 and q from planted_q, or None."""
+    q = planted_q(m, r, complex(10.0 ** log_xi1, xi2), b, pick)
+    return None if q is None else CalabiInput(m, r, 10.0 ** log_xi1, xi2, b, q)
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    m=st.integers(1, 8),
-    r=st.integers(0, 5),
-    log_xi1=st.floats(-12.0, 0.5),
-    xi2=st.floats(-2.5, 2.5),
-    b=st.floats(0.2, 3.0),
-    pick=st.integers(0, 12),
-)
-# a thin sector far from z2: the rebuilt g of exact_chain_indices gives an
-# axis index of 2 here, the w' of compute_lifts 4
-@example(m=7, r=0, log_xi1=-1.9953604005538672, xi2=-2.0, b=1.0, pick=0)
+@given(inp=st.builds(planted_input, st.integers(1, 8), st.integers(0, 5),
+                     st.floats(-12.0, math.log10(3.0)), st.floats(-2.5, 2.5),
+                     st.floats(0.2, 3.0), st.integers(0, 12)))
+@example(inp=THIN_SECTOR)
+# a thin sector far from z2 (xi1 = 0.0101, q = -226): read by subtraction,
+# its axis index turned on the last bits of w'
+@example(inp=planted_input(7, 0, -1.9953604005538672, -2.0, 1.0, 0))
+# raised CrossCheckFailure when the axis index was read by subtraction
+@example(inp=CalabiInput(6, 1, 8.615762231983877e-08, -2.2585678818659383,
+                         2.499568017575663, 8.051360949446442))
 # xi2 subnormal: Re(P(b + iq) conj(c)) has a top coefficient near 1e-311
-@example(m=2, r=0, log_xi1=0.0, xi2=2.225073858507e-311, b=1.0, pick=0)
+@example(inp=planted_input(2, 0, 0.0, 2.225073858507e-311, 1.0, 0))
 # a planted q that build_polynomials rejects: Im w(z2) is not 0 to TOL.sign
-@example(m=7, r=0, log_xi1=-8.0, xi2=1.61328125, b=1.61328125, pick=7)
-def test_nongeneric_chain_index_matches_the_added_back_half_jump(m, r, log_xi1, xi2, b, pick):
-    # planted non-generic class data: on the same w', the chain's axis index
-    # divides t out of Re g(it), and the oracle zeroes Re g(0) and adds the
-    # half-jump back.  In a thin sector the index of the snapped g turns on
-    # the last bits of w', so both read the w' that compute_lifts forms
-    xi = complex(10.0 ** log_xi1, xi2)
-    q = planted_q(m, r, xi, b, pick)
-    assume(q is not None)
-    inp = CalabiInput(m, r, xi.real, xi2, b, q)
+@example(inp=planted_input(7, 0, -8.0, 1.61328125, 1.61328125, 7))
+def test_planted_thin_sector_counts_from_the_snapped_line(inp):
+    # the index form and the grade form agree however thin the sector, so no
+    # CrossCheckFailure: a non-generic count takes no chain, and d is the
+    # rounded grade difference
+    assume(inp is not None)
     try:
-        w, _, _ = build_polynomials(inp)
-    except (ZeroTotalCharge, LevelMismatch, ValueError):
+        report = analyze(inp)
+    except (ZeroTotalCharge, LevelMismatch, BoundaryPointUnreachable, ValueError):
         assume(False)
-    re_0, im_0 = (poly.RealPolynomial(p.coeffs[r:])
-                  for p in poly.restrict_to_vertical_line(w.derivative(), 0.0))
-    assume(abs(re_0.coeffs[0]) < config.TOL.sign * abs(xi) ** m)
-    assert dhym._chain_index(inp, w.derivative(), False, axis=True) == added_back_index(
-        re_0, im_0)
+    if report.genericity == "non_generic":
+        assert lifts_of(inp).index_fallbacks == 0
+        assert report.ind_Rb - report.ind_R0 == round(report.phi_P - report.phi_X)
 
 
 def test_count_on_or_within_bound_of_a_line_is_uncertified():
@@ -520,12 +532,13 @@ def test_count_on_or_within_bound_of_a_line_is_uncertified():
     assert crossings(line_angle, line_angle, bound) == (None, 0.0)
     count, margin = crossings(line_angle + 0.5 * bound * math.pi, line_angle, bound)
     assert count is None and 0.0 < margin <= bound
-    # half a turn off every line, and the asymptote pi far from them too
+    # half a turn off every line: lines -1 and 0 are crossed
     count, margin = crossings(line_angle - 1.5 * math.pi, line_angle, bound)
     assert count == 2
-    assert margin == pytest.approx(min(0.5, line_angle / math.pi, 1 - line_angle / math.pi))
-    # a Z_X line through the asymptote: the last crossing is undecided
-    assert crossings(0.5, 0.5 * bound * math.pi, bound)[0] is None
+    assert margin == pytest.approx(0.5)
+    # a Z_X line within bound of the asymptote: the top line crossed is 0
+    # whichever side the exact line lies, so only the start needs a margin
+    assert crossings(0.5, 0.5 * bound * math.pi, bound)[0] == 0
 
 
 # ---------------------------------------------------------------------------

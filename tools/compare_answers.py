@@ -14,15 +14,11 @@ fifth, ``roots``, records ``poly.roots`` of the w' that ``classify`` solves
 (the derivative of the shifted w) for every timed ``verdicts`` input, then
 of w' for every timed ``witness`` input: verdicts show no radius, so this
 set is what shows a change to the root solve byte-equal.  A sixth,
-``verdicts-trace``, runs ``graphical_connection`` on the shifted w (as
-``classify`` shifts it), z1 and z2 of every timed ``verdicts`` input: every
-``witness`` trace ends at its target, so this set is what reaches the
-tracer's critical-point, radius and y-axis stops.  A seventh,
-``dhym-chain``, runs ``dhym._chain_index`` on both lines (the ray above z2
-and the imaginary axis) for the planted non-generic inputs among the timed
-``dhym-sweep`` ones.  ``analyze`` reaches the chain only for an index
-whose count is not certified, so this set is what compares the chain's
-non-generic axis index on every planted input.  Every
+``verdicts-trace``, records the verdict of ``classify`` (or the error it
+raised) of every timed ``verdicts`` input, then runs
+``graphical_connection`` on the shifted w (as ``classify`` shifts it), z1
+and z2: every ``witness`` trace ends at its target, so this set is what
+reaches the tracer's critical-point, radius and y-axis stops.  Every
 output field is recorded, floats and complex
 numbers by ``repr`` (so a change in the last bit or in the sign of a zero
 shows), nested results field by field, and a raised exception by its type
@@ -54,7 +50,9 @@ and how each trace ended, and on ``witness`` every field of the flow.  A
 change that moves only the traced points reads "0 decisions differ".  On
 these three trace sets the summary line also gives each side's mean number
 of trace points per answer (summed over an answer's traces), the tracer's
-work count.
+work count.  On ``verdicts-trace`` it also gives each side's number of
+classify/witness disagreements: answers whose verdict is ``stable`` while
+the trace is not connected and graphical, or the other way round.
 
 The set ``cli`` does not depend on the seeds and runs once per side:
 each of the fixed invocations in ``CLI_SET`` (the four subcommands
@@ -106,8 +104,6 @@ COUNTS = {"verdicts": 3750, "dhym-sweep": 6000, "witness": 360,
 # the roots set solves w' of the verdicts inputs, then of the witness ones
 COUNTS["roots"] = COUNTS["verdicts"] + COUNTS["witness"]
 COUNTS["verdicts-trace"] = COUNTS["verdicts"]
-# the dhym-chain set keeps the planted inputs among the timed dhym-sweep ones
-COUNTS["dhym-chain"] = COUNTS["dhym-sweep"]
 # differing answers printed at most, over all workloads and seeds
 SHOW = 10
 # the fields that decide an answer, as flattened paths: the answer itself
@@ -115,7 +111,8 @@ SHOW = 10
 # and on witness (a GraphCheck, then a FlowTrace) every field of the flow
 DECISIONS = {
     "witness": re.compile(r"out(\[0\]\.(connected|graphical|trace\.terminated_by)|\[1\]\..*)?"),
-    "verdicts-trace": re.compile(r"out(\.(connected|graphical|trace\.terminated_by))?"),
+    "verdicts-trace": re.compile(
+        r"out(\[0\]|\[1\]\.(connected|graphical|trace\.terminated_by))?"),
     "witness-vertical-tangent": re.compile(r"out(\[\d\]\.terminated_by)?"),
 }
 # the flow's histories, each of whose last entry is also a field of its own
@@ -227,6 +224,15 @@ def _mean_points(answers) -> float:
     return total / max(len(answers), 1)
 
 
+def _disagreements(answers) -> int:
+    """Answers of verdicts-trace whose classify verdict is stable exactly
+    when the trace is not a connected graph; errors on either side left out."""
+    return sum(
+        (a["out[0]"] == repr("stable"))
+        != (a["out[1].connected"] == a["out[1].graphical"] == "True")
+        for a in answers if a.get("out[0]", "").startswith("'") and "out[1].connected" in a)
+
+
 def _vertical_tangent_set(ops):
     """(prepare, run) tracing {Re w' = Re w'(z2)} through z2 both ways."""
     from levelgraph import tracer
@@ -244,35 +250,22 @@ def _vertical_tangent_set(ops):
 
 
 def _verdicts_trace_set(ops):
-    """(prepare, run) tracing z2 toward z1 on the level of the shifted w."""
+    """(prepare, run) of classify's verdict, then the trace from z2 toward
+    z1 on the level of the shifted w."""
     from levelgraph import stability, tracer
 
     def prepare(data):
-        return stability.shift_to_zero_level(
-            stability.BoundaryData(*ops.prepare_verdicts(data)))
+        return stability.BoundaryData(*ops.prepare_verdicts(data))
 
-    def run(shifted):
-        return tracer.graphical_connection(shifted.w, shifted.z1, shifted.z2)
+    def run(data):
+        try:
+            verdict = stability.classify(data).verdict
+        except Exception as exc:  # noqa: BLE001 -- recorded beside the trace
+            verdict = exc
+        shifted = stability.shift_to_zero_level(data)
+        return verdict, tracer.graphical_connection(shifted.w, shifted.z1, shifted.z2)
 
     return prepare, run
-
-
-def _dhym_chain_inputs(ops, gen, seed: int):
-    """(prepare, run, inputs) of the exact chain on both lines of each
-    planted dhym-sweep input, all of them non-generic by construction."""
-    from levelgraph import dhym
-
-    def prepare(data):
-        inp = dhym.CalabiInput(*ops.prepare_dhym(data))
-        return inp, dhym.build_polynomials(inp)[0].derivative()
-
-    def run(args):
-        inp, wp = args
-        return tuple(dhym._chain_index(inp, wp, False, axis) for axis in (False, True))
-
-    inputs = [data for data in gen.InputStream("dhym-sweep", seed).take(COUNTS["dhym-chain"])
-              if data["kind"] == "planted"]
-    return prepare, run, inputs
 
 
 def _roots_inputs(ops, gen, seed: int):
@@ -300,8 +293,6 @@ def dump(src: str, workload: str, seed: int, count: int) -> None:
 
     if workload == "roots":
         prepare, run, inputs = _roots_inputs(ops, gen, seed)
-    elif workload == "dhym-chain":
-        prepare, run, inputs = _dhym_chain_inputs(ops, gen, seed)
     else:
         if workload == "witness-vertical-tangent":
             prepare, run = _vertical_tangent_set(ops)
@@ -446,6 +437,8 @@ def compare(parent: Path, change: Path, seeds) -> int:
                   f"{bad} answers differ, {structural} in a non-float field"
                   + (f", {decided} decisions differ; trace points per answer "
                      f"{_mean_points(old):.2f} -> {_mean_points(new):.2f}" if decisive else "")
+                  + (f"; classify/witness disagreements {_disagreements(old)} -> "
+                     f"{_disagreements(new)}" if workload == "verdicts-trace" else "")
                   + f"; largest relative float change {largest:.3g}")
             for name, (answers, worst) in sorted(per_field.items()):
                 print(f"    {name}: {len(answers)} answers differ"
