@@ -24,7 +24,8 @@ class Tolerances:
     """Every tolerance of the package; ``TOL`` is the instance in force."""
 
     # a w'-root c is on the imaginary axis when |Re c| <= sign (1 + |c|); the
-    # same relative factor decides genericity and whether z1, z2 share a level
+    # same relative factor decides whether z1, z2 share a level, and a dHYM
+    # input is generic when its Z_P start lies sign/pi or more from its line
     sign: float = 1e-9
     # a point z counts as on the imaginary axis, or on an on-axis critical
     # point, when it lies within snap (1 + |z|) of it

@@ -20,8 +20,10 @@ half-plane, so each lift is pi less a :func:`levelgraph.cauchy.phase_climb`
 number of lines through the total charge Z_X that the lift still crosses.
 The exact frame fixes the top line both paths cross, so each count is a
 floor formula in the lift's start alone, trusted only when the start lies
-farther from every line than a stated rounding bound; otherwise the exact
-signed-remainder chain of :mod:`levelgraph.cauchy` decides.
+farther from every line than a stated rounding bound.  The Z_P start also
+decides genericity, which certifies every generic axis count, so only the
+ray's count (z2 on or near a wall) falls back to the exact signed-remainder
+chain of :mod:`levelgraph.cauchy`.
 
 A non-generic input's Z_P path starts on a line of Z_X, up to rounding.
 The axis index reads it by rotation: g(z) = e^{-i theta_hat} i^r
@@ -54,7 +56,7 @@ from .errors import (
     LiftInconsistency,
     ZeroTotalCharge,
 )
-from .poly import I_POWERS, ComplexPolynomial, RealPolynomial, from_roots
+from .poly import I_POWERS, ComplexPolynomial, from_roots
 from .poly import restrict_to_vertical_line
 
 __all__ = [
@@ -119,8 +121,8 @@ class LiftData:
 
     line_margin is the smallest distance, in units of pi, from a certified
     crossing count's start to a line of Z_X, leaving out the start of a
-    non-generic Z_P path, which lies on a line; index_fallbacks (0 to 2) is
-    how many of the two indices the exact chain decided.
+    non-generic Z_P path, which lies on a line; index_fallbacks (0 or 1) is
+    whether the exact chain decided the ray's index.
     """
 
     theta_top: float
@@ -245,22 +247,14 @@ def _z_x_line(theta_hat: float, n: int):
     return theta_top, line_angle, CLIMB_ROUNDING * (n + abs(ell))
 
 
-def _chain_index(inp: CalabiInput, wp, axis: bool) -> HalfInteger:
-    """One index from the exact signed-remainder chain alone.
+def _chain_index(inp: CalabiInput, wp) -> HalfInteger:
+    """ind_Rb from the exact signed-remainder chain on wp, the w' of compute_lifts.
 
-    Restricts wp, the w' that compute_lifts formed, to the vertical ray
-    above z2 (axis False, ind_Rb) or to the imaginary axis (axis True, a
-    generic ind_R0).  On the axis, w' = e^{-i theta_hat} z^r (xi + z)^m has
-    its r lowest coefficients exactly zero (the antiderivative P starts
-    with r + 1 of them, 0/(k + 1) = 0), so dropping them divides t^r out of
-    Re and Im of w'(it) exactly and leaves those of g(it), g(z) = e^{-i
-    theta_hat} i^r (xi + z)^m.  A generic Re g(0) is not zero, so no pole
-    sits at t = 0: the index over [0, inf) is that of the open ray.
+    compute_lifts calls it when the ray's count is not certified (z2 on or
+    near a wall), and ``index_fallbacks`` is then 1.
     """
-    re, im = restrict_to_vertical_line(wp, 0.0 if axis else inp.b)
-    if axis:
-        re, im = RealPolynomial(re.coeffs[inp.r:]), RealPolynomial(im.coeffs[inp.r:])
-    return -index_on_interval(RationalFunction(im, re), 0.0 if axis else inp.q, math.inf)
+    re, im = restrict_to_vertical_line(wp, inp.b)
+    return -index_on_interval(RationalFunction(im, re), inp.q, math.inf)
 
 
 def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
@@ -269,13 +263,13 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     Z_X and Z_Dinf are the charges from compute_charges.  The closed-form
     lifts of the Z_Dinf and Z_P paths decide both indices as counts of
     crossings of the Z_X line up to its top line 0 (see _z_x_line).
-    ind_Rb and a generic ind_R0 count from their lift's start, certified
-    by line_crossings against the rounding bound of _z_x_line; an index
-    whose count is not certified comes from the exact signed-remainder
-    chain instead (_chain_index), and ``index_fallbacks`` counts these.
-    The axis index of a non-generic input counts from the line its start
-    snaps to, and needs no certificate.  ``line_margin`` is the smallest
-    distance, in units of pi, from a certified count's start to a line.
+    Each counts from its lift's start, certified by line_crossings against
+    the rounding bound of _z_x_line.  A Z_P start TOL.sign/pi or more from
+    every line is generic and certified; a non-generic one counts from the
+    line it snaps to.  Only the ray's count, z2 on or near a wall, can fall
+    back to the exact chain (_chain_index); ``index_fallbacks`` (0 or 1)
+    says whether it did.  ``line_margin`` is the smallest distance, in
+    units of pi, from a certified count's start to a line.
     The Z_Dinf path's end grade must agree with phi_X + delta/pi,
     otherwise LiftInconsistency is raised.  Class data with Re w'(z2) <= 0
     raise BoundaryPointUnreachable.
@@ -284,12 +278,6 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     n = m + r + 1
     wp = w.derivative()
     theta_top, line_angle, bound = _z_x_line(theta_hat, n)
-
-    # genericity: does the tangent direction of the zero level at the origin
-    # contain the vertical?  Equivalently, is Z_P(0) on the Z_X line?
-    g0 = cmath.exp(-1j * theta_hat) * I_POWERS[r % 4] * inp.xi**m
-    generic = abs(g0.real) >= config.TOL.sign * abs(inp.xi) ** m
-    genericity = "generic" if generic else "non_generic"
 
     # explicit paths from each charge out to the shared negative-real-axis
     # asymptote: Z_P(t) = -(-i)^m (xi + it)^m from t = 0, and
@@ -303,12 +291,8 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     # index along the vertical ray above z2: the lines in (lo, 0], which
     # line_crossings counts up to any end in [0, 1)
     count, line_margin = line_crossings((lift_D - line_angle) / math.pi, 0.5, bound)
-    fallbacks = 0
-    if count is None:
-        fallbacks += 1
-        ind_Rb = _chain_index(inp, wp, axis=False)
-    else:
-        ind_Rb = HalfInteger.from_int(count)
+    fallbacks = int(count is None)
+    ind_Rb = _chain_index(inp, wp) if fallbacks else HalfInteger.from_int(count)
     on_wall = not ind_Rb.is_integer
 
     # along a graph over [0, b] on the zero level, Re w rises strictly from
@@ -324,22 +308,22 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
             f"{threshold:.3g}: no graph over [0, b] ends at z2",
         )
 
-    # index along the imaginary axis.  A non-generic start lies within
-    # TOL.sign/pi (about 3e-10) of its line k0 = round(lo); turned by that
-    # small angle, g starts on line k0, and its lift m arg(xi + it) + const
-    # rises strictly for every xi1 > 0, so the index is the signed count
-    # 0 - k0 of lines from k0 to the top line
+    # genericity: is Z_P(0) on the Z_X line (does the zero level's tangent at
+    # the origin contain the vertical)?  pi times the distance from the Z_P
+    # start lo to its nearest line is the angle between the two, so a start
+    # TOL.sign/pi or more from every line is generic, its count certified.
+    # A non-generic start lies within TOL.sign/pi of its line k0 = round(lo);
+    # turned by that small angle, g starts on line k0, and its lift
+    # m arg(xi + it) + const rises strictly for every xi1 > 0, so the index
+    # is the signed count 0 - k0 of lines from k0 to the top line
     lo = (lift_P - line_angle) / math.pi
+    count, margin = line_crossings(lo, 0.5, bound)
+    generic = count is not None and margin >= config.TOL.sign / math.pi
     if generic:
-        count, margin = line_crossings(lo, 0.5, bound)
         line_margin = min(line_margin, margin)
     else:
         count = -round(lo)
-    if count is None:
-        fallbacks += 1
-        ind_R0 = _chain_index(inp, wp, axis=True)
-    else:
-        ind_R0 = HalfInteger.from_int(count)
+    ind_R0 = HalfInteger.from_int(count)
 
     Theta_lift = theta_top - float(ind_Rb) * math.pi
     phi_X = (Theta_lift - n * math.pi / 2 + math.pi) / math.pi
@@ -360,7 +344,7 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
         phi_P=phi_P,
         ind_R0=ind_R0,
         ind_Rb=ind_Rb,
-        genericity=genericity,
+        genericity="generic" if generic else "non_generic",
         line_margin=line_margin,
         index_fallbacks=fallbacks,
     )

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,29 @@ def test_half_integer_ordering():
     assert HalfInteger(4) <= 2
     assert HalfInteger(3) != 1
     assert sorted([HalfInteger(4), HalfInteger(-1)])[0] == HalfInteger(-1)
+
+
+def _fraction(x):
+    return Fraction(x.twice_value, 2) if isinstance(x, HalfInteger) else Fraction(x)
+
+
+@given(a=st.integers(-50, 50).map(HalfInteger),
+       b=st.one_of(st.integers(-50, 50).map(HalfInteger), st.integers(-25, 25)))
+def test_half_integer_agrees_with_its_fraction(a, b):
+    # b, a HalfInteger or an int, on either side of a HalfInteger a
+    fa, fb = _fraction(a), _fraction(b)
+    assert _fraction(a + b) == _fraction(b + a) == fa + fb
+    assert _fraction(a - b) == fa - fb
+    for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
+        assert (x == y) == (fx == fy)
+        assert (x < y) == (fx < fy)
+        assert (x <= y) == (fx <= fy)
+        assert (x > y) == (fx > fy)
+        assert (x >= y) == (fx >= fy)
+    for order in ("__lt__", "__le__", "__gt__", "__ge__"):
+        with pytest.raises(TypeError):
+            getattr(operator, order)(a, 0.5)
+    assert repr(a) == f"HalfInteger({a.twice_value})"
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,17 @@ def test_classify_parse_error_exits_one(capsys):
 
 
 @pytest.mark.parametrize("argv, expect", [
+    (["--poly", "1,,2", "--z1", "0,0"], "argument --poly: empty coefficient"),
+    (["--poly", "0,1", "--z1", "1,2,3"], "argument --z1: expected re,im -- got '1,2,3'"),
+    (["--poly", "0,1", "--z1", "a,b"], "argument --z1: cannot parse point 'a,b'"),
+], ids=["empty-coefficient", "three-part-point", "unparsed-point"])
+def test_classify_argument_refusals_exit_one(capsys, argv, expect):
+    rc, out, err = run_cli(capsys, ["classify", *argv, "--z2", "1,0"])
+    assert rc == 1 and not out
+    assert err.rstrip().endswith(expect)
+
+
+@pytest.mark.parametrize("argv, expect", [
     (["classify", "--poly", "-1,1,0.5", "--z1", "0,0", "--z2", "1,0"], "stable"),
     (["classify", "--poly", "-1j,1", "--z1", "0,0", "--z2", "1,0"], "stable"),
     (["classify", "--roots", "-1,-2", "--z1", "0,0", "--z2", "1,0"], "stable"),
@@ -686,3 +697,14 @@ def test_float_rendering_is_seventeen_digit():
     third = json.loads(cli.render_json(1.0 / 3.0))
     assert third == 1.0 / 3.0
     assert cli.render_json({"a": [1, True, None]}) == '{"a":[1,true,null]}'
+    assert cli.render_json([False]) == "[false]"
+
+
+@pytest.mark.parametrize("obj, error, match", [
+    (math.nan, ValueError, "cannot render non-finite float nan"),
+    (-math.inf, ValueError, "cannot render non-finite float -inf"),
+    ({"a": {1, 2}}, TypeError, "cannot render set as JSON"),
+], ids=["nan", "minus-inf", "set"])
+def test_render_json_refuses_what_json_cannot_hold(obj, error, match):
+    with pytest.raises(error, match=match):
+        cli.render_json(obj)

@@ -308,11 +308,10 @@ def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
     assert count_D is None or count_D == ind_Rb
     count_P, _ = crossings(path_lift(*path_P), line_angle, bound)
     if generic:
-        assert count_P is None or count_P == ind_R0
-        # the chain that decides an uncertified count, on the w' of compute_lifts
-        wp = w.derivative()
-        assert dhym._chain_index(inp, wp, axis=False) == ind_Rb
-        assert dhym._chain_index(inp, wp, axis=True) == ind_R0
+        # a generic start lies far enough from its line to certify its count
+        assert count_P is not None and count_P == ind_R0
+        # the chain that decides an uncertified ray count, on the w' of compute_lifts
+        assert dhym._chain_index(inp, w.derivative()) == ind_Rb
     else:
         count_P = -round((path_lift(*path_P) - line_angle) / math.pi)
         assert count_P == ind_R0
@@ -323,7 +322,7 @@ def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
         return
     assert (lifts.ind_R0, lifts.ind_Rb) == (ind_R0, ind_Rb)
     assert lifts.genericity == ("generic" if generic else "non_generic")
-    assert lifts.index_fallbacks == (count_D is None) + (count_P is None)
+    assert lifts.index_fallbacks == (count_D is None)
 
 
 @pytest.mark.parametrize("xi2, ind, theta_top", [
@@ -411,26 +410,29 @@ def test_chain_decided_analyze_builds_w_prime_once(monkeypatch):
     real = dhym.from_roots
     monkeypatch.setattr(dhym, "from_roots", lambda *a: calls.append(a) or real(*a))
     chain = dhym._chain_index
-    monkeypatch.setattr(dhym, "_chain_index",
-                        lambda *a, **k: chained.append(k["axis"]) or chain(*a, **k))
+    monkeypatch.setattr(dhym, "_chain_index", lambda *a: chained.append(a) or chain(*a))
     with pytest.raises(BoundaryPointUnreachable):
         analyze(inp)
-    assert chained == [False]
+    assert len(chained) == 1
     assert len(calls) == 1
 
 
-def test_generic_axis_count_within_bound_of_a_line_takes_the_chain(monkeypatch):
-    # with TOL.sign at 1e-15, planted class data (planted_q(4, 0, 1.08 -
-    # 1.75i, 0.31, 0)) count as generic though their Z_P path starts within
-    # the rounding bound of a line: no count is certified, and the chain on
-    # the w' of compute_lifts decides the axis index
+def test_axis_start_within_bound_of_a_line_reads_as_non_generic(monkeypatch):
+    # with TOL.sign at 1e-15, below pi times the rounding bound, planted class
+    # data (planted_q(4, 0, 1.08 - 1.75i, 0.31, 0)) whose Z_P path starts
+    # within the rounding bound of a line read as non-generic: the axis index
+    # counts from the line the start snaps to, and agrees with the exact
+    # chain over [0, inf) on the w' of compute_lifts
     monkeypatch.setattr(config, "TOL", dataclasses.replace(config.TOL, sign=1e-15))
     inp = CalabiInput(4, 0, 1.08, -1.75, 0.31, 9.144270049353945)
     lifts = lifts_of(inp)
-    assert lifts.genericity == "generic"
-    assert lifts.index_fallbacks == 1
+    assert lifts.genericity == "non_generic"
+    assert lifts.index_fallbacks == 0
     w, _, theta_hat = build_polynomials(inp)
     assert lifts.ind_R0 == exact_chain_indices(inp, w, theta_hat)[0] == 3
+    report = analyze(inp)
+    assert report.ind_Rb - report.ind_R0 == -3 == round(report.phi_P - report.phi_X)
+    assert report.verdict == "no_solution"
 
 
 def test_thin_sector_counts_from_the_line_its_start_snaps_to():
