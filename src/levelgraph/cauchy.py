@@ -9,8 +9,7 @@ index exactly additive when intervals are concatenated, even at poles.
 Only interval indices are computed.  A caller that counts a pole at an
 endpoint in its own way divides that root out of den first: on the open
 interval the factor keeps the sign of h or flips it throughout, and at the
-endpoint it leaves no pole (``landscape._exact_index`` and
-``dhym._chain_index`` both do this).
+endpoint it leaves no pole (``landscape._exact_index`` does this).
 
 Every index here is exact.  A double is a dyadic rational, so scaling a
 polynomial by a power of two turns its coefficients into integers without
@@ -84,6 +83,10 @@ class HalfInteger:
     def __sub__(self, other):
         t = self._twice(other)
         return NotImplemented if t is NotImplemented else HalfInteger(self.twice_value - t)
+
+    def __rsub__(self, other):
+        t = self._twice(other)
+        return NotImplemented if t is NotImplemented else HalfInteger(t - self.twice_value)
 
     def __neg__(self):
         return HalfInteger(-self.twice_value)

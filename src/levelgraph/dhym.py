@@ -19,11 +19,11 @@ half-plane, so each lift is pi less a :func:`levelgraph.cauchy.phase_climb`
 (the sum the band labels use too) and rises strictly, and an index is the
 number of lines through the total charge Z_X that the lift still crosses.
 The exact frame fixes the top line both paths cross, so each count is a
-floor formula in the lift's start alone, trusted only when the start lies
-farther from every line than a stated rounding bound.  The Z_P start also
-decides genericity, which certifies every generic axis count, so only the
-ray's count (z2 on or near a wall) falls back to the exact signed-remainder
-chain of :mod:`levelgraph.cauchy`.
+floor formula in the lift's start alone.  Both starts are read alike: a
+start TOL.sign/pi or more from every line has its count certified against
+a stated rounding bound, and a nearer one lies on the line it snaps to.  On
+a line, the Z_P start makes the input non-generic, and the Z_Dinf start
+puts z2 on a wall, Re w'(z2) = 0.  No index takes an exact chain.
 
 A non-generic input's Z_P path starts on a line of Z_X, up to rounding.
 The axis index reads it by rotation: g(z) = e^{-i theta_hat} i^r
@@ -33,11 +33,9 @@ strictly for every xi1 > 0.  So the index counts the lines from the start's
 line to the top one, with no certificate and no chain, however thin the
 sector xi1/|xi|.
 
-Orientation note: the index machinery in :mod:`levelgraph.cauchy` counts a
--inf -> +inf jump as +1.  The lift formulas below need the opposite sign --
-a counterclockwise crossing of the Z_X line by w' along an upward ray, which
-shows up as a +inf -> -inf jump of Im(w')/Re(w').  Hence ``_chain_index``
-negates the index it takes.
+On a wall, the ray's index is the half crossing of the line its start
+snaps to plus the lines above it: the mean of the counts just below and
+just above the wall.
 """
 
 from __future__ import annotations
@@ -47,8 +45,7 @@ import math
 from dataclasses import dataclass
 
 from . import config
-from .cauchy import CLIMB_ROUNDING, HalfInteger, RationalFunction, index_on_interval
-from .cauchy import line_crossings, phase_climb
+from .cauchy import CLIMB_ROUNDING, HalfInteger, line_crossings, phase_climb
 from .errors import (
     BoundaryPointUnreachable,
     CrossCheckFailure,
@@ -57,7 +54,6 @@ from .errors import (
     ZeroTotalCharge,
 )
 from .poly import I_POWERS, ComplexPolynomial, from_roots
-from .poly import restrict_to_vertical_line
 
 __all__ = [
     "CalabiInput",
@@ -117,12 +113,12 @@ class CalabiInput:
 
 @dataclass(frozen=True)
 class LiftData:
-    """What compute_lifts decides; analyze copies all but the last two fields.
+    """What compute_lifts decides; analyze copies all but the last field.
 
     line_margin is the smallest distance, in units of pi, from a certified
-    crossing count's start to a line of Z_X, leaving out the start of a
-    non-generic Z_P path, which lies on a line; index_fallbacks (0 or 1) is
-    whether the exact chain decided the ray's index.
+    crossing count's start to a line of Z_X.  It leaves out a start that
+    lies on a line (a non-generic Z_P path, or z2 on a wall), and is inf
+    when both do.
     """
 
     theta_top: float
@@ -134,7 +130,6 @@ class LiftData:
     ind_Rb: HalfInteger
     genericity: str
     line_margin: float
-    index_fallbacks: int
 
 
 @dataclass(frozen=True)
@@ -247,14 +242,18 @@ def _z_x_line(theta_hat: float, n: int):
     return theta_top, line_angle, CLIMB_ROUNDING * (n + abs(ell))
 
 
-def _chain_index(inp: CalabiInput, wp) -> HalfInteger:
-    """ind_Rb from the exact signed-remainder chain on wp, the w' of compute_lifts.
+def _count_from(lo: float, bound: float):
+    """(count, on_line, margin) of a lift that starts lo lines above line 0.
 
-    compute_lifts calls it when the ray's count is not certified (z2 on or
-    near a wall), and ``index_fallbacks`` is then 1.
+    count is the number of lines in (lo, 0] the lift crosses.  A start
+    TOL.sign/pi or more from every line has it certified by line_crossings,
+    and margin is that distance.  A nearer start is on the line round(lo),
+    counts from it, and has margin inf.
     """
-    re, im = restrict_to_vertical_line(wp, inp.b)
-    return -index_on_interval(RationalFunction(im, re), inp.q, math.inf)
+    count, margin = line_crossings(lo, 0.5, bound)
+    if count is not None and margin >= config.TOL.sign / math.pi:
+        return count, False, margin
+    return -round(lo), True, math.inf
 
 
 def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
@@ -263,20 +262,15 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     Z_X and Z_Dinf are the charges from compute_charges.  The closed-form
     lifts of the Z_Dinf and Z_P paths decide both indices as counts of
     crossings of the Z_X line up to its top line 0 (see _z_x_line).
-    Each counts from its lift's start, certified by line_crossings against
-    the rounding bound of _z_x_line.  A Z_P start TOL.sign/pi or more from
-    every line is generic and certified; a non-generic one counts from the
-    line it snaps to.  Only the ray's count, z2 on or near a wall, can fall
-    back to the exact chain (_chain_index); ``index_fallbacks`` (0 or 1)
-    says whether it did.  ``line_margin`` is the smallest distance, in
-    units of pi, from a certified count's start to a line.
-    The Z_Dinf path's end grade must agree with phi_X + delta/pi,
-    otherwise LiftInconsistency is raised.  Class data with Re w'(z2) <= 0
-    raise BoundaryPointUnreachable.
+    Each counts from its lift's start (_count_from).  A Z_P start on its
+    line is non-generic; a Z_Dinf start on its line puts z2 on a wall, and
+    ind_Rb takes the half crossing of that line.  Off the wall, the Z_Dinf
+    path's end grade must agree with phi_X + delta/pi, otherwise
+    LiftInconsistency is raised, and class data with Re w'(z2) <= 0 raise
+    BoundaryPointUnreachable.
     """
     m, r = inp.m, inp.r
     n = m + r + 1
-    wp = w.derivative()
     theta_top, line_angle, bound = _z_x_line(theta_hat, n)
 
     # explicit paths from each charge out to the shared negative-real-axis
@@ -288,18 +282,18 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     lift_D = math.pi - phase_climb(((0j, r, 0.0), (-inp.xi, m, 0.0)), inp.b, inp.q)[0]
     phi_P = lift_P / math.pi
 
-    # index along the vertical ray above z2: the lines in (lo, 0], which
-    # line_crossings counts up to any end in [0, 1)
-    count, line_margin = line_crossings((lift_D - line_angle) / math.pi, 0.5, bound)
-    fallbacks = int(count is None)
-    ind_Rb = _chain_index(inp, wp) if fallbacks else HalfInteger.from_int(count)
-    on_wall = not ind_Rb.is_integer
+    # index along the vertical ray above z2.  Z_Dinf/Z_X = i w'(z2)/w(z2)
+    # with w(z2) > 0, so the sine of the Z_Dinf start's angle from its line
+    # is |Re w'(z2)|/|w'(z2)|: a start on its line k0 puts z2 on a wall, and
+    # the index 1/2 - k0 counts the half crossing of k0
+    count, on_wall, margin_D = _count_from((lift_D - line_angle) / math.pi, bound)
+    ind_Rb = HalfInteger(2 * count + on_wall)
 
     # along a graph over [0, b] on the zero level, Re w rises strictly from
     # w(0) = 0 to w(z2) = |P(z2)| > 0, so Re w'(z2) > 0 is necessary.  It is
-    # also the sector condition 0 < delta < pi below, because
-    # Z_Dinf/Z_X = i w'(z2)/w(z2).
-    wp_z2 = wp(inp.z2)
+    # also the sector condition 0 < delta < pi below.  On the wall it fails
+    # to TOL.sign, and the wall verdict is reported instead
+    wp_z2 = w.derivative()(inp.z2)
     threshold = config.TOL.sign * abs(wp_z2)
     if not on_wall and not wp_z2.real > threshold:
         raise BoundaryPointUnreachable(
@@ -309,20 +303,12 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
         )
 
     # genericity: is Z_P(0) on the Z_X line (does the zero level's tangent at
-    # the origin contain the vertical)?  pi times the distance from the Z_P
-    # start lo to its nearest line is the angle between the two, so a start
-    # TOL.sign/pi or more from every line is generic, its count certified.
-    # A non-generic start lies within TOL.sign/pi of its line k0 = round(lo);
-    # turned by that small angle, g starts on line k0, and its lift
-    # m arg(xi + it) + const rises strictly for every xi1 > 0, so the index
-    # is the signed count 0 - k0 of lines from k0 to the top line
-    lo = (lift_P - line_angle) / math.pi
-    count, margin = line_crossings(lo, 0.5, bound)
-    generic = count is not None and margin >= config.TOL.sign / math.pi
-    if generic:
-        line_margin = min(line_margin, margin)
-    else:
-        count = -round(lo)
+    # the origin contain the vertical)?  A non-generic start lies within
+    # TOL.sign/pi of its line k0; turned by that small angle, g starts on
+    # line k0, and its lift m arg(xi + it) + const rises strictly for every
+    # xi1 > 0, so the index is the signed count 0 - k0 of lines from k0 to
+    # the top line
+    count, on_line, margin_P = _count_from((lift_P - line_angle) / math.pi, bound)
     ind_R0 = HalfInteger.from_int(count)
 
     Theta_lift = theta_top - float(ind_Rb) * math.pi
@@ -344,9 +330,8 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
         phi_P=phi_P,
         ind_R0=ind_R0,
         ind_Rb=ind_Rb,
-        genericity="generic" if generic else "non_generic",
-        line_margin=line_margin,
-        index_fallbacks=fallbacks,
+        genericity="non_generic" if on_line else "generic",
+        line_margin=min(margin_D, margin_P),
     )
 
 

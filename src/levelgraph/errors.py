@@ -100,11 +100,12 @@ class ZeroTotalCharge(LevelGraphError):
 
 
 class BoundaryPointUnreachable(_FailedComparison):
-    """Re w'(z2) <= 0: no graph over [0, b] on the zero level ends at z2.
+    """Re w'(z2) < 0, off the wall: no graph over [0, b] on the zero level ends at z2.
 
     Along such a graph Re(w) rises strictly from w(0) = 0 to w(z2) > 0, so
     it needs Re w'(z2) > 0; the class data admit no level graph to test.
-    value = Re w'(z2) does not exceed threshold = TOL.sign |w'(z2)|.
+    value = Re w'(z2) does not exceed threshold = TOL.sign |w'(z2)|.  z2 on
+    a wall, Re w'(z2) = 0 to TOL.sign, gets the wall verdict instead.
     """
 
 

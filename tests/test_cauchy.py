@@ -77,6 +77,7 @@ def test_half_integer_agrees_with_its_fraction(a, b):
     fa, fb = _fraction(a), _fraction(b)
     assert _fraction(a + b) == _fraction(b + a) == fa + fb
     assert _fraction(a - b) == fa - fb
+    assert _fraction(b - a) == fb - fa
     for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
         assert (x == y) == (fx == fy)
         assert (x < y) == (fx < fy)

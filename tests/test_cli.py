@@ -255,6 +255,16 @@ def test_dhym_nongeneric_no_solution(capsys):
     assert d["genericity"] == "non_generic"
 
 
+def test_dhym_wall_no_solution(capsys):
+    # z2 on a wall, Re w'(z2) = 0: the ray's index is the half crossing 5/2
+    argv = ["dhym", "--m", "3", "--r", "0", "--xi1", "0.2", "--xi2", "1.0", "--b", "0.5",
+            "--q", "-1.5200270510147045"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0, err
+    assert '"ind_Rb":"5/2"' in out
+    assert json.loads(out)["verdict"] == "no_solution"
+
+
 def test_dhym_deterministic_output(capsys):
     rc1, out1, _ = run_cli(capsys, dhym_hand_args())
     rc2, out2, _ = run_cli(capsys, dhym_hand_args())

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import levelgraph.cauchy as cauchy
 import levelgraph.config as config
 import levelgraph.dhym as dhym
 import levelgraph.poly as poly
@@ -304,14 +305,12 @@ def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
     ind_R0, ind_Rb, generic = exact_chain_indices(inp, w, theta_hat)
     _, line_angle, bound = _z_x_line(theta_hat, m + r + 1)
     path_P, path_D = lift_paths(inp)
-    count_D, _ = crossings(path_lift(*path_D), line_angle, bound)
+    count_D, margin_D = crossings(path_lift(*path_D), line_angle, bound)
     assert count_D is None or count_D == ind_Rb
     count_P, _ = crossings(path_lift(*path_P), line_angle, bound)
     if generic:
         # a generic start lies far enough from its line to certify its count
         assert count_P is not None and count_P == ind_R0
-        # the chain that decides an uncertified ray count, on the w' of compute_lifts
-        assert dhym._chain_index(inp, w.derivative()) == ind_Rb
     else:
         count_P = -round((path_lift(*path_P) - line_angle) / math.pi)
         assert count_P == ind_R0
@@ -320,9 +319,13 @@ def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
         lifts = compute_lifts(inp, w, theta_hat, Z_X, Z_Dinf)
     except BoundaryPointUnreachable:
         return
-    assert (lifts.ind_R0, lifts.ind_Rb) == (ind_R0, ind_Rb)
+    assert lifts.ind_R0 == ind_R0
     assert lifts.genericity == ("generic" if generic else "non_generic")
-    assert lifts.index_fallbacks == (count_D is None)
+    # off the wall the ray count is the chain's (test_wall_ray_index_is_the_mean_of_both_sides)
+    if lifts.ind_Rb.is_integer:
+        assert lifts.ind_Rb == ind_Rb
+    else:
+        assert margin_D < config.TOL.sign / math.pi
 
 
 @pytest.mark.parametrize("xi2, ind, theta_top", [
@@ -373,15 +376,21 @@ def test_line_distance_within_rounding_bound():
     assert largest_ell >= 7
 
 
-def test_generic_analyze_runs_no_exact_chain(monkeypatch):
+def count_chain_calls(monkeypatch):
+    """Record every call of the exact chain's entry points, at their home modules."""
     calls = []
-    for name in ("index_on_interval", "restrict_to_vertical_line"):
-        real = getattr(dhym, name)
-        monkeypatch.setattr(dhym, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    for module, name in ((cauchy, "index_on_interval"), (poly, "restrict_to_vertical_line")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    return calls
+
+
+def test_generic_analyze_runs_no_exact_chain(monkeypatch):
+    # a generic count is certified from its start, with no exact chain
+    calls = count_chain_calls(monkeypatch)
     lifts = lifts_of(HIGH_DEGREE)
     assert lifts.genericity == "generic"
     assert calls == []
-    assert lifts.index_fallbacks == 0
     _, _, theta_hat = build_polynomials(HIGH_DEGREE)
     assert lifts.line_margin > _z_x_line(theta_hat, 12)[2]
     assert analyze(HIGH_DEGREE).verdict == "exists"
@@ -389,32 +398,81 @@ def test_generic_analyze_runs_no_exact_chain(monkeypatch):
 
 
 def test_nongeneric_analyze_runs_no_exact_chain(monkeypatch):
-    calls = []
-    for name in ("index_on_interval", "restrict_to_vertical_line"):
-        real = getattr(dhym, name)
-        monkeypatch.setattr(dhym, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    # a non-generic start counts from its snapped line, with no exact chain,
+    # and is left out of line_margin
+    calls = count_chain_calls(monkeypatch)
     report = analyze(PLANTED_39)
     assert report.genericity == "non_generic"
     assert calls == []
-    assert lifts_of(PLANTED_39).index_fallbacks == 0
+    assert lifts_of(PLANTED_39).line_margin >= config.TOL.sign / math.pi
     assert calls == []
 
 
-def test_chain_decided_analyze_builds_w_prime_once(monkeypatch):
+def test_wall_analyze_builds_w_prime_once(monkeypatch):
     # z2 on the vertical-tangent locus, Re(P'(z2) conj P(z2)) = 0 (q found
-    # by bisection): Z_Dinf lies on the Z_X line, so the ray's chain decides,
-    # and reads the w' that compute_lifts formed.  Re w'(z2) is then zero to
-    # TOL.sign, so no graph over [0, b] is shown to reach z2
+    # by bisection): the Z_Dinf start lies on the Z_X line, so z2 is on a
+    # wall, and the ray's index is the half crossing of that line
     inp = CalabiInput(3, 0, 0.2, 1.0, 0.5, -1.5200270510147045)
-    calls, chained = [], []
+    calls = []
     real = dhym.from_roots
     monkeypatch.setattr(dhym, "from_roots", lambda *a: calls.append(a) or real(*a))
-    chain = dhym._chain_index
-    monkeypatch.setattr(dhym, "_chain_index", lambda *a: chained.append(a) or chain(*a))
-    with pytest.raises(BoundaryPointUnreachable):
-        analyze(inp)
-    assert len(chained) == 1
+    report = analyze(inp)
+    assert report.verdict == "no_solution"
+    assert report.ind_Rb == HalfInteger(5)
+    assert report.normalization_note.endswith("no smooth solution is reported at the wall")
     assert len(calls) == 1
+
+
+def wall_input(m, r, radius, angle, pick, upper):
+    """Class data xi = radius e^{i angle} with z2 on a wall, or None.
+
+    Re w'(z2) has the sign of f(z2) = Re(P'(z2) conj P(z2)), with P'(z2)
+    formed from its factors, as the Z_Dinf lift reads it: the expanded P'
+    loses the last bits of a small P'(z2) near -xi.  Walls pass through
+    the right-half-plane roots of P, which a wide angle makes likely.  Of
+    the sign changes of f along q on a grid over b in [0.05, 3.05] and q in
+    [-5, 5], pick chooses one, and bisection in q narrows it to two
+    adjacent doubles; upper chooses which."""
+    xi = cmath.rect(radius, angle)
+    P = poly.ComplexPolynomial((0j,) * r + poly.from_roots([-xi] * m).coeffs).antiderivative()
+
+    def rising(b, q):
+        z = complex(b, q)
+        return ((xi + z) ** m * z ** r * P(z).conjugate()).real > 0
+
+    grid = [-5.0 + 0.1 * k for k in range(101)]
+    changes = [(b, lo, hi) for b in (0.05 + 0.2 * k for k in range(16))
+               for lo, hi in zip(grid, grid[1:]) if rising(b, lo) != rising(b, hi)]
+    if not changes:
+        return None
+    b, lo, hi = changes[pick % len(changes)]
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if rising(b, mid) == rising(b, lo) else (lo, mid)
+    return CalabiInput(m, r, xi.real, xi.imag, b, hi if upper else lo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inp=st.builds(wall_input, st.integers(2, 6), st.integers(0, 4), st.floats(0.2, 3.0),
+                     st.one_of(st.floats(-1.5, -0.6), st.floats(0.6, 1.5)),
+                     st.integers(0, 12), st.booleans()))
+@example(inp=CalabiInput(3, 0, 0.2, 1.0, 0.5, -1.5200270510147045))
+def test_wall_ray_index_is_the_mean_of_both_sides(inp):
+    # z2 on a wall gets the wall verdict, and its half-integer ray index is
+    # the mean of the exact chain's just below and just above it
+    assume(inp is not None)
+    try:
+        report = analyze(inp)
+    except (ZeroTotalCharge, LevelMismatch):
+        assume(False)
+    assert report.verdict == "no_solution"
+    assert report.normalization_note.endswith("no smooth solution is reported at the wall")
+    step = 1e-6 * max(1.0, abs(inp.q))
+    sides = []
+    for q in (inp.q - step, inp.q + step):
+        near = dataclasses.replace(inp, q=q)
+        w, _, theta_hat = build_polynomials(near)
+        sides.append(exact_chain_indices(near, w, theta_hat)[1])
+    assert report.ind_Rb.twice_value == sides[0] + sides[1]
 
 
 def test_axis_start_within_bound_of_a_line_reads_as_non_generic(monkeypatch):
@@ -427,7 +485,6 @@ def test_axis_start_within_bound_of_a_line_reads_as_non_generic(monkeypatch):
     inp = CalabiInput(4, 0, 1.08, -1.75, 0.31, 9.144270049353945)
     lifts = lifts_of(inp)
     assert lifts.genericity == "non_generic"
-    assert lifts.index_fallbacks == 0
     w, _, theta_hat = build_polynomials(inp)
     assert lifts.ind_R0 == exact_chain_indices(inp, w, theta_hat)[0] == 3
     report = analyze(inp)
@@ -441,7 +498,6 @@ def test_thin_sector_counts_from_the_line_its_start_snaps_to():
     # to the rounded grade difference
     lifts = lifts_of(THIN_SECTOR)
     assert lifts.genericity == "non_generic"
-    assert lifts.index_fallbacks == 0
     report = analyze(THIN_SECTOR)
     assert report.ind_R0 == -1
     assert report.ind_Rb - report.ind_R0 == 1 == round(report.phi_P - report.phi_X)
@@ -458,7 +514,6 @@ def test_nongeneric_start_below_its_line_counts_from_that_line():
     assert -bound < lo - round(lo) < 0.0
     lifts = lifts_of(PLANTED_59)
     assert lifts.genericity == "non_generic"
-    assert lifts.index_fallbacks == 0
     assert lifts.ind_R0 == exact_chain_indices(PLANTED_59, w, theta_hat)[0] == 0
 
 
@@ -514,17 +569,18 @@ def planted_input(m, r, log_xi1, xi2, b, pick):
 @example(inp=planted_input(2, 0, 0.0, 2.225073858507e-311, 1.0, 0))
 # a planted q that build_polynomials rejects: Im w(z2) is not 0 to TOL.sign
 @example(inp=planted_input(7, 0, -8.0, 1.61328125, 1.61328125, 7))
+# z2 (q = 2e9) within TOL.sign of a wall: the wall verdict, with no grade form
+@example(inp=planted_input(1, 0, -9.0, 1.0, 1.0, 0))
 def test_planted_thin_sector_counts_from_the_snapped_line(inp):
     # the index form and the grade form agree however thin the sector, so no
-    # CrossCheckFailure: a non-generic count takes no chain, and d is the
-    # rounded grade difference
+    # CrossCheckFailure: a non-generic count takes no chain, and off the wall
+    # d is the rounded grade difference
     assume(inp is not None)
     try:
         report = analyze(inp)
     except (ZeroTotalCharge, LevelMismatch, BoundaryPointUnreachable, ValueError):
         assume(False)
-    if report.genericity == "non_generic":
-        assert lifts_of(inp).index_fallbacks == 0
+    if report.genericity == "non_generic" and report.ind_Rb.is_integer:
         assert report.ind_Rb - report.ind_R0 == round(report.phi_P - report.phi_X)
 
 

@@ -159,6 +159,12 @@ def test_roots_polish_each_root_in_one_short_pass(monkeypatch):
         assert min(abs(r.location - w) for r in rs) < 1e-9
 
 
+def test_newton_stops_where_the_derivative_vanishes():
+    # z^2 + 1 from 0: p'(0) = 0 gives no step, so the pass returns its start
+    p = ComplexPolynomial([1.0, 0.0, 1.0])
+    assert poly._newton(p, p.derivative(), 0j) == 0j
+
+
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_simple_root_radius_includes_a_root(n):
     # (z - 1)(z - 2)...(z - n) has integer coefficients that a double holds

@@ -18,6 +18,19 @@ def test_no_assert_statement_in_the_package():
     assert found == []
 
 
+def test_dhym_names_no_exact_chain():
+    # both dHYM indices are closed-form lift counts; the exact chain of
+    # levelgraph.cauchy is a test oracle only
+    tree = ast.parse((PACKAGE / "dhym.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    chain = {"index_on_interval", "RationalFunction", "restrict_to_vertical_line",
+             "one_sided_sign"}
+    assert names & chain == set()
+
+
 # the package modules each module may import; the layers are strictly
 # bottom-up, and the CLI, which presents every verdict, sits on top
 LOWER_LAYERS = {

@@ -12,20 +12,22 @@ certified when the phase sum decided it and a fallback when the chain did.
 ``dhym-sweep``: for the first N inputs of each seed (6000 by default, all
 that a 25 s run times), this script runs ``compute_lifts`` the way
 ``analyze`` does and decides ind_Rb and a generic ind_R0 again with the
-exact chain alone: ``dhym._chain_index`` for ind_Rb, and for ind_R0 minus
-the index over [0, inf) of w' on the imaginary axis with its r lowest
-coefficients, exact zeros, dropped.  Every generic axis count is certified;
-the ray's index is a fallback when the chain decided it, and
-``index_fallbacks`` says whether it was.  The axis index of a non-generic
-input counts from the line its start snaps to, with no chain to check it
-against.
+exact chain alone: for ind_Rb minus the index over [q, inf) of w' on the
+vertical line Re z = b, and for ind_R0 minus the index over [0, inf) of w'
+on the imaginary axis with its r lowest coefficients, exact zeros,
+dropped.  ``dhym`` itself takes no chain.  Every generic axis count and
+every ray count off a wall is certified.  An input with z2 on a wall (a
+half-integer ind_Rb) is set aside, its ray index unchecked (expected 0 on
+the timed inputs), and so is the axis index of a non-generic input, which
+counts from the line its start snaps to.
 
 The inputs come from the ``bench/`` directory next to this script; nothing
 under ``bench/`` is changed.  Prints one summary line per seed: labels or
-indices, fallbacks, certified ones that disagree with the chain (expected
-0), inputs whose label or lifts raised, and the quantiles of the certified
-margins in units of pi.  Then each fallback and each disagreement with its
-input index.  An exception from the exact chain itself is not counted: it
+indices, those set aside (label fallbacks, or inputs on a wall),
+certified ones that disagree with the chain (expected 0), inputs whose
+label or lifts raised, and the quantiles of the certified margins in units
+of pi.  Then each one set aside and each disagreement with its input
+index.  An exception from the exact chain itself is not counted: it
 propagates.  Exits with status 0 when nothing certified disagrees, and 1
 otherwise.
 """
@@ -49,11 +51,11 @@ def _quantiles(values, qs=(0.0, 0.01, 0.1, 0.5)):
                     for q in qs)
 
 
-def _report(seed, total, what, margins, fallbacks, wrong, raised) -> int:
-    print(f"seed {seed}: {total} {what}, {len(fallbacks)} fallbacks, "
+def _report(seed, total, what, margins, aside, aside_name, wrong, raised) -> int:
+    print(f"seed {seed}: {total} {what}, {len(aside)} {aside_name}, "
           f"{len(wrong)} disagree, {len(raised)} raised; certified margin/pi "
           f"{_quantiles(margins)}")
-    for line in fallbacks + wrong + raised:
+    for line in aside + wrong + raised:
         print(line)
     return len(wrong)
 
@@ -87,7 +89,20 @@ def check_verdicts(seed: int, count: int) -> int:
             if (res.interval_index, res.value) != (idx, abs(idx) + res.crit_sum + 1):
                 wrong.append(f"  input {i} {name}: phase sum {res.value} "
                              f"({res.interval_index}), chain index {idx}")
-    return _report(seed, 2 * (count - len(raised)), "labels", margins, fallbacks, wrong, raised)
+    return _report(seed, 2 * (count - len(raised)), "labels", margins, fallbacks, "fallbacks",
+                   wrong, raised)
+
+
+def _ccw_index(re, im, c):
+    """Counterclockwise crossings of {Re = 0} by re + i im over [c, inf).
+
+    The chain counts a -inf -> +inf jump of im/re as +1, and a
+    counterclockwise crossing is a +inf -> -inf jump, so the count is minus
+    the chain's index.
+    """
+    from levelgraph.cauchy import RationalFunction, index_on_interval
+
+    return -index_on_interval(RationalFunction(im, re), c, math.inf)
 
 
 def _axis_chain_index(inp, wp):
@@ -97,11 +112,17 @@ def _axis_chain_index(inp, wp):
     lowest coefficients exactly zero, so dropping them divides t^r out, and
     a generic start puts no pole at t = 0.
     """
-    from levelgraph.cauchy import RationalFunction, index_on_interval
     from levelgraph.poly import RealPolynomial, restrict_to_vertical_line
 
     re, im = (RealPolynomial(p.coeffs[inp.r:]) for p in restrict_to_vertical_line(wp, 0.0))
-    return -index_on_interval(RationalFunction(im, re), 0.0, math.inf)
+    return _ccw_index(re, im, 0.0)
+
+
+def _ray_chain_index(inp, wp):
+    """An off-wall ind_Rb from the exact chain alone: w' on Re z = b over [q, inf)."""
+    from levelgraph.poly import restrict_to_vertical_line
+
+    return _ccw_index(*restrict_to_vertical_line(wp, inp.b), inp.q)
 
 
 def check_dhym(seed: int, count: int) -> int:
@@ -111,7 +132,7 @@ def check_dhym(seed: int, count: int) -> int:
     from levelgraph import dhym
 
     inputs = gen.InputStream("dhym-sweep", seed).take(count)
-    margins, fallbacks, wrong, raised = [], [], [], []
+    margins, on_wall, wrong, raised = [], [], [], []
     non_generic = 0
     for i, data in enumerate(inputs):
         try:
@@ -124,19 +145,20 @@ def check_dhym(seed: int, count: int) -> int:
             continue
         generic = lifts.genericity == "generic"
         non_generic += not generic
+        off_wall = lifts.ind_Rb.is_integer
+        if not off_wall:
+            on_wall.append(f"  input {i} ({lifts.genericity}): ind_Rb {lifts.ind_Rb}")
+        if math.isfinite(lifts.line_margin):
+            margins.append(lifts.line_margin)
         wp = w.derivative()
         chain = (_axis_chain_index(inp, wp) if generic else lifts.ind_R0,
-                 dhym._chain_index(inp, wp))
-        if lifts.index_fallbacks:
-            fallbacks.append(f"  input {i} ({lifts.genericity}): {lifts.index_fallbacks} "
-                             f"of 1, margin {lifts.line_margin:.3g}")
-        else:
-            margins.append(lifts.line_margin)
+                 _ray_chain_index(inp, wp) if off_wall else lifts.ind_Rb)
         if (lifts.ind_R0, lifts.ind_Rb) != chain:
             wrong.append(f"  input {i} ({lifts.genericity}): lift counts "
                          f"({lifts.ind_R0}, {lifts.ind_Rb}), chain ({chain[0]}, {chain[1]})")
     what = f"indices ({non_generic} inputs non-generic, their axis index unchecked)"
-    return _report(seed, 2 * (count - len(raised)), what, margins, fallbacks, wrong, raised)
+    return _report(seed, 2 * (count - len(raised)), what, margins, on_wall, "on a wall",
+                   wrong, raised)
 
 
 def main(argv=None) -> int:
