@@ -19,6 +19,7 @@ runs out to the radius that Fujiwara's bound on the roots of w gives.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -249,7 +250,8 @@ def _decimate(seq, cap: int):
 
 
 def _witness(inp: CalabiInput):
-    w, _, _ = build_polynomials(inp)
+    P, _, theta_hat = build_polynomials(inp)
+    w = ComplexPolynomial(P) * cmath.exp(-1j * theta_hat)
     check = graphical_connection(w, 0j, inp.z2)
     curve = [[p.real, p.imag] for p in _decimate(check.trace.points, 512)]
     try:

@@ -30,7 +30,9 @@ class Tolerances:
     # a point z counts as on the imaginary axis, or on an on-axis critical
     # point, when it lies within snap (1 + |z|) of it
     snap: float = 1e-8
-    zero_charge: float = 1e-12  # |P(z2)| below this times its rounding scale: no total charge
+    # no total charge: |P(z2)| below zero_charge sum |c_k| |z2|^k, the a priori
+    # scale of its Horner rounding, homogeneous in the class data
+    zero_charge: float = 1e-12
     # continuation (tracer), each relative to a local scale
     corrector: float = 1e-10          # |level function| after Newton correction
     max_turn_angle: float = 0.2       # radians per accepted step

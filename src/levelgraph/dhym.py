@@ -36,6 +36,10 @@ sector xi1/|xi|.
 On a wall, the ray's index is the half crossing of the line its start
 snaps to plus the lines above it: the mean of the counts just below and
 just above the wall.
+
+``analyze`` builds no polynomial object: P is one coefficient list,
+evaluated once at z2, and the sector test reads w'(z2) from its factors,
+as the lifts do.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .errors import (
     LiftInconsistency,
     ZeroTotalCharge,
 )
-from .poly import I_POWERS, ComplexPolynomial, from_roots
+from .poly import I_POWERS, _horner, antiderivative_coeffs, root_product
 
 __all__ = [
     "CalabiInput",
@@ -155,48 +159,52 @@ class ChargeReport:
 
 
 def build_polynomials(inp: CalabiInput):
-    """(w, P, theta_hat) with P' = (xi+z)^m z^r, w' = e^{-i theta_hat} P'.
+    """(P, zeta, theta_hat): the ascending coefficient list of P, with
+    P' = (xi+z)^m z^r and P(0) = 0, and zeta = P(z2).
 
-    theta_hat is the principal argument of P(z2) in (-pi, pi], which makes
-    Im(w(z2)) = 0: the boundary point z2 and the origin share a level set.
+    w = e^{-i theta_hat} P has the coefficients [c e^{-i theta_hat} for c
+    in P].  theta_hat is the principal argument of zeta in (-pi, pi], which
+    makes Im(w(z2)) = 0: the boundary point z2 and the origin share a level
+    set.  The total charge vanishes when |zeta| is below TOL.zero_charge
+    times sum |c_k| |z2|^k, the a priori scale of zeta's Horner rounding
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 5.1),
+    which is homogeneous in (xi, z2) as |zeta| is.
     """
     # z^r multiplies by shifting the coefficients of (xi + z)^m
-    profile = from_roots([-inp.xi] * inp.m).coeffs
-    P = ComplexPolynomial((0.0,) * inp.r + profile).antiderivative()
-    zeta = P(inp.z2)
-    try:
-        scale = P.coeff_scale * max(1.0, abs(inp.z2)) ** P.degree
-    except OverflowError:
-        scale = math.inf
+    P = antiderivative_coeffs([0j] * inp.r + root_product([-inp.xi] * inp.m))
+    z2 = inp.z2
+    zeta = _horner(P, z2, 0j)
+    scale = _horner([abs(c) for c in P], abs(z2), 0.0)
     if not (scale < math.inf and cmath.isfinite(zeta)):
         raise ValueError(
             f"the class data overflow a double: P(z2) = {zeta!r} for P of degree "
-            f"{P.degree} at |z2| = {abs(inp.z2)!r}"
+            f"{len(P) - 1} at |z2| = {abs(z2)!r}"
         )
     if abs(zeta) < config.TOL.zero_charge * scale:
         raise ZeroTotalCharge(
-            f"P({inp.z2}) = {zeta}: total charge vanishes, phase angle undefined"
+            f"P({z2}) = {zeta}: total charge vanishes, phase angle undefined"
         )
     theta_hat = math.atan2(zeta.imag, zeta.real)
     if theta_hat == -math.pi:
         theta_hat = math.pi
-    w = P * cmath.exp(-1j * theta_hat)
-    wz2 = w(inp.z2)
+    rotation = cmath.exp(-1j * theta_hat)
+    wz2 = _horner([c * rotation for c in P], z2, 0j)
     threshold = config.TOL.sign * abs(wz2)
     if abs(wz2.imag) > threshold:
         raise LevelMismatch(
             wz2.imag, threshold,
             f"Im(w(z2)) = {wz2.imag} is not zero relative to |w(z2)| = {abs(wz2)}",
         )
-    return w, P, theta_hat
+    return P, zeta, theta_hat
 
 
-def compute_charges(inp: CalabiInput, P):
-    """(Z_X, Z_Dinf, Z_P), each up to the shared positive volume factor."""
-    zeta = P(inp.z2)
-    Z_X = -I_POWERS[-(inp.m + inp.r + 1) % 4] * zeta
-    Z_Dinf = -I_POWERS[-(inp.m + inp.r) % 4] * inp.z2**inp.r * (inp.z2 + inp.xi) ** inp.m
-    Z_P = -I_POWERS[-inp.m % 4] * inp.xi**inp.m
+def compute_charges(inp: CalabiInput, zeta: complex):
+    """(Z_X, Z_Dinf, Z_P) from zeta = P(z2), each up to the shared positive
+    volume factor."""
+    m, r, xi, z2 = inp.m, inp.r, inp.xi, inp.z2
+    Z_X = -I_POWERS[-(m + r + 1) % 4] * zeta
+    Z_Dinf = -I_POWERS[-(m + r) % 4] * z2**r * (z2 + xi) ** m
+    Z_P = -I_POWERS[-m % 4] * xi**m
     return Z_X, Z_Dinf, Z_P
 
 
@@ -256,7 +264,7 @@ def _count_from(lo: float, bound: float):
     return -round(lo), True, math.inf
 
 
-def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
+def compute_lifts(inp: CalabiInput, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
     """Lifted phases, Cauchy indices, and the genericity flag.
 
     Z_X and Z_Dinf are the charges from compute_charges.  The closed-form
@@ -264,12 +272,13 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     crossings of the Z_X line up to its top line 0 (see _z_x_line).
     Each counts from its lift's start (_count_from).  A Z_P start on its
     line is non-generic; a Z_Dinf start on its line puts z2 on a wall, and
-    ind_Rb takes the half crossing of that line.  Off the wall, the Z_Dinf
-    path's end grade must agree with phi_X + delta/pi, otherwise
-    LiftInconsistency is raised, and class data with Re w'(z2) <= 0 raise
-    BoundaryPointUnreachable.
+    ind_Rb takes the half crossing of that line.  Off the wall, class data
+    with Re w'(z2) <= TOL.sign |w'(z2)| raise BoundaryPointUnreachable,
+    w'(z2) = e^{-i theta_hat} z2^r (xi + z2)^m read from its factors, and
+    the Z_Dinf path's end grade must agree with phi_X + delta/pi, otherwise
+    LiftInconsistency is raised.
     """
-    m, r = inp.m, inp.r
+    m, r, xi, z2 = inp.m, inp.r, inp.xi, inp.z2
     n = m + r + 1
     theta_top, line_angle, bound = _z_x_line(theta_hat, n)
 
@@ -278,8 +287,8 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     # Z_Dinf(t) = -(-i)^{m+r} (b + it)^r (xi + b + it)^m from t = q, each
     # lifted down from pi at t = inf; build_polynomials keeps the distances
     # to the roots finite, so phase_climb returns
-    lift_P = math.pi - phase_climb(((-inp.xi, m, 0.0),), 0.0, 0.0)[0]
-    lift_D = math.pi - phase_climb(((0j, r, 0.0), (-inp.xi, m, 0.0)), inp.b, inp.q)[0]
+    lift_P = math.pi - phase_climb(((-xi, m, 0.0),), 0.0, 0.0)[0]
+    lift_D = math.pi - phase_climb(((0j, r, 0.0), (-xi, m, 0.0)), inp.b, inp.q)[0]
     phi_P = lift_P / math.pi
 
     # index along the vertical ray above z2.  Z_Dinf/Z_X = i w'(z2)/w(z2)
@@ -292,8 +301,11 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
     # along a graph over [0, b] on the zero level, Re w rises strictly from
     # w(0) = 0 to w(z2) = |P(z2)| > 0, so Re w'(z2) > 0 is necessary.  It is
     # also the sector condition 0 < delta < pi below.  On the wall it fails
-    # to TOL.sign, and the wall verdict is reported instead
-    wp_z2 = w.derivative()(inp.z2)
+    # to TOL.sign, and the wall verdict is reported instead.  w'(z2) is read
+    # from its factors, as the lifts read it: the expanded w' loses the last
+    # bits of a small w'(z2) near -xi, and Im(Z_Dinf conj Z_X), of the same
+    # sign, overflows far sooner
+    wp_z2 = cmath.exp(-1j * theta_hat) * (z2**r * (z2 + xi) ** m)
     threshold = config.TOL.sign * abs(wp_z2)
     if not on_wall and not wp_z2.real > threshold:
         raise BoundaryPointUnreachable(
@@ -313,7 +325,10 @@ def compute_lifts(inp: CalabiInput, w, theta_hat: float, Z_X, Z_Dinf) -> LiftDat
 
     Theta_lift = theta_top - float(ind_Rb) * math.pi
     phi_X = (Theta_lift - n * math.pi / 2 + math.pi) / math.pi
-    delta = (cmath.phase(Z_Dinf) - cmath.phase(Z_X)) % (2.0 * math.pi)
+    # atan2 rather than cmath.phase, which raises OverflowError on an angle
+    # that underflows
+    delta = math.atan2(Z_Dinf.imag, Z_Dinf.real) - math.atan2(Z_X.imag, Z_X.real)
+    delta %= 2.0 * math.pi
     phi_Dinf = phi_X + delta / math.pi
 
     if not on_wall and abs(lift_D / math.pi - phi_Dinf) > config.TOL.sign:
@@ -370,9 +385,9 @@ def decide_existence(lifts: LiftData, r: int):
 
 def analyze(inp: CalabiInput) -> ChargeReport:
     """Full pipeline: polynomials, charges, lifts, verdict, cross-checks."""
-    w, P, theta_hat = build_polynomials(inp)
-    Z_X, Z_Dinf, Z_P = compute_charges(inp, P)
-    lifts = compute_lifts(inp, w, theta_hat, Z_X, Z_Dinf)
+    _, zeta, theta_hat = build_polynomials(inp)
+    Z_X, Z_Dinf, Z_P = compute_charges(inp, zeta)
+    lifts = compute_lifts(inp, theta_hat, Z_X, Z_Dinf)
     verdict, notes = decide_existence(lifts, inp.r)
 
     # grade form of the decision must match the index form.  The crossing

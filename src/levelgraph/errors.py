@@ -96,7 +96,8 @@ class NonIntegrableEndpoint(LevelGraphError):
 
 
 class ZeroTotalCharge(LevelGraphError):
-    """P(z2) = 0: the total charge vanishes and the phase angle is undefined."""
+    """P(z2) = 0 to within TOL.zero_charge sum |c_k| |z2|^k: the total charge
+    vanishes and the phase angle is undefined."""
 
 
 class BoundaryPointUnreachable(_FailedComparison):
@@ -104,8 +105,9 @@ class BoundaryPointUnreachable(_FailedComparison):
 
     Along such a graph Re(w) rises strictly from w(0) = 0 to w(z2) > 0, so
     it needs Re w'(z2) > 0; the class data admit no level graph to test.
-    value = Re w'(z2) does not exceed threshold = TOL.sign |w'(z2)|.  z2 on
-    a wall, Re w'(z2) = 0 to TOL.sign, gets the wall verdict instead.
+    value = Re w'(z2), read from the factors e^{-i theta_hat} z2^r (xi + z2)^m
+    as the lifts read it, does not exceed threshold = TOL.sign |w'(z2)|.  z2
+    on a wall, Re w'(z2) = 0 to TOL.sign, gets the wall verdict instead.
     """
 
 

@@ -152,7 +152,7 @@ class ComplexPolynomial(_Polynomial):
 
     def antiderivative(self) -> "ComplexPolynomial":
         """The antiderivative q with q' = self and q(0) = 0."""
-        return ComplexPolynomial([0.0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+        return ComplexPolynomial(antiderivative_coeffs(self.coeffs))
 
 
 class RealPolynomial(_Polynomial):
@@ -184,29 +184,39 @@ class RootWithMultiplicity:
     certified: bool
 
 
-def from_roots(roots: Sequence[complex], leading: complex = 1.0) -> ComplexPolynomial:
-    """Monic-times-`leading` polynomial with the given roots (with repetition).
+def antiderivative_coeffs(coeffs: Sequence[complex]) -> list:
+    """Ascending coefficients of the antiderivative with value 0 at 0."""
+    return [0j] + [c / (k + 1) for k, c in enumerate(coeffs)]
+
+
+def root_product(roots: Sequence[complex], leading: complex = 1.0) -> list:
+    """Ascending coefficients of `leading` times the product of (z - r).
 
     Each factor (z - r) multiplies one coefficient list in place, from the
-    top down, and one polynomial is built at the end.  Every coefficient
-    takes the generic product's operations in its order,
-    out[k] = (0j + a[k-1] * (1+0j)) + a[k] * (-r), so the result is
-    byte-equal to the product of ComplexPolynomial([leading]) and the
-    factors ComplexPolynomial([-r, 1.0]), signed zeros included.  A zero
-    `leading` gives the zero polynomial.
+    top down.  Every coefficient takes the generic product's operations in
+    its order, out[k] = (0j + a[k-1] * (1+0j)) + a[k] * (-r), so the list
+    is byte-equal to the coefficients of the product of
+    ComplexPolynomial([leading]) and the factors ComplexPolynomial([-r, 1.0]),
+    signed zeros included.  Nothing is trimmed.
     """
-    lead = complex(leading)
-    if lead == 0:
-        return ComplexPolynomial(())
     one = 1 + 0j
-    a = [lead]
+    a = [complex(leading)]
     for r in roots:
         neg = complex(-r)
         a.append(0j + a[-1] * one)
         for k in range(len(a) - 2, 0, -1):
             a[k] = (0j + a[k - 1] * one) + a[k] * neg
         a[0] = 0j + a[0] * neg
-    return ComplexPolynomial(a)
+    return a
+
+
+def from_roots(roots: Sequence[complex], leading: complex = 1.0) -> ComplexPolynomial:
+    """Monic-times-`leading` polynomial with the given roots (with repetition):
+    root_product's coefficients, one polynomial built at the end.  A zero
+    `leading` gives the zero polynomial."""
+    if complex(leading) == 0:
+        return ComplexPolynomial(())
+    return ComplexPolynomial(root_product(roots, leading))
 
 
 def restrict_to_vertical_line(p: ComplexPolynomial, x0: float):

@@ -7,6 +7,7 @@ prints a one-line summary so a verbose run reads as a checklist.  All
 randomness is seeded: a red run here is reproducible, not a flake.
 """
 
+import collections
 import math
 import cmath
 import random
@@ -558,9 +559,22 @@ def test_second_variation_positive_at_solutions(flow_battery):
 # 8. the charge pipeline: sweep identities, oracles, hand case
 
 
+def _potential(inp):
+    """w = e^{-i theta_hat} P from build_polynomials' coefficient list."""
+    P, _, theta_hat = build_polynomials(inp)
+    return ComplexPolynomial(P) * cmath.exp(-1j * theta_hat)
+
+
+# the draws of test_charge_pipeline_sweep_and_oracles that raise, by kind:
+# Random(3021) skips one BoundaryPointUnreachable (Re w'(z2) < 0 decided);
+# any other kind, a ZeroTotalCharge among them, fails the test
+PIPELINE_SKIP_BOUNDS = {"BoundaryPointUnreachable": 3}
+
+
 def test_charge_pipeline_sweep_and_oracles():
     rng = random.Random(3021)
     t0 = time.monotonic()
+    skipped = collections.Counter()
 
     # (a)+(b)+(c): broad random sweep
     n_ok = 0
@@ -573,12 +587,12 @@ def test_charge_pipeline_sweep_and_oracles():
                           rng.uniform(0.2, 3.0), rng.uniform(-2.5, 2.5))
         try:
             rep = analyze(inp)
-        except (ZeroTotalCharge, LevelGraphError):
+        except LevelGraphError as exc:
+            skipped[type(exc).__name__] += 1
             continue
         n_ok += 1
         genericities[rep.genericity] += 1
-        w, _, _ = build_polynomials(inp)
-        wv = w(complex(inp.b, inp.q))
+        wv = _potential(inp)(complex(inp.b, inp.q))
         worst_rel = max(worst_rel, abs(wv.imag) / max(1.0, abs(wv)))
         assert rep.phi_X < rep.phi_Dinf < rep.phi_X + 1.0, (
             inp, rep.phi_X, rep.phi_Dinf)
@@ -600,18 +614,20 @@ def test_charge_pipeline_sweep_and_oracles():
                           rng.uniform(0.3, 2.5), rng.uniform(-2.0, 2.0))
         try:
             rep = analyze(inp)
-        except (ZeroTotalCharge, LevelGraphError):
+        except LevelGraphError as exc:
+            skipped[type(exc).__name__] += 1
             continue
         if rep.genericity == "non_generic":
             continue
-        w, _, _ = build_polynomials(inp)
+        w = _potential(inp)
         z2 = complex(inp.b, inp.q)
         d = w.derivative()(z2)
         if abs(d.real) < 1e-5 * max(1.0, abs(d)):
             continue  # z2 essentially on the wall: resample
         try:
             chk = graphical_connection(w, 0j, z2)
-        except LevelGraphError:
+        except LevelGraphError as exc:
+            skipped[type(exc).__name__] += 1
             continue
         graph = chk.connected and chk.graphical
         assert graph == (rep.verdict == "exists"), (
@@ -637,16 +653,18 @@ def test_charge_pipeline_sweep_and_oracles():
         b = rng.uniform(0.3, 2.5)
         probe = CalabiInput(m, 0, xi1, xi2, b, 0.0)
         try:
-            _, P, _ = build_polynomials(probe)
-        except (ZeroTotalCharge, LevelGraphError):
+            P, _, _ = build_polynomials(probe)
+        except LevelGraphError as exc:
+            skipped[type(exc).__name__] += 1
             continue
         # place q where the top charge turns purely imaginary:
         # Re(P(b+iq) e^{-i m arg xi}) = 0
         rho = cmath.exp(-1j * m * cmath.phase(complex(xi1, xi2)))
-        g = restrict_to_vertical_line(ComplexPolynomial([rho]) * P, b)[0]
+        g = restrict_to_vertical_line(ComplexPolynomial([rho]) * ComplexPolynomial(P), b)[0]
         try:
             rts = roots(g.to_complex())
-        except LevelGraphError:
+        except LevelGraphError as exc:
+            skipped[type(exc).__name__] += 1
             continue
         cands = [rt.location.real for rt in rts
                  if abs(rt.location.imag) < 1e-8 * (1 + abs(rt.location))
@@ -655,18 +673,20 @@ def test_charge_pipeline_sweep_and_oracles():
             continue
         try:
             rep = analyze(CalabiInput(m, 0, xi1, xi2, b, rng.choice(cands)))
-        except (ZeroTotalCharge, LevelGraphError):
+        except LevelGraphError as exc:
+            skipped[type(exc).__name__] += 1
             continue
         made += 1
         assert rep.genericity == "non_generic"
         assert rep.verdict == "no_solution"
 
+    assert all(n <= PIPELINE_SKIP_BOUNDS.get(kind, 0) for kind, n in skipped.items()), skipped
     elapsed = time.monotonic() - t0
     assert elapsed < 180.0
     print(f"PASS charge pipeline: 1000-sweep (worst boundary level "
           f"{worst_rel:.1e}, {genericities}), 100 tracer-oracle "
           f"agreements ({d_verdicts}), hand case exact, 10 non-generic "
-          f"constructions -> no_solution, {elapsed:.1f}s")
+          f"constructions -> no_solution, skipped {dict(skipped)}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

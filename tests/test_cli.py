@@ -4,6 +4,7 @@ Everything runs main() in-process with capsys so the suite stays fast; one
 test goes through a real subprocess to prove the installed entry point works.
 """
 
+import cmath
 import json
 import math
 import subprocess
@@ -339,7 +340,8 @@ def test_dhym_witness_flow_reports_J_and_membership(capsys):
     flow = json.loads(out)["witness"]["flow"]
 
     inp = CalabiInput(2, 0, 1.0, 0.0, 1.0, 0.5)
-    w, _, _ = build_polynomials(inp)
+    P, _, theta_hat = build_polynomials(inp)
+    w = ComplexPolynomial(P) * cmath.exp(-1j * theta_hat)
     f0 = make_grid_function(0.0, 1.0, lambda x: 0.5 * x, boundary=(0.0, 0.5))
     trace = run_flow(f0, w, default_sigma(0.0, 1.0, f0.nodes))
     assert flow["steps"] == len(trace.times) - 1 > 0

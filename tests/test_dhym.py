@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import levelgraph.cauchy as cauchy
 import levelgraph.config as config
-import levelgraph.dhym as dhym
 import levelgraph.poly as poly
 from levelgraph import cli
 from levelgraph.cauchy import CLIMB_ROUNDING, HalfInteger, RationalFunction, index_on_interval
@@ -27,7 +26,12 @@ from levelgraph.dhym import (
     compute_lifts,
     decide_existence,
 )
-from levelgraph.errors import BoundaryPointUnreachable, LevelMismatch, ZeroTotalCharge
+from levelgraph.errors import (
+    BoundaryPointUnreachable,
+    LevelGraphError,
+    LevelMismatch,
+    ZeroTotalCharge,
+)
 from levelgraph.tracer import graphical_connection
 from reference_lift import _unwrap_lift
 
@@ -64,11 +68,20 @@ def test_input_validation():
 # the fully hand-computed instance: m=1, r=0, xi=1, z2=1
 
 
+def potential(inp):
+    """(w, theta_hat): w = e^{-i theta_hat} P, formed as cli._witness forms it."""
+    P, _, theta_hat = build_polynomials(inp)
+    return poly.ComplexPolynomial(P) * cmath.exp(-1j * theta_hat), theta_hat
+
+
 def test_hand_case_polynomials():
     inp = CalabiInput(m=1, r=0, xi1=1.0, xi2=0.0, b=1.0, q=0.0)
-    w, P, theta = build_polynomials(inp)
-    assert P(1.0) == pytest.approx(1.5, abs=1e-15)
+    P, zeta, theta = build_polynomials(inp)
+    # P = z + z^2/2, ascending, and zeta = P(1)
+    assert P == [0j, 1 + 0j, 0.5 + 0j]
+    assert zeta == pytest.approx(1.5, abs=1e-15)
     assert theta == 0.0
+    w, _ = potential(inp)
     # w = z + z^2/2 is real along [0, 1]
     assert abs(w(1.0 + 0.0j).imag) < 1e-15
     assert w(1.0 + 0.0j).real == pytest.approx(1.5, abs=1e-15)
@@ -76,8 +89,8 @@ def test_hand_case_polynomials():
 
 def test_hand_case_charges():
     inp = CalabiInput(m=1, r=0, xi1=1.0, xi2=0.0, b=1.0, q=0.0)
-    w, P, theta = build_polynomials(inp)
-    Z_X, Z_Dinf, Z_P = compute_charges(inp, P)
+    _, zeta, _ = build_polynomials(inp)
+    Z_X, Z_Dinf, Z_P = compute_charges(inp, zeta)
     assert Z_X == pytest.approx(1.5 + 0j, abs=1e-15)
     assert Z_Dinf == pytest.approx(2j, abs=1e-15)
     assert Z_P == pytest.approx(1j, abs=1e-15)
@@ -126,7 +139,7 @@ def test_twisted_case_is_nongeneric_and_exists():
 
 def test_twisted_case_tracer_agreement():
     inp = CalabiInput(m=1, r=1, xi1=1.0, xi2=0.0, b=1.0, q=0.0)
-    w, _, _ = build_polynomials(inp)
+    w, _ = potential(inp)
     check = graphical_connection(w, 0j, inp.z2)
     assert check.connected and check.graphical
 
@@ -143,6 +156,20 @@ def test_high_degree_lift_agrees_with_exact_indices():
     assert report.ind_Rb == 4
 
 
+def test_sector_is_read_from_w_prime_factors():
+    # z2 within about 2e-9 of a wall next to -xi: the expanded w'(z2) has
+    # Re = +1.6e-12, above TOL.sign |w'(z2)|, while its factors give -1.75e-12,
+    # as the Z_Dinf lift reads it.  Read from the factors, the sector test
+    # fails, where the expanded form passed and the lifts then disagreed
+    inp = CalabiInput(6, 1, 0.2122116050031087, -2.9924849598121632,
+                      0.05, 3.0180408713148466)
+    with pytest.raises(BoundaryPointUnreachable) as info:
+        analyze(inp)
+    assert info.value.value == pytest.approx(-1.75e-12, rel=0.01)
+    w, _ = potential(inp)
+    assert w.derivative()(inp.z2).real > info.value.threshold
+
+
 def test_lift_sector_failure_names_re_w_prime_at_z2():
     # dhym-sweep seed 1 input 878: Re w'(z2) < 0, so no graph over [0, b]
     # reaches z2; the message must name the value
@@ -152,15 +179,20 @@ def test_lift_sector_failure_names_re_w_prime_at_z2():
         analyze(inp)
     found = re.search(r"Re w'\(z2\) = (\S+) is not above", str(info.value))
     assert found is not None, str(info.value)
-    w, _, _ = build_polynomials(inp)
-    assert float(found.group(1)) == w.derivative()(inp.z2).real
+    # w'(z2) is read from its factors e^{-i theta_hat} z2^r (xi + z2)^m, and
+    # agrees with the expanded w' to its rounding
+    _, _, theta_hat = build_polynomials(inp)
+    wp_z2 = cmath.exp(-1j * theta_hat) * (inp.z2**inp.r * (inp.z2 + inp.xi) ** inp.m)
+    w, _ = potential(inp)
+    assert float(found.group(1)) == wp_z2.real
+    assert float(found.group(1)) == pytest.approx(w.derivative()(inp.z2).real, rel=1e-12)
     assert float(found.group(1)) == pytest.approx(-4.4623716979992469, rel=1e-12)
     # the threshold is named by the tolerance field that sets it
     assert "not above TOL.sign * |w'(z2)| = " in str(info.value)
     assert "SIGN_TOL" not in str(info.value)
     # the deciding comparison is data too
-    assert info.value.value == w.derivative()(inp.z2).real
-    assert info.value.threshold == config.TOL.sign * abs(w.derivative()(inp.z2))
+    assert info.value.value == wp_z2.real
+    assert info.value.threshold == config.TOL.sign * abs(wp_z2)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +299,9 @@ def exact_chain_indices(inp, w, theta_hat):
 
 
 def lifts_of(inp):
-    w, P, theta_hat = build_polynomials(inp)
-    Z_X, Z_Dinf, _ = compute_charges(inp, P)
-    return compute_lifts(inp, w, theta_hat, Z_X, Z_Dinf)
+    _, zeta, theta_hat = build_polynomials(inp)
+    Z_X, Z_Dinf, _ = compute_charges(inp, zeta)
+    return compute_lifts(inp, theta_hat, Z_X, Z_Dinf)
 
 
 @settings(max_examples=150, deadline=None)
@@ -299,7 +331,7 @@ def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
         xi2 = q = 0.0
     inp = CalabiInput(m, r, xi1, xi2, b, q)
     try:
-        w, P, theta_hat = build_polynomials(inp)
+        w, theta_hat = potential(inp)
     except ZeroTotalCharge:
         assume(False)
     ind_R0, ind_Rb, generic = exact_chain_indices(inp, w, theta_hat)
@@ -314,9 +346,8 @@ def test_certified_crossings_match_exact_chain(m, r, xi1, xi2, b, q, real):
     else:
         count_P = -round((path_lift(*path_P) - line_angle) / math.pi)
         assert count_P == ind_R0
-    Z_X, Z_Dinf, _ = compute_charges(inp, P)
     try:
-        lifts = compute_lifts(inp, w, theta_hat, Z_X, Z_Dinf)
+        lifts = lifts_of(inp)
     except BoundaryPointUnreachable:
         return
     assert lifts.ind_R0 == ind_R0
@@ -408,19 +439,25 @@ def test_nongeneric_analyze_runs_no_exact_chain(monkeypatch):
     assert calls == []
 
 
-def test_wall_analyze_builds_w_prime_once(monkeypatch):
-    # z2 on the vertical-tangent locus, Re(P'(z2) conj P(z2)) = 0 (q found
-    # by bisection): the Z_Dinf start lies on the Z_X line, so z2 is on a
-    # wall, and the ray's index is the half crossing of that line
-    inp = CalabiInput(3, 0, 0.2, 1.0, 0.5, -1.5200270510147045)
-    calls = []
-    real = dhym.from_roots
-    monkeypatch.setattr(dhym, "from_roots", lambda *a: calls.append(a) or real(*a))
-    report = analyze(inp)
+# z2 on the vertical-tangent locus, Re(P'(z2) conj P(z2)) = 0 (q found by
+# bisection): the Z_Dinf start lies on the Z_X line, so z2 is on a wall, and
+# the ray's index is the half crossing of that line
+WALL = CalabiInput(3, 0, 0.2, 1.0, 0.5, -1.5200270510147045)
+
+
+def test_analyze_builds_no_polynomial_object(monkeypatch):
+    # P is a coefficient list, and w'(z2) is read from its factors: no
+    # ComplexPolynomial is built on a generic, a non-generic or a wall input
+    def refuse(self, coeffs):
+        raise AssertionError("analyze built a polynomial object")
+
+    monkeypatch.setattr(poly._Polynomial, "__init__", refuse)
+    assert analyze(HIGH_DEGREE).genericity == "generic"
+    assert analyze(PLANTED_39).genericity == "non_generic"
+    report = analyze(WALL)
     assert report.verdict == "no_solution"
     assert report.ind_Rb == HalfInteger(5)
     assert report.normalization_note.endswith("no smooth solution is reported at the wall")
-    assert len(calls) == 1
 
 
 def wall_input(m, r, radius, angle, pick, upper):
@@ -455,7 +492,7 @@ def wall_input(m, r, radius, angle, pick, upper):
 @given(inp=st.builds(wall_input, st.integers(2, 6), st.integers(0, 4), st.floats(0.2, 3.0),
                      st.one_of(st.floats(-1.5, -0.6), st.floats(0.6, 1.5)),
                      st.integers(0, 12), st.booleans()))
-@example(inp=CalabiInput(3, 0, 0.2, 1.0, 0.5, -1.5200270510147045))
+@example(inp=WALL)
 def test_wall_ray_index_is_the_mean_of_both_sides(inp):
     # z2 on a wall gets the wall verdict, and its half-integer ray index is
     # the mean of the exact chain's just below and just above it
@@ -470,7 +507,7 @@ def test_wall_ray_index_is_the_mean_of_both_sides(inp):
     sides = []
     for q in (inp.q - step, inp.q + step):
         near = dataclasses.replace(inp, q=q)
-        w, _, theta_hat = build_polynomials(near)
+        w, theta_hat = potential(near)
         sides.append(exact_chain_indices(near, w, theta_hat)[1])
     assert report.ind_Rb.twice_value == sides[0] + sides[1]
 
@@ -485,7 +522,7 @@ def test_axis_start_within_bound_of_a_line_reads_as_non_generic(monkeypatch):
     inp = CalabiInput(4, 0, 1.08, -1.75, 0.31, 9.144270049353945)
     lifts = lifts_of(inp)
     assert lifts.genericity == "non_generic"
-    w, _, theta_hat = build_polynomials(inp)
+    w, theta_hat = potential(inp)
     assert lifts.ind_R0 == exact_chain_indices(inp, w, theta_hat)[0] == 3
     report = analyze(inp)
     assert report.ind_Rb - report.ind_R0 == -3 == round(report.phi_P - report.phi_X)
@@ -507,7 +544,7 @@ def test_thin_sector_counts_from_the_line_its_start_snaps_to():
 def test_nongeneric_start_below_its_line_counts_from_that_line():
     # the start rounds up to its line: the count runs from there, and the
     # lines below it are not crossed
-    w, _, theta_hat = build_polynomials(PLANTED_59)
+    w, theta_hat = potential(PLANTED_59)
     _, line_angle, bound = _z_x_line(theta_hat, 2)
     path_P, _ = lift_paths(PLANTED_59)
     lo = (path_lift(*path_P) - line_angle) / math.pi
@@ -670,6 +707,70 @@ def test_zero_total_charge():
         build_polynomials(inp)
 
 
+# ten times dhym-sweep seed 1 input 4889
+TEN_TIMES_4889 = CalabiInput(8, 4, 3.3297189761177903, -21.16400215792456,
+                             14.971428841364387, 24.025026984866216)
+
+
+def test_zero_charge_is_relative_to_the_horner_scale():
+    # |P(z2)| = 1.5e16 is 2e-4 of sum |c_k| |z2|^k, far from zero, though
+    # below 1e-12 of the old scale coeff_scale max(1, |z2|)^deg, which grows
+    # faster than P under scaling
+    inp = TEN_TIMES_4889
+    P, zeta, _ = build_polynomials(inp)
+    scale = sum(abs(c) * abs(inp.z2) ** k for k, c in enumerate(P))
+    assert 1e-4 < abs(zeta) / scale < 1e-3
+    assert abs(zeta) < config.TOL.zero_charge * max(map(abs, P)) * abs(inp.z2) ** (len(P) - 1)
+    assert analyze(inp).verdict == "no_solution"
+
+
+def outcome(inp):
+    """What analyze decides on inp, or the type of the error it raises."""
+    try:
+        report = analyze(inp)
+    except (LevelGraphError, ValueError) as exc:
+        return type(exc)
+    return report.verdict, report.genericity, report.ind_R0, report.ind_Rb
+
+
+def scaled(inp, k):
+    """inp with (xi, z2) scaled by 2^k, which is exact on doubles."""
+    return CalabiInput(inp.m, inp.r, *(math.ldexp(v, k) for v in (inp.xi1, inp.xi2, inp.b, inp.q)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inp=st.one_of(
+        st.builds(CalabiInput, st.integers(1, 8), st.integers(0, 6), st.floats(0.2, 3.0),
+                  st.floats(-2.5, 2.5), st.floats(0.2, 3.0), st.floats(-2.5, 2.5)),
+        st.builds(planted_input, st.integers(1, 8), st.integers(0, 5), st.floats(-6.0, 0.5),
+                  st.floats(-2.5, 2.5), st.floats(0.2, 3.0), st.integers(0, 12)),
+    ),
+    k=st.integers(-40, 40),
+)
+@example(inp=TEN_TIMES_4889, k=-20)
+@example(inp=TEN_TIMES_4889, k=20)
+@example(inp=WALL, k=40)
+@example(inp=PLANTED_39, k=-40)
+# Z_X's phase underflows: cmath.phase raised OverflowError
+@example(inp=CalabiInput(1, 0, 1.0, 5e-324, 2.0, 0.0), k=0)
+# outside the range the property covers, each with a side that leaves the
+# normal doubles: xi within 1e-38 of the real axis plants |q| near 3e38,
+# whose |z2|^8 overflows once scaled by 2, and xi2 = -5e-324 halves to -0.0
+@example(inp=planted_input(4, 3, 0.0, 1.1754943508222875e-38, 1.0, 0), k=1)
+@example(inp=CalabiInput(1, 0, 1.0, -5e-324, 1.0, 0.0), k=-1)
+def test_analyze_is_scale_covariant(inp, k):
+    # (xi, z2) -> 2^k (xi, z2) scales w' by 2^{k(m+r)} exactly, so neither
+    # the verdict, the genericity, the indices nor a raised error may change,
+    # as long as every product of up to m + r + 1 coordinates stays a normal
+    # double on both sides
+    assume(inp is not None)
+    n = inp.m + inp.r + 1
+    exponents = [math.log2(abs(v)) for v in (inp.xi1, inp.xi2, inp.b, inp.q) if v]
+    assume(all(n * max(abs(e), abs(e + k)) < 900 for e in exponents))
+    assert outcome(scaled(inp, k)) == outcome(inp)
+
+
 # ---------------------------------------------------------------------------
 # structural facts
 
@@ -683,9 +784,9 @@ def test_theta_hat_zero_on_real_classes():
 def test_Z_P_ignores_z2():
     a = CalabiInput(m=2, r=1, xi1=1.3, xi2=-0.4, b=1.0, q=0.5)
     c = CalabiInput(m=2, r=1, xi1=1.3, xi2=-0.4, b=2.5, q=-1.0)
-    wa, Pa, ta = build_polynomials(a)
-    wc, Pc, tc = build_polynomials(c)
-    assert compute_charges(a, Pa)[2] == compute_charges(c, Pc)[2]
+    za = build_polynomials(a)[1]
+    zc = build_polynomials(c)[1]
+    assert compute_charges(a, za)[2] == compute_charges(c, zc)[2]
 
 
 def test_report_dict_fields():
@@ -727,7 +828,7 @@ def test_random_sweep_invariants():
         assert -math.pi < report.theta_hat <= math.pi
         assert report.verdict in ("exists", "no_solution")
         # the level through z2 really is the zero level
-        w, _, _ = build_polynomials(inp)
+        w, _ = potential(inp)
         wz2 = w(complex(inp.b, inp.q))
         assert abs(wz2.imag) <= 1e-9 * max(1.0, abs(wz2))
         # grade ordering of the two computed subvariety charges
