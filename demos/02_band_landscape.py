@@ -7,7 +7,7 @@ vertical lines.  Level curves of Im w can only turn vertical on the wall,
 so the labels organise which boundary pairs can be joined by a graph.
 """
 
-from levelgraph.landscape import Potential, counting_function, tangent_cone_at_infinity
+from levelgraph.landscape import Potential, counting_function
 from levelgraph.poly import ComplexPolynomial
 
 # w = z^3/3 - i z^2: critical points at 0 and 2i, both on the axis
@@ -20,10 +20,6 @@ print()
 print("on-axis critical points")
 for cp in pot.axis_critical_points:
     print(f"  y0 = {cp.y0:+.4f}   order {cp.order}   {cp.genericity}")
-print()
-
-cone = tangent_cone_at_infinity(w)
-print(f"tangent cone at infinity: {cone.genericity}")
 print()
 
 pts = [0.5 + 0.0j, 0.5 + 1.0j, 0.5 + 2.5j, 2.0 + 0.0j, 2.0 - 2.0j]

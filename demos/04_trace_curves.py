@@ -45,7 +45,7 @@ print(f"wall through {wall_seed:.4f}: {len(wall.points)} points, "
 from levelgraph.poly import restrict_to_vertical_line, roots
 
 im_on_line = restrict_to_vertical_line(w, 2.0)[1]
-y2 = min((r.location.real for r in roots(im_on_line.to_complex())
+y2 = min((r.location.real for r in roots(ComplexPolynomial(im_on_line.coeffs))
           if abs(r.location.imag) < 1e-9), key=abs)
 z2 = 2.0 + 1j * y2
 chk = graphical_connection(w, 0j, z2)

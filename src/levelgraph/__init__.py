@@ -9,8 +9,8 @@ imports only ``config``, ``errors`` and modules listed above it, except that
   integers), vertical-line restriction, multiplicity-aware root finding
 - ``cauchy``: exact Cauchy indices of real rational functions, and the
   certified phase climb that both verdicts' crossing counts share
-- ``landscape``: critical points of Im(w) on the imaginary axis, counting
-  function for level-curve crossings, tangent cone at infinity
+- ``landscape``: critical points of Im(w) on the imaginary axis and the
+  counting function for level-curve crossings
 - ``stability``: the boundary-data trichotomy (stable / strictly semistable /
   unstable)
 - ``tracer``: numeric continuation of the level curves and gradient-direction

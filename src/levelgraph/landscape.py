@@ -35,41 +35,31 @@ from dataclasses import dataclass
 from . import config
 from .cauchy import CLIMB_ROUNDING, HalfInteger, RationalFunction, index_on_interval
 from .cauchy import line_crossings, one_sided_sign, phase_climb
-from .errors import CriticalPointInRHP, DegenerateLine, LevelGraphError, ZeroPolynomial
+from .errors import CriticalPointInRHP, DegenerateLine, ZeroPolynomial
 from .poly import I_POWERS, ComplexPolynomial, RealPolynomial, divide_linear, roots
 from .poly import restrict_to_vertical_line, taylor_coeffs
 
 __all__ = [
     "CriticalPoint",
-    "TangentConeAtInfinity",
     "CountingResult",
     "Potential",
     "validate_no_rhp_critical_points",
     "on_axis_critical_points",
     "counting_function",
-    "tangent_cone_at_infinity",
 ]
 
 @dataclass(frozen=True)
 class CriticalPoint:
     """A zero of w' on the imaginary axis.
 
-    order is the multiplicity k of the zero; leading_coeff is the first
-    nonvanishing Taylor coefficient of w' there, w'^(k)(i y0)/k!.  The
-    genericity flag records whether the critical level curve leaves the
-    imaginary axis transversally ("generic") or hugs it ("non_generic").
+    order is the multiplicity k of the zero.  The genericity flag records
+    whether the critical level curve leaves the imaginary axis
+    transversally ("generic") or hugs it ("non_generic"), as read from the
+    first nonvanishing Taylor coefficient of w' there, w'^(k)(i y0)/k!.
     """
 
     y0: float
     order: int
-    leading_coeff: complex
-    genericity: str
-
-
-@dataclass(frozen=True)
-class TangentConeAtInfinity:
-    vertex: complex
-    ray_angles: tuple
     genericity: str
 
 
@@ -99,7 +89,8 @@ class CountingResult:
 class Potential:
     """A potential w whose critical points have been found and checked once.
 
-    The constructor forms w' once, keeps it as wp, makes its one root solve
+    The constructor forms w' once, keeps it as wp (w itself is not kept:
+    every label reads w' alone), makes its one root solve
     and raises CriticalPointInRHP when a root lies right of the imaginary
     axis, so every Potential satisfies the standing hypothesis.  It keeps
     every root of w' in roots and those near the axis in
@@ -117,7 +108,7 @@ class Potential:
     zeros lie left of the band.
     """
 
-    __slots__ = ("w", "wp", "roots", "axis_critical_points", "lead_phase", "terms",
+    __slots__ = ("wp", "roots", "axis_critical_points", "lead_phase", "terms",
                  "off_axis_terms")
 
     def __init__(self, w: ComplexPolynomial):
@@ -138,12 +129,11 @@ class Potential:
                 lead = taylor_coeffs(wp.coeffs, 1j * y0, k + 1)[k]
                 generic = abs((lead * I_POWERS[k % 4]).real) >= config.TOL.sign * abs(lead)
                 on_axis.append(
-                    CriticalPoint(y0, k, lead, "generic" if generic else "non_generic")
+                    CriticalPoint(y0, k, "generic" if generic else "non_generic")
                 )
             else:
                 off_axis_terms.append(term)
         on_axis.sort(key=lambda c: c.y0)
-        self.w = w
         self.wp = wp
         self.axis_critical_points = tuple(on_axis)
         self.terms = tuple(terms)
@@ -219,7 +209,7 @@ def _phase_ends(pot: Potential, x: float, y: float, on_axis: bool):
     climb, spread, n = climb
     lo = pot.lead_phase / math.pi + (offset - n / 2)
     hi = (pot.lead_phase - climb) / math.pi + (offset + n / 2)
-    return lo, hi, spread / math.pi, CLIMB_ROUNDING * (pot.w.degree + 1)
+    return lo, hi, spread / math.pi, CLIMB_ROUNDING * (pot.wp.degree + 2)
 
 
 def _deflate(p: RealPolynomial, y0: float, times: int) -> RealPolynomial:
@@ -308,39 +298,3 @@ def counting_function(pot: Potential, z0: complex) -> CountingResult:
                               HalfInteger.from_int(-count), crit_sum, margin, False)
     idx = _exact_index(pot, z0, on_axis)
     return CountingResult(abs(idx) + crit_sum + 1, idx, crit_sum, margin, True)
-
-
-def tangent_cone_at_infinity(w: ComplexPolynomial) -> TangentConeAtInfinity:
-    """Asymptotic cone of the level set {Im w = Im w(vertex)} far from origin.
-
-    The vertex is the centroid of the zeros of w; the cone consists of the n
-    directions psi in (-pi/2, pi/2] with Im(beta e^{i n psi}) = 0, beta the
-    leading coefficient.  When one ray lands on the imaginary axis the cone
-    is flagged non_generic (the flag agrees with the direction-field one).
-    """
-    n = w.degree
-    if n < 1:
-        raise ZeroPolynomial("w must be nonconstant")
-    beta = w.coeffs[-1]
-    vertex = -w.coeffs[-2] / (n * beta)
-    # atan2 rather than cmath.phase: the latter overflows on subnormal parts
-    a = math.atan2(beta.imag, beta.real)
-    generic = abs((beta * I_POWERS[n % 4]).imag) >= config.TOL.sign * abs(beta)
-    # a generic cone keeps every ray about TOL.sign / n or more off the
-    # imaginary axis, far past rounding; a non-generic one has a ray within
-    # that distance of it, which is put on the axis
-    snap = 0.0 if generic else config.TOL.sign
-    angles = []
-    k_lo = math.floor(a / math.pi - n / 2) - 1
-    k_hi = math.ceil(a / math.pi + n / 2) + 1
-    for k in range(k_lo, k_hi + 1):
-        psi = (k * math.pi - a) / n
-        if -math.pi / 2 + snap < psi <= math.pi / 2 + snap:
-            angles.append(min(psi, math.pi / 2))
-    if len(angles) != n:
-        raise LevelGraphError(
-            f"found {len(angles)} rays of the cone at infinity, expected {n}"
-        )
-    return TangentConeAtInfinity(
-        vertex, tuple(sorted(angles)), "generic" if generic else "non_generic"
-    )

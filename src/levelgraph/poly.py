@@ -150,10 +150,6 @@ class ComplexPolynomial(_Polynomial):
     _scalars = (int, float, complex)
     _arg = complex
 
-    def antiderivative(self) -> "ComplexPolynomial":
-        """The antiderivative q with q' = self and q(0) = 0."""
-        return ComplexPolynomial(antiderivative_coeffs(self.coeffs))
-
 
 class RealPolynomial(_Polynomial):
     """Polynomial with real double-precision coefficients, ascending."""
@@ -162,9 +158,6 @@ class RealPolynomial(_Polynomial):
     _zero = 0.0
     _scalars = (int, float)
     _arg = operator.pos  # z as given: a complex z gives a complex value
-
-    def to_complex(self) -> ComplexPolynomial:
-        return ComplexPolynomial(self.coeffs)
 
 
 @dataclass(frozen=True)

@@ -85,13 +85,14 @@ _DISC_WIDTH = 1.0 + 2.0**-9
 class Polyline:
     """A traced curve: ordered vertices plus how the trace ended.
 
-    ``terminated_by`` is one of ``target``, ``critical_point``, ``y_axis``,
-    ``radius``, ``step_limit``.  No trace ends on a closed loop: both curve
-    kinds are level sets of a harmonic function, which contain none.
+    Which curve it is, level or vertical tangent, is the caller's own
+    ``kind`` argument and is not repeated here.  ``terminated_by`` is one
+    of ``target``, ``critical_point``, ``y_axis``, ``radius``,
+    ``step_limit``.  No trace ends on a closed loop: both curve kinds are
+    level sets of a harmonic function, which contain none.
     """
 
     points: tuple
-    curve_kind: str
     terminated_by: str
 
 
@@ -375,7 +376,7 @@ def _trace(
         tangent = t_new
         h = min(h_step * _GROW, h_max) if turn < 0.5 * max_turn else h_step
 
-    return Polyline(tuple(pts), kind, terminated), reached
+    return Polyline(tuple(pts), terminated), reached
 
 
 def trace_level(

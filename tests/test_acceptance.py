@@ -37,6 +37,7 @@ from levelgraph.landscape import Potential, counting_function
 from levelgraph.poly import (
     ComplexPolynomial,
     RealPolynomial,
+    antiderivative_coeffs,
     restrict_to_vertical_line,
     roots,
 )
@@ -73,7 +74,7 @@ def _random_w(rng, deg_lo=2, deg_hi=5, y_span=1.8, rho_re=(-2.2, -0.15),
             rho = complex(rng.uniform(*rho_re), rng.uniform(-rho_im, rho_im))
             wp = wp * ComplexPolynomial([-rho, 1.0])
             i += 1
-    return wp.antiderivative()
+    return ComplexPolynomial(antiderivative_coeffs(wp.coeffs))
 
 
 def _pick_z2(w, wp, level, rng, x_range=(0.12, 3.0), wall_margin=1e-4,
@@ -83,7 +84,7 @@ def _pick_z2(w, wp, level, rng, x_range=(0.12, 3.0), wall_margin=1e-4,
         x2 = rng.uniform(*x_range)
         g = _shifted(restrict_to_vertical_line(w, x2)[1], level)
         try:
-            rts = roots(g.to_complex())
+            rts = roots(ComplexPolynomial(g.coeffs))
         except LevelGraphError:
             continue
         cands = [
@@ -119,7 +120,7 @@ def _axis_crossings_separated(w, z1, level):
     """
     g = _shifted(restrict_to_vertical_line(w, 0.0)[1], level)
     try:
-        rts = roots(g.to_complex())
+        rts = roots(ComplexPolynomial(g.coeffs))
     except LevelGraphError:
         return False
     y1 = z1.imag
@@ -356,7 +357,7 @@ def test_critical_point_index_dichotomy():
         for _ in range(k):
             wp = wp * ComplexPolynomial([0.0, 1.0])
         wp = wp * ComplexPolynomial([-r1, 1.0]) * ComplexPolynomial([-r2, 1.0])
-        return wp.antiderivative()
+        return ComplexPolynomial(antiderivative_coeffs(wp.coeffs))
 
     cases = []
     for k in (1, 2, 3):
@@ -509,7 +510,7 @@ def test_flow_descends_to_traced_graph(flow_battery):
         worst_up = max(worst_up, max(
             J[i + 1] - J[i] for i in range(len(J) - 1)))
         # closed form: J(f) = integral of (Re W(z_0) - Re W(z_f)) / sigma, W' = w
-        f0, big_w = run["f0"], run["w"].antiderivative()
+        f0, big_w = run["f0"], ComplexPolynomial(antiderivative_coeffs(run["w"].coeffs))
         a, b, nodes = run["a"], run["b"], run["nodes"]
         qw = 0.5 * (b - a) * np.polynomial.legendre.leggauss(len(nodes))[1]
         qw = qw / run["sigma"].values
@@ -662,7 +663,7 @@ def test_charge_pipeline_sweep_and_oracles():
         rho = cmath.exp(-1j * m * cmath.phase(complex(xi1, xi2)))
         g = restrict_to_vertical_line(ComplexPolynomial([rho]) * ComplexPolynomial(P), b)[0]
         try:
-            rts = roots(g.to_complex())
+            rts = roots(ComplexPolynomial(g.coeffs))
         except LevelGraphError as exc:
             skipped[type(exc).__name__] += 1
             continue

@@ -13,7 +13,7 @@ import tokenize
 
 from levelgraph import config
 from levelgraph.cauchy import HalfInteger
-from levelgraph.poly import from_roots
+from levelgraph.poly import ComplexPolynomial, antiderivative_coeffs, root_product
 from levelgraph.stability import BoundaryData, StabilityVerdict, classify, shift_to_zero_level
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "levelgraph"
@@ -55,7 +55,7 @@ def test_rebinding_tol_reaches_every_module(monkeypatch):
     # w' = (z - i)(z + 1) has a generic critical point at i.  z1 sits 1e-10
     # right of it: within snap (1 + |z1|) = 2.4e-8, but not within a
     # thousandth of that.  z2 is pinned to a double on the level of z1.
-    w = from_roots([1j, -1]).antiderivative()
+    w = ComplexPolynomial(antiderivative_coeffs(root_product([1j, -1])))
     data = BoundaryData(w, 1e-10 + 1j, 1 + 2.957194684957974j)
     shift_to_zero_level(data)  # no LevelMismatch
     three = HalfInteger.from_int(3)

@@ -471,7 +471,7 @@ def wall_input(m, r, radius, angle, pick, upper):
     [-5, 5], pick chooses one, and bisection in q narrows it to two
     adjacent doubles; upper chooses which."""
     xi = cmath.rect(radius, angle)
-    P = poly.ComplexPolynomial((0j,) * r + poly.from_roots([-xi] * m).coeffs).antiderivative()
+    P = poly.ComplexPolynomial(poly.antiderivative_coeffs([0j] * r + poly.root_product([-xi] * m)))
 
     def rising(b, q):
         z = complex(b, q)
@@ -561,7 +561,7 @@ def planted_q(m, r, xi, b, pick):
     a right angle from i^r xi^m: at a real root of Re(P(b + iq) conj(c)),
     c = i^r xi^m / |xi|^m.  Of these roots (numpy.roots, then Newton in
     q), pick chooses one."""
-    P = poly.ComplexPolynomial((0j,) * r + poly.from_roots([-xi] * m).coeffs).antiderivative()
+    P = poly.ComplexPolynomial(poly.antiderivative_coeffs([0j] * r + poly.root_product([-xi] * m)))
     c = poly.I_POWERS[r % 4] * (xi / abs(xi)) ** m
     re = poly.restrict_to_vertical_line(P * c.conjugate(), b)[0]
     dre = re.derivative()

@@ -28,7 +28,7 @@ from levelgraph.kempf_ness import (
     run_flow,
     second_variation_at,
 )
-from levelgraph.poly import ComplexPolynomial, _horner
+from levelgraph.poly import ComplexPolynomial, _horner, antiderivative_coeffs
 
 W_LINEAR = ComplexPolynomial([0, 1])          # w = z
 CUBE_THIRD = ComplexPolynomial([0, 0, 0, 1 / 3])
@@ -516,7 +516,7 @@ def _flow_with_states(monkeypatch, f0, w, sigma, **kwargs):
 def _closed_form_J(f0, w, sigma, vals):
     # J(f) = integral of (Re W(x + i f0) - Re W(x + i f)) / sigma with W' = w,
     # on the Gauss-Legendre rule of the grid
-    big_w = w.antiderivative()
+    big_w = ComplexPolynomial(antiderivative_coeffs(w.coeffs))
     weights = 0.5 * (f0.b - f0.a) * np.polynomial.legendre.leggauss(len(f0.nodes))[1]
     z0, z = f0.nodes + 1j * f0.values, f0.nodes + 1j * np.asarray(vals)
     return float(np.sum(weights / sigma.values * (big_w(z0).real - big_w(z).real)))

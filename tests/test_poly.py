@@ -13,6 +13,7 @@ from levelgraph import poly
 from levelgraph.poly import (
     ComplexPolynomial,
     RealPolynomial,
+    antiderivative_coeffs,
     divide_linear,
     from_roots,
     restrict_to_vertical_line,
@@ -40,14 +41,15 @@ def test_eval_cubic_over_three():
 
 def test_antiderivative_of_square():
     dp = ComplexPolynomial([0, 0, 1])
-    p = dp.antiderivative()
+    p = ComplexPolynomial(antiderivative_coeffs(dp.coeffs))
     assert p.coeffs == (0, 0, 0, pytest.approx(1 / 3))
     assert p(0) == 0
 
 
 def test_derivative_roundtrip():
     p = ComplexPolynomial([1, -2, 3, 0, 5])
-    assert p.antiderivative().derivative().coeffs == pytest.approx(p.coeffs)
+    q = ComplexPolynomial(antiderivative_coeffs(p.coeffs))
+    assert q.derivative().coeffs == pytest.approx(p.coeffs)
 
 
 def test_zero_trimming_and_degree():

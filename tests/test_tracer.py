@@ -62,7 +62,6 @@ def test_make_field_evaluates_as_the_polynomial(kind):
 
 def test_trace_axis_leftward_ends_at_critical_point():
     line = trace_level(CUBE_THIRD, 2.0 + 0j, direction=-1)
-    assert line.curve_kind == "level"
     assert line.terminated_by == "critical_point"
     assert all(abs(p.imag) < 1e-8 for p in line.points)
     xs = [p.real for p in line.points]
@@ -142,7 +141,6 @@ def test_trace_vertical_start_heads_by_its_imaginary_part(direction):
 def test_trace_vertical_tangent_curve():
     # {Re w' = 0} for w = z^3/3 is the pair of diagonals y = +-x
     line = trace_level(CUBE_THIRD, 1 + 1j, kind="vertical_tangent", direction=+1)
-    assert line.curve_kind == "vertical_tangent"
     assert line.terminated_by == "radius"
     for p in line.points:
         assert p.imag == pytest.approx(p.real, abs=1e-6 * (1 + abs(p)))
