@@ -45,12 +45,12 @@ print(f"wall through {wall_seed:.4f}: {len(wall.points)} points, "
 from levelgraph.poly import restrict_to_vertical_line, roots
 
 im_on_line = restrict_to_vertical_line(w, 2.0)[1]
-y2 = min((r.location.real for r in roots(ComplexPolynomial(im_on_line.coeffs))
+y2 = min((r.location.real for r in roots(ComplexPolynomial(im_on_line))
           if abs(r.location.imag) < 1e-9), key=abs)
 z2 = 2.0 + 1j * y2
 chk = graphical_connection(w, 0j, z2)
 print(f"\nis z2={z2:.4f} joined to z1=0 by a graph on the level set?")
 print(f"  connected={chk.connected}  graphical={chk.graphical}  "
-      f"slope_sup={chk.slope_sup:.3f}  min_dx_per_step={chk.min_dx_per_step:.2e}")
+      f"slope_sup={chk.slope_sup:.3f}")
 print(f"  trace ended at '{chk.trace.terminated_by}' "
       f"after {len(chk.trace.points)} points")

@@ -4,11 +4,13 @@ The modules build strictly bottom-up (``tests/test_source_rules.py``): each
 imports only ``config``, ``errors`` and modules listed above it, except that
 ``tracer``, ``kempf_ness`` and ``dhym`` need only ``poly`` and ``cauchy``:
 
-- ``poly``: the only polynomial arithmetic -- complex/real polynomials on
-  one shared body, synthetic division and Taylor coefficients (exact on
-  integers), vertical-line restriction, multiplicity-aware root finding
-- ``cauchy``: exact Cauchy indices of real rational functions, and the
-  certified phase climb that both verdicts' crossing counts share
+- ``poly``: the only polynomial arithmetic -- complex polynomials,
+  synthetic division and Taylor coefficients (exact on integers),
+  vertical-line restriction to two float coefficient tuples,
+  multiplicity-aware root finding
+- ``cauchy``: exact Cauchy indices of num/den given as float coefficient
+  lists, and the certified phase climb that both verdicts' crossing counts
+  share
 - ``landscape``: critical points of Im(w) on the imaginary axis and the
   counting function for level-curve crossings
 - ``stability``: the boundary-data trichotomy (stable / strictly semistable /

@@ -1,8 +1,11 @@
 """Cauchy indices of real rational functions.
 
-The index of h = num/den at a point s counts the jump of h across s: +1 for a
-jump from -inf to +inf, -1 for the reverse, 0 otherwise, with half-integer
-one-sided contributions at interval endpoints.  Indices over an interval
+A rational function h = num/den is given by its two parts, each a sequence
+of float coefficients, ascending as in ``poly``; the routines drop trailing
+zeros of either sign themselves, and no common factor is cancelled.  The
+index of h at a point s counts the jump of h across s: +1 for a jump from
+-inf to +inf, -1 for the reverse, 0 otherwise, with half-integer one-sided
+contributions at interval endpoints.  Indices over an interval
 [c, d] collect the right-hand contribution at c, the full jumps strictly
 inside, and minus the left-hand contribution at d; this makes the interval
 index exactly additive when intervals are concatenated, even at poles.
@@ -37,11 +40,10 @@ import math
 import sys
 
 from .errors import DenominatorIdenticallyZero, ZeroPolynomial
-from .poly import RealPolynomial, divide_linear
+from .poly import _trimmed, divide_linear
 
 __all__ = [
     "HalfInteger",
-    "RationalFunction",
     "index_on_interval",
     "line_crossings",
     "one_sided_sign",
@@ -134,32 +136,13 @@ class HalfInteger:
         return f"HalfInteger({self.twice_value})"
 
 
-class RationalFunction:
-    """num/den with real polynomial parts; den must not be identically zero.
-
-    No reduction is performed on construction -- common factors are handled
-    where they matter, inside the index routines.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: RealPolynomial, den: RealPolynomial):
-        if den.is_zero:
-            raise DenominatorIdenticallyZero("denominator is the zero polynomial")
-        self.num = num
-        self.den = den
-
-    def __repr__(self):
-        return f"RationalFunction(num={self.num.coeffs}, den={self.den.coeffs})"
-
-
 # ---------------------------------------------------------------------------
 # exact integer signed-remainder chain
 
 
-def _integer_coeffs(p: RealPolynomial) -> list:
+def _integer_coeffs(p: tuple) -> list:
     """Coefficients of 2**s * p as ints, for the least s that makes them so."""
-    ratios = [c.as_integer_ratio() for c in p.coeffs]
+    ratios = [c.as_integer_ratio() for c in p]
     scale = max(d for _, d in ratios)  # every d is a power of two
     return [n * (scale // d) for n, d in ratios]
 
@@ -233,9 +216,13 @@ def _beside(local: tuple, side: int) -> int:
     return s if side > 0 or j % 2 == 0 else -s
 
 
-def one_sided_sign(p: RealPolynomial, y: float, side: int) -> int:
-    """Exact sign of a nonzero p just right (side=+1) or left (side=-1) of y."""
-    if p.is_zero:
+def one_sided_sign(p, y: float, side: int) -> int:
+    """Exact sign of a nonzero p just right (side=+1) or left (side=-1) of y.
+
+    p is ascending float coefficients; trailing zeros are dropped first.
+    """
+    p = _trimmed(p)
+    if not p:
         raise ZeroPolynomial("the zero polynomial has no one-sided sign")
     return _beside(_local(_integer_coeffs(p), y), side)
 
@@ -252,18 +239,23 @@ def _pole_sign(den_local: tuple, num_local: tuple, side: int) -> int:
     return _beside(den_local, side) * _beside(num_local, side)
 
 
-def index_on_interval(h: RationalFunction, c: float, d: float) -> HalfInteger:
-    """Exact Cauchy index of h over [c, d].
+def index_on_interval(num, den, c: float, d: float) -> HalfInteger:
+    """Exact Cauchy index of h = num/den over [c, d].
 
-    Endpoints may be -inf/+inf.  A pole exactly at c contributes its
-    right-hand half-jump; a pole at d contributes minus its left-hand
-    half-jump.
+    num and den are ascending float coefficients; trailing zeros of either
+    sign are dropped first, and a den with none left raises
+    DenominatorIdenticallyZero.  Endpoints may be -inf/+inf.  A pole
+    exactly at c contributes its right-hand half-jump; a pole at d
+    contributes minus its left-hand half-jump.
     """
+    num, den = _trimmed(num), _trimmed(den)
+    if not den:
+        raise DenominatorIdenticallyZero("denominator is the zero polynomial")
     if not c < d:
         raise ValueError(f"need c < d, got c={c}, d={d}")
-    if h.num.is_zero:
+    if not num:
         return HalfInteger(0)
-    chain = _signed_remainder_chain(_integer_coeffs(h.den), _integer_coeffs(h.num))
+    chain = _signed_remainder_chain(_integer_coeffs(den), _integer_coeffs(num))
     at_c = [_local(p, c) for p in chain]
     at_d = [_local(p, d) for p in chain]
     twice = 2 * (

@@ -33,10 +33,10 @@ import math
 from dataclasses import dataclass
 
 from . import config
-from .cauchy import CLIMB_ROUNDING, HalfInteger, RationalFunction, index_on_interval
+from .cauchy import CLIMB_ROUNDING, HalfInteger, index_on_interval
 from .cauchy import line_crossings, one_sided_sign, phase_climb
 from .errors import CriticalPointInRHP, DegenerateLine, ZeroPolynomial
-from .poly import I_POWERS, ComplexPolynomial, RealPolynomial, divide_linear, roots
+from .poly import I_POWERS, ComplexPolynomial, divide_linear, roots
 from .poly import restrict_to_vertical_line, taylor_coeffs
 
 __all__ = [
@@ -212,12 +212,11 @@ def _phase_ends(pot: Potential, x: float, y: float, on_axis: bool):
     return lo, hi, spread / math.pi, CLIMB_ROUNDING * (pot.wp.degree + 2)
 
 
-def _deflate(p: RealPolynomial, y0: float, times: int) -> RealPolynomial:
+def _deflate(p, y0: float, times: int):
     """Quotient of p by (y - y0)**times; each division drops its remainder."""
-    c = p.coeffs
     for _ in range(times):
-        c, _ = divide_linear(c, y0)
-    return RealPolynomial(c)
+        p, _ = divide_linear(p, y0)
+    return p
 
 
 def _exact_index(pot: Potential, z0: complex, on_axis: bool) -> HalfInteger:
@@ -244,12 +243,12 @@ def _exact_index(pot: Potential, z0: complex, on_axis: bool) -> HalfInteger:
         for cp in pot.axis_critical_points:
             re = _deflate(re, cp.y0, cp.order + (cp is pole))
             im = _deflate(im, cp.y0, cp.order)
-    if re.is_zero:
+    if not re:
         raise DegenerateLine(
             f"Re(w') on the line Re z = {x!r} deflates to the zero polynomial "
             f"once the factors of the critical points on it are divided out"
         )
-    idx = index_on_interval(RationalFunction(im, re), -math.inf, z0.imag)
+    idx = index_on_interval(im, re, -math.inf, z0.imag)
     if pole is not None:
         jump = one_sided_sign(im, pole.y0, -1) * one_sided_sign(re, pole.y0, -1)
         idx = HalfInteger(jump) - idx

@@ -1,9 +1,12 @@
-"""Univariate polynomial arithmetic over complex and real coefficients.
+"""Univariate polynomial arithmetic over complex double coefficients.
 
 Coefficient vectors are stored ascending: ``coeffs[k]`` multiplies ``z**k``.
-Containers are immutable; every operation returns a new polynomial.  Trailing
-coefficients that are exactly zero are trimmed on construction, so the zero
-polynomial has an empty coefficient tuple and ``degree == -1``.
+``ComplexPolynomial`` is immutable; every operation returns a new polynomial.
+Trailing coefficients that are exactly zero are trimmed on construction, so
+the zero polynomial has an empty coefficient tuple and ``degree == -1``.
+A real polynomial is a plain tuple of floats, ascending and trimmed the
+same way: ``restrict_to_vertical_line`` returns two of them, and
+``cauchy`` reads them.
 
 This module is the package's only polynomial arithmetic.  One Horner loop,
 ``_horner``, evaluates at a scalar and elementwise on a NumPy array alike
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -87,20 +89,13 @@ I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 @dataclass(frozen=True)
-class _Polynomial:
-    """Coefficients in one number field, ascending; what both kinds share.
-
-    A subclass names its field (``_field``, float or complex), the zero of
-    that field, the scalar types it multiplies by and how a scalar argument
-    is taken before evaluation (``_arg``), and adds its own operations.
-    Results keep the subclass, so evaluating a real polynomial at a float
-    gives a float.
-    """
+class ComplexPolynomial:
+    """Polynomial with complex double-precision coefficients, ascending."""
 
     coeffs: tuple
 
     def __init__(self, coeffs: Iterable):
-        object.__setattr__(self, "coeffs", _trimmed(map(self._field, coeffs)))
+        object.__setattr__(self, "coeffs", _trimmed(map(complex, coeffs)))
 
     # -- structure ---------------------------------------------------------
 
@@ -120,44 +115,26 @@ class _Polynomial:
 
     def __call__(self, z):
         if isinstance(z, np.ndarray):
-            return _horner(self.coeffs, z, np.zeros(z.shape, np.result_type(self._zero, z)))
-        return _horner(self.coeffs, self._arg(z), self._zero)
+            return _horner(self.coeffs, z, np.zeros(z.shape, np.result_type(0j, z)))
+        return _horner(self.coeffs, complex(z), 0j)
 
     # -- algebra ------------------------------------------------------------
 
     def derivative(self):
-        return type(self)([k * c for k, c in enumerate(self.coeffs[1:], 1)])
+        return ComplexPolynomial([k * c for k, c in enumerate(self.coeffs[1:], 1)])
 
     def __mul__(self, other):
-        if isinstance(other, self._scalars):
-            return type(self)(c * other for c in self.coeffs)
-        if not isinstance(other, type(self)):
+        if isinstance(other, (int, float, complex)):
+            return ComplexPolynomial(c * other for c in self.coeffs)
+        if not isinstance(other, ComplexPolynomial):
             return NotImplemented
-        out = [self._zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return type(self)(out)
+        return ComplexPolynomial(out)
 
     __rmul__ = __mul__
-
-
-class ComplexPolynomial(_Polynomial):
-    """Polynomial with complex double-precision coefficients, ascending."""
-
-    _field = complex
-    _zero = 0j
-    _scalars = (int, float, complex)
-    _arg = complex
-
-
-class RealPolynomial(_Polynomial):
-    """Polynomial with real double-precision coefficients, ascending."""
-
-    _field = float
-    _zero = 0.0
-    _scalars = (int, float)
-    _arg = operator.pos  # z as given: a complex z gives a complex value
 
 
 @dataclass(frozen=True)
@@ -182,18 +159,18 @@ def antiderivative_coeffs(coeffs: Sequence[complex]) -> list:
     return [0j] + [c / (k + 1) for k, c in enumerate(coeffs)]
 
 
-def root_product(roots: Sequence[complex], leading: complex = 1.0) -> list:
-    """Ascending coefficients of `leading` times the product of (z - r).
+def root_product(roots: Sequence[complex]) -> list:
+    """Ascending coefficients of the monic product of (z - r).
 
     Each factor (z - r) multiplies one coefficient list in place, from the
     top down.  Every coefficient takes the generic product's operations in
     its order, out[k] = (0j + a[k-1] * (1+0j)) + a[k] * (-r), so the list
     is byte-equal to the coefficients of the product of
-    ComplexPolynomial([leading]) and the factors ComplexPolynomial([-r, 1.0]),
+    ComplexPolynomial([1.0]) and the factors ComplexPolynomial([-r, 1.0]),
     signed zeros included.  Nothing is trimmed.
     """
     one = 1 + 0j
-    a = [complex(leading)]
+    a = [one]
     for r in roots:
         neg = complex(-r)
         a.append(0j + a[-1] * one)
@@ -203,20 +180,17 @@ def root_product(roots: Sequence[complex], leading: complex = 1.0) -> list:
     return a
 
 
-def from_roots(roots: Sequence[complex], leading: complex = 1.0) -> ComplexPolynomial:
-    """Monic-times-`leading` polynomial with the given roots (with repetition):
-    root_product's coefficients, one polynomial built at the end.  A zero
-    `leading` gives the zero polynomial."""
-    if complex(leading) == 0:
-        return ComplexPolynomial(())
-    return ComplexPolynomial(root_product(roots, leading))
+def from_roots(roots: Sequence[complex]) -> ComplexPolynomial:
+    """The monic polynomial with the given roots (with repetition):
+    root_product's coefficients, one polynomial built at the end."""
+    return ComplexPolynomial(root_product(roots))
 
 
-def restrict_to_vertical_line(p: ComplexPolynomial, x0: float):
+def restrict_to_vertical_line(p: ComplexPolynomial, x0: float) -> tuple:
     """p restricted to the line Re z = x0, split into real and imaginary parts.
 
-    Returns real polynomials (re, im) in the variable y with
-    re(y) + i*im(y) = p(x0 + iy).
+    Returns ascending float coefficients (re, im) in the variable y, each
+    trimmed of trailing zeros, with re(y) + i*im(y) = p(x0 + iy).
     """
     # Taylor-shift to x0, then substitute iy termwise: b_k (iy)^k = b_k i^k y^k
     re, im = [], []
@@ -224,7 +198,7 @@ def restrict_to_vertical_line(p: ComplexPolynomial, x0: float):
         v = b * I_POWERS[k % 4]
         re.append(v.real)
         im.append(v.imag)
-    return RealPolynomial(re), RealPolynomial(im)
+    return _trimmed(re), _trimmed(im)
 
 
 # ---------------------------------------------------------------------------

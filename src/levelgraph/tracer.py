@@ -109,14 +109,14 @@ class GraphCheck:
 
     connected: bool
     graphical: bool
-    min_dx_per_step: float
     slope_sup: float
     trace: Polyline
 
 
 def _make_field(base: ComplexPolynomial, level: float):
-    """Return (F, grad, ftol) for F = Im base - level, grad = F_x + i F_y,
-    and ftol the corrector's tolerance on |F| at a point.
+    """Return (F, grad, ftol, dcoeffs) for F = Im base - level, grad = F_x +
+    i F_y, ftol the corrector's tolerance on |F| at a point, and dcoeffs the
+    ascending coefficients of base'.
 
     F and grad evaluate base and base' at a scalar as their __call__ does,
     by _horner from 0j, without its dispatch on the argument's type."""
@@ -137,7 +137,7 @@ def _make_field(base: ComplexPolynomial, level: float):
     def ftol(u: complex) -> float:
         return fscale * (1.0 + abs(u)) ** deg
 
-    return field, grad, ftol
+    return field, grad, ftol, dcoeffs
 
 
 def _correct(field, grad, ftol, u: complex, max_move: float):
@@ -184,12 +184,13 @@ def _escape_radius(w: ComplexPolynomial, seed: complex) -> float:
     return max(config.TOL.trace_radius_factor * (1.0 + _root_bound(w)), 1.25 * (abs(seed) + 1.0))
 
 
-def _landing_disc(coeffs, z: complex) -> float:
+def _landing_disc(coeffs, dcoeffs, z: complex) -> float:
     """Radius r of the landing disc about z of the level curve of Im w
-    through z, w given by its ascending coeffs: the largest r <= 1 with
-    r M2(r) <= q |w'(z)| (see the module docstring).  0 where w'(z)
-    vanishes or overflows, or where the tangent is vertical (q = 0)."""
-    d = _horner([k * c for k, c in enumerate(coeffs)][1:], z, 0j)
+    through z, w and w' given by their ascending coeffs and dcoeffs: the
+    largest r <= 1 with r M2(r) <= q |w'(z)| (see the module docstring).  0
+    where w'(z) vanishes or overflows, or where the tangent is vertical
+    (q = 0)."""
+    d = _horner(dcoeffs, z, 0j)
     g = abs(d)
     if not 0.0 < g < math.inf:
         return 0.0
@@ -234,7 +235,7 @@ def _trace(
     """(Polyline, whether the stop the trace ended by reaches the target)."""
     # Re w' = Im(i w'), so both kinds are a level set of Im of one polynomial
     base = w if kind == "level" else 1j * w.derivative()
-    field, grad, ftol = _make_field(base, level)
+    field, grad, ftol, dcoeffs = _make_field(base, level)
     try:
         finite = cmath.isfinite(base(seed)) and math.isfinite(ftol(seed))
     except OverflowError:
@@ -293,7 +294,7 @@ def _trace(
     # and z1 corrected onto the level
     land = 0.0
     if target is not None:
-        radius = min([0.5 * _landing_disc(base.coeffs, target)]
+        radius = min([0.5 * _landing_disc(base.coeffs, dcoeffs, target)]
                      + [abs(c - target) - snap for c, snap, *_ in stops[1:]])
         if radius > aim:
             landing = _correct(field, grad, ftol, target, aim)
@@ -303,7 +304,7 @@ def _trace(
     tangent = _orient(_unit_tangent(g0), direction)
     # the launch: half the disc about u0 holds one arc, the seed's own
     h = max(config.TOL.step_initial * seed_scale,
-            min(h_max, 0.5 * _landing_disc(base.coeffs, u0)))
+            min(h_max, 0.5 * _landing_disc(base.coeffs, dcoeffs, u0)))
     h_floor = config.TOL.step_floor * seed_scale
     max_turn = config.TOL.max_turn_angle
 
@@ -413,11 +414,10 @@ def graphical_connection(w: ComplexPolynomial, z1, z2) -> GraphCheck:
     z2 = complex(z2)
     line, connected = _trace(w, z2, "level", -1, w(z2).imag, z1)
     dxs = [a.real - b.real for a, b in zip(line.points, line.points[1:])]
-    min_dx = min(dxs) if dxs else 0.0
     slack = config.TOL.graph_slack * (1.0 + abs(z2))
     graphical = all(d >= -slack for d in dxs)
     slope = 0.0
     for a, b in zip(line.points, line.points[1:]):
         s = abs(b.imag - a.imag) / max(abs(b.real - a.real), 1e-300)
         slope = max(slope, min(s, 1e18))
-    return GraphCheck(connected, graphical, min_dx, slope, line)
+    return GraphCheck(connected, graphical, slope, line)

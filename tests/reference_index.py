@@ -14,7 +14,7 @@ endpoint out instead.
 import math
 from fractions import Fraction
 
-from levelgraph.cauchy import HalfInteger, RationalFunction
+from levelgraph.cauchy import HalfInteger
 from levelgraph.errors import LevelGraphError
 
 
@@ -56,19 +56,20 @@ def _sign_at_exact(f: list, x) -> int:
     return (v > 0) - (v < 0)
 
 
-def index_on_interval_exact(h: RationalFunction, c: float, d: float) -> HalfInteger:
-    """Exact Sturm-chain index over Fraction arithmetic.
+def index_on_interval_exact(num, den, c: float, d: float) -> HalfInteger:
+    """Exact Sturm-chain index of num/den over Fraction arithmetic.
 
+    num and den are ascending float coefficients without trailing zeros.
     Floats convert to Fraction losslessly, so this gives the mathematically
     exact index of the function the doubles actually represent.  An endpoint
     that is a pole raises IndeterminateSign.
     """
     if not c < d:
         raise ValueError(f"need c < d, got c={c}, d={d}")
-    if h.num.is_zero:
+    if not num:
         return HalfInteger(0)
-    den = [Fraction(x) for x in h.den.coeffs]
-    num = [Fraction(x) for x in h.num.coeffs]
+    den = [Fraction(x) for x in den]
+    num = [Fraction(x) for x in num]
     cx = Fraction(c) if math.isfinite(c) else c
     dx = Fraction(d) if math.isfinite(d) else d
     for x in (cx, dx):
@@ -116,8 +117,8 @@ def _leading_taylor(coeffs, s: Fraction):
     raise ValueError("the zero polynomial has no Taylor coefficient")
 
 
-def index_one_sided(h: RationalFunction, s: float, side: int) -> HalfInteger:
-    """ind at s from one side: +-1/2 when h runs to +-inf there, else 0.
+def index_one_sided(num, den, s: float, side: int) -> HalfInteger:
+    """ind at s from one side: +-1/2 when h = num/den runs to +-inf there, else 0.
 
     Near s, num ~ a (y - s)^j and den ~ b (y - s)^k; h has a pole there when
     k > j, and then its sign just right of s is that of a/b, and just left
@@ -125,17 +126,17 @@ def index_one_sided(h: RationalFunction, s: float, side: int) -> HalfInteger:
     """
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
-    if h.num.is_zero:
+    if not num:
         return HalfInteger(0)
     x = Fraction(s)
-    j, a = _leading_taylor(h.num.coeffs, x)
-    k, b = _leading_taylor(h.den.coeffs, x)
+    j, a = _leading_taylor(num, x)
+    k, b = _leading_taylor(den, x)
     if k <= j:
         return HalfInteger(0)
     sign = 1 if (a > 0) == (b > 0) else -1
     return HalfInteger(sign if side > 0 or (k - j) % 2 == 0 else -sign)
 
 
-def index_at_point(h: RationalFunction, s: float) -> HalfInteger:
-    """Full jump index at s: ind^+ - ind^-."""
-    return index_one_sided(h, s, +1) - index_one_sided(h, s, -1)
+def index_at_point(num, den, s: float) -> HalfInteger:
+    """Full jump index of num/den at s: ind^+ - ind^-."""
+    return index_one_sided(num, den, s, +1) - index_one_sided(num, den, s, -1)

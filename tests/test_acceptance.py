@@ -19,7 +19,7 @@ import pytest
 
 from reference_index import index_on_interval_exact
 
-from levelgraph.cauchy import HalfInteger, RationalFunction, index_on_interval
+from levelgraph.cauchy import HalfInteger, index_on_interval
 from levelgraph.dhym import CalabiInput, analyze, build_polynomials
 from levelgraph.errors import (
     LevelGraphError,
@@ -36,7 +36,7 @@ from levelgraph.kempf_ness import (
 from levelgraph.landscape import Potential, counting_function
 from levelgraph.poly import (
     ComplexPolynomial,
-    RealPolynomial,
+    _horner,
     antiderivative_coeffs,
     restrict_to_vertical_line,
     roots,
@@ -49,10 +49,13 @@ from levelgraph.tracer import graphical_connection, trace_level
 # shared instance generators
 
 
-def _shifted(p: RealPolynomial, c: float) -> RealPolynomial:
-    co = list(p.coeffs) or [0.0]
+def _shifted(p, c: float) -> list:
+    """p - c for ascending float coefficients p, trimmed."""
+    co = list(p) or [0.0]
     co[0] -= c
-    return RealPolynomial(co)
+    while co and co[-1] == 0:
+        co.pop()
+    return co
 
 
 def _random_w(rng, deg_lo=2, deg_hi=5, y_span=1.8, rho_re=(-2.2, -0.15),
@@ -84,7 +87,7 @@ def _pick_z2(w, wp, level, rng, x_range=(0.12, 3.0), wall_margin=1e-4,
         x2 = rng.uniform(*x_range)
         g = _shifted(restrict_to_vertical_line(w, x2)[1], level)
         try:
-            rts = roots(ComplexPolynomial(g.coeffs))
+            rts = roots(ComplexPolynomial(g))
         except LevelGraphError:
             continue
         cands = [
@@ -96,12 +99,12 @@ def _pick_z2(w, wp, level, rng, x_range=(0.12, 3.0), wall_margin=1e-4,
         if not cands:
             continue
         y2 = rng.choice(cands).real
-        gp = g.derivative()
+        gp = [k * c for k, c in enumerate(g)][1:]
         for _ in range(4):
-            d = gp(y2)
+            d = _horner(gp, y2, 0.0)
             if abs(d) < 1e-14:
                 break
-            y2 -= g(y2) / d
+            y2 -= _horner(g, y2, 0.0) / d
         z2 = complex(x2, y2)
         if abs(w(z2).imag - level) >= 1e-11 * max(1.0, abs(w(z2))):
             continue
@@ -120,7 +123,7 @@ def _axis_crossings_separated(w, z1, level):
     """
     g = _shifted(restrict_to_vertical_line(w, 0.0)[1], level)
     try:
-        rts = roots(ComplexPolynomial(g.coeffs))
+        rts = roots(ComplexPolynomial(g))
     except LevelGraphError:
         return False
     y1 = z1.imag
@@ -149,8 +152,7 @@ def test_index_backends_and_identities():
             continue
         while num[-1] == 0:
             num.pop()
-        h = RationalFunction(RealPolynomial([float(x) for x in num]),
-                             RealPolynomial([float(x) for x in den]))
+        h = ([float(x) for x in num], [float(x) for x in den])
         c = rng.uniform(-6.0, 6.0)
         d = c + rng.uniform(0.5, 8.0)
         mid = rng.uniform(c + 0.1, d - 0.1)
@@ -160,17 +162,16 @@ def test_index_backends_and_identities():
             return sum(Fraction(co) * fx ** k for k, co in enumerate(den))
         if den_val(c) == 0 or den_val(d) == 0 or den_val(mid) == 0:
             continue
-        i_pole = index_on_interval(h, c, d)
-        i_exact = index_on_interval_exact(h, c, d)
+        i_pole = index_on_interval(*h, c, d)
+        i_exact = index_on_interval_exact(*h, c, d)
         assert i_pole == i_exact, (num, den, c, d)
         # additivity across an interior split that is not a pole
-        left = index_on_interval(h, c, mid)
-        right = index_on_interval(h, mid, d)
+        left = index_on_interval(*h, c, mid)
+        right = index_on_interval(*h, mid, d)
         assert left + right == i_pole
         # antisymmetry: flipping the sign of h negates the index
-        neg = RationalFunction(RealPolynomial([-co for co in h.num.coeffs]),
-                               h.den)
-        assert index_on_interval(neg, c, d) == -i_pole
+        neg = [-co for co in h[0]]
+        assert index_on_interval(neg, h[1], c, d) == -i_pole
         checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"index battery took {elapsed:.1f}s"
@@ -188,11 +189,14 @@ def test_log_derivative_counts_distinct_real_roots():
     rng = random.Random(52)
 
     def times(p, exact, factor):
+        # the product in doubles, p, beside the exact one
         out = [Fraction(0)] * (len(exact) + len(factor) - 1)
-        for i, a in enumerate(exact):
+        prod = [0.0] * len(out)
+        for i, (a, fa) in enumerate(zip(exact, p)):
             for j, b in enumerate(factor):
                 out[i + j] += a * b
-        return p * RealPolynomial([float(c) for c in factor]), out
+                prod[i + j] += fa * float(b)
+        return prod, out
 
     for _ in range(200):
         # plant distinct real roots (some repeated) and complex pairs
@@ -203,7 +207,7 @@ def test_log_derivative_counts_distinct_real_roots():
             if all(abs(cand - r) > 0.3 for r in reals):
                 reals.append(cand)
         lead = rng.choice([-3, -1, 1, 2])
-        p, exact = RealPolynomial([float(lead)]), [Fraction(lead)]
+        p, exact = [float(lead)], [Fraction(lead)]
         deg = 0
         for root in reals:
             mult = rng.randint(1, 2)
@@ -216,11 +220,10 @@ def test_log_derivative_counts_distinct_real_roots():
             # (y - a)^2 + bsq stays strictly positive
             p, exact = times(p, exact, [a * a + bsq, -2 * a, Fraction(1)])
             deg += 2
-        assert [Fraction(c) for c in p.coeffs] == exact, (p.coeffs, reals)
-        h = RationalFunction(p.derivative(), p)
-        got = index_on_interval(h, -math.inf, math.inf)
-        assert got == HalfInteger.from_int(len(reals)), (
-            p.coeffs, reals, str(got))
+        assert [Fraction(c) for c in p] == exact, (p, reals)
+        dp = [k * c for k, c in enumerate(p)][1:]
+        got = index_on_interval(dp, p, -math.inf, math.inf)
+        assert got == HalfInteger.from_int(len(reals)), (p, reals, str(got))
     print("PASS root counting: 200 planted polynomials, "
           "index == distinct real-root count, exact")
 
@@ -663,7 +666,7 @@ def test_charge_pipeline_sweep_and_oracles():
         rho = cmath.exp(-1j * m * cmath.phase(complex(xi1, xi2)))
         g = restrict_to_vertical_line(ComplexPolynomial([rho]) * ComplexPolynomial(P), b)[0]
         try:
-            rts = roots(ComplexPolynomial(g.coeffs))
+            rts = roots(ComplexPolynomial(g))
         except LevelGraphError as exc:
             skipped[type(exc).__name__] += 1
             continue

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference_index import index_at_point
 
 from levelgraph import cauchy, config, poly
-from levelgraph.cauchy import HalfInteger, RationalFunction, line_crossings
+from levelgraph.cauchy import HalfInteger, line_crossings
 from levelgraph.errors import CriticalPointInRHP, DegenerateLine, LevelGraphError
 from levelgraph.errors import ZeroPolynomial
 from levelgraph.landscape import (
@@ -19,7 +19,7 @@ from levelgraph.landscape import (
     on_axis_critical_points,
     validate_no_rhp_critical_points,
 )
-from levelgraph.poly import ComplexPolynomial, antiderivative_coeffs, root_product
+from levelgraph.poly import ComplexPolynomial, _horner, antiderivative_coeffs, root_product
 from levelgraph.poly import restrict_to_vertical_line
 from levelgraph.stability import BoundaryData, classify, shift_to_zero_level
 
@@ -68,7 +68,7 @@ def test_rhp_validation():
 def test_rhp_root_with_overflowing_rounding_bound_still_raises():
     # w' = 1e-290 (z - 1e300)(z + 1): the root at 1e300 keeps a finite
     # radius, so its band stays far narrower than its real part
-    w = ComplexPolynomial(antiderivative_coeffs(root_product([1e300, -1.0], 1e-290)))
+    w = ComplexPolynomial(antiderivative_coeffs([1e-290 * c for c in root_product([1e300, -1.0])]))
     with pytest.raises(CriticalPointInRHP):
         Potential(w)
 
@@ -169,7 +169,7 @@ def test_one_off_checks_agree_with_potential():
 )
 def test_critical_point_index_contribution(wp_coeffs, expect):
     re, im = restrict_to_vertical_line(ComplexPolynomial(wp_coeffs), 0.0)
-    assert index_at_point(RationalFunction(im, re), 0.0) == HalfInteger.from_int(expect)
+    assert index_at_point(im, re, 0.0) == HalfInteger.from_int(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +250,9 @@ def test_count_region_constancy_near_point(n, y0, x0):
     w = ComplexPolynomial([0] * n + [1.0 / n])
     z0 = complex(x0, y0)
     re, _ = restrict_to_vertical_line(w.derivative(), x0)
-    assume(abs(re(y0)) > 1e-3)
+    assume(abs(_horner(re, y0, 0.0)) > 1e-3)
     assume(abs(w.derivative()(z0)) > 1e-3)
-    assume(abs((restrict_to_vertical_line(w, x0)[1])(y0)) > 1e-3)
+    assume(abs(_horner(restrict_to_vertical_line(w, x0)[1], y0, 0.0)) > 1e-3)
     pot = Potential(w)
     base = counting_function(pot, z0)
     for dz in (1e-6, -1e-6, 1e-6j, -1e-6j):
@@ -287,7 +287,7 @@ def potentials_with_points(draw, max_degree=10):
         heights.append(y)
         planted += [1j * y] * (2 if kind == "double" and len(planted) + 2 <= degree else 1)
     lead = cmath.rect(draw(st.floats(0.5, 1.5)), draw(st.floats(-math.pi, math.pi)))
-    w = ComplexPolynomial(antiderivative_coeffs(root_product(planted, lead)))
+    w = ComplexPolynomial(antiderivative_coeffs([lead * c for c in root_product(planted)]))
     on_axis = st.one_of(st.floats(-2.5, 2.5), *(st.just(y) for y in heights[:1]))
     point = st.one_of(
         on_axis.map(lambda y: complex(0.0, y)),
@@ -321,7 +321,7 @@ FALLBACK_SEED5_982 = _example(
 # w' = z (z + 1): a non-generic critical point at 0, below z1 = i and at z1 = 0
 NONGENERIC_AT_ZERO = ComplexPolynomial(antiderivative_coeffs([0, 1, 1]))
 # w' = (z - i)(z + 0.5i)^2: every root on the axis, all critical points generic
-ALL_ON_AXIS = ComplexPolynomial(antiderivative_coeffs(root_product([1j, -0.5j, -0.5j], 1j)))
+ALL_ON_AXIS = ComplexPolynomial(antiderivative_coeffs([1j * c for c in root_product([1j, -0.5j, -0.5j])]))
 # w' = (1 + 4.8e-269i) z^3: Re w' on the axis is 4.8e-269 y^3, all of it the
 # factor of the non-generic triple point at 0
 SUBNORMAL_TRIPLE = ComplexPolynomial([0, 0, 0, 0, complex(0.25, 1.1954221117477852e-269)])
@@ -391,7 +391,8 @@ def test_planted_fallbacks_are_the_wide_double_roots():
 def test_uncertified_roots_fall_back_to_the_chain():
     # w' = 1e-290 (z + 1e300)(z + 1): the Horner rounding bound overflows at
     # -1e300, so the solve proves no root and no phase sum is formed
-    pot = Potential(ComplexPolynomial(antiderivative_coeffs(root_product([-1e300, -1.0], 1e-290))))
+    pot = Potential(ComplexPolynomial(
+        antiderivative_coeffs([1e-290 * c for c in root_product([-1e300, -1.0])])))
     assert not any(r.certified for r in pot.roots)
     for z in (1 + 0j, 0.5j):
         res = counting_function(pot, z)

@@ -265,8 +265,8 @@ def _classify_counting_work(monkeypatch, data):
                         lambda *a: fallbacks.append(a) or real_exact_index(*a))
     # the derivatives of a cubic are the w' formed; roots forms those of w'
     # itself, for the Newton pass at its double root
-    real_derivative = poly._Polynomial.derivative
-    monkeypatch.setattr(poly._Polynomial, "derivative",
+    real_derivative = poly.ComplexPolynomial.derivative
+    monkeypatch.setattr(poly.ComplexPolynomial, "derivative",
                         lambda p: formed.append(p) or real_derivative(p))
     res = classify(data)
     return res, len(calls), [p.degree for p in formed].count(3), len(fallbacks)

@@ -101,9 +101,9 @@ def _ccw_index(re, im, c):
     counterclockwise crossing is a +inf -> -inf jump, so the count is minus
     the chain's index.
     """
-    from levelgraph.cauchy import RationalFunction, index_on_interval
+    from levelgraph.cauchy import index_on_interval
 
-    return -index_on_interval(RationalFunction(im, re), c, math.inf)
+    return -index_on_interval(im, re, c, math.inf)
 
 
 def _axis_chain_index(inp, wp):
@@ -113,9 +113,9 @@ def _axis_chain_index(inp, wp):
     lowest coefficients exactly zero, so dropping them divides t^r out, and
     a generic start puts no pole at t = 0.
     """
-    from levelgraph.poly import RealPolynomial, restrict_to_vertical_line
+    from levelgraph.poly import restrict_to_vertical_line
 
-    re, im = (RealPolynomial(p.coeffs[inp.r:]) for p in restrict_to_vertical_line(wp, 0.0))
+    re, im = (p[inp.r:] for p in restrict_to_vertical_line(wp, 0.0))
     return _ccw_index(re, im, 0.0)
 
 
