@@ -4,10 +4,10 @@ The modules build strictly bottom-up (``tests/test_source_rules.py``): each
 imports only ``config``, ``errors`` and modules listed above it, except that
 ``tracer``, ``kempf_ness`` and ``dhym`` need only ``poly`` and ``cauchy``:
 
-- ``poly``: the only polynomial arithmetic -- complex polynomials,
-  synthetic division and Taylor coefficients (exact on integers),
-  vertical-line restriction to two float coefficient tuples,
-  multiplicity-aware root finding
+- ``poly``: the only polynomial arithmetic -- complex polynomials built from
+  coefficient lists (one product of root factors, one vertical-line
+  expansion, Taylor coefficients exact on integers), multiplicity-aware
+  root finding
 - ``cauchy``: exact Cauchy indices of num/den given as float coefficient
   lists, and the certified phase climb that both verdicts' crossing counts
   share

@@ -19,7 +19,6 @@ runs out to the radius that Fujiwara's bound on the roots of w gives.
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import json
 import math
@@ -32,7 +31,7 @@ from .cauchy import HalfInteger
 from .dhym import CalabiInput, analyze, build_polynomials
 from .errors import LevelGraphError
 from .kempf_ness import default_sigma, make_grid_function, run_flow
-from .poly import ComplexPolynomial, from_roots
+from .poly import ComplexPolynomial, root_product
 from .stability import BoundaryData, classify, shift_to_zero_level
 from .tracer import graphical_connection, trace_level
 
@@ -122,7 +121,7 @@ def _parse_poly(text: str) -> ComplexPolynomial:
 
 
 def _parse_roots(text: str) -> ComplexPolynomial:
-    return from_roots([_parse_coefficient(tok) for tok in text.split(",")])
+    return ComplexPolynomial(root_product([_parse_coefficient(tok) for tok in text.split(",")]))
 
 
 def _parse_point(text: str) -> complex:
@@ -250,8 +249,7 @@ def _decimate(seq, cap: int):
 
 
 def _witness(inp: CalabiInput):
-    P, _, theta_hat = build_polynomials(inp)
-    w = ComplexPolynomial(P) * cmath.exp(-1j * theta_hat)
+    w = ComplexPolynomial(build_polynomials(inp)[0])
     check = graphical_connection(w, 0j, inp.z2)
     curve = [[p.real, p.imag] for p in _decimate(check.trace.points, 512)]
     try:

@@ -4,8 +4,9 @@ Every tolerance is a field of ``TOL``, the one :class:`Tolerances`.  Modules
 read ``config.TOL.<field>`` when called and import none by name, so one
 rebinding of ``config.TOL`` to a ``dataclasses.replace`` copy reaches all
 of them.  Sign and snap tolerances are bare factors of a scale from the
-data at hand.  The rounding bound ``cauchy.CLIMB_ROUNDING`` stays out: it is
-proven, certifies a float count, and must never be scaled.
+data at hand (``sign`` is the one relative-zero test).  The rounding bound
+``cauchy.CLIMB_ROUNDING`` stays out: it is proven, certifies a float count,
+and must never be scaled.
 
 ``GRID_NODES`` is the default node count of the flow's Gauss grid.  No file
 or environment variable configures a run: a caller that needs another grid
@@ -24,8 +25,9 @@ class Tolerances:
     """Every tolerance of the package; ``TOL`` is the instance in force."""
 
     # a w'-root c is on the imaginary axis when |Re c| <= sign (1 + |c|); the
-    # same relative factor decides whether z1, z2 share a level, and a dHYM
-    # input is generic when its Z_P start lies sign/pi or more from its line
+    # same relative factor decides whether z1, z2 share a level, a dHYM
+    # input is generic when its Z_P start lies sign/pi or more from its line,
+    # and the tracer takes a unit tangent with |Re| <= sign as vertical
     sign: float = 1e-9
     # a point z counts as on the imaginary axis, or on an on-axis critical
     # point, when it lies within snap (1 + |z|) of it
@@ -43,7 +45,6 @@ class Tolerances:
     crit_snap: float = 1e-4           # |u - c| below this counts as hitting c
     connect: float = 1e-6             # |u - target| below this counts as arrival
     seed_snap: float = 1e-2           # how far the seed may move onto the curve
-    vertical_tangent: float = 1e-9    # a unit tangent with |Re| at most this is vertical
     graph_slack: float = 1e-10        # a rightward step a graph tolerates: corrector rounding
     # flow
     flow_stop: float = 1e-8

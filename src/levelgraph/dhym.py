@@ -39,7 +39,7 @@ just above the wall.
 
 ``analyze`` builds no polynomial object: P is one coefficient list,
 evaluated once at z2, and the sector test reads w'(z2) from its factors,
-as the lifts do.
+as the lifts do.  ``build_polynomials`` returns w = e^{-i theta_hat} P.
 """
 
 from __future__ import annotations
@@ -159,13 +159,12 @@ class ChargeReport:
 
 
 def build_polynomials(inp: CalabiInput):
-    """(P, zeta, theta_hat): the ascending coefficient list of P, with
-    P' = (xi+z)^m z^r and P(0) = 0, and zeta = P(z2).
+    """(w, zeta, theta_hat): the ascending coefficients [c e^{-i theta_hat}
+    for c in P] of w, with P' = (xi+z)^m z^r and P(0) = 0, and zeta = P(z2).
 
-    w = e^{-i theta_hat} P has the coefficients [c e^{-i theta_hat} for c
-    in P].  theta_hat is the principal argument of zeta in (-pi, pi], which
-    makes Im(w(z2)) = 0: the boundary point z2 and the origin share a level
-    set.  The total charge vanishes when |zeta| is below TOL.zero_charge
+    theta_hat is the principal argument of zeta in (-pi, pi], which makes
+    Im(w(z2)) = 0: the boundary point z2 and the origin share a level set.
+    The total charge vanishes when |zeta| is below TOL.zero_charge
     times sum |c_k| |z2|^k, the a priori scale of zeta's Horner rounding
     (Higham, Accuracy and Stability of Numerical Algorithms, section 5.1),
     which is homogeneous in (xi, z2) as |zeta| is.
@@ -188,14 +187,15 @@ def build_polynomials(inp: CalabiInput):
     if theta_hat == -math.pi:
         theta_hat = math.pi
     rotation = cmath.exp(-1j * theta_hat)
-    wz2 = _horner([c * rotation for c in P], z2, 0j)
+    w = [c * rotation for c in P]
+    wz2 = _horner(w, z2, 0j)
     threshold = config.TOL.sign * abs(wz2)
     if abs(wz2.imag) > threshold:
         raise LevelMismatch(
             wz2.imag, threshold,
             f"Im(w(z2)) = {wz2.imag} is not zero relative to |w(z2)| = {abs(wz2)}",
         )
-    return P, zeta, theta_hat
+    return w, zeta, theta_hat
 
 
 def compute_charges(inp: CalabiInput, zeta: complex):

@@ -28,7 +28,7 @@ a step whose increment is positive is rejected, so a nonincreasing J is a
 checked property of the recorded trace.
 
 During a flow the nodes x_j never move; only the heights y do.  run_flow
-therefore tabulates, once per call and by poly.taylor_coeffs on the node
+therefore tabulates, once per call and by poly.line_coeffs on the node
 array, C_k(x_j) = i^k w^(k)(x_j)/k!, so that w(x_j + iy) = sum_k C_k y^k.
 Im w = sum Im C_k y^k, Re w' = sum k Im C_k y^(k-1) and
 Im w' = -sum k Re C_k y^(k-1) are then real polynomials in y.  Under
@@ -60,7 +60,7 @@ import numpy as np
 from . import config
 from .config import GRID_NODES
 from .errors import Diverged, NonIntegrableEndpoint
-from .poly import I_POWERS, ComplexPolynomial, _horner, taylor_coeffs
+from .poly import ComplexPolynomial, _horner, line_coeffs
 
 __all__ = [
     "GridFunction",
@@ -74,6 +74,8 @@ __all__ = [
     "run_flow",
     "second_variation_at",
 ]
+
+_T_MAX = 200.0  # run_flow's horizon: a run stops here if stop_tol is not met before
 
 @lru_cache(maxsize=16)
 def _reference_rule(n: int):
@@ -325,13 +327,13 @@ def _vertical_line_tables(w, x: np.ndarray) -> np.ndarray:
     Returns an array of shape (deg w + 1, 3, len(x)), at least one row deep
     (the zero polynomial gives one row of zeros).  Its Horner sum at heights
     y (poly._horner) is the (3, len(x)) array of Im w, Re w' and Im w' at
-    x + iy.  With C_k = i^k w^(k)(x)/k!, w(x + iy) = sum C_k y^k; and since
-    d/dy w(x + iy) = i w'(x + iy), Re w' = sum k Im C_k y^(k-1) and
-    Im w' = -sum k Re C_k y^(k-1).
+    x + iy.  With C_k = i^k w^(k)(x)/k! (poly.line_coeffs), w(x + iy) =
+    sum C_k y^k; and since d/dy w(x + iy) = i w'(x + iy), Re w' =
+    sum k Im C_k y^(k-1) and Im w' = -sum k Re C_k y^(k-1).
     """
     coeffs = w.coeffs or (0j,)
     n = len(coeffs)
-    c = np.array(taylor_coeffs(coeffs, x, n)) * np.array(I_POWERS)[np.arange(n) % 4, None]
+    c = np.array(line_coeffs(coeffs, x, n))
     table = np.zeros((n, 3, len(x)))
     table[:, 0] = c.imag
     k = np.arange(1, n)[:, None]
@@ -345,7 +347,6 @@ def run_flow(
     w: ComplexPolynomial,
     sigma: BackgroundSigma,
     stop_tol: float | None = None,
-    t_max: float = 200.0,
 ) -> FlowTrace:
     """Flow f0 downhill until the height residual drops below stop_tol.
 
@@ -430,7 +431,8 @@ def run_flow(
     rejections shrink the step below the rounding of t; and
     NonIntegrableEndpoint when the residual per unit sigma passes
     TOL.flow_endpoint_blowup (heights off the zero level at an endpoint).
-    stop_tol None means TOL.flow_stop; TOL is read once per call.
+    stop_tol None means TOL.flow_stop; TOL is read once per call.  The run
+    ends at t = _T_MAX at the latest.
     """
     _check_sigma(f0, sigma)
     if stop_tol is None:
@@ -456,7 +458,7 @@ def run_flow(
     edge = left * f0.boundary[0] + right * f0.boundary[1]
     stretch = 2.0 / (f0.b - f0.a)
     # steps shorter than this are lost in the rounding of t
-    dt_min = 4.0 * np.finfo(float).eps * max(t_max, 1.0)
+    dt_min = 4.0 * np.finfo(float).eps * max(_T_MAX, 1.0)
 
     def rhs(vals):
         return _horner(rhs_rows, vals, 0.0)
@@ -485,7 +487,7 @@ def run_flow(
     with np.errstate(over="ignore", invalid="ignore"):
         k, memb, jac = diag(f, _horner(table, f, 0.0))
         fastest = float(np.abs(jac).max())
-        dt = min(t_max, 1.0 / fastest if fastest > 0.0 else math.inf)
+        dt = min(_T_MAX, 1.0 / fastest if fastest > 0.0 else math.inf)
         while True:
             size = np.abs(k)
             resid = float(size.max())
@@ -500,13 +502,13 @@ def run_flow(
             js.append(jval)
             resids.append(resid)
             membs.append(memb)
-            if resid < stop_tol or t >= t_max:
+            if resid < stop_tol or t >= _T_MAX:
                 break
 
             while True:
-                last = t + dt >= t_max - dt_min
+                last = t + dt >= _T_MAX - dt_min
                 if last:
-                    dt = t_max - t
+                    dt = _T_MAX - t
                 f_new, corr = _exprb32(f, k, jac, rhs, dt)
                 err = float(np.abs(corr).max())
                 scale = 0.0 if err == 0.0 else err / (rtol * resid * dt)
@@ -528,7 +530,7 @@ def run_flow(
                     raise Diverged(f"flow step size fell to {dt:.3g} at t = {t:.6g}")
 
             jval += dj
-            t = t_max if last else t + dt
+            t = _T_MAX if last else t + dt
             f = f_new
             k, memb, jac = diag(f, rows)
             dt *= factor

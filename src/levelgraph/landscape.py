@@ -36,8 +36,8 @@ from . import config
 from .cauchy import CLIMB_ROUNDING, HalfInteger, index_on_interval
 from .cauchy import line_crossings, one_sided_sign, phase_climb
 from .errors import CriticalPointInRHP, DegenerateLine, ZeroPolynomial
-from .poly import I_POWERS, ComplexPolynomial, divide_linear, roots
-from .poly import restrict_to_vertical_line, taylor_coeffs
+from .poly import ComplexPolynomial, divide_linear, line_coeffs, roots
+from .poly import restrict_to_vertical_line
 
 __all__ = [
     "CriticalPoint",
@@ -93,12 +93,12 @@ class Potential:
     every label reads w' alone), makes its one root solve
     and raises CriticalPointInRHP when a root lies right of the imaginary
     axis, so every Potential satisfies the standing hypothesis.  It keeps
-    every root of w' in roots and those near the axis in
-    axis_critical_points, ordered by height; lead_phase is the argument of
-    the leading coefficient of w'.  The exact chain reads wp on its line.
-    The band labels are phase sums over these roots, whose phase_climb
-    terms (location, multiplicity, radius) it keeps once: terms over all
-    roots, off_axis_terms over those not near the axis.
+    each root of w' once, as its phase_climb term (location, multiplicity,
+    radius): terms over all roots, off_axis_terms over those not near the
+    axis, which are axis_critical_points, ordered by height.  certified is
+    the solve's certificate (see poly.roots), lead_phase the argument of the
+    leading coefficient of w'.  The band labels are phase sums over the
+    terms; the exact chain reads wp on its line.
 
     Each root from poly.roots stands for a component of inclusion discs
     that holds exactly as many zeros of w' as its multiplicity, all within
@@ -108,16 +108,16 @@ class Potential:
     zeros lie left of the band.
     """
 
-    __slots__ = ("wp", "roots", "axis_critical_points", "lead_phase", "terms",
+    __slots__ = ("wp", "certified", "axis_critical_points", "lead_phase", "terms",
                  "off_axis_terms")
 
     def __init__(self, w: ComplexPolynomial):
         wp = w.derivative()
         if wp.is_zero:
             raise ZeroPolynomial("w is constant; it has no level-curve geometry")
-        self.roots = tuple(roots(wp))
+        solved = roots(wp)
         on_axis, terms, off_axis_terms = [], [], []
-        for r in self.roots:
+        for r in solved:
             c, k = r.location, r.multiplicity
             term = (c, k, r.cluster_radius)
             terms.append(term)
@@ -126,8 +126,8 @@ class Potential:
                 raise CriticalPointInRHP(c, f"critical point at {c!r} has positive real part")
             if abs(c.real) <= tol + r.cluster_radius:
                 y0 = c.imag
-                lead = taylor_coeffs(wp.coeffs, 1j * y0, k + 1)[k]
-                generic = abs((lead * I_POWERS[k % 4]).real) >= config.TOL.sign * abs(lead)
+                lead = line_coeffs(wp.coeffs, 1j * y0, k + 1)[k]
+                generic = abs(lead.real) >= config.TOL.sign * abs(lead)
                 on_axis.append(
                     CriticalPoint(y0, k, "generic" if generic else "non_generic")
                 )
@@ -135,6 +135,7 @@ class Potential:
                 off_axis_terms.append(term)
         on_axis.sort(key=lambda c: c.y0)
         self.wp = wp
+        self.certified = all(r.certified for r in solved)
         self.axis_critical_points = tuple(on_axis)
         self.terms = tuple(terms)
         self.off_axis_terms = tuple(off_axis_terms)
@@ -178,9 +179,9 @@ def _phase_ends(pot: Potential, x: float, y: float, on_axis: bool):
     (lo, hi], and their number is minus the Cauchy index of R over
     (-inf, y].  With climb, spread and n from cauchy.phase_climb over
     these terms, hi = (arg lc - climb)/pi + offset + n/2.  None, and no
-    phase sum, when a root is uncertified (see poly.roots), phase_climb
-    refuses a disc, or, on the axis, a critical point is non-generic: its
-    pole is the exact chain's to place.
+    phase sum, when the root solve is uncertified (see poly.roots),
+    phase_climb refuses a disc, or, on the axis, a critical point is
+    non-generic: its pole is the exact chain's to place.
 
     rounding = CLIMB_ROUNDING (N + 2), N = deg w' >= n, bounds twice the
     error of either end and of spread together.  With u = eps/2, hi adds
@@ -193,7 +194,7 @@ def _phase_ends(pot: Potential, x: float, y: float, on_axis: bool):
     certifies.  With one u for adding spread and rounding, an end and
     spread together err by less than (13.7 + 7.9 N) u < 8u (N + 2).
     """
-    if not all(r.certified for r in pot.roots):
+    if not pot.certified:
         return None
     if on_axis:
         if any(cp.genericity != "generic" for cp in pot.axis_critical_points):

@@ -1,9 +1,11 @@
 """Univariate polynomial arithmetic over complex double coefficients.
 
 Coefficient vectors are stored ascending: ``coeffs[k]`` multiplies ``z**k``.
-``ComplexPolynomial`` is immutable; every operation returns a new polynomial.
-Trailing coefficients that are exactly zero are trimmed on construction, so
-the zero polynomial has an empty coefficient tuple and ``degree == -1``.
+``ComplexPolynomial`` is immutable, evaluates and differentiates, and forms
+no products: polynomials are built as coefficient lists, and the package's
+one product is ``root_product``.  Trailing coefficients that are exactly
+zero are trimmed on construction, so the zero polynomial has an empty
+coefficient tuple and ``degree == -1``.
 A real polynomial is a plain tuple of floats, ascending and trimmed the
 same way: ``restrict_to_vertical_line`` returns two of them, and
 ``cauchy`` reads them.
@@ -13,8 +15,12 @@ This module is the package's only polynomial arithmetic.  One Horner loop,
 (an array starts from a zeros array of the result type, so even the zero
 polynomial gives a typed array).  ``divide_linear`` divides by (v - x), and
 repeated, it gives the Taylor coefficients at x (``taylor_coeffs``): the
-restriction to a vertical line, the exact sign of an integer polynomial
-beside a point, and the cancellation of a known factor all come from it.
+exact sign of an integer polynomial beside a point and the cancellation of
+a known factor come from it.  Times the exact powers of i, they are the one
+line expansion p(x + iy) = sum_k i^k p^(k)(x)/k! y^k (``line_coeffs``), at
+a point or on a node array, which the restriction to a vertical line, the
+flow's tables in ``kempf_ness`` and the axis genericity test in
+``landscape`` read.
 
 Root finding takes the eigenvalues of the companion matrix that
 ``numpy.roots`` builds, built here and handed straight to
@@ -123,19 +129,6 @@ class ComplexPolynomial:
     def derivative(self):
         return ComplexPolynomial([k * c for k, c in enumerate(self.coeffs[1:], 1)])
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return ComplexPolynomial(c * other for c in self.coeffs)
-        if not isinstance(other, ComplexPolynomial):
-            return NotImplemented
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ComplexPolynomial(out)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class RootWithMultiplicity:
@@ -163,10 +156,10 @@ def root_product(roots: Sequence[complex]) -> list:
     """Ascending coefficients of the monic product of (z - r).
 
     Each factor (z - r) multiplies one coefficient list in place, from the
-    top down.  Every coefficient takes the generic product's operations in
-    its order, out[k] = (0j + a[k-1] * (1+0j)) + a[k] * (-r), so the list
-    is byte-equal to the coefficients of the product of
-    ComplexPolynomial([1.0]) and the factors ComplexPolynomial([-r, 1.0]),
+    top down.  Every coefficient takes the operations of the schoolbook
+    product of two coefficient lists (out[i + j] += a[i] * b[j], from 0j)
+    in their order, out[k] = (0j + a[k-1] * (1+0j)) + a[k] * (-r), so the
+    list is byte-equal to that product of [1.0] and the factors [-r, 1.0],
     signed zeros included.  Nothing is trimmed.
     """
     one = 1 + 0j
@@ -180,10 +173,14 @@ def root_product(roots: Sequence[complex]) -> list:
     return a
 
 
-def from_roots(roots: Sequence[complex]) -> ComplexPolynomial:
-    """The monic polynomial with the given roots (with repetition):
-    root_product's coefficients, one polynomial built at the end."""
-    return ComplexPolynomial(root_product(roots))
+def line_coeffs(coeffs: Sequence, x, count: int) -> list:
+    """The first count coefficients of p(x + iy) in y: i^k p^(k)(x)/k!.
+
+    The Taylor coefficients at x (taylor_coeffs), each times the exact
+    power I_POWERS[k % 4].  x may be a NumPy array: each coefficient is
+    then an array over its points.
+    """
+    return [b * I_POWERS[k % 4] for k, b in enumerate(taylor_coeffs(coeffs, x, count))]
 
 
 def restrict_to_vertical_line(p: ComplexPolynomial, x0: float) -> tuple:
@@ -192,13 +189,8 @@ def restrict_to_vertical_line(p: ComplexPolynomial, x0: float) -> tuple:
     Returns ascending float coefficients (re, im) in the variable y, each
     trimmed of trailing zeros, with re(y) + i*im(y) = p(x0 + iy).
     """
-    # Taylor-shift to x0, then substitute iy termwise: b_k (iy)^k = b_k i^k y^k
-    re, im = [], []
-    for k, b in enumerate(taylor_coeffs(p.coeffs, x0, len(p.coeffs))):
-        v = b * I_POWERS[k % 4]
-        re.append(v.real)
-        im.append(v.imag)
-    return _trimmed(re), _trimmed(im)
+    c = line_coeffs(p.coeffs, x0, len(p.coeffs))
+    return _trimmed([v.real for v in c]), _trimmed([v.imag for v in c])
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,8 @@ def _unit_tangent(g: complex) -> complex:
 
 
 def _orient(t: complex, direction: int) -> complex:
-    if abs(t.real) > config.TOL.vertical_tangent:
+    # a unit t is vertical when its real part is zero relative to its length
+    if abs(t.real) > config.TOL.sign:
         return -t if t.real * direction < 0 else t
     return -t if t.imag * direction < 0 else t
 
@@ -234,7 +235,8 @@ def _trace(
 ):
     """(Polyline, whether the stop the trace ended by reaches the target)."""
     # Re w' = Im(i w'), so both kinds are a level set of Im of one polynomial
-    base = w if kind == "level" else 1j * w.derivative()
+    wp = w.derivative()
+    base = w if kind == "level" else ComplexPolynomial([c * 1j for c in wp.coeffs])
     field, grad, ftol, dcoeffs = _make_field(base, level)
     try:
         finite = cmath.isfinite(base(seed)) and math.isfinite(ftol(seed))
@@ -274,7 +276,7 @@ def _trace(
     if target is not None:
         aim = config.TOL.connect * (1.0 + abs(target))
         stops.append((target, aim, 0.25, "target", True))
-    for r in roots(w.derivative()):
+    for r in roots(wp):
         c, k = r.location, r.multiplicity
         snap = config.TOL.crit_snap * (1.0 + abs(c))
         reaches = target is not None and abs(c - target) <= max(2.0 * snap, aim)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from reference_index import index_on_interval_exact
+from reference_product import product
 
 from levelgraph.cauchy import HalfInteger, index_on_interval
 from levelgraph.dhym import CalabiInput, analyze, build_polynomials
@@ -39,6 +40,7 @@ from levelgraph.poly import (
     _horner,
     antiderivative_coeffs,
     restrict_to_vertical_line,
+    root_product,
     roots,
 )
 from levelgraph.stability import BoundaryData, classify, shift_to_zero_level
@@ -62,22 +64,20 @@ def _random_w(rng, deg_lo=2, deg_hi=5, y_span=1.8, rho_re=(-2.2, -0.15),
               rho_im=2.0, allow_double=True):
     """Random admissible potential: w' has roots on the axis or in Re < 0."""
     deg = rng.randint(deg_lo, deg_hi)
-    wp = ComplexPolynomial(
-        [cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * rng.uniform(0.5, 1.5)]
-    )
+    wp = [cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * rng.uniform(0.5, 1.5)]
     i = 0
     while i < deg:
         if rng.random() < 0.35:
             y0 = rng.uniform(-y_span, y_span)
             mult = 2 if (allow_double and rng.random() < 0.2 and i + 1 < deg) else 1
             for _ in range(mult):
-                wp = wp * ComplexPolynomial([-1j * y0, 1.0])
+                wp = product(wp, [-1j * y0, 1.0])
             i += mult
         else:
             rho = complex(rng.uniform(*rho_re), rng.uniform(-rho_im, rho_im))
-            wp = wp * ComplexPolynomial([-rho, 1.0])
+            wp = product(wp, [-rho, 1.0])
             i += 1
-    return ComplexPolynomial(antiderivative_coeffs(wp.coeffs))
+    return ComplexPolynomial(antiderivative_coeffs(wp))
 
 
 def _pick_z2(w, wp, level, rng, x_range=(0.12, 3.0), wall_margin=1e-4,
@@ -356,11 +356,11 @@ def test_critical_point_index_dichotomy():
     def build(k, phi1, phi2, s1=0.8, s2=1.3):
         r1 = -s1 * cmath.exp(1j * phi1)
         r2 = -s2 * cmath.exp(1j * phi2)
-        wp = ComplexPolynomial([1.0])
+        wp = [1.0]
         for _ in range(k):
-            wp = wp * ComplexPolynomial([0.0, 1.0])
-        wp = wp * ComplexPolynomial([-r1, 1.0]) * ComplexPolynomial([-r2, 1.0])
-        return ComplexPolynomial(antiderivative_coeffs(wp.coeffs))
+            wp = product(wp, [0.0, 1.0])
+        wp = product(product(wp, [-r1, 1.0]), [-r2, 1.0])
+        return ComplexPolynomial(antiderivative_coeffs(wp))
 
     cases = []
     for k in (1, 2, 3):
@@ -494,7 +494,7 @@ def flow_battery():
         pair = draw_stable_flow_pair(rng)
         if pair is None:
             continue
-        pair["trace"] = run_flow(pair["f0"], pair["w"], pair["sigma"], stop_tol=1e-7, t_max=200.0)
+        pair["trace"] = run_flow(pair["f0"], pair["w"], pair["sigma"], stop_tol=1e-7)
         out.append(pair)
     return {"elapsed": time.monotonic() - t0, "runs": out, "rng": rng}
 
@@ -564,9 +564,8 @@ def test_second_variation_positive_at_solutions(flow_battery):
 
 
 def _potential(inp):
-    """w = e^{-i theta_hat} P from build_polynomials' coefficient list."""
-    P, _, theta_hat = build_polynomials(inp)
-    return ComplexPolynomial(P) * cmath.exp(-1j * theta_hat)
+    """w = e^{-i theta_hat} P, build_polynomials' coefficient list."""
+    return ComplexPolynomial(build_polynomials(inp)[0])
 
 
 # the draws of test_charge_pipeline_sweep_and_oracles that raise, by kind:
@@ -657,14 +656,16 @@ def test_charge_pipeline_sweep_and_oracles():
         b = rng.uniform(0.3, 2.5)
         probe = CalabiInput(m, 0, xi1, xi2, b, 0.0)
         try:
-            P, _, _ = build_polynomials(probe)
+            build_polynomials(probe)
         except LevelGraphError as exc:
             skipped[type(exc).__name__] += 1
             continue
         # place q where the top charge turns purely imaginary:
-        # Re(P(b+iq) e^{-i m arg xi}) = 0
+        # Re(P(b+iq) e^{-i m arg xi}) = 0, P' = (xi + z)^m as
+        # build_polynomials forms it
+        P = antiderivative_coeffs(root_product([-probe.xi] * m))
         rho = cmath.exp(-1j * m * cmath.phase(complex(xi1, xi2)))
-        g = restrict_to_vertical_line(ComplexPolynomial([rho]) * ComplexPolynomial(P), b)[0]
+        g = restrict_to_vertical_line(ComplexPolynomial(product([rho], P)), b)[0]
         try:
             rts = roots(ComplexPolynomial(g))
         except LevelGraphError as exc:

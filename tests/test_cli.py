@@ -4,7 +4,6 @@ Everything runs main() in-process with capsys so the suite stays fast; one
 test goes through a real subprocess to prove the installed entry point works.
 """
 
-import cmath
 import json
 import math
 import subprocess
@@ -12,7 +11,7 @@ import sys
 
 import pytest
 
-from levelgraph import cli
+from levelgraph import cli, kempf_ness
 from levelgraph.kempf_ness import GridFunction, default_sigma, gauss_interior_nodes, run_flow
 from levelgraph.poly import ComplexPolynomial
 from levelgraph.tracer import trace_level
@@ -340,8 +339,7 @@ def test_dhym_witness_flow_reports_J_and_membership(capsys):
     flow = json.loads(out)["witness"]["flow"]
 
     inp = CalabiInput(2, 0, 1.0, 0.0, 1.0, 0.5)
-    P, _, theta_hat = build_polynomials(inp)
-    w = ComplexPolynomial(P) * cmath.exp(-1j * theta_hat)
+    w = ComplexPolynomial(build_polynomials(inp)[0])
     f0 = make_grid_function(0.0, 1.0, lambda x: 0.5 * x, boundary=(0.0, 0.5))
     trace = run_flow(f0, w, default_sigma(0.0, 1.0, f0.nodes))
     assert flow["steps"] == len(trace.times) - 1 > 0
@@ -651,12 +649,13 @@ def test_flow_level_mismatch(capsys, tmp_path):
     assert "LevelMismatch" in err
 
 
-def test_flow_trace_csv():
+def test_flow_trace_csv(monkeypatch):
     # the encoder flow writes with, on a recorded flow
     nodes = gauss_interior_nodes(1.0, 2.0, 257)
     sigma = default_sigma(1.0, 2.0, nodes)
     f0 = GridFunction(1.0, 2.0, nodes, sigma.values.copy(), (0.0, 0.0))
-    trace = run_flow(f0, ComplexPolynomial([0, 1]), sigma, stop_tol=1e-12, t_max=0.5)
+    monkeypatch.setattr(kempf_ness, "_T_MAX", 0.5)
+    trace = run_flow(f0, ComplexPolynomial([0, 1]), sigma, stop_tol=1e-12)
     columns = zip(trace.times, trace.J_values, trace.residual_sup, trace.membership_min)
     rows = cli.render_csv(("t", "J", "residual_sup", "membership_min"),
                           columns).strip().splitlines()

@@ -69,16 +69,17 @@ def test_input_validation():
 
 
 def potential(inp):
-    """(w, theta_hat): w = e^{-i theta_hat} P, formed as cli._witness forms it."""
-    P, _, theta_hat = build_polynomials(inp)
-    return poly.ComplexPolynomial(P) * cmath.exp(-1j * theta_hat), theta_hat
+    """(w, theta_hat): w = e^{-i theta_hat} P from build_polynomials' list,
+    as cli._witness forms it."""
+    w, _, theta_hat = build_polynomials(inp)
+    return poly.ComplexPolynomial(w), theta_hat
 
 
 def test_hand_case_polynomials():
     inp = CalabiInput(m=1, r=0, xi1=1.0, xi2=0.0, b=1.0, q=0.0)
-    P, zeta, theta = build_polynomials(inp)
-    # P = z + z^2/2, ascending, and zeta = P(1)
-    assert P == [0j, 1 + 0j, 0.5 + 0j]
+    w_coeffs, zeta, theta = build_polynomials(inp)
+    # theta_hat = 0, so w = P = z + z^2/2, ascending, and zeta = P(1)
+    assert w_coeffs == [0j, 1 + 0j, 0.5 + 0j]
     assert zeta == pytest.approx(1.5, abs=1e-15)
     assert theta == 0.0
     w, _ = potential(inp)
@@ -289,8 +290,8 @@ def exact_chain_indices(inp, w, theta_hat):
     rising after the subtraction, that is the count from the snapped line."""
     re_b, im_b = poly.restrict_to_vertical_line(w.derivative(), inp.b)
     ind_Rb = _ccw_index(re_b, im_b, inp.q, math.inf)
-    g = poly.from_roots([-inp.xi] * inp.m) * (
-        cmath.exp(-1j * theta_hat) * poly.I_POWERS[inp.r % 4])
+    s = cmath.exp(-1j * theta_hat) * poly.I_POWERS[inp.r % 4]
+    g = poly.ComplexPolynomial([c * s for c in poly.root_product([-inp.xi] * inp.m)])
     re_0, im_0 = poly.restrict_to_vertical_line(g, 0.0)
     generic = abs(re_0[0]) >= config.TOL.sign * abs(inp.xi) ** inp.m
     if generic:
@@ -563,7 +564,8 @@ def planted_q(m, r, xi, b, pick):
     q), pick chooses one."""
     P = poly.ComplexPolynomial(poly.antiderivative_coeffs([0j] * r + poly.root_product([-xi] * m)))
     c = poly.I_POWERS[r % 4] * (xi / abs(xi)) ** m
-    re = poly.restrict_to_vertical_line(P * c.conjugate(), b)[0]
+    re = poly.restrict_to_vertical_line(
+        poly.ComplexPolynomial([a * c.conjugate() for a in P.coeffs]), b)[0]
     dre = [k * a for k, a in enumerate(re)][1:]
     found = []
     with np.errstate(all="ignore"):
@@ -717,10 +719,11 @@ def test_zero_charge_is_relative_to_the_horner_scale():
     # below 1e-12 of the old scale coeff_scale max(1, |z2|)^deg, which grows
     # faster than P under scaling
     inp = TEN_TIMES_4889
-    P, zeta, _ = build_polynomials(inp)
-    scale = sum(abs(c) * abs(inp.z2) ** k for k, c in enumerate(P))
+    # |w_k| = |P_k| to rounding, since w = e^{-i theta_hat} P
+    w, zeta, _ = build_polynomials(inp)
+    scale = sum(abs(c) * abs(inp.z2) ** k for k, c in enumerate(w))
     assert 1e-4 < abs(zeta) / scale < 1e-3
-    assert abs(zeta) < config.TOL.zero_charge * max(map(abs, P)) * abs(inp.z2) ** (len(P) - 1)
+    assert abs(zeta) < config.TOL.zero_charge * max(map(abs, w)) * abs(inp.z2) ** (len(w) - 1)
     assert analyze(inp).verdict == "no_solution"
 
 

@@ -29,6 +29,7 @@ from levelgraph.kempf_ness import (
     second_variation_at,
 )
 from levelgraph.poly import ComplexPolynomial, _horner, antiderivative_coeffs
+from levelgraph.poly import restrict_to_vertical_line
 
 W_LINEAR = ComplexPolynomial([0, 1])          # w = z
 CUBE_THIRD = ComplexPolynomial([0, 0, 0, 1 / 3])
@@ -305,6 +306,23 @@ def test_vertical_line_tables_match_complex_horner(coeffs, points):
         assert np.all(np.abs(got - want) <= 4.0 * eps * n * scale)
 
 
+@given(st.lists(_COEFF, max_size=9), st.lists(_magnitude(5.0), min_size=1, max_size=6))
+@example([], [0.5])  # the zero polynomial
+@example([1.0, -2.0j, 0.5 + 0.25j], [0.0, -0.0, -3.0])
+@settings(max_examples=300, deadline=None)
+def test_vertical_line_tables_read_the_restriction_bit_for_bit(coeffs, xs):
+    # both read poly.line_coeffs, on a node array and at one point: at each
+    # node, row 0 of the tables is the Im part restrict_to_vertical_line
+    # returns, to the last bit, followed by the zeros that it trims
+    w = ComplexPolynomial(coeffs)
+    rows = kempf_ness._vertical_line_tables(w, np.array(xs))[:, 0]
+    for j, x in enumerate(xs):
+        im = restrict_to_vertical_line(w, x)[1]
+        col = rows[:, j].tolist()
+        assert [repr(v) for v in col[:len(im)]] == [repr(v) for v in im]
+        assert all(v == 0.0 for v in col[len(im):])
+
+
 # rows of degree 0 to 10 and heights with signed zeros, subnormals and
 # magnitudes whose powers overflow
 _ENTRY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150]) | st.floats(-1e3, 1e3)
@@ -371,10 +389,11 @@ def test_membership_fails_across_diagonal():
 # the flow, against the exactly solvable w = z
 
 
-def test_flow_linear_w_closed_form():
+def test_flow_linear_w_closed_form(monkeypatch):
     nodes, sigma = _setup()
     f0 = GridFunction(A, B, nodes, sigma.values.copy(), (0.0, 0.0))
-    trace = run_flow(f0, W_LINEAR, sigma, stop_tol=1e-12, t_max=1.0)
+    monkeypatch.setattr(kempf_ness, "_T_MAX", 1.0)
+    trace = run_flow(f0, W_LINEAR, sigma, stop_tol=1e-12)
 
     # f' = -Im(x+if) = -f is linear with Jacobian -1, which the exponential
     # steps treat exactly (the factor is e^{-h}, not a polynomial in h), so
@@ -391,13 +410,14 @@ def test_flow_linear_w_closed_form():
     assert all(m == 1.0 for m in trace.membership_min)
 
 
-def test_flow_single_step_matches_run():
+def test_flow_single_step_matches_run(monkeypatch):
     nodes, sigma = _setup(33)
     f0 = GridFunction(A, B, gauss_interior_nodes(A, B, 33), 0.1 * sigma.values, (0.0, 0.0))
-    # the first trial step is min(t_max, 1 / max|Re w'|) = h, so the run is
+    # the first trial step is min(_T_MAX, 1 / max|Re w'|) = h, so the run is
     # a single exponential step
     h = 0.25
-    trace = run_flow(f0, W_LINEAR, sigma, stop_tol=0.0, t_max=h)
+    monkeypatch.setattr(kempf_ness, "_T_MAX", h)
+    trace = run_flow(f0, W_LINEAR, sigma, stop_tol=0.0)
     assert trace.times == [0.0, h]
     assert trace.rejected_steps == 0
     # f' = -f is linear with Jacobian -1, which the exponential step treats
@@ -421,10 +441,11 @@ def _sine_start():
 
 
 @pytest.mark.parametrize("coeffs", [[], [0.5]], ids=["zero", "real-constant"])
-def test_flow_with_no_imaginary_part_stops_at_the_start(coeffs):
+def test_flow_with_no_imaginary_part_stops_at_the_start(coeffs, monkeypatch):
     # Im w = 0 everywhere: the start is already a solution
     f0, sigma = _sine_start()
-    trace = run_flow(f0, ComplexPolynomial(coeffs), sigma, t_max=1.0)
+    monkeypatch.setattr(kempf_ness, "_T_MAX", 1.0)
+    trace = run_flow(f0, ComplexPolynomial(coeffs), sigma)
     assert trace.times == [0.0]
     assert trace.J_values == [0.0]
     assert trace.residual_sup == [0.0]
@@ -432,19 +453,22 @@ def test_flow_with_no_imaginary_part_stops_at_the_start(coeffs):
     assert np.array_equal(trace.final.values, f0.values)
 
 
-def test_flow_constant_imaginary_w_shifts_heights():
+def test_flow_constant_imaginary_w_shifts_heights(monkeypatch):
     # w = 1e-3 i: f' = -1e-3 at every node, which one exprb32 step with a
-    # zero Jacobian integrates exactly, so t_max = 1 is reached in one step
+    # zero Jacobian integrates exactly, so the horizon t = 1 is reached in
+    # one step
     f0, sigma = _sine_start()
-    trace = run_flow(f0, ComplexPolynomial([1e-3j]), sigma, t_max=1.0)
+    monkeypatch.setattr(kempf_ness, "_T_MAX", 1.0)
+    trace = run_flow(f0, ComplexPolynomial([1e-3j]), sigma)
     assert trace.times == [0.0, 1.0]
     assert np.array_equal(trace.final.values, f0.values - 1e-3)
     assert trace.J_values[-1] == pytest.approx(-1.9037102076363144e-05, rel=1e-12)
 
 
-def test_flow_linear_w_reaches_pinned_J():
+def test_flow_linear_w_reaches_pinned_J(monkeypatch):
     f0, sigma = _sine_start()
-    trace = run_flow(f0, W_LINEAR, sigma, t_max=1.0)
+    monkeypatch.setattr(kempf_ness, "_T_MAX", 1.0)
+    trace = run_flow(f0, W_LINEAR, sigma)
     assert trace.times[-1] == 1.0
     assert trace.J_values[-1] == pytest.approx(-0.010538764403375697, rel=1e-12)
 
@@ -462,11 +486,12 @@ def test_flow_converges_to_zero_level_curve():
         assert min(trace.membership_min) > 0.0
 
 
-def test_flow_divergence_raises():
+def test_flow_divergence_raises(monkeypatch):
     nodes, sigma = _setup()
     f0 = GridFunction(A, B, nodes, sigma.values.copy(), (0.0, 0.0))
+    monkeypatch.setattr(kempf_ness, "_T_MAX", 100.0)
     with pytest.raises(Diverged):
-        run_flow(f0, ComplexPolynomial([0, -1]), sigma, t_max=100.0)
+        run_flow(f0, ComplexPolynomial([0, -1]), sigma)
 
 
 def test_flow_endpoint_blowup_raises():

@@ -219,12 +219,8 @@ def test_nongeneric_critical_semistable_both_sides():
 def test_nongeneric_critical_unstable():
     # w' = z(z+1)(z^2+9): non-generic at 0, extra generic points at +-3i.
     # Five regions; the level through the origin reaches the bottom one.
-    wp = (
-        ComplexPolynomial([0, 1])
-        * ComplexPolynomial([1, 1])
-        * ComplexPolynomial([9, 0, 1])
-    )
-    w = ComplexPolynomial(antiderivative_coeffs(wp.coeffs))
+    wp = [0, 9, 9, 1, 1]  # z(z + 1)(z^2 + 9), ascending
+    w = ComplexPolynomial(antiderivative_coeffs(wp))
 
     def f(y):
         return w(1 + 1j * y).imag

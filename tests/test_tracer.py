@@ -1,6 +1,5 @@
 import cmath
 import math
-import operator
 import sys
 
 import mpmath
@@ -13,7 +12,7 @@ from levelgraph import config, poly, tracer
 from levelgraph.cauchy import HalfInteger
 from levelgraph.errors import SeedNotOnCurve
 from levelgraph.landscape import Potential, counting_function
-from levelgraph.poly import ComplexPolynomial, from_roots
+from levelgraph.poly import ComplexPolynomial, root_product
 from levelgraph.stability import BoundaryData, classify
 from levelgraph.tracer import (
     Polyline,
@@ -46,7 +45,7 @@ def _bisect(f, lo, hi, iters=200):
 def test_make_field_evaluates_as_the_polynomial(kind):
     # field and grad must give what base(u) and base'(u) give, to the bit
     w = ComplexPolynomial([0.3 - 0.7j, 1.1j, -1.7 + 0.2j, 1 / 3, 0.13 - 0.05j])
-    base = w if kind == "level" else 1j * w.derivative()
+    base = w if kind == "level" else ComplexPolynomial([c * 1j for c in w.derivative().coeffs])
     dbase = base.derivative()
     points = [complex(x, y) for x in (0.0, -0.0, 1.3, -0.61) for y in (0.0, -0.0, -0.77, 2.9)]
     for level in (0.0, 0.5):
@@ -653,10 +652,10 @@ _COEFFS = st.lists(_magnitudes(30) | st.just(0j), min_size=1, max_size=12).flatm
 # roots drawn from a few values, so that some come out multiple; 12 roots of
 # size 1e20 and a leading 1e30 keep every coefficient a normal double
 _PLANTED = st.builds(
-    operator.mul,
+    lambda rs, lead: ComplexPolynomial([c * lead for c in root_product(rs)]),
     st.lists(_magnitudes(20), min_size=1, max_size=4).flatmap(
         lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)
-    ).map(from_roots),
+    ),
     _magnitudes(30),
 )
 
@@ -706,9 +705,10 @@ _ROUNDING = 1.0 + 8.0 * sys.float_info.epsilon
 # a 50-digit eigenvalue solve takes about 0.1 s at degree 12
 @settings(max_examples=50, deadline=None)
 @given(_COEFFS | _PLANTED)
-@example(w=from_roots([0.0640996858163325 + 0.07675435022360272j]) * (0.0007140625000000001 + 0j))
-@example(w=from_roots([1, 1, 1]))
-@example(w=from_roots([10, 10]))
+@example(w=ComplexPolynomial([c * (0.0007140625000000001 + 0j)
+                              for c in root_product([0.0640996858163325 + 0.07675435022360272j])]))
+@example(w=ComplexPolynomial(root_product([1, 1, 1])))
+@example(w=ComplexPolynomial(root_product([10, 10])))
 def test_root_bound_encloses_roots_and_is_within_2n_of_them(w):
     r_max = _largest_root(w)
     bound = _root_bound(w)

@@ -35,7 +35,6 @@ otherwise.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
 from pathlib import Path
@@ -139,7 +138,7 @@ def check_dhym(seed: int, count: int) -> int:
     for i, data in enumerate(inputs):
         try:
             inp = dhym.CalabiInput(*ops.prepare_dhym(data))
-            P, zeta, theta_hat = dhym.build_polynomials(inp)
+            w, zeta, theta_hat = dhym.build_polynomials(inp)
             Z_X, Z_Dinf, _ = dhym.compute_charges(inp, zeta)
             lifts = dhym.compute_lifts(inp, theta_hat, Z_X, Z_Dinf)
         except Exception as exc:  # noqa: BLE001 -- reported, not fatal
@@ -152,7 +151,7 @@ def check_dhym(seed: int, count: int) -> int:
             on_wall.append(f"  input {i} ({lifts.genericity}): ind_Rb {lifts.ind_Rb}")
         if math.isfinite(lifts.line_margin):
             margins.append(lifts.line_margin)
-        wp = (ComplexPolynomial(P) * cmath.exp(-1j * theta_hat)).derivative()
+        wp = ComplexPolynomial(w).derivative()
         chain = (_axis_chain_index(inp, wp) if generic else lifts.ind_R0,
                  _ray_chain_index(inp, wp) if off_wall else lifts.ind_Rb)
         if (lifts.ind_R0, lifts.ind_Rb) != chain:
