@@ -14,6 +14,13 @@ The CLI reads no config file, and its run settings are the library's
 defaults: ``flow`` and ``dhym --witness`` flow on ``config.GRID_NODES``
 Gauss nodes until the residual drops below ``TOL.flow_stop``, and ``trace``
 runs out to the radius that Fujiwara's bound on the roots of w gives.
+
+``trace``, ``flow`` and ``dhym --witness`` import ``tracer`` and
+``kempf_ness`` when they run, so ``classify`` and ``dhym`` run neither
+module's imports.  numpy loads only where arrays are built: ``dhym``
+without ``--witness`` never loads it, ``classify`` and ``trace`` load it
+for a root solve of w' (none when w' is a constant or a multiple of a
+power of z), and a flow and an f0 file's interpolant load it.
 """
 
 from __future__ import annotations
@@ -25,15 +32,11 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from .cauchy import HalfInteger
 from .dhym import CalabiInput, analyze, build_polynomials
 from .errors import LevelGraphError
-from .kempf_ness import default_sigma, make_grid_function, run_flow
 from .poly import ComplexPolynomial, root_product
 from .stability import BoundaryData, classify, shift_to_zero_level
-from .tracer import graphical_connection, trace_level
 
 __all__ = ["main", "render_csv", "render_json"]
 
@@ -147,6 +150,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .tracer import trace_level
+
     if args.kind == "c0":
         kind, level = "level", args.w(args.seed).imag
     else:
@@ -195,12 +200,16 @@ def _interp_f0_from_file(path: str, a: float, b: float):
             f"the samples of {path!r} span [{xs[0]!r}, {xs[-1]!r}], "
             f"not [Re z1, Re z2] = [{a!r}, {b!r}]"
         )
+    import numpy as np
+
     return lambda x: np.interp(x, xs, fs)
 
 
 def _flow(w, z1: complex, z2: complex, fn):
     """Flow from fn sampled on the default grid of (Re z1, Re z2), its ends
     pinned at Im z1 and Im z2, under the default sigma, to TOL.flow_stop."""
+    from .kempf_ness import default_sigma, make_grid_function, run_flow
+
     a, b = z1.real, z2.real
     f0 = make_grid_function(a, b, fn, boundary=(z1.imag, z2.imag))
     return run_flow(f0, w, default_sigma(a, b, f0.nodes))
@@ -249,6 +258,8 @@ def _decimate(seq, cap: int):
 
 
 def _witness(inp: CalabiInput):
+    from .tracer import graphical_connection
+
     w = ComplexPolynomial(build_polynomials(inp)[0])
     check = graphical_connection(w, 0j, inp.z2)
     curve = [[p.real, p.imag] for p in _decimate(check.trace.points, 512)]

@@ -47,6 +47,10 @@ endpoint term, scaled by 2/(b - a).  A GridFunction is validated on
 construction: its nodes must be this map of the Gauss nodes (within
 TOL.grid_match (b - a)), so quadrature and differentiation look their rule
 up without checking the grid again.
+
+numpy is imported inside each function that builds or reads an array, not
+at module level: importing this module loads no numpy, and the first grid,
+sigma or flow does.
 """
 
 from __future__ import annotations
@@ -54,8 +58,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
 
 from . import config
 from .config import GRID_NODES
@@ -79,6 +81,8 @@ _T_MAX = 200.0  # run_flow's horizon: a run stops here if stop_tol is not met be
 
 @lru_cache(maxsize=16)
 def _reference_rule(n: int):
+    import numpy as np
+
     xi, wt = np.polynomial.legendre.leggauss(n)
     xi.flags.writeable = False
     wt.flags.writeable = False
@@ -100,6 +104,8 @@ def _reference_operator(n: int):
     """Node rows of the differentiation matrix on -1, the n Gauss-Legendre
     nodes of [-1, 1] and 1: the contiguous n-by-n interior block and the
     columns of the endpoints -1 and 1."""
+    import numpy as np
+
     x = np.concatenate([[-1.0], _reference_rule(n)[0], [1.0]])
     d = x[:, None] - x[None, :]
     np.fill_diagonal(d, 1.0)
@@ -127,6 +133,8 @@ class GridFunction:
     boundary: tuple
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         nodes = np.array(self.nodes, dtype=float)
@@ -154,6 +162,8 @@ class GridFunction:
 
 def make_grid_function(a, b, fn, n: int = GRID_NODES, boundary=None) -> GridFunction:
     """Sample a callable on the Gauss-Legendre grid of (a, b)."""
+    import numpy as np
+
     nodes = gauss_interior_nodes(a, b, n)
     values = np.asarray(fn(nodes), dtype=float)
     if boundary is None:
@@ -170,6 +180,8 @@ def derivative_values(f: GridFunction) -> np.ndarray:
     plain matvec against the negative-sum diagonal does not quite achieve
     that.  The sum is taken on [-1, 1] and scaled once by 2/(b - a).
     """
+    import numpy as np
+
     inner, left, right = _reference_operator(len(f.nodes))
     v = f.values
     der = np.einsum("ij,ij->i", inner, v[None, :] - v[:, None])
@@ -184,6 +196,8 @@ class BackgroundSigma:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or not np.all(values > 0):
             raise ValueError("sigma must be strictly positive on the interior")
@@ -193,6 +207,8 @@ class BackgroundSigma:
 
 def default_sigma(a: float, b: float, nodes: np.ndarray) -> BackgroundSigma:
     """sigma = (x-a)(b-x)/(b-a), with slope 1 at both endpoints."""
+    import numpy as np
+
     x = np.asarray(nodes, dtype=float)
     return BackgroundSigma((x - a) * (b - x) / (b - a))
 
@@ -213,6 +229,8 @@ def membership(f: GridFunction, w: ComplexPolynomial):
     Returns (in_set, min_value) where min_value is the minimum over nodes of
     d/dx Re(w(x+if)) = Re(w'(z)) - f'(x) Im(w'(z)).
     """
+    import numpy as np
+
     wp = w.derivative()
     z = f.nodes + 1j * f.values
     d = wp(z)
@@ -255,6 +273,8 @@ def _phi1(z: np.ndarray, em1: np.ndarray) -> np.ndarray:
     entry is zero the quotient is one plain division; otherwise the zeros
     keep the value 1 and the division fills the rest.
     """
+    import numpy as np
+
     if np.count_nonzero(z) == z.size:
         return em1 / z
     return np.divide(em1, z, out=np.ones_like(z), where=z != 0.0)
@@ -271,6 +291,8 @@ def _phi3(z: np.ndarray, em1: np.ndarray) -> np.ndarray:
     elsewhere, and the closed form then overwrites it where |z| is at or
     past the switch.  Each entry gets the same operations either way.
     """
+    import numpy as np
+
     small = np.abs(z) < _PHI3_SWITCH
     count = np.count_nonzero(small)
     if count == 0:
@@ -298,6 +320,8 @@ def _exprb32(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, rhs, dt: float):
     the relative accuracy of a mode that decays to a tiny factor, where
     expm1 + 1 rounds to a multiple of eps/2.
     """
+    import numpy as np
+
     hj = dt * jac
     em1 = np.expm1(hj)
     u = np.exp(hj)
@@ -331,6 +355,8 @@ def _vertical_line_tables(w, x: np.ndarray) -> np.ndarray:
     sum C_k y^k; and since d/dy w(x + iy) = i w'(x + iy), Re w' =
     sum k Im C_k y^(k-1) and Im w' = -sum k Re C_k y^(k-1).
     """
+    import numpy as np
+
     coeffs = w.coeffs or (0j,)
     n = len(coeffs)
     c = np.array(line_coeffs(coeffs, x, n))
@@ -434,6 +460,8 @@ def run_flow(
     stop_tol None means TOL.flow_stop; TOL is read once per call.  The run
     ends at t = _T_MAX at the latest.
     """
+    import numpy as np
+
     _check_sigma(f0, sigma)
     if stop_tol is None:
         stop_tol = config.TOL.flow_stop
@@ -548,6 +576,8 @@ def second_variation_at(
     instances, and flips sign exactly under w -> -w.  Raises ValueError when
     sigma or psi is not on the grid of f.
     """
+    import numpy as np
+
     _check_sigma(f, sigma)
     if (psi.a, psi.b, len(psi.nodes)) != (f.a, f.b, len(f.nodes)):
         raise ValueError("psi grid does not match the function grid")

@@ -32,6 +32,11 @@ of that union, so all k zeros lie within it of the reported location.  An
 exact zero at 0 is split off first.  When one disc of a solve has no
 certificate (``_discs``), the inclusion theorem holds for none of them, and
 every root of that solve is reported with ``certified`` False.
+
+numpy is imported only where an array is needed: by ``roots``, for the
+eigenvalue solve, and by a call on an array, for its typed zeros.  A scalar
+call and the coefficient-list builders import nothing, so a process that
+evaluates at points only (``dhym.analyze``) never loads numpy.
 """
 
 from __future__ import annotations
@@ -41,8 +46,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import LevelGraphError, ZeroPolynomial
 
@@ -120,8 +123,12 @@ class ComplexPolynomial:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, z):
-        if isinstance(z, np.ndarray):
-            return _horner(self.coeffs, z, np.zeros(z.shape, np.result_type(0j, z)))
+        # a scalar is evaluated without importing numpy
+        if not isinstance(z, (int, float, complex)):
+            import numpy as np
+
+            if isinstance(z, np.ndarray):
+                return _horner(self.coeffs, z, np.zeros(z.shape, np.result_type(0j, z)))
         return _horner(self.coeffs, complex(z), 0j)
 
     # -- algebra ------------------------------------------------------------
@@ -330,6 +337,8 @@ def roots(p: ComplexPolynomial) -> list:
     rest = ComplexPolynomial(p.coeffs[m:]) if m else p
     approx = []
     if rest.degree:
+        import numpy as np
+
         # numpy.roots' companion matrix, whose first row is -desc[1:]/desc[0];
         # rest has no zero at either end, so numpy.roots would strip nothing
         desc = np.array(rest.coeffs[::-1], dtype=complex)

@@ -73,3 +73,33 @@ def test_modules_import_only_lower_layers():
         if extra:
             upward[path.stem] = sorted(extra)
     assert upward == {}
+
+
+def _module_level_imports(tree):
+    """The import statements that run when the module is imported: those
+    outside every function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_numpy_at_module_level():
+    # numpy is imported inside the functions that build arrays or solve
+    # eigenvalues, so importing the package and deciding class data loads
+    # none; tests/test_cold_start.py checks that in a fresh interpreter
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _module_level_imports(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [] if node.level else [node.module]
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], ("numpy imported at module level; import it in the function "
+                         "that needs it (see tests/test_cold_start.py)")

@@ -1,6 +1,7 @@
 """The checking tools in tools/ run clean on a few benchmark inputs."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +46,18 @@ def test_label_margins_lets_an_exact_chain_error_through(monkeypatch):
     monkeypatch.setattr(landscape, "_exact_index", broken)
     with pytest.raises(RuntimeError, match="broken chain"):
         tool.check_verdicts(1, 2)
+
+
+
+def test_cold_start_times_every_case_on_both_sides():
+    out = _run(TOOLS / "cold_start.py", ROOT, ROOT, "--runs", "1").splitlines()
+    names = ["classify", "trace", "flow", "dhym", "dhym --witness",
+             "probe setup verdicts", "probe setup dhym-sweep", "probe setup witness"]
+    assert [(line[:24].rstrip(), line[24:].split()[0]) for line in out] == [
+        (n, side) for n in names for side in ("parent", "change")]
+    loaded = {line[:24].rstrip(): re.search(r"numpy (loaded|not loaded)", line)[1]
+              for line in out}
+    # a dHYM verdict needs no numpy; a flow does
+    assert loaded["dhym"] == loaded["probe setup dhym-sweep"] == "not loaded"
+    assert loaded["flow"] == loaded["probe setup witness"] == "loaded"
+    assert all(re.search(r"ratio \d", line) for line in out[1::2])
