@@ -31,7 +31,11 @@ All index routines return :class:`HalfInteger`.  When den + i num is a
 polynomial on a vertical line right of all its roots, its phase rises
 strictly and the index is minus the number of lines {pi/2 + k pi} it
 crosses; the band labels and the dHYM indices take that phase from
-:func:`phase_climb` and count the lines with :func:`line_crossings`.
+:func:`phase_climb`, fix one end exactly and certify the floor of the
+other with :func:`line_crossings`.  A verdict reaches the chain only for a
+band label no phase sum decides (see :mod:`levelgraph.landscape`): an
+uncertified root solve, a root disc that reaches the line, a high end
+within its bound of a line, or z on a non-generic axis critical point.
 """
 
 from __future__ import annotations
@@ -274,7 +278,7 @@ CLIMB_ROUNDING = 8 * sys.float_info.epsilon
 
 
 def phase_climb(terms, x: float, y: float):
-    """(climb, spread, n) of a product of root factors above x + iy, or None.
+    """(climb, spread) of a product of root factors above x + iy, or None.
 
     terms are (c, k, r): a root c of multiplicity k within a disc of radius
     r about it.  Along Re z = x, right of every root, the phase of
@@ -296,7 +300,7 @@ def phase_climb(terms, x: float, y: float):
     is certified against CLIMB_ROUNDING times a unit count its caller sets,
     whose docstring shows its own operations keep the total within it.
     """
-    climb, spread, n = [], 0.0, 0
+    climb, spread = [], 0.0
     for c, k, r in terms:
         dx, dy = x - c.real, y - c.imag
         d = math.hypot(dx, dy)
@@ -305,20 +309,18 @@ def phase_climb(terms, x: float, y: float):
         climb.append(k * (math.pi / 2 - math.atan2(dy, dx)))
         if r:
             spread += k * math.asin(r / d)
-        n += k
-    return math.fsum(climb), spread, n
+    return math.fsum(climb), spread
 
 
-def line_crossings(lo: float, hi: float, bound: float):
-    """(count, margin): the integers in (lo, hi], and how far both ends lie from one.
+def line_crossings(v: float, bound: float):
+    """(floor(v) or None, margin) for an end v of a rising phase.
 
-    lo and hi are the two ends of a rising phase, in units of pi and
-    measured from one of the lines it crosses, so the lines are the
-    integers.  margin is the distance, in units of pi, from the nearer end
-    to its nearest line.  The count is None unless margin > bound: an
-    error of at most bound in either end then moves no end across a line,
-    and floor(hi) - floor(lo) is the count of the exact phase.
+    v is in units of pi from one of the lines the phase crosses, so the
+    lines are the integers; margin is the distance from v to the nearest.
+    floor(v) is None unless margin > bound: an error of at most bound in v
+    then moves it across no line.  The lines crossed are counted as this
+    floor less the exact floor of the other end, which the caller fixes.
     """
-    lo_floor, hi_floor = math.floor(lo), math.floor(hi)
-    margin = min(lo - lo_floor, lo_floor + 1 - lo, hi - hi_floor, hi_floor + 1 - hi)
-    return (hi_floor - lo_floor if margin > bound else None), margin
+    v_floor = math.floor(v)
+    margin = min(v - v_floor, v_floor + 1 - v)
+    return (v_floor if margin > bound else None), margin

@@ -253,14 +253,14 @@ def _z_x_line(theta_hat: float, n: int):
 def _count_from(lo: float, bound: float):
     """(count, on_line, margin) of a lift that starts lo lines above line 0.
 
-    count is the number of lines in (lo, 0] the lift crosses.  A start
-    TOL.sign/pi or more from every line has it certified by line_crossings,
-    and margin is that distance.  A nearer start is on the line round(lo),
-    counts from it, and has margin inf.
+    count is the number of lines in (lo, 0] the lift crosses, -floor(lo).
+    A start TOL.sign/pi or more from every line has floor(lo) certified by
+    line_crossings, and margin is that distance.  A nearer start is on the
+    line round(lo), counts from it, and has margin inf.
     """
-    count, margin = line_crossings(lo, 0.5, bound)
-    if count is not None and margin >= config.TOL.sign / math.pi:
-        return count, False, margin
+    lo_floor, margin = line_crossings(lo, bound)
+    if lo_floor is not None and margin >= config.TOL.sign / math.pi:
+        return -lo_floor, False, margin
     return -round(lo), True, math.inf
 
 

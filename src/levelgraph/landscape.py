@@ -14,12 +14,14 @@ so the label is also a Cauchy index of R_l, with a correction on the axis
 itself where critical points sit.
 
 Right of every critical point the phase of w' is a sum of atan2 terms over
-the roots of w', one per root, and it rises strictly; the label is a floor
-of that phase sum, :func:`levelgraph.cauchy.phase_climb`, which the dHYM
-indices use too.  The root solve bounds each root to a disc, and a label
-is taken from the phase sum when its ends lie farther from a line than the
-discs and rounding can move them.  Otherwise the exact signed-remainder
-chain of :mod:`levelgraph.cauchy` decides the index.
+the roots of w', :func:`levelgraph.cauchy.phase_climb` (the dHYM indices
+use it too), and it rises strictly from a low end that the leading
+coefficient of w' fixes exactly.  A label counts the lines up to the high
+end when the root discs and rounding cannot move that end across one.  The
+exact signed-remainder chain of :mod:`levelgraph.cauchy` decides only where
+no phase sum can: an uncertified root solve, a disc that reaches the line,
+a high end within its bound of a line (z on an arc among them), and z on a
+non-generic axis critical point.
 
 The hypothesis is a property of w alone, so it is checked once: a
 :class:`Potential` solves w' = 0 a single time, refuses a root in the right
@@ -72,11 +74,10 @@ class CountingResult:
     on-axis critical points at or below the point, zero off the axis.  A
     half-integer value means the point sits exactly on an arc.
 
-    margin is how far, in units of pi, the ends of the phase sum lie from
-    their nearest line beyond what the root discs and rounding can move
-    them: positive when the phase sum decided the label, and -inf when no
-    phase sum was formed.  exact_fallback says that the exact chain decided
-    it instead.
+    margin is how far, in units of pi, the phase sum's high end lies from
+    its nearest line beyond what the root discs and rounding can move it:
+    positive when the phase sum decided the label, -inf when none was
+    formed.  exact_fallback says that the exact chain decided it instead.
     """
 
     value: HalfInteger
@@ -90,15 +91,18 @@ class Potential:
     """A potential w whose critical points have been found and checked once.
 
     The constructor forms w' once, keeps it as wp (w itself is not kept:
-    every label reads w' alone), makes its one root solve
-    and raises CriticalPointInRHP when a root lies right of the imaginary
-    axis, so every Potential satisfies the standing hypothesis.  It keeps
-    each root of w' once, as its phase_climb term (location, multiplicity,
-    radius): terms over all roots, off_axis_terms over those not near the
-    axis, which are axis_critical_points, ordered by height.  certified is
-    the solve's certificate (see poly.roots), lead_phase the argument of the
-    leading coefficient of w'.  The band labels are phase sums over the
-    terms; the exact chain reads wp on its line.
+    every label reads w' alone), makes its one root solve and raises
+    CriticalPointInRHP when a root lies right of the imaginary axis, so
+    every Potential satisfies the standing hypothesis.  It keeps each root
+    of w' once, as its phase_climb term (location, multiplicity, radius):
+    terms over all roots, off_axis_terms over those not near the axis,
+    which are axis_critical_points, ordered by height.  certified is the
+    solve's certificate (see poly.roots), lead_phase the argument of the
+    leading coefficient lc of w', and lo_floor the exact floor of the phase
+    sum's low end off the axis (see _phase_ends), read from the signs of
+    lc's parts as math.atan2 reads them: lead_phase rounds arg(+-1e-17 + i),
+    on either side of pi/2, to one double.  The band labels are phase sums
+    over the terms; the exact chain reads wp on its line.
 
     Each root from poly.roots stands for a component of inclusion discs
     that holds exactly as many zeros of w' as its multiplicity, all within
@@ -108,8 +112,8 @@ class Potential:
     zeros lie left of the band.
     """
 
-    __slots__ = ("wp", "certified", "axis_critical_points", "lead_phase", "terms",
-                 "off_axis_terms")
+    __slots__ = ("wp", "certified", "axis_critical_points", "lead_phase", "lo_floor",
+                 "terms", "off_axis_terms")
 
     def __init__(self, w: ComplexPolynomial):
         wp = w.derivative()
@@ -141,6 +145,11 @@ class Potential:
         self.off_axis_terms = tuple(off_axis_terms)
         lc = wp.coeffs[-1]
         self.lead_phase = math.atan2(lc.imag, lc.real)
+        if lc.imag:  # q = floor(2 arg lc/pi)
+            q = (0 if lc.real > 0 else 1) if lc.imag > 0 else (-1 if lc.real >= 0 else -2)
+        else:
+            q = 0 if lc.real > 0 else int(math.copysign(2.0, lc.imag))
+        self.lo_floor = (q - wp.degree - 1) // 2
 
     def critical_point_at(self, z: complex) -> CriticalPoint | None:
         """The on-axis critical point that z sits on, within TOL.snap * (1 + |z|)."""
@@ -164,60 +173,51 @@ def on_axis_critical_points(w: ComplexPolynomial) -> tuple:
     return Potential(w).axis_critical_points
 
 
-def _phase_ends(pot: Potential, x: float, y: float, on_axis: bool):
-    """(lo, hi, spread, rounding) of the phase of w' below x + iy, or None.
+def _phase_ends(pot: Potential, z0: complex, on_axis: bool):
+    """(lo_floor, hi, spread, rounding) of the phase of w' below z0, or None.
 
-    Off the axis (x > 0) the phase along the line is
+    Off the axis (x = Re z0 > 0) the phase along the line is
     arg lc + sum k_j atan2(t - Im c_j, x - Re c_j) over the roots c_j of w'
-    with multiplicities k_j; it rises strictly from arg lc - N pi/2 at
-    t = -inf, N = deg w', while every root lies left of the line.  On the
-    axis the model is the one the exact chain uses after deflation: each
-    axis critical point of order k contributes the constant k pi/2, and
-    each other root its atan2 term with x = 0.  lo and hi are the phase at
-    t = -inf and at t = y, in units of pi and measured from the line pi/2,
-    so the lines {pi/2 + k pi} crossed below y are the integers in
-    (lo, hi], and their number is minus the Cauchy index of R over
-    (-inf, y].  With climb, spread and n from cauchy.phase_climb over
-    these terms, hi = (arg lc - climb)/pi + offset + n/2.  None, and no
-    phase sum, when the root solve is uncertified (see poly.roots),
-    phase_climb refuses a disc, or, on the axis, a critical point is
-    non-generic: its pole is the exact chain's to place.
+    with multiplicities k_j, N = deg w' in all, and it rises strictly while
+    every root lies left of the line.  On the axis the model is the one the
+    exact chain uses after deflation: each axis critical point of order k
+    contributes the constant k pi/2, S in all (S = 0 off the axis), and
+    each other root its atan2 term at x = 0.  In units of pi from the line
+    pi/2 the phase rises from lo = arg lc/pi - (N + 1)/2 + S at t = -inf,
+    whose exact floor is pot.lo_floor + S, to hi = (arg lc - climb)/pi +
+    (N - 1)/2 at t = Im z0, with climb and spread from cauchy.phase_climb
+    over these terms.  So it crosses floor(hi) - floor(lo) lines
+    {pi/2 + k pi}, a non-generic point below z0 among them: minus the
+    Cauchy index of R over (-inf, Im z0].  None, and no phase sum, when the
+    root solve is uncertified (see poly.roots), phase_climb refuses a disc,
+    or z0 sits on a non-generic axis critical point, whose pole is the
+    exact chain's to place.
 
-    rounding = CLIMB_ROUNDING (N + 2), N = deg w' >= n, bounds twice the
-    error of either end and of spread together.  With u = eps/2, hi adds
-    to phase_climb's bound: arg lc (atan2 of the exact coefficient, 8u),
-    the difference (u (pi + climb)), the division by math.pi (1.4u
-    relative) and the half-integer offset + n/2 = (N - 1)/2 (u |hi| <=
-    (N + 3) u/2).  With climb <= n pi, hi is within (6.5 + 7.4 N) u, and
-    lo, which takes arg lc/pi and one addition, within (5.5 + N/2) u.
-    spread/pi is within (n + 12.4) u relative, and below 1/2 where it
-    certifies.  With one u for adding spread and rounding, an end and
-    spread together err by less than (13.7 + 7.9 N) u < 8u (N + 2).
+    rounding = CLIMB_ROUNDING (N + 2) bounds twice the error of hi and of
+    spread together.  With u = eps/2, hi adds to phase_climb's bound:
+    arg lc (atan2 of the exact coefficient, 8u), the difference
+    (u (pi + climb)), the division by math.pi (1.4u relative) and the
+    half-integer (N - 1)/2 (u |hi| <= (N + 3) u/2).  With climb <= N pi, hi
+    is within (6.5 + 7.4 N) u.  spread/pi is within (N + 12.4) u relative,
+    and below 1/2 where it certifies.  With one u for adding spread and
+    rounding, hi and spread together err by less than (13.7 + 7.9 N) u <
+    8u (N + 2).
     """
     if not pot.certified:
         return None
+    terms, lo_floor = pot.terms, pot.lo_floor
     if on_axis:
-        if any(cp.genericity != "generic" for cp in pot.axis_critical_points):
+        cp = pot.critical_point_at(z0)
+        if cp is not None and cp.genericity != "generic":
             return None
         terms = pot.off_axis_terms
-        offset = (sum(cp.order for cp in pot.axis_critical_points) - 1) / 2
-    else:
-        terms = pot.terms
-        offset = -0.5
-    climb = phase_climb(terms, x, y)
+        lo_floor += sum(cp.order for cp in pot.axis_critical_points)
+    climb = phase_climb(terms, 0.0 if on_axis else z0.real, z0.imag)
     if climb is None:
         return None
-    climb, spread, n = climb
-    lo = pot.lead_phase / math.pi + (offset - n / 2)
-    hi = (pot.lead_phase - climb) / math.pi + (offset + n / 2)
-    return lo, hi, spread / math.pi, CLIMB_ROUNDING * (pot.wp.degree + 2)
-
-
-def _deflate(p, y0: float, times: int):
-    """Quotient of p by (y - y0)**times; each division drops its remainder."""
-    for _ in range(times):
-        p, _ = divide_linear(p, y0)
-    return p
+    deg = pot.wp.degree
+    hi = (pot.lead_phase - climb[0]) / math.pi + (deg - 1) / 2
+    return lo_floor, hi, climb[1] / math.pi, CLIMB_ROUNDING * (deg + 2)
 
 
 def _exact_index(pot: Potential, z0: complex, on_axis: bool) -> HalfInteger:
@@ -236,14 +236,15 @@ def _exact_index(pot: Potential, z0: complex, on_axis: bool) -> HalfInteger:
     """
     x = 0.0 if on_axis else z0.real
     re, im = restrict_to_vertical_line(pot.wp, x)
-    pole = None
+    pole = pot.critical_point_at(z0) if on_axis else None
+    if pole is not None and pole.genericity == "generic":
+        pole = None
     if on_axis:
-        pole = pot.critical_point_at(z0)
-        if pole is not None and pole.genericity == "generic":
-            pole = None
-        for cp in pot.axis_critical_points:
-            re = _deflate(re, cp.y0, cp.order + (cp is pole))
-            im = _deflate(im, cp.y0, cp.order)
+        for cp in pot.axis_critical_points:  # each division drops its remainder
+            for _ in range(cp.order):
+                re, im = divide_linear(re, cp.y0)[0], divide_linear(im, cp.y0)[0]
+            if cp is pole:
+                re, _ = divide_linear(re, cp.y0)
     if not re:
         raise DegenerateLine(
             f"Re(w') on the line Re z = {x!r} deflates to the zero polynomial "
@@ -266,16 +267,14 @@ def counting_function(pot: Potential, z0: complex) -> CountingResult:
     when generic and -1 when not, so the order has to be added back by
     hand).  A half-integer value means z0 sits on an arc.
 
-    The crossings are a floor of the phase sum over the roots of w' that
-    pot holds (_phase_ends), certified by line_crossings when both ends lie
-    farther from a line than the spread of the root discs plus a stated
-    rounding bound; interval_index is minus their number.  Where no
-    certificate holds -- an uncertified root, a disc reaching the line, an
-    end within the bound of a line (z0 on an arc among them), or a
-    non-generic critical point on the axis -- the exact signed-remainder
-    chain decides the index (_exact_index).  Raises DegenerateLine when
-    Re w' vanishes identically on the line, or on the axis once the
-    chain divides the critical points' factors out of it.
+    The crossings are floor(hi) - floor(lo) of the phase sum over the roots
+    of w' that pot holds (_phase_ends), floor(lo) exact and floor(hi)
+    certified by line_crossings against the spread of the root discs plus
+    a stated rounding bound; interval_index is minus their number.  In the
+    four cases of the module docstring the exact chain decides the index
+    instead (_exact_index).  Raises DegenerateLine when Re w' vanishes
+    identically on the line, or on the axis once the chain divides the
+    critical points' factors out of it.
     """
     z0 = complex(z0)
     x0, y0 = z0.real, z0.imag
@@ -283,18 +282,16 @@ def counting_function(pot: Potential, z0: complex) -> CountingResult:
     if x0 < -axis_snap:
         raise ValueError(f"z0={z0!r} lies in the open left half-plane")
     on_axis = x0 <= axis_snap
-    crit_sum = 0
-    if on_axis:
-        crit_sum = sum(cp.order for cp in pot.axis_critical_points if cp.y0 <= y0 + axis_snap)
-    count, margin = None, -math.inf
-    ends = _phase_ends(pot, 0.0 if on_axis else x0, y0, on_axis)
+    crit_sum = sum(cp.order for cp in pot.axis_critical_points
+                   if on_axis and cp.y0 <= y0 + axis_snap)
+    hi_floor, margin = None, -math.inf
+    ends = _phase_ends(pot, z0, on_axis)
     if ends is not None:
-        lo, hi, spread, rounding = ends
-        bound = spread + rounding
-        count, margin = line_crossings(lo, hi, bound)
-        margin -= bound
-    if count is not None:
-        return CountingResult(HalfInteger.from_int(count + crit_sum + 1),
-                              HalfInteger.from_int(-count), crit_sum, margin, False)
-    idx = _exact_index(pot, z0, on_axis)
-    return CountingResult(abs(idx) + crit_sum + 1, idx, crit_sum, margin, True)
+        lo_floor, hi, spread, rounding = ends
+        hi_floor, margin = line_crossings(hi, spread + rounding)
+        margin -= spread + rounding
+    if hi_floor is not None:
+        idx, fallback = HalfInteger.from_int(lo_floor - hi_floor), False
+    else:
+        idx, fallback = _exact_index(pot, z0, on_axis), True
+    return CountingResult(abs(idx) + crit_sum + 1, idx, crit_sum, margin, fallback)

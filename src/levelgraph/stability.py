@@ -13,10 +13,12 @@ classify forms and solves w' once per verdict (the BoundaryData it is given
 formed w' of the unshifted w only to check it finite): the shifted w goes
 straight to one :class:`~levelgraph.landscape.Potential`, and both band
 labels and the critical point under z1 are read from it.  Each label is a
-phase sum over the roots of w' that the Potential holds, certified against
-their inclusion discs and a stated rounding bound; the exact
-signed-remainder chain decides a label only where that certificate fails
-(see :func:`~levelgraph.landscape.counting_function`).
+phase sum over the roots of w' that the Potential holds, from an exact low
+end to a high end certified against their inclusion discs and a stated
+rounding bound.  The exact signed-remainder chain decides a label only
+where no phase sum can: an uncertified root solve, a disc that reaches
+the line, a high end within its bound of a line, or z1 on a non-generic
+critical point (see :func:`~levelgraph.landscape.counting_function`).
 """
 
 from __future__ import annotations

@@ -113,15 +113,13 @@ class GraphCheck:
     trace: Polyline
 
 
-def _make_field(base: ComplexPolynomial, level: float):
-    """Return (F, grad, ftol, dcoeffs) for F = Im base - level, grad = F_x +
-    i F_y, ftol the corrector's tolerance on |F| at a point, and dcoeffs the
-    ascending coefficients of base'.
+def _make_field(base: ComplexPolynomial, dcoeffs: tuple, level: float):
+    """(F, grad, ftol) for F = Im base - level, grad = F_x + i F_y and ftol
+    the corrector's tolerance on |F| at a point, from dcoeffs = base'.
 
     F and grad evaluate base and base' at a scalar as their __call__ does,
     by _horner from 0j, without its dispatch on the argument's type."""
     coeffs = base.coeffs
-    dcoeffs = base.derivative().coeffs
 
     def field(u: complex) -> float:
         return _horner(coeffs, complex(u), 0j).imag - level
@@ -137,7 +135,7 @@ def _make_field(base: ComplexPolynomial, level: float):
     def ftol(u: complex) -> float:
         return fscale * (1.0 + abs(u)) ** deg
 
-    return field, grad, ftol, dcoeffs
+    return field, grad, ftol
 
 
 def _correct(field, grad, ftol, u: complex, max_move: float):
@@ -237,7 +235,8 @@ def _trace(
     # Re w' = Im(i w'), so both kinds are a level set of Im of one polynomial
     wp = w.derivative()
     base = w if kind == "level" else ComplexPolynomial([c * 1j for c in wp.coeffs])
-    field, grad, ftol, dcoeffs = _make_field(base, level)
+    dcoeffs = (wp if kind == "level" else base.derivative()).coeffs
+    field, grad, ftol = _make_field(base, dcoeffs, level)
     try:
         finite = cmath.isfinite(base(seed)) and math.isfinite(ftol(seed))
     except OverflowError:

@@ -341,8 +341,8 @@ def test_phase_climb_within_its_rounding_bound(terms, x, y):
     mpmath = pytest.importorskip("mpmath")
     got = phase_climb(terms, x, y)
     assume(got is not None)
-    climb, spread, n = got
-    assert n == sum(k for _, k, _ in terms)
+    climb, spread = got
+    n = sum(k for _, k, _ in terms)
     u = 2.0**-53
     with mpmath.workdps(60):
         exact_climb = exact_spread = mpmath.mpf(0)

@@ -272,8 +272,9 @@ def path_lift(terms, x, t):
 
 def crossings(lift, line_angle, bound):
     """The lines {line_angle + k pi} a lift crosses up to line 0, counted
-    and certified as compute_lifts does."""
-    return line_crossings((lift - line_angle) / math.pi, 0.5, bound)
+    and certified as compute_lifts does: minus the floor of the start."""
+    lo_floor, margin = line_crossings((lift - line_angle) / math.pi, bound)
+    return (None if lo_floor is None else -lo_floor), margin
 
 
 def _ccw_index(re, im, c, d):

@@ -272,6 +272,13 @@ def chain_label(pot, z):
     return abs(idx) + crit_sum + 1, idx
 
 
+# leading coefficients on an axis, where the phase's low end lies on a line
+# for one parity of deg w', and two a hair off the axis that math.atan2 rounds
+# to pi/2 on either side of it
+AXIS_LEADS = (1 + 0j, -1 + 0j, 1j, -1j, complex(-1.0, -0.0), complex(1.0, -0.0),
+              complex(1e-17, 1.0), complex(-1e-17, 1.0))
+
+
 @st.composite
 def potentials_with_points(draw, max_degree=10):
     """w with w' of degree 2..max_degree, roots on the axis (simple and
@@ -286,7 +293,9 @@ def potentials_with_points(draw, max_degree=10):
         y = draw(st.floats(-2.0, 2.0))
         heights.append(y)
         planted += [1j * y] * (2 if kind == "double" and len(planted) + 2 <= degree else 1)
-    lead = cmath.rect(draw(st.floats(0.5, 1.5)), draw(st.floats(-math.pi, math.pi)))
+    lead = draw(st.one_of(
+        st.builds(cmath.rect, st.floats(0.5, 1.5), st.floats(-math.pi, math.pi)),
+        st.sampled_from(AXIS_LEADS)))
     w = ComplexPolynomial(antiderivative_coeffs([lead * c for c in root_product(planted)]))
     on_axis = st.one_of(st.floats(-2.5, 2.5), *(st.just(y) for y in heights[:1]))
     point = st.one_of(
@@ -346,7 +355,6 @@ def test_phase_sum_label_matches_exact_chain(case):
     except CriticalPointInRHP:
         # a planted axis root solved right of its disc; no label is defined
         assume(False)
-    nongeneric = any(cp.genericity != "generic" for cp in pot.axis_critical_points)
     for z in points:
         try:
             chain = chain_label(pot, z)
@@ -358,7 +366,9 @@ def test_phase_sum_label_matches_exact_chain(case):
         res = counting_function(pot, z)
         assert (res.value, res.interval_index) == chain
         assert res.exact_fallback == (not res.margin > 0)
-        if nongeneric and z.real == 0:
+        # an axis label forms no phase sum when z sits on a non-generic point
+        cp = pot.critical_point_at(z)
+        if z.real == 0 and cp is not None and cp.genericity != "generic":
             assert res.exact_fallback and res.margin == -math.inf
 
 
@@ -402,8 +412,43 @@ def test_uncertified_roots_fall_back_to_the_chain():
         assert res.value == HalfInteger.from_int(2)
 
 
+def exact_phase_ends(pot, z, on_axis):
+    """(lo, hi, spread) of _phase_ends, with arg lc on the branch math.atan2
+    takes: -pi for a negative real lc with imaginary part -0.0, which
+    mpmath reads as 0.  hi and spread take 60 digits; lo takes 700, which
+    tell the argument of any pair of doubles from a multiple of pi/2."""
+    mpmath = pytest.importorskip("mpmath")
+    lc = pot.wp.coeffs[-1]
+    if on_axis:
+        terms = pot.off_axis_terms
+        offset = mpmath.mpf(sum(cp.order for cp in pot.axis_critical_points) - 1) / 2
+    else:
+        terms = pot.terms
+        offset = mpmath.mpf(-0.5)
+    n = sum(k for _, k, _ in terms)
+
+    def lead_arg():
+        if lc.imag == 0 and lc.real < 0 and math.copysign(1.0, lc.imag) < 0:
+            return -mpmath.pi
+        return mpmath.atan2(lc.imag, lc.real)
+
+    with mpmath.workdps(700):
+        lo = lead_arg() / mpmath.pi + offset - mpmath.mpf(n) / 2
+    with mpmath.workdps(60):
+        angles, spread = [], mpmath.mpf(0)
+        for c, k, r in terms:
+            dx = mpmath.mpf(0 if on_axis else z.real) - c.real
+            dy = mpmath.mpf(z.imag) - c.imag
+            angles.append(k * mpmath.atan2(dy, dx))
+            spread += k * mpmath.asin(r / mpmath.sqrt(dx * dx + dy * dy))
+        hi = (lead_arg() + mpmath.fsum(angles)) / mpmath.pi + offset
+        return lo, hi, spread / mpmath.pi
+
+
 @given(potentials_with_points(max_degree=12))
 @settings(max_examples=80, deadline=None)
+# w' = (1 - 4.6e-147i) z^3 at i: the low end lies 1.5e-147 below a line
+@example((ComplexPolynomial([0, 0, 0, 0, complex(0.25, -1.1548293385184328e-147)]), [1j]))
 def test_phase_ends_within_rounding_bound(case):
     mpmath = pytest.importorskip("mpmath")
     w, points = case
@@ -411,39 +456,82 @@ def test_phase_ends_within_rounding_bound(case):
         pot = Potential(w)
     except CriticalPointInRHP:
         assume(False)
-    lc = w.derivative().coeffs[-1]
     for z in points:
         on_axis = z.real == 0
-        ends = _phase_ends(pot, z.real, z.imag, on_axis)
+        ends = _phase_ends(pot, z, on_axis)
         if ends is None:
             continue
-        lo, hi, spread, rounding = ends
-        if on_axis:
-            terms = pot.off_axis_terms
-            offset = mpmath.mpf(sum(cp.order for cp in pot.axis_critical_points) - 1) / 2
-        else:
-            terms = pot.terms
-            offset = mpmath.mpf(-0.5)
-        with mpmath.workdps(50):
-            pi = mpmath.pi
-            arg = mpmath.atan2(lc.imag, lc.real)
-            angles, exact_spread = [], mpmath.mpf(0)
-            for c, k, r in terms:
-                dx = mpmath.mpf(z.real) - c.real
-                dy = mpmath.mpf(z.imag) - c.imag
-                angles.append(k * mpmath.atan2(dy, dx))
-                exact_spread += k * mpmath.asin(r / mpmath.sqrt(dx * dx + dy * dy))
-            n = sum(k for _, k, _ in terms)
-            exact_ends = (arg / pi + offset - mpmath.mpf(n) / 2,
-                          (arg + mpmath.fsum(angles)) / pi + offset)
-            exact_spread /= pi
-            for float_end, exact_end in zip((lo, hi), exact_ends):
-                gap = min(float_end - math.floor(float_end), math.ceil(float_end) - float_end)
-                exact_gap = min(exact_end - mpmath.floor(exact_end),
-                                mpmath.ceil(exact_end) - exact_end)
-                # what certifies: the distance to a line less the spread
-                err = abs((gap - spread) - (exact_gap - exact_spread))
-                assert err <= rounding / 2, (z, float_end, exact_end, rounding)
+        lo_floor, hi, spread, rounding = ends
+        exact_lo, exact_hi, exact_spread = exact_phase_ends(pot, z, on_axis)
+        # the low end's floor is exact, even where the end lies on a line
+        assert lo_floor == int(mpmath.floor(exact_lo)), (z, lo_floor, exact_lo)
+        # what certifies the high end: hi and spread, together within half
+        # the rounding bound
+        err = abs(hi - exact_hi) + abs(spread - exact_spread)
+        assert err <= rounding / 2, (z, hi, exact_hi, rounding)
+
+
+# lc z^N (w' of degree N, all its roots at 0) for lc on or a hair off an
+# axis, and shapes with roots in the left half-plane and on the axis.  The
+# derivative's k * c can lose the sign of the zero in 1 - 0j; its argument
+# is 0 either way, with the same floors
+LOW_END_SHAPES = [
+    ComplexPolynomial([0] * (N + 1) + [lc])
+    for lc in (*AXIS_LEADS, complex(1.0, -0.0)) for N in (1, 2, 3, 4)
+] + [
+    ComplexPolynomial(antiderivative_coeffs([lc * c for c in root_product(planted)]))
+    for lc in AXIS_LEADS
+    for planted in ([-1.0, -0.5 + 2j], [1j, -1j, -2 + 0.5j], [0.5j, 0.5j, -1 - 1j],
+                    [-1j, -0.3 + 0.2j, -0.3 - 0.2j, 2j])
+]
+LOW_END_POINTS = [0j, 1j, -1.5j, 2.5j, 2 + 1j, 1 - 3j, 0.5 + 2j, 3 - 0.5j]
+
+
+@pytest.mark.parametrize("w", LOW_END_SHAPES)
+def test_exact_low_end_certifies_axis_leads(w):
+    # each label equals the chain's, and the phase sum decides it unless z
+    # sits on a non-generic point or its high end lies on (or, for lc a hair
+    # off an axis, within 1e-9 of) a line, as on an arc
+    pot = Potential(w)
+    for z in LOW_END_POINTS:
+        try:
+            chain = chain_label(pot, z)
+        except LevelGraphError as exc:
+            with pytest.raises(type(exc)):
+                counting_function(pot, z)
+            continue
+        res = counting_function(pot, z)
+        assert (res.value, res.interval_index) == chain, z
+        on_axis = z.real == 0
+        cp = pot.critical_point_at(z)
+        if on_axis and cp is not None and cp.genericity != "generic":
+            continue
+        _, hi, _ = exact_phase_ends(pot, z, on_axis)
+        if abs(hi - round(hi)) <= 1e-9:
+            continue
+        assert res.margin > 0 and not res.exact_fallback, (z, res)
+
+
+def test_exact_low_end_reads_the_signs_of_lc():
+    # w' = (+-1e-17 + i) z^2: math.atan2 gives pi/2 for both signs, yet the
+    # phase starts just below a line for + and just above it for -
+    for lc, labels in ((complex(1e-17, 1.0), (3, 2)), (complex(-1e-17, 1.0), (2, 1))):
+        pot = Potential(ComplexPolynomial([0, 0, 0, lc / 3]))
+        assert pot.lead_phase == math.pi / 2
+        got = [counting_function(pot, z) for z in (1 + 1j, 1 - 1j)]
+        assert [res.value for res in got] == [HalfInteger.from_int(n) for n in labels]
+        assert all(res.margin > 0 for res in got)
+    # a negative real lc: the floor follows atan2's branch, pi or -pi, by
+    # the sign of the zero imaginary part, and the label does not depend on it
+    labels = []
+    for lc in (complex(-1.0, 0.0), complex(-1.0, -0.0)):
+        pot = Potential(ComplexPolynomial([0, 0, lc]))
+        assert math.copysign(1.0, pot.wp.coeffs[-1].imag) == math.copysign(1.0, lc.imag)
+        assert pot.lo_floor == (0 if lc.imag == 0 and math.copysign(1.0, lc.imag) > 0 else -2)
+        res = counting_function(pot, 2 + 1j)
+        assert res.margin > 0
+        labels.append(res.value)
+    assert labels[0] == labels[1]
 
 
 def count_chain_calls(monkeypatch):
@@ -482,13 +570,18 @@ def test_nongeneric_z1_runs_one_exact_chain(monkeypatch):
     verdict = classify(BoundaryData(NONGENERIC_AT_ZERO, 0j, 1 + 0j))
     assert verdict.case == "nongeneric_critical"
     assert sorted(calls) == ["index_on_interval", "restrict_to_vertical_line"]
+    # above the point its pole is one more line of the phase sum: no chain
+    res = counting_function(Potential(NONGENERIC_AT_ZERO), 1j)
+    assert not res.exact_fallback and res.margin > 0
+    assert res.value == HalfInteger.from_int(3)
+    assert len(calls) == 2
 
 
 def test_phase_on_or_within_bound_of_a_line_is_uncertified():
     # w' = z^2 along Re z = 1: the phase 2 atan2(y, 1) meets the line pi/2
     # at y = 1, where 1 + i sits on an arc
     pot = Potential(CUBE_THIRD)
-    lo, hi, spread, rounding = _phase_ends(pot, 1.0, 1.0, False)
+    _, hi, spread, rounding = _phase_ends(pot, 1 + 1j, False)
     assert spread == 0.0 and hi == pytest.approx(0.0, abs=1e-15)
     on_arc = counting_function(pot, 1 + 1j)
     assert on_arc.exact_fallback and on_arc.margin <= -rounding + 1e-15
@@ -496,13 +589,14 @@ def test_phase_on_or_within_bound_of_a_line_is_uncertified():
     # a quarter of the bound above the arc: the phase lies within the bound
     # of the line, so the chain decides, and it puts the point above the arc
     above = 1.0 + 0.25 * rounding * math.pi
-    lo, hi, _, _ = _phase_ends(pot, 1.0, above, False)
+    _, hi, _, _ = _phase_ends(pot, complex(1.0, above), False)
     assert 0.0 < hi <= rounding
     near = counting_function(pot, complex(1.0, above))
     assert near.exact_fallback and -rounding < near.margin <= 0.0
     assert near.value == HalfInteger.from_int(3)
     # the helper itself: an end on a line, and one within the bound of it
-    assert line_crossings(-0.25, 1.0, rounding) == (None, 0.0)
-    count, margin = line_crossings(-0.25, 1.0 + 0.5 * rounding, rounding)
-    assert count is None and 0.0 < margin <= rounding
-    assert line_crossings(-0.25, 1.5, rounding) == (2, 0.25)
+    assert line_crossings(1.0, rounding) == (None, 0.0)
+    floor, margin = line_crossings(1.0 + 0.5 * rounding, rounding)
+    assert floor is None and 0.0 < margin <= rounding
+    assert line_crossings(1.5, rounding) == (1, 0.5)
+    assert line_crossings(-0.25, rounding) == (-1, 0.25)

@@ -8,6 +8,9 @@ default), this script labels z1 and z2 the way ``classify`` does, with
 ``counting_function`` on one ``Potential`` of the shifted w, and labels
 each point again with the exact signed-remainder chain alone.  A label is
 certified when the phase sum decided it and a fallback when the chain did.
+Its margin is ``CountingResult.margin``: how far the phase sum's high end
+lies from its nearest line beyond the root discs and rounding.  The low end
+is fixed exactly by the leading coefficient of w', so it has no margin.
 
 ``dhym-sweep``: for the first N inputs of each seed (6000 by default, all
 that a 25 s run times), this script runs ``compute_lifts`` the way
@@ -26,9 +29,9 @@ under ``bench/`` is changed.  Prints one summary line per seed: labels or
 indices, those set aside (label fallbacks, or inputs on a wall),
 certified ones that disagree with the chain (expected 0), inputs whose
 label or lifts raised, and the quantiles of the certified margins in units
-of pi.  Then each one set aside and each disagreement with its input
-index.  An exception from the exact chain itself is not counted: it
-propagates.  Exits with status 0 when nothing certified disagrees, and 1
+of pi (a lift's margin is its start's distance from a line).  Then each
+one set aside and each disagreement with its input index.  An exception
+from the exact chain itself is not counted: it propagates.  Exits with status 0 when nothing certified disagrees, and 1
 otherwise.
 """
 
