@@ -45,8 +45,8 @@ print(f"wall through {wall_seed:.4f}: {len(wall.points)} points, "
 from levelgraph.poly import restrict_to_vertical_line, roots
 
 im_on_line = restrict_to_vertical_line(w, 2.0)[1]
-y2 = min((r.location.real for r in roots(ComplexPolynomial(im_on_line))
-          if abs(r.location.imag) < 1e-9), key=abs)
+y2 = min((c.real for c, _, _ in roots(ComplexPolynomial(im_on_line))[0]
+          if abs(c.imag) < 1e-9), key=abs)
 z2 = 2.0 + 1j * y2
 chk = graphical_connection(w, 0j, z2)
 print(f"\nis z2={z2:.4f} joined to z1=0 by a graph on the level set?")

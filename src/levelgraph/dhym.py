@@ -40,6 +40,8 @@ just above the wall.
 ``analyze`` builds no polynomial object: P is one coefficient list,
 evaluated once at z2, and the sector test reads w'(z2) from its factors,
 as the lifts do.  ``build_polynomials`` returns w = e^{-i theta_hat} P.
+Its one record is the frozen ``ChargeReport`` it returns: ``compute_lifts``
+hands its decisions over as ``LiftData``, a named tuple built positionally.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import config
 from .cauchy import CLIMB_ROUNDING, HalfInteger, line_crossings, phase_climb
@@ -115,10 +118,11 @@ class CalabiInput:
         return complex(self.b, self.q)
 
 
-@dataclass(frozen=True)
-class LiftData:
+class LiftData(NamedTuple):
     """What compute_lifts decides; analyze copies all but the last field.
 
+    A named tuple rather than a frozen dataclass: it only carries the
+    lifts into the ChargeReport, and a tuple is built several times faster.
     line_margin is the smallest distance, in units of pi, from a certified
     crossing count's start to a line of Z_X.  It leaves out a start that
     lies on a line (a non-generic Z_P path, or z2 on a wall), and is inf
@@ -337,17 +341,8 @@ def compute_lifts(inp: CalabiInput, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
             f"phi_X + delta/pi = {phi_Dinf}"
         )
 
-    return LiftData(
-        theta_top=theta_top,
-        Theta_lift=Theta_lift,
-        phi_X=phi_X,
-        phi_Dinf=phi_Dinf,
-        phi_P=phi_P,
-        ind_R0=ind_R0,
-        ind_Rb=ind_Rb,
-        genericity="non_generic" if on_line else "generic",
-        line_margin=min(margin_D, margin_P),
-    )
+    return LiftData(theta_top, Theta_lift, phi_X, phi_Dinf, phi_P, ind_R0, ind_Rb,
+                    "non_generic" if on_line else "generic", min(margin_D, margin_P))
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +355,13 @@ def decide_existence(lifts: LiftData, r: int):
     Generic window: ind_R0 <= ind_Rb <= ind_R0 + r.  Non-generic window:
     ind_R0 + 1 <= ind_Rb <= ind_R0 + r, both ends inclusive; the lower
     equality is a semistable threshold and gets flagged rather than excluded
-    (f == 0 on X_{1,1} realizes it).
+    (f == 0 on X_{1,1} realizes it).  The window is read on twice the
+    difference d = ind_Rb - ind_R0, an int.
     """
     notes = []
-    d = lifts.ind_Rb - lifts.ind_R0
-    if not lifts.ind_Rb.is_integer:
+    twice_Rb = lifts.ind_Rb.twice_value
+    twice_d = twice_Rb - lifts.ind_R0.twice_value
+    if twice_Rb % 2:
         notes.append(
             "boundary: the vertical-ray index at z2 is a half-integer, so z2 "
             "sits on a turning arc of the level structure; no smooth solution "
@@ -372,10 +369,10 @@ def decide_existence(lifts: LiftData, r: int):
         )
         return "no_solution", notes
     if lifts.genericity == "generic":
-        exists = 0 <= d <= r
+        exists = 0 <= twice_d <= 2 * r
     else:
-        exists = 1 <= d <= r
-        if exists and d == 1:
+        exists = 2 <= twice_d <= 2 * r
+        if exists and twice_d == 2:
             notes.append(
                 "boundary: the grade difference phi_P - phi_X equals the lower "
                 "end of the admissible window (semistable threshold)"
@@ -389,15 +386,16 @@ def analyze(inp: CalabiInput) -> ChargeReport:
     Z_X, Z_Dinf, Z_P = compute_charges(inp, zeta)
     lifts = compute_lifts(inp, theta_hat, Z_X, Z_Dinf)
     verdict, notes = decide_existence(lifts, inp.r)
+    theta_top, Theta_lift, phi_X, phi_Dinf, phi_P, ind_R0, ind_Rb, genericity, _ = lifts
 
     # grade form of the decision must match the index form.  The crossing
     # anchor pins phi_P - phi_X inside (d, d+1) for generic inputs and at
     # exactly d for non-generic ones (d = ind_Rb - ind_R0), so the grade
     # window 0 < phi_P - phi_X < r+1 (generic) resp. 1 <= ... <= r
     # (non-generic) must reproduce the index verdict.
-    if lifts.ind_Rb.is_integer:
-        D = lifts.phi_P - lifts.phi_X
-        if lifts.genericity == "generic":
+    if ind_Rb.is_integer:
+        D = phi_P - phi_X
+        if genericity == "generic":
             grade_exists = 0.0 < D < inp.r + 1.0
         else:
             grade_exists = 1.0 - config.TOL.sign <= D <= inp.r + config.TOL.sign
@@ -411,19 +409,5 @@ def analyze(inp: CalabiInput) -> ChargeReport:
     note = _NORMALIZATION_BASE
     for extra in notes:
         note += "; " + extra
-    return ChargeReport(
-        theta_hat=theta_hat,
-        theta_top=lifts.theta_top,
-        Theta_lift=lifts.Theta_lift,
-        Z_X=Z_X,
-        Z_Dinf=Z_Dinf,
-        Z_P=Z_P,
-        phi_X=lifts.phi_X,
-        phi_Dinf=lifts.phi_Dinf,
-        phi_P=lifts.phi_P,
-        ind_R0=lifts.ind_R0,
-        ind_Rb=lifts.ind_Rb,
-        genericity=lifts.genericity,
-        verdict=verdict,
-        normalization_note=note,
-    )
+    return ChargeReport(theta_hat, theta_top, Theta_lift, Z_X, Z_Dinf, Z_P, phi_X, phi_Dinf,
+                        phi_P, ind_R0, ind_Rb, genericity, verdict, note)

@@ -94,21 +94,22 @@ class Potential:
     every label reads w' alone), makes its one root solve and raises
     CriticalPointInRHP when a root lies right of the imaginary axis, so
     every Potential satisfies the standing hypothesis.  It keeps each root
-    of w' once, as its phase_climb term (location, multiplicity, radius):
-    terms over all roots, off_axis_terms over those not near the axis,
-    which are axis_critical_points, ordered by height.  certified is the
-    solve's certificate (see poly.roots), lead_phase the argument of the
-    leading coefficient lc of w', and lo_floor the exact floor of the phase
-    sum's low end off the axis (see _phase_ends), read from the signs of
-    lc's parts as math.atan2 reads them: lead_phase rounds arg(+-1e-17 + i),
-    on either side of pi/2, to one double.  The band labels are phase sums
-    over the terms; the exact chain reads wp on its line.
+    of w' once, as the phase_climb term (location, multiplicity, radius)
+    that poly.roots returns: terms over all roots, off_axis_terms over
+    those not near the axis, which are axis_critical_points, ordered by
+    height.  certified is the solve's one certificate, lead_phase the
+    argument of the leading coefficient lc of w', and lo_floor the exact
+    floor of the phase sum's low end off the axis (see _phase_ends), read
+    from the signs of lc's parts as math.atan2 reads them: lead_phase
+    rounds arg(+-1e-17 + i), on either side of pi/2, to one double.  The
+    band labels are phase sums over the terms; the exact chain reads wp on
+    its line.
 
-    Each root from poly.roots stands for a component of inclusion discs
-    that holds exactly as many zeros of w' as its multiplicity, all within
-    r = cluster_radius of its location c.  With tol = TOL.sign * (1 + |c|),
-    it raises CriticalPointInRHP when Re c - r > tol, and it is an axis
-    critical point of that order when |Re c| <= tol + r; otherwise all its
+    Each term stands for a component of inclusion discs that holds exactly
+    as many zeros of w' as its multiplicity, all within its radius r of its
+    location c.  With tol = TOL.sign * (1 + |c|), it raises
+    CriticalPointInRHP when Re c - r > tol, and it is an axis critical
+    point of that order when |Re c| <= tol + r; otherwise all its
     zeros lie left of the band.
     """
 
@@ -119,16 +120,14 @@ class Potential:
         wp = w.derivative()
         if wp.is_zero:
             raise ZeroPolynomial("w is constant; it has no level-curve geometry")
-        solved = roots(wp)
-        on_axis, terms, off_axis_terms = [], [], []
-        for r in solved:
-            c, k = r.location, r.multiplicity
-            term = (c, k, r.cluster_radius)
-            terms.append(term)
+        terms, self.certified = roots(wp)
+        on_axis, off_axis_terms = [], []
+        for term in terms:
+            c, k, radius = term
             tol = config.TOL.sign * (1.0 + abs(c))
-            if c.real - r.cluster_radius > tol:
+            if c.real - radius > tol:
                 raise CriticalPointInRHP(c, f"critical point at {c!r} has positive real part")
-            if abs(c.real) <= tol + r.cluster_radius:
+            if abs(c.real) <= tol + radius:
                 y0 = c.imag
                 lead = line_coeffs(wp.coeffs, 1j * y0, k + 1)[k]
                 generic = abs(lead.real) >= config.TOL.sign * abs(lead)
@@ -139,7 +138,6 @@ class Potential:
                 off_axis_terms.append(term)
         on_axis.sort(key=lambda c: c.y0)
         self.wp = wp
-        self.certified = all(r.certified for r in solved)
         self.axis_critical_points = tuple(on_axis)
         self.terms = tuple(terms)
         self.off_axis_terms = tuple(off_axis_terms)

@@ -27,11 +27,12 @@ Root finding takes the eigenvalues of the companion matrix that
 ``numpy.linalg.eigvals``, and one inclusion theorem.  Each eigenvalue z_j
 gets a Gerschgorin disc about z_j - W_j, W_j its Weierstrass correction,
 and each connected union of k discs that meets no other disc holds exactly
-k zeros: it becomes one root of multiplicity k (``roots``).  Its ``cluster_radius`` reaches every point
-of that union, so all k zeros lie within it of the reported location.  An
-exact zero at 0 is split off first.  When one disc of a solve has no
-certificate (``_discs``), the inclusion theorem holds for none of them, and
-every root of that solve is reported with ``certified`` False.
+k zeros.  ``roots`` returns each union as the phase-climb term (location,
+k, radius) that the band labels sum, its radius reaching every point of
+the union, so all k zeros lie within it of the location.  An exact zero at
+0 is split off first.  One ``certified`` flag covers the whole solve: when
+one disc has no certificate (``_discs``), the inclusion theorem holds for
+none of them.  A multiple root is placed by Newton on coefficient lists.
 
 numpy is imported only where an array is needed: by ``roots``, for the
 eigenvalue solve, and by a call on an array, for its typed zeros.  A scalar
@@ -42,6 +43,7 @@ evaluates at points only (``dhym.analyze``) never loads numpy.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -134,24 +136,12 @@ class ComplexPolynomial:
     # -- algebra ------------------------------------------------------------
 
     def derivative(self):
-        return ComplexPolynomial([k * c for k, c in enumerate(self.coeffs[1:], 1)])
+        return ComplexPolynomial(derivative_coeffs(self.coeffs))
 
 
-@dataclass(frozen=True)
-class RootWithMultiplicity:
-    """A root of p, its multiplicity and a radius about its location.
-
-    It stands for one component of inclusion discs (see roots): the
-    component meets no other and holds exactly `multiplicity` zeros of p,
-    and all of them lie within cluster_radius of location.  These claims
-    hold only where certified is True; otherwise the solve had a disc
-    without a certificate (see _discs) and nothing is proven.
-    """
-
-    location: complex
-    multiplicity: int
-    cluster_radius: float
-    certified: bool
+def derivative_coeffs(coeffs: Sequence[complex]) -> list:
+    """Ascending coefficients of the derivative."""
+    return [k * c for k, c in enumerate(coeffs[1:], 1)]
 
 
 def antiderivative_coeffs(coeffs: Sequence[complex]) -> list:
@@ -204,13 +194,13 @@ def restrict_to_vertical_line(p: ComplexPolynomial, x0: float) -> tuple:
 # root finding
 
 
-def _newton(p: ComplexPolynomial, dp: ComplexPolynomial, z: complex) -> complex:
-    """One Newton pass from z on p: the point of least |p| seen.
+def _newton(coeffs: Sequence[complex], dcoeffs: Sequence[complex], z: complex) -> complex:
+    """One Newton pass from z on p, given with p' by their ascending
+    coefficients: the point of least |p| seen.
 
     Each step evaluates p once, at the new point, and the pass stops at the
     first step that does not lower |p|, or after 8 steps.
     """
-    coeffs, dcoeffs = p.coeffs, dp.coeffs
     v = _horner(coeffs, z, 0j)
     for _ in range(8):
         d = _horner(dcoeffs, z, 0j)
@@ -268,9 +258,10 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
         prod = lc
         # each product forms its own differences: z_k - z_j is -(z_j - z_k)
         # only up to the sign of a zero part, which can reach the center
-        for k, y in enumerate(approx):
-            if k != j:
-                prod *= z - y
+        for y in approx[:j]:
+            prod *= z - y
+        for y in approx[j + 1:]:
+            prod *= z - y
         v = _horner(coeffs, z, 0j)
         a = shift = 0.0
         if prod != 0 and cmath.isfinite(prod) and cmath.isfinite(v):
@@ -313,26 +304,37 @@ def _cluster(discs: list) -> list:
     return components
 
 
-def roots(p: ComplexPolynomial) -> list:
-    """All roots of p with multiplicities, one per component of inclusion discs.
+@functools.lru_cache(maxsize=32)
+def _subdiagonal(n: int):
+    """The read-only n x n complex array with ones just below the diagonal."""
+    import numpy as np
+
+    sub = np.eye(n, k=-1, dtype=complex)
+    sub.flags.writeable = False
+    return sub
+
+
+def roots(p: ComplexPolynomial) -> tuple:
+    """(terms, certified): the roots of p, one per component of inclusion discs.
 
     An m-fold exact zero at 0 (the m lowest coefficients are 0) gives m discs
     of radius 0 at 0; the other zeros get one disc each about the companion
     eigenvalues of the rest (``_discs``), from numpy.roots' companion matrix
     solved by numpy.linalg.eigvals.  A connected union of k discs that
     meets no other disc holds exactly k zeros of p (Gerschgorin), and becomes
-    one root of multiplicity k.  A simple root is reported at its disc's
-    center; a k-fold one at a Newton pass on p^(k-1) from the mean of its
-    centers, which a k-fold zero leaves simple.  cluster_radius reaches
-    every point of the component, and ``certified`` says whether these
-    claims are proven, which they are when every disc of the solve has its
-    certificate.  Returned roots are sorted by real part, then imaginary
-    part, and their multiplicities sum to the degree.
+    one root of multiplicity k, the phase_climb term (location, k, radius)
+    of ``cauchy``.  A simple root is located at its disc's center; a k-fold
+    one at a Newton pass on p^(k-1) from the mean of its centers, which a
+    k-fold zero leaves simple.  radius reaches every point of the component,
+    so it holds all k zeros.  ``certified`` says whether these claims are
+    proven, which they are when every disc of the solve has its
+    certificate.  The terms are sorted by the location's real part, then
+    its imaginary part, and their multiplicities sum to the degree.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     if p.degree == 0:
-        return []
+        return [], True
     m = next(k for k, c in enumerate(p.coeffs) if c != 0)
     rest = ComplexPolynomial(p.coeffs[m:]) if m else p
     approx = []
@@ -342,7 +344,7 @@ def roots(p: ComplexPolynomial) -> list:
         # numpy.roots' companion matrix, whose first row is -desc[1:]/desc[0];
         # rest has no zero at either end, so numpy.roots would strip nothing
         desc = np.array(rest.coeffs[::-1], dtype=complex)
-        companion = np.eye(rest.degree, k=-1, dtype=complex)
+        companion = _subdiagonal(rest.degree).copy()
         with np.errstate(over="ignore", invalid="ignore"):
             companion[0] = -desc[1:] / desc[0]
         if not np.isfinite(companion[0]).all():
@@ -350,21 +352,20 @@ def roots(p: ComplexPolynomial) -> list:
                                   "the companion matrix of the root solve overflows a double")
         approx = np.linalg.eigvals(companion).tolist()
     discs, certified = _discs(rest, approx)
-    out: list[RootWithMultiplicity] = []
+    terms = []
     for comp in _cluster([(0j, 0.0)] * m + discs):
         k = len(comp)
         center = comp[0][0]
         if k > 1:
-            dk = p
+            dk = p.coeffs
             for _ in range(k - 1):
-                dk = dk.derivative()
-            center = _newton(dk, dk.derivative(), sum(c for c, _ in comp) / k)
-        out.append(RootWithMultiplicity(center, k, max(abs(c - center) + r for c, r in comp),
-                                        certified))
-    out.sort(key=lambda r: (r.location.real, r.location.imag))
-    found = sum(r.multiplicity for r in out)
+                dk = derivative_coeffs(dk)
+            center = _newton(dk, derivative_coeffs(dk), sum(c for c, _ in comp) / k)
+        terms.append((center, k, max(abs(c - center) + r for c, r in comp)))
+    terms.sort(key=lambda t: (t[0].real, t[0].imag))
+    found = sum(k for _, k, _ in terms)
     if found != p.degree:
         raise LevelGraphError(
             f"root multiplicities sum to {found}, not the degree {p.degree}"
         )
-    return out
+    return terms, certified

@@ -212,14 +212,28 @@ def _landing_disc(coeffs, dcoeffs, z: complex) -> float:
 
 
 def _clip_to_axis(field, grad, prev: complex, cur: complex) -> complex:
-    """Intersect the segment prev->cur with {Re z = 0} and polish on-curve."""
+    """Intersect the segment prev->cur with {Re z = 0} and polish on-curve.
+
+    When F changes sign on the axis over the segment's y-range [lo, hi],
+    the crossing lies in that range, and a Newton step that leaves it heads
+    for another crossing of the curve: the polish then bisects [lo, hi]
+    instead.  Otherwise the crossing lies just outside the range (the curve
+    turns there) and Newton finds it unconstrained."""
     t = prev.real / (prev.real - cur.real)
     y = prev.imag + t * (cur.imag - prev.imag)
+    lo, hi = sorted((prev.imag, cur.imag))
+    below = field(1j * lo) < 0.0
+    bracketed = below != (field(1j * hi) < 0.0)
     for _ in range(6):
         den = grad(1j * y).imag
         if abs(den) <= 1e-300:
             break
-        y -= field(1j * y) / den
+        step = y - field(1j * y) / den
+        if bracketed and not lo <= step <= hi:
+            while lo < (y := 0.5 * (lo + hi)) < hi:
+                lo, hi = (y, hi) if (field(1j * y) < 0.0) == below else (lo, y)
+            break
+        y = step
     return complex(0.0, y)
 
 
@@ -275,8 +289,7 @@ def _trace(
     if target is not None:
         aim = config.TOL.connect * (1.0 + abs(target))
         stops.append((target, aim, 0.25, "target", True))
-    for r in roots(wp):
-        c, k = r.location, r.multiplicity
+    for c, k, _ in roots(wp)[0]:
         snap = config.TOL.crit_snap * (1.0 + abs(c))
         reaches = target is not None and abs(c - target) <= max(2.0 * snap, aim)
         if kind == "level":

@@ -2,10 +2,12 @@
 
 It takes the companion eigenvalues from ``numpy.roots``, evaluates p
 through ``__call__``, sums the other discs' sizes over a generator and
-tests a disc against a whole component with ``any``.  The library's solve
-builds numpy's companion matrix itself, calls its Horner loop directly and
-stops testing a component at its first touching disc; it must return the
-same roots, repr for repr, and the tests compare the two.
+tests a disc against a whole component with ``any``, and places a multiple
+root by Newton on polynomial objects.  The library's solve builds numpy's
+companion matrix itself, calls its Horner loop directly, stops testing a
+component at its first touching disc and runs Newton on coefficient lists;
+it must return the same terms and flag, repr for repr, and the tests
+compare the two.
 """
 
 import cmath
@@ -15,7 +17,7 @@ import sys
 import numpy as np
 
 from levelgraph.errors import LevelGraphError, ZeroPolynomial
-from levelgraph.poly import ComplexPolynomial, RootWithMultiplicity, _horner
+from levelgraph.poly import ComplexPolynomial, _horner
 
 
 def newton(p, dp, z):
@@ -84,11 +86,12 @@ def cluster(discs):
 
 
 def roots(p):
-    """All roots of p with multiplicities, as ``levelgraph.poly.roots``."""
+    """(terms, certified): the roots of p as (location, multiplicity,
+    radius), as ``levelgraph.poly.roots``."""
     if p.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     if p.degree == 0:
-        return []
+        return [], True
     m = next(k for k, c in enumerate(p.coeffs) if c != 0)
     rest = ComplexPolynomial(p.coeffs[m:])
     desc = np.array(rest.coeffs[::-1], dtype=complex)
@@ -110,12 +113,11 @@ def roots(p):
             for _ in range(k - 1):
                 dk = dk.derivative()
             center = newton(dk, dk.derivative(), sum(c for c, _ in comp) / k)
-        out.append(RootWithMultiplicity(center, k, max(abs(c - center) + r for c, r in comp),
-                                        certified))
-    out.sort(key=lambda r: (r.location.real, r.location.imag))
-    found = sum(r.multiplicity for r in out)
+        out.append((center, k, max(abs(c - center) + r for c, r in comp)))
+    out.sort(key=lambda term: (term[0].real, term[0].imag))
+    found = sum(k for _, k, _ in out)
     if found != p.degree:
         raise LevelGraphError(
             f"root multiplicities sum to {found}, not the degree {p.degree}"
         )
-    return out
+    return out, certified

@@ -87,14 +87,14 @@ def _pick_z2(w, wp, level, rng, x_range=(0.12, 3.0), wall_margin=1e-4,
         x2 = rng.uniform(*x_range)
         g = _shifted(restrict_to_vertical_line(w, x2)[1], level)
         try:
-            rts = roots(ComplexPolynomial(g))
+            rts, _ = roots(ComplexPolynomial(g))
         except LevelGraphError:
             continue
         cands = [
-            r.location
-            for r in rts
-            if abs(r.location.imag) <= 1e-7 * (1 + abs(r.location))
-            and abs(r.location.real) < 4.0
+            c
+            for c, _, _ in rts
+            if abs(c.imag) <= 1e-7 * (1 + abs(c))
+            and abs(c.real) < 4.0
         ]
         if not cands:
             continue
@@ -123,14 +123,14 @@ def _axis_crossings_separated(w, z1, level):
     """
     g = _shifted(restrict_to_vertical_line(w, 0.0)[1], level)
     try:
-        rts = roots(ComplexPolynomial(g))
+        rts, _ = roots(ComplexPolynomial(g))
     except LevelGraphError:
         return False
     y1 = z1.imag
-    for rt in rts:
-        if abs(rt.location.imag) > 1e-5 * (1 + abs(rt.location)):
+    for c, _, _ in rts:
+        if abs(c.imag) > 1e-5 * (1 + abs(c)):
             continue
-        if 1e-6 < abs(rt.location.real - y1) < 0.03:
+        if 1e-6 < abs(c.real - y1) < 0.03:
             return False
     return True
 
@@ -667,13 +667,13 @@ def test_charge_pipeline_sweep_and_oracles():
         rho = cmath.exp(-1j * m * cmath.phase(complex(xi1, xi2)))
         g = restrict_to_vertical_line(ComplexPolynomial(product([rho], P)), b)[0]
         try:
-            rts = roots(ComplexPolynomial(g))
+            rts, _ = roots(ComplexPolynomial(g))
         except LevelGraphError as exc:
             skipped[type(exc).__name__] += 1
             continue
-        cands = [rt.location.real for rt in rts
-                 if abs(rt.location.imag) < 1e-8 * (1 + abs(rt.location))
-                 and abs(rt.location.real) < 4.0]
+        cands = [c.real for c, _, _ in rts
+                 if abs(c.imag) < 1e-8 * (1 + abs(c))
+                 and abs(c.real) < 4.0]
         if not cands:
             continue
         try:

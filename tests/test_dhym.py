@@ -19,6 +19,7 @@ from levelgraph.cauchy import CLIMB_ROUNDING, HalfInteger, index_on_interval
 from levelgraph.cauchy import line_crossings, phase_climb
 from levelgraph.dhym import (
     CalabiInput,
+    _count_from,
     _z_x_line,
     analyze,
     build_polynomials,
@@ -113,8 +114,7 @@ def test_hand_case_lifts_and_verdict():
 
 def test_half_integer_ray_index_is_the_wall():
     # z2 on a turning arc: whatever the window, the wall has no solution
-    lifts = dataclasses.replace(lifts_of(CalabiInput(1, 0, 1.0, 0.0, 1.0, 0.0)),
-                                ind_Rb=HalfInteger(1))
+    lifts = lifts_of(CalabiInput(1, 0, 1.0, 0.0, 1.0, 0.0))._replace(ind_Rb=HalfInteger(1))
     verdict, notes = decide_existence(lifts, 0)
     assert verdict == "no_solution"
     assert len(notes) == 1 and notes[0].startswith("boundary: the vertical-ray index")
@@ -285,16 +285,22 @@ def _ccw_index(re, im, c, d):
 def exact_chain_indices(inp, w, theta_hat):
     """(ind_R0, ind_Rb, generic), both indices from the exact chain alone.
 
-    A non-generic axis index is that of g(it) - Re g(0) over t > 0, with t
+    generic is decided as compute_lifts decides it, from the Z_P path's
+    start (_count_from): a test of its own, on Re g(0), splits from that
+    one on a start within rounding of TOL.sign/pi from its line.  A
+    non-generic axis index is that of g(it) - Re g(0) over t > 0, with t
     divided out of its real part: the lines crossed after a start snapped
-    to its line by subtraction.  Outside a thin sector, where g's lift keeps
-    rising after the subtraction, that is the count from the snapped line."""
+    to its line by subtraction.  Outside a thin sector, where g's lift
+    keeps rising after the subtraction, that is the count from the snapped
+    line."""
     re_b, im_b = poly.restrict_to_vertical_line(w.derivative(), inp.b)
     ind_Rb = _ccw_index(re_b, im_b, inp.q, math.inf)
     s = cmath.exp(-1j * theta_hat) * poly.I_POWERS[inp.r % 4]
     g = poly.ComplexPolynomial([c * s for c in poly.root_product([-inp.xi] * inp.m)])
     re_0, im_0 = poly.restrict_to_vertical_line(g, 0.0)
-    generic = abs(re_0[0]) >= config.TOL.sign * abs(inp.xi) ** inp.m
+    _, line_angle, bound = _z_x_line(theta_hat, inp.m + inp.r + 1)
+    start = (path_lift(*lift_paths(inp)[0]) - line_angle) / math.pi
+    generic = not _count_from(start, bound)[1]
     if generic:
         return _ccw_index(re_0, im_0, 0.0, math.inf), ind_Rb, True
     return _ccw_index(re_0[1:], im_0, 0.0, math.inf), ind_Rb, False
@@ -321,6 +327,9 @@ def lifts_of(inp):
 @example(**dataclasses.asdict(PLANTED_198), real=False)
 @example(**dataclasses.asdict(PLANTED_59), real=False)
 @example(m=1, r=0, xi1=1.0, xi2=-1.9367323075281756e-233, b=1.0, q=0.0, real=False)
+# the Z_P start lies 3.18309913e-10 lines from its line, just past
+# TOL.sign/pi: generic, though Re g(0) is below TOL.sign |xi|^m
+@example(m=1, r=1, xi1=0.2, xi2=1e-10, b=0.2, q=1e-10, real=False)
 # non-generic, with the Z_X line through the asymptote, which neither path
 # crosses: both counts stop at line 0
 @example(m=2, r=1, xi1=1.0, xi2=0.0, b=1.0, q=0.0, real=True)

@@ -1,6 +1,7 @@
 """The checking tools in tools/ run clean on a few benchmark inputs."""
 
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -24,6 +25,19 @@ def test_label_margins_agree_with_the_exact_chain(workload):
     out = _run(TOOLS / "label_margins.py", "--workload", workload, "--count", "40", "1")
     assert out.startswith("seed 1: 80 ")
     assert "0 disagree, 0 raised" in out
+
+
+def test_compare_answers_dumps_each_root_solve_as_terms_and_a_flag():
+    out = _run(TOOLS / "compare_answers.py", "--dump", ROOT / "src", "--workload", "roots",
+               "--seed", "1", "--count", "20")
+    answers = [json.loads(line) for line in out.splitlines()]
+    assert len(answers) == 20
+    for fields in answers:
+        # (terms, certified), each term (location, multiplicity, radius)
+        assert fields["out.len"] == "2" and fields["out[1]"] in ("True", "False")
+        terms = int(fields["out[0].len"])
+        assert terms >= 1
+        assert all(fields[f"out[0][{i}].len"] == "3" for i in range(terms))
 
 
 def test_planted_heights_are_all_found():

@@ -160,6 +160,44 @@ def test_trace_clips_at_axis():
     assert line.points[-1].imag == pytest.approx(-(2.0 ** (1 / 3)), abs=1e-6)
 
 
+# w = i (-iz - 1)(-iz - 1.1) - iz: Im w = (y - 1)(y - 1.1) - x^2 - x, whose
+# zero level dips into Re z < 0 between its axis crossings at i and 1.1i,
+# about 2.5e-3 deep
+DIP = ComplexPolynomial([1.1j, -2.1 - 1j, -1j])
+
+
+@pytest.mark.parametrize("y_prev, y_cur", [(0.9, 1.09), (0.95, 1.08), (0.98, 1.06)])
+def test_clip_stays_on_the_crossed_segment(y_prev, y_cur):
+    # a step from below i into the dip crosses the axis at i; from the
+    # segment's intersection with the axis, Newton on Im w(iy) heads for
+    # the crossing at 1.1i on the first two steps, outside the segment
+    field, grad, _ = tracer._make_field(DIP, DIP.derivative().coeffs, 0.0)
+
+    def on_level(y):
+        x = 0.0
+        for _ in range(50):
+            x -= field(complex(x, y)) / grad(complex(x, y)).real
+        return complex(x, y)
+
+    prev, cur = on_level(y_prev), on_level(y_cur)
+    assert prev.real > 0.0 > cur.real
+    clip = tracer._clip_to_axis(field, grad, prev, cur)
+    assert clip.real == 0.0
+    assert clip.imag == pytest.approx(1.0, abs=1e-12)
+
+
+def test_clip_past_a_turn_of_the_curve_polishes_unconstrained():
+    # w = i P(-iz), P = (s - 0.99)(s - 1)(s - 1.02): near i the zero level
+    # turns, about y = 1 + 50 x^2, so a step across the axis has both ends
+    # above its crossing at i, and Im w(iy) keeps one sign on its y-range
+    P = root_product([0.99, 1.0, 1.02])
+    w = ComplexPolynomial([1j * c * (-1j) ** k for k, c in enumerate(P)])
+    field, grad, _ = tracer._make_field(w, w.derivative().coeffs, 0.0)
+    prev, cur = 0.01 + 1.0019393656653475j, -0.005 + 1.0008832293148109j
+    assert abs(field(prev)) < 1e-15 and abs(field(cur)) < 1e-15
+    assert tracer._clip_to_axis(field, grad, prev, cur).imag == pytest.approx(1.0, abs=1e-11)
+
+
 def test_trace_follows_fold():
     # the level through z1 = 1+i turns vertical there; an undirected pass
     # from above continues through the fold instead of stopping

@@ -13,7 +13,11 @@ workload runs, traces the vertical-tangent curve through z2 of the first
 fifth, ``roots``, records ``poly.roots`` of the w' that ``classify`` solves
 (the derivative of the shifted w) for every timed ``verdicts`` input, then
 of w' for every timed ``witness`` input: verdicts show no radius, so this
-set is what shows a change to the root solve byte-equal.  A sixth,
+set is what shows a change to the root solve byte-equal.  Each solve is
+recorded as its terms (location, multiplicity, radius) and its one
+``certified`` flag; a checkout whose solve returns a list of
+``RootWithMultiplicity`` records has them converted to that form, so the
+two shapes compare field by field.  A sixth,
 ``verdicts-trace``, records the verdict of ``classify`` (or the error it
 raised) of every timed ``verdicts`` input, then runs
 ``graphical_connection`` on the shifted w (as ``classify`` shifts it), z1
@@ -268,9 +272,17 @@ def _verdicts_trace_set(ops):
     return prepare, run
 
 
-def _roots_inputs(ops, gen, seed: int):
-    """(prepare, run, inputs) solving w' of the verdicts, then witness, inputs."""
+def _roots_inputs(ops, gen, seed: int, count: int):
+    """(prepare, run, inputs) solving w' of the first count verdicts, then
+    witness, inputs; run returns (terms, certified) on either solve's shape."""
     from levelgraph import poly, stability
+
+    def run(p):
+        solved = poly.roots(p)
+        if isinstance(solved, list):  # RootWithMultiplicity records
+            return ([(r.location, r.multiplicity, r.cluster_radius) for r in solved],
+                    all(r.certified for r in solved))
+        return solved
 
     def prepare(item):
         kind, data = item
@@ -280,9 +292,10 @@ def _roots_inputs(ops, gen, seed: int):
             stability.BoundaryData(*ops.prepare_verdicts(data)))
         return shifted.w.derivative()
 
-    inputs = [(kind, data) for kind in ("verdicts", "witness")
-              for data in gen.InputStream(kind, seed).take(COUNTS[kind])]
-    return prepare, poly.roots, inputs
+    n = min(count, COUNTS["verdicts"])
+    inputs = [("verdicts", data) for data in gen.InputStream("verdicts", seed).take(n)]
+    inputs += [("witness", data) for data in gen.InputStream("witness", seed).take(count - n)]
+    return prepare, run, inputs
 
 
 def dump(src: str, workload: str, seed: int, count: int) -> None:
@@ -292,7 +305,7 @@ def dump(src: str, workload: str, seed: int, count: int) -> None:
     import ops
 
     if workload == "roots":
-        prepare, run, inputs = _roots_inputs(ops, gen, seed)
+        prepare, run, inputs = _roots_inputs(ops, gen, seed, count)
     else:
         if workload == "witness-vertical-tangent":
             prepare, run = _vertical_tangent_set(ops)
