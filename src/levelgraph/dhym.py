@@ -37,11 +37,15 @@ On a wall, the ray's index is the half crossing of the line its start
 snaps to plus the lines above it: the mean of the counts just below and
 just above the wall.
 
-``analyze`` builds no polynomial object: P is one coefficient list,
-evaluated once at z2, and the sector test reads w'(z2) from its factors,
-as the lifts do.  ``build_polynomials`` returns w = e^{-i theta_hat} P.
-Its one record is the frozen ``ChargeReport`` it returns: ``compute_lifts``
-hands its decisions over as ``LiftData``, a named tuple built positionally.
+``analyze`` builds no polynomial object and forms each shared quantity
+once.  P is one coefficient list, walked once for P(z2) and its rounding
+scale, and once more, each coefficient turned by e^{-i theta_hat}, for the
+level check.  w = e^{-i theta_hat} P is built as a list only where
+``build_polynomials`` returns it.  Z_Dinf and the sector test's w'(z2)
+share the powers z2^r and (z2 + xi)^m, read from the factors as the lifts
+read them.  Its one record is the frozen ``ChargeReport`` it returns:
+``compute_lifts`` hands its decisions over as ``LiftData``, a named tuple
+built positionally.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .errors import (
     LiftInconsistency,
     ZeroTotalCharge,
 )
-from .poly import I_POWERS, _horner, antiderivative_coeffs, root_product
+from .poly import I_POWERS, antiderivative_coeffs, root_product
 
 __all__ = [
     "CalabiInput",
@@ -108,14 +112,9 @@ class CalabiInput:
             raise ValueError("xi1 must be positive")
         if not self.b > 0:
             raise ValueError("b must be positive")
-
-    @property
-    def xi(self) -> complex:
-        return complex(self.xi1, self.xi2)
-
-    @property
-    def z2(self) -> complex:
-        return complex(self.b, self.q)
+        # xi = xi1 + i xi2 and z2 = b + iq, formed once: every step reads them
+        object.__setattr__(self, "xi", complex(self.xi1, self.xi2))
+        object.__setattr__(self, "z2", complex(self.b, self.q))
 
 
 class LiftData(NamedTuple):
@@ -162,26 +161,32 @@ class ChargeReport:
 # construction
 
 
-def build_polynomials(inp: CalabiInput):
-    """(w, zeta, theta_hat): the ascending coefficients [c e^{-i theta_hat}
-    for c in P] of w, with P' = (xi+z)^m z^r and P(0) = 0, and zeta = P(z2).
+def _potential(inp: CalabiInput):
+    """(P, zeta, theta_hat, rotation) after P's checks: P, with P' =
+    (xi+z)^m z^r and P(0) = 0, ascending, zeta = P(z2) and rotation =
+    e^{-i theta_hat}.
 
     theta_hat is the principal argument of zeta in (-pi, pi], which makes
-    Im(w(z2)) = 0: the boundary point z2 and the origin share a level set.
-    The total charge vanishes when |zeta| is below TOL.zero_charge
-    times sum |c_k| |z2|^k, the a priori scale of zeta's Horner rounding
-    (Higham, Accuracy and Stability of Numerical Algorithms, section 5.1),
-    which is homogeneous in (xi, z2) as |zeta| is.
+    Im(w(z2)) = 0 for w = rotation P: the boundary point z2 and the origin
+    share a level set.  The total charge vanishes when |zeta| is below
+    TOL.zero_charge times sum |c_k| |z2|^k, the a priori scale of zeta's
+    Horner rounding (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 5.1), which is homogeneous in (xi, z2) as |zeta| is.
+    One Horner pass forms zeta and its scale; the level check takes a pass
+    of its own over the rotated coefficients, with no list of them.
     """
     # z^r multiplies by shifting the coefficients of (xi + z)^m
     P = antiderivative_coeffs([0j] * inp.r + root_product([-inp.xi] * inp.m))
     z2 = inp.z2
-    zeta = _horner(P, z2, 0j)
-    scale = _horner([abs(c) for c in P], abs(z2), 0.0)
+    radius = abs(z2)
+    zeta, scale = 0j, 0.0
+    for c in reversed(P):
+        zeta = zeta * z2 + c
+        scale = scale * radius + abs(c)
     if not (scale < math.inf and cmath.isfinite(zeta)):
         raise ValueError(
             f"the class data overflow a double: P(z2) = {zeta!r} for P of degree "
-            f"{len(P) - 1} at |z2| = {abs(z2)!r}"
+            f"{len(P) - 1} at |z2| = {radius!r}"
         )
     if abs(zeta) < config.TOL.zero_charge * scale:
         raise ZeroTotalCharge(
@@ -191,25 +196,39 @@ def build_polynomials(inp: CalabiInput):
     if theta_hat == -math.pi:
         theta_hat = math.pi
     rotation = cmath.exp(-1j * theta_hat)
-    w = [c * rotation for c in P]
-    wz2 = _horner(w, z2, 0j)
+    wz2 = 0j
+    for c in reversed(P):
+        wz2 = wz2 * z2 + c * rotation
     threshold = config.TOL.sign * abs(wz2)
     if abs(wz2.imag) > threshold:
         raise LevelMismatch(
             wz2.imag, threshold,
             f"Im(w(z2)) = {wz2.imag} is not zero relative to |w(z2)| = {abs(wz2)}",
         )
-    return w, zeta, theta_hat
+    return P, zeta, theta_hat, rotation
 
 
-def compute_charges(inp: CalabiInput, zeta: complex):
-    """(Z_X, Z_Dinf, Z_P) from zeta = P(z2), each up to the shared positive
-    volume factor."""
+def build_polynomials(inp: CalabiInput):
+    """(w, zeta, theta_hat): the ascending coefficients [c e^{-i theta_hat}
+    for c in P] of w, with P' = (xi+z)^m z^r and P(0) = 0, and zeta = P(z2).
+
+    P's checks and theta_hat are those of analyze (see _potential).
+    """
+    P, zeta, theta_hat, rotation = _potential(inp)
+    return [c * rotation for c in P], zeta, theta_hat
+
+
+def compute_charges(inp: CalabiInput, zeta: complex, rotation: complex):
+    """(Z_X, Z_Dinf, Z_P, wp_z2) from zeta = P(z2) and rotation =
+    e^{-i theta_hat}: the charges, each up to the shared positive volume
+    factor, and w'(z2) = rotation z2^r (z2 + xi)^m, read from the factors
+    that Z_Dinf shares."""
     m, r, xi, z2 = inp.m, inp.r, inp.xi, inp.z2
+    z2_r, shifted_m = z2**r, (z2 + xi) ** m
     Z_X = -I_POWERS[-(m + r + 1) % 4] * zeta
-    Z_Dinf = -I_POWERS[-(m + r) % 4] * z2**r * (z2 + xi) ** m
+    Z_Dinf = -I_POWERS[-(m + r) % 4] * z2_r * shifted_m
     Z_P = -I_POWERS[-m % 4] * xi**m
-    return Z_X, Z_Dinf, Z_P
+    return Z_X, Z_Dinf, Z_P, rotation * (z2_r * shifted_m)
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +287,31 @@ def _count_from(lo: float, bound: float):
     return -round(lo), True, math.inf
 
 
-def compute_lifts(inp: CalabiInput, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
+def compute_lifts(inp: CalabiInput, theta_hat: float, Z_X, Z_Dinf, wp_z2) -> LiftData:
     """Lifted phases, Cauchy indices, and the genericity flag.
 
-    Z_X and Z_Dinf are the charges from compute_charges.  The closed-form
-    lifts of the Z_Dinf and Z_P paths decide both indices as counts of
-    crossings of the Z_X line up to its top line 0 (see _z_x_line).
+    Z_X, Z_Dinf and wp_z2 = w'(z2) come from compute_charges.  The
+    closed-form lifts of the Z_Dinf and Z_P paths decide both indices as
+    counts of crossings of the Z_X line up to its top line 0 (see
+    _z_x_line).
     Each counts from its lift's start (_count_from).  A Z_P start on its
     line is non-generic; a Z_Dinf start on its line puts z2 on a wall, and
     ind_Rb takes the half crossing of that line.  Off the wall, class data
-    with Re w'(z2) <= TOL.sign |w'(z2)| raise BoundaryPointUnreachable,
-    w'(z2) = e^{-i theta_hat} z2^r (xi + z2)^m read from its factors, and
+    with Re w'(z2) <= TOL.sign |w'(z2)| raise BoundaryPointUnreachable, and
     the Z_Dinf path's end grade must agree with phi_X + delta/pi, otherwise
     LiftInconsistency is raised.
     """
-    m, r, xi, z2 = inp.m, inp.r, inp.xi, inp.z2
+    m, r, neg_xi = inp.m, inp.r, -inp.xi
     n = m + r + 1
     theta_top, line_angle, bound = _z_x_line(theta_hat, n)
 
     # explicit paths from each charge out to the shared negative-real-axis
     # asymptote: Z_P(t) = -(-i)^m (xi + it)^m from t = 0, and
     # Z_Dinf(t) = -(-i)^{m+r} (b + it)^r (xi + b + it)^m from t = q, each
-    # lifted down from pi at t = inf; build_polynomials keeps the distances
+    # lifted down from pi at t = inf; _potential keeps the distances
     # to the roots finite, so phase_climb returns
-    lift_P = math.pi - phase_climb(((-xi, m, 0.0),), 0.0, 0.0)[0]
-    lift_D = math.pi - phase_climb(((0j, r, 0.0), (-xi, m, 0.0)), inp.b, inp.q)[0]
+    lift_P = math.pi - phase_climb(((neg_xi, m, 0.0),), 0.0, 0.0)[0]
+    lift_D = math.pi - phase_climb(((0j, r, 0.0), (neg_xi, m, 0.0)), inp.b, inp.q)[0]
     phi_P = lift_P / math.pi
 
     # index along the vertical ray above z2.  Z_Dinf/Z_X = i w'(z2)/w(z2)
@@ -309,7 +328,6 @@ def compute_lifts(inp: CalabiInput, theta_hat: float, Z_X, Z_Dinf) -> LiftData:
     # from its factors, as the lifts read it: the expanded w' loses the last
     # bits of a small w'(z2) near -xi, and Im(Z_Dinf conj Z_X), of the same
     # sign, overflows far sooner
-    wp_z2 = cmath.exp(-1j * theta_hat) * (z2**r * (z2 + xi) ** m)
     threshold = config.TOL.sign * abs(wp_z2)
     if not on_wall and not wp_z2.real > threshold:
         raise BoundaryPointUnreachable(
@@ -382,9 +400,9 @@ def decide_existence(lifts: LiftData, r: int):
 
 def analyze(inp: CalabiInput) -> ChargeReport:
     """Full pipeline: polynomials, charges, lifts, verdict, cross-checks."""
-    _, zeta, theta_hat = build_polynomials(inp)
-    Z_X, Z_Dinf, Z_P = compute_charges(inp, zeta)
-    lifts = compute_lifts(inp, theta_hat, Z_X, Z_Dinf)
+    _, zeta, theta_hat, rotation = _potential(inp)
+    Z_X, Z_Dinf, Z_P, wp_z2 = compute_charges(inp, zeta, rotation)
+    lifts = compute_lifts(inp, theta_hat, Z_X, Z_Dinf, wp_z2)
     verdict, notes = decide_existence(lifts, inp.r)
     theta_top, Theta_lift, phi_X, phi_Dinf, phi_P, ind_R0, ind_Rb, genericity, _ = lifts
 

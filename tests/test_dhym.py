@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 import levelgraph.cauchy as cauchy
 import levelgraph.config as config
+import levelgraph.dhym as dhym
 import levelgraph.poly as poly
 from levelgraph import cli
 from levelgraph.cauchy import CLIMB_ROUNDING, HalfInteger, index_on_interval
 from levelgraph.cauchy import line_crossings, phase_climb
 from levelgraph.dhym import (
+    _NORMALIZATION_BASE,
     CalabiInput,
     _count_from,
     _z_x_line,
@@ -91,11 +93,13 @@ def test_hand_case_polynomials():
 
 def test_hand_case_charges():
     inp = CalabiInput(m=1, r=0, xi1=1.0, xi2=0.0, b=1.0, q=0.0)
-    _, zeta, _ = build_polynomials(inp)
-    Z_X, Z_Dinf, Z_P = compute_charges(inp, zeta)
+    _, zeta, theta_hat = build_polynomials(inp)
+    Z_X, Z_Dinf, Z_P, wp_z2 = compute_charges(inp, zeta, cmath.exp(-1j * theta_hat))
     assert Z_X == pytest.approx(1.5 + 0j, abs=1e-15)
     assert Z_Dinf == pytest.approx(2j, abs=1e-15)
     assert Z_P == pytest.approx(1j, abs=1e-15)
+    # w'(z2) = (1 + z2) at theta_hat = 0
+    assert wp_z2 == 2 + 0j
 
 
 def test_hand_case_lifts_and_verdict():
@@ -308,8 +312,8 @@ def exact_chain_indices(inp, w, theta_hat):
 
 def lifts_of(inp):
     _, zeta, theta_hat = build_polynomials(inp)
-    Z_X, Z_Dinf, _ = compute_charges(inp, zeta)
-    return compute_lifts(inp, theta_hat, Z_X, Z_Dinf)
+    Z_X, Z_Dinf, _, wp_z2 = compute_charges(inp, zeta, cmath.exp(-1j * theta_hat))
+    return compute_lifts(inp, theta_hat, Z_X, Z_Dinf, wp_z2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -499,10 +503,13 @@ def wall_input(m, r, radius, angle, pick, upper):
     return CalabiInput(m, r, xi.real, xi.imag, b, hi if upper else lo)
 
 
+WALL_DATA = st.builds(wall_input, st.integers(2, 6), st.integers(0, 4), st.floats(0.2, 3.0),
+                      st.one_of(st.floats(-1.5, -0.6), st.floats(0.6, 1.5)),
+                      st.integers(0, 12), st.booleans())
+
+
 @settings(max_examples=60, deadline=None)
-@given(inp=st.builds(wall_input, st.integers(2, 6), st.integers(0, 4), st.floats(0.2, 3.0),
-                     st.one_of(st.floats(-1.5, -0.6), st.floats(0.6, 1.5)),
-                     st.integers(0, 12), st.booleans()))
+@given(inp=WALL_DATA)
 @example(inp=WALL)
 def test_wall_ray_index_is_the_mean_of_both_sides(inp):
     # z2 on a wall gets the wall verdict, and its half-integer ray index is
@@ -751,16 +758,17 @@ def scaled(inp, k):
     return CalabiInput(inp.m, inp.r, *(math.ldexp(v, k) for v in (inp.xi1, inp.xi2, inp.b, inp.q)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    inp=st.one_of(
-        st.builds(CalabiInput, st.integers(1, 8), st.integers(0, 6), st.floats(0.2, 3.0),
-                  st.floats(-2.5, 2.5), st.floats(0.2, 3.0), st.floats(-2.5, 2.5)),
-        st.builds(planted_input, st.integers(1, 8), st.integers(0, 5), st.floats(-6.0, 0.5),
-                  st.floats(-2.5, 2.5), st.floats(0.2, 3.0), st.integers(0, 12)),
-    ),
-    k=st.integers(-40, 40),
+# plain and planted non-generic class data
+PLAIN_AND_PLANTED = st.one_of(
+    st.builds(CalabiInput, st.integers(1, 8), st.integers(0, 6), st.floats(0.2, 3.0),
+              st.floats(-2.5, 2.5), st.floats(0.2, 3.0), st.floats(-2.5, 2.5)),
+    st.builds(planted_input, st.integers(1, 8), st.integers(0, 5), st.floats(-6.0, 0.5),
+              st.floats(-2.5, 2.5), st.floats(0.2, 3.0), st.integers(0, 12)),
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(inp=PLAIN_AND_PLANTED, k=st.integers(-40, 40))
 @example(inp=TEN_TIMES_4889, k=-20)
 @example(inp=TEN_TIMES_4889, k=20)
 @example(inp=WALL, k=40)
@@ -784,6 +792,80 @@ def test_analyze_is_scale_covariant(inp, k):
     assert outcome(scaled(inp, k)) == outcome(inp)
 
 
+CLASS_DATA = st.one_of(PLAIN_AND_PLANTED, WALL_DATA)
+
+
+def report_fields(inp):
+    """The repr of each ChargeReport field as the public steps give it,
+    composed as tools/label_margins.py composes them, or the type of the
+    error they raise."""
+    try:
+        _, zeta, theta_hat = build_polynomials(inp)
+        Z_X, Z_Dinf, Z_P, wp_z2 = compute_charges(inp, zeta, cmath.exp(-1j * theta_hat))
+        lifts = compute_lifts(inp, theta_hat, Z_X, Z_Dinf, wp_z2)
+        verdict, notes = decide_existence(lifts, inp.r)
+    except (LevelGraphError, ValueError) as exc:
+        return type(exc)
+    fields = {**lifts._asdict(), "theta_hat": theta_hat, "Z_X": Z_X, "Z_Dinf": Z_Dinf,
+              "Z_P": Z_P, "verdict": verdict,
+              "normalization_note": "; ".join([_NORMALIZATION_BASE, *notes])}
+    del fields["line_margin"]
+    return {name: repr(value) for name, value in fields.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(inp=CLASS_DATA)
+@example(inp=WALL)
+@example(inp=PLANTED_39)
+@example(inp=TEN_TIMES_4889)
+@example(inp=CalabiInput(1, 1, 0.2, 1e-10, 0.2, 1e-10))
+def test_analyze_agrees_with_its_public_steps(inp):
+    # analyze forms each shared quantity once; the public steps, which
+    # dhym --witness and the tools call, must give every field the same bits
+    assume(inp is not None)
+    try:
+        report = analyze(inp)
+    except (LevelGraphError, ValueError) as exc:
+        assert report_fields(inp) is type(exc)
+        return
+    assert report_fields(inp) == {f.name: repr(getattr(report, f.name))
+                                  for f in dataclasses.fields(report)}
+
+
+def decision(inp):
+    """outcome without its indices, which are counted in the frame of Z_X."""
+    decided = outcome(inp)
+    return decided if isinstance(decided, type) else decided[:2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(inp=CLASS_DATA)
+@example(inp=WALL)
+@example(inp=PLANTED_39)
+@example(inp=TEN_TIMES_4889)
+def test_analyze_is_conjugation_invariant(inp):
+    # (xi2, q) -> (-xi2, -q) conjugates w' exactly on doubles and mirrors its
+    # level structure in the real axis, so neither the verdict, the
+    # genericity nor a raised error may change; the indices are counted in
+    # a frame that mirrors too, and may
+    assume(inp is not None)
+    mirrored = dataclasses.replace(inp, xi2=-inp.xi2, q=-inp.q)
+    assert decision(mirrored) == decision(inp)
+
+
+def test_analyze_calls_compute_lifts_once(monkeypatch):
+    # the benchmark traces dhym.compute_lifts by name: a path that bypassed
+    # it would read as no time spent in the lifts
+    calls = []
+    real = dhym.compute_lifts
+    monkeypatch.setattr(dhym, "compute_lifts", lambda *a: calls.append(a[0]) or real(*a))
+    for inp, genericity in ((HIGH_DEGREE, "generic"), (PLANTED_39, "non_generic"),
+                            (WALL, "generic")):
+        assert analyze(inp).genericity == genericity
+        assert calls == [inp]
+        calls.clear()
+
+
 # ---------------------------------------------------------------------------
 # structural facts
 
@@ -797,9 +879,10 @@ def test_theta_hat_zero_on_real_classes():
 def test_Z_P_ignores_z2():
     a = CalabiInput(m=2, r=1, xi1=1.3, xi2=-0.4, b=1.0, q=0.5)
     c = CalabiInput(m=2, r=1, xi1=1.3, xi2=-0.4, b=2.5, q=-1.0)
-    za = build_polynomials(a)[1]
-    zc = build_polynomials(c)[1]
-    assert compute_charges(a, za)[2] == compute_charges(c, zc)[2]
+    _, za, ta = build_polynomials(a)
+    _, zc, tc = build_polynomials(c)
+    assert (compute_charges(a, za, cmath.exp(-1j * ta))[2]
+            == compute_charges(c, zc, cmath.exp(-1j * tc))[2])
 
 
 def test_report_dict_fields():
