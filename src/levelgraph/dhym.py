@@ -209,20 +209,21 @@ def _potential(inp: CalabiInput):
 
 
 def build_polynomials(inp: CalabiInput):
-    """(w, zeta, theta_hat): the ascending coefficients [c e^{-i theta_hat}
-    for c in P] of w, with P' = (xi+z)^m z^r and P(0) = 0, and zeta = P(z2).
+    """(w, zeta, theta_hat, rotation): the ascending coefficients
+    [c rotation for c in P] of w, with P' = (xi+z)^m z^r and P(0) = 0,
+    zeta = P(z2) and rotation = e^{-i theta_hat}, which compute_charges takes.
 
     P's checks and theta_hat are those of analyze (see _potential).
     """
     P, zeta, theta_hat, rotation = _potential(inp)
-    return [c * rotation for c in P], zeta, theta_hat
+    return [c * rotation for c in P], zeta, theta_hat, rotation
 
 
 def compute_charges(inp: CalabiInput, zeta: complex, rotation: complex):
     """(Z_X, Z_Dinf, Z_P, wp_z2) from zeta = P(z2) and rotation =
-    e^{-i theta_hat}: the charges, each up to the shared positive volume
-    factor, and w'(z2) = rotation z2^r (z2 + xi)^m, read from the factors
-    that Z_Dinf shares."""
+    e^{-i theta_hat}, as build_polynomials returns them: the charges, each
+    up to the shared positive volume factor, and w'(z2) = rotation z2^r
+    (z2 + xi)^m, read from the factors that Z_Dinf shares."""
     m, r, xi, z2 = inp.m, inp.r, inp.xi, inp.z2
     z2_r, shifted_m = z2**r, (z2 + xi) ** m
     Z_X = -I_POWERS[-(m + r + 1) % 4] * zeta

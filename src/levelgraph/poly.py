@@ -13,7 +13,11 @@ same way: ``restrict_to_vertical_line`` returns two of them, and
 This module is the package's only polynomial arithmetic.  One Horner loop,
 ``_horner``, evaluates at a scalar and elementwise on a NumPy array alike
 (an array starts from a zeros array of the result type, so even the zero
-polynomial gives a typed array).  ``divide_linear`` divides by (v - x), and
+polynomial gives a typed array).  The one exception is ``dhym._potential``,
+on the path of every dHYM verdict: it walks P once for P(z2) and its
+rounding bound together, and once for the level check with each
+coefficient rotated as it is read, so it builds neither the list of |c_k|
+nor the rotated list.  ``divide_linear`` divides by (v - x), and
 repeated, it gives the Taylor coefficients at x (``taylor_coeffs``): the
 exact sign of an integer polynomial beside a point and the cancellation of
 a known factor come from it.  Times the exact powers of i, they are the one

@@ -79,7 +79,7 @@ def test_cold_start_times_every_case_on_both_sides():
 
 def test_op_timer_reports_each_pair_and_a_summary():
     out = _run(TOOLS / "op_timer.py", ROOT, ROOT, "--workload", "dhym-sweep", "--seed", "1",
-               "--pairs", "1", "--count", "20", "--repeats", "2").splitlines()
+               "--pairs", "1", "--count", "20").splitlines()
     assert len(out) == 2
     pair = re.fullmatch(r"pair 1  parent (\S+) us/op \((\d+) raised\)  "
                         r"change (\S+) us/op \((\d+) raised\)  ratio (\S+)", out[0])
@@ -89,7 +89,7 @@ def test_op_timer_reports_each_pair_and_a_summary():
     # both sides run the same code on the same inputs
     assert pair[2] == pair[4]
     assert float(pair[5]) == pytest.approx(change / parent, abs=2e-3)
-    summary = re.fullmatch(r"dhym-sweep seed 1, 20 inputs, 2 passes: parent median (\S+) us/op, "
+    summary = re.fullmatch(r"dhym-sweep seed 1, 20 inputs, 15 passes: parent median (\S+) us/op, "
                            r"change median (\S+) us/op, ratio (\S+), "
                            r"change faster in ([01]) of 1 pairs", out[1])
     assert summary is not None, out[1]

@@ -75,17 +75,30 @@ def cases(inputs: dict) -> list:
     return out
 
 
+def pair_order(sides: dict, run: int) -> list:
+    """The labels of sides in the order run number run starts them: the
+    parent first on even runs, the change first on odd ones."""
+    return list(sides) if run % 2 == 0 else list(sides)[::-1]
+
+
+def run_child(args: list, env: dict, **kwargs) -> subprocess.CompletedProcess:
+    """Run one child to its exit, with its output captured as text and one
+    BLAS thread; raises RuntimeError with the end of its stderr when it fails."""
+    env = {**env, **{var: "1" for var in THREAD_VARS}}
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300, **kwargs)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(args)} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return proc
+
+
 def run_once(side: Path, argv: list, stdin, env: dict, cwd: str, importtime=False):
     """(seconds, stderr) of one child; raises RuntimeError when it fails."""
     args = [sys.executable, *(["-X", "importtime"] if importtime else []),
             *(a.replace("{side}", str(side)) for a in argv)]
     env = {**env, "PYTHONPATH": str(side / "src")}
     t0 = time.monotonic()
-    proc = subprocess.run(args, input=stdin, env=env, cwd=cwd, capture_output=True,
-                          text=True, timeout=300)
+    proc = run_child(args, env, input=stdin, cwd=cwd)
     end = time.monotonic()
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(args)} exited {proc.returncode}: {proc.stderr[-2000:]}")
     if stdin is not None:  # a setup probe prints the monotonic time of its answer
         end = float(proc.stdout.split()[-1])
     return end - t0, proc.stderr
@@ -113,8 +126,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory() as tmp:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-               **{var: "1" for var in THREAD_VARS}}
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         try:
             for name, argv_, stdin in cases(first_inputs()):
                 numpy_loaded = {label: loads_numpy(run_once(side, argv_, stdin, env, tmp,
@@ -122,8 +134,7 @@ def main(argv=None) -> int:
                                 for label, side in sides.items()}
                 times = {label: [] for label in sides}
                 for r in range(args.runs):
-                    order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-                    for label in order:
+                    for label in pair_order(sides, r):
                         times[label].append(run_once(sides[label], argv_, stdin, env, tmp)[0])
                 medians = {}
                 for label in sides:

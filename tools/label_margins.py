@@ -38,7 +38,6 @@ otherwise.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
 from pathlib import Path
@@ -142,8 +141,8 @@ def check_dhym(seed: int, count: int) -> int:
     for i, data in enumerate(inputs):
         try:
             inp = dhym.CalabiInput(*ops.prepare_dhym(data))
-            w, zeta, theta_hat = dhym.build_polynomials(inp)
-            Z_X, Z_Dinf, _, wp_z2 = dhym.compute_charges(inp, zeta, cmath.exp(-1j * theta_hat))
+            w, zeta, theta_hat, rotation = dhym.build_polynomials(inp)
+            Z_X, Z_Dinf, _, wp_z2 = dhym.compute_charges(inp, zeta, rotation)
             lifts = dhym.compute_lifts(inp, theta_hat, Z_X, Z_Dinf, wp_z2)
         except Exception as exc:  # noqa: BLE001 -- reported, not fatal
             raised.append(f"  input {i}: {type(exc).__name__}: {exc}")

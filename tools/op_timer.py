@@ -1,19 +1,20 @@
 """Time one workload's operation in process on two levelgraph checkouts.
 
     python3 tools/op_timer.py PARENT_DIR CHANGE_DIR --workload W [--seed S] [--pairs N]
-                              [--count C] [--repeats R]
+                              [--count C]
 
 Each pair starts one fresh interpreter per checkout, one after the other
 (the parent first in odd pairs, the change first in even ones).  Both
 children take the same first C inputs of seed S of workload W from
 ``bench/gen.py`` and prepare them with ``bench/ops.py`` outside the timed
-region, against their own checkout's ``src`` package.  A child then times R
+region, against their own checkout's ``src`` package.  A child then times 15
 passes over all C inputs, each operation the workload's ``run`` of
 ``bench/ops.py``, with a raised error counted as an operation as the
 benchmark counts it.  It reports the fastest pass divided by C: the least
 disturbed by other load on the host.  Every child gets one BLAS thread, as
 the benchmark pins it.  The inputs and operations come from the ``bench/``
-directory next to this script; nothing under ``bench/`` is changed.
+directory next to this script; nothing under ``bench/`` is changed.  How a
+pair of checkouts is run is shared with ``tools/cold_start.py``.
 
 In-process times resolve a few per cent where end-to-end ``bench/run.py``
 pairs, with their set-up and their sampling of wall time, do not.
@@ -30,16 +31,16 @@ from __future__ import annotations
 import argparse
 import os
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-WORKLOADS = ("verdicts", "dhym-sweep", "witness")
+from cold_start import BENCH, WORKLOADS, pair_order, run_child
+
+REPEATS = 15  # timed passes per child
 
 
-def time_ops(src: str, workload: str, seed: int, count: int, repeats: int) -> tuple:
+def time_ops(src: str, workload: str, seed: int, count: int) -> tuple:
     """(microseconds per operation of the fastest pass, raised errors in a pass)
     (child side)."""
     sys.path[:0] = [src, str(BENCH)]
@@ -49,7 +50,7 @@ def time_ops(src: str, workload: str, seed: int, count: int, repeats: int) -> tu
     prepare, run, _ = ops.WORKLOADS[workload]
     batch = [prepare(data) for data in gen.InputStream(workload, seed).take(count)]
     best, failed = float("inf"), 0
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         failed = 0
         t0 = perf_counter()
         for args in batch:
@@ -62,15 +63,9 @@ def time_ops(src: str, workload: str, seed: int, count: int, repeats: int) -> tu
 
 
 def _child(checkout: Path, args) -> tuple:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
     cmd = [sys.executable, __file__, "--child", str(checkout / "src"),
-           "--workload", args.workload, "--seed", str(args.seed),
-           "--count", str(args.count), "--repeats", str(args.repeats)]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
-    us, failed = proc.stdout.split()
+           "--workload", args.workload, "--seed", str(args.seed), "--count", str(args.count)]
+    us, failed = run_child(cmd, os.environ).stdout.split()
     return float(us), int(failed)
 
 
@@ -82,11 +77,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--count", type=int, default=1000, help="inputs per pass")
-    parser.add_argument("--repeats", type=int, default=15, help="timed passes per child")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        us, failed = time_ops(args.child, args.workload, args.seed, args.count, args.repeats)
+        us, failed = time_ops(args.child, args.workload, args.seed, args.count)
         print(us, failed)
         return 0
     if args.parent is None or args.change is None:
@@ -98,9 +92,8 @@ def main(argv=None) -> int:
     times = {label: [] for label in sides}
     try:
         for pair in range(1, args.pairs + 1):
-            order = list(sides) if pair % 2 else list(sides)[::-1]
             failed = {}
-            for label in order:
+            for label in pair_order(sides, pair - 1):
                 us, failed[label] = _child(sides[label], args)
                 times[label].append(us)
             print(f"pair {pair}  parent {times['parent'][-1]:.2f} us/op "
@@ -112,7 +105,7 @@ def main(argv=None) -> int:
         return 1
     parent, change = (statistics.median(times[label]) for label in sides)
     won = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    print(f"{args.workload} seed {args.seed}, {args.count} inputs, {args.repeats} passes: "
+    print(f"{args.workload} seed {args.seed}, {args.count} inputs, {REPEATS} passes: "
           f"parent median {parent:.2f} us/op, change median {change:.2f} us/op, "
           f"ratio {change / parent:.3f}, change faster in {won} of {args.pairs} pairs")
     return 0
