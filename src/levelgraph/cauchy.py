@@ -300,13 +300,13 @@ def phase_climb(terms, x: float, y: float):
     is certified against CLIMB_ROUNDING times a unit count its caller sets,
     whose docstring shows its own operations keep the total within it.
     """
-    climb, spread = [], 0.0
+    climb, spread, half_pi = [], 0.0, math.pi / 2
     for c, k, r in terms:
         dx, dy = x - c.real, y - c.imag
         d = math.hypot(dx, dy)
         if not (dx > r and 2 * r <= d < math.inf):
             return None
-        climb.append(k * (math.pi / 2 - math.atan2(dy, dx)))
+        climb.append(k * (half_pi - math.atan2(dy, dx)))
         if r:
             spread += k * math.asin(r / d)
     return math.fsum(climb), spread

@@ -64,7 +64,7 @@ from .errors import (
     LiftInconsistency,
     ZeroTotalCharge,
 )
-from .poly import I_POWERS, antiderivative_coeffs, root_product
+from .poly import I_POWERS, root_product
 
 __all__ = [
     "CalabiInput",
@@ -175,8 +175,10 @@ def _potential(inp: CalabiInput):
     One Horner pass forms zeta and its scale; the level check takes a pass
     of its own over the rotated coefficients, with no list of them.
     """
-    # z^r multiplies by shifting the coefficients of (xi + z)^m
-    P = antiderivative_coeffs([0j] * inp.r + root_product([-inp.xi] * inp.m))
+    # P' = z^r (xi + z)^m: P is r + 1 zeros, then the coefficients of
+    # (xi + z)^m over their powers in P, as antiderivative_coeffs divides them
+    r = inp.r
+    P = [0j] * (r + 1) + [c / (k + r + 1) for k, c in enumerate(root_product([-inp.xi] * inp.m))]
     z2 = inp.z2
     radius = abs(z2)
     zeta, scale = 0j, 0.0

@@ -38,7 +38,7 @@ from . import config
 from .cauchy import CLIMB_ROUNDING, HalfInteger, index_on_interval
 from .cauchy import line_crossings, one_sided_sign, phase_climb
 from .errors import CriticalPointInRHP, DegenerateLine, ZeroPolynomial
-from .poly import ComplexPolynomial, divide_linear, line_coeffs, roots
+from .poly import I_POWERS, ComplexPolynomial, divide_linear, roots, taylor_coeffs
 from .poly import restrict_to_vertical_line
 
 __all__ = [
@@ -95,15 +95,15 @@ class Potential:
     CriticalPointInRHP when a root lies right of the imaginary axis, so
     every Potential satisfies the standing hypothesis.  It keeps each root
     of w' once, as the phase_climb term (location, multiplicity, radius)
-    that poly.roots returns: terms over all roots, off_axis_terms over
-    those not near the axis, which are axis_critical_points, ordered by
-    height.  certified is the solve's one certificate, lead_phase the
-    argument of the leading coefficient lc of w', and lo_floor the exact
-    floor of the phase sum's low end off the axis (see _phase_ends), read
-    from the signs of lc's parts as math.atan2 reads them: lead_phase
-    rounds arg(+-1e-17 + i), on either side of pi/2, to one double.  The
-    band labels are phase sums over the terms; the exact chain reads wp on
-    its line.
+    that poly.roots returns: terms over all roots, off_axis_terms over those
+    not near the axis, which are axis_critical_points, ordered by height, of
+    total order axis_order.  certified is the solve's one certificate,
+    lead_phase the argument of the leading coefficient lc of w', and
+    lo_floor the exact floor of the phase sum's low end off the axis (see
+    _phase_ends), read from the signs of lc's parts as math.atan2 reads
+    them: lead_phase rounds arg(+-1e-17 + i), on either side of pi/2, to one
+    double.  The band labels are phase sums over the terms; the exact chain
+    reads wp on its line.
 
     Each term stands for a component of inclusion discs that holds exactly
     as many zeros of w' as its multiplicity, all within its radius r of its
@@ -113,32 +113,34 @@ class Potential:
     zeros lie left of the band.
     """
 
-    __slots__ = ("wp", "certified", "axis_critical_points", "lead_phase", "lo_floor",
-                 "terms", "off_axis_terms")
+    __slots__ = ("wp", "certified", "axis_critical_points", "axis_order", "lead_phase",
+                 "lo_floor", "terms", "off_axis_terms")
 
     def __init__(self, w: ComplexPolynomial):
         wp = w.derivative()
         if wp.is_zero:
             raise ZeroPolynomial("w is constant; it has no level-curve geometry")
         terms, self.certified = roots(wp)
-        on_axis, off_axis_terms = [], []
+        sign = config.TOL.sign
+        on_axis, off_axis_terms, axis_order = [], [], 0
         for term in terms:
             c, k, radius = term
-            tol = config.TOL.sign * (1.0 + abs(c))
+            tol = sign * (1.0 + abs(c))
             if c.real - radius > tol:
                 raise CriticalPointInRHP(c, f"critical point at {c!r} has positive real part")
             if abs(c.real) <= tol + radius:
                 y0 = c.imag
-                lead = line_coeffs(wp.coeffs, 1j * y0, k + 1)[k]
-                generic = abs(lead.real) >= config.TOL.sign * abs(lead)
-                on_axis.append(
-                    CriticalPoint(y0, k, "generic" if generic else "non_generic")
-                )
+                # the k-th coefficient of poly.line_coeffs at i y0, alone
+                lead = taylor_coeffs(wp.coeffs, 1j * y0, k + 1)[k] * I_POWERS[k % 4]
+                generic = abs(lead.real) >= sign * abs(lead)
+                on_axis.append(CriticalPoint(y0, k, "generic" if generic else "non_generic"))
+                axis_order += k
             else:
                 off_axis_terms.append(term)
         on_axis.sort(key=lambda c: c.y0)
         self.wp = wp
         self.axis_critical_points = tuple(on_axis)
+        self.axis_order = axis_order
         self.terms = tuple(terms)
         self.off_axis_terms = tuple(off_axis_terms)
         lc = wp.coeffs[-1]
@@ -174,22 +176,22 @@ def on_axis_critical_points(w: ComplexPolynomial) -> tuple:
 def _phase_ends(pot: Potential, z0: complex, on_axis: bool):
     """(lo_floor, hi, spread, rounding) of the phase of w' below z0, or None.
 
-    Off the axis (x = Re z0 > 0) the phase along the line is
-    arg lc + sum k_j atan2(t - Im c_j, x - Re c_j) over the roots c_j of w'
-    with multiplicities k_j, N = deg w' in all, and it rises strictly while
-    every root lies left of the line.  On the axis the model is the one the
-    exact chain uses after deflation: each axis critical point of order k
-    contributes the constant k pi/2, S in all (S = 0 off the axis), and
-    each other root its atan2 term at x = 0.  In units of pi from the line
-    pi/2 the phase rises from lo = arg lc/pi - (N + 1)/2 + S at t = -inf,
-    whose exact floor is pot.lo_floor + S, to hi = (arg lc - climb)/pi +
-    (N - 1)/2 at t = Im z0, with climb and spread from cauchy.phase_climb
-    over these terms.  So it crosses floor(hi) - floor(lo) lines
-    {pi/2 + k pi}, a non-generic point below z0 among them: minus the
-    Cauchy index of R over (-inf, Im z0].  None, and no phase sum, when the
-    root solve is uncertified (see poly.roots), phase_climb refuses a disc,
-    or z0 sits on a non-generic axis critical point, whose pole is the
-    exact chain's to place.
+    Off the axis (x = Re z0 > 0) the phase along the line is arg lc + sum
+    k_j atan2(t - Im c_j, x - Re c_j) over the roots c_j of w' with
+    multiplicities k_j, N = deg w' in all, and it rises strictly while every
+    root lies left of the line.  On the axis the model is the one the exact
+    chain uses after deflation: each axis critical point of order k
+    contributes the constant k pi/2, S = pot.axis_order in all (S = 0 off
+    the axis), and each other root its atan2 term at x = 0.  In units of pi
+    from the line pi/2 the phase rises from lo = arg lc/pi - (N + 1)/2 + S
+    at t = -inf, whose exact floor is pot.lo_floor + S, to hi = (arg lc -
+    climb)/pi + (N - 1)/2 at t = Im z0, with climb and spread from
+    cauchy.phase_climb over these terms.  So it crosses floor(hi) -
+    floor(lo) lines {pi/2 + k pi}, a non-generic point below z0 among them:
+    minus the Cauchy index of R over (-inf, Im z0].  None, and no phase sum,
+    when the root solve is uncertified (see poly.roots), phase_climb refuses
+    a disc, or z0 sits on a non-generic axis critical point, whose pole is
+    the exact chain's to place.
 
     rounding = CLIMB_ROUNDING (N + 2) bounds twice the error of hi and of
     spread together.  With u = eps/2, hi adds to phase_climb's bound:
@@ -209,7 +211,7 @@ def _phase_ends(pot: Potential, z0: complex, on_axis: bool):
         if cp is not None and cp.genericity != "generic":
             return None
         terms = pot.off_axis_terms
-        lo_floor += sum(cp.order for cp in pot.axis_critical_points)
+        lo_floor += pot.axis_order
     climb = phase_climb(terms, 0.0 if on_axis else z0.real, z0.imag)
     if climb is None:
         return None
@@ -281,7 +283,7 @@ def counting_function(pot: Potential, z0: complex) -> CountingResult:
         raise ValueError(f"z0={z0!r} lies in the open left half-plane")
     on_axis = x0 <= axis_snap
     crit_sum = sum(cp.order for cp in pot.axis_critical_points
-                   if on_axis and cp.y0 <= y0 + axis_snap)
+                   if cp.y0 <= y0 + axis_snap) if on_axis else 0
     hi_floor, margin = None, -math.inf
     ends = _phase_ends(pot, z0, on_axis)
     if ends is not None:
@@ -289,7 +291,8 @@ def counting_function(pot: Potential, z0: complex) -> CountingResult:
         hi_floor, margin = line_crossings(hi, spread + rounding)
         margin -= spread + rounding
     if hi_floor is not None:
-        idx, fallback = HalfInteger.from_int(lo_floor - hi_floor), False
+        idx, fallback = HalfInteger(2 * (lo_floor - hi_floor)), False
     else:
         idx, fallback = _exact_index(pot, z0, on_axis), True
-    return CountingResult(abs(idx) + crit_sum + 1, idx, crit_sum, margin, fallback)
+    value = HalfInteger(abs(idx.twice_value) + 2 * (crit_sum + 1))  # |idx| + crit_sum + 1
+    return CountingResult(value, idx, crit_sum, margin, fallback)

@@ -13,18 +13,20 @@ same way: ``restrict_to_vertical_line`` returns two of them, and
 This module is the package's only polynomial arithmetic.  One Horner loop,
 ``_horner``, evaluates at a scalar and elementwise on a NumPy array alike
 (an array starts from a zeros array of the result type, so even the zero
-polynomial gives a typed array).  The one exception is ``dhym._potential``,
-on the path of every dHYM verdict: it walks P once for P(z2) and its
-rounding bound together, and once for the level check with each
-coefficient rotated as it is read, so it builds neither the list of |c_k|
-nor the rotated list.  ``divide_linear`` divides by (v - x), and
-repeated, it gives the Taylor coefficients at x (``taylor_coeffs``): the
-exact sign of an integer polynomial beside a point and the cancellation of
-a known factor come from it.  Times the exact powers of i, they are the one
-line expansion p(x + iy) = sum_k i^k p^(k)(x)/k! y^k (``line_coeffs``), at
-a point or on a node array, which the restriction to a vertical line, the
-flow's tables in ``kempf_ness`` and the axis genericity test in
-``landscape`` read.
+polynomial gives a typed array).  Two loops take a value and its rounding
+bound sum |c_k| |z|^k in one pass, with two accumulators: ``_discs`` at
+each eigenvalue of a root solve, and ``dhym._potential``, on the path of
+every dHYM verdict, for P(z2); that one walks P once more for the level
+check with each coefficient rotated as it is read, so it builds neither
+the list of |c_k| nor the rotated list.  ``divide_linear`` divides by
+(v - x), and repeated, it gives the Taylor coefficients at x
+(``taylor_coeffs``): the exact sign of an integer polynomial beside a
+point and the cancellation of a known factor come from it.  Times the
+exact powers of i, they are the one line expansion p(x + iy) = sum_k i^k
+p^(k)(x)/k! y^k (``line_coeffs``), at a point or on a node array, which
+the restriction to a vertical line and the flow's tables in
+``kempf_ness`` read; the axis genericity test in ``landscape`` takes one
+of its coefficients.
 
 Root finding takes the eigenvalues of the companion matrix that
 ``numpy.roots`` builds, built here and handed straight to
@@ -124,7 +126,7 @@ class ComplexPolynomial:
 
     @property
     def coeff_scale(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
+        return max(map(abs, self.coeffs), default=0.0)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -251,9 +253,10 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
     its rounding bound, since the theorem then covers no disc.
     """
     n = len(approx)
-    coeffs = p.coeffs
-    lc = coeffs[-1]
-    abs_coeffs = [abs(c) for c in coeffs]
+    lc = p.coeffs[-1]
+    # each coefficient with its modulus, from the top: one Horner pass takes
+    # p(z_j) and the bound sum |c_k| |z_j|^k together
+    descending = [(c, abs(c)) for c in reversed(p.coeffs)]
     eps = sys.float_info.epsilon
     round_factor = 2 * (n + 1) * eps
     centers, sizes, shifts = [], [], []
@@ -266,10 +269,13 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
             prod *= z - y
         for y in approx[j + 1:]:
             prod *= z - y
-        v = _horner(coeffs, z, 0j)
+        v, bound, az = 0j, 0.0, abs(z)
+        for c, ac in descending:
+            v = v * z + c
+            bound = bound * az + ac
         a = shift = 0.0
         if prod != 0 and cmath.isfinite(prod) and cmath.isfinite(v):
-            e = round_factor * _horner(abs_coeffs, abs(z), 0.0)
+            e = round_factor * bound
             if not math.isfinite(abs(v) + e):
                 certified, e = False, 0.0
             scale = abs(prod)
@@ -284,8 +290,11 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
         centers.append(z)
         sizes.append(math.sqrt(a))
         shifts.append(shift)
-    discs = [(c, s * sum(sizes[:j] + sizes[j + 1:]) + shift)
-             for j, (c, s, shift) in enumerate(zip(centers, sizes, shifts))]
+    # sum(sizes[:j] + sizes[j + 1:]) by the same additions, with no list
+    discs, before = [], 0
+    for j, (c, s, shift) in enumerate(zip(centers, sizes, shifts)):
+        discs.append((c, s * sum(sizes[j + 1:], before) + shift))
+        before += s
     return discs, certified
 
 
@@ -296,15 +305,19 @@ def _cluster(discs: list) -> list:
     components: list[list[tuple]] = []
     for disc in discs:
         c, r = disc
-        near, far = [], []
-        for comp in components:
-            for q in comp:
-                if abs(c - q[0]) <= r + q[1]:
-                    near.append(comp)
+        near = []
+        for i, comp in enumerate(components):
+            for q, s in comp:
+                if abs(c - q) <= r + s:
+                    near.append(i)
                     break
-            else:
-                far.append(comp)
-        components = far + [[q for comp in near for q in comp] + [disc]]
+        if near:  # the touched components, in order, and the disc join last
+            merged = [q for i in near for q in components[i]] + [disc]
+            for i in reversed(near):
+                del components[i]
+            components.append(merged)
+        else:
+            components.append([disc])
     return components
 
 
@@ -359,12 +372,14 @@ def roots(p: ComplexPolynomial) -> tuple:
     terms = []
     for comp in _cluster([(0j, 0.0)] * m + discs):
         k = len(comp)
-        center = comp[0][0]
-        if k > 1:
-            dk = p.coeffs
-            for _ in range(k - 1):
-                dk = derivative_coeffs(dk)
-            center = _newton(dk, derivative_coeffs(dk), sum(c for c, _ in comp) / k)
+        if k == 1:  # the max below over a lone disc, with no generator
+            c, r = comp[0]
+            terms.append((c, 1, abs(c - c) + r))
+            continue
+        dk = p.coeffs
+        for _ in range(k - 1):
+            dk = derivative_coeffs(dk)
+        center = _newton(dk, derivative_coeffs(dk), sum(c for c, _ in comp) / k)
         terms.append((center, k, max(abs(c - center) + r for c, r in comp)))
     terms.sort(key=lambda t: (t[0].real, t[0].imag))
     found = sum(k for _, k, _ in terms)

@@ -26,13 +26,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from . import config
 from .cauchy import HalfInteger
 from .errors import LevelMismatch
 from .landscape import Potential, counting_function
-from .poly import ComplexPolynomial
+from .poly import ComplexPolynomial, _horner
 
 __all__ = ["BoundaryData", "StabilityVerdict", "shift_to_zero_level", "classify"]
 
@@ -103,13 +102,16 @@ def _shifted_w(data: BoundaryData) -> ComplexPolynomial:
     finite one, and adds 0j to the others, which clears the sign of a zero
     part but keeps every check that data passed.
     """
-    w1 = data.w(data.z1)
+    coeffs = data.w.coeffs
+    w1 = _horner(coeffs, data.z1, 0j)
     # w - ComplexPolynomial([shift]) in one polynomial: the same additions, in
     # the same order, so every coefficient keeps its bits
     shift = 1j * w1.imag
-    w = ComplexPolynomial(a + b for a, b in zip_longest(
-        data.w.coeffs, (-shift,) if shift else (), fillvalue=0j))
-    w2 = w(data.z2)
+    shifted = [c + 0j for c in coeffs]
+    if shift:
+        shifted[0] = coeffs[0] + -shift
+    w = ComplexPolynomial(shifted)
+    w2 = _horner(w.coeffs, data.z2, 0j)
     try:
         scale = w.coeff_scale * (1.0 + abs(data.z2)) ** max(w.degree, 0)
     except OverflowError:

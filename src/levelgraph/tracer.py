@@ -207,6 +207,8 @@ def _landing_disc(coeffs, dcoeffs, z: complex) -> float:
     lo, hi = qg / _horner(b, abs(z) + 1.0, 0.0), 1.0
     while lo > 0.0 and hi > lo * _DISC_WIDTH:
         mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:  # subnormal ends, too coarse to bisect further
+            break
         lo, hi = (mid, hi) if fits(mid) else (lo, mid)
     return lo
 

@@ -1,11 +1,16 @@
 import math
 import pickle
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_acceptance import _pick_z2, _random_w
 
 from levelgraph import config, poly
 from levelgraph.cauchy import HalfInteger
-from levelgraph.errors import CriticalPointInRHP, LevelMismatch
+from levelgraph.errors import CriticalPointInRHP, LevelGraphError, LevelMismatch
+from levelgraph.landscape import Potential
 from levelgraph.poly import ComplexPolynomial, antiderivative_coeffs
 from levelgraph.stability import BoundaryData, classify, shift_to_zero_level
 
@@ -312,3 +317,63 @@ def test_classify_solves_the_shifted_w_prime_of_a_negative_zero(monkeypatch):
         assert (res.verdict, res.case, res.critical_order) == ("stable", "generic_critical", 1)
         assert (res.n1, res.n2) == (HalfInteger.from_int(2), HalfInteger.from_int(n2))
     assert [repr(p.coeffs) for p in solved] == [repr((0.5 + 0j, 4j))] * 2
+
+
+# ---------------------------------------------------------------------------
+# invariance under the plane's exact symmetries
+
+
+@st.composite
+def boundary_draws(draw):
+    """(w, z1, z2) as the acceptance battery draws them: z1 on the axis, at
+    an axis critical point half the time, z2 on its level right of it."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(20):
+        w = _random_w(rng)
+        cps = Potential(w).axis_critical_points
+        if cps and rng.random() < 0.5:
+            z1 = complex(0.0, rng.choice(cps).y0)
+        else:
+            y1 = rng.uniform(-2.0, 2.0)
+            if any(abs(y1 - cp.y0) <= 0.12 for cp in cps):
+                continue
+            z1 = complex(0.0, y1)
+        z2 = _pick_z2(w, w.derivative(), w(z1).imag, rng)
+        if z2 is not None and abs(z2 - z1) >= 0.15:
+            return w, z1, z2
+    assume(False)
+
+
+def _outcome(w, z1, z2):
+    """(verdict, case, critical_order, n1, n2) of classify, or the error type."""
+    try:
+        res = classify(BoundaryData(w, z1, z2))
+    except LevelGraphError as exc:
+        return type(exc)
+    return res.verdict, res.case, res.critical_order, res.n1, res.n2
+
+
+def _decision(outcome):
+    """_outcome without the band labels."""
+    return outcome if isinstance(outcome, type) else outcome[:3]
+
+
+@given(boundary_draws(), st.integers(-10, 10))
+@settings(max_examples=150, deadline=None)
+def test_classify_is_scale_and_conjugation_invariant(draw, k):
+    # z -> 2^k z maps w to the coefficients c_j 2^{kj} and the points to
+    # z/2^k, all exactly, so neither the verdict nor a band label may change
+    w, z1, z2 = draw
+    base = _outcome(w, z1, z2)
+    s = 2.0 ** k
+    scaled = ComplexPolynomial([complex(c.real * s**j, c.imag * s**j)
+                                for j, c in enumerate(w.coeffs)])
+    points = [complex(z.real / s, z.imag / s) for z in (z1, z2)]
+    assert _outcome(scaled, *points) == base
+    # conjugation mirrors the level curves in the real axis, so the bands
+    # count from the other side: the labels may change, the verdict may not.
+    # It writes -0.0 into the imaginary part of w's real coefficients, its
+    # constant 0 among them, which the shift clears
+    mirrored = _outcome(ComplexPolynomial([c.conjugate() for c in w.coeffs]),
+                        z1.conjugate(), z2.conjugate())
+    assert _decision(mirrored) == _decision(base)

@@ -89,8 +89,10 @@ def test_op_timer_reports_each_pair_and_a_summary():
     # both sides run the same code on the same inputs
     assert pair[2] == pair[4]
     assert float(pair[5]) == pytest.approx(change / parent, abs=2e-3)
-    summary = re.fullmatch(r"dhym-sweep seed 1, 20 inputs, 15 passes: parent median (\S+) us/op, "
-                           r"change median (\S+) us/op, ratio (\S+), "
+    summary = re.fullmatch(r"dhym-sweep seed 1, 20 inputs, 15 passes: "
+                           r"parent median (\S+) us/op \(IQR (\S+)-(\S+)\), "
+                           r"change median (\S+) us/op \(IQR (\S+)-(\S+)\), ratio (\S+), "
                            r"change faster in ([01]) of 1 pairs", out[1])
     assert summary is not None, out[1]
-    assert (float(summary[1]), float(summary[2])) == (float(pair[1]), float(pair[3]))
+    # one pair: each side's median and quartiles are its one time
+    assert [float(v) for v in summary.groups()[:6]] == [float(pair[1])] * 3 + [float(pair[3])] * 3

@@ -489,6 +489,9 @@ def test_landing_disc_holds_one_monotone_arc(coeffs, z):
 @given(_DISC_COEFFS, _DISC_POINTS)
 @example([0j, 1 + 0j, 0.01 + 0j], 1 + 0j)  # M2(1) = 0.02: r = 1
 @example([1j, 0j, 0j, 1 + 0j], 1.0033471224120806e-142j)  # q g / M2(1) about 2.5e-285
+# r about 2.6e-322: subnormal ends a few ulps apart, with no double between
+# them, which the bisection once split forever
+@example([0j, complex(1e-322, 1.0), 0.1j], 0j)
 def test_landing_disc_is_the_largest_radius_its_bound_allows(coeffs, z):
     # r M2(r) <= q g, and r is 1 or r (1 + 2^-8) breaks the bound
     r = _landing_disc(coeffs, z)

@@ -21,8 +21,10 @@ pairs, with their set-up and their sampling of wall time, do not.
 
 Prints one line per pair: each side's microseconds per operation, its
 count of raised errors, and the ratio change/parent.  Then one summary line
-with the median of each side, the ratio of the medians and the number of
-pairs the change won.  Exits with status 1 when a child fails, and 0
+with the median and the quartiles of each side, the ratio of the medians
+and the number of pairs the change won: a gain is resolved when the change
+wins nine pairs in ten and the medians differ by more than the parent's
+interquartile range.  Exits with status 1 when a child fails, and 0
 otherwise.
 """
 
@@ -30,12 +32,11 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
 
-from cold_start import BENCH, WORKLOADS, pair_order, run_child
+from cold_start import BENCH, WORKLOADS, pair_order, run_child, spread
 
 REPEATS = 15  # timed passes per child
 
@@ -103,10 +104,11 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
-    parent, change = (statistics.median(times[label]) for label in sides)
+    (parent, p1, p3), (change, c1, c3) = (spread(times[label]) for label in sides)
     won = sum(c < p for p, c in zip(times["parent"], times["change"]))
     print(f"{args.workload} seed {args.seed}, {args.count} inputs, {REPEATS} passes: "
-          f"parent median {parent:.2f} us/op, change median {change:.2f} us/op, "
+          f"parent median {parent:.2f} us/op (IQR {p1:.2f}-{p3:.2f}), "
+          f"change median {change:.2f} us/op (IQR {c1:.2f}-{c3:.2f}), "
           f"ratio {change / parent:.3f}, change faster in {won} of {args.pairs} pairs")
     return 0
 
