@@ -38,6 +38,12 @@ step that passed its error test both its J increment and its new state's
 right-hand side, Jacobian and membership integrand; the start state reads
 the three state rows alone, and the stage value F(U) the Im w rows alone.
 Each element goes through the same operations as in separate passes.
+Every pass sums in place, in a zeros accumulator that run_flow makes once
+per call, and so do F(U), the exprb32 step with its phi-functions, the J
+increment, f' and the membership integrand: a trial allocates no array,
+and each accepted state takes the one new array its trial was written
+into.  The operations and their order are those of the plain formulas, so
+every value keeps its bits (tests/reference_flow.py holds the plain trial).
 
 The Gauss-Legendre rule and the node rows of the differentiation matrix
 are built once per grid size on [-1, 1] and mapped affinely onto each
@@ -146,9 +152,9 @@ class GridFunction:
         if nodes.size < 2:
             raise ValueError("need at least two interior nodes")
         gauss = _gauss_rule(self.a, self.b, nodes.size)[0]
-        if not np.all(np.abs(nodes - gauss) <= config.TOL.grid_match * (self.b - self.a)):
+        if not (np.abs(nodes - gauss) <= config.TOL.grid_match * (self.b - self.a)).all():
             raise ValueError("nodes must be the Gauss-Legendre nodes of (a, b)")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("nonfinite height values")
         p, q = map(float, self.boundary)
         if not (math.isfinite(p) and math.isfinite(q)):
@@ -199,7 +205,7 @@ class BackgroundSigma:
         import numpy as np
 
         values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or not np.all(values > 0):
+        if values.ndim != 1 or not (values > 0).all():
             raise ValueError("sigma must be strictly positive on the interior")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -265,9 +271,9 @@ _PHI3_SWITCH = 0.35
 _PHI3_SERIES = tuple(1.0 / math.factorial(k + 3) for k in range(11))
 
 
-def _phi1(z: np.ndarray, em1: np.ndarray) -> np.ndarray:
-    """phi_1(z) = (e^z - 1)/z elementwise, with phi_1(0) = 1; em1 is
-    np.expm1(z), which _phi3 shares.
+def _phi1(z: np.ndarray, em1: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """phi_1(z) = (e^z - 1)/z elementwise, with phi_1(0) = 1, written into
+    out and returned; em1 is np.expm1(z), which _phi3 shares.
 
     expm1 keeps the quotient accurate to rounding at every z != 0.  When no
     entry is zero the quotient is one plain division; otherwise the zeros
@@ -276,40 +282,54 @@ def _phi1(z: np.ndarray, em1: np.ndarray) -> np.ndarray:
     import numpy as np
 
     if np.count_nonzero(z) == z.size:
-        return em1 / z
-    return np.divide(em1, z, out=np.ones_like(z), where=z != 0.0)
+        return np.divide(em1, z, out=out)
+    out.fill(1.0)
+    return np.divide(em1, z, out=out, where=z != 0.0)
 
 
-def _phi3(z: np.ndarray, em1: np.ndarray) -> np.ndarray:
-    """phi_3(z) = (e^z - 1 - z - z^2/2)/z^3 elementwise, with phi_3(0) = 1/6;
-    em1 is np.expm1(z), which _phi1 shares.
+def _phi3(z: np.ndarray, em1: np.ndarray, out: np.ndarray, num: np.ndarray, den: np.ndarray,
+          small: np.ndarray) -> np.ndarray:
+    """phi_3(z) = (e^z - 1 - z - z^2/2)/z^3 elementwise, with phi_3(0) = 1/6,
+    written into out and returned; em1 is np.expm1(z), which _phi1 shares.
+    num, den (floats) and small (bools) are work arrays of z's shape.
 
-    The series is summed by Horner where |z| is below the switch and the
-    closed form is taken where |z| is at or past it.  When every entry lies
-    on one side, only that side's formula runs, on the whole array; a mixed
-    array sums the series at z where |z| is below the switch and at 0
+    The series is summed by poly._horner where |z| is below the switch and
+    the closed form is taken where |z| is at or past it.  When every entry
+    lies on one side, only that side's formula runs, on the whole array; a
+    mixed array sums the series at z where |z| is below the switch and at 0
     elsewhere, and the closed form then overwrites it where |z| is at or
     past the switch.  Each entry gets the same operations either way.
     """
     import numpy as np
 
-    small = np.abs(z) < _PHI3_SWITCH
-    count = np.count_nonzero(small)
-    if count == 0:
-        return (em1 - z - 0.5 * z * z) / (z * z * z)
-    zs = z if count == z.size else np.where(small, z, 0.0)
-    out = np.full_like(zs, _PHI3_SERIES[-1])
-    for c in _PHI3_SERIES[-2::-1]:
-        out *= zs
-        out += c
-    if count == z.size:
-        return out
-    return np.divide(em1 - z - 0.5 * z * z, z * z * z, out=out, where=~small)
+    count = np.count_nonzero(np.less(np.abs(z, out=num), _PHI3_SWITCH, out=small))
+    if count:
+        zs = z
+        if count < z.size:
+            zs = num
+            zs.fill(0.0)
+            np.copyto(zs, z, where=small)
+        out.fill(0.0)
+        _horner(_PHI3_SERIES, zs, out)
+        if count == z.size:
+            return out
+    # the closed form: num = (em1 - z) - (0.5 z) z, den = (z z) z
+    np.subtract(em1, z, out=num)
+    np.multiply(0.5, z, out=den)
+    den *= z
+    num -= den
+    np.multiply(z, z, out=den)
+    den *= z
+    if not count:
+        return np.divide(num, den, out=out)
+    return np.divide(num, den, out=out, where=np.invert(small, out=small))
 
 
-def _exprb32(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, rhs, dt: float):
+def _exprb32(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, rhs, dt: float,
+             out: np.ndarray, work):
     """One exprb32 step of f' = rhs(f) from vals, with k = rhs(vals) and jac
-    the diagonal Jacobian of rhs at vals; returns (new, error estimate).
+    the diagonal Jacobian of rhs at vals: the new state is written into out,
+    and (out, error estimate) is returned.
 
     U = vals + dt phi1(dt jac) k is formed as e^{dt jac} vals plus dt phi1
     times the nonlinear remainder k - jac vals: the same value, but a mode
@@ -319,29 +339,67 @@ def _exprb32(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, rhs, dt: float):
     is its own exp, which costs no more than adding 1 to expm1 and keeps
     the relative accuracy of a mode that decays to a tiny factor, where
     expm1 + 1 rounds to a multiple of eps/2.
+
+    work is the trial's work arrays of vals' shape, five of floats and one
+    of bools; the error estimate is formed in the fifth.  rhs(U) returns
+    F(U) in an array that the step may overwrite (run_flow's F(U) row), so
+    a trial allocates no array.
     """
     import numpy as np
 
-    hj = dt * jac
-    em1 = np.expm1(hj)
-    u = np.exp(hj)
+    hj, em1, t1, t2, corr, small = work
+    np.multiply(dt, jac, out=hj)
+    np.expm1(hj, out=em1)
+    u = np.exp(hj, out=out)
     u *= vals
-    rem = jac * vals
+    rem = np.multiply(jac, vals, out=t1)
     np.subtract(k, rem, out=rem)
-    step = _phi1(hj, em1)
+    step = _phi1(hj, em1, t2)
     step *= dt
     step *= rem
     u += step
     # D = rhs(U) - k - jac (U - vals)
-    d = np.subtract(rhs(u), k)
-    moved = u - vals
+    d = rhs(u)
+    d -= k
+    moved = np.subtract(u, vals, out=t1)
     moved *= jac
     d -= moved
-    corr = _phi3(hj, em1)
+    corr = _phi3(hj, em1, corr, t1, t2, small)
     corr *= 2.0 * dt
     corr *= d
     u += corr
     return u, corr
+
+
+def _step_pass(stacked: np.ndarray, yi: np.ndarray, yw: np.ndarray, qw: np.ndarray,
+               old: np.ndarray, new: np.ndarray, heights: np.ndarray, half: np.ndarray,
+               rows: np.ndarray):
+    """One Horner pass from the state old to new: (J(new) - J(old), the
+    three state rows at new).
+
+    J(new) - J(old) is the sum of qw times the integral of Im w(x + iy) dy
+    from old to new at each node, which the Gauss rule (yi, a column, and
+    yw) in y takes exactly.  stacked holds the three state rows of
+    _vertical_line_tables, the first negated to the right-hand side -Im w,
+    over that row once more for each Gauss height.  The pass is formed in
+    rows, of the pass's shape, with heights (the same shape) and half (one
+    row) as work arrays.
+    """
+    import numpy as np
+
+    np.subtract(new, old, out=half)
+    half *= 0.5
+    mid, gauss = heights[0], heights[3:]
+    np.add(new, old, out=mid)
+    mid *= 0.5
+    np.multiply(yi, half, out=gauss)
+    np.add(mid, gauss, out=gauss)
+    heights[:3] = new
+    rows.fill(0.0)
+    _horner(stacked, heights, rows)
+    np.multiply(qw, half, out=half)
+    half *= np.matmul(yw, rows[3:], out=heights[0])
+    return -float(half.sum()), rows[:3]
 
 
 def _vertical_line_tables(w, x: np.ndarray) -> np.ndarray:
@@ -353,13 +411,16 @@ def _vertical_line_tables(w, x: np.ndarray) -> np.ndarray:
     y (poly._horner) is the (3, len(x)) array of Im w, Re w' and Im w' at
     x + iy.  With C_k = i^k w^(k)(x)/k! (poly.line_coeffs), w(x + iy) =
     sum C_k y^k; and since d/dy w(x + iy) = i w'(x + iy), Re w' =
-    sum k Im C_k y^(k-1) and Im w' = -sum k Re C_k y^(k-1).
+    sum k Im C_k y^(k-1) and Im w' = -sum k Re C_k y^(k-1).  The nodes
+    reach line_coeffs as one complex array, cast once: numpy would cast the
+    real nodes to the same complex values in each synthetic-division
+    product.
     """
     import numpy as np
 
     coeffs = w.coeffs or (0j,)
     n = len(coeffs)
-    c = np.array(line_coeffs(coeffs, x, n))
+    c = np.array(line_coeffs(coeffs, np.asarray(x, dtype=complex), n))
     table = np.zeros((n, 3, len(x)))
     table[:, 0] = c.imag
     k = np.arange(1, n)[:, None]
@@ -433,7 +494,14 @@ def run_flow(
     Re w' - f' Im w', from one pass.  The start state reads the three
     state rows alone and F(U) the Im w rows alone.  f' takes the cached
     interior block of the differentiation matrix and its two endpoint
-    columns.
+    columns.  Every array a trial writes is made once per call: the pass
+    is summed in place by poly._horner into one of two row blocks, which
+    alternate, so a trial that its J check rejects leaves the accepted
+    state's k and jac intact; F(U), the exprb32 step (_exprb32, with
+    _phi1 and _phi3), the J increment (_step_pass), f' and the membership
+    integrand write into work rows with out=.  Only the array a trial
+    writes its new state into is replaced, once that state is accepted,
+    so each accepted state keeps an array of its own.
 
     Energy.  J depends only on the state, so each step adds its exact
     increment: at each node the integral of Im w(x + iy) dy from f to f_new,
@@ -473,13 +541,13 @@ def run_flow(
     # the nodes never move: rows in the height y of the right-hand side
     # -Im w, of Re w' and of Im w'; stacked under them, the right-hand
     # side's rows once more for each of the len(yi) Gauss heights of a J
-    # increment, and the heights of one pass laid out to the same shape
+    # increment
     table = _vertical_line_tables(w, x)
     table[:, 0] *= -1.0
     rhs_rows = table[:, 0]
     yi, yw = _reference_rule(max(w.degree // 2 + 1, 1))
+    yi = yi[:, None]
     stacked = np.concatenate([table, np.repeat(table[:, :1], len(yi), axis=1)], axis=1)
-    heights = np.empty(stacked.shape[1:])
     # f' at the nodes: the interior block acts on the heights, and the
     # pinned endpoints add a fixed column sum
     inner, left, right = _reference_operator(len(x))
@@ -487,41 +555,46 @@ def run_flow(
     stretch = 2.0 / (f0.b - f0.a)
     # steps shorter than this are lost in the rounding of t
     dt_min = 4.0 * np.finfo(float).eps * max(_T_MAX, 1.0)
+    # the work arrays, made once (see Evaluation): the pass's heights, the
+    # two row blocks (the accepted state's k and jac live in cur, a trial's
+    # pass fills nxt), F(U), the trial's work, a row for the state's own
+    # readings, and the array the next trial writes its new state into
+    heights = np.empty(stacked.shape[1:])
+    cur, nxt = np.empty((2,) + stacked.shape[1:])
+    half, fu, spare, *floats = np.empty((8, len(x)))
+    work = (*floats, np.empty(len(x), dtype=bool))
+    new = np.empty(len(x))
 
     def rhs(vals):
-        return _horner(rhs_rows, vals, 0.0)
-
-    def step_pass(old, new):
-        # one Horner pass: J(new) - J(old), the sum of qw * integral of
-        # Im w(x + iy) dy from old to new (the Gauss rule in y being exact
-        # for Im w = -rhs), and the three state rows at new
-        half = 0.5 * (new - old)
-        heights[:3] = new
-        np.add(0.5 * (new + old), yi[:, None] * half, out=heights[3:])
-        rows = _horner(stacked, heights, 0.0)
-        return -float((qw * half * (yw @ rows[3:])).sum()), rows[:3]
+        fu.fill(0.0)
+        return _horner(rhs_rows, vals, fu)
 
     def diag(vals, rows):
-        # (right-hand side, membership minimum, Jacobian) at vals, from
-        # its three state rows
+        # (right-hand side, membership minimum, Jacobian) at vals, from its
+        # three state rows; the Jacobian -Re w' takes the place of Re w'
         k, re_d, im_d = rows
-        fp = (inner @ vals + edge) * stretch
-        return k, float((re_d - fp * im_d).min()), -re_d
+        fp = np.matmul(inner, vals, out=spare)
+        fp += edge
+        fp *= stretch
+        fp *= im_d
+        memb = float(np.subtract(re_d, fp, out=fp).min())
+        return k, memb, np.negative(re_d, out=re_d)
 
     f = f0.values.copy()
     t, jval = 0.0, 0.0
     times, js, resids, membs = [], [], [], []
     rejected = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        k, memb, jac = diag(f, _horner(table, f, 0.0))
-        fastest = float(np.abs(jac).max())
+        cur[:3] = 0.0
+        k, memb, jac = diag(f, _horner(table, f, cur[:3]))
+        fastest = float(np.abs(jac, out=spare).max())
         dt = min(_T_MAX, 1.0 / fastest if fastest > 0.0 else math.inf)
         while True:
-            size = np.abs(k)
+            size = np.abs(k, out=spare)
             resid = float(size.max())
             if not resid <= diverged:
                 raise Diverged(f"height residual reached {resid:.3g}")
-            ratio = float((size / sig).max())
+            ratio = float(np.divide(size, sig, out=size).max())
             if ratio > blowup:
                 raise NonIntegrableEndpoint(
                     f"residual per unit sigma reached {ratio:.3g} near an endpoint"
@@ -537,11 +610,11 @@ def run_flow(
                 last = t + dt >= _T_MAX - dt_min
                 if last:
                     dt = _T_MAX - t
-                f_new, corr = _exprb32(f, k, jac, rhs, dt)
-                err = float(np.abs(corr).max())
+                f_new, corr = _exprb32(f, k, jac, rhs, dt, new, work)
+                err = float(np.abs(corr, out=spare).max())
                 scale = 0.0 if err == 0.0 else err / (rtol * resid * dt)
                 if scale <= 1.0:
-                    dj, rows = step_pass(f, f_new)
+                    dj, rows = _step_pass(stacked, yi, yw, qw, f, f_new, heights, half, nxt)
                     # the flow only lowers J: a rise, or a nonfinite
                     # increment, is integrator error (a plain if, so it
                     # holds under -O)
@@ -559,7 +632,8 @@ def run_flow(
 
             jval += dj
             t = _T_MAX if last else t + dt
-            f = f_new
+            f, new = f_new, np.empty(len(x))
+            cur, nxt = nxt, cur
             k, memb, jac = diag(f, rows)
             dt *= factor
 

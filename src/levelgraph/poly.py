@@ -11,14 +11,16 @@ same way: ``restrict_to_vertical_line`` returns two of them, and
 ``cauchy`` reads them.
 
 This module is the package's only polynomial arithmetic.  One Horner loop,
-``_horner``, evaluates at a scalar and elementwise on a NumPy array alike
-(an array starts from a zeros array of the result type, so even the zero
-polynomial gives a typed array).  Two loops take a value and its rounding
-bound sum |c_k| |z|^k in one pass, with two accumulators: ``_discs`` at
-each eigenvalue of a root solve, and ``dhym._potential``, on the path of
-every dHYM verdict, for P(z2); that one walks P once more for the level
-check with each coefficient rotated as it is read, so it builds neither
-the list of |c_k| nor the rotated list.  ``divide_linear`` divides by
+``_horner``, evaluates at a scalar and elementwise on a NumPy array alike.
+An array is summed in place in a zeros accumulator of the result's shape
+and dtype, so even the zero polynomial gives a typed array, and a caller
+that owns the accumulator (the flow's per-call work arrays in
+``kempf_ness``) allocates nothing per pass.  Two loops take a value and
+its rounding bound sum |c_k| |z|^k in one pass, with two accumulators:
+``_discs`` at each eigenvalue of a root solve, and ``dhym._potential``, on
+the path of every dHYM verdict, for P(z2); that one walks P once more for
+the level check with each coefficient rotated as it is read, so it builds
+neither the list of |c_k| nor the rotated list.  ``divide_linear`` divides by
 (v - x), and repeated, it gives the Taylor coefficients at x
 (``taylor_coeffs``): the exact sign of an integer polynomial beside a
 point and the cancellation of a known factor come from it.  Times the
@@ -66,10 +68,20 @@ def _trimmed(values: Iterable[complex]) -> tuple:
 
 
 def _horner(coeffs: Sequence[complex], z, acc):
-    """p(z) for ascending coefficients; acc is the zero of the result type,
-    a scalar or, for an array z, a zeros array of z's shape."""
+    """p(z) for ascending coefficients; acc is the zero of the result type.
+
+    A scalar acc is rebound at each step.  A zeros array of the result's
+    shape and dtype is the accumulator itself: the sum is formed in it, in
+    place, and it is returned.  Either way every element goes through the
+    same acc * z, then + c, in the same order.
+    """
+    if type(acc) in (complex, float, int):
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        return acc
     for c in reversed(coeffs):
-        acc = acc * z + c
+        acc *= z
+        acc += c
     return acc
 
 

@@ -1,11 +1,17 @@
-"""Reference phi-functions: the plain form of ``levelgraph.kempf_ness._phi1``
-and ``_phi3``.
+"""Reference flow trial: the plain form of ``levelgraph.kempf_ness._phi1``,
+``_phi3``, ``_exprb32`` and ``_step_pass``.
 
 ``phi1`` always divides through ``where=``, and ``phi3`` always sums its
 series over the whole array and forms the closed form over the whole array,
 then masks one with the other.  The library's functions run only the
 formula an array needs when all its entries lie on one side; they must
 return the same values, bit for bit, and the tests compare the two.
+
+``exprb32`` and ``stacked_pass`` are one flow trial as it reads on paper:
+every operation returns a new array, and the Horner sums start from the
+scalar 0.0.  The library writes the same operations, in the same order,
+into work arrays that ``run_flow`` makes once per call; the tests compare
+the bytes of both.
 """
 
 import math
@@ -37,3 +43,32 @@ def phi3(z) -> np.ndarray:
         out *= zs
         out += c
     return np.divide(np.expm1(z) - z - 0.5 * z * z, z * z * z, out=out, where=~small)
+
+
+def horner(coeffs, z):
+    """The sum over ascending coefficient rows at the heights z, from 0.0."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def exprb32(vals, k, jac, rhs, dt):
+    """One exprb32 step of f' = rhs(f) from vals, with k = rhs(vals) and jac
+    the diagonal Jacobian: (new state, error estimate)."""
+    hj = dt * jac
+    u = np.exp(hj) * vals + phi1(hj) * dt * (k - jac * vals)
+    d = rhs(u) - k - (u - vals) * jac
+    corr = phi3(hj) * (2.0 * dt) * d
+    return u + corr, corr
+
+
+def stacked_pass(stacked, yi, yw, qw, old, new):
+    """(J(new) - J(old), the three state rows at new) from one Horner pass
+    over stacked: the three state rows at new over the right-hand side's
+    rows at the Gauss heights yi of the step from old to new."""
+    half = 0.5 * (new - old)
+    heights = np.concatenate([np.broadcast_to(new, (3, len(new))),
+                              0.5 * (new + old) + yi[:, None] * half])
+    rows = horner(stacked, heights)
+    return -float((qw * half * (yw @ rows[3:])).sum()), rows[:3]

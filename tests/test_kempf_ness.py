@@ -9,8 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference_flow import exprb32 as reference_exprb32
+from reference_flow import horner as reference_horner
 from reference_flow import phi1 as reference_phi1
 from reference_flow import phi3 as reference_phi3
+from reference_flow import stacked_pass as reference_stacked_pass
 from reference_geodesic import geodesic_residual, j_derivative, relax_geodesic
 from test_acceptance import draw_stable_flow_pair
 
@@ -119,12 +122,20 @@ def test_gauss_rule_solved_once_per_grid_size(monkeypatch):
 # phi-functions of the exponential flow steps
 
 
+def _nan_filled(z, count):
+    # work arrays filled with NaN: a result that read one before writing it
+    # would show
+    return [np.full_like(z, np.nan) for _ in range(count)]
+
+
 def _phi1(z):
-    return kempf_ness._phi1(z, np.expm1(z))
+    z = np.asarray(z, dtype=float)
+    return kempf_ness._phi1(z, np.expm1(z), *_nan_filled(z, 1))
 
 
 def _phi3(z):
-    return kempf_ness._phi3(z, np.expm1(z))
+    z = np.asarray(z, dtype=float)
+    return kempf_ness._phi3(z, np.expm1(z), *_nan_filled(z, 3), np.ones(z.shape, dtype=bool))
 
 
 def test_phi_functions_at_zero():
@@ -355,6 +366,64 @@ def test_one_stacked_horner_pass_equals_separate_passes(case):
         rows = _horner(stacked, heights, 0.0)
         assert rows[:3].tobytes() == _horner(table, state, 0.0).tobytes()
         assert rows[3:].tobytes() == _horner(tiled, gauss, 0.0).tobytes()
+        # a zeros accumulator of the result's shape and dtype is summed in
+        # place, through the same operations, and is what comes back
+        acc = np.zeros(rows.shape)
+        assert _horner(stacked, heights, acc) is acc
+        assert acc.tobytes() == rows.tobytes()
+        acc = np.zeros((3, len(state)))
+        assert _horner(table, state, acc).tobytes() == rows[:3].tobytes()
+
+
+@st.composite
+def _flow_trial(draw):
+    """(state table, Gauss count, state, k, jac, dt, quadrature over sigma)
+    for one trial of run_flow."""
+    deg, n, m = draw(st.integers(0, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+
+    def array(*shape):
+        return draw(arrays(float, shape, elements=_ENTRY))
+
+    dt = draw(st.sampled_from([0.25, 1.0, 200.0]) | st.floats(1e-6, 10.0))
+    qw = draw(arrays(float, n, elements=st.floats(1e-3, 1e3)))
+    return array(deg + 1, 3, n), m, array(n), array(n), array(n), dt, qw
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flow_trial())
+@example((np.array([[[1.0, -0.0], [0.5, 5e-324], [-1.0, 2.0]]]), 1, np.array([1e150, -0.0]),
+          np.array([0.0, 1.0]), np.array([0.0, -3.0]), 0.25, np.array([1.0, 2.0])))
+def test_buffered_flow_trial_returns_the_plain_trials_bytes(case):
+    # run_flow's trial writes exprb32 and the stacked pass into work arrays
+    # made once per call; each result must be the plain trial's to the bit,
+    # with every work array starting as NaN and reused for a second trial
+    table, m, vals, k, jac, dt, qw = case
+    n = len(vals)
+    rhs_rows = table[:, 0]
+    yi, yw = kempf_ness._reference_rule(m)
+    stacked = np.concatenate([table, np.repeat(table[:, :1], m, axis=1)], axis=1)
+    fu, out, half, *floats = _nan_filled(vals, 8)
+    work = (*floats, np.ones(n, dtype=bool))
+    heights, rows = _nan_filled(np.empty(stacked.shape[1:]), 2)
+
+    def rhs(u):
+        fu.fill(0.0)
+        return _horner(rhs_rows, u, fu)
+
+    inputs = vals.tobytes(), k.tobytes(), jac.tobytes()
+    with np.errstate(all="ignore"):
+        want_u, want_corr = reference_exprb32(
+            vals, k, jac, lambda u: reference_horner(rhs_rows, u), dt)
+        want_dj, want_rows = reference_stacked_pass(stacked, yi, yw, qw, vals, want_u)
+        for _ in range(2):
+            u, corr = kempf_ness._exprb32(vals, k, jac, rhs, dt, out, work)
+            assert u is out
+            assert (u.tobytes(), corr.tobytes()) == (want_u.tobytes(), want_corr.tobytes())
+            dj, state_rows = kempf_ness._step_pass(stacked, yi[:, None], yw, qw, vals, u,
+                                                   heights, half, rows)
+            assert np.float64(dj).tobytes() == np.float64(want_dj).tobytes()
+            assert state_rows.tobytes() == want_rows.tobytes()
+    assert (vals.tobytes(), k.tobytes(), jac.tobytes()) == inputs
 
 
 # ---------------------------------------------------------------------------
@@ -597,16 +666,19 @@ def test_flow_rejects_a_step_that_raises_J(monkeypatch):
     trials = []
     step = kempf_ness._exprb32
 
-    def uphill_first(vals, k, jac, rhs, dt):
-        trials.append(dt)
+    def uphill_first(vals, k, jac, rhs, dt, *work):
+        trials.append((dt, k.tobytes(), jac.tobytes()))
         if len(trials) == 1:
             return 2.0 * vals, np.zeros_like(vals)
-        return step(vals, k, jac, rhs, dt)
+        return step(vals, k, jac, rhs, dt, *work)
 
     monkeypatch.setattr(kempf_ness, "_exprb32", uphill_first)
     trace = _cube_flow()
     assert trace.rejected_steps >= 1
-    assert trials[1] == pytest.approx(0.2 * trials[0], rel=1e-15)
+    assert trials[1][0] == pytest.approx(0.2 * trials[0][0], rel=1e-15)
+    # the rejected trial's pass filled rows of its own: the retry starts
+    # from the accepted state's k and jac, byte for byte
+    assert trials[1][1:] == trials[0][1:]
     assert all(b <= a for a, b in zip(trace.J_values, trace.J_values[1:]))
     assert trace.residual_sup[-1] < 1e-8
 

@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+import pytest
+
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "levelgraph"
 
 
@@ -103,3 +105,83 @@ def test_no_module_imports_numpy_at_module_level():
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], ("numpy imported at module level; import it in the function "
                          "that needs it (see tests/test_cold_start.py)")
+
+
+def _same(a, b) -> bool:
+    return ast.dump(a, annotate_fields=False).replace("Store()", "Load()") == ast.dump(
+        b, annotate_fields=False).replace("Store()", "Load()")
+
+
+def _is_horner_step(loop: ast.For) -> bool:
+    """Does the loop's body multiply an accumulator by a point and add the
+    loop variable: acc = acc * z + c, or acc *= z then acc += c?"""
+    if not isinstance(loop.target, ast.Name):
+        return False
+    var = loop.target.id
+
+    def is_var(node):
+        return isinstance(node, ast.Name) and node.id == var
+
+    scaled, added = [], []
+    for stmt in loop.body:
+        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.value, ast.BinOp) and isinstance(stmt.value.op, ast.Add)):
+            for term, other in ((stmt.value.left, stmt.value.right),
+                                (stmt.value.right, stmt.value.left)):
+                if (is_var(other) and isinstance(term, ast.BinOp)
+                        and isinstance(term.op, ast.Mult)
+                        and any(_same(stmt.targets[0], side) for side in (term.left, term.right))):
+                    return True
+        elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Mult):
+            scaled.append(stmt.target)
+        elif (isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Add)
+              and is_var(stmt.value)):
+            added.append(stmt.target)
+    return any(_same(a, b) for a in scaled for b in added)
+
+
+def _horner_loops(tree) -> list:
+    """(innermost enclosing function, line) of each Horner loop in tree."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.For) and function and _is_horner_step(child):
+                found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+# the documented exceptions to the one Horner loop, poly._horner: poly
+# itself, and the two-accumulator passes of dhym._potential
+HORNER_LOOPS_ALLOWED = {("poly", None), ("dhym", "_potential")}
+
+
+def test_one_horner_loop():
+    found = [
+        f"{path.name}:{line} ({function})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, line in _horner_loops(ast.parse(path.read_text(), str(path)))
+        if (path.stem, None) not in HORNER_LOOPS_ALLOWED
+        and (path.stem, function) not in HORNER_LOOPS_ALLOWED
+    ]
+    assert found == [], "evaluate polynomials with poly._horner"
+
+
+@pytest.mark.parametrize("body, horner", [
+    ("acc = acc * z + c", True),
+    ("acc = c + z * acc", True),
+    ("acc *= z\n        acc += c", True),
+    ("out[0] *= z\n        out[0] += c", True),
+    ("acc = acc * z + 2 * c", False),
+    ("acc *= z\n        other += c", False),
+    ("acc *= c", False),
+])
+def test_one_horner_loop_rule_reads_both_forms(body, horner):
+    source = f"def f(coeffs, z, acc, out, other):\n    for c in coeffs:\n        {body}\n"
+    assert bool(_horner_loops(ast.parse(source))) is horner

@@ -198,6 +198,28 @@ def test_clip_past_a_turn_of_the_curve_polishes_unconstrained():
     assert tracer._clip_to_axis(field, grad, prev, cur).imag == pytest.approx(1.0, abs=1e-11)
 
 
+# verdicts-trace seed 4 input 2012 (numbered from 0): the shifted w, z1, z2
+_STRIDE_W = ComplexPolynomial([
+    8.686395721753566j, 13.291813228423253 + 2.0550847502744034j,
+    5.053729793714802 + 3.5594679165335976j, 1.4575085455211605 + 1.419606094022176j,
+    0.11425225214874017 + 0.34606139717487105j])
+_STRIDE_Z1, _STRIDE_Z2 = -0.5865858657140741j, 0.6057276026759966 + 2.7939265432271476j
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 35")
+def test_trace_stops_at_a_shallow_excursion_across_the_axis():
+    # the zero level through z2 dips about 1e-3 into Re z < 0 between its
+    # axis crossings near 3.781i and 3.911i, so the trace from z2 must stop
+    # at the y axis; _trace tests for a crossing only by the sign of Re z at
+    # a step's two ends, strides over the excursion and ends by radius
+    ys = np.linspace(3.7, 4.0, 3001)
+    on_axis = np.nonzero(np.diff(np.sign(_STRIDE_W(1j * ys).imag)))[0]
+    if not np.allclose(ys[on_axis], [3.781, 3.911], atol=1e-3):
+        raise ValueError(f"the level crosses the axis at {ys[on_axis]}")
+    chk = graphical_connection(_STRIDE_W, _STRIDE_Z1, _STRIDE_Z2)
+    assert chk.trace.terminated_by == "y_axis"
+
+
 def test_trace_follows_fold():
     # the level through z1 = 1+i turns vertical there; an undirected pass
     # from above continues through the fold instead of stopping
