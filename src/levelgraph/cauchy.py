@@ -27,7 +27,8 @@ the orders of num and den at an endpoint, hence whether it is a pole and
 from which side h runs to +inf.  No tolerance enters anywhere, so the result
 is the index of the function the doubles represent.
 
-All index routines return :class:`HalfInteger`.  When den + i num is a
+All index routines return :class:`HalfInteger`, the record and rendering
+type; both verdicts decide on its ``twice_value``.  When den + i num is a
 polynomial on a vertical line right of all its roots, its phase rises
 strictly and the index is minus the number of lines {pi/2 + k pi} it
 crosses; the band labels and the dHYM indices take that phase from
@@ -56,7 +57,12 @@ __all__ = [
 
 
 class HalfInteger:
-    """An element of (1/2)Z, stored as twice its value (always an int)."""
+    """An element of (1/2)Z, stored as twice its value (always an int).
+
+    The record and rendering type of an index or a band label.  It equals a
+    HalfInteger or an int of the same value and does no arithmetic and no
+    ordering: both verdicts decide on ``twice_value``.
+    """
 
     __slots__ = ("twice_value",)
 
@@ -73,63 +79,18 @@ class HalfInteger:
     def is_integer(self) -> bool:
         return self.twice_value % 2 == 0
 
-    def _twice(self, other) -> int:
-        if isinstance(other, HalfInteger):
-            return other.twice_value
-        if isinstance(other, int):
-            return 2 * other
-        return NotImplemented
-
-    def __add__(self, other):
-        t = self._twice(other)
-        return NotImplemented if t is NotImplemented else HalfInteger(self.twice_value + t)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        t = self._twice(other)
-        return NotImplemented if t is NotImplemented else HalfInteger(self.twice_value - t)
-
-    def __rsub__(self, other):
-        t = self._twice(other)
-        return NotImplemented if t is NotImplemented else HalfInteger(t - self.twice_value)
-
-    def __neg__(self):
-        return HalfInteger(-self.twice_value)
-
-    def __abs__(self):
-        return HalfInteger(abs(self.twice_value))
-
     def __eq__(self, other):
-        t = self._twice(other)
-        return NotImplemented if t is NotImplemented else self.twice_value == t
-
-    def __lt__(self, other):
-        t = self._twice(other)
-        return NotImplemented if t is NotImplemented else self.twice_value < t
-
-    def __le__(self, other):
-        t = self._twice(other)
-        return NotImplemented if t is NotImplemented else self.twice_value <= t
-
-    def __gt__(self, other):
-        t = self._twice(other)
-        return NotImplemented if t is NotImplemented else self.twice_value > t
-
-    def __ge__(self, other):
-        t = self._twice(other)
-        return NotImplemented if t is NotImplemented else self.twice_value >= t
+        if isinstance(other, HalfInteger):
+            return self.twice_value == other.twice_value
+        if isinstance(other, int):
+            return self.twice_value == 2 * other
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.twice_value / 2)
 
     def __float__(self):
         return self.twice_value / 2
-
-    def __int__(self):
-        if self.twice_value % 2:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice_value // 2
 
     def __str__(self):
         if self.twice_value % 2 == 0:

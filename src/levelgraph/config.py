@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["GRID_NODES", "TOL", "Tolerances"]
+
 
 @dataclass(frozen=True)
 class Tolerances:

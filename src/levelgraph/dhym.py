@@ -176,7 +176,7 @@ def _potential(inp: CalabiInput):
     of its own over the rotated coefficients, with no list of them.
     """
     # P' = z^r (xi + z)^m: P is r + 1 zeros, then the coefficients of
-    # (xi + z)^m over their powers in P, as antiderivative_coeffs divides them
+    # (xi + z)^m, each divided by the power of z it takes in P
     r = inp.r
     P = [0j] * (r + 1) + [c / (k + r + 1) for k, c in enumerate(root_product([-inp.xi] * inp.m))]
     z2 = inp.z2

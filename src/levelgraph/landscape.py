@@ -253,7 +253,7 @@ def _exact_index(pot: Potential, z0: complex, on_axis: bool) -> HalfInteger:
     idx = index_on_interval(im, re, -math.inf, z0.imag)
     if pole is not None:
         jump = one_sided_sign(im, pole.y0, -1) * one_sided_sign(re, pole.y0, -1)
-        idx = HalfInteger(jump) - idx
+        idx = HalfInteger(jump - idx.twice_value)
     return idx
 
 

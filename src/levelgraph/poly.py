@@ -59,6 +59,9 @@ from typing import Iterable, Sequence
 
 from .errors import LevelGraphError, ZeroPolynomial
 
+__all__ = ["I_POWERS", "ComplexPolynomial", "derivative_coeffs", "divide_linear", "line_coeffs",
+           "restrict_to_vertical_line", "root_product", "roots", "taylor_coeffs"]
+
 
 def _trimmed(values: Iterable[complex]) -> tuple:
     out = list(values)
@@ -160,11 +163,6 @@ class ComplexPolynomial:
 def derivative_coeffs(coeffs: Sequence[complex]) -> list:
     """Ascending coefficients of the derivative."""
     return [k * c for k, c in enumerate(coeffs[1:], 1)]
-
-
-def antiderivative_coeffs(coeffs: Sequence[complex]) -> list:
-    """Ascending coefficients of the antiderivative with value 0 at 0."""
-    return [0j] + [c / (k + 1) for k, c in enumerate(coeffs)]
 
 
 def root_product(roots: Sequence[complex]) -> list:

@@ -35,8 +35,6 @@ from .poly import ComplexPolynomial, _horner
 
 __all__ = ["BoundaryData", "StabilityVerdict", "shift_to_zero_level", "classify"]
 
-_HALF = HalfInteger(1)
-
 
 @dataclass(frozen=True)
 class BoundaryData:
@@ -138,32 +136,30 @@ def classify(data: BoundaryData) -> StabilityVerdict:
     n2 = counting_function(pot, data.z2).value
     cp = pot.critical_point_at(data.z1)
 
-    if not n2.is_integer:
+    # the rule decides on ints, twice each label (t = 2n) against 2k
+    t1, t2 = n1.twice_value, n2.twice_value
+    if t2 % 2:
         return StabilityVerdict(
             "unstable", n1, n2, "z2_on_boundary", cp.order if cp else None
         )
 
     if cp is None:
-        gap = abs(n1 - n2)
-        if gap == 0:
-            verdict = "stable"
-        elif gap == _HALF:
-            verdict = "strictly_semistable"
-        else:
-            verdict = "unstable"
+        # stable at |n1 - n2| = 0, strictly semistable at 1/2
+        verdict = {0: "stable", 1: "strictly_semistable"}.get(abs(t1 - t2), "unstable")
         return StabilityVerdict(verdict, n1, n2, "noncritical")
 
     k = cp.order
     if cp.genericity == "generic":
-        verdict = "stable" if n1 - k <= n2 <= n1 else "unstable"
+        # n1 - k <= n2 <= n1
+        verdict = "stable" if t1 - 2 * k <= t2 <= t1 else "unstable"
         return StabilityVerdict(verdict, n1, n2, "generic_critical", k)
 
-    # non-generic: the band window shrinks by a half step on each side,
-    # and exactly the two bands just outside it remain reachable
-    # semistably through the tangency
-    if n1 - k + _HALF <= n2 <= n1 - _HALF:
+    # non-generic: the window n1 - k + 1/2 <= n2 <= n1 - 1/2 is a half step
+    # narrower on each side, and exactly the two bands just outside it,
+    # n1 - k - 1/2 and n1 + 1/2, remain reachable semistably through the tangency
+    if t1 - 2 * k + 1 <= t2 <= t1 - 1:
         verdict = "stable"
-    elif n2 == n1 - k - _HALF or n2 == n1 + _HALF:
+    elif t2 == t1 - 2 * k - 1 or t2 == t1 + 1:
         verdict = "strictly_semistable"
     else:
         verdict = "unstable"

@@ -73,6 +73,8 @@ from . import config
 from .errors import CorrectorDiverged, SeedNotOnCurve
 from .poly import ComplexPolynomial, _horner, roots, taylor_coeffs
 
+__all__ = ["GraphCheck", "Polyline", "graphical_connection", "trace_level"]
+
 _GROW = 1.3
 _MAX_NEWTON = 12
 _MAX_STEPS = 20000

@@ -139,4 +139,5 @@ def index_one_sided(num, den, s: float, side: int) -> HalfInteger:
 
 def index_at_point(num, den, s: float) -> HalfInteger:
     """Full jump index of num/den at s: ind^+ - ind^-."""
-    return index_one_sided(num, den, s, +1) - index_one_sided(num, den, s, -1)
+    right, left = index_one_sided(num, den, s, +1), index_one_sided(num, den, s, -1)
+    return HalfInteger(right.twice_value - left.twice_value)

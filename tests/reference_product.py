@@ -4,7 +4,10 @@ The library forms one kind of product, ``levelgraph.poly.root_product``,
 the monic product of the factors (z - r).  The tests check it against this
 generic double loop, repr for repr, and build their fixtures of other
 shapes (a leading coefficient first, then factors in the order drawn) with
-it, so each fixture keeps the bits it has always had.
+it, so each fixture keeps the bits it has always had.  They build a w from
+its w' with :func:`antiderivative_coeffs`; the library needs no
+antiderivative of its own (``dhym._potential`` divides P's coefficients
+inline).
 """
 
 
@@ -17,3 +20,8 @@ def product(a, b) -> list:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def antiderivative_coeffs(coeffs) -> list:
+    """Ascending coefficients of the antiderivative with value 0 at 0."""
+    return [0j] + [c / (k + 1) for k, c in enumerate(coeffs)]

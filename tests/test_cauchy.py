@@ -32,28 +32,17 @@ def test_half_integer_str():
 def test_half_integer_arithmetic():
     a = HalfInteger(3)  # 3/2
     b = HalfInteger.from_int(2)
-    assert (a + b).twice_value == 7
-    assert (a - b).twice_value == -1
-    assert (-a).twice_value == -3
-    assert abs(HalfInteger(-5)) == HalfInteger(5)
-    assert a + 1 == HalfInteger(5)
-    assert 1 + a == HalfInteger(5)
+    assert b.twice_value == 4
     assert float(a) == 1.5
     assert a.is_integer is False
     assert b.is_integer is True
-    assert int(b) == 2
-    with pytest.raises(ValueError):
-        int(a)
     with pytest.raises(TypeError, match="twice_value must be an int"):
         HalfInteger(1.5)
 
 
 def test_half_integer_ordering():
-    assert HalfInteger(1) < HalfInteger(2)
     assert HalfInteger(4) == 2
-    assert HalfInteger(4) <= 2
     assert HalfInteger(3) != 1
-    assert sorted([HalfInteger(4), HalfInteger(-1)])[0] == HalfInteger(-1)
 
 
 def _fraction(x):
@@ -63,20 +52,18 @@ def _fraction(x):
 @given(a=st.integers(-50, 50).map(HalfInteger),
        b=st.one_of(st.integers(-50, 50).map(HalfInteger), st.integers(-25, 25)))
 def test_half_integer_agrees_with_its_fraction(a, b):
-    # b, a HalfInteger or an int, on either side of a HalfInteger a
+    # b, a HalfInteger or an int, on either side of a HalfInteger a; the
+    # verdicts decide on twice_value, so a HalfInteger has no ordering
     fa, fb = _fraction(a), _fraction(b)
-    assert _fraction(a + b) == _fraction(b + a) == fa + fb
-    assert _fraction(a - b) == fa - fb
-    assert _fraction(b - a) == fb - fa
     for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
         assert (x == y) == (fx == fy)
-        assert (x < y) == (fx < fy)
-        assert (x <= y) == (fx <= fy)
-        assert (x > y) == (fx > fy)
-        assert (x >= y) == (fx >= fy)
+        assert (x != y) == (fx != fy)
+    if fa == fb:
+        assert hash(a) == hash(b)
     for order in ("__lt__", "__le__", "__gt__", "__ge__"):
-        with pytest.raises(TypeError):
-            getattr(operator, order)(a, 0.5)
+        for other in (b, 0.5):
+            with pytest.raises(TypeError):
+                getattr(operator, order)(a, other)
     assert repr(a) == f"HalfInteger({a.twice_value})"
 
 
@@ -222,14 +209,15 @@ def test_additivity_through_pole():
     h = ([1], [0, 1])
     left = index_on_interval(*h, -1, 0)
     right = index_on_interval(*h, 0, 1)
-    assert left + right == index_on_interval(*h, -1, 1)
+    assert left.twice_value + right.twice_value == index_on_interval(*h, -1, 1).twice_value
     # (y^2 - 2)/(y^3 - y): simple poles at -1, 0, 1 jumping down, up, down;
     # additive off the poles and at the pole 0
     h = ([-2, 0, 1], [0, -1, 0, 1])
     whole = index_on_interval(*h, -3, 3)
     assert whole == HalfInteger.from_int(-1)
     for split in (0.5, 0.0):
-        assert index_on_interval(*h, -3, split) + index_on_interval(*h, split, 3) == whole, split
+        halves = index_on_interval(*h, -3, split), index_on_interval(*h, split, 3)
+        assert sum(half.twice_value for half in halves) == whole.twice_value, split
 
 
 def test_zero_numerator():
@@ -302,7 +290,7 @@ def test_additivity(num, den, cmd):
     whole = index_on_interval(num, den, c, d)
     left = index_on_interval(num, den, c, m)
     right = index_on_interval(num, den, m, d)
-    assert left + right == whole
+    assert left.twice_value + right.twice_value == whole.twice_value
 
 
 @given(nonzero_poly(4), nonzero_poly(4), dyadic, dyadic)
@@ -310,7 +298,8 @@ def test_additivity(num, den, cmd):
 def test_negation_antisymmetry(num, den, c, d):
     assume(c < d)
     negated = [-c for c in num]
-    assert index_on_interval(num, den, c, d) == -index_on_interval(negated, den, c, d)
+    assert (index_on_interval(num, den, c, d).twice_value
+            == -index_on_interval(negated, den, c, d).twice_value)
 
 
 # ---------------------------------------------------------------------------

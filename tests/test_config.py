@@ -11,9 +11,11 @@ import dataclasses
 import pathlib
 import tokenize
 
+from reference_product import antiderivative_coeffs
+
 from levelgraph import config
 from levelgraph.cauchy import HalfInteger
-from levelgraph.poly import ComplexPolynomial, antiderivative_coeffs, root_product
+from levelgraph.poly import ComplexPolynomial, root_product
 from levelgraph.stability import BoundaryData, StabilityVerdict, classify, shift_to_zero_level
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "levelgraph"

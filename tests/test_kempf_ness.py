@@ -15,6 +15,7 @@ from reference_flow import phi1 as reference_phi1
 from reference_flow import phi3 as reference_phi3
 from reference_flow import stacked_pass as reference_stacked_pass
 from reference_geodesic import geodesic_residual, j_derivative, relax_geodesic
+from reference_product import antiderivative_coeffs
 from test_acceptance import draw_stable_flow_pair
 
 from levelgraph import config, kempf_ness
@@ -31,7 +32,7 @@ from levelgraph.kempf_ness import (
     run_flow,
     second_variation_at,
 )
-from levelgraph.poly import ComplexPolynomial, _horner, antiderivative_coeffs
+from levelgraph.poly import ComplexPolynomial, _horner
 from levelgraph.poly import restrict_to_vertical_line
 
 W_LINEAR = ComplexPolynomial([0, 1])          # w = z

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_index import index_at_point
+from reference_product import antiderivative_coeffs
 
 from levelgraph import cauchy, config, poly
 from levelgraph.cauchy import HalfInteger, line_crossings
@@ -19,7 +20,7 @@ from levelgraph.landscape import (
     on_axis_critical_points,
     validate_no_rhp_critical_points,
 )
-from levelgraph.poly import ComplexPolynomial, _horner, antiderivative_coeffs, root_product
+from levelgraph.poly import ComplexPolynomial, _horner, root_product
 from levelgraph.poly import restrict_to_vertical_line
 from levelgraph.stability import BoundaryData, classify, shift_to_zero_level
 
@@ -269,7 +270,7 @@ def chain_label(pot, z):
     idx = _exact_index(pot, z, on_axis)
     crit_sum = sum(cp.order for cp in pot.axis_critical_points
                    if on_axis and cp.y0 <= z.imag + config.TOL.snap * (1.0 + abs(z)))
-    return abs(idx) + crit_sum + 1, idx
+    return HalfInteger(abs(idx.twice_value) + 2 * (crit_sum + 1)), idx
 
 
 # leading coefficients on an axis, where the phase's low end lies on a line

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import reference_product
 import reference_roots
+from reference_product import antiderivative_coeffs
 from levelgraph import poly
 from levelgraph.poly import (
     ComplexPolynomial,
-    antiderivative_coeffs,
     divide_linear,
     restrict_to_vertical_line,
     root_product,

@@ -1,17 +1,20 @@
 import math
 import pickle
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_product import antiderivative_coeffs
 from test_acceptance import _pick_z2, _random_w
 
-from levelgraph import config, poly
+from levelgraph import config, poly, stability
 from levelgraph.cauchy import HalfInteger
 from levelgraph.errors import CriticalPointInRHP, LevelGraphError, LevelMismatch
-from levelgraph.landscape import Potential
-from levelgraph.poly import ComplexPolynomial, antiderivative_coeffs
+from levelgraph.landscape import CriticalPoint, Potential
+from levelgraph.poly import ComplexPolynomial
 from levelgraph.stability import BoundaryData, classify, shift_to_zero_level
 
 CUBE_THIRD = ComplexPolynomial([0, 0, 0, 1 / 3])
@@ -238,6 +241,62 @@ def test_nongeneric_critical_unstable():
     assert res.n1 == HalfInteger(7)  # 7/2
     assert res.n2 == HalfInteger.from_int(1)
     assert res.verdict == "unstable"
+
+
+def _table_rule(n1: Fraction, n2: Fraction, k: int, genericity):
+    """(verdict, case, critical_order) of the trichotomy, on the labels' values."""
+    half = Fraction(1, 2)
+    if n2.denominator != 1:
+        return "unstable", "z2_on_boundary", k if genericity else None
+    if genericity is None:
+        gap = abs(n1 - n2)
+        verdict = {0: "stable", half: "strictly_semistable"}.get(gap, "unstable")
+        return verdict, "noncritical", None
+    if genericity == "generic":
+        return ("stable" if n1 - k <= n2 <= n1 else "unstable"), "generic_critical", k
+    if n1 - k + half <= n2 <= n1 - half:
+        verdict = "stable"
+    elif n2 in (n1 - k - half, n1 + half):
+        verdict = "strictly_semistable"
+    else:
+        verdict = "unstable"
+    return verdict, "nongeneric_critical", k
+
+
+def test_classify_follows_the_whole_trichotomy_table(monkeypatch):
+    # classify reads two labels and the critical point under z1; stubs hand
+    # it every pair of labels 2 n1, 2 n2 in -2..12 beside no critical point
+    # and generic and non-generic ones of order 1..4, so each branch of the
+    # rule is held, also those no random potential reaches
+    labels, point = {}, []
+
+    class StubPotential:
+        def __init__(self, w):
+            pass
+
+        def critical_point_at(self, z):
+            assert z == 0j
+            return point[0]
+
+    monkeypatch.setattr(stability, "Potential", StubPotential)
+    monkeypatch.setattr(stability, "counting_function",
+                        lambda pot, z: SimpleNamespace(value=labels[z]))
+    data = BoundaryData(ComplexPolynomial([0, 1]), 0j, 1 + 0j)
+    seen = set()
+    for genericity in (None, "generic", "non_generic"):
+        for k in (1, 2, 3, 4) if genericity else (None,):
+            point[:] = [CriticalPoint(0.0, k, genericity) if genericity else None]
+            for t1 in range(-2, 13):
+                for t2 in range(-2, 13):
+                    labels[0j], labels[1 + 0j] = HalfInteger(t1), HalfInteger(t2)
+                    res = classify(data)
+                    want = _table_rule(Fraction(t1, 2), Fraction(t2, 2), k, genericity)
+                    assert (res.verdict, res.case, res.critical_order) == want, (
+                        t1, t2, k, genericity)
+                    assert (res.n1, res.n2) == (labels[0j], labels[1 + 0j])
+                    seen.add(want[:2])
+    # every verdict of every case, and the boundary flag, occurs in the table
+    assert len(seen) == 3 + 2 + 3 + 1
 
 
 # ---------------------------------------------------------------------------

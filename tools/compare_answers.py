@@ -15,13 +15,10 @@ fifth, ``roots``, records ``poly.roots`` of the w' that ``classify`` solves
 of w' for every timed ``witness`` input: verdicts show no radius, so this
 set is what shows a change to the root solve byte-equal.  Each solve is
 recorded as its terms (location, multiplicity, radius) and its one
-``certified`` flag; a checkout whose solve returns a list of
-``RootWithMultiplicity`` records has them converted to that form, so the
-two shapes compare field by field.  A sixth,
-``verdicts-trace``, records the verdict of ``classify`` (or the error it
-raised) of every timed ``verdicts`` input, then runs
-``graphical_connection`` on the shifted w (as ``classify`` shifts it), z1
-and z2: every ``witness`` trace ends at its target, so this set is what
+``certified`` flag.  A sixth, ``verdicts-trace``, records the verdict of
+``classify`` (or the error it raised) of every timed ``verdicts`` input,
+then runs ``graphical_connection`` on the shifted w (as ``classify`` shifts
+it), z1 and z2: every ``witness`` trace ends at its target, so this set is what
 reaches the tracer's critical-point, radius and y-axis stops.  Every
 output field is recorded, floats and complex
 numbers by ``repr`` (so a change in the last bit or in the sign of a zero
@@ -274,15 +271,8 @@ def _verdicts_trace_set(ops):
 
 def _roots_inputs(ops, gen, seed: int, count: int):
     """(prepare, run, inputs) solving w' of the first count verdicts, then
-    witness, inputs; run returns (terms, certified) on either solve's shape."""
+    witness, inputs; run is poly.roots, which returns (terms, certified)."""
     from levelgraph import poly, stability
-
-    def run(p):
-        solved = poly.roots(p)
-        if isinstance(solved, list):  # RootWithMultiplicity records
-            return ([(r.location, r.multiplicity, r.cluster_radius) for r in solved],
-                    all(r.certified for r in solved))
-        return solved
 
     def prepare(item):
         kind, data = item
@@ -295,7 +285,7 @@ def _roots_inputs(ops, gen, seed: int, count: int):
     n = min(count, COUNTS["verdicts"])
     inputs = [("verdicts", data) for data in gen.InputStream("verdicts", seed).take(n)]
     inputs += [("witness", data) for data in gen.InputStream("witness", seed).take(count - n)]
-    return prepare, run, inputs
+    return prepare, poly.roots, inputs
 
 
 def dump(src: str, workload: str, seed: int, count: int) -> None:

@@ -40,10 +40,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-DEFAULT_COUNT = {"verdicts": 3750, "dhym-sweep": 6000}
 
 
 def _quantiles(values, qs=(0.0, 0.01, 0.1, 0.5)):
@@ -69,6 +65,7 @@ def check_verdicts(seed: int, count: int) -> int:
     import ops
     from levelgraph import landscape
     from levelgraph import config
+    from levelgraph.cauchy import HalfInteger
     from levelgraph.stability import BoundaryData, shift_to_zero_level
 
     inputs = gen.InputStream("verdicts", seed).take(count)
@@ -89,7 +86,8 @@ def check_verdicts(seed: int, count: int) -> int:
             margins.append(res.margin)
             on_axis = z.real <= config.TOL.snap * (1.0 + abs(z))
             idx = landscape._exact_index(pot, z, on_axis)
-            if (res.interval_index, res.value) != (idx, abs(idx) + res.crit_sum + 1):
+            value = HalfInteger(abs(idx.twice_value) + 2 * (res.crit_sum + 1))
+            if (res.interval_index, res.value) != (idx, value):
                 wrong.append(f"  input {i} {name}: phase sum {res.value} "
                              f"({res.interval_index}), chain index {idx}")
     return _report(seed, 2 * (count - len(raised)), "labels", margins, fallbacks, "fallbacks",
@@ -103,9 +101,9 @@ def _ccw_index(re, im, c):
     counterclockwise crossing is a +inf -> -inf jump, so the count is minus
     the chain's index.
     """
-    from levelgraph.cauchy import index_on_interval
+    from levelgraph.cauchy import HalfInteger, index_on_interval
 
-    return -index_on_interval(im, re, c, math.inf)
+    return HalfInteger(-index_on_interval(im, re, c, math.inf).twice_value)
 
 
 def _axis_chain_index(inp, wp):
@@ -166,12 +164,14 @@ def check_dhym(seed: int, count: int) -> int:
 
 
 def main(argv=None) -> int:
+    from compare_answers import BENCH, COUNTS
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seeds", nargs="*", type=int, default=[1, 2, 3, 4, 5])
-    parser.add_argument("--workload", choices=sorted(DEFAULT_COUNT), default="verdicts")
+    parser.add_argument("--workload", choices=["dhym-sweep", "verdicts"], default="verdicts")
     parser.add_argument("--count", type=int)
     args = parser.parse_args(argv)
-    count = args.count or DEFAULT_COUNT[args.workload]
+    count = args.count or COUNTS[args.workload]
     check = check_dhym if args.workload == "dhym-sweep" else check_verdicts
     sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
     bad = sum(check(seed, count) for seed in args.seeds)

@@ -24,8 +24,7 @@ import argparse
 import sys
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-COUNT = 3750
+from compare_answers import BENCH, COUNTS
 
 
 def check(seed: int) -> int:
@@ -47,7 +46,7 @@ def check(seed: int) -> int:
     try:
         stream = gen.InputStream("verdicts", seed)
         # each input is yielded right after the random_w call that built it
-        inputs = [(stream.take(1)[0], planted[-1]) for _ in range(COUNT)]
+        inputs = [(stream.take(1)[0], planted[-1]) for _ in range(COUNTS["verdicts"])]
     finally:
         gen.random_w = random_w
 
