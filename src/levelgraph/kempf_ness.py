@@ -476,12 +476,12 @@ def run_flow(
       membership along the flow, and moves by that much plus the
       integrand's change under a drift of E (the drift is one smooth
       function of x: every node takes the same steps through the same map).
-    At rtol = 1e-2 both stay small.  On the 1,440 witness flows
-    of bench/gen.py seeds 1-4, E reaches at most 2.6% of the distance to
-    the nearest other zero of V_j (0.22% at 1e-3), and no membership
-    reading moved by more than 8e-5 from a run at 1e-3, or changed sign.
-    The rate bound is loose: on 40 of those flows it allows 2.75 (1.25 at
-    1e-3), yet no reading moved by more than 2.3e-7 from a run at 1e-5,
+    At rtol = 1e-2 both stay small.  On the 1,440 witness flows of
+    bench/gen.py seeds 1-4, E reaches at most 3.3% of the distance to the
+    nearest other zero of V_j (0.23% at 1e-3), and no membership reading
+    moved by more than 1.1e-4 from a run at 1e-3, or changed sign.  The
+    rate bound is loose: on 40 of those flows it allows 5.74 (1.53 at
+    1e-3), yet no reading moved by more than 3.2e-8 from a run at 1e-5,
     where the least reading is 0.073.
 
     Evaluation.  The nodes never move, so w is tabulated once per call:
@@ -511,9 +511,20 @@ def run_flow(
     differencing Re W.  The exact flow only lowers J, so a positive or
     nonfinite increment is integrator error and rejects the step: the
     recorded J is nonincreasing because every accepted step was checked.
-    The next step is scaled by 0.9 ratio^(-1/3), clamped to [0.2, 4], where
-    ratio is the error-to-tolerance ratio (a rejection by J shrinks by 0.2).
-    The first trial step is one relaxation time 1 / max|Re w'|.
+
+    Step size.  The first trial step is one relaxation time 1 / max|Re w'|.
+    A trial's ratio is s = err / (rtol * r * dt), r = sup|k| at its state.
+    The estimate 2 dt phi3 D is third order in dt, and D = F(U) - F(f) -
+    J_n (U - f) is quadratic in U - f, which scales with the residual: so
+    err ~ dt^3 r^2, and the ratio that a test per unit step reads grows
+    like dt^2 r (the exponent -1/3 belongs to a test per step: Hairer,
+    Norsett & Wanner, Solving ODEs I, II.4).  A rejection by the error test
+    retries from the same state at dt max(0.2, 0.9 s^(-1/2)); a rejection
+    by J, or a nonfinite ratio, shrinks dt by 0.2.  An accepted step is
+    tested next against the new state's residual r+, where the ratio is
+    about s (dt'/dt)^2 r+ / r: so the next trial is
+    dt min(4, max(0.2, 0.9 (s r+ / r)^(-1/2))), or 4 dt when s = 0.  r+ is
+    the residual the loop reads at the new state anyway.
 
     Floating-point overflow and invalid results raise no warning while the
     flow runs: np.errstate is entered once per call, around the evaluation
@@ -605,6 +616,11 @@ def run_flow(
             membs.append(memb)
             if resid < stop_tol or t >= _T_MAX:
                 break
+            if len(times) > 1:
+                # the accepted trial's ratio carried to this state's
+                # residual (see Step size), with r = 0 guarded
+                ahead = scale * resid / prev if prev > 0.0 else scale
+                dt *= 4.0 if ahead == 0.0 else min(4.0, max(0.2, 0.9 * ahead ** -0.5))
 
             while True:
                 last = t + dt >= _T_MAX - dt_min
@@ -622,20 +638,19 @@ def run_flow(
                         scale = math.inf
                 elif not math.isfinite(scale):
                     scale = math.inf
-                factor = 4.0 if scale == 0.0 else min(4.0, max(0.2, 0.9 * scale ** (-1.0 / 3.0)))
                 if scale <= 1.0:
                     break
-                dt *= factor
+                dt *= max(0.2, 0.9 * scale ** -0.5)
                 rejected += 1
                 if dt < dt_min:
                     raise Diverged(f"flow step size fell to {dt:.3g} at t = {t:.6g}")
 
             jval += dj
             t = _T_MAX if last else t + dt
+            prev = resid
             f, new = f_new, np.empty(len(x))
             cur, nxt = nxt, cur
             k, memb, jac = diag(f, rows)
-            dt *= factor
 
     final = GridFunction(f0.a, f0.b, f0.nodes, f, f0.boundary)
     return FlowTrace(times, js, resids, membs, final, rejected)

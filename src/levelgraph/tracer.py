@@ -32,7 +32,10 @@ M2(s) = sum_{k>=2} k (k-1) |c_k| (|z1| + s)^(k-2) (a bound for |w''| on
 D(z1, s)) and r the largest radius r <= 1 with r M2(r) <= q g.  Since
 r M2(r) rises with r, a bisection finds r, starting from q g / M2(1), which
 fits.  Where q = 0 (a vertical tangent) there is no disc, r = 0, even when
-M2 = 0: the argument below needs |Re t| > 0.  On D(z1, r), |w'(p) - w'(z1)| <=
+M2 = 0: the argument below needs |Re t| > 0.  Nor is there one where
+q g / M2(1) is below the least normal double: the test r M2(r) <= q g
+would then compare subnormals, whose rounding is as coarse as q g
+itself.  On D(z1, r), |w'(p) - w'(z1)| <=
 M2(r) r <= q g.  The gradient of Im w is i conj w', so its component along
 n, the unit gradient at z1, is at least (1 - q) g > 0 on the disc: Im w -
 level strictly increases along every chord parallel to n, and the level
@@ -67,6 +70,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from . import config
@@ -189,8 +193,8 @@ def _landing_disc(coeffs, dcoeffs, z: complex) -> float:
     """Radius r of the landing disc about z of the level curve of Im w
     through z, w and w' given by their ascending coeffs and dcoeffs: the
     largest r <= 1 with r M2(r) <= q |w'(z)| (see the module docstring).  0
-    where w'(z) vanishes or overflows, or where the tangent is vertical
-    (q = 0)."""
+    where w'(z) vanishes or overflows, where the tangent is vertical
+    (q = 0), or where q g / M2(1) is below the least normal double."""
     d = _horner(dcoeffs, z, 0j)
     g = abs(d)
     if not 0.0 < g < math.inf:
@@ -207,10 +211,10 @@ def _landing_disc(coeffs, dcoeffs, z: complex) -> float:
         return 1.0
     # r M2(r) rises with r, and M2(r) <= M2(1): q g / M2(1) fits, 1 does not
     lo, hi = qg / _horner(b, abs(z) + 1.0, 0.0), 1.0
-    while lo > 0.0 and hi > lo * _DISC_WIDTH:
+    if lo < sys.float_info.min:
+        return 0.0
+    while hi > lo * _DISC_WIDTH:
         mid = math.sqrt(lo) * math.sqrt(hi)
-        if not lo < mid < hi:  # subnormal ends, too coarse to bisect further
-            break
         lo, hi = (mid, hi) if fits(mid) else (lo, mid)
     return lo
 

@@ -581,8 +581,9 @@ def test_flow_header_after_blank_lines(capsys, tmp_path):
 def test_flow_reports_accepted_and_rejected_steps(capsys, tmp_path):
     # w = z^3/3 from a bump of height 2.625 on [0.5, 4]: the first trial
     # step, one relaxation time 1/max|Re w'| = 1/16, is too long for the
-    # error test, which rejects two trial steps (error ratios 2.74 and
-    # 1.30) before the first is accepted
+    # error test (error ratio 2.74); the retry, scaled by 0.9 2.74^(-1/2)
+    # since the estimate is third order in dt, passes with ratio 0.97, so
+    # one trial step is rejected
     f0_file = tmp_path / "f0.csv"
     rows = ["x,f"]
     for i in range(65):
@@ -602,7 +603,7 @@ def test_flow_reports_accepted_and_rejected_steps(capsys, tmp_path):
     summary = json.loads(out)
     lines = target.read_text().strip().splitlines()
     assert summary["steps"] == len(lines) - 2  # header and the start row
-    assert summary["rejected_steps"] == 2
+    assert summary["rejected_steps"] == 1
 
 
 def test_flow_reports_membership_at_start_and_over_the_run(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import random
@@ -582,7 +583,7 @@ def _cube_flow(**kwargs):
 
 def test_flow_error_control_takes_few_steps():
     # a fixed 0.05 cap takes 260 steps here and RK4 at its stability bound
-    # 70; the exponential steps, which have no such bound, take 6
+    # 70; the exponential steps, which have no such bound, take 4
     trace = _cube_flow()
     assert len(trace.times) - 1 <= 20
     assert trace.residual_sup[-1] < 1e-8
@@ -682,6 +683,81 @@ def test_flow_rejects_a_step_that_raises_J(monkeypatch):
     assert trials[1][1:] == trials[0][1:]
     assert all(b <= a for a, b in zip(trace.J_values, trace.J_values[1:]))
     assert trace.residual_sup[-1] < 1e-8
+
+
+@contextlib.contextmanager
+def _recorded_trials(ratios=()):
+    # record every exprb32 trial of the flows run inside as (start state,
+    # dt, resid, err, new state); the first len(ratios) trials report the
+    # error estimate ratio * rtol * resid * dt in place of their own, the
+    # others their own
+    trials = []
+    step = kempf_ness._exprb32
+    rtol = config.TOL.flow_step_rtol
+
+    def recording(vals, k, jac, rhs, dt, *work):
+        u, corr = step(vals, k, jac, rhs, dt, *work)
+        resid = float(np.max(np.abs(k)))
+        if len(trials) < len(ratios):
+            corr = np.full_like(vals, ratios[len(trials)] * rtol * resid * dt)
+        trials.append((vals, dt, resid, float(np.max(np.abs(corr))), u))
+        return u, corr
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kempf_ness, "_exprb32", recording)
+        yield trials
+
+
+def test_step_controller_follows_the_estimate_order_and_the_next_residual():
+    # chosen error ratios s on the cube flow: a rejection retries from the
+    # same state at dt max(0.2, 0.9 s^(-1/2)) (2.5 by the formula, 50 at the
+    # clamp), an accepted trial's next step reads s r+/r at the new state,
+    # with r and r+ the residual at the old and the new state, and a zero
+    # estimate grows the step fourfold
+    with _recorded_trials((2.5, 50.0, 0.5, 0.0, 0.8)) as trials:
+        trace = _cube_flow()
+    assert trace.rejected_steps == 2
+    assert trace.residual_sup[-1] < 1e-8
+    (v0, dt0, r0, _, _), (v1, dt1, _, _, _), (v2, dt2, _, _, u2) = trials[:3]
+    (v3, dt3, r3, _, u3), (v4, dt4, r4, _, u4), (v5, dt5, r5, _, _) = trials[3:6]
+    assert v0 is v1 is v2 and v3 is u2 and v4 is u3 and v5 is u4
+    assert r3 < r0 and r4 < r3 and r5 < r4
+    assert dt1 == pytest.approx(dt0 * 0.9 * 2.5 ** -0.5, rel=1e-12)
+    assert dt2 == pytest.approx(dt1 * 0.2, rel=1e-12)
+    assert dt3 == pytest.approx(dt2 * min(4.0, 0.9 * (0.5 * r3 / r0) ** -0.5), rel=1e-12)
+    assert dt4 == pytest.approx(4.0 * dt3, rel=1e-12)
+    assert dt5 == pytest.approx(dt4 * min(4.0, 0.9 * (0.8 * r5 / r4) ** -0.5), rel=1e-12)
+
+
+def test_flow_accepts_only_steps_that_pass_the_error_test():
+    # every accepted trial, the one whose new state the next trial starts
+    # from, or the last (a run ends only on an accepted state), passed
+    # err <= rtol * resid * dt at the shipped rtol, which is no looser than
+    # 1e-2
+    rtol = config.TOL.flow_step_rtol
+    assert rtol <= 1e-2
+    for flow in (_cube_flow, lambda: run_flow(*_witness_like_cubic())):
+        with _recorded_trials() as trials:
+            trace = flow()
+        accepted = [trial for trial, after in zip(trials, trials[1:]) if trial[4] is after[0]]
+        accepted.append(trials[-1])
+        assert accepted[-1][4].tobytes() == trace.final.values.tobytes()
+        assert len(accepted) == len(trace.times) - 1 > 3
+        for _, dt, resid, err, _ in accepted:
+            assert err <= rtol * resid * dt
+
+
+def test_nonfinite_error_estimate_shrinks_the_step_until_it_diverges():
+    # a nan estimate is never accepted: each retry from the start state
+    # shrinks the step by 0.2, until it falls below the rounding of t
+    with _recorded_trials([math.nan] * 100) as trials:
+        with pytest.raises(Diverged, match="flow step size fell"):
+            _cube_flow()
+    assert len(trials) > 10
+    assert all(vals is trials[0][0] for vals, *_ in trials)
+    for (_, dt, *_), (_, retry, *_) in zip(trials, trials[1:]):
+        assert retry == pytest.approx(0.2 * dt, rel=1e-12)
+    assert 0.2 * trials[-1][1] < 4.0 * np.finfo(float).eps * kempf_ness._T_MAX
 
 
 def _stable_flow_pair(seed):

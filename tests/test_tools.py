@@ -96,3 +96,29 @@ def test_op_timer_reports_each_pair_and_a_summary():
     assert summary is not None, out[1]
     # one pair: each side's median and quartiles are its one time
     assert [float(v) for v in summary.groups()[:6]] == [float(pair[1])] * 3 + [float(pair[3])] * 3
+
+
+def test_bench_record_appends_one_entry_per_run(tmp_path):
+    # two short runs of one seed: the file is made by the first and
+    # appended to by the second, each entry with both metric levels
+    for _ in range(2):
+        _run(TOOLS / "bench_record.py", "--workload", "dhym-sweep", "--seeds", "1",
+             "--seconds", "0.1", "--out-dir", tmp_path)
+    data = json.loads((tmp_path / "BENCH_dhym-sweep.json").read_text())
+    assert data["workload"] == "dhym-sweep" and len(data["entries"]) == 2
+    dead = ("landscape.on_axis_critical_points.calls_per_op",
+            "landscape.validate_no_rhp_critical_points.calls_per_op")
+    assert sorted(data["notes"]) == sorted(dead)
+    for entry in data["entries"]:
+        assert entry["seeds"] == [1] and entry["runs"][0]["seed"] == 1
+        assert entry["runs"][0]["attempted"] >= 100
+        assert set(entry["end_to_end"]) == {"ops_per_s", "op_p50_ms", "op_p90_ms",
+                                            "setup_s", "peak_rss_mb"}
+        assert entry["end_to_end"]["ops_per_s"]["median"] > 0
+        assert entry["per_layer"]["dhym.compute_lifts.self_ms_per_op"]["unit"] == "ms/op"
+        for name in dead:
+            assert entry["per_layer"][name]["median"] == 0.0
+        # one seed: each median is its quartiles
+        assert all(m["q1"] == m["median"] == m["q3"]
+                   for m in {**entry["end_to_end"], **entry["per_layer"]}.values())
+    assert data["entries"][0]["src_tree"] == data["entries"][1]["src_tree"]

@@ -514,6 +514,9 @@ def test_landing_disc_holds_one_monotone_arc(coeffs, z):
 # r about 2.6e-322: subnormal ends a few ulps apart, with no double between
 # them, which the bisection once split forever
 @example([0j, complex(1e-322, 1.0), 0.1j], 0j)
+# w'(z) about -1.6e-320: q g is subnormal, and r M2(r) passed it in floats
+# by less than one subnormal ulp
+@example([0j, 0j, 0j, 0.125 + 0j], 2.0590590196242448e-160j)
 def test_landing_disc_is_the_largest_radius_its_bound_allows(coeffs, z):
     # r M2(r) <= q g, and r is 1 or r (1 + 2^-8) breaks the bound
     r = _landing_disc(coeffs, z)
