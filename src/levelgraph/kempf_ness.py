@@ -402,30 +402,31 @@ def _step_pass(stacked: np.ndarray, yi: np.ndarray, yw: np.ndarray, qw: np.ndarr
     return -float(half.sum()), rows[:3]
 
 
-def _vertical_line_tables(w, x: np.ndarray) -> np.ndarray:
+def _vertical_line_tables(w, x: np.ndarray, copies: int = 0) -> np.ndarray:
     """Coefficient rows, ascending in y, of Im w, Re w' and Im w' on the
-    vertical lines through the points x.
+    vertical lines through the points x, then copies rows of -Im w.
 
-    Returns an array of shape (deg w + 1, 3, len(x)), at least one row deep
-    (the zero polynomial gives one row of zeros).  Its Horner sum at heights
-    y (poly._horner) is the (3, len(x)) array of Im w, Re w' and Im w' at
-    x + iy.  With C_k = i^k w^(k)(x)/k! (poly.line_coeffs), w(x + iy) =
-    sum C_k y^k; and since d/dy w(x + iy) = i w'(x + iy), Re w' =
-    sum k Im C_k y^(k-1) and Im w' = -sum k Re C_k y^(k-1).  The nodes
-    reach line_coeffs as one complex array, cast once: numpy would cast the
-    real nodes to the same complex values in each synthetic-division
-    product.
+    Returns an array of shape (deg w + 1, 3 + copies, len(x)), at least one
+    row deep (the zero polynomial gives one row of zeros).  Its Horner sum
+    at heights y (poly._horner) is the (3 + copies, len(x)) array of Im w,
+    Re w' and Im w' at x + iy, then -Im w at each further height.  With
+    C_k = i^k w^(k)(x)/k! (poly.line_coeffs), w(x + iy) = sum C_k y^k;
+    and since d/dy w(x + iy) = i w'(x + iy), Re w' = sum k Im C_k y^(k-1)
+    and Im w' = -sum k Re C_k y^(k-1).  The nodes reach line_coeffs as one
+    complex array, cast once: numpy would cast the real nodes to the same
+    complex values in each synthetic-division product.
     """
     import numpy as np
 
     coeffs = w.coeffs or (0j,)
     n = len(coeffs)
     c = np.array(line_coeffs(coeffs, np.asarray(x, dtype=complex), n))
-    table = np.zeros((n, 3, len(x)))
+    table = np.zeros((n, 3 + copies, len(x)))
     table[:, 0] = c.imag
     k = np.arange(1, n)[:, None]
     table[:-1, 1] = k * c.imag[1:]
     table[:-1, 2] = -k * c.real[1:]
+    np.negative(c.imag[:, None], out=table[:, 3:])
     return table
 
 
@@ -553,12 +554,13 @@ def run_flow(
     # -Im w, of Re w' and of Im w'; stacked under them, the right-hand
     # side's rows once more for each of the len(yi) Gauss heights of a J
     # increment
-    table = _vertical_line_tables(w, x)
-    table[:, 0] *= -1.0
-    rhs_rows = table[:, 0]
     yi, yw = _reference_rule(max(w.degree // 2 + 1, 1))
     yi = yi[:, None]
-    stacked = np.concatenate([table, np.repeat(table[:, :1], len(yi), axis=1)], axis=1)
+    stacked = _vertical_line_tables(w, x, len(yi))
+    # a view: negating its Im w row negates stacked's
+    table = stacked[:, :3]
+    table[:, 0] *= -1.0
+    rhs_rows = table[:, 0]
     # f' at the nodes: the interior block acts on the heights, and the
     # pinned endpoints add a fixed column sum
     inner, left, right = _reference_operator(len(x))

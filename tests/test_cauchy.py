@@ -45,6 +45,18 @@ def test_half_integer_ordering():
     assert HalfInteger(3) != 1
 
 
+@pytest.mark.parametrize("other", [1.0, Fraction(1), "1"], ids=["float", "Fraction", "str"])
+def test_half_integer_equals_only_a_half_integer_or_an_int(other):
+    # the label 1 equals the int 1 and HalfInteger(2); against any other
+    # type __eq__ declines, and so does the other operand
+    label = HalfInteger(2)
+    assert label == 1 and 1 == label
+    assert label == HalfInteger(2)
+    assert label.__eq__(other) is NotImplemented
+    assert label != other and other != label
+    assert not label == other and not other == label
+
+
 def _fraction(x):
     return Fraction(x.twice_value, 2) if isinstance(x, HalfInteger) else Fraction(x)
 

@@ -326,9 +326,14 @@ def test_vertical_line_tables_match_complex_horner(coeffs, points):
 def test_vertical_line_tables_read_the_restriction_bit_for_bit(coeffs, xs):
     # both read poly.line_coeffs, on a node array and at one point: at each
     # node, row 0 of the tables is the Im part restrict_to_vertical_line
-    # returns, to the last bit, followed by the zeros that it trims
+    # returns, to the last bit, followed by the zeros that it trims; the
+    # copies run_flow stacks under the three rows are -row 0, bit for bit
     w = ComplexPolynomial(coeffs)
-    rows = kempf_ness._vertical_line_tables(w, np.array(xs))[:, 0]
+    table = kempf_ness._vertical_line_tables(w, np.array(xs))
+    stacked = kempf_ness._vertical_line_tables(w, np.array(xs), 2)
+    assert stacked[:, :3].tobytes() == table.tobytes()
+    assert stacked[:, 3].tobytes() == stacked[:, 4].tobytes() == np.negative(table[:, 0]).tobytes()
+    rows = table[:, 0]
     for j, x in enumerate(xs):
         im = restrict_to_vertical_line(w, x)[1]
         col = rows[:, j].tolist()

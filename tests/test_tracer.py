@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 import sys
 
@@ -649,8 +650,84 @@ def test_a_witness_trace_launches_from_the_disc_about_its_seed(w, z1, z2):
     # onto the arc, a short move across it
     assert abs(u1 - u0) == pytest.approx(launch, rel=1e-2)
     # a work count: the 18th input, whose landing radius at z1 is 0.0089,
-    # closes in on it in 10 quarter steps, and no trace takes more points
-    assert len(chk.trace.points) <= 24
+    # took 24 points when a quarter pull closed in on it, and takes 16 in
+    # steps cut by its distance; no trace takes more
+    assert len(chk.trace.points) <= 16
+
+
+@contextlib.contextmanager
+def _recorded_steps():
+    # record every predictor step of the traces run inside as (start point,
+    # step, corrected point or None): _trace corrects u + h t, t a unit
+    # tangent, allowing a move of 4 h; other corrections are left out
+    steps = []
+    correct = tracer._correct
+
+    def recording(field, grad, ftol, u, max_move):
+        out = correct(field, grad, ftol, u, max_move)
+        steps.append((u, 0.25 * max_move, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tracer, "_correct", recording)
+        yield steps
+
+
+def _traced_steps(w, z1, z2):
+    """(GraphCheck, [(u, h)] for every predictor trial of its trace)."""
+    with _recorded_steps() as calls:
+        chk = graphical_connection(w, z1, z2)
+    pts, trials, i = chk.trace.points, [], 0
+    for pred, h, out in calls:
+        # a trial predicts from the last accepted point pts[i], h away
+        if i + 1 < len(pts) and abs(abs(pred - pts[i]) - h) <= 1e-9 * (1.0 + h):
+            trials.append((pts[i], h))
+            if out == pts[i + 1]:
+                i += 1
+    return chk, trials
+
+
+@pytest.mark.parametrize("w, z1, z2", _WITNESS_SEED_1)
+def test_a_landed_target_is_approached_in_steps_cut_by_its_distance(w, z1, z2):
+    w = ComplexPolynomial(complex(*p) for p in w)
+    z1, z2 = complex(*z1), complex(*z2)
+    chk, trials = _traced_steps(w, z1, z2)
+    aim = config.TOL.connect * (1 + abs(z1))
+    pts, p = chk.trace.points, chk.trace.points[-1]
+    assert chk.trace.terminated_by == "target" and abs(p - z1) <= aim
+    # every point steps on but the one inside the landing disc, which
+    # appends p
+    assert {u for u, _ in trials} == set(pts[:-2])
+    # each step is at most lambda (|u - z1| - aim), so it stops short of
+    # the landing point p: x falls along the trace until p
+    for u, h in trials:
+        assert h <= tracer._LAND_PULL * (abs(u - z1) - aim) * (1 + 1e-12)
+    assert all(a.real > b.real for a, b in zip(pts, pts[1:]))
+    # the quarter pull of a target without a landing disc no longer cuts
+    # them: some step exceeds a quarter of its distance to z1
+    assert any(h > 0.25 * abs(u - z1) for u, h in trials)
+
+
+def test_the_derived_landing_pull_keeps_every_step_short_of_the_landing():
+    # lambda (1 + eps) < 1 with 1 + eps = cos(theta) / cos(2 theta), theta
+    # the turn an accepted step allows (the module docstring)
+    theta = config.TOL.max_turn_angle
+    assert tracer._LAND_PULL * math.cos(theta) < math.cos(2 * theta)
+
+
+@pytest.mark.parametrize("w, z2", [(CUBE_THIRD, 2 + 1j * math.sqrt(12)),
+                                   (CUBIC_MIXED, 2 + 0j)], ids=["ray", "window"])
+def test_a_target_without_a_landing_disc_keeps_the_quarter_pull(w, z2):
+    # z1 = 0 is a critical point: w'(0) = 0 gives no disc
+    z1 = 0j
+    assert _landing_disc(w.coeffs, z1) == 0.0
+    chk, trials = _traced_steps(w, z1, z2)
+    assert chk.connected and chk.graphical
+    aim = config.TOL.connect
+    for u, h in trials:
+        assert h <= max(0.25 * abs(u - z1), 0.5 * aim) * (1 + 1e-12)
+    # the quarter steps close in on z1
+    assert sum(abs(u - z1) < 0.05 for u, _ in trials) > 10
 
 
 # ---------------------------------------------------------------------------
