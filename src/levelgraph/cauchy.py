@@ -168,11 +168,11 @@ def _local(p: list, x) -> tuple:
     for k in range(len(b) - 2, -1, -1):
         e *= E
         b[k] *= e
+    # b is nonzero, so one of its len(b) Taylor coefficients at X is nonzero
     for j in range(len(b)):
         b, value = divide_linear(b, X)
         if value:
             return j, (1 if value > 0 else -1)
-    raise ValueError("the zero polynomial has no local sign")
 
 
 def _beside(local: tuple, side: int) -> int:

@@ -39,13 +39,13 @@ just above the wall.
 
 ``analyze`` builds no polynomial object and forms each shared quantity
 once.  P is one coefficient list, walked once for P(z2) and its rounding
-scale, and once more, each coefficient turned by e^{-i theta_hat}, for the
-level check.  w = e^{-i theta_hat} P is built as a list only where
-``build_polynomials`` returns it.  Z_Dinf and the sector test's w'(z2)
-share the powers z2^r and (z2 + xi)^m, read from the factors as the lifts
-read them.  Its one record is the frozen ``ChargeReport`` it returns:
-``compute_lifts`` hands its decisions over as ``LiftData``, a named tuple
-built positionally.
+scale (``poly._horner_bound``), and once more, each coefficient turned by
+e^{-i theta_hat} as it is read, for the level check.  w = e^{-i theta_hat}
+P is built as a list only where ``build_polynomials`` returns it.  Z_Dinf
+and the sector test's w'(z2) share the powers z2^r and (z2 + xi)^m, read
+from the factors as the lifts read them.  Its one record is the frozen
+``ChargeReport`` it returns: ``compute_lifts`` hands its decisions over as
+``LiftData``, a named tuple built positionally.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .errors import (
     LiftInconsistency,
     ZeroTotalCharge,
 )
-from .poly import I_POWERS, root_product
+from .poly import I_POWERS, _horner_bound, root_product
 
 __all__ = [
     "CalabiInput",
@@ -172,23 +172,20 @@ def _potential(inp: CalabiInput):
     TOL.zero_charge times sum |c_k| |z2|^k, the a priori scale of zeta's
     Horner rounding (Higham, Accuracy and Stability of Numerical
     Algorithms, section 5.1), which is homogeneous in (xi, z2) as |zeta| is.
-    One Horner pass forms zeta and its scale; the level check takes a pass
-    of its own over the rotated coefficients, with no list of them.
+    One poly._horner_bound pass forms zeta and its scale; the level check
+    takes a pass of its own over the rotated coefficients, with no list of
+    them.
     """
     # P' = z^r (xi + z)^m: P is r + 1 zeros, then the coefficients of
     # (xi + z)^m, each divided by the power of z it takes in P
     r = inp.r
     P = [0j] * (r + 1) + [c / (k + r + 1) for k, c in enumerate(root_product([-inp.xi] * inp.m))]
     z2 = inp.z2
-    radius = abs(z2)
-    zeta, scale = 0j, 0.0
-    for c in reversed(P):
-        zeta = zeta * z2 + c
-        scale = scale * radius + abs(c)
+    zeta, scale = _horner_bound(P, z2)
     if not (scale < math.inf and cmath.isfinite(zeta)):
         raise ValueError(
             f"the class data overflow a double: P(z2) = {zeta!r} for P of degree "
-            f"{len(P) - 1} at |z2| = {radius!r}"
+            f"{len(P) - 1} at |z2| = {abs(z2)!r}"
         )
     if abs(zeta) < config.TOL.zero_charge * scale:
         raise ZeroTotalCharge(

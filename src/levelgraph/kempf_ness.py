@@ -166,15 +166,13 @@ class GridFunction:
         object.__setattr__(self, "boundary", (p, q))
 
 
-def make_grid_function(a, b, fn, n: int = GRID_NODES, boundary=None) -> GridFunction:
-    """Sample a callable on the Gauss-Legendre grid of (a, b)."""
+def make_grid_function(a, b, fn, n: int = GRID_NODES, *, boundary) -> GridFunction:
+    """Sample a callable on the Gauss-Legendre grid of (a, b), with the end
+    heights boundary = (f(a), f(b))."""
     import numpy as np
 
     nodes = gauss_interior_nodes(a, b, n)
-    values = np.asarray(fn(nodes), dtype=float)
-    if boundary is None:
-        boundary = (float(fn(float(a))), float(fn(float(b))))
-    return GridFunction(a, b, nodes, values, boundary)
+    return GridFunction(a, b, nodes, np.asarray(fn(nodes), dtype=float), boundary)
 
 
 def derivative_values(f: GridFunction) -> np.ndarray:

@@ -15,12 +15,11 @@ This module is the package's only polynomial arithmetic.  One Horner loop,
 An array is summed in place in a zeros accumulator of the result's shape
 and dtype, so even the zero polynomial gives a typed array, and a caller
 that owns the accumulator (the flow's per-call work arrays in
-``kempf_ness``) allocates nothing per pass.  Two loops take a value and
-its rounding bound sum |c_k| |z|^k in one pass, with two accumulators:
-``_discs`` at each eigenvalue of a root solve, and ``dhym._potential``, on
-the path of every dHYM verdict, for P(z2); that one walks P once more for
-the level check with each coefficient rotated as it is read, so it builds
-neither the list of |c_k| nor the rotated list.  ``divide_linear`` divides by
+``kempf_ness``) allocates nothing per pass.  One loop, ``_horner_bound``,
+takes a scalar value and its rounding scale sum |c_k| |z|^k in one pass,
+with two accumulators: ``_discs`` reads it at each eigenvalue of a root
+solve, and ``dhym._potential``, on the path of every dHYM verdict, for
+P(z2) and its ``zero_charge`` scale.  ``divide_linear`` divides by
 (v - x), and repeated, it gives the Taylor coefficients at x
 (``taylor_coeffs``): the exact sign of an integer polynomial beside a
 point and the cancellation of a known factor come from it.  Times the
@@ -86,6 +85,17 @@ def _horner(coeffs: Sequence[complex], z, acc):
         acc *= z
         acc += c
     return acc
+
+
+def _horner_bound(coeffs: Sequence[complex], z: complex) -> tuple:
+    """(p(z), sum |c_k| |z|^k) in one pass: p(z) as _horner forms it from 0j,
+    beside the a priori scale of its rounding (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 5.1), formed alike from 0.0."""
+    v, bound, az = 0j, 0.0, abs(z)
+    for c in reversed(coeffs):
+        v = v * z + c
+        bound = bound * az + abs(c)
+    return v, bound
 
 
 def divide_linear(coeffs: Sequence, x) -> tuple:
@@ -230,9 +240,9 @@ def _newton(coeffs: Sequence[complex], dcoeffs: Sequence[complex], z: complex) -
     return z
 
 
-def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
+def _discs(coeffs: Sequence[complex], approx: Sequence[complex]) -> tuple:
     """(center, radius) of one Gerschgorin disc per approximation z_j to a
-    zero of p; the n = deg p approximations are distinct for a certificate.
+    zero of p = coeffs; the n = deg p approximations are distinct for a certificate.
 
     With the Weierstrass corrections W_j = p(z_j) / (lc * prod_{k!=j} (z_j - z_k)),
     Lagrange interpolation makes the zeros of p the eigenvalues of
@@ -246,15 +256,15 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
 
     With u = eps/2 and f = 2 (n + 1) eps = 4 (n + 1) u: |p(z_j)| <= |v| + e,
     v the computed value and e = f sum |c_k| |z_j|^k its Horner rounding
-    bound.  The computed product P is within rho = 3.3 (n - 1) u, relative
-    (u per difference, sqrt(5) u per product).  Past rho and the roundings
-    of |v| + e, |P|, the quotient and the factor, (3.3 n + 5) u in all,
-    a_j = (|v| + e)/|P| (1 + 2f) exceeds |W_j| by the (n + 1.5) u that the
-    radius's own arithmetic can lose.  The center c_j = z_j - v/P misses
-    z_j - W_j by e/|P| (from v), (9u + rho) a_j (the quotient, within 9u by
-    Smith's method, and P) and u |c_j| (the subtraction): the shift
-    e/|P| + 2f a_j + eps |c_j| covers these and its own rounding, and is
-    added to the radius.
+    bound, both from one _horner_bound pass.  The computed product P is
+    within rho = 3.3 (n - 1) u, relative (u per difference, sqrt(5) u per
+    product).  Past rho and the roundings of |v| + e, |P|, the quotient and
+    the factor, (3.3 n + 5) u in all, a_j = (|v| + e)/|P| (1 + 2f) exceeds
+    |W_j| by the (n + 1.5) u that the radius's own arithmetic can lose.  The
+    center c_j = z_j - v/P misses z_j - W_j by e/|P| (from v), (9u + rho) a_j
+    (the quotient, within 9u by Smith's method, and P) and u |c_j| (the
+    subtraction): the shift e/|P| + 2f a_j + eps |c_j| covers these and its
+    own rounding, and is added to the radius.
 
     Where W_j is undefined (an approximation repeats), p(z_j) is not finite
     or the product is not finite, a_j is 0: the disc is the point z_j, it
@@ -263,10 +273,7 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
     its rounding bound, since the theorem then covers no disc.
     """
     n = len(approx)
-    lc = p.coeffs[-1]
-    # each coefficient with its modulus, from the top: one Horner pass takes
-    # p(z_j) and the bound sum |c_k| |z_j|^k together
-    descending = [(c, abs(c)) for c in reversed(p.coeffs)]
+    lc = coeffs[-1]
     eps = sys.float_info.epsilon
     round_factor = 2 * (n + 1) * eps
     centers, sizes, shifts = [], [], []
@@ -279,10 +286,7 @@ def _discs(p: ComplexPolynomial, approx: Sequence[complex]) -> tuple:
             prod *= z - y
         for y in approx[j + 1:]:
             prod *= z - y
-        v, bound, az = 0j, 0.0, abs(z)
-        for c, ac in descending:
-            v = v * z + c
-            bound = bound * az + ac
+        v, bound = _horner_bound(coeffs, z)
         a = shift = 0.0
         if prod != 0 and cmath.isfinite(prod) and cmath.isfinite(v):
             e = round_factor * bound
@@ -363,15 +367,15 @@ def roots(p: ComplexPolynomial) -> tuple:
     if p.degree == 0:
         return [], True
     m = next(k for k, c in enumerate(p.coeffs) if c != 0)
-    rest = ComplexPolynomial(p.coeffs[m:]) if m else p
+    rest = p.coeffs[m:]
     approx = []
-    if rest.degree:
+    if len(rest) > 1:
         import numpy as np
 
         # numpy.roots' companion matrix, whose first row is -desc[1:]/desc[0];
         # rest has no zero at either end, so numpy.roots would strip nothing
-        desc = np.array(rest.coeffs[::-1], dtype=complex)
-        companion = _subdiagonal(rest.degree).copy()
+        desc = np.array(rest[::-1], dtype=complex)
+        companion = _subdiagonal(len(rest) - 1).copy()
         with np.errstate(over="ignore", invalid="ignore"):
             companion[0] = -desc[1:] / desc[0]
         if not np.isfinite(companion[0]).all():

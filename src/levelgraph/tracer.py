@@ -136,7 +136,9 @@ class GraphCheck:
     critical point that z1 marks).  ``graphical`` means Re z never increased
     along the way, so the arc is a graph over its x-projection.
     ``slope_sup`` is the largest |dy/dx| over the polyline segments; a huge
-    value is the numerical signature of a vertical arrival.
+    value is the numerical signature of a vertical arrival.  On a trace that
+    is not connected and graphical it measures the sampling, not the curve:
+    a change of step size alone can move it by orders of magnitude.
     """
 
     connected: bool
@@ -463,11 +465,10 @@ def graphical_connection(w: ComplexPolynomial, z1, z2) -> GraphCheck:
     z1 = complex(z1)
     z2 = complex(z2)
     line, connected = _trace(w, z2, "level", -1, w(z2).imag, z1)
-    dxs = [a.real - b.real for a, b in zip(line.points, line.points[1:])]
     slack = config.TOL.graph_slack * (1.0 + abs(z2))
-    graphical = all(d >= -slack for d in dxs)
-    slope = 0.0
+    graphical, slope = True, 0.0
     for a, b in zip(line.points, line.points[1:]):
-        s = abs(b.imag - a.imag) / max(abs(b.real - a.real), 1e-300)
-        slope = max(slope, min(s, 1e18))
+        dx = a.real - b.real
+        graphical &= dx >= -slack
+        slope = max(slope, min(abs(b.imag - a.imag) / max(abs(dx), 1e-300), 1e18))
     return GraphCheck(connected, graphical, slope, line)

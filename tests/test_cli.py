@@ -361,6 +361,20 @@ def test_dhym_witness_null_when_no_solution(capsys):
     assert json.loads(out)["witness"] is None
 
 
+def test_dhym_witness_flow_null_when_the_flow_raises(capsys):
+    # an exists verdict whose flow from the chord diverges: the witness keeps
+    # its traced curve and reports the flow as null
+    argv = ["dhym", "--m", "8", "--r", "6", "--xi1", "2", "--xi2", "2", "--b", "2.5",
+            "--q", "0.5", "--witness"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0, err
+    d = json.loads(out)
+    assert d["verdict"] == "exists"
+    assert len(d["witness"]["curve"]) >= 2
+    assert d["witness"]["flow"] is None
+    assert '"flow":null' in out
+
+
 # ---------------------------------------------------------------------------
 # trace
 

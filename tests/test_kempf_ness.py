@@ -53,7 +53,7 @@ def _setup(n=257):
 
 
 def test_differentiates_constant_to_zero():
-    f = make_grid_function(A, B, lambda x: 3.7 + 0.0 * x)
+    f = make_grid_function(A, B, lambda x: 3.7 + 0.0 * x, boundary=(3.7, 3.7))
     assert np.max(np.abs(derivative_values(f))) == 0.0
 
 
@@ -75,7 +75,7 @@ def _direct_diff_matrix(full_x):
 def test_scaled_reference_diff_matrix_matches_direct_build(a, b):
     # the cached operator is the node rows of the matrix: its interior
     # block and the columns of a and b
-    f = make_grid_function(a, b, lambda x: 0.0 * x)
+    f = make_grid_function(a, b, lambda x: 0.0 * x, boundary=(0.0, 0.0))
     direct = _direct_diff_matrix(np.concatenate([[a], f.nodes, [b]]))[1:-1]
     inner, left, right = kempf_ness._reference_operator(len(f.nodes))
     scaled = np.column_stack([left, inner, right]) * (2.0 / (b - a))
@@ -88,7 +88,7 @@ def test_derivative_values_match_direct_build(a, b):
     # in the same subtraction form; each row's error is bounded relative to
     # the sum of its terms' magnitudes
     for n in (9, 17, 33, 65, 129, 257):
-        f = make_grid_function(a, b, np.sin, n=n)
+        f = make_grid_function(a, b, np.sin, n=n, boundary=(np.sin(a), np.sin(b)))
         full = np.concatenate([[f.boundary[0]], f.values, [f.boundary[1]]])
         direct = _direct_diff_matrix(np.concatenate([[a], f.nodes, [b]]))[1:-1]
         terms = direct * (full[None, :] - f.values[:, None])
@@ -108,8 +108,10 @@ def test_gauss_rule_solved_once_per_grid_size(monkeypatch):
     kempf_ness._reference_rule.cache_clear()
     kempf_ness._reference_operator.cache_clear()
     try:
-        first = make_grid_function(0.0, 1.3, lambda x: np.sin(x), n=41)
-        second = make_grid_function(0.5, 4.0, lambda x: np.sin(x), n=41)
+        first = make_grid_function(0.0, 1.3, lambda x: np.sin(x), n=41,
+                                   boundary=(np.sin(0.0), np.sin(1.3)))
+        second = make_grid_function(0.5, 4.0, lambda x: np.sin(x), n=41,
+                                    boundary=(np.sin(0.5), np.sin(4.0)))
         derivative_values(first)
         derivative_values(second)
     finally:
@@ -218,7 +220,7 @@ def test_phi_functions_equal_reference_bit_for_bit(values):
 
 
 def test_differentiates_cubic_exactly():
-    f = make_grid_function(A, B, lambda x: x**3)
+    f = make_grid_function(A, B, lambda x: x**3, boundary=(A**3, B**3))
     err = derivative_values(f) - 3.0 * f.nodes**2
     assert np.max(np.abs(err)) < 1e-9
 
@@ -236,13 +238,13 @@ def test_grid_function_validation():
         with pytest.raises(ValueError, match="nonfinite boundary"):
             make_grid_function(0.0, 1.0, lambda x: 0 * x, n=9, boundary=boundary)
     with pytest.raises(ValueError, match="nonfinite height values"):
-        make_grid_function(0.0, 1.0, lambda x: math.nan * x, n=9)
+        make_grid_function(0.0, 1.0, lambda x: math.nan * x, n=9, boundary=(math.nan, math.nan))
     with pytest.raises(ValueError, match="need at least two interior nodes"):
-        make_grid_function(0.0, 1.0, lambda x: 0 * x, n=1)
+        make_grid_function(0.0, 1.0, lambda x: 0 * x, n=1, boundary=(0.0, 0.0))
 
 
 def test_flow_and_second_variation_reject_sigma_on_another_grid():
-    f = make_grid_function(A, B, lambda x: 0.0 * x, n=9)
+    f = make_grid_function(A, B, lambda x: 0.0 * x, n=9, boundary=(0.0, 0.0))
     _, sigma = _setup(17)
     with pytest.raises(ValueError, match="sigma grid does not match the function grid"):
         run_flow(f, W_LINEAR, sigma)
@@ -251,7 +253,7 @@ def test_flow_and_second_variation_reject_sigma_on_another_grid():
 
 
 def test_flow_trace_checks_its_columns():
-    f = make_grid_function(A, B, lambda x: 0.0 * x, n=9)
+    f = make_grid_function(A, B, lambda x: 0.0 * x, n=9, boundary=(0.0, 0.0))
     with pytest.raises(ValueError, match="equal length"):
         FlowTrace([0.0], [0.0, -1.0], [0.0], [1.0], f)
     with pytest.raises(ValueError, match="relative to the start"):
@@ -438,7 +440,7 @@ def test_buffered_flow_trial_returns_the_plain_trials_bytes(case):
 
 
 def test_membership_linear_w():
-    f = make_grid_function(A, B, lambda x: 0.0 * x)
+    f = make_grid_function(A, B, lambda x: 0.0 * x, boundary=(0.0, 0.0))
     ok, mn = membership(f, W_LINEAR)
     assert ok and mn == 1.0
 
@@ -446,7 +448,7 @@ def test_membership_linear_w():
 def test_membership_on_axis_curve():
     # the zero level of Im(z^3/3) through [1,2] is the real axis itself
     nodes = gauss_interior_nodes(A, B, 257)
-    f = make_grid_function(A, B, lambda x: 0.0 * x)
+    f = make_grid_function(A, B, lambda x: 0.0 * x, boundary=(0.0, 0.0))
     ok, mn = membership(f, CUBE_THIRD)
     assert ok
     assert mn == pytest.approx(float(np.min(nodes**2)), rel=1e-9)
@@ -455,7 +457,7 @@ def test_membership_on_axis_curve():
 def test_membership_fails_across_diagonal():
     # a straight line from 1+0.5i to 2+3i crosses {Re w' = 0} (y = x)
     # rising, which forces d/dx Re(w) < 0 at the crossing
-    f = make_grid_function(A, B, lambda x: 0.5 + 2.5 * (x - 1.0))
+    f = make_grid_function(A, B, lambda x: 0.5 + 2.5 * (x - 1.0), boundary=(0.5, 3.0))
     ok, mn = membership(f, CUBE_THIRD)
     assert not ok
     assert mn < -8.0
@@ -503,7 +505,7 @@ def test_flow_single_step_matches_run(monkeypatch):
 
 def test_flow_fixed_point_stops_immediately():
     nodes, sigma = _setup()
-    f0 = make_grid_function(A, B, lambda x: 0.0 * x)
+    f0 = make_grid_function(A, B, lambda x: 0.0 * x, boundary=(0.0, 0.0))
     trace = run_flow(f0, CUBE_THIRD, sigma)
     assert trace.times == [0.0]
     assert trace.J_values == [0.0]
@@ -512,7 +514,8 @@ def test_flow_fixed_point_stops_immediately():
 
 def _sine_start():
     # 65 nodes on (0, 1) under the bump 0.1 sin(pi x)
-    f0 = make_grid_function(0.0, 1.0, lambda x: 0.1 * np.sin(np.pi * x), n=65)
+    f0 = make_grid_function(0.0, 1.0, lambda x: 0.1 * np.sin(np.pi * x), n=65,
+                            boundary=(0.0, 0.1 * np.sin(np.pi)))
     return f0, default_sigma(0.0, 1.0, f0.nodes)
 
 
@@ -844,8 +847,9 @@ def test_flow_overflowing_start_raises_diverged_without_warning():
 
 def test_geodesic_residual_constant_path():
     nodes, sigma = _setup(65)
-    f0 = make_grid_function(A, B, lambda x: 0.0 * x, n=65)
-    phi = make_grid_function(A, B, lambda x: np.sin(math.pi * (x - 1.0)), n=65)
+    f0 = make_grid_function(A, B, lambda x: 0.0 * x, n=65, boundary=(0.0, 0.0))
+    phi = make_grid_function(A, B, lambda x: np.sin(math.pi * (x - 1.0)), n=65,
+                             boundary=(0.0, np.sin(math.pi)))
     times = [0.0, 0.5, 1.0]
     assert geodesic_residual([phi, phi, phi], times, CUBE_THIRD, sigma, f0) == 0.0
 
@@ -853,9 +857,10 @@ def test_geodesic_residual_constant_path():
 def test_geodesic_linear_w_linear_path():
     # Im(w') = 0 for w = z, so geodesics are exactly the t-linear paths
     nodes, sigma = _setup(65)
-    f0 = make_grid_function(A, B, lambda x: 0.0 * x, n=65)
-    phi_a = make_grid_function(A, B, lambda x: 0.0 * x, n=65)
-    phi_b = make_grid_function(A, B, lambda x: np.sin(math.pi * (x - 1.0)), n=65)
+    f0 = make_grid_function(A, B, lambda x: 0.0 * x, n=65, boundary=(0.0, 0.0))
+    phi_a = make_grid_function(A, B, lambda x: 0.0 * x, n=65, boundary=(0.0, 0.0))
+    phi_b = make_grid_function(A, B, lambda x: np.sin(math.pi * (x - 1.0)), n=65,
+                               boundary=(0.0, np.sin(math.pi)))
     times = np.linspace(0.0, 1.0, 5)
     path = [
         GridFunction(A, B, phi_a.nodes, (1 - t) * phi_a.values + t * phi_b.values, (0.0, 0.0))
@@ -868,10 +873,11 @@ def test_relaxed_geodesic_residual_and_convexity():
     n = 65
     nodes = gauss_interior_nodes(A, B, n)
     sigma = default_sigma(A, B, nodes)
-    f0 = make_grid_function(A, B, lambda x: 0.0 * x, n=n)
-    phi_a = make_grid_function(A, B, lambda x: 0.0 * x, n=n)
+    f0 = make_grid_function(A, B, lambda x: 0.0 * x, n=n, boundary=(0.0, 0.0))
+    phi_a = make_grid_function(A, B, lambda x: 0.0 * x, n=n, boundary=(0.0, 0.0))
     phi_b = make_grid_function(
-        A, B, lambda x: 0.1 * np.sin(math.pi * (x - 1.0)), n=n
+        A, B, lambda x: 0.1 * np.sin(math.pi * (x - 1.0)), n=n,
+        boundary=(0.0, 0.1 * np.sin(math.pi)),
     )
     times, path = relax_geodesic(phi_a, phi_b, CUBE_THIRD, sigma, f0, n_times=9)
     assert geodesic_residual(path, times, CUBE_THIRD, sigma, f0) < 1e-4
@@ -904,14 +910,14 @@ def test_relaxed_geodesic_residual_and_convexity():
 
 def test_second_variation_zero_direction():
     nodes, sigma = _setup()
-    f = make_grid_function(A, B, lambda x: 0.0 * x)
-    psi = make_grid_function(A, B, lambda x: 0.0 * x)
+    f = make_grid_function(A, B, lambda x: 0.0 * x, boundary=(0.0, 0.0))
+    psi = make_grid_function(A, B, lambda x: 0.0 * x, boundary=(0.0, 0.0))
     assert second_variation_at(f, psi, CUBE_THIRD, sigma) == 0.0
 
 
 def test_second_variation_positive_and_matches_quadrature():
     nodes, sigma = _setup()
-    f = make_grid_function(A, B, lambda x: 0.0 * x)
+    f = make_grid_function(A, B, lambda x: 0.0 * x, boundary=(0.0, 0.0))
     psi = make_grid_function(A, B, lambda x: np.sin(math.pi * (x - 1.0)), boundary=(0.0, 0.0))
     val = second_variation_at(f, psi, CUBE_THIRD, sigma)
     assert val > 0.0
@@ -930,21 +936,24 @@ def test_second_variation_positive_and_matches_quadrature():
 @pytest.mark.parametrize(
     "psi",
     [
-        make_grid_function(0.0, 5.0, lambda x: np.sin(math.pi * x / 5.0)),
-        make_grid_function(A, B, lambda x: np.sin(math.pi * (x - 1.0)), n=33),
+        make_grid_function(0.0, 5.0, lambda x: np.sin(math.pi * x / 5.0),
+                           boundary=(0.0, np.sin(math.pi))),
+        make_grid_function(A, B, lambda x: np.sin(math.pi * (x - 1.0)), n=33,
+                           boundary=(0.0, np.sin(math.pi))),
     ],
     ids=["other-interval", "other-node-count"],
 )
 def test_second_variation_rejects_psi_on_another_grid(psi):
     nodes, sigma = _setup()
-    f = make_grid_function(A, B, lambda x: 0.0 * x)
+    f = make_grid_function(A, B, lambda x: 0.0 * x, boundary=(0.0, 0.0))
     with pytest.raises(ValueError, match="psi grid does not match the function grid"):
         second_variation_at(f, psi, CUBE_THIRD, sigma)
 
 
 def test_second_variation_negates_with_w():
     nodes, sigma = _setup()
-    f = make_grid_function(A, B, lambda x: 0.05 * np.sin(math.pi * (x - 1.0)))
+    f = make_grid_function(A, B, lambda x: 0.05 * np.sin(math.pi * (x - 1.0)),
+                           boundary=(0.0, 0.05 * np.sin(math.pi)))
     psi = make_grid_function(A, B, lambda x: (x - 1.0) * (2.0 - x) ** 2, boundary=(0.0, 0.0))
     val = second_variation_at(f, psi, CUBE_THIRD, sigma)
     neg = second_variation_at(f, psi, ComplexPolynomial([0, 0, 0, -1 / 3]), sigma)

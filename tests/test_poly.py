@@ -141,7 +141,7 @@ def test_roots_plant_and_recover_deg6():
 
 def test_roots_polish_each_root_in_one_short_pass(monkeypatch):
     # ten well-separated planted roots: each companion eigenvalue takes one
-    # Horner pass in _discs, for p(z_j) and its rounding bound together, and
+    # _horner_bound pass in _discs, for p(z_j) and its rounding bound, and
     # a simple root gets no Newton pass, so _horner itself is never called
     planted = [complex(k - 4.5, (-1) ** k * 0.3 * k) for k in range(10)]
     p = ComplexPolynomial([c * (1.5 - 0.5j) for c in root_product(planted)])
@@ -202,7 +202,7 @@ def test_repeated_approximations_get_a_point_disc():
     # with z_1 = z_2 the Weierstrass corrections are undefined: no certificate,
     # so the discs are the points themselves and add nothing to other radii
     p = ComplexPolynomial(root_product([1.0, 2.0, 5.0]))
-    discs, certified = poly._discs(p, [1 + 0j, 1 + 0j, 5 + 0j])
+    discs, certified = poly._discs(p.coeffs, [1 + 0j, 1 + 0j, 5 + 0j])
     assert discs[:2] == [(1 + 0j, 0.0), (1 + 0j, 0.0)]
     # the third disc keeps only the rounding of its center, 4.8e-14 at 5
     center, radius = discs[2]
@@ -457,7 +457,7 @@ approximations = st.lists(st.sampled_from([1 + 0j, -1j, 2 - 1j, 2 + 1j, complex(
 @settings(max_examples=200, deadline=None)
 def test_discs_match_the_reference_discs(p, approx):
     approx = approx[: p.degree]
-    assert _outcome(poly._discs, p, approx) == _outcome(reference_roots.discs, p, approx)
+    assert _outcome(poly._discs, p.coeffs, approx) == _outcome(reference_roots.discs, p, approx)
 
 
 # 0 and 5 touch, 3 and 6 touch, and 7 touches both pairs, so the component

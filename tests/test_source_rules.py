@@ -113,14 +113,14 @@ def _same(a, b) -> bool:
 
 
 def _is_horner_step(loop: ast.For) -> bool:
-    """Does the loop's body multiply an accumulator by a point and add the
-    loop variable: acc = acc * z + c, or acc *= z then acc += c?"""
-    if not isinstance(loop.target, ast.Name):
-        return False
-    var = loop.target.id
+    """Does the loop's body multiply an accumulator by a point and add a
+    loop variable: acc = acc * z + c, or acc *= z then acc += c?  A tuple
+    target (for c, ac in ...) names several loop variables."""
+    targets = loop.target.elts if isinstance(loop.target, ast.Tuple) else [loop.target]
+    names = {node.id for node in targets if isinstance(node, ast.Name)}
 
     def is_var(node):
-        return isinstance(node, ast.Name) and node.id == var
+        return isinstance(node, ast.Name) and node.id in names
 
     scaled, added = [], []
     for stmt in loop.body:
@@ -157,9 +157,12 @@ def _horner_loops(tree) -> list:
     return found
 
 
-# the documented exceptions to the one Horner loop, poly._horner: poly
-# itself, and the two-accumulator passes of dhym._potential
-HORNER_LOOPS_ALLOWED = {("poly", None), ("dhym", "_potential")}
+# the one exception to the one Horner loop, poly._horner: poly itself, whose
+# _horner_bound takes a value and its rounding scale in one pass.  dhym's
+# level check walks P inline, each coefficient rotated as it is read
+# (acc = acc * z + c * rotation, which the rule does not flag): as _horner
+# over a rotated list, the check took 1.98 us per analyze, not 1.41
+HORNER_LOOPS_ALLOWED = {("poly", None)}
 
 
 def test_one_horner_loop():
@@ -178,6 +181,7 @@ def test_one_horner_loop():
     ("acc = c + z * acc", True),
     ("acc *= z\n        acc += c", True),
     ("out[0] *= z\n        out[0] += c", True),
+    ("v = v * z + c\n        b = b * az + abs(c)", True),
     ("acc = acc * z + 2 * c", False),
     ("acc *= z\n        other += c", False),
     ("acc *= c", False),
@@ -185,3 +189,10 @@ def test_one_horner_loop():
 def test_one_horner_loop_rule_reads_both_forms(body, horner):
     source = f"def f(coeffs, z, acc, out, other):\n    for c in coeffs:\n        {body}\n"
     assert bool(_horner_loops(ast.parse(source))) is horner
+
+
+def test_one_horner_loop_rule_reads_a_tuple_target():
+    # each coefficient paired with its modulus: every name of the target counts
+    source = ("def f(pairs, z, az):\n    v, b = 0j, 0.0\n    for c, ac in pairs:\n"
+              "        v = v * z + c\n        b = b * az + ac\n")
+    assert _horner_loops(ast.parse(source)) == [("f", 3)]
