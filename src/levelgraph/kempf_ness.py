@@ -35,9 +35,10 @@ Im w' = -sum k Re C_k y^(k-1) are then real polynomials in y.  Under
 their three coefficient rows the Im w rows are stacked once more for each
 Gauss height of a J increment, so one pass of poly._horner gives a trial
 step that passed its error test both its J increment and its new state's
-right-hand side, Jacobian and membership integrand; the start state reads
-the three state rows alone, and the stage value F(U) the Im w rows alone.
-Each element goes through the same operations as in separate passes.
+right-hand side, Jacobian and membership integrand.  The start state takes
+the same pass with a zero step, and the stage value F(U) the Im w rows
+alone.  Each element goes through the same operations as in separate
+passes.
 Every pass sums in place, in a zeros accumulator that run_flow makes once
 per call, and so do F(U), the exprb32 step with its phi-functions, the J
 increment, f' and the membership integrand: a trial allocates no array,
@@ -292,25 +293,19 @@ def _phi3(z: np.ndarray, em1: np.ndarray, out: np.ndarray, num: np.ndarray, den:
     num, den (floats) and small (bools) are work arrays of z's shape.
 
     The series is summed by poly._horner where |z| is below the switch and
-    the closed form is taken where |z| is at or past it.  When every entry
-    lies on one side, only that side's formula runs, on the whole array; a
-    mixed array sums the series at z where |z| is below the switch and at 0
-    elsewhere, and the closed form then overwrites it where |z| is at or
-    past the switch.  Each entry gets the same operations either way.
+    the closed form is taken where |z| is at or past it.  When any entry
+    lies below the switch, the series is summed once over the whole array;
+    the closed form then overwrites it where |z| is at or past the switch,
+    and runs alone, on the whole array, when no entry lies below.  The sum
+    is elementwise, so each entry gets the same operations either way; a
+    series entry past the switch that overflows is overwritten.
     """
     import numpy as np
 
     count = np.count_nonzero(np.less(np.abs(z, out=num), _PHI3_SWITCH, out=small))
     if count:
-        zs = z
-        if count < z.size:
-            zs = num
-            zs.fill(0.0)
-            np.copyto(zs, z, where=small)
         out.fill(0.0)
-        _horner(_PHI3_SERIES, zs, out)
-        if count == z.size:
-            return out
+        _horner(_PHI3_SERIES, z, out)
     # the closed form: num = (em1 - z) - (0.5 z) z, den = (z z) z
     np.subtract(em1, z, out=num)
     np.multiply(0.5, z, out=den)
@@ -490,17 +485,18 @@ def run_flow(
     pass: the Im w rows at the Gauss points of the J increment are stacked
     under the three state rows, so a trial that passes its error test gets
     its J increment, and its new state's F, J_n and membership integrand
-    Re w' - f' Im w', from one pass.  The start state reads the three
-    state rows alone and F(U) the Im w rows alone.  f' takes the cached
-    interior block of the differentiation matrix and its two endpoint
-    columns.  Every array a trial writes is made once per call: the pass
-    is summed in place by poly._horner into one of two row blocks, which
-    alternate, so a trial that its J check rejects leaves the accepted
-    state's k and jac intact; F(U), the exprb32 step (_exprb32, with
-    _phi1 and _phi3), the J increment (_step_pass), f' and the membership
-    integrand write into work rows with out=.  Only the array a trial
-    writes its new state into is replaced, once that state is accepted,
-    so each accepted state keeps an array of its own.
+    Re w' - f' Im w', from one pass.  The start state takes the same pass
+    with a zero step (_step_pass from f0 to f0), and F(U) the Im w rows
+    alone.  f' takes the cached interior block of the differentiation
+    matrix and its two endpoint columns.  Every array a trial writes is
+    made once per call: the pass is summed in place by poly._horner into
+    one of two row blocks, which alternate, so a trial that its J check
+    rejects leaves the accepted state's k and jac intact; F(U), the
+    exprb32 step (_exprb32, with _phi1 and _phi3), the J increment
+    (_step_pass), f' and the membership integrand write into work rows
+    with out=.  Only the array a trial writes its new state into is
+    replaced, once that state is accepted, so each accepted state keeps an
+    array of its own.
 
     Energy.  J depends only on the state, so each step adds its exact
     increment: at each node the integral of Im w(x + iy) dy from f to f_new,
@@ -555,10 +551,8 @@ def run_flow(
     yi, yw = _reference_rule(max(w.degree // 2 + 1, 1))
     yi = yi[:, None]
     stacked = _vertical_line_tables(w, x, len(yi))
-    # a view: negating its Im w row negates stacked's
-    table = stacked[:, :3]
-    table[:, 0] *= -1.0
-    rhs_rows = table[:, 0]
+    stacked[:, 0] *= -1.0
+    rhs_rows = stacked[:, 0]
     # f' at the nodes: the interior block acts on the heights, and the
     # pinned endpoints add a fixed column sum
     inner, left, right = _reference_operator(len(x))
@@ -596,8 +590,8 @@ def run_flow(
     times, js, resids, membs = [], [], [], []
     rejected = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        cur[:3] = 0.0
-        k, memb, jac = diag(f, _horner(table, f, cur[:3]))
+        # the start state: the stacked pass of a zero step
+        k, memb, jac = diag(f, _step_pass(stacked, yi, yw, qw, f, f, heights, half, cur)[1])
         fastest = float(np.abs(jac, out=spare).max())
         dt = min(_T_MAX, 1.0 / fastest if fastest > 0.0 else math.inf)
         while True:

@@ -360,7 +360,9 @@ def roots(p: ComplexPolynomial) -> tuple:
     so it holds all k zeros.  ``certified`` says whether these claims are
     proven, which they are when every disc of the solve has its
     certificate.  The terms are sorted by the location's real part, then
-    its imaginary part, and their multiplicities sum to the degree.
+    its imaginary part.  Their multiplicities sum to the degree by
+    construction: the components partition the m discs at 0 and the
+    deg p - m discs of the eigenvalues, one per zero of p.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
@@ -396,9 +398,4 @@ def roots(p: ComplexPolynomial) -> tuple:
         center = _newton(dk, derivative_coeffs(dk), sum(c for c, _ in comp) / k)
         terms.append((center, k, max(abs(c - center) + r for c, r in comp)))
     terms.sort(key=lambda t: (t[0].real, t[0].imag))
-    found = sum(k for _, k, _ in terms)
-    if found != p.degree:
-        raise LevelGraphError(
-            f"root multiplicities sum to {found}, not the degree {p.degree}"
-        )
     return terms, certified

@@ -3,9 +3,10 @@
 
 ``phi1`` always divides through ``where=``, and ``phi3`` always sums its
 series over the whole array and forms the closed form over the whole array,
-then masks one with the other.  The library's functions run only the
-formula an array needs when all its entries lie on one side; they must
-return the same values, bit for bit, and the tests compare the two.
+then masks one with the other.  The library's ``phi1`` divides plainly when
+no entry is zero, and its ``phi3`` skips the series when no entry lies
+below the switch; they must return the same values, bit for bit, and the
+tests compare the two.
 
 ``exprb32`` and ``stacked_pass`` are one flow trial as it reads on paper:
 every operation returns a new array, and the Horner sums start from the
@@ -33,7 +34,10 @@ def phi3(z) -> np.ndarray:
 
     The series is summed by Horner over the whole array, at z where |z| is
     below the switch and at 0 elsewhere; the closed form then overwrites it
-    where |z| is at or past the switch.
+    where |z| is at or past the switch.  The library sums its series at z
+    itself everywhere, where a large |z| can overflow.  Both agree, bit for
+    bit: the sum is elementwise, so an entry below the switch goes through
+    the same operations in both, and every other entry is overwritten.
     """
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < _PHI3_SWITCH

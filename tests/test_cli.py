@@ -6,8 +6,10 @@ test goes through a real subprocess to prove the installed entry point works.
 
 import json
 import math
+import runpy
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -714,6 +716,20 @@ def test_module_entry_point():
     d = json.loads(proc.stdout)
     assert d["verdict"] == "exists"
     assert d["phi_Dinf"] == 0.5
+
+
+def test_module_guard_runs_main_in_process(capsys, monkeypatch):
+    # the same entry as python -m levelgraph.cli, run in this process: the
+    # __main__ guard exits with main's status
+    monkeypatch.setattr(sys, "argv", ["levelgraph"] + dhym_hand_args())
+    with warnings.catch_warnings():
+        # levelgraph.cli is imported already, and runpy runs a fresh copy
+        warnings.filterwarnings("ignore", "'levelgraph.cli' found in sys.modules",
+                                RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("levelgraph.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "exists"
 
 
 def test_float_rendering_is_seventeen_digit():

@@ -30,8 +30,10 @@ from levelgraph.dhym import (
 )
 from levelgraph.errors import (
     BoundaryPointUnreachable,
+    CrossCheckFailure,
     LevelGraphError,
     LevelMismatch,
+    LiftInconsistency,
     ZeroTotalCharge,
 )
 from levelgraph.tracer import graphical_connection
@@ -115,6 +117,36 @@ def test_hand_case_lifts_and_verdict():
     assert report.phi_P == 0.5
     assert report.genericity == "generic"
     assert report.verdict == "exists"
+
+
+def test_a_z_dinf_lift_off_its_grade_raises_lift_inconsistency(monkeypatch):
+    # the Z_Dinf path's closed-form lift must end at phi_X + delta/pi; a
+    # climb a quarter turn off moves that end grade by 1/4 and phi_Dinf by
+    # a whole count at most, so the cross-check fires
+    climb = dhym.phase_climb
+
+    def off(terms, x, y):
+        rise, spread = climb(terms, x, y)
+        # the Z_P path climbs from 0, the Z_Dinf path from b > 0
+        return (rise + 0.25 * math.pi if x else rise), spread
+
+    monkeypatch.setattr(dhym, "phase_climb", off)
+    with pytest.raises(LiftInconsistency, match="Z_Dinf path grade"):
+        analyze(CalabiInput(m=1, r=0, xi1=1.0, xi2=0.0, b=1.0, q=0.0))
+
+
+def test_an_index_verdict_off_the_grade_window_raises_cross_check_failure(monkeypatch):
+    # the hand case exists by both forms; an index verdict turned around
+    # disagrees with the grade window
+    decide = dhym.decide_existence
+
+    def turned(lifts, r):
+        verdict, notes = decide(lifts, r)
+        return ("no_solution" if verdict == "exists" else "exists"), notes
+
+    monkeypatch.setattr(dhym, "decide_existence", turned)
+    with pytest.raises(CrossCheckFailure, match="grade-form verdict at exists"):
+        analyze(CalabiInput(m=1, r=0, xi1=1.0, xi2=0.0, b=1.0, q=0.0))
 
 
 def test_half_integer_ray_index_is_the_wall():

@@ -40,6 +40,27 @@ def test_compare_answers_dumps_each_root_solve_as_terms_and_a_flag():
         assert all(fields[f"out[0][{i}].len"] == "3" for i in range(terms))
 
 
+def test_compare_answers_counts_every_input_a_benchmark_run_times():
+    # the compare, line-reach and label-margin sets take COUNTS inputs of a
+    # seed: as many as a bench/run.py run of BENCHMARK.json's length times,
+    # which a child reads from bench/measure.py as bench/test_bench.py does
+    out = _run("-c", f"""
+import json, sys
+sys.path[:0] = [{str(ROOT / "bench")!r}, {str(TOOLS)!r}]
+import run
+assert run.prepare_interpreter()
+import compare_answers, measure
+spec = json.loads(open({str(ROOT / "BENCHMARK.json")!r}).read())
+print(json.dumps([[w["name"], compare_answers.COUNTS[w["name"]],
+                   measure.planned_ops(w["name"], spec["run_seconds"])]
+                  for w in spec["workloads"]]))
+""")
+    counts = json.loads(out)
+    assert [name for name, *_ in counts] == ["verdicts", "dhym-sweep", "witness"]
+    for name, listed, planned in counts:
+        assert listed == planned, name
+
+
 def test_planted_heights_are_all_found():
     out = _run(TOOLS / "planted_heights.py", ROOT, "1")
     assert "0 missed, 0 raised" in out

@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import dataclasses
 import math
 import sys
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from levelgraph import config, poly, tracer
 from levelgraph.cauchy import HalfInteger
-from levelgraph.errors import SeedNotOnCurve
+from levelgraph.errors import CorrectorDiverged, SeedNotOnCurve
 from levelgraph.landscape import Potential, counting_function
 from levelgraph.poly import ComplexPolynomial, root_product
 from levelgraph.stability import BoundaryData, classify
@@ -93,11 +94,22 @@ def test_trace_rejects_far_seed():
         trace_level(CUBE_THIRD, 2.0 + 1j, direction=+1)
 
 
-@pytest.mark.parametrize("kind", ["level", "vertical_tangent"])
-def test_trace_rejects_overflowing_seed(kind):
-    # the seed is finite, but w there and the corrector tolerance are not
-    with pytest.raises(SeedNotOnCurve, match="overflows a double"):
-        trace_level(CUBE_THIRD, 1e300 + 0j, kind=kind)
+def test_trace_rejects_a_seed_where_the_corrector_has_no_gradient():
+    # w = z^2/2: Im w = xy, whose gradient vanishes at 0, off the level 1
+    with pytest.raises(SeedNotOnCurve, match="does not lie near the requested level curve"):
+        trace_level(ComplexPolynomial([0, 0, 0.5]), 0j, level=1.0)
+
+
+@pytest.mark.parametrize("w, seed, kind", [
+    pytest.param(CUBE_THIRD, 1e300 + 0j, "level", id="level"),
+    pytest.param(CUBE_THIRD, 1e300 + 0j, "vertical_tangent", id="vertical_tangent"),
+    # w = 1e-300 z^2 is 1e100 at the seed, and only the tolerance overflows
+    pytest.param(ComplexPolynomial([0, 0, 1e-300]), 1e200 + 0j, "level", id="tolerance"),
+])
+def test_trace_rejects_overflowing_seed(w, seed, kind):
+    # the seed is finite, but w there or the corrector tolerance is not
+    with pytest.raises(SeedNotOnCurve, match="overflows a double at the seed"):
+        trace_level(w, seed, kind=kind)
 
 
 @pytest.mark.parametrize("kind, seed", [("level", 1 + 0j), ("vertical_tangent", 1 + 1j)])
@@ -127,6 +139,35 @@ def test_trace_rejects_a_seed_on_a_critical_point():
     # w = z^2: the level curve through the saddle at 0 has no tangent there
     with pytest.raises(SeedNotOnCurve, match="the curve degenerates at the seed"):
         trace_level(ComplexPolynomial([0, 0, 1]), 0j)
+
+
+def test_corrector_that_does_not_settle_in_its_steps_fails():
+    # F(u) = (Re u)^3 from 1: each Newton step keeps 2/3 of Re u, so after
+    # all its steps |F| is still far above the tolerance
+    steps = []
+
+    def grad(u):
+        steps.append(u)
+        return complex(3.0 * u.real**2, 0.0)
+
+    assert tracer._correct(lambda u: u.real**3, grad, lambda u: 1e-12, 1 + 0j, 10.0) is None
+    assert len(steps) == tracer._MAX_NEWTON
+
+
+def test_clip_keeps_the_segments_crossing_where_the_field_is_flat_along_the_axis():
+    # F = Re u: the axis is the curve itself, and dF/dy = 0 on it, so the
+    # polish stops at once at the segment's intersection with the axis
+    clip = tracer._clip_to_axis(lambda u: u.real, lambda u: 1 + 0j, 1 + 1j, -1 + 3j)
+    assert clip == 2j
+
+
+def test_trace_that_cannot_turn_stalls(monkeypatch):
+    # with no turn allowed, every corrected step is refused and halved
+    # until it falls below its floor
+    monkeypatch.setattr(config, "TOL", dataclasses.replace(config.TOL, max_turn_angle=0.0))
+    seed = 1 + 0.5j
+    with pytest.raises(CorrectorDiverged, match="continuation stalled"):
+        trace_level(CUBE_THIRD, seed, level=CUBE_THIRD(seed).imag)
 
 
 @pytest.mark.parametrize("direction", [1, -1])
