@@ -216,9 +216,11 @@ def _flow(w, z1: complex, z2: complex, fn):
 
 
 def _flow_summary(trace, residual_key: str) -> dict:
-    """Steps, final residual and J, and the membership minimum of the start
-    state and over every recorded state of the run."""
+    """Why the run stopped, its steps, final residual and J, and the
+    membership minimum of the start state and over every recorded state of
+    the run."""
     return {
+        "stop": trace.stop,
         "steps": len(trace.times) - 1,
         "rejected_steps": trace.rejected_steps,
         residual_key: trace.residual_sup[-1],

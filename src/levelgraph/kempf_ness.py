@@ -25,7 +25,11 @@ J increment is exact: node by node it is the integral of Im w(x+iy) dy from
 the old height to the new one, a polynomial in y that a short Gauss-Legendre
 rule integrates exactly.  J can then rise only through integrator error, and
 a step whose increment is positive is rejected, so a nonincreasing J is a
-checked property of the recorded trace.
+checked property of the recorded trace.  Once a one-dimensional Kantorovich
+test proves every node's limit (the first zero of Im w on its vertical line
+on the flow's side), the run ends there: Newton steps take each node to it,
+and the limit is recorded at the time by which the exact flow meets the stop
+test.
 
 During a flow the nodes x_j never move; only the heights y do.  run_flow
 therefore tabulates, once per call and by poly.line_coeffs on the node
@@ -254,6 +258,7 @@ class FlowTrace:
     membership_min: list
     final: GridFunction = field(repr=False)
     rejected_steps: int = 0
+    stop: str = "stop_tol"  # why the run ended: "stop_tol", "limit" or "horizon"
 
     def __post_init__(self):
         k = len(self.times)
@@ -261,6 +266,8 @@ class FlowTrace:
             raise ValueError("trace columns must have equal length")
         if k and self.J_values[0] != 0.0:
             raise ValueError("J is measured relative to the start")
+        if self.stop not in ("stop_tol", "limit", "horizon"):
+            raise ValueError(f"unknown stop reason {self.stop!r}")
 
 
 # phi_3(z) = sum_k z^k / (k + 3)!, summed for |z| < _PHI3_SWITCH, where the
@@ -423,6 +430,121 @@ def _vertical_line_tables(w, x: np.ndarray, copies: int = 0) -> np.ndarray:
     return table
 
 
+def _finish_tables(stacked: np.ndarray) -> tuple:
+    """The rows of run_flow's finish certificate, from its stacked table
+    (whose first two rows are -V = -sum a_k y^k and V' = sum b_k y^k).
+
+    The first table stacks |a_k|, |b_k| and |(k + 2) (k + 1) a_(k+2)|,
+    zero-padded, to be summed at |y|: they bound the rounding of V and V'
+    at y and |V''(y)|.  The second is the last of these rows alone (one
+    row of zeros when deg V < 2), whose Horner sum at s >= 0 bounds |V''|
+    on [-s, s].
+    """
+    import numpy as np
+
+    n = len(stacked)
+    k = np.arange(2, n)[:, None]
+    scales = np.zeros((n, 3, stacked.shape[2]))
+    np.abs(stacked[:, :2], out=scales[:, :2])
+    scales[:n - 2, 2] = np.abs(stacked[2:, 0] * (k * (k - 1)))
+    return scales, scales[:max(n - 2, 1), 2]
+
+
+def _certify(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, tables: tuple, work):
+    """The Kantorovich test of run_flow's finish at the state vals, with
+    k = -V and jac = -V' there: (lam, h) when every node passes, else None.
+
+    At node j, with e_V and e_V' the rounding bounds of V and V' (a Horner
+    sum of n terms, each coefficient rounded once, errs by at most
+    (2n + 1) u times the sum of its terms' magnitudes: Higham, Accuracy and
+    Stability of Numerical Algorithms, 5.1; 4 n eps covers it and the
+    rounding of that sum, plus n times the least subnormal for underflow):
+    d = V' - e_V' must be positive, eta = (|V| + e_V) / d, L bounds |V''|
+    on the ball [y - 2 eta, y + 2 eta] (the |k (k - 1) a_k| rows at
+    |y| + 2 eta, raised by the same factor), and h = L eta / d <= 1/4.
+    Then V' >= d (1 - 2h) > 0 on the ball and V changes sign across it, so
+    V has exactly one zero there.  h is the largest h_j and
+    lam = min d_j (1 - 2 h_j).  A zero, negative or nonfinite d, eta, L, h
+    or lam fails the test: every comparison is false on nan.
+
+    One pass at |y| gives the rounding bounds and the same rows' sum at
+    |y|, which L can only exceed: a state that fails h <= 1/4 with it
+    fails without the pass at |y| + 2 eta.  work is three float arrays of
+    vals' shape and one of three rows; eta is left in the first.
+    """
+    import numpy as np
+
+    scales, curvature = tables
+    eta, slope, lbound, sums = work
+    eps = np.finfo(float).eps
+    slack = 4.0 * len(scales) * eps
+    np.abs(vals, out=lbound)
+    sums.fill(0.0)
+    _horner(scales, lbound, sums)
+    # the rounding bounds e_V, e_V'; slope = d = -jac - e_V'
+    bounds = sums[:2]
+    bounds *= slack
+    bounds += len(scales) * np.finfo(float).smallest_subnormal
+    np.add(jac, sums[1], out=slope)
+    np.negative(slope, out=slope)
+    if not float(slope.min()) > 0.0:
+        return None
+    np.abs(k, out=eta)
+    eta += sums[0]
+    eta /= slope
+    low = sums[2]
+    low *= eta
+    low /= slope
+    if not float(low.max()) <= 0.25:
+        return None
+    reach = np.add(lbound, eta, out=sums[0])
+    reach += eta
+    lbound.fill(0.0)
+    _horner(curvature, reach, lbound)
+    lbound *= 1.0 + slack
+    # h_j = L eta / d, then lam_j = d (1 - 2 h_j)
+    lbound *= eta
+    lbound /= slope
+    h = float(lbound.max())
+    lbound *= -2.0
+    lbound += 1.0
+    lbound *= slope
+    lam = float(lbound.min())
+    if not (h <= 0.25 and 0.0 < lam < math.inf):
+        return None
+    return lam, h
+
+
+def _newton_steps(h: float) -> int:
+    """The Newton steps that take a node whose certificate reads h <= 1/4
+    to its limit, to the rounding of its distance eta from it.
+
+    After n steps the error is at most 2^(1-n) (2h)^(2^n - 1) eta
+    (Kantorovich; Ortega & Rheinboldt, 12.6.2): the least n that puts it
+    below 2^-53 eta, 1 for h = 0 and 6 at h = 1/4.
+    """
+    n = 1
+    while 2.0 ** (1 - n) * (2.0 * h) ** (2 ** n - 1) > 2.0 ** -53:
+        n += 1
+    return n
+
+
+def _newton(rows: np.ndarray, vals: np.ndarray, steps: int, out: np.ndarray,
+            acc: np.ndarray) -> np.ndarray:
+    """steps Newton steps y <- y - V / V' at every node from vals, written
+    into out and returned; rows are the rows of -V and V' (the first two of
+    run_flow's stacked table), and acc a work array of two rows."""
+    import numpy as np
+
+    np.copyto(out, vals)
+    for _ in range(steps):
+        acc.fill(0.0)
+        _horner(rows, out, acc)
+        acc[0] /= acc[1]
+        out += acc[0]
+    return out
+
+
 def run_flow(
     f0: GridFunction,
     w: ComplexPolynomial,
@@ -461,6 +583,7 @@ def run_flow(
       path to the next zero of V_j, the node ends in the basin of y*_j;
       its residual is then below stop_tol, and since V_j' = Re w', it lies
       within stop_tol / min Re w' of y*_j (min over the segment between).
+      A run that the finish ends lies at y*_j itself, to rounding.
     - Bound the membership reading.  membership_min_over_run is a minimum
       over accepted states.  Along the flow f' obeys f'_t = -(Im w' +
       f' Re w') node by node, so the integrand Re w' - f' Im w' changes at
@@ -521,6 +644,38 @@ def run_flow(
     dt min(4, max(0.2, 0.9 (s r+ / r)^(-1/2))), or 4 dt when s = 0.  r+ is
     the residual the loop reads at the new state anyway.
 
+    Finish.  At each recorded state that does not stop, the start included,
+    a one-dimensional Kantorovich test (_certify; Kantorovich 1948, Ortega &
+    Rheinboldt, Iterative Solution of Nonlinear Equations, 12.6) checks
+    every node at its height y: V' = Re w' > 0 less its rounding bound, d;
+    eta = (|V| + its rounding bound) / d; L >= |V''| on [y - 2 eta,
+    y + 2 eta], from one Horner pass over rows |k (k - 1) a_k| (V = sum
+    a_k y^k) at |y| + 2 eta; and h = L eta / d <= 1/4.  The proof needs
+    h < 1/2; the 1/4 leaves a factor of 2 for the rounding of eta, L and h
+    themselves.  When every node passes, V' >= d (1 - 2h) > 0 on each ball
+    and V changes sign across it on the flow's side, so V has exactly one
+    zero in the ball: the first zero on that side, the node's limit y*.
+    Along the exact flow dV/dt = -V' V, so |V| falls at least like
+    e^{-lam (t' - t)}, lam = min d (1 - 2h), and the flow meets stop_tol by
+    T = t + ln(resid / stop_tol) / lam.  If T <= _T_MAX, Newton steps
+    y <- y - V/V' on the -V and V' rows (_newton, one poly._horner pass
+    each; _newton_steps derives their number from the largest h, at most
+    6) take every node to its limit, _step_pass gives the J increment
+    from y to it (checked nonincreasing) and the limit's readings, and the
+    limit is recorded at time T as the final state when its residual is
+    below stop_tol.  If the test, the time bound or a check fails, the
+    exprb32 loop goes on; stop_tol <= 0 makes T infinite.  Since
+    lam <= min Re w', a state where T would pass the horizon even at that
+    rate (a run whose Re w' tends to 0 at some node) skips the test.  The membership
+    reading across the jump: no state between y and y* is recorded, so the
+    dip bound needs the rate above integrated along the exact flow from y
+    on, in place of (that rate) dt / 2.  Each node moves monotonically to
+    its limit, |Im w| falls at least like e^{-lam (t' - t)} on the way,
+    and so does f'_t up to a factor linear in t' - t (the x-derivative of
+    that decay); both terms of the rate carry one of these factors, so the
+    integral is finite, of the order of the rate at y over lam: the jump
+    counts in the bound as one step of about 2 / lam.
+
     Floating-point overflow and invalid results raise no warning while the
     flow runs: np.errstate is entered once per call, around the evaluation
     of f0 and the stepping loop.  A trial step that overflows is rejected by
@@ -532,7 +687,8 @@ def run_flow(
     NonIntegrableEndpoint when the residual per unit sigma passes
     TOL.flow_endpoint_blowup (heights off the zero level at an endpoint).
     stop_tol None means TOL.flow_stop; TOL is read once per call.  The run
-    ends at t = _T_MAX at the latest.
+    ends at t = _T_MAX at the latest, and FlowTrace.stop says why it ended:
+    "stop_tol" (a step met it), "limit" (the finish) or "horizon".
     """
     import numpy as np
 
@@ -553,6 +709,10 @@ def run_flow(
     stacked = _vertical_line_tables(w, x, len(yi))
     stacked[:, 0] *= -1.0
     rhs_rows = stacked[:, 0]
+    # the finish's rows: bounds on the rounding of V and V' and on |V''|
+    # for its certificate, and the rows of -V and V' for its Newton steps
+    tables = _finish_tables(stacked)
+    newton_rows = stacked[:, :2]
     # f' at the nodes: the interior block acts on the heights, and the
     # pinned endpoints add a fixed column sum
     inner, left, right = _reference_operator(len(x))
@@ -589,6 +749,7 @@ def run_flow(
     t, jval = 0.0, 0.0
     times, js, resids, membs = [], [], [], []
     rejected = 0
+    finished = False
     with np.errstate(over="ignore", invalid="ignore"):
         # the start state: the stacked pass of a zero step
         k, memb, jac = diag(f, _step_pass(stacked, yi, yw, qw, f, f, heights, half, cur)[1])
@@ -610,6 +771,28 @@ def run_flow(
             membs.append(memb)
             if resid < stop_tol or t >= _T_MAX:
                 break
+            # the finish (see Finish): Newton to the certified limit, kept
+            # when the exact flow meets stop_tol by the horizon and the
+            # limit's J increment and residual pass.  lam <= min Re w' =
+            # -max(jac), so a state whose T passes the horizon even at that
+            # rate is not tested
+            log_ratio = math.log(resid / stop_tol) if stop_tol > 0.0 else math.inf
+            slowest = -float(jac.max())
+            cert = None
+            if slowest > 0.0 and t + log_ratio / slowest <= _T_MAX:
+                cert = _certify(f, k, jac, tables, (*floats[:3], heights[:3]))
+            end = t + log_ratio / cert[0] if cert else math.inf
+            if end <= _T_MAX:
+                limit = _newton(newton_rows, f, _newton_steps(cert[1]), new, heights[:2])
+                dj, rows = _step_pass(stacked, yi, yw, qw, f, limit, heights, half, nxt)
+                if -math.inf < dj <= 0.0 and float(np.abs(rows[0], out=spare).max()) < stop_tol:
+                    jval += dj
+                    t = end
+                    f, new = limit, np.empty(len(x))
+                    cur, nxt = nxt, cur
+                    k, memb, jac = diag(f, rows)
+                    finished = True
+                    continue
             if len(times) > 1:
                 # the accepted trial's ratio carried to this state's
                 # residual (see Step size), with r = 0 guarded
@@ -647,7 +830,8 @@ def run_flow(
             k, memb, jac = diag(f, rows)
 
     final = GridFunction(f0.a, f0.b, f0.nodes, f, f0.boundary)
-    return FlowTrace(times, js, resids, membs, final, rejected)
+    stop = "limit" if finished else "stop_tol" if resids[-1] < stop_tol else "horizon"
+    return FlowTrace(times, js, resids, membs, final, rejected, stop)
 
 
 def second_variation_at(

@@ -311,7 +311,7 @@ def test_dhym_witness(capsys):
     wit = d["witness"]
     assert list(wit) == ["connected", "graphical", "slope_sup", "curve", "flow"]
     assert list(wit["flow"]) == [
-        "steps", "rejected_steps", "residual_sup", "final_J",
+        "stop", "steps", "rejected_steps", "residual_sup", "final_J",
         "membership_min_start", "membership_min_over_run", "heights",
     ]
     assert wit["connected"] is True
@@ -499,7 +499,7 @@ def test_flow_fixed_point(capsys, tmp_path):
     assert rc == 0, err
     summary = json.loads(out)
     assert list(summary) == [
-        "out", "steps", "rejected_steps", "final_residual_sup", "final_J",
+        "out", "stop", "steps", "rejected_steps", "final_residual_sup", "final_J",
         "membership_min_start", "membership_min_over_run",
     ]
     assert summary["final_residual_sup"] <= 1e-8

@@ -19,7 +19,7 @@ from reference_geodesic import geodesic_residual, j_derivative, relax_geodesic
 from reference_product import antiderivative_coeffs
 from test_acceptance import draw_stable_flow_pair
 
-from levelgraph import config, kempf_ness
+from levelgraph import cauchy, config, kempf_ness
 from levelgraph.errors import Diverged, NonIntegrableEndpoint
 from levelgraph.kempf_ness import (
     BackgroundSigma,
@@ -264,6 +264,8 @@ def test_flow_trace_checks_its_columns():
         FlowTrace([0.0], [0.0, -1.0], [0.0], [1.0], f)
     with pytest.raises(ValueError, match="relative to the start"):
         FlowTrace([0.0], [1.0], [0.0], [1.0], f)
+    with pytest.raises(ValueError, match="unknown stop reason 'done'"):
+        FlowTrace([0.0], [0.0], [0.0], [1.0], f, 0, "done")
 
 
 def test_diff_matrix_rejects_other_grids():
@@ -473,11 +475,36 @@ def test_membership_fails_across_diagonal():
 # the flow, against the exactly solvable w = z
 
 
+@contextlib.contextmanager
+def _recorded_certificates():
+    # record every test of the finish's certificate in the flows run inside
+    # as (largest Jacobian entry, the test's result)
+    tests = []
+    certify = kempf_ness._certify
+
+    def recording(vals, k, jac, *args):
+        result = certify(vals, k, jac, *args)
+        tests.append((float(jac.max()), result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kempf_ness, "_certify", recording)
+        yield tests
+
+
 def test_flow_linear_w_closed_form(monkeypatch):
     nodes, sigma = _setup()
     f0 = GridFunction(A, B, nodes, sigma.values.copy(), (0.0, 0.0))
     monkeypatch.setattr(kempf_ness, "_T_MAX", 1.0)
-    trace = run_flow(f0, W_LINEAR, sigma, stop_tol=1e-12)
+    with _recorded_certificates() as tests:
+        trace = run_flow(f0, W_LINEAR, sigma, stop_tol=1e-12)
+
+    # V = y at every node, so V' = Re w' = 1: at that rate the exact flow
+    # meets stop_tol only by T = ln(max sigma / 1e-12) = 26.2, past the
+    # horizon, and the finish declines without testing its certificate
+    # (lam <= min Re w'); the run stops at the horizon
+    assert tests == []
+    assert trace.stop == "horizon"
 
     # f' = -Im(x+if) = -f is linear with Jacobian -1, which the exponential
     # steps treat exactly (the factor is e^{-h}, not a polynomial in h), so
@@ -595,6 +622,22 @@ def _cube_flow(**kwargs):
     return run_flow(f0, CUBE_THIRD, sigma, **kwargs)
 
 
+# The exprb32 path, which a run that its finish ends would skip: no exact
+# flow meets stop_tol = 0 in finite time, so the finish's time bound T is
+# infinite and its certificate declines at every state.  The run then steps
+# to the horizon, 20 here; the cube flow and _witness_like_cubic reach a
+# residual below 1e-8 by then (5.8e-12 and 4.4e-16).
+_STEPS_ONLY = {"stop_tol": 0.0}
+_STEPS_HORIZON = 20.0
+
+
+@contextlib.contextmanager
+def _steps_only():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kempf_ness, "_T_MAX", _STEPS_HORIZON)
+        yield _STEPS_ONLY
+
+
 def test_flow_error_control_takes_few_steps():
     # a fixed 0.05 cap takes 260 steps here and RK4 at its stability bound
     # 70; the exponential steps, which have no such bound, take 4
@@ -604,19 +647,22 @@ def test_flow_error_control_takes_few_steps():
 
 
 def _flow_with_states(monkeypatch, f0, w, sigma, **kwargs):
-    # every exprb32 trial starts from the current accepted state, so the
-    # distinct starting states in call order, then the final state, are the
-    # states whose J the trace records
+    # every exprb32 trial starts from the current accepted state, and so does
+    # every test of the finish's certificate (the finish state's origin takes
+    # no trial), so the distinct starting states in call order, then the
+    # final state, are the states whose J the trace records
     starts = []
-    step = kempf_ness._exprb32
 
-    def recording(vals, *args):
-        if not starts or starts[-1] is not vals:
-            starts.append(vals)
-        return step(vals, *args)
+    def recording(wrapped):
+        def call(vals, *args):
+            if not starts or starts[-1] is not vals:
+                starts.append(vals)
+            return wrapped(vals, *args)
+        return call
 
     with monkeypatch.context() as patch:
-        patch.setattr(kempf_ness, "_exprb32", recording)
+        for name in ("_exprb32", "_certify"):
+            patch.setattr(kempf_ness, name, recording(getattr(kempf_ness, name)))
         trace = run_flow(f0, w, sigma, **kwargs)
     states = starts + [trace.final.values]
     assert len(states) == len(trace.times)
@@ -657,7 +703,9 @@ def test_flow_J_equals_closed_form_at_every_state(monkeypatch):
     cube_f0 = GridFunction(A, B, nodes, 0.3 * cube_sigma.values, (0.0, 0.0))
     for f0, w, sigma in ((cube_f0, CUBE_THIRD, cube_sigma), _witness_like_cubic()):
         assert membership(f0, w)[0]
-        trace, states = _flow_with_states(monkeypatch, f0, w, sigma)
+        with _steps_only() as steps_only:
+            trace, states = _flow_with_states(monkeypatch, f0, w, sigma, **steps_only)
+        assert trace.stop == "horizon"
         assert trace.residual_sup[-1] < 1e-8
         assert len(trace.times) > 3
         bound = 1e-10 * abs(trace.J_values[-1])
@@ -669,7 +717,8 @@ def test_flow_membership_column_matches_membership(monkeypatch):
     # run_flow's tables and interior block against membership(), which
     # evaluates w' in complex arithmetic on the full differentiation matrix
     f0, w, sigma = _witness_like_cubic()
-    trace, states = _flow_with_states(monkeypatch, f0, w, sigma)
+    with _steps_only() as steps_only:
+        trace, states = _flow_with_states(monkeypatch, f0, w, sigma, **steps_only)
     assert len(states) > 3
     for memb, vals in zip(trace.membership_min, states):
         state = GridFunction(f0.a, f0.b, f0.nodes, vals, f0.boundary)
@@ -689,7 +738,8 @@ def test_flow_rejects_a_step_that_raises_J(monkeypatch):
         return step(vals, k, jac, rhs, dt, *work)
 
     monkeypatch.setattr(kempf_ness, "_exprb32", uphill_first)
-    trace = _cube_flow()
+    with _steps_only() as steps_only:
+        trace = _cube_flow(**steps_only)
     assert trace.rejected_steps >= 1
     assert trials[1][0] == pytest.approx(0.2 * trials[0][0], rel=1e-15)
     # the rejected trial's pass filled rows of its own: the retry starts
@@ -728,8 +778,8 @@ def test_step_controller_follows_the_estimate_order_and_the_next_residual():
     # clamp), an accepted trial's next step reads s r+/r at the new state,
     # with r and r+ the residual at the old and the new state, and a zero
     # estimate grows the step fourfold
-    with _recorded_trials((2.5, 50.0, 0.5, 0.0, 0.8)) as trials:
-        trace = _cube_flow()
+    with _recorded_trials((2.5, 50.0, 0.5, 0.0, 0.8)) as trials, _steps_only() as steps_only:
+        trace = _cube_flow(**steps_only)
     assert trace.rejected_steps == 2
     assert trace.residual_sup[-1] < 1e-8
     (v0, dt0, r0, _, _), (v1, dt1, _, _, _), (v2, dt2, _, _, u2) = trials[:3]
@@ -750,9 +800,9 @@ def test_flow_accepts_only_steps_that_pass_the_error_test():
     # 1e-2
     rtol = config.TOL.flow_step_rtol
     assert rtol <= 1e-2
-    for flow in (_cube_flow, lambda: run_flow(*_witness_like_cubic())):
-        with _recorded_trials() as trials:
-            trace = flow()
+    for flow in (_cube_flow, lambda **kwargs: run_flow(*_witness_like_cubic(), **kwargs)):
+        with _recorded_trials() as trials, _steps_only() as steps_only:
+            trace = flow(**steps_only)
         accepted = [trial for trial, after in zip(trials, trials[1:]) if trial[4] is after[0]]
         accepted.append(trials[-1])
         assert accepted[-1][4].tobytes() == trace.final.values.tobytes()
@@ -766,12 +816,161 @@ def test_nonfinite_error_estimate_shrinks_the_step_until_it_diverges():
     # shrinks the step by 0.2, until it falls below the rounding of t
     with _recorded_trials([math.nan] * 100) as trials:
         with pytest.raises(Diverged, match="flow step size fell"):
-            _cube_flow()
+            _cube_flow(**_STEPS_ONLY)
     assert len(trials) > 10
     assert all(vals is trials[0][0] for vals, *_ in trials)
     for (_, dt, *_), (_, retry, *_) in zip(trials, trials[1:]):
         assert retry == pytest.approx(0.2 * dt, rel=1e-12)
     assert 0.2 * trials[-1][1] < 4.0 * np.finfo(float).eps * kempf_ness._T_MAX
+
+
+# ---------------------------------------------------------------------------
+# the finish: Newton to the certified node-wise limit
+
+
+def _node_limits(f0, w):
+    # the first zero of V_j on the flow's side of f0(x_j): the nearest real
+    # root of row 0 of _vertical_line_tables that lies against the sign of
+    # V_j(f0(x_j)) (y' = -V_j), polished by Newton on that row
+    rows = kempf_ness._vertical_line_tables(w, f0.nodes)[:, 0]
+    limits = []
+    for col, y in zip(rows.T, f0.values):
+        desc = np.trim_zeros(col[::-1], "f")
+        v = np.polyval(desc, y)
+        real = [r.real for r in np.roots(desc) if abs(r.imag) <= 1e-8 * (1.0 + abs(r))]
+        r = min((r for r in real if (r - y) * v < 0.0), key=lambda r: abs(r - y))
+        for _ in range(4):
+            r -= np.polyval(desc, r) / np.polyval(np.polyder(desc), r)
+        limits.append(r)
+    return np.array(limits)
+
+
+def test_flow_finish_ends_at_the_node_wise_limit(monkeypatch):
+    # both flows pass the certificate at their start: the run is the start
+    # and the limit at the time bound T, with the exact J increment; each
+    # final height lies within stop_tol / min Re w' of the node's limit
+    # (and in fact at it, to rounding)
+    nodes, cube_sigma = _setup()
+    cube_f0 = GridFunction(A, B, nodes, 0.3 * cube_sigma.values, (0.0, 0.0))
+    stop = config.TOL.flow_stop
+    for f0, w, sigma in ((cube_f0, CUBE_THIRD, cube_sigma), _witness_like_cubic()):
+        with _recorded_certificates() as tests:
+            trace, states = _flow_with_states(monkeypatch, f0, w, sigma)
+        assert trace.stop == "limit"
+        assert len(trace.times) == 2 and len(tests) == 1
+        (_, (lam, _)), = tests
+        assert trace.times[1] == math.log(trace.residual_sup[0] / stop) / lam
+        assert trace.residual_sup[-1] < stop
+        assert trace.J_values[-1] < 0.0
+        for J, vals in zip(trace.J_values, states):
+            assert abs(J - _closed_form_J(f0, w, sigma, vals)) <= 1e-12 * abs(trace.J_values[-1])
+        limits = _node_limits(f0, w)
+        slowest = float(w.derivative()(f0.nodes + 1j * trace.final.values).real.min())
+        assert slowest > 0.0
+        gap = np.max(np.abs(trace.final.values - limits))
+        assert gap <= stop / slowest
+        assert gap <= 1e-12 * np.max(np.abs(limits))
+
+
+def _unstable_cube_chord():
+    # w = z^3/3 from the chord of the unstable pair z1 = 1 - i sqrt(3),
+    # z2 = 2; near z1 the chord lies below y = -x, where Re w' = x^2 - y^2
+    # is negative
+    low = -math.sqrt(3.0)
+    f0 = make_grid_function(A, B, lambda x: low * (B - x), boundary=(low, 0.0))
+    return f0, CUBE_THIRD, default_sigma(A, B, f0.nodes)
+
+
+def test_flow_finish_declines_while_a_node_has_negative_re_w_prime(monkeypatch):
+    # the finish needs V' = Re w' > 0 at every node: at a state where some
+    # node has Re w' <= 0 it declines without testing its certificate, and
+    # the run steps on.  Once every node has passed y = -x it can finish
+    # (stop "limit"); cut at t = 5, before that, the run stops at the
+    # horizon
+    f0, w, sigma = _unstable_cube_chord()
+    assert float(w.derivative()(f0.nodes + 1j * f0.values).real.min()) < 0.0
+    with _recorded_certificates() as tests:
+        trace = run_flow(f0, w, sigma)
+    assert all(top < 0.0 for top, _ in tests)
+    assert trace.stop == "limit" and tests[-1][1] is not None
+    assert 0 < len(tests) < len(trace.times) - 2
+    assert min(trace.membership_min) < 0.0 < trace.membership_min[0]
+    monkeypatch.setattr(kempf_ness, "_T_MAX", 5.0)
+    with _recorded_certificates() as tests:
+        cut = run_flow(f0, w, sigma)
+    assert cut.stop == "horizon" and cut.times[-1] == 5.0
+    assert cut.residual_sup[-1] >= config.TOL.flow_stop
+    assert all(result is None for _, result in tests)
+
+
+# V = lead * prod (y - r_i) * ((y - s)^2 + c^2): planted real roots, and
+# a complex pair or none
+_ROOT = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _planted_node(draw):
+    """(ascending coefficients of V, a height y)."""
+    roots = draw(st.lists(_ROOT, min_size=1, max_size=5))
+    desc = np.poly(roots) * draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.1, 10.0))
+    if draw(st.booleans()):
+        s, c = draw(_ROOT), draw(st.floats(0.05, 2.0))
+        desc = np.polymul(desc, [1.0, -2.0 * s, s * s + c * c])
+    return desc[::-1].copy(), draw(st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_planted_node())
+@example((np.array([-1.0, 1.0]), 0.25))  # V = y - 1: h = 0, one Newton step
+@example((np.poly([0.5, 0.52, 3.0])[::-1].copy(), 0.4))  # a close pair ahead
+# within rounding of a zero: y -+ 2 eta both round to y
+@example((np.array([7.11586167e-185, -1.0, 1.0]), 1.0))
+# the limit an ulp past the zero of V
+@example((np.array([-3.935465356933158, 7.362105318722641, -4.426639961789483, 1.0]), 1.0))
+# V' = 0 at y, where its computed value is rounding: a zero pair 1e-112 apart
+@example((np.array([-7.45749224e-225, 0.1, -0.2, 0.1]), 1.0))
+# subnormal heights and coefficients
+@example((np.array([-1.11253693e-313, 0.5, -2.0]), 2.2250738585e-313))
+@example((np.array([-4.450148e-317, 2e-4, -2.0]), 2.2250738585e-313))
+def test_certificate_admits_no_zero_between_the_state_and_its_limit(case):
+    # whenever the certificate passes at y, V has exactly one zero in the
+    # ball [y - 2 eta, y + 2 eta] and the Newton limit lies in it; and the
+    # exact count (the Cauchy index of V'/V) finds no zero of V from y up
+    # to the limit, short of it by the limit's own accuracy: the flow from
+    # y meets no zero before the limit
+    coeffs, y = case
+    rows = np.stack([-coeffs, np.append(coeffs[1:] * np.arange(1, len(coeffs)), 0.0)], axis=1)
+    rows = rows[:, :, None]
+    vals = np.array([y])
+    work = [np.empty(1) for _ in range(3)] + [np.empty((3, 1))]
+    # as run_flow calls them
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, dv = _horner(rows, vals, np.zeros((2, 1)))
+        cert = kempf_ness._certify(vals, k, -dv, kempf_ness._finish_tables(rows), work)
+        assume(cert is not None)
+        lam, h = cert
+        limit = kempf_ness._newton(rows, vals, kempf_ness._newton_steps(h), np.empty(1),
+                                   np.empty((2, 1)))[0]
+    eta = work[0][0]
+    assert 0.0 < lam <= dv[0] and 0.0 <= h <= 0.25
+    # V' exactly: k a_k as rationals
+    exact_dv = [Fraction(c) * j for j, c in enumerate(coeffs.tolist()) if j]
+
+    def count(c, d):
+        return cauchy.index_on_interval(exact_dv, coeffs.tolist(), min(c, d), max(c, d))
+
+    # the ball's ends rounded outward
+    lo, hi = np.nextafter(y - 2.0 * eta, -math.inf), np.nextafter(y + 2.0 * eta, math.inf)
+    assert count(lo, hi) == 1
+    assert lo <= limit <= hi
+    # the limit's accuracy: Newton's own, and the rounding of V there over
+    # the certified least slope lam, with an underflow term
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    scale = _horner(np.abs(coeffs), abs(limit), 0.0)
+    accuracy = 2.0 ** -20 * abs(limit - y) + 16.0 * len(coeffs) * (
+        (eps * scale + tiny) / lam + eps * abs(limit) + tiny)
+    if abs(limit - y) > accuracy:
+        assert count(y, limit - math.copysign(accuracy, limit - y)) == 0
 
 
 def _stable_flow_pair(seed):
