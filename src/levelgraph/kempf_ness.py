@@ -25,11 +25,11 @@ J increment is exact: node by node it is the integral of Im w(x+iy) dy from
 the old height to the new one, a polynomial in y that a short Gauss-Legendre
 rule integrates exactly.  J can then rise only through integrator error, and
 a step whose increment is positive is rejected, so a nonincreasing J is a
-checked property of the recorded trace.  Once a one-dimensional Kantorovich
-test proves every node's limit (the first zero of Im w on its vertical line
-on the flow's side), the run ends there: Newton steps take each node to it,
-and the limit is recorded at the time by which the exact flow meets the stop
-test.
+checked property of the recorded trace.  Most runs end from their start:
+Newton steps take each node to a limit, and one path certificate proves
+that Im w increases along each node's vertical line from the node to that
+limit, so it is the first zero on the flow's side; the limit is recorded
+at the time by which the exact flow meets the stop test.
 
 During a flow the nodes x_j never move; only the heights y do.  run_flow
 therefore tabulates, once per call and by poly.line_coeffs on the node
@@ -89,6 +89,11 @@ __all__ = [
 ]
 
 _T_MAX = 200.0  # run_flow's horizon: a run stops here if stop_tol is not met before
+# the finish's Newton steps at most, a safety cap only (the witness flows of
+# bench/gen.py seeds 1-4 take at most 7): the certificate, not the count,
+# proves the limit, and a start whose stop rule is not met within it is left
+# to the time steps
+_NEWTON_STEPS = 12
 
 @lru_cache(maxsize=16)
 def _reference_rule(n: int):
@@ -258,7 +263,7 @@ class FlowTrace:
     membership_min: list
     final: GridFunction = field(repr=False)
     rejected_steps: int = 0
-    stop: str = "stop_tol"  # why the run ended: "stop_tol", "limit" or "horizon"
+    stop: str = "stop_tol"  # why the run ended: "stop_tol", "limit" or "horizon" (see run_flow)
 
     def __post_init__(self):
         k = len(self.times)
@@ -430,119 +435,178 @@ def _vertical_line_tables(w, x: np.ndarray, copies: int = 0) -> np.ndarray:
     return table
 
 
-def _finish_tables(stacked: np.ndarray) -> tuple:
-    """The rows of run_flow's finish certificate, from its stacked table
+def _path_tables(stacked: np.ndarray) -> tuple:
+    """The rows of run_flow's path certificate, from its stacked table
     (whose first two rows are -V = -sum a_k y^k and V' = sum b_k y^k).
 
-    The first table stacks |a_k|, |b_k| and |(k + 2) (k + 1) a_(k+2)|,
-    zero-padded, to be summed at |y|: they bound the rounding of V and V'
-    at y and |V''(y)|.  The second is the last of these rows alone (one
-    row of zeros when deg V < 2), whose Horner sum at s >= 0 bounds |V''|
-    on [-s, s].
+    The signed table stacks V', V'' and |a_k|, zero-padded, to be summed at
+    the heights c, c and |y**|; the majorant table stacks |b_k| and the
+    magnitudes of the coefficients of V'' and V''', to be summed at
+    r = |c| + rho: the first two bound the rounding of V'(c) and V''(c),
+    the third |V'''| on [-r, r].  Each coefficient of V'' and V''' is
+    k (k - 1) a_k or k (k - 1) (k - 2) a_k, an exact integer times a_k,
+    rounded once.
     """
     import numpy as np
 
-    n = len(stacked)
-    k = np.arange(2, n)[:, None]
-    scales = np.zeros((n, 3, stacked.shape[2]))
-    np.abs(stacked[:, :2], out=scales[:, :2])
-    scales[:n - 2, 2] = np.abs(stacked[2:, 0] * (k * (k - 1)))
-    return scales, scales[:max(n - 2, 1), 2]
+    n, m = len(stacked), stacked.shape[2]
+    a = stacked[:, 0]  # -a_k
+    k = np.arange(n, dtype=float)[:, None]
+    signed = np.zeros((n, 3, m))
+    signed[:, 0] = stacked[:, 1]
+    np.multiply(a[2:], -(k[2:] * (k[2:] - 1.0)), out=signed[:n - 2, 1])
+    np.abs(a, out=signed[:, 2])
+    majorant = np.zeros((max(n - 1, 1), 3, m))
+    np.abs(signed[:n - 1, :2], out=majorant[:n - 1, :2])
+    np.abs(a[3:] * (k[3:] * (k[3:] - 1.0) * (k[3:] - 2.0)), out=majorant[:n - 3, 2])
+    return signed, majorant
 
 
-def _certify(vals: np.ndarray, k: np.ndarray, jac: np.ndarray, tables: tuple, work):
-    """The Kantorovich test of run_flow's finish at the state vals, with
-    k = -V and jac = -V' there: (lam, h) when every node passes, else None.
+def _newton(rows: np.ndarray, vals: np.ndarray, out: np.ndarray, acc: np.ndarray):
+    """Newton steps y <- y - V / V' at every node from vals, written into
+    out and returned, or None when the stop rule is not met within
+    _NEWTON_STEPS steps; rows are the rows of -V and V' (the first two of
+    run_flow's stacked table), and acc a work array of two rows.
 
-    At node j, with e_V and e_V' the rounding bounds of V and V' (a Horner
-    sum of n terms, each coefficient rounded once, errs by at most
-    (2n + 1) u times the sum of its terms' magnitudes: Higham, Accuracy and
-    Stability of Numerical Algorithms, 5.1; 4 n eps covers it and the
-    rounding of that sum, plus n times the least subnormal for underflow):
-    d = V' - e_V' must be positive, eta = (|V| + e_V) / d, L bounds |V''|
-    on the ball [y - 2 eta, y + 2 eta] (the |k (k - 1) a_k| rows at
-    |y| + 2 eta, raised by the same factor), and h = L eta / d <= 1/4.
-    Then V' >= d (1 - 2h) > 0 on the ball and V changes sign across it, so
-    V has exactly one zero there.  h is the largest h_j and
-    lam = min d_j (1 - 2 h_j).  A zero, negative or nonfinite d, eta, L, h
-    or lam fails the test: every comparison is false on nan.
-
-    One pass at |y| gives the rounding bounds and the same rows' sum at
-    |y|, which L can only exceed: a state that fails h <= 1/4 with it
-    fails without the pass at |y| + 2 eta.  work is three float arrays of
-    vals' shape and one of three rows; eta is left in the first.
+    The stop rule reads the largest correction d_n of step n.  It stops
+    once d_n stops shrinking (d_n >= d_(n-1), or d_n is not finite): the
+    corrections are rounding.  Or it stops once quadratic convergence puts
+    the next correction below the rounding of the heights: d_(n+1) is about
+    K d_n^2 with K about d_n / d_(n-1)^2, so it stops at
+    d_n (d_n / d_(n-1))^2 <= eps max|y|.  Heights that all tend to 0 step
+    on until their corrections underflow.
     """
     import numpy as np
 
-    scales, curvature = tables
-    eta, slope, lbound, sums = work
     eps = np.finfo(float).eps
-    slack = 4.0 * len(scales) * eps
-    np.abs(vals, out=lbound)
-    sums.fill(0.0)
-    _horner(scales, lbound, sums)
-    # the rounding bounds e_V, e_V'; slope = d = -jac - e_V'
-    bounds = sums[:2]
-    bounds *= slack
-    bounds += len(scales) * np.finfo(float).smallest_subnormal
-    np.add(jac, sums[1], out=slope)
-    np.negative(slope, out=slope)
-    if not float(slope.min()) > 0.0:
-        return None
-    np.abs(k, out=eta)
-    eta += sums[0]
-    eta /= slope
-    low = sums[2]
-    low *= eta
-    low /= slope
-    if not float(low.max()) <= 0.25:
-        return None
-    reach = np.add(lbound, eta, out=sums[0])
-    reach += eta
-    lbound.fill(0.0)
-    _horner(curvature, reach, lbound)
-    lbound *= 1.0 + slack
-    # h_j = L eta / d, then lam_j = d (1 - 2 h_j)
-    lbound *= eta
-    lbound /= slope
-    h = float(lbound.max())
-    lbound *= -2.0
-    lbound += 1.0
-    lbound *= slope
-    lam = float(lbound.min())
-    if not (h <= 0.25 and 0.0 < lam < math.inf):
-        return None
-    return lam, h
-
-
-def _newton_steps(h: float) -> int:
-    """The Newton steps that take a node whose certificate reads h <= 1/4
-    to its limit, to the rounding of its distance eta from it.
-
-    After n steps the error is at most 2^(1-n) (2h)^(2^n - 1) eta
-    (Kantorovich; Ortega & Rheinboldt, 12.6.2): the least n that puts it
-    below 2^-53 eta, 1 for h = 0 and 6 at h = 1/4.
-    """
-    n = 1
-    while 2.0 ** (1 - n) * (2.0 * h) ** (2 ** n - 1) > 2.0 ** -53:
-        n += 1
-    return n
-
-
-def _newton(rows: np.ndarray, vals: np.ndarray, steps: int, out: np.ndarray,
-            acc: np.ndarray) -> np.ndarray:
-    """steps Newton steps y <- y - V / V' at every node from vals, written
-    into out and returned; rows are the rows of -V and V' (the first two of
-    run_flow's stacked table), and acc a work array of two rows."""
-    import numpy as np
-
     np.copyto(out, vals)
-    for _ in range(steps):
+    last = math.inf
+    for n in range(_NEWTON_STEPS):
         acc.fill(0.0)
         _horner(rows, out, acc)
-        acc[0] /= acc[1]
-        out += acc[0]
-    return out
+        step = np.divide(acc[0], acc[1], out=acc[0])
+        out += step
+        d = float(np.abs(step, out=acc[1]).max())
+        if not d < last:
+            return out
+        if n and d * (d / last) ** 2 <= eps * float(np.abs(out, out=acc[1]).max()):
+            return out
+        last = d
+    return None
+
+
+def _rounding_bound(sums: np.ndarray, n: int) -> np.ndarray:
+    """The a priori rounding bound of Horner sums of n terms, written over
+    sums, the Horner sums of the terms' magnitudes, and returned.
+
+    A Horner sum of n terms, each coefficient rounded at most once, errs by
+    at most (2n + 2) u times the sum of its terms' magnitudes (Higham,
+    Accuracy and Stability of Numerical Algorithms, 5.1): s = 4 n eps times
+    that sum covers it and the rounding of the magnitudes' own sum, and n
+    times the least subnormal covers underflow.
+    """
+    import numpy as np
+
+    sums *= 4.0 * n * np.finfo(float).eps
+    sums += n * np.finfo(float).smallest_subnormal
+    return sums
+
+
+def _certify_path(vals: np.ndarray, limit: np.ndarray, rows: np.ndarray, tables: tuple,
+                  at: np.ndarray, sums: np.ndarray, work):
+    """The path certificate of run_flow's finish, from the state vals to
+    its Newton limit: lam = min lam_j when every node passes, else None.
+    rows are the three state rows at the limit (-V, V' and Im w'), at and
+    sums two work arrays of three rows, and work three float arrays of
+    vals' shape.
+
+    At node j, with y = vals_j, y** = limit_j, c = (y + y**)/2, the pad
+    p_j = 2^11 (|V(y**)| + e_V) / |V'(y**)| and rho = (|y** - y|/2 + p_j)
+    (1 + s):
+        lam_j = V'(c) - e_1 - rho (|V''(c)| + e_2) - (1 + s) rho^2 M_3 / 2.
+    e_V, e_1 and e_2 bound the rounding of V(y**), V'(c) and V''(c)
+    (_rounding_bound, with s = 4 n eps); e_1 and e_2 are taken at
+    r = |c| + rho, which can only raise them, and
+    M_3 = sum |k (k-1) (k-2) a_k| r^(k-3) bounds |V'''| on [-r, r].  By
+    Taylor's theorem at c, lam_j bounds V' from below on [c - rho,
+    c + rho]; since e_1 >= s |V'(c)| and e_2 >= s |V''(c)|, they also
+    cover the rounding of lam_j's own sum.
+
+    A node passes when lam_j > |V'(y**)| / 2^10.  Then
+    eta_j = (|V(y**)| + e_V) / lam_j < p_j / 2, without eta_j being
+    formed.  The two powers of 2 are one choice: the test lets V' fall to
+    2^-10 of its value at the limit along the path, and the pad it needs
+    is 2^11 times the next Newton correction at y**, raised by its
+    rounding bound: at a converged limit that lies at the rounding level
+    of y**, so the pad widens the interval by next to nothing.  So V, strictly increasing on [c - rho, c + rho], has exactly
+    one zero there, y*_j, within eta_j of y**: the interval holds y and
+    y** +- eta_j with the other half of p_j to spare.  That half covers
+    the rounding of c, since |y V'(y)| <= n sum |a_k| |y|^k gives
+    p_j >= 2^13 eps |y**|; rho's factor 1 + s covers its own rounding.  A
+    zero, negative or nonfinite lam_j fails, and so does a zero or
+    nonfinite V'(y**): every comparison is false on nan.
+    """
+    import numpy as np
+
+    signed, majorant = tables
+    mid, rho, low = work
+    n = len(signed)
+    slack = 4.0 * n * np.finfo(float).eps
+    # the signed pass: V'(c), V''(c) and sum |a_k| |y**|^k
+    np.add(vals, limit, out=mid)
+    mid *= 0.5
+    at[0] = mid
+    at[1] = mid
+    np.abs(limit, out=at[2])
+    sums.fill(0.0)
+    dv, ddv, pad = _horner(signed, at, sums)
+    # pad = 2^11 (|V(y**)| + e_V) / |V'(y**)|
+    _rounding_bound(pad, n)
+    pad += np.abs(rows[0], out=low)
+    pad *= 2048.0
+    pad /= np.abs(rows[1], out=low)
+    # rho = (|y** - y| / 2 + pad) (1 + s)
+    np.subtract(limit, vals, out=rho)
+    np.abs(rho, out=rho)
+    rho *= 0.5
+    rho += pad
+    rho *= 1.0 + slack
+    # the majorant pass at r = |c| + rho
+    reach = np.abs(mid, out=mid)
+    reach += rho
+    at.fill(0.0)
+    m1, m2, m3 = _horner(majorant, reach, at)
+    # lam = V'(c) - e_1 - rho (|V''(c)| + e_2) - (1 + s) rho^2 M_3 / 2
+    dv -= _rounding_bound(m1, n)
+    np.abs(ddv, out=ddv)
+    ddv += _rounding_bound(m2, n)
+    ddv *= rho
+    dv -= ddv
+    m3 *= rho
+    m3 *= rho
+    m3 *= 0.5 * (1.0 + slack)
+    dv -= m3
+    np.abs(rows[1], out=low)
+    low *= 2.0 ** -10
+    np.subtract(dv, low, out=low)
+    if not float(low.min()) > 0.0:
+        return None
+    return float(dv.min())
+
+
+def _within_rounding(vals: np.ndarray, k: np.ndarray, scales: np.ndarray, work) -> bool:
+    """Whether |V(y)| at every node lies within the rounding bound of its
+    Horner sum (_rounding_bound); k = -V at the state vals, and scales the
+    rows |a_k|.  work is two float arrays of vals' shape."""
+    import numpy as np
+
+    size, bound = work
+    np.abs(vals, out=size)
+    bound.fill(0.0)
+    _horner(scales, size, bound)
+    _rounding_bound(bound, len(scales))
+    bound -= np.abs(k, out=size)
+    return bool(bound.min() >= 0.0)
 
 
 def run_flow(
@@ -583,7 +647,9 @@ def run_flow(
       path to the next zero of V_j, the node ends in the basin of y*_j;
       its residual is then below stop_tol, and since V_j' = Re w', it lies
       within stop_tol / min Re w' of y*_j (min over the segment between).
-      A run that the finish ends lies at y*_j itself, to rounding.
+      A run that the finish ends lies within the certified eta_j of y*_j
+      (see Finish), and at it to the rounding that Newton's stop rule
+      reads.
     - Bound the membership reading.  membership_min_over_run is a minimum
       over accepted states.  Along the flow f' obeys f'_t = -(Im w' +
       f' Re w') node by node, so the integrand Re w' - f' Im w' changes at
@@ -644,43 +710,68 @@ def run_flow(
     dt min(4, max(0.2, 0.9 (s r+ / r)^(-1/2))), or 4 dt when s = 0.  r+ is
     the residual the loop reads at the new state anyway.
 
-    Finish.  At each recorded state that does not stop, the start included,
-    a one-dimensional Kantorovich test (_certify; Kantorovich 1948, Ortega &
-    Rheinboldt, Iterative Solution of Nonlinear Equations, 12.6) checks
-    every node at its height y: V' = Re w' > 0 less its rounding bound, d;
-    eta = (|V| + its rounding bound) / d; L >= |V''| on [y - 2 eta,
-    y + 2 eta], from one Horner pass over rows |k (k - 1) a_k| (V = sum
-    a_k y^k) at |y| + 2 eta; and h = L eta / d <= 1/4.  The proof needs
-    h < 1/2; the 1/4 leaves a factor of 2 for the rounding of eta, L and h
-    themselves.  When every node passes, V' >= d (1 - 2h) > 0 on each ball
-    and V changes sign across it on the flow's side, so V has exactly one
-    zero in the ball: the first zero on that side, the node's limit y*.
-    Along the exact flow dV/dt = -V' V, so |V| falls at least like
-    e^{-lam (t' - t)}, lam = min d (1 - 2h), and the flow meets stop_tol by
-    T = t + ln(resid / stop_tol) / lam.  If T <= _T_MAX, Newton steps
-    y <- y - V/V' on the -V and V' rows (_newton, one poly._horner pass
-    each; _newton_steps derives their number from the largest h, at most
-    6) take every node to its limit, _step_pass gives the J increment
-    from y to it (checked nonincreasing) and the limit's readings, and the
-    limit is recorded at time T as the final state when its residual is
-    below stop_tol.  If the test, the time bound or a check fails, the
-    exprb32 loop goes on; stop_tol <= 0 makes T infinite.  Since
-    lam <= min Re w', a state where T would pass the horizon even at that
-    rate (a run whose Re w' tends to 0 at some node) skips the test.  The membership
-    reading across the jump: no state between y and y* is recorded, so the
-    dip bound needs the rate above integrated along the exact flow from y
-    on, in place of (that rate) dt / 2.  Each node moves monotonically to
-    its limit, |Im w| falls at least like e^{-lam (t' - t)} on the way,
-    and so does f'_t up to a factor linear in t' - t (the x-derivative of
-    that decay); both terms of the rate carry one of these factors, so the
-    integral is finite, of the order of the rate at y over lam: the jump
-    counts in the bound as one step of about 2 / lam.
+    Finish.  A flow is ended from a state by one path certificate
+    (Moore, Interval Analysis, 1966; Ortega & Rheinboldt, Iterative
+    Solution of Nonlinear Equations, 12.6), not by time steps.  An attempt
+    is made at each recorded state that does not stop, the start included,
+    where every node has V' = Re w' > 0 and where the exact flow would meet
+    stop_tol by the horizon even at the rate min Re w' (the certified rate
+    lam is at most that).
+    1. Newton steps y <- y - V/V' on the -V and V' rows, one poly._horner
+       pass each, take every node from its height y to y** (_newton, which
+       states its stop rule; at most _NEWTON_STEPS).  Their count needs no
+       proof in advance: step 3 bounds |y** - y*| afterwards.
+    2. _step_pass from y to y** gives the J increment, checked
+       nonincreasing, and the readings at y**, whose residual must lie
+       below stop_tol.
+    3. The path certificate (_certify_path) bounds V' from below, by
+       lam_j > 0, on an interval about (y + y**)/2 that holds y and
+       y** +- eta_j, eta_j = (|V(y**)| + its rounding bound) / lam_j.  So
+       V_j is strictly increasing there and has exactly one zero in it,
+       within eta_j of y**, and the flow from y runs monotonically to that
+       zero: it is the first zero on the flow's side, the node's limit y*.
+    Along the exact flow dV/dt = -V' V, and V' >= lam = min lam_j on the
+    whole path, so |V| falls at least like e^{-lam (t' - t)} and the flow
+    meets stop_tol by T = t + ln(resid / stop_tol) / lam.  If T <= _T_MAX,
+    y** is recorded at time T as the final state.  If a check fails, the
+    exprb32 loop goes on, and the next recorded state attempts again: a
+    flow makes at most one attempt per state.  Failures are rare, so no
+    rule spaces the attempts: of the 1,440 witness flows of bench/gen.py
+    seeds 1-4, 1,439 end at their first attempt and one at its fourth, and
+    on the unstable cube chord of the tests three attempts end a run of 33
+    states, where waiting for the residual to halve between attempts took
+    36.
+    stop_tol <= 0 makes T infinite, and a state where T would pass the
+    horizon even at the rate min Re w' (a run whose Re w' tends to 0 at
+    some node) makes no attempt.  The membership reading
+    across the jump: no state between y and y* is recorded, so the dip
+    bound needs the rate above integrated along the exact flow from y on,
+    in place of (that rate) dt / 2.  Each node moves monotonically to its
+    limit, inside the certified interval, so |Im w| falls at least like
+    e^{-lam (t' - t)} on the way, and so does f'_t up to a factor linear
+    in t' - t (the x-derivative of that decay); both terms of the rate
+    carry one of these factors, so the integral is finite, of the order of
+    the rate at y over lam: the jump counts in the bound as one step of
+    about 2 / lam.
 
-    Floating-point overflow and invalid results raise no warning while the
-    flow runs: np.errstate is entered once per call, around the evaluation
-    of f0 and the stepping loop.  A trial step that overflows is rejected by
-    its nonfinite error or J increment, and the evaluation of a state is
-    silenced too: a state whose residual overflows raises Diverged anyway.
+    Rounding.  A trial rejected at a state where every node has V' > 0
+    and a residual within the rounding bound of its Horner sum
+    (_within_rounding) ends the run there, with stop "limit": the state is
+    at its limit to rounding, and the step test there reads rounding over
+    rounding at every dt, so shrinking the step would only end in Diverged.
+    The state's residual is at least stop_tol, or the run would have
+    stopped, so that bound lies at or above stop_tol at some node: this
+    exit is taken only when stop_tol lies below the rounding of Im w at the
+    limit (stop_tol = 0, say), and "limit" then does not mean a residual
+    below stop_tol.
+
+    Floating-point overflow, invalid results and division by zero raise no
+    warning while the flow runs: np.errstate is entered once per call,
+    around the evaluation of f0 and the stepping loop.  A trial step that
+    overflows is rejected by its nonfinite error or J increment, a Newton
+    step through V' = 0 fails the finish's checks, and the evaluation of a
+    state is silenced too: a state whose residual overflows raises Diverged
+    anyway.
 
     Raises Diverged when the residual passes TOL.flow_diverged, or when
     rejections shrink the step below the rounding of t; and
@@ -688,7 +779,8 @@ def run_flow(
     TOL.flow_endpoint_blowup (heights off the zero level at an endpoint).
     stop_tol None means TOL.flow_stop; TOL is read once per call.  The run
     ends at t = _T_MAX at the latest, and FlowTrace.stop says why it ended:
-    "stop_tol" (a step met it), "limit" (the finish) or "horizon".
+    "stop_tol" (a step met it), "limit" (the finish, or a residual that is
+    rounding at a simple zero, see Rounding) or "horizon".
     """
     import numpy as np
 
@@ -709,10 +801,10 @@ def run_flow(
     stacked = _vertical_line_tables(w, x, len(yi))
     stacked[:, 0] *= -1.0
     rhs_rows = stacked[:, 0]
-    # the finish's rows: bounds on the rounding of V and V' and on |V''|
-    # for its certificate, and the rows of -V and V' for its Newton steps
-    tables = _finish_tables(stacked)
+    # the finish's rows: the rows of -V and V' for its Newton steps, and
+    # the signed and majorant rows of its path certificate
     newton_rows = stacked[:, :2]
+    tables = _path_tables(stacked)
     # f' at the nodes: the interior block acts on the heights, and the
     # pinned endpoints add a fixed column sum
     inner, left, right = _reference_operator(len(x))
@@ -729,6 +821,7 @@ def run_flow(
     half, fu, spare, *floats = np.empty((8, len(x)))
     work = (*floats, np.empty(len(x), dtype=bool))
     new = np.empty(len(x))
+    at, sums = np.empty((2, 3, len(x)))
 
     def rhs(vals):
         fu.fill(0.0)
@@ -750,7 +843,7 @@ def run_flow(
     times, js, resids, membs = [], [], [], []
     rejected = 0
     finished = False
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the start state: the stacked pass of a zero step
         k, memb, jac = diag(f, _step_pass(stacked, yi, yw, qw, f, f, heights, half, cur)[1])
         fastest = float(np.abs(jac, out=spare).max())
@@ -771,23 +864,23 @@ def run_flow(
             membs.append(memb)
             if resid < stop_tol or t >= _T_MAX:
                 break
-            # the finish (see Finish): Newton to the certified limit, kept
-            # when the exact flow meets stop_tol by the horizon and the
-            # limit's J increment and residual pass.  lam <= min Re w' =
-            # -max(jac), so a state whose T passes the horizon even at that
-            # rate is not tested
+            # the finish (see Finish): Newton from this state, the J pass to
+            # its limit and the path certificate, kept when the exact flow
+            # meets stop_tol by the horizon.  lam <= min Re w' = -max(jac),
+            # so a state whose T passes the horizon even at that rate is not
+            # tried
             log_ratio = math.log(resid / stop_tol) if stop_tol > 0.0 else math.inf
             slowest = -float(jac.max())
-            cert = None
             if slowest > 0.0 and t + log_ratio / slowest <= _T_MAX:
-                cert = _certify(f, k, jac, tables, (*floats[:3], heights[:3]))
-            end = t + log_ratio / cert[0] if cert else math.inf
-            if end <= _T_MAX:
-                limit = _newton(newton_rows, f, _newton_steps(cert[1]), new, heights[:2])
-                dj, rows = _step_pass(stacked, yi, yw, qw, f, limit, heights, half, nxt)
-                if -math.inf < dj <= 0.0 and float(np.abs(rows[0], out=spare).max()) < stop_tol:
+                limit = _newton(newton_rows, f, new, heights[:2])
+                lam = None
+                if limit is not None:
+                    dj, rows = _step_pass(stacked, yi, yw, qw, f, limit, heights, half, nxt)
+                    if -math.inf < dj <= 0.0 and float(np.abs(rows[0], out=spare).max()) < stop_tol:
+                        lam = _certify_path(f, limit, rows, tables, at, sums, floats[:3])
+                if lam is not None and t + log_ratio / lam <= _T_MAX:
                     jval += dj
-                    t = end
+                    t += log_ratio / lam
                     f, new = limit, np.empty(len(x))
                     cur, nxt = nxt, cur
                     k, memb, jac = diag(f, rows)
@@ -817,10 +910,17 @@ def run_flow(
                     scale = math.inf
                 if scale <= 1.0:
                     break
-                dt *= max(0.2, 0.9 * scale ** -0.5)
                 rejected += 1
+                # a state whose residual is rounding at a simple zero is its
+                # limit: every step test there reads rounding
+                if slowest > 0.0 and _within_rounding(f, k, tables[0][:, 2], floats[:2]):
+                    break
+                dt *= max(0.2, 0.9 * scale ** -0.5)
                 if dt < dt_min:
                     raise Diverged(f"flow step size fell to {dt:.3g} at t = {t:.6g}")
+            if scale > 1.0:
+                finished = True
+                break
 
             jval += dj
             t = _T_MAX if last else t + dt

@@ -476,34 +476,41 @@ def test_membership_fails_across_diagonal():
 
 
 @contextlib.contextmanager
-def _recorded_certificates():
-    # record every test of the finish's certificate in the flows run inside
-    # as (largest Jacobian entry, the test's result)
-    tests = []
-    certify = kempf_ness._certify
+def _recorded_attempts():
+    # record every attempt of the finish in the flows run inside as
+    # [least Re w' at the state it starts from, the certificate's lam (None
+    # when the attempt failed before it or it declined), the residual at
+    # that state]
+    attempts = []
+    newton, certify = kempf_ness._newton, kempf_ness._certify_path
 
-    def recording(vals, k, jac, *args):
-        result = certify(vals, k, jac, *args)
-        tests.append((float(jac.max()), result))
-        return result
+    def recording_newton(rows, vals, *args):
+        k, slope = _horner(rows, vals, np.zeros((2, len(vals))))
+        attempts.append([float(slope.min()), None, float(np.max(np.abs(k)))])
+        return newton(rows, vals, *args)
+
+    def recording_certify(*args):
+        attempts[-1][1] = lam = certify(*args)
+        return lam
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kempf_ness, "_certify", recording)
-        yield tests
+        patch.setattr(kempf_ness, "_newton", recording_newton)
+        patch.setattr(kempf_ness, "_certify_path", recording_certify)
+        yield attempts
 
 
 def test_flow_linear_w_closed_form(monkeypatch):
     nodes, sigma = _setup()
     f0 = GridFunction(A, B, nodes, sigma.values.copy(), (0.0, 0.0))
     monkeypatch.setattr(kempf_ness, "_T_MAX", 1.0)
-    with _recorded_certificates() as tests:
+    with _recorded_attempts() as attempts:
         trace = run_flow(f0, W_LINEAR, sigma, stop_tol=1e-12)
 
     # V = y at every node, so V' = Re w' = 1: at that rate the exact flow
     # meets stop_tol only by T = ln(max sigma / 1e-12) = 26.2, past the
-    # horizon, and the finish declines without testing its certificate
-    # (lam <= min Re w'); the run stops at the horizon
-    assert tests == []
+    # horizon, and the finish declines without an attempt (lam <= min
+    # Re w'); the run stops at the horizon
+    assert attempts == []
     assert trace.stop == "horizon"
 
     # f' = -Im(x+if) = -f is linear with Jacobian -1, which the exponential
@@ -648,21 +655,22 @@ def test_flow_error_control_takes_few_steps():
 
 def _flow_with_states(monkeypatch, f0, w, sigma, **kwargs):
     # every exprb32 trial starts from the current accepted state, and so does
-    # every test of the finish's certificate (the finish state's origin takes
-    # no trial), so the distinct starting states in call order, then the
-    # final state, are the states whose J the trace records
+    # every attempt of the finish (the finish state's origin takes no
+    # trial), so the distinct starting states in call order, then the final
+    # state, are the states whose J the trace records
     starts = []
 
-    def recording(wrapped):
-        def call(vals, *args):
+    def recording(wrapped, at):
+        def call(*args):
+            vals = args[at]
             if not starts or starts[-1] is not vals:
                 starts.append(vals)
-            return wrapped(vals, *args)
+            return wrapped(*args)
         return call
 
     with monkeypatch.context() as patch:
-        for name in ("_exprb32", "_certify"):
-            patch.setattr(kempf_ness, name, recording(getattr(kempf_ness, name)))
+        for name, at in (("_exprb32", 0), ("_newton", 1)):
+            patch.setattr(kempf_ness, name, recording(getattr(kempf_ness, name), at))
         trace = run_flow(f0, w, sigma, **kwargs)
     states = starts + [trace.final.values]
     assert len(states) == len(trace.times)
@@ -825,7 +833,7 @@ def test_nonfinite_error_estimate_shrinks_the_step_until_it_diverges():
 
 
 # ---------------------------------------------------------------------------
-# the finish: Newton to the certified node-wise limit
+# the finish: Newton to the node-wise limit, then the path certificate
 
 
 def _node_limits(f0, w):
@@ -846,19 +854,19 @@ def _node_limits(f0, w):
 
 
 def test_flow_finish_ends_at_the_node_wise_limit(monkeypatch):
-    # both flows pass the certificate at their start: the run is the start
-    # and the limit at the time bound T, with the exact J increment; each
-    # final height lies within stop_tol / min Re w' of the node's limit
+    # both flows pass the path certificate at their start: the run is the
+    # start and the limit at the time bound T, with the exact J increment;
+    # each final height lies within stop_tol / min Re w' of the node's limit
     # (and in fact at it, to rounding)
     nodes, cube_sigma = _setup()
     cube_f0 = GridFunction(A, B, nodes, 0.3 * cube_sigma.values, (0.0, 0.0))
     stop = config.TOL.flow_stop
     for f0, w, sigma in ((cube_f0, CUBE_THIRD, cube_sigma), _witness_like_cubic()):
-        with _recorded_certificates() as tests:
+        with _recorded_attempts() as attempts:
             trace, states = _flow_with_states(monkeypatch, f0, w, sigma)
         assert trace.stop == "limit"
-        assert len(trace.times) == 2 and len(tests) == 1
-        (_, (lam, _)), = tests
+        assert len(trace.times) == 2 and len(attempts) == 1
+        (_, lam, _), = attempts
         assert trace.times[1] == math.log(trace.residual_sup[0] / stop) / lam
         assert trace.residual_sup[-1] < stop
         assert trace.J_values[-1] < 0.0
@@ -883,24 +891,63 @@ def _unstable_cube_chord():
 
 def test_flow_finish_declines_while_a_node_has_negative_re_w_prime(monkeypatch):
     # the finish needs V' = Re w' > 0 at every node: at a state where some
-    # node has Re w' <= 0 it declines without testing its certificate, and
-    # the run steps on.  Once every node has passed y = -x it can finish
-    # (stop "limit"); cut at t = 5, before that, the run stops at the
-    # horizon
+    # node has Re w' <= 0 it makes no attempt, and the run steps on.  Once
+    # every node has passed y = -x it can finish (stop "limit"); cut at
+    # t = 5, before that, the run stops at the horizon
     f0, w, sigma = _unstable_cube_chord()
     assert float(w.derivative()(f0.nodes + 1j * f0.values).real.min()) < 0.0
-    with _recorded_certificates() as tests:
+    with _recorded_attempts() as attempts:
         trace = run_flow(f0, w, sigma)
-    assert all(top < 0.0 for top, _ in tests)
-    assert trace.stop == "limit" and tests[-1][1] is not None
-    assert 0 < len(tests) < len(trace.times) - 2
+    assert all(slowest > 0.0 for slowest, _, _ in attempts)
+    assert trace.stop == "limit" and attempts[-1][1] is not None
+    assert 0 < len(attempts) < len(trace.times) - 2
     assert min(trace.membership_min) < 0.0 < trace.membership_min[0]
     monkeypatch.setattr(kempf_ness, "_T_MAX", 5.0)
-    with _recorded_certificates() as tests:
+    with _recorded_attempts() as attempts:
         cut = run_flow(f0, w, sigma)
     assert cut.stop == "horizon" and cut.times[-1] == 5.0
     assert cut.residual_sup[-1] >= config.TOL.flow_stop
-    assert all(result is None for _, result in tests)
+    assert all(lam is None for _, lam, _ in attempts)
+
+
+def test_flow_finish_attempts_at_most_once_per_state():
+    # on the unstable cube chord the first two attempts fail (Newton leaves
+    # the basin of a node that has just crossed y = -x), and each failure
+    # lets the run step on to its next state, which attempts again: three
+    # attempts, at the last three states before the finish, end the run at
+    # 33 states in place of the 37 that it takes by exprb32 steps alone
+    f0, w, sigma = _unstable_cube_chord()
+    with _recorded_attempts() as attempts:
+        trace = run_flow(f0, w, sigma)
+    assert trace.stop == "limit"
+    assert [lam is None for _, lam, _ in attempts] == [True, True, False]
+    assert [resid for _, _, resid in attempts] == trace.residual_sup[-4:-1]
+    assert len(trace.times) == 33
+
+
+def test_flow_ends_at_its_limit_once_its_residual_is_rounding():
+    # stop_tol = 0: no exact flow meets it, so the finish never tries, and
+    # the run steps on until its residual is rounding.  There the step test
+    # reads rounding over rounding and rejects every step size; the run
+    # ends at that state (stop "limit") in place of shrinking the step to
+    # the rounding of t and raising Diverged
+    f0, w, sigma = _witness_like_cubic()
+    trace = run_flow(f0, w, sigma, stop_tol=0.0)
+    assert trace.stop == "limit"
+    assert trace.times[-1] < kempf_ness._T_MAX
+    assert trace.rejected_steps == 1
+    assert all(b <= a for a, b in zip(trace.J_values, trace.J_values[1:]))
+    # every node has Re w' > 0, and its residual lies within the rounding
+    # bound of its Horner sum
+    rows = kempf_ness._vertical_line_tables(w, f0.nodes)[:, 0]
+    vals = trace.final.values
+    assert float(w.derivative()(f0.nodes + 1j * vals).real.min()) > 0.0
+    value = _horner(rows, vals, np.zeros(len(vals)))
+    scale = _horner(np.abs(rows), np.abs(vals), np.zeros(len(vals)))
+    assert np.all(np.abs(value) <= 4.0 * len(rows) * np.finfo(float).eps * scale)
+    assert trace.residual_sup[-1] <= 1e-14
+    limits = _node_limits(f0, w)
+    assert np.max(np.abs(vals - limits)) <= 1e-12 * np.max(np.abs(limits))
 
 
 # V = lead * prod (y - r_i) * ((y - s)^2 + c^2): planted real roots, and
@@ -921,9 +968,9 @@ def _planted_node(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_planted_node())
-@example((np.array([-1.0, 1.0]), 0.25))  # V = y - 1: h = 0, one Newton step
+@example((np.array([-1.0, 1.0]), 0.25))  # V = y - 1: one Newton step
 @example((np.poly([0.5, 0.52, 3.0])[::-1].copy(), 0.4))  # a close pair ahead
-# within rounding of a zero: y -+ 2 eta both round to y
+# within rounding of a zero
 @example((np.array([7.11586167e-185, -1.0, 1.0]), 1.0))
 # the limit an ulp past the zero of V
 @example((np.array([-3.935465356933158, 7.362105318722641, -4.426639961789483, 1.0]), 1.0))
@@ -932,45 +979,53 @@ def _planted_node(draw):
 # subnormal heights and coefficients
 @example((np.array([-1.11253693e-313, 0.5, -2.0]), 2.2250738585e-313))
 @example((np.array([-4.450148e-317, 2e-4, -2.0]), 2.2250738585e-313))
+# V' > 0 at y, and Newton jumps past the flow's zero -1.8 to -2.3
+@example((-np.poly([-1.8, -2.3, 2.3])[::-1], 0.7))
+# V' > 0 at y, and V' < 0 on the way to the flow's zero near -2.01
+@example((np.array([2.1, -3.0, 0.0, 1.0]), 2.0))
+# y already at its zero
+@example((np.poly([0.5, 2.0])[::-1].copy(), 2.0))
 def test_certificate_admits_no_zero_between_the_state_and_its_limit(case):
-    # whenever the certificate passes at y, V has exactly one zero in the
-    # ball [y - 2 eta, y + 2 eta] and the Newton limit lies in it; and the
-    # exact count (the Cauchy index of V'/V) finds no zero of V from y up
-    # to the limit, short of it by the limit's own accuracy: the flow from
-    # y meets no zero before the limit
+    # whenever the path certificate passes from y, V has exactly one zero
+    # within eta of the Newton limit y** (eta = (|V(y**)| + e_V) / lam, with
+    # e_V the certificate's rounding bound), and the exact count (the
+    # Cauchy index of V'/V) finds no zero of V from y up to that interval:
+    # the flow from y meets no zero before it
     coeffs, y = case
     rows = np.stack([-coeffs, np.append(coeffs[1:] * np.arange(1, len(coeffs)), 0.0)], axis=1)
     rows = rows[:, :, None]
     vals = np.array([y])
-    work = [np.empty(1) for _ in range(3)] + [np.empty((3, 1))]
     # as run_flow calls them
-    with np.errstate(over="ignore", invalid="ignore"):
-        k, dv = _horner(rows, vals, np.zeros((2, 1)))
-        cert = kempf_ness._certify(vals, k, -dv, kempf_ness._finish_tables(rows), work)
-        assume(cert is not None)
-        lam, h = cert
-        limit = kempf_ness._newton(rows, vals, kempf_ness._newton_steps(h), np.empty(1),
-                                   np.empty((2, 1)))[0]
-    eta = work[0][0]
-    assert 0.0 < lam <= dv[0] and 0.0 <= h <= 0.25
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        limit = kempf_ness._newton(rows, vals, np.empty(1), np.empty((2, 1)))
+        assume(limit is not None)
+        state = _horner(rows, limit, np.zeros((2, 1)))
+        lam = kempf_ness._certify_path(vals, limit, state, kempf_ness._path_tables(rows),
+                                       np.empty((3, 1)), np.empty((3, 1)),
+                                       [np.empty(1) for _ in range(3)])
+    assume(lam is not None)
+    limit = float(limit[0])
     # V' exactly: k a_k as rationals
     exact_dv = [Fraction(c) * j for j, c in enumerate(coeffs.tolist()) if j]
+
+    def slope(at):
+        return sum(c * Fraction(at) ** j for j, c in enumerate(exact_dv))
+
+    # lam bounds V' from below along the path: at its ends y and y** too
+    assert 0.0 < lam < math.inf
+    assert Fraction(lam) <= slope(y) and Fraction(lam) <= slope(limit)
 
     def count(c, d):
         return cauchy.index_on_interval(exact_dv, coeffs.tolist(), min(c, d), max(c, d))
 
-    # the ball's ends rounded outward
-    lo, hi = np.nextafter(y - 2.0 * eta, -math.inf), np.nextafter(y + 2.0 * eta, math.inf)
+    n, eps = len(coeffs), np.finfo(float).eps
+    e_v = 4.0 * n * eps * _horner(np.abs(coeffs), abs(limit), 0.0)
+    eta = (abs(float(state[0, 0])) + e_v + n * np.finfo(float).smallest_subnormal) / lam
+    # the interval's ends rounded outward
+    lo, hi = np.nextafter(limit - eta, -math.inf), np.nextafter(limit + eta, math.inf)
     assert count(lo, hi) == 1
-    assert lo <= limit <= hi
-    # the limit's accuracy: Newton's own, and the rounding of V there over
-    # the certified least slope lam, with an underflow term
-    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
-    scale = _horner(np.abs(coeffs), abs(limit), 0.0)
-    accuracy = 2.0 ** -20 * abs(limit - y) + 16.0 * len(coeffs) * (
-        (eps * scale + tiny) / lam + eps * abs(limit) + tiny)
-    if abs(limit - y) > accuracy:
-        assert count(y, limit - math.copysign(accuracy, limit - y)) == 0
+    if not lo <= y <= hi:
+        assert count(y, lo if y < lo else hi) == 0
 
 
 def _stable_flow_pair(seed):
