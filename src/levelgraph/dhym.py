@@ -183,9 +183,13 @@ def _potential(inp: CalabiInput):
     z2 = inp.z2
     zeta, scale = _horner_bound(P, z2)
     if not (scale < math.inf and cmath.isfinite(zeta)):
+        try:
+            size = abs(z2)
+        except OverflowError:  # |z2| overflows, though b and q are finite
+            size = math.inf
         raise ValueError(
             f"the class data overflow a double: P(z2) = {zeta!r} for P of degree "
-            f"{len(P) - 1} at |z2| = {abs(z2)!r}"
+            f"{len(P) - 1} at |z2| = {size!r}"
         )
     if abs(zeta) < config.TOL.zero_charge * scale:
         raise ZeroTotalCharge(

@@ -29,7 +29,9 @@ checked property of the recorded trace.  Most runs end from their start:
 Newton steps take each node to a limit, and one path certificate proves
 that Im w increases along each node's vertical line from the node to that
 limit, so it is the first zero on the flow's side; the limit is recorded
-at the time by which the exact flow meets the stop test.
+at the time by which the exact flow meets the stop test.  No work is done
+twice: the first Newton step reads the state's own right-hand side and
+Jacobian, and the final state keeps f0's validated grid.
 
 During a flow the nodes x_j never move; only the heights y do.  run_flow
 therefore tabulates, once per call and by poly.line_coeffs on the node
@@ -67,6 +69,7 @@ sigma or flow does.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -94,6 +97,9 @@ _T_MAX = 200.0  # run_flow's horizon: a run stops here if stop_tol is not met be
 # proves the limit, and a start whose stop rule is not met within it is left
 # to the time steps
 _NEWTON_STEPS = 12
+# the spacing of the doubles at 1 and the least subnormal, read once
+_EPS = sys.float_info.epsilon
+_TINY = math.ulp(0.0)
 
 @lru_cache(maxsize=16)
 def _reference_rule(n: int):
@@ -183,6 +189,18 @@ def make_grid_function(a, b, fn, n: int = GRID_NODES, *, boundary) -> GridFuncti
 
     nodes = gauss_interior_nodes(a, b, n)
     return GridFunction(a, b, nodes, np.asarray(fn(nodes), dtype=float), boundary)
+
+
+def _on_grid(f: GridFunction, values: np.ndarray) -> GridFunction:
+    """A GridFunction on f's validated grid with the finite heights values,
+    which it keeps, read-only, without a copy: no check is repeated, and
+    the nodes are f's own array."""
+    g = object.__new__(GridFunction)
+    values.flags.writeable = False
+    for name, value in (("a", f.a), ("b", f.b), ("nodes", f.nodes), ("values", values),
+                        ("boundary", f.boundary)):
+        object.__setattr__(g, name, value)
+    return g
 
 
 def derivative_values(f: GridFunction) -> np.ndarray:
@@ -462,11 +480,17 @@ def _path_tables(stacked: np.ndarray) -> tuple:
     return signed, majorant
 
 
-def _newton(rows: np.ndarray, vals: np.ndarray, out: np.ndarray, acc: np.ndarray):
+def _newton(rows: np.ndarray, vals: np.ndarray, k: np.ndarray, jac: np.ndarray,
+            out: np.ndarray, acc: np.ndarray):
     """Newton steps y <- y - V / V' at every node from vals, written into
     out and returned, or None when the stop rule is not met within
     _NEWTON_STEPS steps; rows are the rows of -V and V' (the first two of
     run_flow's stacked table), and acc a work array of two rows.
+
+    k = -V and jac = -V' are the state's own right-hand side and Jacobian
+    at vals, so the first step takes no pass: -V / V' is -(k / jac) bit for
+    bit (a sign flip is exact), and vals - k / jac is vals + (-V / V').
+    Each later step takes one poly._horner pass.  k and jac are not written.
 
     The stop rule reads the largest correction d_n of step n.  It stops
     once d_n stops shrinking (d_n >= d_(n-1), or d_n is not finite): the
@@ -478,18 +502,19 @@ def _newton(rows: np.ndarray, vals: np.ndarray, out: np.ndarray, acc: np.ndarray
     """
     import numpy as np
 
-    eps = np.finfo(float).eps
-    np.copyto(out, vals)
+    step = np.divide(k, jac, out=acc[0])
+    np.subtract(vals, step, out=out)
     last = math.inf
     for n in range(_NEWTON_STEPS):
-        acc.fill(0.0)
-        _horner(rows, out, acc)
-        step = np.divide(acc[0], acc[1], out=acc[0])
-        out += step
+        if n:
+            acc.fill(0.0)
+            _horner(rows, out, acc)
+            step = np.divide(acc[0], acc[1], out=acc[0])
+            out += step
         d = float(np.abs(step, out=acc[1]).max())
         if not d < last:
             return out
-        if n and d * (d / last) ** 2 <= eps * float(np.abs(out, out=acc[1]).max()):
+        if n and d * (d / last) ** 2 <= _EPS * float(np.abs(out, out=acc[1]).max()):
             return out
         last = d
     return None
@@ -505,10 +530,8 @@ def _rounding_bound(sums: np.ndarray, n: int) -> np.ndarray:
     that sum covers it and the rounding of the magnitudes' own sum, and n
     times the least subnormal covers underflow.
     """
-    import numpy as np
-
-    sums *= 4.0 * n * np.finfo(float).eps
-    sums += n * np.finfo(float).smallest_subnormal
+    sums *= 4.0 * n * _EPS
+    sums += n * _TINY
     return sums
 
 
@@ -551,7 +574,7 @@ def _certify_path(vals: np.ndarray, limit: np.ndarray, rows: np.ndarray, tables:
     signed, majorant = tables
     mid, rho, low = work
     n = len(signed)
-    slack = 4.0 * n * np.finfo(float).eps
+    slack = 4.0 * n * _EPS
     # the signed pass: V'(c), V''(c) and sum |a_k| |y**|^k
     np.add(vals, limit, out=mid)
     mid *= 0.5
@@ -685,7 +708,11 @@ def run_flow(
     (_step_pass), f' and the membership integrand write into work rows
     with out=.  Only the array a trial writes its new state into is
     replaced, once that state is accepted, so each accepted state keeps an
-    array of its own.
+    array of its own; a finish that ends the run allocates none.  The final
+    state is built on f0's validated grid (_on_grid): its nodes are f0's
+    array, and its heights are kept read-only, with no second Gauss check
+    and no copy.  They are finite because every recorded residual is (a
+    nonfinite height makes its Horner sum nan).
 
     Energy.  J depends only on the state, so each step adds its exact
     increment: at each node the integral of Im w(x + iy) dy from f to f_new,
@@ -696,7 +723,9 @@ def run_flow(
     nonfinite increment is integrator error and rejects the step: the
     recorded J is nonincreasing because every accepted step was checked.
 
-    Step size.  The first trial step is one relaxation time 1 / max|Re w'|.
+    Step size.  The first trial step is one relaxation time 1 / max|Re w'|,
+    formed when the loop first takes a time step, from the start state (a
+    run that its finish ends from the start takes none).
     A trial's ratio is s = err / (rtol * r * dt), r = sup|k| at its state.
     The estimate 2 dt phi3 D is third order in dt, and D = F(U) - F(f) -
     J_n (U - f) is quadratic in U - f, which scales with the residual: so
@@ -717,16 +746,21 @@ def run_flow(
     where every node has V' = Re w' > 0 and where the exact flow would meet
     stop_tol by the horizon even at the rate min Re w' (the certified rate
     lam is at most that).
-    1. Newton steps y <- y - V/V' on the -V and V' rows, one poly._horner
-       pass each, take every node from its height y to y** (_newton, which
-       states its stop rule; at most _NEWTON_STEPS).  Their count needs no
-       proof in advance: step 3 bounds |y** - y*| afterwards.
+    1. Newton steps y <- y - V/V' take every node from its height y to y**
+       (_newton, which states its stop rule; at most _NEWTON_STEPS).  The
+       first reads the state's own k = -V and jac = -V', since -V/V' is
+       -(k/jac) bit for bit, and each later one takes one poly._horner pass
+       on the -V and V' rows.  Their count needs no proof in advance: step
+       3 bounds |y** - y*| afterwards.
     2. _step_pass from y to y** gives the J increment, checked
        nonincreasing, and the readings at y**, whose residual must lie
        below stop_tol.
     3. The path certificate (_certify_path) bounds V' from below, by
        lam_j > 0, on an interval about (y + y**)/2 that holds y and
-       y** +- eta_j, eta_j = (|V(y**)| + its rounding bound) / lam_j.  So
+       y** +- eta_j, eta_j = (|V(y**)| + its rounding bound) / lam_j.  Its
+       tables (_path_tables) are built by the first attempt that gets this
+       far, or the first rounding test (see Rounding), so a flow that
+       needs neither builds none.  So
        V_j is strictly increasing there and has exactly one zero in it,
        within eta_j of y**, and the flow from y runs monotonically to that
        zero: it is the first zero on the flow's side, the node's limit y*.
@@ -802,16 +836,17 @@ def run_flow(
     stacked[:, 0] *= -1.0
     rhs_rows = stacked[:, 0]
     # the finish's rows: the rows of -V and V' for its Newton steps, and
-    # the signed and majorant rows of its path certificate
+    # the signed and majorant rows of its path certificate, built when a
+    # finish attempt or a rounding test first needs them
     newton_rows = stacked[:, :2]
-    tables = _path_tables(stacked)
+    tables = ()
     # f' at the nodes: the interior block acts on the heights, and the
     # pinned endpoints add a fixed column sum
     inner, left, right = _reference_operator(len(x))
     edge = left * f0.boundary[0] + right * f0.boundary[1]
     stretch = 2.0 / (f0.b - f0.a)
     # steps shorter than this are lost in the rounding of t
-    dt_min = 4.0 * np.finfo(float).eps * max(_T_MAX, 1.0)
+    dt_min = 4.0 * _EPS * max(_T_MAX, 1.0)
     # the work arrays, made once (see Evaluation): the pass's heights, the
     # two row blocks (the accepted state's k and jac live in cur, a trial's
     # pass fills nxt), F(U), the trial's work, a row for the state's own
@@ -846,8 +881,6 @@ def run_flow(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the start state: the stacked pass of a zero step
         k, memb, jac = diag(f, _step_pass(stacked, yi, yw, qw, f, f, heights, half, cur)[1])
-        fastest = float(np.abs(jac, out=spare).max())
-        dt = min(_T_MAX, 1.0 / fastest if fastest > 0.0 else math.inf)
         while True:
             size = np.abs(k, out=spare)
             resid = float(size.max())
@@ -872,21 +905,27 @@ def run_flow(
             log_ratio = math.log(resid / stop_tol) if stop_tol > 0.0 else math.inf
             slowest = -float(jac.max())
             if slowest > 0.0 and t + log_ratio / slowest <= _T_MAX:
-                limit = _newton(newton_rows, f, new, heights[:2])
+                limit = _newton(newton_rows, f, k, jac, new, heights[:2])
                 lam = None
                 if limit is not None:
                     dj, rows = _step_pass(stacked, yi, yw, qw, f, limit, heights, half, nxt)
                     if -math.inf < dj <= 0.0 and float(np.abs(rows[0], out=spare).max()) < stop_tol:
+                        tables = tables or _path_tables(stacked)
                         lam = _certify_path(f, limit, rows, tables, at, sums, floats[:3])
                 if lam is not None and t + log_ratio / lam <= _T_MAX:
+                    # the limit state ends the run: no array for a next one
                     jval += dj
                     t += log_ratio / lam
-                    f, new = limit, np.empty(len(x))
-                    cur, nxt = nxt, cur
+                    f, new = limit, None
                     k, memb, jac = diag(f, rows)
                     finished = True
                     continue
-            if len(times) > 1:
+            if len(times) == 1:
+                # the first time step leaves the start state: one relaxation
+                # time (see Step size)
+                fastest = float(np.abs(jac, out=spare).max())
+                dt = min(_T_MAX, 1.0 / fastest if fastest > 0.0 else math.inf)
+            else:
                 # the accepted trial's ratio carried to this state's
                 # residual (see Step size), with r = 0 guarded
                 ahead = scale * resid / prev if prev > 0.0 else scale
@@ -913,8 +952,10 @@ def run_flow(
                 rejected += 1
                 # a state whose residual is rounding at a simple zero is its
                 # limit: every step test there reads rounding
-                if slowest > 0.0 and _within_rounding(f, k, tables[0][:, 2], floats[:2]):
-                    break
+                if slowest > 0.0:
+                    tables = tables or _path_tables(stacked)
+                    if _within_rounding(f, k, tables[0][:, 2], floats[:2]):
+                        break
                 dt *= max(0.2, 0.9 * scale ** -0.5)
                 if dt < dt_min:
                     raise Diverged(f"flow step size fell to {dt:.3g} at t = {t:.6g}")
@@ -929,7 +970,9 @@ def run_flow(
             cur, nxt = nxt, cur
             k, memb, jac = diag(f, rows)
 
-    final = GridFunction(f0.a, f0.b, f0.nodes, f, f0.boundary)
+    # every recorded residual is finite, so are the heights (a nonfinite
+    # height makes its Horner sum nan): the final state keeps f0's grid
+    final = _on_grid(f0, f)
     stop = "limit" if finished else "stop_tol" if resids[-1] < stop_tol else "horizon"
     return FlowTrace(times, js, resids, membs, final, rejected, stop)
 

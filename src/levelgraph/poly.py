@@ -90,8 +90,16 @@ def _horner(coeffs: Sequence[complex], z, acc):
 def _horner_bound(coeffs: Sequence[complex], z: complex) -> tuple:
     """(p(z), sum |c_k| |z|^k) in one pass: p(z) as _horner forms it from 0j,
     beside the a priori scale of its rounding (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 5.1), formed alike from 0.0."""
-    v, bound, az = 0j, 0.0, abs(z)
+    Stability of Numerical Algorithms, section 5.1), formed alike from 0.0.
+    abs(z) raises OverflowError when |z| overflows a double though both
+    parts of z are finite, and also at a nan part when an earlier C call
+    (the eigenvalue solve) left errno at ERANGE; |z| is then taken as inf,
+    so the scale is not finite."""
+    v, bound = 0j, 0.0
+    try:
+        az = abs(z)
+    except OverflowError:
+        az = math.inf
     for c in reversed(coeffs):
         v = v * z + c
         bound = bound * az + abs(c)

@@ -24,8 +24,10 @@ corrector's standoff, pull 0.3, gap 0), onto which it snaps as
 (1 + |c|), TOL.connect (1 + |z1|)).  A trace ends by the first row whose
 ball holds its endpoint, and each step is cut to max(pull (|u - point| -
 gap), ball / 2): without that clamp the turn-angle control strides past
-arrival points, which lie on arcs of bounded curvature.  A target with a
-landing disc (below) takes pull _LAND_PULL and gap its ball instead.
+arrival points, which lie on arcs of bounded curvature.  Each step reads
+the table once: one distance |u - point| per row serves both the arrival
+test and the clamp.  A target with a landing disc (below) takes pull
+_LAND_PULL and gap its ball instead.
 
 A regular target z1 also gets a landing disc, which ends the trace in one
 step from the first point inside it, where quarter steps from its edge into
@@ -81,7 +83,9 @@ of order 1 to a disc of radius 0.06, two steps instead of ten.
 The same disc launches every trace, taken about the corrected seed u0 for
 the polynomial whose level set is traced (w, or i w' on the vertical-tangent
 kind): half of it holds one arc, the seed's own, along which the tangent
-stays within arcsin q of the tangent at u0.  So the first step is
+stays within arcsin q of the tangent at u0.  Both discs read one list of
+M2's coefficients, and the seed's reads w'(u0) from the gradient there,
+which the trace has formed already.  So the first step is
 max(TOL.step_initial (1 + |seed|), min(h_max, r(u0) / 2)), cut by the stop
 clamps like every step; a seed with no disc starts at TOL.step_initial.
 
@@ -217,20 +221,25 @@ def _escape_radius(w: ComplexPolynomial, seed: complex) -> float:
     return max(config.TOL.trace_radius_factor * (1.0 + _root_bound(w)), 1.25 * (abs(seed) + 1.0))
 
 
-def _landing_disc(coeffs, dcoeffs, z: complex) -> float:
+def _majorant(coeffs) -> list:
+    """The ascending coefficients k (k - 1) |c_k|, k >= 2, of M2 for w given
+    by its ascending coeffs: M2(s) = sum k (k - 1) |c_k| s^(k-2) at
+    s = |z| + r bounds |w''| on D(z, r)."""
+    return [k * (k - 1) * abs(c) for k, c in enumerate(coeffs)][2:]
+
+
+def _landing_disc(b: list, d: complex, z: complex) -> float:
     """Radius r of the landing disc about z of the level curve of Im w
-    through z, w and w' given by their ascending coeffs and dcoeffs: the
+    through z, given M2's coefficients b (_majorant) and d = w'(z): the
     largest r <= 1 with r M2(r) <= q |w'(z)| (see the module docstring).  0
     where w'(z) vanishes or overflows, where the tangent is vertical
     (q = 0), or where q g / M2(1) is below the least normal double."""
-    d = _horner(dcoeffs, z, 0j)
     g = abs(d)
     if not 0.0 < g < math.inf:
         return 0.0
     qg = min(0.5, 0.5 * abs(d.real) / g) * g
     if qg == 0.0:
         return 0.0
-    b = [k * (k - 1) * abs(c) for k, c in enumerate(coeffs)][2:]
 
     def fits(r):
         return r * _horner(b, abs(z) + r, 0.0) <= qg
@@ -341,10 +350,12 @@ def _trace(
         stops.append((c, snap, 0.3, 0.0, "critical_point", reaches))
 
     # the landing disc of a regular target: its radius land (0 for none)
-    # and z1 corrected onto the level
+    # and z1 corrected onto the level; both discs read one majorant
+    majorant = _majorant(base.coeffs)
     land = 0.0
     if target is not None:
-        radius = min([0.5 * _landing_disc(base.coeffs, dcoeffs, target)]
+        disc = _landing_disc(majorant, _horner(dcoeffs, target, 0j), target)
+        radius = min([0.5 * disc]
                      + [abs(c - target) - snap for c, snap, *_ in stops[1:]])
         if radius > aim:
             landing = _correct(field, grad, ftol, target, aim)
@@ -354,9 +365,10 @@ def _trace(
                 stops[0] = (target, aim, _LAND_PULL, aim, "target", True)
 
     tangent = _orient(_unit_tangent(g0), direction)
-    # the launch: half the disc about u0 holds one arc, the seed's own
+    # the launch: half the disc about u0 holds one arc, the seed's own;
+    # g0 = grad(u0) is w'(u0) with its parts swapped
     h = max(config.TOL.step_initial * seed_scale,
-            min(h_max, 0.5 * _landing_disc(base.coeffs, dcoeffs, u0)))
+            min(h_max, 0.5 * _landing_disc(majorant, complex(g0.imag, g0.real), u0)))
     h_floor = config.TOL.step_floor * seed_scale
     max_turn = config.TOL.max_turn_angle
 
@@ -368,17 +380,27 @@ def _trace(
         return None, None, False
 
     pts = [u0]
-    terminated = "step_limit"
+    terminated, reached = "step_limit", False
 
     for _ in range(_MAX_STEPS):
         u = pts[-1]
 
-        # --- arrival checks on the current endpoint ---------------------
-        kind_hit, snapped, reached = arrival(u)
-        if kind_hit is not None:
-            if pts[-1] != snapped:
-                pts.append(snapped)
-            terminated = kind_hit
+        # --- one pass over the stops: the arrival check, else the
+        # proximity clamp (approach arrivals geometrically), both from one
+        # |u - point| per row ---------------------------------------------
+        h_step = min(h, h_max)
+        for point, ball, pull, gap, name, reaches in stops:
+            dist = abs(u - point)
+            if dist <= ball:
+                break
+            h_step = min(h_step, max(pull * (dist - gap), 0.5 * ball))
+        else:
+            name = None
+        if name is not None:
+            # a target ends the trace at u, a critical point at the point itself
+            if name != "target" and u != point:
+                pts.append(point)
+            terminated, reached = name, reaches
             break
         if abs(u) >= escape:
             terminated = "radius"
@@ -387,11 +409,6 @@ def _trace(
             pts.append(landing)
             terminated, reached = "target", True
             break
-
-        # --- proximity clamps: approach arrivals geometrically ----------
-        h_step = min(h, h_max)
-        for point, ball, pull, gap, _, _ in stops:
-            h_step = min(h_step, max(pull * (abs(u - point) - gap), 0.5 * ball))
 
         # --- predictor / corrector with turn-angle control ---------------
         while True:

@@ -1,5 +1,5 @@
 """Reference flow trial: the plain form of ``levelgraph.kempf_ness._phi1``,
-``_phi3``, ``_exprb32`` and ``_step_pass``.
+``_phi3``, ``_exprb32``, ``_step_pass`` and ``_newton``.
 
 ``phi1`` always divides through ``where=``, and ``phi3`` always sums its
 series over the whole array and forms the closed form over the whole array,
@@ -12,7 +12,9 @@ tests compare the two.
 every operation returns a new array, and the Horner sums start from the
 scalar 0.0.  The library writes the same operations, in the same order,
 into work arrays that ``run_flow`` makes once per call; the tests compare
-the bytes of both.
+the bytes of both.  ``newton`` takes a Horner pass for every step, where
+the library's first step reads the state's own right-hand side and
+Jacobian; both must reach the same limit, bit for bit.
 """
 
 import math
@@ -76,3 +78,23 @@ def stacked_pass(stacked, yi, yw, qw, old, new):
                               0.5 * (new + old) + yi[:, None] * half])
     rows = horner(stacked, heights)
     return -float((qw * half * (yw @ rows[3:])).sum()), rows[:3]
+
+
+def newton(rows, vals, steps=12):
+    """The finish's Newton steps from vals as they read on paper, every step
+    the first included taking its own Horner pass over the rows of -V and
+    V', with ``kempf_ness._newton``'s stop rule: (limit, passes), the limit
+    None when the rule is not met within steps passes."""
+    eps = np.finfo(float).eps
+    out, last = vals, math.inf
+    for n in range(steps):
+        k, slope = horner(rows, out)
+        step = k / slope
+        out = out + step
+        d = float(np.max(np.abs(step)))
+        if not d < last:
+            return out, n + 1
+        if n and d * (d / last) ** 2 <= eps * float(np.max(np.abs(out))):
+            return out, n + 1
+        last = d
+    return None, steps

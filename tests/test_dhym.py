@@ -69,6 +69,13 @@ def test_input_validation():
         CalabiInput(m=1, r=0, xi1=1.0, xi2=0.0, b=0.0, q=0.0)
 
 
+def test_class_data_whose_z2_modulus_overflows_raise_the_documented_error():
+    # b and q are finite, but |z2| overflows a double: P(z2) and its
+    # rounding scale are not finite
+    with pytest.raises(ValueError, match="the class data overflow a double"):
+        analyze(CalabiInput(1, 1, 0.5, 0.5, 1.5e308, 1.5e308))
+
+
 # ---------------------------------------------------------------------------
 # the fully hand-computed instance: m=1, r=0, xi=1, z2=1
 
@@ -844,6 +851,8 @@ def decision(inp):
 @example(inp=WALL)
 @example(inp=PLANTED_39)
 @example(inp=TEN_TIMES_4889)
+# |z2| overflows a double though b and q are finite
+@example(inp=CalabiInput(1, 1, 0.5, 0.5, 1.5e308, 1.5e308))
 def test_analyze_is_conjugation_invariant(inp):
     # (xi2, q) -> (-xi2, -q) conjugates w' exactly on doubles and mirrors its
     # level structure in the real axis, so neither the verdict, the

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from reference_flow import exprb32 as reference_exprb32
 from reference_flow import horner as reference_horner
+from reference_flow import newton as reference_newton
 from reference_flow import phi1 as reference_phi1
 from reference_flow import phi3 as reference_phi3
 from reference_flow import stacked_pass as reference_stacked_pass
@@ -925,6 +926,105 @@ def test_flow_finish_attempts_at_most_once_per_state():
     assert len(trace.times) == 33
 
 
+def _newton_rows(w, nodes):
+    # the rows of -V and V' at the nodes, as run_flow forms them
+    rows = kempf_ness._vertical_line_tables(w, nodes)[:, :2]
+    rows[:, 0] *= -1.0
+    return rows
+
+
+def test_newton_reads_the_state_for_its_first_step_bit_for_bit():
+    # _newton's first step reads the state's own k = -V and jac = -V' in
+    # place of a pass: every limit, and every None, equals that of steps
+    # that each take a pass.  At a node with V' = 0 the first step is
+    # infinite (V != 0) or nan (V = 0) in both, to the bit
+    nodes, cube_sigma = _setup()
+    cube_f0 = GridFunction(A, B, nodes, 0.3 * cube_sigma.values, (0.0, 0.0))
+    cases = [(_newton_rows(w, f0.nodes), f0.values)
+             for f0, w, _ in ((cube_f0, CUBE_THIRD, cube_sigma), _unstable_cube_chord(),
+                              _witness_like_cubic())]
+    # V = y^2 - 1, y^2 and y^2 - 1 at y = 0, 0 and 2: V' = 0 at the first two
+    flat = np.zeros((3, 2, 3))
+    flat[:, 0] = -np.array([[-1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    flat[:2, 1] = [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]
+    cases.append((flat, np.array([0.0, 0.0, 2.0])))
+    for rows, vals in cases:
+        n = len(vals)
+        k, slope = _horner(rows, vals, np.zeros((2, n)))
+        jac = -slope
+        seen = k.tobytes(), jac.tobytes()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            limit = kempf_ness._newton(rows, vals, k, jac, np.empty(n), np.empty((2, n)))
+            expect, _ = reference_newton(rows, vals)
+        assert (k.tobytes(), jac.tobytes()) == seen
+        assert (limit is None) == (expect is None)
+        if limit is not None:
+            assert limit.tobytes() == expect.tobytes()
+    assert not np.isfinite(limit[:2]).any() and np.isinf(limit[0]) and np.isnan(limit[1])
+
+
+def test_a_finish_takes_no_pass_twice(monkeypatch):
+    # the witness-like cubic ends from its start.  Its Horner passes are
+    # the start pass, the Newton steps after the first (the first reads the
+    # start's k and jac), the J pass to the limit and the certificate's
+    # signed and majorant passes; it builds the certificate's tables once.
+    # A flow that neither attempts a finish nor tests its rounding builds
+    # none
+    passes, in_newton, tables = [], [], []
+    horner, newton, path_tables = kempf_ness._horner, kempf_ness._newton, kempf_ness._path_tables
+
+    def counted_newton(*args):
+        before = len(passes)
+        limit = newton(*args)
+        in_newton.append(len(passes) - before)
+        return limit
+
+    monkeypatch.setattr(kempf_ness, "_horner", lambda *args: passes.append(1) or horner(*args))
+    monkeypatch.setattr(kempf_ness, "_newton", counted_newton)
+    monkeypatch.setattr(kempf_ness, "_path_tables",
+                        lambda *args: tables.append(1) or path_tables(*args))
+    f0, w, sigma = _witness_like_cubic()
+    trace = run_flow(f0, w, sigma)
+    assert trace.stop == "limit" and len(trace.times) == 2
+    _, steps = reference_newton(_newton_rows(w, f0.nodes), f0.values)
+    assert steps > 1
+    assert in_newton == [steps - 1]
+    assert len(passes) == 1 + (steps - 1) + 1 + 2
+    assert len(tables) == 1
+
+    nodes, sigma = _setup()
+    f0 = GridFunction(A, B, nodes, sigma.values.copy(), (0.0, 0.0))
+    monkeypatch.setattr(kempf_ness, "_T_MAX", 1.0)
+    del in_newton[:], tables[:]
+    trace = run_flow(f0, W_LINEAR, sigma, stop_tol=1e-12)
+    assert trace.stop == "horizon" and trace.rejected_steps == 0
+    assert in_newton == [] and tables == []
+
+
+def test_the_final_state_keeps_the_start_grid():
+    # the final state of a finished run, of a run of exprb32 steps and of a
+    # run that stops at its start is built on f0's validated nodes, not a
+    # copy of them, and its heights are read-only; the public constructor
+    # keeps every check
+    f0, w, sigma = _witness_like_cubic()
+    still = GridFunction(f0.a, f0.b, f0.nodes, np.zeros(len(f0.nodes)), (0.0, 0.0))
+    for start, kwargs in ((f0, {}), (f0, {"stop_tol": 0.0}), (still, {})):
+        trace = run_flow(start, ComplexPolynomial([0.0, 1.0]) if start is still else w, sigma,
+                         **kwargs)
+        final = trace.final
+        assert final.nodes is start.nodes
+        assert (final.a, final.b, final.boundary) == (start.a, start.b, start.boundary)
+        assert np.isfinite(final.values).all()
+        assert not final.values.flags.writeable
+        with pytest.raises(ValueError):
+            final.values[0] = 1.0
+    assert trace.times == [0.0]
+    with pytest.raises(ValueError, match="Gauss-Legendre"):
+        GridFunction(f0.a, f0.b, f0.nodes + 1e-3, final.values, f0.boundary)
+    with pytest.raises(ValueError, match="nonfinite height values"):
+        GridFunction(f0.a, f0.b, f0.nodes, np.full(len(f0.nodes), math.inf), f0.boundary)
+
+
 def test_flow_ends_at_its_limit_once_its_residual_is_rounding():
     # stop_tol = 0: no exact flow meets it, so the finish never tries, and
     # the run steps on until its residual is rounding.  There the step test
@@ -995,9 +1095,10 @@ def test_certificate_admits_no_zero_between_the_state_and_its_limit(case):
     rows = np.stack([-coeffs, np.append(coeffs[1:] * np.arange(1, len(coeffs)), 0.0)], axis=1)
     rows = rows[:, :, None]
     vals = np.array([y])
-    # as run_flow calls them
+    # as run_flow calls them, with the state's k = -V and jac = -V'
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        limit = kempf_ness._newton(rows, vals, np.empty(1), np.empty((2, 1)))
+        k, slope = _horner(rows, vals, np.zeros((2, 1)))
+        limit = kempf_ness._newton(rows, vals, k, -slope, np.empty(1), np.empty((2, 1)))
         assume(limit is not None)
         state = _horner(rows, limit, np.zeros((2, 1)))
         lam = kempf_ness._certify_path(vals, limit, state, kempf_ness._path_tables(rows),

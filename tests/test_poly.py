@@ -430,6 +430,10 @@ def solve_inputs(draw):
 @given(solve_inputs())
 # a leading coefficient so small that the companion row overflows
 @example(ComplexPolynomial([1, 2, 3, 1e-310]))
+# a companion row whose eigenvalue solve returns nan with errno left at
+# ERANGE, where abs of that nan raised OverflowError: its rounding scale
+# sum |c_k| |z|^k is not finite, and it has no disc
+@example(ComplexPolynomial([3 + 3j, 2.2250738585072014e-308j]))
 @settings(max_examples=300, deadline=None)
 def test_roots_match_the_reference_solve(p):
     assert _outcome(roots, p) == _outcome(reference_roots.roots, p)

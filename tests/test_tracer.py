@@ -497,9 +497,10 @@ def _exact(coeffs, z):
 
 
 def _landing_disc(coeffs, z):
-    """tracer._landing_disc for w given by its coefficients, with w' formed
-    as the tracer forms it."""
-    return tracer._landing_disc(coeffs, ComplexPolynomial(coeffs).derivative().coeffs, z)
+    """tracer._landing_disc for w given by its coefficients, with M2's
+    coefficients and w'(z) formed as the tracer forms them."""
+    d = ComplexPolynomial(coeffs).derivative()(z)
+    return tracer._landing_disc(tracer._majorant(coeffs), d, z)
 
 
 _DISC_COEFFS = st.lists(
